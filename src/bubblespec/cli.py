@@ -11,7 +11,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import click
 import numpy as np
@@ -21,7 +21,7 @@ from .kernel import CutoffProfile, KernelConvergenceError, d_approx, d_exact, f_
 from .matching import MediumConfig, coefficients_bc
 from .oracles import hankel_finite_integral, spectral_delta_checks
 from .quadrature import QuadratureError
-from .special_functions import ModeOrder, bessel_jn_half
+from .special_functions import ModeOrder, _reduced_det, bessel_jn_half
 
 EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
@@ -60,13 +60,31 @@ class RunConfig:
         )
 
 
-_MEDIUM_KEYS = {"n_gas_in", "n_gas_out", "n_liquid", "radius", "k_observed"}
-_QUAD_FLOAT_KEYS = {"rel_tol", "abs_tol", "tail_upper_bound"}
-_BOOL_KEYS = {"include_tails"}
-_INT_KEYS = {"max_subdivisions", "grid_points", "l_max_override"}
-_FLOAT_KEYS = {"x_star_override", "y_star_override"}
-_STR_KEYS = {"kernel_mode", "output_path"}
-_ALL_KEYS = _MEDIUM_KEYS | _QUAD_FLOAT_KEYS | _BOOL_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+def _parse_bool(value: str) -> bool:
+    if value.lower() not in ("true", "false", "0", "1"):
+        raise ValueError(value)
+    return value.lower() in ("true", "1")
+
+
+# Config key -> (the RunConfig part it sets, value converter).
+_CONFIG_KEYS = {
+    "n_gas_in": ("medium", float),
+    "n_gas_out": ("medium", float),
+    "n_liquid": ("medium", float),
+    "radius": ("medium", float),
+    "k_observed": ("medium", float),
+    "rel_tol": ("quad", float),
+    "abs_tol": ("quad", float),
+    "tail_upper_bound": ("quad", float),
+    "include_tails": ("quad", _parse_bool),
+    "max_subdivisions": ("quad", int),
+    "grid_points": ("run", int),
+    "l_max_override": ("run", int),
+    "x_star_override": ("run", float),
+    "y_star_override": ("run", float),
+    "kernel_mode": ("run", str),
+    "output_path": ("run", str),
+}
 
 
 def parse_config(path: str | None) -> RunConfig:
@@ -74,9 +92,7 @@ def parse_config(path: str | None) -> RunConfig:
     cfg = RunConfig()
     if path is None:
         return cfg
-    medium_kwargs: dict[str, float] = {}
-    quad_kwargs: dict[str, object] = {}
-    run_kwargs: dict[str, object] = {}
+    updates: dict[str, dict[str, object]] = {"medium": {}, "quad": {}, "run": {}}
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -86,45 +102,20 @@ def parse_config(path: str | None) -> RunConfig:
                 if "=" not in line:
                     raise click.UsageError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
                 key, _, value = (s.strip() for s in line.partition("="))
-                if key not in _ALL_KEYS:
+                if key not in _CONFIG_KEYS:
                     raise click.UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+                target, convert = _CONFIG_KEYS[key]
                 try:
-                    if key in _MEDIUM_KEYS:
-                        medium_kwargs[key] = float(value)
-                    elif key in _QUAD_FLOAT_KEYS:
-                        quad_kwargs[key] = float(value)
-                    elif key in _BOOL_KEYS:
-                        if value.lower() not in ("true", "false", "0", "1"):
-                            raise ValueError(value)
-                        quad_kwargs[key] = value.lower() in ("true", "1")
-                    elif key in _INT_KEYS:
-                        if key == "max_subdivisions":
-                            quad_kwargs[key] = int(value)
-                        else:
-                            run_kwargs[key] = int(value)
-                    elif key in _FLOAT_KEYS:
-                        run_kwargs[key] = float(value)
-                    else:
-                        run_kwargs[key] = value
+                    updates[target][key] = convert(value)
                 except ValueError as exc:
                     raise click.UsageError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     except OSError as exc:
         raise click.UsageError(f"cannot read config file {path}: {exc}") from exc
 
     try:
-        if medium_kwargs:
-            base = cfg.medium
-            medium = MediumConfig(
-                n_gas_in=medium_kwargs.get("n_gas_in", base.n_gas_in),
-                n_gas_out=medium_kwargs.get("n_gas_out", base.n_gas_out),
-                n_liquid=medium_kwargs.get("n_liquid", base.n_liquid),
-                radius=medium_kwargs.get("radius", base.radius),
-                k_observed=medium_kwargs.get("k_observed", base.k_observed),
-            )
-        else:
-            medium = cfg.medium
-        quad = replace(cfg.quad, **quad_kwargs) if quad_kwargs else cfg.quad
-        run = replace(cfg, medium=medium, quad=quad, **run_kwargs)
+        medium = replace(cfg.medium, **updates["medium"])
+        quad = replace(cfg.quad, **updates["quad"])
+        run = replace(cfg, medium=medium, quad=quad, **updates["run"])
     except ValueError as exc:
         raise click.UsageError(f"invalid configuration: {exc}") from exc
     if run.kernel_mode not in ("exact", "factorized"):
@@ -309,7 +300,8 @@ def _run_checks() -> list[dict]:
         p = bessel_jn_half(ModeOrder(l), z)
         if p.saturated or math.isinf(p.n):
             continue
-        w = z * (p.j * p.n_prev - p.j_prev * p.n)
+        # the J/N cross determinant at equal arguments is the Wronskian 2/pi
+        w = _reduced_det(p.j, p.j_prev, z, p.n, p.n_prev, z)
         worst = max(worst, abs(w - 2 / math.pi) / (2 / math.pi))
     reports.append(
         {"name": "wronskian", "max_rel_error": worst, "samples": 2000, "passed": worst < 1e-10}

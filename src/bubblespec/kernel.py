@@ -18,12 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matching import MediumConfig, coefficient_a_sq
+# bessel_jn_half is unused here but perfbench/test_perfbench.py reads it.
 from .special_functions import (
-    AsymptoticRegimeError,
     BesselDomainError,
     ModeOrder,
+    _reduced_det,
+    _reduced_det_diagonal,
     bessel_jn_half,
-    diagonal_kernel_term,
+    half_integer_j_array,
     tail_term_scale,
 )
 
@@ -45,10 +47,15 @@ __all__ = [
 _L_HARD_CAP = 200
 # Relative tail budget for the adaptive truncation.
 _TAIL_REL = 1e-8
-# Below this separation (relative to scale) the ratio W~/(x^2 - y^2) is
-# evaluated through its analytic diagonal limit; direct evaluation loses
-# all digits to cancellation there.
-_DIAG_EPS_REL = 1e-3
+# Below _DIAG_BAND * min(x, y, 1) the ratio W~/(x^2 - y^2) is evaluated
+# through its analytic diagonal limit at the midpoint, which is off by
+# about (0.22 + 0.75/x^2) (x - y)^2 relative; the direct form loses digits
+# to cancellation instead (~1e-10 at the band edge against 40-digit sums).
+# Both stay inside the 1e-8 tail budget from x ~ 0.1 up to the cap.
+_DIAG_BAND = 1e-4
+# The tail certifies within a few orders of where its bound applies; J
+# sequences reach this far past that order before falling back to the cap.
+_L_MARGIN = 8
 
 _HALF_ASYMPTOTE = 1.0 / (2.0 * math.pi * math.pi)
 _D_FIT_SCALE = 250.0
@@ -122,14 +129,20 @@ def default_l_max(cfg: MediumConfig) -> int:
     return max(1, round(cfg.cutoff_product))
 
 
-def _pw_ratio(order: ModeOrder, x: float, y: float) -> float:
-    """W~_nu(x, y) / (x^2 - y^2), stable through the diagonal."""
-    if abs(x - y) < _DIAG_EPS_REL * max(x, y, 1.0):
+def _pw_ratios(x: float, y: float, l_size: int) -> list[float]:
+    """W~_nu(x, y)/(x^2 - y^2) for l = 1..l_size, stable through the diagonal.
+
+    One J_{l+1/2} sequence per argument (or at the midpoint in the
+    diagonal band) serves every order.
+    """
+    if abs(x - y) < _DIAG_BAND * min(x, y, 1.0):
         m = 0.5 * (x + y)
-        return diagonal_kernel_term(order, m) / (x + y)
-    px = bessel_jn_half(order, x)
-    py = bessel_jn_half(order, y)
-    return (px.j * y * py.j_prev - py.j * x * px.j_prev) / (x * x - y * y)
+        j = half_integer_j_array(l_size, m)
+        return [_reduced_det_diagonal(l + 0.5, m, j[l], j[l - 1]) / (x + y) for l in range(1, l_size + 1)]
+    jx = half_integer_j_array(l_size, x)
+    jy = half_integer_j_array(l_size, y)
+    d = x * x - y * y
+    return [_reduced_det(jx[l], jx[l - 1], x, jy[l], jy[l - 1], y) / d for l in range(1, l_size + 1)]
 
 
 def _a_product(order: ModeOrder, x: float, y: float, cfg: MediumConfig, cut: CutoffProfile) -> float:
@@ -139,17 +152,18 @@ def _a_product(order: ModeOrder, x: float, y: float, cfg: MediumConfig, cut: Cut
     return a_in * a_out
 
 
-def _a_tail_majorant(l: int, x: float, y: float, cfg: MediumConfig | None, cut: CutoffProfile | None) -> float:
-    """Upper estimate of the A-factor product for tail majorization."""
+def _tail_term(l: int, x: float, y: float, cfg: MediumConfig | None, cut: CutoffProfile | None) -> float:
+    """Majorant of the l-th kernel term, A-factor product included when cfg is given."""
+    s = tail_term_scale(ModeOrder(l), x, y)
+    bound = (2 * l + 1) * s * s
     if cfg is None:
-        return 1.0
+        return bound
     nu = l + 0.5
-    prod = 1.0
     if cut is None or y <= cut.y_star:
-        prod *= max(1.0, (cfg.n_liquid / cfg.n_gas_in) ** (2.0 * nu))
+        bound *= max(1.0, (cfg.n_liquid / cfg.n_gas_in) ** (2.0 * nu))
     if cut is None or x <= cut.x_star:
-        prod *= max(1.0, (cfg.n_liquid / cfg.n_gas_out) ** (2.0 * nu))
-    return prod
+        bound *= max(1.0, (cfg.n_liquid / cfg.n_gas_out) ** (2.0 * nu))
+    return bound
 
 
 def f_exact(
@@ -176,27 +190,30 @@ def f_exact(
     if with_a_factors and cfg is None:
         raise ValueError("with_a_factors requires a MediumConfig")
     cap = min(l_max, _L_HARD_CAP)
-    acc = 0.0
+    a_cfg = cfg if with_a_factors else None
+    # The tail bound holds for nu = l + 1/2 > half_e_m.
+    half_e_m = math.e * max(x, y) / 2.0
+    # Sized independently of l_max so that every truncation sees the same terms.
+    ratios = _pw_ratios(x, y, min(_L_HARD_CAP, int(half_e_m) + _L_MARGIN))
     terms: list[float] = []
+    acc = 0.0
     l = 0
     tail_est = math.inf
     while l < cap:
         l += 1
-        order = ModeOrder(l)
-        r = _pw_ratio(order, x, y)
+        if l > len(ratios):
+            ratios = _pw_ratios(x, y, _L_HARD_CAP)
+        r = ratios[l - 1]
         t = (2 * l + 1) * r * r
         if with_a_factors:
-            t *= _a_product(order, x, y, cfg, cut)
+            t *= _a_product(ModeOrder(l), x, y, cfg, cut)
         terms.append(t)
         acc += t
-        # Try to certify the remainder once the asymptotic regime is reached.
-        try:
-            s1 = tail_term_scale(ModeOrder(l + 1), x, y)
-            s2 = tail_term_scale(ModeOrder(l + 2), x, y)
-        except AsymptoticRegimeError:
+        # Certify the remainder once the asymptotic regime is reached.
+        if l + 1.5 <= half_e_m:
             continue
-        b1 = (2 * (l + 1) + 1) * s1 * s1 * _a_tail_majorant(l + 1, x, y, cfg if with_a_factors else None, cut)
-        b2 = (2 * (l + 2) + 1) * s2 * s2 * _a_tail_majorant(l + 2, x, y, cfg if with_a_factors else None, cut)
+        b1 = _tail_term(l + 1, x, y, a_cfg, cut)
+        b2 = _tail_term(l + 2, x, y, a_cfg, cut)
         ratio = b2 / b1 if b1 > 0.0 else 0.0
         if ratio < 0.9:
             tail_est = b1 / (1.0 - ratio)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .special_functions import BesselDomainError, ModeOrder, bessel_jn_half
+from .special_functions import BesselDomainError, ModeOrder, _reduced_det, bessel_jn_half
 
 __all__ = [
     "MediumConfig",
@@ -70,13 +70,12 @@ class MatchingCoefficients:
     xi_abs: float
 
 
-def _matching_determinants(order: ModeOrder, y: float, index_ratio: float) -> tuple[float, float]:
-    """The two 2x2 determinants of the matching linear system.
+def _amplitudes(order: ModeOrder, y: float, index_ratio: float) -> tuple[float, float, float]:
+    """|A|^2, B and C from the two 2x2 determinants of the matching system.
 
     D1 pairs the inside J column with the outside N column, D2 with the
     outside J column, both at surface arguments (y inside, N*y outside).
-    The derivative rows are reduced with z J'_nu = z J_{nu-1} - nu J_nu;
-    the nu-proportional terms cancel between the two rows.
+    |A|^2 = (4/pi^2) / (D1^2 + D2^2) and (B, C) = (D1, -D2)/hypot(D1, D2).
     """
     if y <= 0.0 or index_ratio <= 0.0:
         raise BesselDomainError(
@@ -85,30 +84,28 @@ def _matching_determinants(order: ModeOrder, y: float, index_ratio: float) -> tu
     ny = index_ratio * y
     inside = bessel_jn_half(order, y)
     outside = bessel_jn_half(order, ny)
-    d1 = inside.j * ny * outside.n_prev - outside.n * y * inside.j_prev
-    d2 = inside.j * ny * outside.j_prev - outside.j * y * inside.j_prev
-    return d1, d2
+    d1 = _reduced_det(inside.j, inside.j_prev, y, outside.n, outside.n_prev, ny)
+    d2 = _reduced_det(inside.j, inside.j_prev, y, outside.j, outside.j_prev, ny)
+    h = math.hypot(d1, d2)
+    return _TWO_OVER_PI * _TWO_OVER_PI / (d1 * d1 + d2 * d2), d1 / h, -d2 / h
 
 
 def coefficient_a_sq(order: ModeOrder, y: float, index_ratio: float) -> float:
     """|A_nu|^2 at surface argument y with outside/inside index ratio.
 
-    Equal to (4/pi^2) / (D1^2 + D2^2); reduces to 1 for index_ratio = 1
-    because the determinants collapse to the Wronskian 2/pi.
+    Reduces to 1 for index_ratio = 1 because the determinants collapse to
+    the Wronskian 2/pi.
     """
-    d1, d2 = _matching_determinants(order, y, index_ratio)
-    return _TWO_OVER_PI * _TWO_OVER_PI / (d1 * d1 + d2 * d2)
+    return _amplitudes(order, y, index_ratio)[0]
 
 
 def coefficients_bc(order: ModeOrder, y: float, index_ratio: float) -> tuple[float, float]:
     """(B, C) with B^2 + C^2 = 1, B > 0 in the homogeneous limit.
 
-    B and C are proportional to D1 and -D2 respectively; normalizing by
-    hypot enforces the unit-circle convention exactly.
+    Normalizing by hypot enforces the unit-circle convention exactly.
     """
-    d1, d2 = _matching_determinants(order, y, index_ratio)
-    h = math.hypot(d1, d2)
-    return d1 / h, -d2 / h
+    _, b, c = _amplitudes(order, y, index_ratio)
+    return b, c
 
 
 def normalization_xi(kappa: float, n_liquid: float) -> float:
@@ -124,11 +121,5 @@ def matching_coefficients(
     order: ModeOrder, y: float, index_ratio: float, kappa: float, n_liquid: float
 ) -> MatchingCoefficients:
     """Bundle |A|^2, (B, C) and |Xi| for one mode."""
-    d1, d2 = _matching_determinants(order, y, index_ratio)
-    h = math.hypot(d1, d2)
-    return MatchingCoefficients(
-        a_sq=_TWO_OVER_PI * _TWO_OVER_PI / (h * h),
-        b=d1 / h,
-        c=-d2 / h,
-        xi_abs=normalization_xi(kappa, n_liquid),
-    )
+    a_sq, b, c = _amplitudes(order, y, index_ratio)
+    return MatchingCoefficients(a_sq=a_sq, b=b, c=c, xi_abs=normalization_xi(kappa, n_liquid))

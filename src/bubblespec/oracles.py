@@ -17,7 +17,7 @@ from scipy import integrate
 
 from .kernel import f_exact
 from .matching import MediumConfig, normalization_xi
-from .special_functions import BesselDomainError, ModeOrder, bessel_jn_half
+from .special_functions import BesselDomainError, ModeOrder, _reduced_det, _reduced_det_diagonal, bessel_jn_half
 
 __all__ = [
     "IdentityReport",
@@ -42,30 +42,24 @@ class IdentityReport:
     passed: bool
 
 
-def _j_and_deriv(order: ModeOrder, z: float) -> tuple[float, float]:
-    """J_nu(z) and J'_nu(z) via the stable downward values."""
-    p = bessel_jn_half(order, z)
-    return p.j, p.j_prev - order.nu / z * p.j
-
-
 def hankel_finite_integral(order: ModeOrder, k1: float, k2: float, R: float) -> float:
     """Closed form of int_0^R r J_nu(k1 r) J_nu(k2 r) dr.
 
     Off the diagonal this is R [k1 J'(k1 R) J(k2 R) - k2 J(k1 R) J'(k2 R)]
-    / (k2^2 - k1^2); near-degenerate wavenumbers route to the diagonal
-    limit R^2/2 [J'^2 + (1 - nu^2/z^2) J^2].
+    / (k2^2 - k1^2), i.e. the reduced determinant at (k1 R, k2 R) over
+    k1^2 - k2^2; near-degenerate wavenumbers route to the diagonal limit
+    R^2/2 [J'^2 + (1 - nu^2/z^2) J^2], the diagonal determinant times R^2/(2z).
     """
     if k1 <= 0.0 or k2 <= 0.0 or R <= 0.0:
         raise BesselDomainError("wavenumbers and radius must be positive")
     if abs(k1 - k2) < _DEGENERATE_EPS * max(k1, k2):
-        k = 0.5 * (k1 + k2)
-        z = k * R
-        j, jd = _j_and_deriv(order, z)
-        nu = order.nu
-        return 0.5 * R * R * (jd * jd + (1.0 - nu * nu / (z * z)) * j * j)
-    j1, jd1 = _j_and_deriv(order, k1 * R)
-    j2, jd2 = _j_and_deriv(order, k2 * R)
-    return R * (k1 * jd1 * j2 - k2 * j1 * jd2) / (k2 * k2 - k1 * k1)
+        z = 0.5 * (k1 + k2) * R
+        p = bessel_jn_half(order, z)
+        return 0.5 * R * R / z * _reduced_det_diagonal(order.nu, z, p.j, p.j_prev)
+    a, b = k1 * R, k2 * R
+    pa = bessel_jn_half(order, a)
+    pb = bessel_jn_half(order, b)
+    return _reduced_det(pa.j, pa.j_prev, a, pb.j, pb.j_prev, b) / (k1 * k1 - k2 * k2)
 
 
 def _gaussian(t, sigma):

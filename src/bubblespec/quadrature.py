@@ -54,7 +54,6 @@ def _panel_estimates(
     f: Callable[[np.ndarray], np.ndarray],
     lows: np.ndarray,
     highs: np.ndarray,
-    n_out: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-panel 15-point values and |15pt - 7pt| error estimates."""
     mid = 0.5 * (lows + highs)
@@ -96,7 +95,7 @@ def adaptive_quad(
     edges = sorted({a, b, *(p for p in breakpoints if a < p < b)})
     lows = np.array(edges[:-1])
     highs = np.array(edges[1:])
-    vals, errs = _panel_estimates(f, lows, highs, 0)
+    vals, errs = _panel_estimates(f, lows, highs)
     n_sub = len(lows)
 
     while True:
@@ -120,7 +119,7 @@ def adaptive_quad(
         mids = 0.5 * (lows[idx] + highs[idx])
         new_lows = np.concatenate([lows[idx], mids])
         new_highs = np.concatenate([mids, highs[idx]])
-        sub_vals, sub_errs = _panel_estimates(f, new_lows, new_highs, vals.shape[0])
+        sub_vals, sub_errs = _panel_estimates(f, new_lows, new_highs)
         lows = np.concatenate([lows[keep], new_lows])
         highs = np.concatenate([highs[keep], new_highs])
         vals = np.concatenate([vals[:, keep], sub_vals], axis=1)

@@ -178,12 +178,18 @@ def bessel_jn_half(order: ModeOrder, z: float) -> BesselPair:
     return BesselPair(j=j, n=n, j_prev=j_prev, n_prev=n_prev, z=z, saturated=saturated)
 
 
-def _pw_oriented(order: ModeOrder, x: float, y: float) -> float:
-    px = bessel_jn_half(order, x)
-    py = bessel_jn_half(order, y)
-    # det[[J(x), J(y)], [x J'(x), y J'(y)]] after eliminating derivatives
-    # via z J'_nu = z J_{nu-1} - nu J_nu (the nu-terms cancel).
-    return px.j * y * py.j_prev - py.j * x * px.j_prev
+def _reduced_det(ja: float, ja_prev: float, a: float, gb: float, gb_prev: float, b: float) -> float:
+    """det[[J_nu(a), G_nu(b)], [a J'_nu(a), b G'_nu(b)]] for a cylinder function G.
+
+    The derivative row is eliminated with z C'_nu = z C_{nu-1} - nu C_nu;
+    the nu-terms cancel, leaving J(a) b G_{nu-1}(b) - G(b) a J_{nu-1}(a).
+    """
+    return ja * b * gb_prev - gb * a * ja_prev
+
+
+def _reduced_det_diagonal(nu: float, z: float, j: float, j_prev: float) -> float:
+    """lim_{b->a} _reduced_det(J at a, J at b)/(a - b) at a = z."""
+    return z * (j * j + j_prev * j_prev) - 2.0 * nu * j * j_prev
 
 
 def pseudo_wronskian(order: ModeOrder, x: float, y: float) -> float:
@@ -195,8 +201,10 @@ def pseudo_wronskian(order: ModeOrder, x: float, y: float) -> float:
     if x <= 0.0 or y <= 0.0:
         raise BesselDomainError("pseudo-Wronskian arguments must be positive")
     if x > y:
-        return -_pw_oriented(order, y, x)
-    return _pw_oriented(order, x, y)
+        return -pseudo_wronskian(order, y, x)
+    px = bessel_jn_half(order, x)
+    py = bessel_jn_half(order, y)
+    return _reduced_det(px.j, px.j_prev, x, py.j, py.j_prev, y)
 
 
 def diagonal_kernel_term(order: ModeOrder, x: float) -> float:
@@ -208,8 +216,7 @@ def diagonal_kernel_term(order: ModeOrder, x: float) -> float:
     if x <= 0.0:
         raise BesselDomainError(f"argument must be positive, got {x}")
     p = bessel_jn_half(order, x)
-    nu = order.nu
-    return x * (p.j * p.j + p.j_prev * p.j_prev) - 2.0 * nu * p.j * p.j_prev
+    return _reduced_det_diagonal(order.nu, x, p.j, p.j_prev)
 
 
 def _asymptotic_pw_scale(nu: float, x: float, y: float) -> float:

@@ -11,13 +11,13 @@ below the cutoff, N = (1/9pi) (dn)^2/(n_in n_out) x_*^3, <x>/x_* = 3/4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CutoffProfile, f_exact, f_factorized, refractive_in, refractive_out
+from .kernel import CutoffProfile, f_exact, f_factorized, refractive_out
 from .matching import MediumConfig
-from .quadrature import QuadratureError, QuadResult, adaptive_quad
+from .quadrature import QuadResult, adaptive_quad
 
 __all__ = [
     "QuadratureSpec",

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from bubblespec.cli import REFERENCE_TABLE
 from bubblespec.kernel import CutoffProfile, d_approx, d_exact
 from bubblespec.matching import MediumConfig, coefficient_a_sq, coefficients_bc
 from bubblespec.oracles import hankel_finite_integral, spectral_delta_checks
@@ -28,15 +29,6 @@ from bubblespec.spectrum import (
     totals,
 )
 from bubblespec.special_functions import ModeOrder, bessel_jn_half
-
-REFERENCE_TABLE = (
-    (2.0e4, 1.0, 1.06e6, 0.803),
-    (71.0, 25.0, 1.00e6, 0.750),
-    (68.0, 34.0, 1.06e6, 0.751),
-    (9.0, 25.0, 0.955e6, 0.750),
-    (1.0, 12.0, 0.98e6, 0.765),
-)
-
 
 def _report(criterion: str, passed: bool, detail: str) -> None:
     print(f"[ACCEPTANCE] {criterion}: {'PASS' if passed else 'FAIL'} — {detail}")

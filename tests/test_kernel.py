@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from scipy.special import spherical_jn
 
 from bubblespec.kernel import (
     CutoffProfile,
@@ -16,7 +17,13 @@ from bubblespec.kernel import (
     refractive_out,
 )
 from bubblespec.matching import MediumConfig
-from bubblespec.special_functions import BesselDomainError
+from bubblespec.special_functions import (
+    AsymptoticRegimeError,
+    BesselDomainError,
+    ModeOrder,
+    bessel_jn_half,
+    tail_term_scale,
+)
 
 HALF_ASYMPTOTE = 1.0 / (2.0 * math.pi**2)
 
@@ -85,8 +92,73 @@ def test_f_exact_domain_and_l_max_validation():
 
 def test_f_exact_nonconvergence_signal():
     # arguments so large the tail cannot be certified below the hard cap
-    with pytest.raises(KernelConvergenceError):
+    with pytest.raises(KernelConvergenceError) as exc:
         f_exact(180.0, 180.0)
+    assert exc.value.l_reached == 200
+
+
+def _per_order_f_exact(x, y, l_max=200):
+    """F(x, y) summed one order at a time, each order from its own Bessel pair.
+
+    The tail is certified exactly as in f_exact; returns (value, l_used,
+    truncation_error_estimate).  Valid away from the diagonal only.
+    """
+    cap = min(l_max, 200)
+    terms = []
+    acc = 0.0
+    l = 0
+    tail_est = math.inf
+    while l < cap:
+        l += 1
+        px = bessel_jn_half(ModeOrder(l), x)
+        py = bessel_jn_half(ModeOrder(l), y)
+        r = (px.j * y * py.j_prev - py.j * x * px.j_prev) / (x * x - y * y)
+        terms.append((2 * l + 1) * r * r)
+        acc += terms[-1]
+        try:
+            s1 = tail_term_scale(ModeOrder(l + 1), x, y)
+            s2 = tail_term_scale(ModeOrder(l + 2), x, y)
+        except AsymptoticRegimeError:
+            continue
+        b1 = (2 * (l + 1) + 1) * s1 * s1
+        b2 = (2 * (l + 2) + 1) * s2 * s2
+        ratio = b2 / b1 if b1 > 0.0 else 0.0
+        if ratio < 0.9:
+            tail_est = b1 / (1.0 - ratio)
+            if tail_est <= 1e-8 * max(acc, 1e-300):
+                return math.fsum(terms), l, tail_est
+    return math.fsum(terms), l, tail_est if math.isfinite(tail_est) else abs(terms[-1])
+
+
+def test_f_exact_matches_per_order_summation():
+    rng = random.Random(29)
+    for _ in range(30):
+        x, y = rng.uniform(0.3, 140.0), rng.uniform(0.3, 140.0)
+        if abs(x - y) < 1e-3:
+            continue
+        for l_max in (200, rng.randint(1, 200)):
+            got = f_exact(x, y, l_max=l_max)
+            value, l_used, tail = _per_order_f_exact(x, y, l_max)
+            assert got.l_used == l_used
+            assert got.value == pytest.approx(value, rel=1e-12)
+            assert got.truncation_error_estimate == pytest.approx(tail, rel=1e-12)
+
+
+def _spherical_jn_f(x, y, l_top=260):
+    """Independent term sum of F(x, y) from scipy's spherical Bessel functions."""
+    l = np.arange(1, l_top)
+    # J_{l+1/2}(z) = sqrt(2z/pi) j_l(z); the two sqrt factors are common.
+    w = (spherical_jn(l, x) * y * spherical_jn(l - 1, y) - spherical_jn(l, y) * x * spherical_jn(l - 1, x)) * (
+        2.0 / math.pi * math.sqrt(x * y)
+    )
+    return math.fsum((2 * l + 1) * (w / (x * x - y * y)) ** 2)
+
+
+@pytest.mark.parametrize("x, y", [(5.0, 5.004), (20.0, 20.019), (63.14, 63.18), (120.0, 120.1)])
+def test_f_exact_near_diagonal(x, y):
+    # close enough to the diagonal for cancellation, far enough that the
+    # midpoint diagonal limit would miss the tail budget
+    assert f_exact(x, y).value == pytest.approx(_spherical_jn_f(x, y), rel=1e-8)
 
 
 def test_diagonal_continuity():
