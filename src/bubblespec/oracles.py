@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .kernel import f_exact
 from .matching import MediumConfig, normalization_xi
@@ -75,6 +74,8 @@ def spectral_delta_checks() -> IdentityReport:
     oscillatory kernels are meaningless numerically; only the weak form
     is tested.
     """
+    from scipy import integrate
+
     sigma = 1.0
     deviations = []
     for s in (5.0, 10.0, 20.0, 50.0):

@@ -1,11 +1,12 @@
 """Vectorized adaptive Gauss-Legendre quadrature with breakpoints.
 
-The integrand is evaluated in batches across all pending panels (one
-callback per refinement round), which keeps the Python overhead per
+One refinement loop integrates many rows (integrals, each over its own
+panel edges) together: each round evaluates the pending panels of every
+row in one integrand callback, which keeps the Python overhead per
 function value negligible.  Error per panel is estimated from an
-embedded 7/15-point Gauss pair; the worst panels are bisected until the
-global tolerance is met.  Results are deterministic: the final value is
-a compensated sum over panels ordered by their left endpoint.
+embedded 7/15-point Gauss pair; each row's worst panels are bisected
+until its tolerance is met.  Results are deterministic: each value is a
+compensated sum over the row's panels ordered by their left endpoint.
 
 Supports vector-valued integrands so that several moments of the same
 integrand (e.g. a spectrum and its energy weighting) share one pass.
@@ -26,6 +27,7 @@ _X7, _W7 = roots_legendre(7)
 _X15, _W15 = roots_legendre(15)
 # Fraction of surviving panels refined per round.
 _REFINE_FRACTION = 0.3
+_RowIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -50,19 +52,20 @@ class QuadratureError(ArithmeticError):
         self.result = result
 
 
-def _panel_estimates(
-    f: Callable[[np.ndarray], np.ndarray],
-    lows: np.ndarray,
-    highs: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-panel 15-point values and |15pt - 7pt| error estimates."""
+def _panel_estimates(f: _RowIntegrand, bounds: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """15-point values and |15pt - 7pt| errors, shape (2, n_components, n_panels).
+
+    ``bounds`` holds the (low, high) ends of the panels and ``rows`` the
+    row of each panel; ``f`` gets the row of each point.
+    """
+    lows, highs = bounds
     mid = 0.5 * (lows + highs)
     half = 0.5 * (highs - lows)
     # points shape: (n_panels, 22) flattened to one batched call
     pts15 = mid[:, None] + half[:, None] * _X15[None, :]
     pts7 = mid[:, None] + half[:, None] * _X7[None, :]
     pts = np.concatenate([pts15, pts7], axis=1).ravel()
-    vals = np.asarray(f(pts), dtype=float)
+    vals = np.asarray(f(pts, rows.repeat(22)), dtype=float)
     if vals.ndim == 1:
         vals = vals[None, :]
     if vals.shape[-1] != pts.size:
@@ -70,7 +73,77 @@ def _panel_estimates(
     vals = vals.reshape(vals.shape[0], len(lows), 22)
     i15 = np.einsum("cpk,k->cp", vals[:, :, :15], _W15) * half
     i7 = np.einsum("cpk,k->cp", vals[:, :, 15:], _W7) * half
-    return i15, np.abs(i15 - i7)
+    return np.stack([i15, np.abs(i15 - i7)])
+
+
+def _integrate_rows(
+    f: _RowIntegrand,
+    edges: Sequence[Sequence[float]],
+    *,
+    rel_tol: float,
+    abs_tol: float,
+    max_subdivisions: int,
+    raise_on_failure: bool = True,
+) -> list[QuadResult]:
+    """Integrate each row over its own sorted panel edges, all rows at once.
+
+    ``f(points, rows)`` gets the row (index into ``edges``) of each point
+    and returns values of shape (n,) or (n_components, n).  Each round
+    evaluates the new panels of every unfinished row in one call; each row
+    is refined exactly as ``adaptive_quad`` refines it alone, so its result
+    does not depend on the other rows.  With ``raise_on_failure`` the first
+    row to exhaust ``max_subdivisions`` raises.
+    """
+    if not edges:
+        return []
+    results: list[QuadResult] = [None] * len(edges)
+    # The unfinished rows in ascending order and their panels grouped by
+    # row, each row's panels in the order a one-row integration keeps them.
+    # A row's panel count is also its subdivision count.
+    rows = np.arange(len(edges))
+    sizes = np.array([len(e) - 1 for e in edges])
+    bounds = np.array([[p for e in edges for p in e[:-1]], [p for e in edges for p in e[1:]]], dtype=float)
+    est = _panel_estimates(f, bounds, rows.repeat(sizes))
+    while True:
+        segments = [slice(a, a + n) for a, n in zip(np.cumsum(sizes) - sizes, sizes)]
+        total, total_err = np.array([est[..., s].sum(axis=-1) for s in segments]).swapaxes(0, 1)
+        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
+        converged = np.all(total_err <= tol, axis=1)
+        done = converged | (sizes >= max_subdivisions)
+        for i in np.flatnonzero(done):
+            # Order-independent: compensated sums over panels sorted by position.
+            s = segments[i]
+            order = np.argsort(bounds[0, s], kind="stable")
+            value, error = (np.array([math.fsum(comp[s][order]) for comp in part]) for part in est)
+            results[rows[i]] = res = QuadResult(value, error, int(sizes[i]), bool(converged[i]))
+            if not res.converged and raise_on_failure:
+                raise QuadratureError(
+                    f"quadrature did not converge after {res.subdivisions} subdivisions: "
+                    f"error={error.max():.3e} vs tolerance {float(np.max(tol[i])):.3e}",
+                    res,
+                )
+        going = np.flatnonzero(~done)
+        if not going.size:
+            return results
+        # Refine the panels carrying the largest share of the worst
+        # component's error (at least one, at most the remaining budget).
+        worst = np.argmax(total_err[going] / tol[going], axis=1)
+        n_refine = np.maximum(1, (_REFINE_FRACTION * sizes[going]).astype(int))
+        n_refine = np.minimum(n_refine, max_subdivisions - sizes[going])
+        picks = zip((segments[i] for i in going), worst, n_refine)
+        idx = np.concatenate([s.start + est[1, c, s].argpartition(-k)[-k:] for s, c, k in picks])
+        owner = rows.repeat(sizes)
+        keep = (~done).repeat(sizes)
+        keep[idx] = False
+        lo, hi = bounds[:, idx]
+        mid = 0.5 * (lo + hi)
+        halves = np.concatenate([[lo, mid], [mid, hi]], axis=1)
+        new_owner = np.tile(owner[idx], 2)
+        # Per row: its kept panels, then its left halves, then its right halves.
+        layout = np.argsort(np.concatenate([owner[keep], new_owner]), kind="stable")
+        bounds = np.concatenate([bounds[:, keep], halves], axis=1)[:, layout]
+        est = np.concatenate([est[..., keep], _panel_estimates(f, halves, new_owner)], axis=-1)[..., layout]
+        rows, sizes = rows[going], sizes[going] + n_refine
 
 
 def adaptive_quad(
@@ -93,49 +166,11 @@ def adaptive_quad(
     if not (math.isfinite(a) and math.isfinite(b)) or b <= a:
         raise ValueError(f"invalid integration interval [{a}, {b}]")
     edges = sorted({a, b, *(p for p in breakpoints if a < p < b)})
-    lows = np.array(edges[:-1])
-    highs = np.array(edges[1:])
-    vals, errs = _panel_estimates(f, lows, highs)
-    n_sub = len(lows)
-
-    while True:
-        total = vals.sum(axis=1)
-        total_err = errs.sum(axis=1)
-        tol = np.maximum(abs_tol, rel_tol * np.abs(total))
-        if np.all(total_err <= tol):
-            converged = True
-            break
-        if n_sub >= max_subdivisions:
-            converged = False
-            break
-        # Refine the panels carrying the largest share of the worst
-        # component's error (at least one, at most the remaining budget).
-        worst_c = int(np.argmax(total_err / tol))
-        n_refine = max(1, int(_REFINE_FRACTION * lows.size))
-        n_refine = min(n_refine, max_subdivisions - n_sub)
-        idx = np.argpartition(errs[worst_c], -n_refine)[-n_refine:]
-        keep = np.ones(lows.size, dtype=bool)
-        keep[idx] = False
-        mids = 0.5 * (lows[idx] + highs[idx])
-        new_lows = np.concatenate([lows[idx], mids])
-        new_highs = np.concatenate([mids, highs[idx]])
-        sub_vals, sub_errs = _panel_estimates(f, new_lows, new_highs)
-        lows = np.concatenate([lows[keep], new_lows])
-        highs = np.concatenate([highs[keep], new_highs])
-        vals = np.concatenate([vals[:, keep], sub_vals], axis=1)
-        errs = np.concatenate([errs[:, keep], sub_errs], axis=1)
-        n_sub += len(idx)
-
-    # Deterministic, order-independent accumulation: compensated sum over
-    # panels sorted by position.
-    order = np.argsort(lows, kind="stable")
-    value = np.array([math.fsum(vals[c, order]) for c in range(vals.shape[0])])
-    error = np.array([math.fsum(errs[c, order]) for c in range(errs.shape[0])])
-    result = QuadResult(value=value, error=error, subdivisions=n_sub, converged=converged)
-    if not converged and raise_on_failure:
-        raise QuadratureError(
-            f"quadrature did not converge after {n_sub} subdivisions: "
-            f"error={error.max():.3e} vs tolerance {float(np.max(tol)):.3e}",
-            result,
-        )
-    return result
+    return _integrate_rows(
+        lambda pts, rows: f(pts),
+        [edges],
+        rel_tol=rel_tol,
+        abs_tol=abs_tol,
+        max_subdivisions=max_subdivisions,
+        raise_on_failure=raise_on_failure,
+    )[0]

@@ -2,7 +2,7 @@
 
 The dimensionless spectrum dN/dx is a y-integral of the squared
 Bogolubov overlap over the cutoff rectangle; totals integrate it once
-more in x, keeping three sinc widths past the cutoff to capture the
+more in x, keeping one sinc width (4pi/3) past the cutoff to capture the
 finite-volume rolloff.  The homogeneous (infinite-volume) closed forms
 serve as the physical cross-check: dN/dx = (1/3pi) (dn)^2/(n_in n_out) x^2
 below the cutoff, N = (1/9pi) (dn)^2/(n_in n_out) x_*^3, <x>/x_* = 3/4.
@@ -17,7 +17,7 @@ import numpy as np
 
 from .kernel import CutoffProfile, f_exact, f_factorized, refractive_out
 from .matching import MediumConfig
-from .quadrature import QuadResult, adaptive_quad
+from .quadrature import _integrate_rows, adaptive_quad
 
 __all__ = [
     "QuadratureSpec",
@@ -81,38 +81,19 @@ def _check_mode(kernel_mode: str) -> None:
         raise ValueError(f"kernel_mode must be one of {_KERNEL_MODES}, got {kernel_mode!r}")
 
 
-def _prefactor(x, n_in, n_out, y):
-    """Index mismatch weight times the squared momentum-mixing ratio."""
-    dn = n_in - n_out
-    ratio = (n_in * x * x + n_out * y * y) / (n_in * x + n_out * y)
-    return dn * dn / (2.0 * n_in * n_out) * ratio * ratio
+def _integrand(x: np.ndarray, ys: np.ndarray, n_out: float, cfg: MediumConfig, cut: CutoffProfile, kernel_mode: str):
+    """Index mismatch weight times squared momentum-mixing ratio times kernel at (x[i], ys[i]).
 
-
-def _integrand_row(
-    x: float,
-    ys: np.ndarray,
-    cfg: MediumConfig,
-    cut: CutoffProfile,
-    kernel_mode: str,
-    step_out_index: bool,
-) -> np.ndarray:
-    """Vectorized-in-y integrand at fixed x.
-
-    ``step_out_index`` selects the literal cutoff profile for the created
-    photon's index.  The production spectrum keeps the bulk value through
-    the rolloff strip x in (x_star, x_star + sinc width]: the strip is
-    populated by modes just below the cutoff, and letting the prefactor
-    jump there (e.g. from |n_in - n_out| to |n_in - 1|) produces the same
-    sudden-approximation artifact as the excluded tail regions.
+    ``n_out`` is the created photon's index.
     """
-    n_out = refractive_out(x, cfg, cut) if step_out_index else cfg.n_gas_out
     n_in = np.where(ys <= cut.y_star, cfg.n_gas_in, 1.0)
-    pref = _prefactor(x, n_in, n_out, ys)
+    dn = n_in - n_out
+    ratio = (n_in * x * x + n_out * ys * ys) / (n_in * x + n_out * ys)
     if kernel_mode == "factorized":
         kern = f_factorized(x, ys)
     else:
-        kern = np.array([f_exact(x, float(y)).value for y in ys])
-    return pref * kern
+        kern = np.array([f_exact(float(xi), float(y)).value for xi, y in zip(x, ys)])
+    return dn * dn / (2.0 * n_in * n_out) * ratio * ratio * kern
 
 
 def spectral_integrand(
@@ -127,34 +108,30 @@ def spectral_integrand(
     if x <= 0.0 or y <= 0.0:
         raise ValueError(f"spectral_integrand requires x, y > 0, got ({x}, {y})")
     _check_mode(kernel_mode)
-    return float(_integrand_row(x, np.array([y]), cfg, cut, kernel_mode, step_out_index=True)[0])
+    return float(_integrand(np.array([float(x)]), np.array([y]), refractive_out(x, cfg, cut), cfg, cut, kernel_mode)[0])
 
 
-def _y_interval(x: float, cut: CutoffProfile, quad: QuadratureSpec) -> tuple[float, list[float]]:
-    """Upper y-limit and interior breakpoints for the y-integration."""
-    upper = cut.y_star
-    breaks = [x] if 0.0 < x < upper else []
+def _dn_dx_batch(xs: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, quad: QuadratureSpec, kernel_mode: str):
+    """dN/dx and its error bound at every x, all y-integrals in one batched quadrature.
+
+    The created photon keeps the bulk index n_gas_out through the rolloff
+    strip x in (x_star, x_star + sinc width]: the strip is populated by
+    modes just below the cutoff, and letting the prefactor jump there
+    (e.g. from |n_in - n_out| to |n_in - 1|) produces the same
+    sudden-approximation artifact as the excluded tail regions.
+    """
+    upper, breaks = cut.y_star, ()
     if quad.include_tails:
-        breaks.append(cut.y_star)
-        upper = max(float(quad.tail_upper_bound), cut.y_star)
-        if 0.0 < x < upper and x not in breaks:
-            breaks.append(x)
-    return upper, breaks
-
-
-def _dn_dx_quad(
-    x: float, cfg: MediumConfig, cut: CutoffProfile, quad: QuadratureSpec, kernel_mode: str
-) -> QuadResult:
-    upper, breaks = _y_interval(x, cut, quad)
-    return adaptive_quad(
-        lambda ys: _integrand_row(x, ys, cfg, cut, kernel_mode, step_out_index=False),
-        0.0,
-        upper,
-        breakpoints=breaks,
+        upper, breaks = max(float(quad.tail_upper_bound), cut.y_star), (cut.y_star,)
+    edges = [sorted({0.0, upper, *(p for p in (float(x), *breaks) if 0.0 < p < upper)}) for x in xs]
+    rows = _integrate_rows(
+        lambda ys, row: _integrand(xs[row], ys, cfg.n_gas_out, cfg, cut, kernel_mode),
+        edges,
         rel_tol=quad.rel_tol,
         abs_tol=quad.abs_tol,
         max_subdivisions=quad.max_subdivisions,
     )
+    return np.array([r.value[0] for r in rows]), np.array([r.error[0] for r in rows])
 
 
 def dn_dx(
@@ -170,7 +147,7 @@ def dn_dx(
     _check_mode(kernel_mode)
     if cfg.n_gas_in == cfg.n_gas_out:
         return 0.0
-    return _dn_dx_quad(x, cfg, cut, quad, kernel_mode).scalar
+    return float(_dn_dx_batch(np.array([float(x)]), cfg, cut, quad, kernel_mode)[0][0])
 
 
 def totals(
@@ -182,7 +159,7 @@ def totals(
 ) -> SpectrumResult:
     """Integrated photon number, mean energy ratio and physical energy.
 
-    The x-integration runs over [0, x_star + 3 sinc widths]; the photon
+    The x-integration runs over [0, x_star + one sinc width]; the photon
     number and the energy moment share a single vector-valued pass.
     ``grid_points`` samples of dN/dx are returned for plotting (0 skips
     the grid).
@@ -191,28 +168,17 @@ def totals(
     x_max = cut.x_star + _ROLLOFF_WIDTH
     if quad.include_tails:
         x_max = max(x_max, float(quad.tail_upper_bound))
+    grid = np.linspace(0.0, x_max, grid_points)
     if cfg.n_gas_in == cfg.n_gas_out:
-        grid = np.linspace(0.0, x_max, grid_points) if grid_points else np.array([])
-        return SpectrumResult(
-            x_grid=list(map(float, grid)),
-            dn_dx=[0.0] * len(grid),
-            total_photons=0.0,
-            mean_x_over_xstar=0.0,
-            energy_ev=0.0,
-            quadrature_error=0.0,
-        )
+        return SpectrumResult(list(map(float, grid)), [0.0] * len(grid), 0.0, 0.0, 0.0, 0.0)
 
     inner_err = 0.0
 
     def outer(xs: np.ndarray) -> np.ndarray:
         nonlocal inner_err
-        out = np.empty((2, xs.size))
-        for i, x in enumerate(xs):
-            r = _dn_dx_quad(float(x), cfg, cut, quad, kernel_mode)
-            inner_err = max(inner_err, float(r.error[0]))
-            out[0, i] = r.value[0]
-            out[1, i] = x * r.value[0]
-        return out
+        values, errors = _dn_dx_batch(xs, cfg, cut, quad, kernel_mode)
+        inner_err = max(inner_err, float(errors.max()))
+        return np.vstack([values, xs * values])
 
     res = adaptive_quad(
         outer,
@@ -227,12 +193,8 @@ def totals(
     mean_x = x_moment / n_total if n_total > 0.0 else 0.0
     energy = HBAR_C_EV_NM / (cfg.radius * cfg.n_gas_out) * x_moment
     err = float(res.error[0]) + inner_err * x_max
-
-    if grid_points:
-        grid = np.linspace(0.0, x_max, grid_points)
-        spectrum = [0.0 if x <= 0.0 else _dn_dx_quad(float(x), cfg, cut, quad, kernel_mode).scalar for x in grid]
-    else:
-        grid, spectrum = np.array([]), []
+    # The grid starts at x = 0, where dN/dx vanishes.
+    spectrum = [0.0, *map(float, _dn_dx_batch(grid[1:], cfg, cut, quad, kernel_mode)[0])] if grid_points else []
     return SpectrumResult(
         x_grid=list(map(float, grid)),
         dn_dx=spectrum,

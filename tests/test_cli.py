@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 from click.testing import CliRunner
 
+import bubblespec
 from bubblespec.cli import main
 
 
@@ -133,3 +137,10 @@ def test_check_json():
     assert res.exit_code == 0
     reports = json.loads(res.output)
     assert all(r["passed"] for r in reports)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    src = str(Path(bubblespec.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import bubblespec.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

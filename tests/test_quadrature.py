@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from bubblespec.quadrature import QuadratureError, adaptive_quad
+from bubblespec.quadrature import QuadratureError, _integrate_rows, adaptive_quad
 
 
 def test_polynomial_exactness():
@@ -71,3 +71,60 @@ def test_breakpoints_outside_interval_ignored():
     r = adaptive_quad(np.sin, 0.0, math.pi, breakpoints=[-1.0, 5.0])
     assert r.scalar == pytest.approx(2.0, rel=1e-12)
     assert r.subdivisions == 1
+
+
+# Rows of one batch as (chirp rate, upper limit, breakpoints): from a row
+# that converges at once to chirps that need many refinement rounds.
+_ROWS = [(0.0, 2.0, ()), (4.0, 10.0, (2.0, 7.5)), (1.0, 5.0, (1.5,)), (2.0, 6.0, (3.0,))]
+
+
+def _chirp(rate, t, components):
+    v = np.cos(rate * t * t) * np.exp(-0.1 * t) + 1.0
+    return np.vstack([v, t * v]) if components == 2 else v
+
+
+@pytest.mark.parametrize("components", [1, 2])
+def test_batched_rows_match_separate_calls(components):
+    rates = np.array([rate for rate, _, _ in _ROWS])
+    edges = [sorted({0.0, b, *breaks}) for _, b, breaks in _ROWS]
+    batch = _integrate_rows(
+        lambda t, rows: _chirp(rates[rows], t, components),
+        edges,
+        rel_tol=1e-10,
+        abs_tol=1e-12,
+        max_subdivisions=2000,
+    )
+    alone = [
+        adaptive_quad(lambda t, rate=rate: _chirp(rate, t, components), 0.0, b, breakpoints=breaks, rel_tol=1e-10)
+        for rate, b, breaks in _ROWS
+    ]
+    assert len({r.subdivisions for r in alone}) == len(_ROWS)  # the rows take different numbers of rounds
+    for got, want in zip(batch, alone):
+        assert got.value.shape == (components,)
+        assert np.array_equal(got.value, want.value)
+        assert np.array_equal(got.error, want.error)
+        assert got.subdivisions == want.subdivisions
+        assert got.converged and want.converged
+
+
+def _one_failing_row(t, rows):
+    singular = np.sin(1.0 / np.maximum(t, 1e-300)) / np.maximum(t, 1e-300)
+    return np.where(rows == 1, singular, np.exp(-t))
+
+
+def test_failing_row_raises_with_its_own_estimate():
+    edges = [[0.0, 1.0]] * 3
+    with pytest.raises(QuadratureError) as exc:
+        _integrate_rows(_one_failing_row, edges, rel_tol=1e-6, abs_tol=1e-12, max_subdivisions=40)
+    alone = adaptive_quad(
+        lambda t: _one_failing_row(t, np.ones(t.size, dtype=int)), 0.0, 1.0, max_subdivisions=40, raise_on_failure=False
+    )
+    res = exc.value.result
+    assert not res.converged
+    assert np.array_equal(res.value, alone.value)
+    assert np.array_equal(res.error, alone.error)
+    assert res.subdivisions == alone.subdivisions == 40
+    rows = _integrate_rows(
+        _one_failing_row, edges, rel_tol=1e-6, abs_tol=1e-12, max_subdivisions=40, raise_on_failure=False
+    )
+    assert [r.converged for r in rows] == [True, False, True]

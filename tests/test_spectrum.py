@@ -31,6 +31,12 @@ def test_quadrature_spec_validation():
     QuadratureSpec(include_tails=True, tail_upper_bound=30.0)
 
 
+def test_grid_equals_pointwise_dn_dx(reference_case):
+    cfg, cut = reference_case
+    res = totals(cfg, cut, grid_points=50)
+    assert res.dn_dx[1:] == [dn_dx(x, cfg, cut) for x in res.x_grid[1:]]
+
+
 def test_integrand_zero_beyond_both_cutoffs(reference_case):
     cfg, cut = reference_case
     assert spectral_integrand(cut.x_star + 1.0, cut.y_star + 1.0, cfg, cut) == 0.0
