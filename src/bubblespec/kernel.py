@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matching import MediumConfig, coefficient_a_sq
+from .matching import MediumConfig, wall_amplitudes
 # bessel_jn_half is unused here but perfbench/test_perfbench.py reads it.
 from .special_functions import (
     BesselDomainError,
@@ -65,7 +65,7 @@ _F_FIT_SCALE = 16000.0
 
 
 class KernelConvergenceError(ArithmeticError):
-    """Angular-momentum sum failed to certify its tail by the hard cap."""
+    """Angular-momentum sum met a non-finite term or failed to certify its tail by the hard cap."""
 
     def __init__(self, message: str, partial: float, l_reached: int):
         super().__init__(message)
@@ -145,24 +145,20 @@ def _pw_ratios(x: float, y: float, l_size: int) -> list[float]:
     return [_reduced_det(jx[l], jx[l - 1], x, jy[l], jy[l - 1], y) / d for l in range(1, l_size + 1)]
 
 
-def _a_product(order: ModeOrder, x: float, y: float, cfg: MediumConfig, cut: CutoffProfile) -> float:
-    """|A^in(y)|^2 |A^out(x)|^2; identically 1 above the respective cutoffs."""
-    a_in = 1.0 if y > cut.y_star else coefficient_a_sq(order, y, cfg.n_liquid / cfg.n_gas_in)
-    a_out = 1.0 if x > cut.x_star else coefficient_a_sq(order, x, cfg.n_liquid / cfg.n_gas_out)
-    return a_in * a_out
+def _kernel_terms(x: float, y: float, size: int, walled: list[tuple[float, float]]) -> list[float]:
+    """(2l+1) |A^in|^2 |A^out|^2 (W~/(x^2 - y^2))^2 for l = 1..size; A = 1 off the walled axes."""
+    terms = [(2 * l + 1) * r * r for l, r in enumerate(_pw_ratios(x, y, size), 1)]
+    for z, ratio in walled:
+        terms = [t * a[0] for t, a in zip(terms, wall_amplitudes(size, z, ratio)[1:])]
+    return terms
 
 
-def _tail_term(l: int, x: float, y: float, cfg: MediumConfig | None, cut: CutoffProfile | None) -> float:
-    """Majorant of the l-th kernel term, A-factor product included when cfg is given."""
+def _tail_term(l: int, x: float, y: float, walled: list[tuple[float, float]]) -> float:
+    """Majorant of the l-th kernel term, the A-factors of the walled axes included."""
     s = tail_term_scale(ModeOrder(l), x, y)
     bound = (2 * l + 1) * s * s
-    if cfg is None:
-        return bound
-    nu = l + 0.5
-    if cut is None or y <= cut.y_star:
-        bound *= max(1.0, (cfg.n_liquid / cfg.n_gas_in) ** (2.0 * nu))
-    if cut is None or x <= cut.x_star:
-        bound *= max(1.0, (cfg.n_liquid / cfg.n_gas_out) ** (2.0 * nu))
+    for _, ratio in walled:
+        bound *= max(1.0, ratio ** (2.0 * (l + 0.5)))
     return bound
 
 
@@ -190,42 +186,43 @@ def f_exact(
     if with_a_factors and cfg is None:
         raise ValueError("with_a_factors requires a MediumConfig")
     cap = min(l_max, _L_HARD_CAP)
-    a_cfg = cfg if with_a_factors else None
+    # (argument, index ratio) of each walled axis, inside first: at or below its cutoff, all without cut.
+    stars = (cut.y_star, cut.x_star) if cut is not None else (math.inf, math.inf)
+    axes = zip((y, x), (cfg.n_gas_in, cfg.n_gas_out), stars) if with_a_factors else ()
+    walled = [(z, cfg.n_liquid / n_gas) for z, n_gas, star in axes if z <= star]
     # The tail bound holds for nu = l + 1/2 > half_e_m.
     half_e_m = math.e * max(x, y) / 2.0
     # Sized independently of l_max so that every truncation sees the same terms.
-    ratios = _pw_ratios(x, y, min(_L_HARD_CAP, int(half_e_m) + _L_MARGIN))
-    terms: list[float] = []
+    terms = _kernel_terms(x, y, min(_L_HARD_CAP, int(half_e_m) + _L_MARGIN), walled)
     acc = 0.0
     l = 0
     tail_est = math.inf
     while l < cap:
         l += 1
-        if l > len(ratios):
-            ratios = _pw_ratios(x, y, _L_HARD_CAP)
-        r = ratios[l - 1]
-        t = (2 * l + 1) * r * r
-        if with_a_factors:
-            t *= _a_product(ModeOrder(l), x, y, cfg, cut)
-        terms.append(t)
+        if l > len(terms):
+            terms += _kernel_terms(x, y, _L_HARD_CAP, walled)[len(terms) :]
+        t = terms[l - 1]
+        if not math.isfinite(t):
+            msg = f"non-finite kernel term at l={l}, (x, y)=({x}, {y}): wall amplitudes under- or overflowed"
+            raise KernelConvergenceError(msg, acc, l)
         acc += t
         # Certify the remainder once the asymptotic regime is reached.
         if l + 1.5 <= half_e_m:
             continue
-        b1 = _tail_term(l + 1, x, y, a_cfg, cut)
-        b2 = _tail_term(l + 2, x, y, a_cfg, cut)
+        b1 = _tail_term(l + 1, x, y, walled)
+        b2 = _tail_term(l + 2, x, y, walled)
         ratio = b2 / b1 if b1 > 0.0 else 0.0
         if ratio < 0.9:
             tail_est = b1 / (1.0 - ratio)
             if tail_est <= _TAIL_REL * max(acc, 1e-300):
-                return KernelValue(value=math.fsum(terms), l_used=l, truncation_error_estimate=tail_est)
-    value = math.fsum(terms)
+                return KernelValue(value=math.fsum(terms[:l]), l_used=l, truncation_error_estimate=tail_est)
+    value = math.fsum(terms[:l])
     if l_max >= _L_HARD_CAP and (not math.isfinite(tail_est) or tail_est > _TAIL_REL * max(value, 1e-300)):
         raise KernelConvergenceError(
             f"kernel tail not certified by l={_L_HARD_CAP} at (x, y)=({x}, {y})", value, l
         )
     # Caller-imposed truncation: report the best tail knowledge we have.
-    est = tail_est if math.isfinite(tail_est) else abs(terms[-1])
+    est = tail_est if math.isfinite(tail_est) else abs(terms[l - 1])
     return KernelValue(value=value, l_used=l, truncation_error_estimate=est)
 
 

@@ -15,11 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .special_functions import BesselDomainError, ModeOrder, _reduced_det, bessel_jn_half
+from .special_functions import BesselDomainError, ModeOrder, _reduced_det, half_integer_j_array, half_integer_n_array
 
 __all__ = [
     "MediumConfig",
     "MatchingCoefficients",
+    "wall_amplitudes",
     "coefficient_a_sq",
     "coefficients_bc",
     "matching_coefficients",
@@ -70,24 +71,38 @@ class MatchingCoefficients:
     xi_abs: float
 
 
-def _amplitudes(order: ModeOrder, y: float, index_ratio: float) -> tuple[float, float, float]:
-    """|A|^2, B and C from the two 2x2 determinants of the matching system.
+def wall_amplitudes(l_max: int, y: float, index_ratio: float) -> list[tuple[float, float, float]]:
+    """(|A_l|^2, B_l, C_l) for l = 0..l_max from one Bessel table per surface argument.
 
     D1 pairs the inside J column with the outside N column, D2 with the
     outside J column, both at surface arguments (y inside, N*y outside).
     |A|^2 = (4/pi^2) / (D1^2 + D2^2) and (B, C) = (D1, -D2)/hypot(D1, D2).
+    Orders whose Bessel values under- or overflowed get inf or NaN entries
+    instead of raising, so a table may run past the orders a caller uses.
     """
     if y <= 0.0 or index_ratio <= 0.0:
         raise BesselDomainError(
             f"matching requires y > 0 and index ratio > 0, got y={y}, ratio={index_ratio}"
         )
     ny = index_ratio * y
-    inside = bessel_jn_half(order, y)
-    outside = bessel_jn_half(order, ny)
-    d1 = _reduced_det(inside.j, inside.j_prev, y, outside.n, outside.n_prev, ny)
-    d2 = _reduced_det(inside.j, inside.j_prev, y, outside.j, outside.j_prev, ny)
-    h = math.hypot(d1, d2)
-    return _TWO_OVER_PI * _TWO_OVER_PI / (d1 * d1 + d2 * d2), d1 / h, -d2 / h
+    j_in = half_integer_j_array(l_max, y)
+    j_out, n_out = half_integer_j_array(l_max, ny), half_integer_n_array(l_max, ny)
+    rows = []
+    for l in range(l_max + 1):
+        d1 = _reduced_det(j_in[l], j_in[l - 1], y, n_out[l], n_out[l - 1], ny)
+        d2 = _reduced_det(j_in[l], j_in[l - 1], y, j_out[l], j_out[l - 1], ny)
+        q = d1 * d1 + d2 * d2
+        h = math.hypot(d1, d2)
+        rows.append((_TWO_OVER_PI * _TWO_OVER_PI / q, d1 / h, -d2 / h) if q else (math.inf, math.nan, math.nan))
+    return rows
+
+
+def _amplitudes(order: ModeOrder, y: float, index_ratio: float) -> tuple[float, float, float]:
+    """|A|^2, B and C of one order; BesselDomainError where they are not finite."""
+    row = wall_amplitudes(order.l, y, index_ratio)[order.l]
+    if not all(map(math.isfinite, row)):
+        raise BesselDomainError(f"wall amplitudes of order l={order.l} are not finite at y={y}, ratio={index_ratio}")
+    return row
 
 
 def coefficient_a_sq(order: ModeOrder, y: float, index_ratio: float) -> float:
@@ -104,8 +119,7 @@ def coefficients_bc(order: ModeOrder, y: float, index_ratio: float) -> tuple[flo
 
     Normalizing by hypot enforces the unit-circle convention exactly.
     """
-    _, b, c = _amplitudes(order, y, index_ratio)
-    return b, c
+    return _amplitudes(order, y, index_ratio)[1:]
 
 
 def normalization_xi(kappa: float, n_liquid: float) -> float:
@@ -121,5 +135,4 @@ def matching_coefficients(
     order: ModeOrder, y: float, index_ratio: float, kappa: float, n_liquid: float
 ) -> MatchingCoefficients:
     """Bundle |A|^2, (B, C) and |Xi| for one mode."""
-    a_sq, b, c = _amplitudes(order, y, index_ratio)
-    return MatchingCoefficients(a_sq=a_sq, b=b, c=c, xi_abs=normalization_xi(kappa, n_liquid))
+    return MatchingCoefficients(*_amplitudes(order, y, index_ratio), xi_abs=normalization_xi(kappa, n_liquid))

@@ -5,8 +5,9 @@ J_{l+1/2}(z) = sqrt(2z/pi) * j_l(z) (and likewise for the Neumann
 functions).  The regular solution j is generated by downward (Miller)
 recurrence normalized against closed-form low orders, the irregular
 solution y by upward recurrence from its closed forms; each direction
-is the numerically stable one for its solution.  Derivatives are never
-finite-differenced: z J'_nu(z) = z J_{nu-1}(z) - nu J_nu(z).
+is the numerically stable one for its solution.  Each table ends with
+order -1/2, so index l - 1 reads the order below l for l = 0 too.
+Derivatives are never finite-differenced: z J'_nu(z) = z J_{nu-1}(z) - nu J_nu(z).
 
 All functions are pure; values are freely shareable across threads.
 """
@@ -23,6 +24,7 @@ __all__ = [
     "BesselDomainError",
     "bessel_jn_half",
     "half_integer_j_array",
+    "half_integer_n_array",
     "pseudo_wronskian",
     "diagonal_kernel_term",
     "large_order_bound",
@@ -39,7 +41,7 @@ _BOUND_SAFETY = 10.0
 
 
 class BesselDomainError(ValueError):
-    """Argument outside the supported domain (z <= 0)."""
+    """Argument outside the supported domain (z <= 0), or wall amplitudes that are not finite there."""
 
 
 class AsymptoticRegimeError(ValueError):
@@ -82,19 +84,18 @@ class BesselPair:
 
 
 def _sph_jn_seq(l_max: int, z: float) -> list[float]:
-    """Spherical j_0..j_{l_max} at z > 0."""
+    """Spherical j_0..j_{l_max} at z > 0, then j_{-1}(z) = cos(z)/z as the last entry."""
     j0 = math.sin(z) / z
-    if l_max == 0:
-        return [j0]
-    j1 = j0 / z - math.cos(z) / z
-    out = [0.0] * (l_max + 1)
+    jm1 = math.cos(z) / z
+    j1 = j0 / z - jm1
     if z >= l_max:
         # Oscillatory regime throughout: upward recurrence is stable.
-        out[0], out[1] = j0, j1
+        out = [j0, j1]
         for l in range(1, l_max):
-            out[l + 1] = (2 * l + 1) / z * out[l] - out[l - 1]
-        return out
+            out.append((2 * l + 1) / z * out[l] - out[l - 1])
+        return out[: l_max + 1] + [jm1]
 
+    out = [0.0] * (l_max + 1)
     start = l_max + _MILLER_MARGIN
     jp = 0.0  # ~ j_{start+1}
     jc = 1e-30  # ~ j_{start}, arbitrary seed scale
@@ -116,66 +117,57 @@ def _sph_jn_seq(l_max: int, z: float) -> list[float]:
         scale = j0 / out[0] if out[0] != 0.0 else 0.0
     else:
         scale = j1 / out[1] if out[1] != 0.0 else 0.0
-    return [v * scale for v in out]
+    return [v * scale for v in out] + [jm1]
 
 
 def _sph_yn_seq(l_max: int, z: float) -> tuple[list[float], bool]:
-    """Spherical y_0..y_{l_max} at z > 0; flag reports overflow saturation."""
+    """Spherical y_0..y_{l_max}, then y_{-1}(z) = sin(z)/z last; flag reports overflow saturation."""
+    ym1 = math.sin(z) / z
     y0 = -math.cos(z) / z
-    out = [y0]
-    saturated = False
-    if l_max == 0:
-        return out, saturated
-    y1 = y0 / z - math.sin(z) / z
-    out.append(y1)
+    out = [y0, y0 / z - ym1]
     for l in range(1, l_max):
         nxt = (2 * l + 1) / z * out[l] - out[l - 1]
         if math.isinf(nxt) or abs(nxt) > 1e307:
             # Once |y| saturates, the dominant term fixes the sign of all
             # following orders; clamp rather than propagate inf - inf.
-            saturated = True
             sign = math.copysign(1.0, out[l])
             out.extend(sign * math.inf for _ in range(l_max - l))
-            break
+            return out + [ym1], True
         out.append(nxt)
-    return out, saturated
+    return out[: l_max + 1] + [ym1], False
 
 
 def _half_order_scale(z: float) -> float:
+    """sqrt(2z/pi), the factor taking spherical to half-integer-order Bessel functions at z > 0."""
+    if z <= 0.0:
+        raise BesselDomainError(f"argument must be positive, got {z}")
     return math.sqrt(2.0 * z / math.pi)
 
 
 def half_integer_j_array(l_max: int, z: float) -> list[float]:
-    """J_{l+1/2}(z) for l = 0..l_max, with the underflow clamp applied."""
-    if z <= 0.0:
-        raise BesselDomainError(f"argument must be positive, got {z}")
+    """J_{l+1/2}(z) for l = 0..l_max, then J_{-1/2}(z) last; unclamped, unlike bessel_jn_half's J_nu."""
     s = _half_order_scale(z)
-    vals = [s * v for v in _sph_jn_seq(l_max, z)]
-    return [0.0 if 0.0 < abs(v) < _UNDERFLOW_FLOOR else v for v in vals]
+    return [s * v for v in _sph_jn_seq(l_max, z)]
+
+
+def half_integer_n_array(l_max: int, z: float) -> list[float]:
+    """N_{l+1/2}(z) for l = 0..l_max, then N_{-1/2}(z) last; overflow saturates to +-inf."""
+    s = _half_order_scale(z)
+    return [s * v for v in _sph_yn_seq(l_max, z)[0]]
 
 
 def bessel_jn_half(order: ModeOrder, z: float) -> BesselPair:
-    """J_nu, N_nu, J_{nu-1}, N_{nu-1} at z for nu = l + 1/2."""
-    if z <= 0.0:
-        raise BesselDomainError(f"argument must be positive, got {z}")
+    """J_nu, N_nu, J_{nu-1}, N_{nu-1} at z for nu = l + 1/2: entries l and l - 1 of the tables, scaled alone."""
     l = order.l
     s = _half_order_scale(z)
-    saturated = False
-    if l == 0:
-        # nu - 1 = -1/2: closed forms.
-        j = s * math.sin(z) / z
-        j_prev = s * math.cos(z) / z
-        n = -s * math.cos(z) / z
-        n_prev = s * math.sin(z) / z
-    else:
-        jseq = _sph_jn_seq(l, z)
-        yseq, saturated = _sph_yn_seq(l, z)
-        j, j_prev = s * jseq[l], s * jseq[l - 1]
-        n, n_prev = s * yseq[l], s * yseq[l - 1]
-    if 0.0 < abs(j) < _UNDERFLOW_FLOOR:
-        j = 0.0
-        saturated = True
-    return BesselPair(j=j, n=n, j_prev=j_prev, n_prev=n_prev, z=z, saturated=saturated)
+    jseq = _sph_jn_seq(l, z)
+    yseq, saturated = _sph_yn_seq(l, z)
+    j = s * jseq[l]
+    clamped = 0.0 < abs(j) < _UNDERFLOW_FLOOR
+    return BesselPair(
+        j=0.0 if clamped else j, n=s * yseq[l], j_prev=s * jseq[l - 1], n_prev=s * yseq[l - 1], z=z,
+        saturated=saturated or clamped,
+    )
 
 
 def _reduced_det(ja: float, ja_prev: float, a: float, gb: float, gb_prev: float, b: float) -> float:

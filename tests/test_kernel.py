@@ -16,7 +16,7 @@ from bubblespec.kernel import (
     refractive_in,
     refractive_out,
 )
-from bubblespec.matching import MediumConfig
+from bubblespec.matching import MediumConfig, coefficient_a_sq
 from bubblespec.special_functions import (
     AsymptoticRegimeError,
     BesselDomainError,
@@ -97,12 +97,20 @@ def test_f_exact_nonconvergence_signal():
     assert exc.value.l_reached == 200
 
 
-def _per_order_f_exact(x, y, l_max=200):
+def _per_order_f_exact(x, y, l_max=200, cfg=None, cut=None):
     """F(x, y) summed one order at a time, each order from its own Bessel pair.
 
+    With cfg, each term carries |A^in(y)|^2 |A^out(x)|^2 from one
+    coefficient_a_sq call per order and axis (1 above that axis' cutoff)
+    and the tail bound the matching majorant (n_liquid/n_gas)^(2 nu).
     The tail is certified exactly as in f_exact; returns (value, l_used,
     truncation_error_estimate).  Valid away from the diagonal only.
     """
+    walled = []
+    if cfg is not None:
+        for z, n_gas, star in ((y, cfg.n_gas_in, cut.y_star), (x, cfg.n_gas_out, cut.x_star)):
+            if z <= star:
+                walled.append((z, cfg.n_liquid / n_gas))
     cap = min(l_max, 200)
     terms = []
     acc = 0.0
@@ -113,7 +121,7 @@ def _per_order_f_exact(x, y, l_max=200):
         px = bessel_jn_half(ModeOrder(l), x)
         py = bessel_jn_half(ModeOrder(l), y)
         r = (px.j * y * py.j_prev - py.j * x * px.j_prev) / (x * x - y * y)
-        terms.append((2 * l + 1) * r * r)
+        terms.append((2 * l + 1) * r * r * math.prod(coefficient_a_sq(ModeOrder(l), z, n) for z, n in walled))
         acc += terms[-1]
         try:
             s1 = tail_term_scale(ModeOrder(l + 1), x, y)
@@ -122,6 +130,9 @@ def _per_order_f_exact(x, y, l_max=200):
             continue
         b1 = (2 * (l + 1) + 1) * s1 * s1
         b2 = (2 * (l + 2) + 1) * s2 * s2
+        for _, n in walled:
+            b1 *= max(1.0, n ** (2 * l + 3))
+            b2 *= max(1.0, n ** (2 * l + 5))
         ratio = b2 / b1 if b1 > 0.0 else 0.0
         if ratio < 0.9:
             tail_est = b1 / (1.0 - ratio)
@@ -246,3 +257,46 @@ def test_a_factors_unity_above_cutoff():
     cut = CutoffProfile(x_star=1.0, y_star=1.0)
     with_a = f_exact(3.0, 3.2, cfg, with_a_factors=True, cut=cut)
     assert with_a.value == pytest.approx(f_exact(3.0, 3.2).value, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_in, n_out", [(2e4, 1.0), (1.0, 12.0), (68.0, 34.0)])
+def test_a_factors_match_per_order_amplitudes(n_in, n_out):
+    # cutoffs above both arguments: every term carries non-trivial |A|^2 on both axes
+    cfg = MediumConfig(n_gas_in=n_in, n_gas_out=n_out)
+    cut = CutoffProfile(x_star=50.0, y_star=50.0)
+    rng = random.Random(41)
+    checked = 0
+    while checked < 30:
+        x, y = rng.uniform(0.1, 40.0), rng.uniform(0.1, 40.0)
+        if abs(x - y) < 1e-2:
+            continue
+        got = f_exact(x, y, cfg, with_a_factors=True, cut=cut)
+        value, l_used, _ = _per_order_f_exact(x, y, cfg=cfg, cut=cut)
+        assert got.l_used == l_used
+        assert got.value == pytest.approx(value, rel=1e-11)
+        checked += 1
+
+
+def test_a_factors_without_cutoffs_apply_on_both_axes():
+    cfg = MediumConfig(n_gas_in=2e4, n_gas_out=1.0)
+    everywhere = f_exact(3.0, 3.2, cfg, with_a_factors=True)
+    assert everywhere == f_exact(3.0, 3.2, cfg, with_a_factors=True, cut=CutoffProfile(x_star=10.0, y_star=10.0))
+    assert 0.0 < everywhere.value < f_exact(3.0, 3.2).value
+
+
+@pytest.mark.parametrize("n_in, n_out", [(2e4, 1.0), (68.0, 34.0), (1.0, 12.0)])
+@pytest.mark.parametrize("x, y", [(100.0, 0.1), (120.0, 0.05), (140.0, 0.3), (60.0, 0.01), (0.01, 100.0)])
+def test_a_factor_kernel_never_reports_a_non_finite_sum(x, y, n_in, n_out):
+    # The l-sum reaches orders whose amplitudes under- or overflowed before
+    # the tail bound applies; it must stop with a typed error, not return NaN.
+    cfg = MediumConfig(n_gas_in=n_in, n_gas_out=n_out)
+    cut = CutoffProfile(x_star=392.0, y_star=392.0)
+    assert math.isfinite(f_exact(x, y).value)
+    if (x, y, n_in) == (60.0, 0.01, 1.0):
+        # certifies at l = 81, one order before the amplitudes break down
+        got = f_exact(x, y, cfg, with_a_factors=True, cut=cut)
+        assert math.isfinite(got.value) and got.l_used == 81
+        assert got.value == pytest.approx(_per_order_f_exact(x, y, cfg=cfg, cut=cut)[0], rel=1e-11)
+        return
+    with pytest.raises(KernelConvergenceError, match="non-finite"):
+        f_exact(x, y, cfg, with_a_factors=True, cut=cut)

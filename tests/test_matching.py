@@ -11,6 +11,7 @@ from bubblespec.matching import (
     coefficients_bc,
     matching_coefficients,
     normalization_xi,
+    wall_amplitudes,
 )
 from bubblespec.special_functions import BesselDomainError, ModeOrder
 
@@ -124,3 +125,26 @@ def test_domain_errors():
         coefficient_a_sq(ModeOrder(1), -1.0, 1.3)
     with pytest.raises(BesselDomainError):
         coefficients_bc(ModeOrder(1), 2.0, 0.0)
+
+
+def test_table_rows_equal_single_order_calls():
+    rng = random.Random(43)
+    for _ in range(50):
+        y, ratio = rng.uniform(0.05, 40.0), rng.uniform(0.05, 20.0)
+        rows = wall_amplitudes(30, y, ratio)
+        for l in (0, 1, 7, 30):
+            a_sq, b, c = rows[l]
+            assert a_sq == pytest.approx(coefficient_a_sq(ModeOrder(l), y, ratio), rel=1e-12)
+            assert (b, c) == pytest.approx(coefficients_bc(ModeOrder(l), y, ratio), rel=1e-12, abs=1e-14)
+
+
+@pytest.mark.parametrize("l, y, ratio", [(130, 0.1, 20.0), (140, 0.1, 30.0), (118, 0.1, 13.0), (200, 0.1, 2.0)])
+def test_non_finite_amplitudes_raise_typed_error(l, y, ratio):
+    # the Bessel values underflow (inside J) or overflow (outside N)
+    for call in (coefficient_a_sq, coefficients_bc):
+        with pytest.raises(BesselDomainError, match=f"order l={l} .* y={y}"):
+            call(ModeOrder(l), y, ratio)
+    with pytest.raises(BesselDomainError, match=f"order l={l}"):
+        matching_coefficients(ModeOrder(l), y, ratio, kappa=1.0, n_liquid=1.3)
+    # the all-orders table itself never raises
+    assert not all(map(math.isfinite, wall_amplitudes(l, y, ratio)[l]))

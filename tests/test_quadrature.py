@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import roots_legendre
 
+from bubblespec import quadrature
 from bubblespec.quadrature import QuadratureError, _integrate_rows, adaptive_quad
 
 
@@ -128,3 +130,9 @@ def test_failing_row_raises_with_its_own_estimate():
         _one_failing_row, edges, rel_tol=1e-6, abs_tol=1e-12, max_subdivisions=40, raise_on_failure=False
     )
     assert [r.converged for r in rows] == [True, False, True]
+
+
+def test_gauss_rules_equal_roots_legendre_bit_for_bit():
+    for n, rule in ((7, (quadrature._X7, quadrature._W7)), (15, (quadrature._X15, quadrature._W15))):
+        for ours, ref in zip(rule, roots_legendre(n)):
+            assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()

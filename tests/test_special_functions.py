@@ -11,6 +11,7 @@ from bubblespec.special_functions import (
     bessel_jn_half,
     diagonal_kernel_term,
     half_integer_j_array,
+    half_integer_n_array,
     large_order_bound,
     pseudo_wronskian,
 )
@@ -110,6 +111,18 @@ def test_half_integer_array_matches_pairs():
     vals = half_integer_j_array(12, z)
     for l in (0, 3, 7, 12):
         assert vals[l] == pytest.approx(bessel_jn_half(ModeOrder(l), z).j, rel=1e-13)
+
+
+def test_tables_end_with_order_minus_half():
+    z = 7.3
+    s = math.sqrt(2.0 * z / math.pi)
+    j, n = half_integer_j_array(12, z), half_integer_n_array(12, z)
+    assert len(j) == len(n) == 14
+    assert j[-1] == pytest.approx(s * math.cos(z) / z, rel=1e-15)
+    assert n[-1] == pytest.approx(s * math.sin(z) / z, rel=1e-15)
+    for l in (0, 3, 7, 12):
+        p = bessel_jn_half(ModeOrder(l), z)
+        assert (n[l], n[l - 1], j[l - 1]) == pytest.approx((p.n, p.n_prev, p.j_prev), rel=1e-13)
 
 
 def test_pseudo_wronskian_frozen():
