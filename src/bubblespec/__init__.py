@@ -30,7 +30,6 @@ from .special_functions import (
     bessel_jn_half,
     diagonal_kernel_term,
     half_integer_j_array,
-    large_order_bound,
     pseudo_wronskian,
 )
 from .spectrum import (

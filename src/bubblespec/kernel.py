@@ -1,10 +1,11 @@
 """Two-photon creation kernel of the sudden-transition sphere.
 
 The exact kernel F(x, y) is an angular-momentum sum over squared
-pseudo-Wronskians weighted by the wall-matching amplitudes.  Its diagonal
-D(x) = F(x, x) tends to 1/(2 pi^2) for large argument, recovering the
-homogeneous-medium result, and the whole kernel is well approximated by
-the factorized smeared-delta form used for production spectra.
+pseudo-Wronskians with unit wall amplitudes (the amplitudes themselves
+are in ``matching``).  Its diagonal D(x) = F(x, x) tends to 1/(2 pi^2)
+for large argument, recovering the homogeneous-medium result, and the
+whole kernel is well approximated by the factorized smeared-delta form
+used for production spectra.
 
 Frequency dispersion is modeled as a sharp momentum cutoff: the gas
 refractive index equals its bulk value below the cutoff and 1 above.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matching import MediumConfig, wall_amplitudes
+from .matching import MediumConfig
 # bessel_jn_half is unused here but perfbench/test_perfbench.py reads it.
 from .special_functions import (
     BesselDomainError,
@@ -39,7 +40,6 @@ __all__ = [
     "d_exact",
     "d_approx",
     "f_factorized",
-    "default_l_max",
 ]
 
 # Hard ceiling on the angular-momentum sum; the adaptive truncation must
@@ -53,8 +53,9 @@ _TAIL_REL = 1e-8
 # to cancellation instead (~1e-10 at the band edge against 40-digit sums).
 # Both stay inside the 1e-8 tail budget from x ~ 0.1 up to the cap.
 _DIAG_BAND = 1e-4
-# The tail certifies within a few orders of where its bound applies; J
-# sequences reach this far past that order before falling back to the cap.
+# The tail certifies within a few orders of where its bound applies; the
+# term table reaches this far past that order (at most to the cap), and the
+# sum fails if its tail is not certified by the end of the table.
 _L_MARGIN = 8
 
 _HALF_ASYMPTOTE = 1.0 / (2.0 * math.pi * math.pi)
@@ -65,7 +66,7 @@ _F_FIT_SCALE = 16000.0
 
 
 class KernelConvergenceError(ArithmeticError):
-    """Angular-momentum sum met a non-finite term or failed to certify its tail by the hard cap."""
+    """Unit-amplitude angular-momentum sum met a non-finite term (tiny argument) or ended its table uncertified."""
 
     def __init__(self, message: str, partial: float, l_reached: int):
         super().__init__(message)
@@ -124,11 +125,6 @@ def refractive_out(x: float, cfg: MediumConfig, cut: CutoffProfile) -> float:
     return cfg.n_gas_out if x <= cut.x_star else 1.0
 
 
-def default_l_max(cfg: MediumConfig) -> int:
-    """Angular-momentum truncation matched to the momentum cutoff."""
-    return max(1, round(cfg.cutoff_product))
-
-
 def _pw_ratios(x: float, y: float, l_size: int) -> list[float]:
     """W~_nu(x, y)/(x^2 - y^2) for l = 1..l_size, stable through the diagonal.
 
@@ -139,88 +135,60 @@ def _pw_ratios(x: float, y: float, l_size: int) -> list[float]:
         m = 0.5 * (x + y)
         j = half_integer_j_array(l_size, m)
         return [_reduced_det_diagonal(l + 0.5, m, j[l], j[l - 1]) / (x + y) for l in range(1, l_size + 1)]
+    # Off the band x^2 - y^2 underflows to 0 only where the J values are out of range too.
+    d = x * x - y * y or math.nan
     jx = half_integer_j_array(l_size, x)
     jy = half_integer_j_array(l_size, y)
-    d = x * x - y * y
     return [_reduced_det(jx[l], jx[l - 1], x, jy[l], jy[l - 1], y) / d for l in range(1, l_size + 1)]
 
 
-def _kernel_terms(x: float, y: float, size: int, walled: list[tuple[float, float]]) -> list[float]:
-    """(2l+1) |A^in|^2 |A^out|^2 (W~/(x^2 - y^2))^2 for l = 1..size; A = 1 off the walled axes."""
-    terms = [(2 * l + 1) * r * r for l, r in enumerate(_pw_ratios(x, y, size), 1)]
-    for z, ratio in walled:
-        terms = [t * a[0] for t, a in zip(terms, wall_amplitudes(size, z, ratio)[1:])]
-    return terms
+def _kernel_terms(x: float, y: float, size: int) -> list[float]:
+    """(2l+1) (W~/(x^2 - y^2))^2 for l = 1..size."""
+    return [(2 * l + 1) * r * r for l, r in enumerate(_pw_ratios(x, y, size), 1)]
 
 
-def _tail_term(l: int, x: float, y: float, walled: list[tuple[float, float]]) -> float:
-    """Majorant of the l-th kernel term, the A-factors of the walled axes included."""
-    s = tail_term_scale(ModeOrder(l), x, y)
-    bound = (2 * l + 1) * s * s
-    for _, ratio in walled:
-        bound *= max(1.0, ratio ** (2.0 * (l + 0.5)))
-    return bound
-
-
-def f_exact(
-    x: float,
-    y: float,
-    cfg: MediumConfig | None = None,
-    l_max: int = _L_HARD_CAP,
-    *,
-    with_a_factors: bool = False,
-    cut: CutoffProfile | None = None,
-) -> KernelValue:
-    """Exact kernel F(x, y) = sum_{l>=1} (2l+1) |A^in|^2 |A^out|^2 W~^2/(x^2-y^2)^2.
+def f_exact(x: float, y: float, l_max: int = _L_HARD_CAP) -> KernelValue:
+    """Exact kernel F(x, y) = sum_{l>=1} (2l+1) W~^2/(x^2-y^2)^2 with unit wall amplitudes.
 
     The sum stops at min(l_max, adaptive order) where the adaptive order is
     certified by the large-order tail bound falling below 1e-8 of the
-    partial sum.  ``with_a_factors`` enables the wall amplitudes (requires
-    cfg); the default A = 1 matches the diagonal study and the factorized
-    approximation.
+    partial sum.  Unit amplitudes match the diagonal study and the
+    factorized approximation; the wall amplitudes themselves are in
+    ``matching``.
     """
     if x <= 0.0 or y <= 0.0:
         raise BesselDomainError(f"kernel arguments must be positive, got x={x}, y={y}")
     if l_max < 1:
         raise ValueError(f"l_max must be >= 1, got {l_max}")
-    if with_a_factors and cfg is None:
-        raise ValueError("with_a_factors requires a MediumConfig")
-    cap = min(l_max, _L_HARD_CAP)
-    # (argument, index ratio) of each walled axis, inside first: at or below its cutoff, all without cut.
-    stars = (cut.y_star, cut.x_star) if cut is not None else (math.inf, math.inf)
-    axes = zip((y, x), (cfg.n_gas_in, cfg.n_gas_out), stars) if with_a_factors else ()
-    walled = [(z, cfg.n_liquid / n_gas) for z, n_gas, star in axes if z <= star]
     # The tail bound holds for nu = l + 1/2 > half_e_m.
     half_e_m = math.e * max(x, y) / 2.0
     # Sized independently of l_max so that every truncation sees the same terms.
-    terms = _kernel_terms(x, y, min(_L_HARD_CAP, int(half_e_m) + _L_MARGIN), walled)
+    terms = _kernel_terms(x, y, min(_L_HARD_CAP, int(half_e_m) + _L_MARGIN))
     acc = 0.0
     l = 0
     tail_est = math.inf
-    while l < cap:
+    while l < min(l_max, len(terms)):
         l += 1
-        if l > len(terms):
-            terms += _kernel_terms(x, y, _L_HARD_CAP, walled)[len(terms) :]
         t = terms[l - 1]
         if not math.isfinite(t):
-            msg = f"non-finite kernel term at l={l}, (x, y)=({x}, {y}): wall amplitudes under- or overflowed"
-            raise KernelConvergenceError(msg, acc, l)
+            cause = "Bessel values out of double range at a tiny argument"
+            raise KernelConvergenceError(f"non-finite kernel term at l={l}, (x, y)=({x}, {y}): {cause}", acc, l)
         acc += t
         # Certify the remainder once the asymptotic regime is reached.
         if l + 1.5 <= half_e_m:
             continue
-        b1 = _tail_term(l + 1, x, y, walled)
-        b2 = _tail_term(l + 2, x, y, walled)
+        s1 = tail_term_scale(ModeOrder(l + 1), x, y)
+        s2 = tail_term_scale(ModeOrder(l + 2), x, y)
+        b1 = (2 * l + 3) * s1 * s1
+        b2 = (2 * l + 5) * s2 * s2
         ratio = b2 / b1 if b1 > 0.0 else 0.0
         if ratio < 0.9:
             tail_est = b1 / (1.0 - ratio)
             if tail_est <= _TAIL_REL * max(acc, 1e-300):
                 return KernelValue(value=math.fsum(terms[:l]), l_used=l, truncation_error_estimate=tail_est)
     value = math.fsum(terms[:l])
-    if l_max >= _L_HARD_CAP and (not math.isfinite(tail_est) or tail_est > _TAIL_REL * max(value, 1e-300)):
-        raise KernelConvergenceError(
-            f"kernel tail not certified by l={_L_HARD_CAP} at (x, y)=({x}, {y})", value, l
-        )
+    if l_max >= len(terms) and (not math.isfinite(tail_est) or tail_est > _TAIL_REL * max(value, 1e-300)):
+        raise KernelConvergenceError(f"kernel tail not certified by l={l} at (x, y)=({x}, {y})", value, l)
     # Caller-imposed truncation: report the best tail knowledge we have.
     est = tail_est if math.isfinite(tail_est) else abs(terms[l - 1])
     return KernelValue(value=value, l_used=l, truncation_error_estimate=est)

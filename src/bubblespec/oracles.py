@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import f_exact
 from .matching import MediumConfig, normalization_xi
 from .special_functions import BesselDomainError, ModeOrder, _reduced_det, _reduced_det_diagonal, bessel_jn_half
 
@@ -127,16 +126,3 @@ def large_r_beta_sq(cfg: MediumConfig, omega_in: float, omega_out: float) -> flo
     xi_in = normalization_xi(cfg.n_gas_in * omega_in, cfg.n_liquid)
     xi_out = normalization_xi(cfg.n_gas_out * omega_out, cfg.n_liquid)
     return dn * dn / (cfg.n_gas_in * cfg.n_gas_out) * (xi_in * xi_out) ** 2
-
-
-def kernel_concentration_ratio(x: float, delta: float, scale: float) -> float:
-    """Diagonal dominance of the exact kernel at a given size scale.
-
-    Ratio F(sx, s(x + delta))/F(sx, sx) at a fixed relative momentum
-    mismatch delta: growing scale (larger sphere at fixed physical
-    momenta) concentrates the kernel on the line x = y, the
-    finite-volume shadow of momentum conservation.
-    """
-    on = f_exact(scale * x, scale * x).value
-    off = f_exact(scale * x, scale * (x + delta)).value
-    return off / on if on > 0.0 else math.inf

@@ -27,7 +27,6 @@ __all__ = [
     "half_integer_n_array",
     "pseudo_wronskian",
     "diagonal_kernel_term",
-    "large_order_bound",
 ]
 
 # Downward recurrence start margin.  Contamination by the irregular
@@ -45,7 +44,7 @@ class BesselDomainError(ValueError):
 
 
 class AsymptoticRegimeError(ValueError):
-    """large_order_bound called below its validity region nu > e*max(x,y)/2."""
+    """tail_term_scale called below its validity region nu > e*max(x,y)/2."""
 
 
 @dataclass(frozen=True)
@@ -239,12 +238,3 @@ def tail_term_scale(order: ModeOrder, x: float, y: float) -> float:
             f"asymptotic regime not reached: nu={nu} <= e*max(x,y)/2={math.e * max(x, y) / 2.0:.3f}"
         )
     return _BOUND_SAFETY * _asymptotic_pw_scale(nu, x, y)
-
-
-def large_order_bound(order: ModeOrder, x: float, y: float) -> float:
-    """Upper-bound estimate of |W~_nu(x, y)| for truncating l-sums.
-
-    Exceeds the actual magnitude by construction (safety factor 10 on the
-    large-order asymptotic form) within the validity region nu > e*max(x,y)/2.
-    """
-    return abs(x * x - y * y) * tail_term_scale(order, x, y)

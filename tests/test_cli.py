@@ -109,6 +109,14 @@ def test_kernel_dump_bad_range_exits_2():
     assert res.exit_code == 2
 
 
+def test_kernel_dump_tiny_arguments_exit_3():
+    res = CliRunner().invoke(
+        main, ["kernel-dump", "--x-range", "1e-200", "2e-200", "--y-range", "3e-200", "4e-200", "--points", "2"]
+    )
+    assert res.exit_code == 3, res.output
+    assert "numerical failure" in res.output
+
+
 def test_diagonal_command():
     res = CliRunner().invoke(main, ["diagonal", "--points", "4", "--x-max", "8"])
     assert res.exit_code == 0

@@ -6,17 +6,17 @@ import pytest
 from scipy.special import spherical_jn
 
 from bubblespec.kernel import (
+    _L_MARGIN,
     CutoffProfile,
     KernelConvergenceError,
     d_approx,
     d_exact,
-    default_l_max,
     f_exact,
     f_factorized,
     refractive_in,
     refractive_out,
 )
-from bubblespec.matching import MediumConfig, coefficient_a_sq
+from bubblespec.matching import MediumConfig
 from bubblespec.special_functions import (
     AsymptoticRegimeError,
     BesselDomainError,
@@ -58,11 +58,6 @@ def test_refractive_steps_left_continuous():
     assert refractive_out(99.0, degenerate, cut) == 1.0
 
 
-def test_default_l_max():
-    cfg = MediumConfig(n_gas_in=2e4, n_gas_out=1.0)
-    assert default_l_max(cfg) == round(5.0 * math.pi / 1.3)
-
-
 def test_f_exact_frozen_value():
     v = f_exact(3.0, 3.2, l_max=15)
     # adaptive truncation certifies the tail below 1e-8 of the sum
@@ -86,8 +81,6 @@ def test_f_exact_domain_and_l_max_validation():
         f_exact(0.0, 1.0)
     with pytest.raises(ValueError):
         f_exact(1.0, 1.0, l_max=0)
-    with pytest.raises(ValueError):
-        f_exact(1.0, 1.0, with_a_factors=True)
 
 
 def test_f_exact_nonconvergence_signal():
@@ -97,20 +90,12 @@ def test_f_exact_nonconvergence_signal():
     assert exc.value.l_reached == 200
 
 
-def _per_order_f_exact(x, y, l_max=200, cfg=None, cut=None):
+def _per_order_f_exact(x, y, l_max=200):
     """F(x, y) summed one order at a time, each order from its own Bessel pair.
 
-    With cfg, each term carries |A^in(y)|^2 |A^out(x)|^2 from one
-    coefficient_a_sq call per order and axis (1 above that axis' cutoff)
-    and the tail bound the matching majorant (n_liquid/n_gas)^(2 nu).
     The tail is certified exactly as in f_exact; returns (value, l_used,
     truncation_error_estimate).  Valid away from the diagonal only.
     """
-    walled = []
-    if cfg is not None:
-        for z, n_gas, star in ((y, cfg.n_gas_in, cut.y_star), (x, cfg.n_gas_out, cut.x_star)):
-            if z <= star:
-                walled.append((z, cfg.n_liquid / n_gas))
     cap = min(l_max, 200)
     terms = []
     acc = 0.0
@@ -121,7 +106,7 @@ def _per_order_f_exact(x, y, l_max=200, cfg=None, cut=None):
         px = bessel_jn_half(ModeOrder(l), x)
         py = bessel_jn_half(ModeOrder(l), y)
         r = (px.j * y * py.j_prev - py.j * x * px.j_prev) / (x * x - y * y)
-        terms.append((2 * l + 1) * r * r * math.prod(coefficient_a_sq(ModeOrder(l), z, n) for z, n in walled))
+        terms.append((2 * l + 1) * r * r)
         acc += terms[-1]
         try:
             s1 = tail_term_scale(ModeOrder(l + 1), x, y)
@@ -130,9 +115,6 @@ def _per_order_f_exact(x, y, l_max=200, cfg=None, cut=None):
             continue
         b1 = (2 * (l + 1) + 1) * s1 * s1
         b2 = (2 * (l + 2) + 1) * s2 * s2
-        for _, n in walled:
-            b1 *= max(1.0, n ** (2 * l + 3))
-            b2 *= max(1.0, n ** (2 * l + 5))
         ratio = b2 / b1 if b1 > 0.0 else 0.0
         if ratio < 0.9:
             tail_est = b1 / (1.0 - ratio)
@@ -245,58 +227,32 @@ def test_factorization_quality_regression():
     assert l2 == pytest.approx(0.0883, abs=0.015)
 
 
-def test_a_factors_trivial_when_indices_match_liquid():
-    cfg = MediumConfig(n_gas_in=1.3, n_gas_out=1.3)
-    cut = CutoffProfile(x_star=50.0, y_star=50.0)
-    with_a = f_exact(3.0, 3.2, cfg, with_a_factors=True, cut=cut)
-    assert with_a.value == pytest.approx(f_exact(3.0, 3.2).value, rel=1e-12)
-
-
-def test_a_factors_unity_above_cutoff():
-    cfg = MediumConfig(n_gas_in=2e4, n_gas_out=1.0)
-    cut = CutoffProfile(x_star=1.0, y_star=1.0)
-    with_a = f_exact(3.0, 3.2, cfg, with_a_factors=True, cut=cut)
-    assert with_a.value == pytest.approx(f_exact(3.0, 3.2).value, rel=1e-12)
-
-
-@pytest.mark.parametrize("n_in, n_out", [(2e4, 1.0), (1.0, 12.0), (68.0, 34.0)])
-def test_a_factors_match_per_order_amplitudes(n_in, n_out):
-    # cutoffs above both arguments: every term carries non-trivial |A|^2 on both axes
-    cfg = MediumConfig(n_gas_in=n_in, n_gas_out=n_out)
-    cut = CutoffProfile(x_star=50.0, y_star=50.0)
-    rng = random.Random(41)
-    checked = 0
-    while checked < 30:
-        x, y = rng.uniform(0.1, 40.0), rng.uniform(0.1, 40.0)
-        if abs(x - y) < 1e-2:
-            continue
-        got = f_exact(x, y, cfg, with_a_factors=True, cut=cut)
-        value, l_used, _ = _per_order_f_exact(x, y, cfg=cfg, cut=cut)
-        assert got.l_used == l_used
-        assert got.value == pytest.approx(value, rel=1e-11)
-        checked += 1
-
-
-def test_a_factors_without_cutoffs_apply_on_both_axes():
-    cfg = MediumConfig(n_gas_in=2e4, n_gas_out=1.0)
-    everywhere = f_exact(3.0, 3.2, cfg, with_a_factors=True)
-    assert everywhere == f_exact(3.0, 3.2, cfg, with_a_factors=True, cut=CutoffProfile(x_star=10.0, y_star=10.0))
-    assert 0.0 < everywhere.value < f_exact(3.0, 3.2).value
-
-
-@pytest.mark.parametrize("n_in, n_out", [(2e4, 1.0), (68.0, 34.0), (1.0, 12.0)])
 @pytest.mark.parametrize("x, y", [(100.0, 0.1), (120.0, 0.05), (140.0, 0.3), (60.0, 0.01), (0.01, 100.0)])
-def test_a_factor_kernel_never_reports_a_non_finite_sum(x, y, n_in, n_out):
-    # The l-sum reaches orders whose amplitudes under- or overflowed before
-    # the tail bound applies; it must stop with a typed error, not return NaN.
-    cfg = MediumConfig(n_gas_in=n_in, n_gas_out=n_out)
-    cut = CutoffProfile(x_star=392.0, y_star=392.0)
+def test_f_exact_finite_for_small_argument_paired_with_large(x, y):
     assert math.isfinite(f_exact(x, y).value)
-    if (x, y, n_in) == (60.0, 0.01, 1.0):
-        # certifies at l = 81, one order before the amplitudes break down
-        got = f_exact(x, y, cfg, with_a_factors=True, cut=cut)
-        assert math.isfinite(got.value) and got.l_used == 81
-        assert got.value == pytest.approx(_per_order_f_exact(x, y, cfg=cfg, cut=cut)[0], rel=1e-11)
-        return
-    with pytest.raises(KernelConvergenceError, match="non-finite"):
-        f_exact(x, y, cfg, with_a_factors=True, cut=cut)
+
+
+def test_f_exact_certifies_inside_its_first_table():
+    # The sum never needs orders past its table of min(200, e*max(x, y)/2 + _L_MARGIN)
+    # terms anywhere in the domain: far from, near and on the diagonal.
+    rng = random.Random(57)
+    points = [(145.0, 145.0)]
+    while len(points) < 501:
+        x, y = rng.uniform(0.01, 140.0), rng.uniform(0.01, 140.0)
+        kind = len(points) % 3
+        if kind == 1:
+            y = x * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-10.0, -2.0))
+        elif kind == 2:
+            y = x * 10.0 ** rng.uniform(-4.0, -1.0)
+        points.append((x, y))
+    for x, y in points:
+        got = f_exact(x, y)
+        assert got.l_used < min(200, int(math.e * max(x, y) / 2.0) + _L_MARGIN), (x, y, got.l_used)
+
+
+@pytest.mark.parametrize("x, y", [(1e-200, 2e-200), (1e-100, 1.0), (1e-200, 1e-200)])
+def test_f_exact_tiny_arguments_raise_typed_error(x, y):
+    # Bessel values (or x^2 - y^2) leave the double range: a typed error, never a bare crash.
+    with pytest.raises(KernelConvergenceError, match="tiny argument") as exc:
+        f_exact(x, y)
+    assert exc.value.l_reached == 1

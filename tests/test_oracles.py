@@ -4,10 +4,10 @@ import random
 import pytest
 from scipy import integrate, special
 
+from bubblespec.kernel import f_exact
 from bubblespec.matching import MediumConfig
 from bubblespec.oracles import (
     hankel_finite_integral,
-    kernel_concentration_ratio,
     large_r_beta_sq,
     spectral_delta_checks,
 )
@@ -104,6 +104,7 @@ def test_beta_strength_frequency_scaling():
 def test_kernel_concentrates_on_diagonal_with_scale():
     # fixed relative momentum mismatch, growing sphere: the exact kernel
     # piles up on x = y, mirroring momentum conservation at infinite volume
-    ratios = [kernel_concentration_ratio(5.0, 0.4, s) for s in (1.0, 2.0, 4.0, 8.0)]
+    # F(s x, s(x + delta))/F(s x, s x) at fixed x = 5, delta = 0.4
+    ratios = [f_exact(5.0 * s, 5.4 * s).value / f_exact(5.0 * s, 5.0 * s).value for s in (1.0, 2.0, 4.0, 8.0)]
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] < 0.15

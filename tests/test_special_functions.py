@@ -12,8 +12,8 @@ from bubblespec.special_functions import (
     diagonal_kernel_term,
     half_integer_j_array,
     half_integer_n_array,
-    large_order_bound,
     pseudo_wronskian,
+    tail_term_scale,
 )
 
 TWO_OVER_PI = 2.0 / math.pi
@@ -168,7 +168,7 @@ def test_large_order_bound_dominates():
         x, y = rng.uniform(0.5, 20.0), rng.uniform(0.5, 20.0)
         l_min = math.ceil(math.e * max(x, y) / 2.0 + 0.5)
         l = rng.randint(l_min, l_min + 20)
-        bound = large_order_bound(ModeOrder(l), x, y)
+        bound = abs(x * x - y * y) * tail_term_scale(ModeOrder(l), x, y)
         actual = abs(pseudo_wronskian(ModeOrder(l), x, y))
         assert actual <= bound
         checked += 1
@@ -177,7 +177,7 @@ def test_large_order_bound_dominates():
 
 def test_large_order_bound_regime_guard():
     with pytest.raises(AsymptoticRegimeError):
-        large_order_bound(ModeOrder(5), 30.0, 2.0)
+        tail_term_scale(ModeOrder(5), 30.0, 2.0)
 
 
 def test_saturation_flags():
