@@ -7,6 +7,7 @@ from scipy.special import spherical_jn
 
 from bubblespec.kernel import (
     _L_MARGIN,
+    _kernel_terms,
     CutoffProfile,
     KernelConvergenceError,
     d_approx,
@@ -16,7 +17,7 @@ from bubblespec.kernel import (
     refractive_in,
     refractive_out,
 )
-from bubblespec.matching import MediumConfig
+from bubblespec.matching import MediumConfig, coefficient_a_sq
 from bubblespec.special_functions import (
     AsymptoticRegimeError,
     BesselDomainError,
@@ -227,9 +228,30 @@ def test_factorization_quality_regression():
     assert l2 == pytest.approx(0.0883, abs=0.015)
 
 
+@pytest.mark.parametrize("n_in, n_out", [(2e4, 1.0), (68.0, 34.0), (1.0, 12.0)])
 @pytest.mark.parametrize("x, y", [(100.0, 0.1), (120.0, 0.05), (140.0, 0.3), (60.0, 0.01), (0.01, 100.0)])
-def test_f_exact_finite_for_small_argument_paired_with_large(x, y):
-    assert math.isfinite(f_exact(x, y).value)
+def test_a_factor_kernel_never_reports_a_non_finite_sum(x, y, n_in, n_out):
+    # The kernel sum carries no wall amplitudes and is finite for a small argument
+    # paired with a large one. Weighting its terms with the amplitudes of a medium,
+    # taken order by order from `matching`, gives a finite sum up to the first
+    # order whose amplitudes leave the double range: that order raises a typed error.
+    got = f_exact(x, y)
+    assert math.isfinite(got.value)
+    cfg = MediumConfig(n_gas_in=n_in, n_gas_out=n_out)
+    weighted = 0.0
+    reached = 0
+    for l, term in enumerate(_kernel_terms(x, y, got.l_used), 1):
+        try:
+            a_in = coefficient_a_sq(ModeOrder(l), y, cfg.n_liquid / n_in)
+            a_out = coefficient_a_sq(ModeOrder(l), x, cfg.n_liquid / n_out)
+        except BesselDomainError:
+            break
+        weighted += term * a_in * a_out
+        reached = l
+    assert math.isfinite(weighted)
+    if (x, y, n_in) == (60.0, 0.01, 1.0):
+        # the one case whose amplitudes stay finite through every order the sum needs
+        assert reached == got.l_used == 81
 
 
 def test_f_exact_certifies_inside_its_first_table():
