@@ -14,6 +14,7 @@ refractive index equals its bulk value below the cutoff and 1 above.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,10 @@ _TAIL_REL = 1e-8
 # to cancellation instead (~1e-10 at the band edge against 40-digit sums).
 # Both stay inside the 1e-8 tail budget from x ~ 0.1 up to the cap.
 _DIAG_BAND = 1e-4
+# At small m the two parts of the diagonal l = 1 limit cancel to about
+# 0.044 m^2 of their size; below this fraction (m < ~1e-3) the rounding of
+# the parts alone would exceed the tail budget in the dominant term.
+_DIAG_RESOLUTION = 2.0 * sys.float_info.epsilon / _TAIL_REL
 # The tail certifies within a few orders of where its bound applies; the
 # term table reaches this far past that order (at most to the cap), and the
 # sum fails if its tail is not certified by the end of the table.
@@ -66,7 +71,12 @@ _F_FIT_SCALE = 16000.0
 
 
 class KernelConvergenceError(ArithmeticError):
-    """Unit-amplitude angular-momentum sum met a non-finite term (tiny argument) or ended its table uncertified."""
+    """Unit-amplitude angular-momentum sum unresolved in doubles (tiny argument) or uncertified at the end of its table.
+
+    Tiny arguments: a non-finite term, a diagonal l = 1 term lost to
+    cancellation, or a kernel too small for its 1e-8 tail budget to be a
+    normal double.
+    """
 
     def __init__(self, message: str, partial: float, l_reached: int):
         super().__init__(message)
@@ -134,6 +144,10 @@ def _pw_ratios(x: float, y: float, l_size: int) -> list[float]:
     if abs(x - y) < _DIAG_BAND * min(x, y, 1.0):
         m = 0.5 * (x + y)
         j = half_integer_j_array(l_size, m)
+        if _reduced_det_diagonal(1.5, m, j[1], j[0]) <= _DIAG_RESOLUTION * m * (j[1] * j[1] + j[0] * j[0]):
+            raise KernelConvergenceError(
+                f"diagonal l=1 term lost to cancellation at (x, y)=({x}, {y}): tiny argument", 0.0, 1
+            )
         return [_reduced_det_diagonal(l + 0.5, m, j[l], j[l - 1]) / (x + y) for l in range(1, l_size + 1)]
     # Off the band x^2 - y^2 underflows to 0 only where the J values are out of range too.
     d = x * x - y * y or math.nan
@@ -177,6 +191,10 @@ def f_exact(x: float, y: float, l_max: int = _L_HARD_CAP) -> KernelValue:
         # Certify the remainder once the asymptotic regime is reached.
         if l + 1.5 <= half_e_m:
             continue
+        if _TAIL_REL * acc < sys.float_info.min:
+            raise KernelConvergenceError(
+                f"tail budget below the double range at l={l}, (x, y)=({x}, {y}): tiny argument", acc, l
+            )
         s1 = tail_term_scale(ModeOrder(l + 1), x, y)
         s2 = tail_term_scale(ModeOrder(l + 2), x, y)
         b1 = (2 * l + 3) * s1 * s1
@@ -184,7 +202,7 @@ def f_exact(x: float, y: float, l_max: int = _L_HARD_CAP) -> KernelValue:
         ratio = b2 / b1 if b1 > 0.0 else 0.0
         if ratio < 0.9:
             tail_est = b1 / (1.0 - ratio)
-            if tail_est <= _TAIL_REL * max(acc, 1e-300):
+            if tail_est <= _TAIL_REL * acc:
                 return KernelValue(value=math.fsum(terms[:l]), l_used=l, truncation_error_estimate=tail_est)
     value = math.fsum(terms[:l])
     if l_max >= len(terms) and (not math.isfinite(tail_est) or tail_est > _TAIL_REL * max(value, 1e-300)):

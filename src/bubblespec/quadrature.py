@@ -1,12 +1,14 @@
-"""Vectorized adaptive Gauss-Legendre quadrature with breakpoints.
+"""Vectorized adaptive Gauss-Kronrod quadrature with breakpoints.
 
 One refinement loop integrates many rows (integrals, each over its own
-panel edges) together: each round evaluates the pending panels of every
-row in one integrand callback, which keeps the Python overhead per
-function value negligible.  Error per panel is the difference of a
-7-point and a 15-point Gauss-Legendre rule; the two share only the
-centre node, so a panel costs 22 evaluations.  Each row's worst panels
-are bisected until its tolerance is met.  Results are deterministic: each value is a
+panels) together: each round evaluates the pending panels of every row
+in a few integrand callbacks of at most ``_CHUNK_POINTS`` points each,
+which keeps the Python overhead per function value negligible and the
+integrand's temporaries bounded.  Each panel gets the nested 7-point
+Gauss / 15-point Kronrod pair (QUADPACK's qk15): the Kronrod rule reuses
+the Gauss nodes, so a panel costs 15 evaluations, its value is the K15
+estimate and its error |K15 - G7|.  Each row's worst panels are bisected
+until its tolerance is met.  Results are deterministic: each value is a
 compensated sum over the row's panels ordered by their left endpoint.
 
 Supports vector-valued integrands so that several moments of the same
@@ -29,18 +31,25 @@ def _symmetric_rule(nodes: list[float], weights: list[float]) -> tuple[np.ndarra
     return np.array([-x for x in nodes[:0:-1]] + nodes), np.array(weights[:0:-1] + weights)
 
 
-# Gauss-Legendre rules equal bit for bit to scipy.special.roots_legendre(7)
-# and (15), written out so that importing the package does not load scipy.
+# The 7-point Gauss-Legendre rule, equal bit for bit to
+# scipy.special.roots_legendre(7), and its 15-point Kronrod extension
+# (Piessens et al. 1983, QUADPACK qk15), written out so that importing the
+# package does not load scipy.  The Kronrod rule adds a node between and
+# beyond each Gauss node and takes the Gauss nodes from the same literals,
+# so the G7 values are the K15 values at its odd nodes.
+_G7_NODES = [0.0, 0.4058451513773972, 0.7415311855993945, 0.9491079123427584]
 _X7, _W7 = _symmetric_rule(
-    [0.0, 0.4058451513773972, 0.7415311855993945, 0.9491079123427584],
-    [0.4179591836734691, 0.38183005050511876, 0.2797053914892766, 0.12948496616886992],
+    _G7_NODES, [0.4179591836734691, 0.38183005050511876, 0.2797053914892766, 0.12948496616886992]
 )
-_X15, _W15 = _symmetric_rule(
-    [0.0, 0.20119409399743454, 0.3941513470775634, 0.5709721726085388,
-     0.7244177313601701, 0.8482065834104272, 0.937273392400706, 0.9879925180204854],
-    [0.20257824192556137, 0.19843148532711163, 0.18616100001556224, 0.16626920581699411,
-     0.13957067792615432, 0.10715922046717176, 0.07036604748810715, 0.030753241996118154],
+_XK15, _WK15 = _symmetric_rule(
+    [x for pair in zip(_G7_NODES, [0.20778495500789848, 0.5860872354676911, 0.8648644233597691, 0.9914553711208126])
+     for x in pair],
+    [0.20948214108472782, 0.20443294007529889, 0.19035057806478542, 0.1690047266392679,
+     0.14065325971552592, 0.10479001032225019, 0.06309209262997856, 0.022935322010529224],
 )
+# Most points per integrand call: bounds the memory of the integrand's
+# temporaries however many panels a round evaluates.
+_CHUNK_POINTS = 2**15
 # Fraction of surviving panels refined per round.
 _REFINE_FRACTION = 0.3
 _RowIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -69,62 +78,72 @@ class QuadratureError(ArithmeticError):
 
 
 def _panel_estimates(f: _RowIntegrand, bounds: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """15-point values and |15pt - 7pt| errors, shape (2, n_components, n_panels).
+    """K15 values and |K15 - G7| errors, shape (2, n_components, n_panels).
 
     ``bounds`` holds the (low, high) ends of the panels and ``rows`` the
-    row of each panel; ``f`` gets the row of each point.
+    row of each panel; ``f`` gets the row of each point.  Each panel takes
+    15 evaluations, in calls of at most ``_CHUNK_POINTS`` points; the
+    values, and so the estimates, equal those of a single call.
     """
     lows, highs = bounds
     mid = 0.5 * (lows + highs)
     half = 0.5 * (highs - lows)
-    # points shape: (n_panels, 22) flattened to one batched call
-    pts15 = mid[:, None] + half[:, None] * _X15[None, :]
-    pts7 = mid[:, None] + half[:, None] * _X7[None, :]
-    pts = np.concatenate([pts15, pts7], axis=1).ravel()
-    vals = np.asarray(f(pts, rows.repeat(22)), dtype=float)
-    if vals.ndim == 1:
-        vals = vals[None, :]
-    if vals.shape[-1] != pts.size:
-        raise ValueError("integrand returned a shape not matching its input")
-    vals = vals.reshape(vals.shape[0], len(lows), 22)
-    i15 = np.einsum("cpk,k->cp", vals[:, :, :15], _W15) * half
-    i7 = np.einsum("cpk,k->cp", vals[:, :, 15:], _W7) * half
-    return np.stack([i15, np.abs(i15 - i7)])
+    step = _CHUNK_POINTS // _XK15.size
+    vals = None
+    for start in range(0, lows.size, step):
+        s = slice(start, start + step)
+        pts = (mid[s, None] + half[s, None] * _XK15).ravel()
+        chunk = np.asarray(f(pts, rows[s].repeat(_XK15.size)), dtype=float)
+        if chunk.ndim == 1:
+            chunk = chunk[None, :]
+        if chunk.shape[-1] != pts.size:
+            raise ValueError("integrand returned a shape not matching its input")
+        if vals is None:
+            vals = np.empty((chunk.shape[0], lows.size, _XK15.size))
+        vals[:, s] = chunk.reshape(chunk.shape[0], -1, _XK15.size)
+    ik = np.einsum("cpk,k->cp", vals, _WK15) * half
+    ig = np.einsum("cpk,k->cp", vals[:, :, 1::2], _W7) * half
+    return np.stack([ik, np.abs(ik - ig)])
 
 
 def _integrate_rows(
     f: _RowIntegrand,
-    edges: Sequence[Sequence[float]],
+    bounds: np.ndarray,
+    panel_rows: np.ndarray,
     *,
     rel_tol: float,
     abs_tol: float,
     max_subdivisions: int,
     raise_on_failure: bool = True,
 ) -> list[QuadResult]:
-    """Integrate each row over its own sorted panel edges, all rows at once.
+    """Integrate each row over its own starting panels, all rows at once.
 
-    ``f(points, rows)`` gets the row (index into ``edges``) of each point
-    and returns values of shape (n,) or (n_components, n).  Each round
-    evaluates the new panels of every unfinished row in one call; each row
-    is refined exactly as ``adaptive_quad`` refines it alone, so its result
-    does not depend on the other rows.  With ``raise_on_failure`` the first
-    row to exhaust ``max_subdivisions`` raises.
+    ``bounds`` holds the (low, high) ends of the starting panels and
+    ``panel_rows`` the row of each: rows are numbered 0, 1, ..., each has at
+    least one panel, and a row's panels are contiguous and sorted.
+    ``f(points, rows)`` gets the row of each point and returns values of
+    shape (n,) or (n_components, n).  Each round evaluates the new panels
+    of every unfinished row together; each row is refined exactly as
+    ``adaptive_quad`` refines it alone, so its result does not depend on
+    the other rows.  A row that starts with more panels than
+    ``max_subdivisions`` does not converge.  With ``raise_on_failure`` the
+    first row that does not converge raises.
     """
-    if not edges:
+    if not panel_rows.size:
         return []
-    results: list[QuadResult] = [None] * len(edges)
     # The unfinished rows in ascending order and their panels grouped by
     # row, each row's panels in the order a one-row integration keeps them.
     # A row's panel count is also its subdivision count.
-    rows = np.arange(len(edges))
-    sizes = np.array([len(e) - 1 for e in edges])
-    bounds = np.array([[p for e in edges for p in e[:-1]], [p for e in edges for p in e[1:]]], dtype=float)
-    est = _panel_estimates(f, bounds, rows.repeat(sizes))
+    sizes = np.bincount(panel_rows)
+    rows = np.arange(sizes.size)
+    results: list[QuadResult] = [None] * sizes.size
+    est = _panel_estimates(f, bounds, panel_rows)
     while True:
         segments = [slice(a, a + n) for a, n in zip(np.cumsum(sizes) - sizes, sizes)]
         total, total_err = np.array([est[..., s].sum(axis=-1) for s in segments]).swapaxes(0, 1)
         tol = np.maximum(abs_tol, rel_tol * np.abs(total))
-        converged = np.all(total_err <= tol, axis=1)
+        within_cap = sizes <= max_subdivisions
+        converged = np.all(total_err <= tol, axis=1) & within_cap
         done = converged | (sizes >= max_subdivisions)
         for i in np.flatnonzero(done):
             # Order-independent: compensated sums over panels sorted by position.
@@ -132,12 +151,19 @@ def _integrate_rows(
             order = np.argsort(bounds[0, s], kind="stable")
             value, error = (np.array([math.fsum(comp[s][order]) for comp in part]) for part in est)
             results[rows[i]] = res = QuadResult(value, error, int(sizes[i]), bool(converged[i]))
-            if not res.converged and raise_on_failure:
+            if res.converged or not raise_on_failure:
+                continue
+            if not within_cap[i]:
                 raise QuadratureError(
-                    f"quadrature did not converge after {res.subdivisions} subdivisions: "
-                    f"error={error.max():.3e} vs tolerance {float(np.max(tol[i])):.3e}",
+                    f"quadrature starts with {res.subdivisions + 1} panel edges, "
+                    f"more than max_subdivisions={max_subdivisions} allows",
                     res,
                 )
+            raise QuadratureError(
+                f"quadrature did not converge after {res.subdivisions} subdivisions: "
+                f"error={error.max():.3e} vs tolerance {float(np.max(tol[i])):.3e}",
+                res,
+            )
         going = np.flatnonzero(~done)
         if not going.size:
             return results
@@ -184,7 +210,8 @@ def adaptive_quad(
     edges = sorted({a, b, *(p for p in breakpoints if a < p < b)})
     return _integrate_rows(
         lambda pts, rows: f(pts),
-        [edges],
+        np.array([edges[:-1], edges[1:]], dtype=float),
+        np.zeros(len(edges) - 1, dtype=int),
         rel_tol=rel_tol,
         abs_tol=abs_tol,
         max_subdivisions=max_subdivisions,

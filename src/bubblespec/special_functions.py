@@ -33,8 +33,10 @@ __all__ = [
 # solution is damped by at least a factor ~4 per step once the order
 # exceeds the argument, so 40 extra steps give > 1e-24 suppression.
 _MILLER_MARGIN = 40
-# Power of two so that rescaling is exact in binary floating point.
-_RESCALE_LIMIT = 2.0**830
+# Downward recurrence values are rescaled by 2**-_RESCALE_EXP once they
+# pass 2**_RESCALE_EXP, or sooner at arguments so small that one step could
+# overflow from there.
+_RESCALE_EXP = 830
 _UNDERFLOW_FLOOR = 1e-300
 _BOUND_SAFETY = 10.0
 
@@ -96,22 +98,29 @@ def _sph_jn_seq(l_max: int, z: float) -> list[float]:
 
     out = [0.0] * (l_max + 1)
     start = l_max + _MILLER_MARGIN
+    # A step multiplies by at most growth, so values at or below limit stay
+    # finite through it; rescaling by at least growth brings them back
+    # below limit.  Both are powers of two, so rescaling is exact.
+    growth = math.frexp((2 * start + 1) / z + 1.0)[1]  # log2 of the bound, rounded up
+    limit_exp = min(_RESCALE_EXP, 1023 - growth)
+    limit = math.ldexp(1.0, limit_exp)
+    inv = math.ldexp(1.0, -max(limit_exp, growth))
     jp = 0.0  # ~ j_{start+1}
     jc = 1e-30  # ~ j_{start}, arbitrary seed scale
-    for l in range(start, -1, -1):
+    for l in range(start, 0, -1):
         if l <= l_max:
             out[l] = jc
         jm = (2 * l + 1) / z * jc - jp
         jp, jc = jc, jm
-        if abs(jc) > _RESCALE_LIMIT:
-            inv = 1.0 / _RESCALE_LIMIT
+        if abs(jc) > limit:
             jp *= inv
             jc *= inv
             # out[l] was stored this iteration and carries the old scale.
             for k in range(min(l, l_max), l_max + 1):
                 out[k] *= inv
-    # jc now holds the unnormalized j_{-1}; normalize against whichever
+    # jc now holds the unnormalized j_0; normalize against whichever
     # closed form is farther from its zero.
+    out[0] = jc
     if abs(j0) >= abs(j1):
         scale = j0 / out[0] if out[0] != 0.0 else 0.0
     else:

@@ -114,19 +114,43 @@ def spectral_integrand(
 def _dn_dx_batch(xs: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, quad: QuadratureSpec, kernel_mode: str):
     """dN/dx and its error bound at every x, all y-integrals in one batched quadrature.
 
+    Each y-integral starts from panels split at the lattice y = x + k 4pi/3
+    inside (0, y_star): x itself and every zero of the kernel's
+    sinc^2(3(x - y)/4) there, so that no starting panel spans more than one
+    sinc^2 lobe.  With tails, x and y_star are edges of the tail strip too.
+
     The created photon keeps the bulk index n_gas_out through the rolloff
     strip x in (x_star, x_star + sinc width]: the strip is populated by
     modes just below the cutoff, and letting the prefactor jump there
     (e.g. from |n_in - n_out| to |n_in - 1|) produces the same
     sudden-approximation artifact as the excluded tail regions.
     """
-    upper, breaks = cut.y_star, ()
+    y_star = upper = cut.y_star
     if quad.include_tails:
-        upper, breaks = max(float(quad.tail_upper_bound), cut.y_star), (cut.y_star,)
-    edges = [sorted({0.0, upper, *(p for p in (float(x), *breaks) if 0.0 < p < upper)}) for x in xs]
+        upper = max(float(quad.tail_upper_bound), y_star)
+    every = np.arange(xs.size)
+    # Lattice points x + k * width for k from the last one <= 0 to the first >= y_star.
+    k_lo = np.floor(-xs / _ROLLOFF_WIDTH)
+    counts = (np.ceil((y_star - xs) / _ROLLOFF_WIDTH) - k_lo + 1).astype(int)
+    owner = every.repeat(counts)
+    k = k_lo[owner] + np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+    lattice = xs[owner] + k * _ROLLOFF_WIDTH
+    inside = (0.0 < lattice) & (lattice < y_star)
+    edges = [lattice[inside], np.zeros(xs.size), np.full(xs.size, upper)]
+    owners = [owner[inside], every, every]
+    if upper > y_star:
+        strip = (xs > y_star) & (xs < upper)
+        edges += [xs[strip], np.full(xs.size, y_star)]
+        owners += [every[strip], every]
+    edges, owners = np.concatenate(edges), np.concatenate(owners)
+    order = np.lexsort((edges, owners))
+    edges, owners = edges[order], owners[order]
+    # Consecutive edges of one row bound a panel.
+    same_row = owners[1:] == owners[:-1]
     rows = _integrate_rows(
         lambda ys, row: _integrand(xs[row], ys, cfg.n_gas_out, cfg, cut, kernel_mode),
-        edges,
+        np.array([edges[:-1][same_row], edges[1:][same_row]]),
+        owners[1:][same_row],
         rel_tol=quad.rel_tol,
         abs_tol=quad.abs_tol,
         max_subdivisions=quad.max_subdivisions,

@@ -278,3 +278,17 @@ def test_f_exact_tiny_arguments_raise_typed_error(x, y):
     with pytest.raises(KernelConvergenceError, match="tiny argument") as exc:
         f_exact(x, y)
     assert exc.value.l_reached == 1
+
+
+def test_f_exact_tiny_diagonal_fails_the_same_way_throughout():
+    # below x ~ 1e-3 the diagonal l = 1 term cancels past the tail budget:
+    # every point raises, none returns rounding noise or a stray zero
+    outcomes = set()
+    for x in np.logspace(-90.0, -30.0, 601):
+        try:
+            outcomes.add(math.isfinite(f_exact(float(x), float(x)).value))
+        except KernelConvergenceError as exc:
+            assert "tiny argument" in str(exc)
+            outcomes.add("raises")
+    assert outcomes in ({True}, {"raises"})
+    assert d_exact(1e-3) == pytest.approx(6.0042165744256175e-22, rel=1e-8)  # 100-digit sum

@@ -10,7 +10,8 @@ from bubblespec.quadrature import QuadratureError, _integrate_rows, adaptive_qua
 
 
 def test_polynomial_exactness():
-    # a 15-point Gauss rule integrates degree <= 29 exactly
+    # the K15 rule integrates degree <= 22 exactly and its embedded G7 rule
+    # degree <= 13, so the first panel already converges
     r = adaptive_quad(lambda t: 7 * t**6 - t**3 + 2, 0.0, 2.0)
     assert r.scalar == pytest.approx(128.0 - 4.0 + 4.0, rel=1e-14)
     assert r.converged
@@ -75,6 +76,12 @@ def test_breakpoints_outside_interval_ignored():
     assert r.subdivisions == 1
 
 
+def _panels(edges):
+    """Flat starting panels and the row of each, from each row's sorted edges."""
+    bounds = np.array([[p for e in edges for p in e[:-1]], [p for e in edges for p in e[1:]]], dtype=float)
+    return bounds, np.arange(len(edges)).repeat([len(e) - 1 for e in edges])
+
+
 # Rows of one batch as (chirp rate, upper limit, breakpoints): from a row
 # that converges at once to chirps that need many refinement rounds.
 _ROWS = [(0.0, 2.0, ()), (4.0, 10.0, (2.0, 7.5)), (1.0, 5.0, (1.5,)), (2.0, 6.0, (3.0,))]
@@ -91,7 +98,7 @@ def test_batched_rows_match_separate_calls(components):
     edges = [sorted({0.0, b, *breaks}) for _, b, breaks in _ROWS]
     batch = _integrate_rows(
         lambda t, rows: _chirp(rates[rows], t, components),
-        edges,
+        *_panels(edges),
         rel_tol=1e-10,
         abs_tol=1e-12,
         max_subdivisions=2000,
@@ -117,7 +124,7 @@ def _one_failing_row(t, rows):
 def test_failing_row_raises_with_its_own_estimate():
     edges = [[0.0, 1.0]] * 3
     with pytest.raises(QuadratureError) as exc:
-        _integrate_rows(_one_failing_row, edges, rel_tol=1e-6, abs_tol=1e-12, max_subdivisions=40)
+        _integrate_rows(_one_failing_row, *_panels(edges), rel_tol=1e-6, abs_tol=1e-12, max_subdivisions=40)
     alone = adaptive_quad(
         lambda t: _one_failing_row(t, np.ones(t.size, dtype=int)), 0.0, 1.0, max_subdivisions=40, raise_on_failure=False
     )
@@ -127,12 +134,54 @@ def test_failing_row_raises_with_its_own_estimate():
     assert np.array_equal(res.error, alone.error)
     assert res.subdivisions == alone.subdivisions == 40
     rows = _integrate_rows(
-        _one_failing_row, edges, rel_tol=1e-6, abs_tol=1e-12, max_subdivisions=40, raise_on_failure=False
+        _one_failing_row, *_panels(edges), rel_tol=1e-6, abs_tol=1e-12, max_subdivisions=40, raise_on_failure=False
     )
     assert [r.converged for r in rows] == [True, False, True]
 
 
 def test_gauss_rules_equal_roots_legendre_bit_for_bit():
-    for n, rule in ((7, (quadrature._X7, quadrature._W7)), (15, (quadrature._X15, quadrature._W15))):
-        for ours, ref in zip(rule, roots_legendre(n)):
-            assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
+    for ours, ref in zip((quadrature._X7, quadrature._W7), roots_legendre(7)):
+        assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
+    # the Kronrod extension evaluates the Gauss rule at its odd nodes
+    assert quadrature._XK15.size == 15
+    assert quadrature._XK15[1::2].tobytes() == quadrature._X7.tobytes()
+
+
+def test_kronrod_rule_integrates_degree_22():
+    x, w = quadrature._XK15, quadrature._WK15
+    assert np.all(np.diff(x) > 0.0)
+    assert math.fsum(w) == pytest.approx(2.0, abs=1e-15)
+    for degree in range(23):
+        exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+        assert math.fsum(w * x**degree) == pytest.approx(exact, abs=1e-15)
+
+
+def test_batch_across_chunks_matches_separate_calls():
+    # 40 rows of 80 panels: 48,000 points, more than one integrand call takes
+    rates = np.linspace(0.5, 3.0, 40)
+    edges = [list(np.linspace(0.0, 8.0, 81)) for _ in rates]
+    calls = []
+
+    def f(t, rows):
+        calls.append(t.size)
+        return _chirp(rates[rows], t, 2)
+
+    batch = _integrate_rows(f, *_panels(edges), rel_tol=1e-10, abs_tol=1e-12, max_subdivisions=2000)
+    assert max(calls) <= quadrature._CHUNK_POINTS < calls[0] + calls[1]
+    for rate, e, got in zip(rates, edges, batch):
+        want = adaptive_quad(lambda t: _chirp(rate, t, 2), 0.0, 8.0, breakpoints=e[1:-1], rel_tol=1e-10)
+        assert np.array_equal(got.value, want.value)
+        assert np.array_equal(got.error, want.error)
+        assert got.subdivisions == want.subdivisions
+
+
+def test_row_starting_above_the_cap_raises():
+    edges = [[0.0, 1.0], list(np.linspace(0.0, 1.0, 12))]
+    with pytest.raises(QuadratureError, match="12 panel edges"):
+        _integrate_rows(lambda t, rows: np.exp(-t), *_panels(edges), rel_tol=1e-6, abs_tol=1e-12, max_subdivisions=10)
+    rows = _integrate_rows(
+        lambda t, rows: np.exp(-t), *_panels(edges), rel_tol=1e-6, abs_tol=1e-12, max_subdivisions=10,
+        raise_on_failure=False,
+    )
+    assert rows[0].converged and not rows[1].converged
+    assert rows[1].value[0] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)

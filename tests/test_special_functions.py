@@ -77,6 +77,17 @@ def test_deep_underflow_regime():
     assert p.j_prev == pytest.approx(J_58_5_SMALL, rel=1e-12)
 
 
+@pytest.mark.parametrize("z", [1e-60, 1e-63, 1e-75, 1e-100])
+def test_tiny_argument_tables_stay_finite(z):
+    # one downward step multiplies by ~(2l+1)/z; the rescale threshold must
+    # leave room for it, or inf - inf turns every order into NaN
+    vals = half_integer_j_array(6, z)
+    assert not any(math.isnan(v) for v in vals)
+    s = math.sqrt(2.0 * z / math.pi)
+    assert vals[0] == pytest.approx(s, rel=1e-15)  # J_{1/2} = s sin(z)/z
+    assert vals[1] == pytest.approx(s * z / 3.0, rel=1e-15)  # J_{3/2} ~ s z/3
+
+
 def test_wronskian_identity_sweep():
     # z (J_nu N_{nu-1} - J_{nu-1} N_nu) = 2/pi
     rng = random.Random(101)

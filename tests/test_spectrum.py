@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import bubblespec.spectrum
+from bubblespec.cli import REFERENCE_TABLE
 from bubblespec.kernel import CutoffProfile, f_factorized
 from bubblespec.matching import MediumConfig
+from bubblespec.quadrature import _CHUNK_POINTS, QuadratureError
 from bubblespec.spectrum import (
     QuadratureSpec,
     delta_kernel_totals,
@@ -192,3 +195,44 @@ def test_delta_replacement_report(reference_case):
     assert rep.passed
     assert rep.sinc_integral == pytest.approx(4.0 * math.pi / 3.0, rel=0.005)
     assert rep.moment_deviation < 0.02
+
+
+@pytest.mark.parametrize("n_in, n_out", [row[:2] for row in REFERENCE_TABLE])
+def test_dn_dx_meets_its_tolerance_off_grid(n_in, n_out):
+    # seeded x anywhere in the spectrum's range, not only on the CSV grid; on
+    # 68/34 this seed draws a node where Gauss panels spanning several sinc^2
+    # lobes converged falsely (9e-6 off)
+    cfg = MediumConfig(n_gas_in=n_in, n_gas_out=n_out)
+    cut = CutoffProfile.rounded(cfg)
+    xs = np.random.default_rng(0).uniform(0.0, cut.x_star + 4.0 * math.pi / 3.0, 40)
+    tight = QuadratureSpec(rel_tol=1e-11)
+    for x in xs:
+        assert dn_dx(x, cfg, cut) == pytest.approx(dn_dx(x, cfg, cut, tight), rel=1e-6), x
+
+
+def test_dn_dx_starting_edges_above_the_cap_raise():
+    # x = 200 on 68/34 starts from ~94 panels, one per sinc^2 lobe
+    cfg = MediumConfig(n_gas_in=68.0, n_gas_out=34.0)
+    cut = CutoffProfile.rounded(cfg)
+    with pytest.raises(QuadratureError, match="panel edges") as exc:
+        dn_dx(200.0, cfg, cut, QuadratureSpec(max_subdivisions=50))
+    assert exc.value.result.subdivisions > 50 and not exc.value.result.converged
+    capped = dn_dx(200.0, cfg, cut, QuadratureSpec(max_subdivisions=120))
+    assert capped == pytest.approx(dn_dx(200.0, cfg, cut), rel=1e-6)
+
+
+def test_table_totals_work_count(monkeypatch):
+    # deterministic work guard: the five reference totals of `bubblespec table`
+    # took 6,000,104 kernel points with 22-point panels and three edges per row
+    calls = []
+
+    def counted(x, y):
+        calls.append(np.broadcast(x, y).size)
+        return f_factorized(x, y)
+
+    monkeypatch.setattr(bubblespec.spectrum, "f_factorized", counted)
+    for n_in, n_out, *_ in REFERENCE_TABLE:
+        cfg = MediumConfig(n_gas_in=n_in, n_gas_out=n_out)
+        totals(cfg, CutoffProfile.rounded(cfg), QuadratureSpec(), grid_points=0)
+    assert sum(calls) <= 2_300_000
+    assert max(calls) <= _CHUNK_POINTS
