@@ -46,7 +46,6 @@ class RunConfig:
     medium: MediumConfig = MediumConfig(n_gas_in=2.0e4, n_gas_out=1.0)
     quad: sp.QuadratureSpec = sp.QuadratureSpec()
     kernel_mode: str = "factorized"
-    l_max_override: int | None = None
     x_star_override: float | None = None
     y_star_override: float | None = None
     output_path: str = ""
@@ -79,7 +78,6 @@ _CONFIG_KEYS = {
     "include_tails": ("quad", _parse_bool),
     "max_subdivisions": ("quad", int),
     "grid_points": ("run", int),
-    "l_max_override": ("run", int),
     "x_star_override": ("run", float),
     "y_star_override": ("run", float),
     "kernel_mode": ("run", str),
@@ -122,7 +120,7 @@ def parse_config(path: str | None) -> RunConfig:
         raise click.UsageError(f"kernel_mode must be 'exact' or 'factorized', got {run.kernel_mode!r}")
     if run.grid_points < 2:
         raise click.UsageError("grid_points must be >= 2")
-    for name in ("l_max_override", "x_star_override", "y_star_override"):
+    for name in ("x_star_override", "y_star_override"):
         v = getattr(run, name)
         if v is not None and v <= 0:
             raise click.UsageError(f"{name} must be positive")
@@ -248,7 +246,7 @@ def kernel_dump(config_path, output_path, x_range, y_range, points) -> None:
     try:
         for x in xs:
             for y in ys:
-                fe = f_exact(float(x), float(y), l_max=run.l_max_override or 200)
+                fe = f_exact(float(x), float(y))
                 lines.append(f"{float(x)!r},{float(y)!r},{fe.value!r},{f_factorized(float(x), float(y))!r}")
     except KernelConvergenceError as exc:
         _numerical_exit(exc)

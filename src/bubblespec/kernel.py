@@ -43,24 +43,21 @@ __all__ = [
     "f_factorized",
 ]
 
-# Hard ceiling on the angular-momentum sum; the adaptive truncation must
-# certify its tail below this order or the evaluation is rejected.
-_L_HARD_CAP = 200
 # Relative tail budget for the adaptive truncation.
 _TAIL_REL = 1e-8
 # Below _DIAG_BAND * min(x, y, 1) the ratio W~/(x^2 - y^2) is evaluated
 # through its analytic diagonal limit at the midpoint, which is off by
 # about (0.22 + 0.75/x^2) (x - y)^2 relative; the direct form loses digits
 # to cancellation instead (~1e-10 at the band edge against 40-digit sums).
-# Both stay inside the 1e-8 tail budget from x ~ 0.1 up to the cap.
+# Both stay inside the 1e-8 tail budget from x ~ 0.1 up.
 _DIAG_BAND = 1e-4
 # At small m the two parts of the diagonal l = 1 limit cancel to about
 # 0.044 m^2 of their size; below this fraction (m < ~1e-3) the rounding of
 # the parts alone would exceed the tail budget in the dominant term.
 _DIAG_RESOLUTION = 2.0 * sys.float_info.epsilon / _TAIL_REL
 # The tail certifies within a few orders of where its bound applies; the
-# term table reaches this far past that order (at most to the cap), and the
-# sum fails if its tail is not certified by the end of the table.
+# term table reaches this far past that order, and the sum fails if its
+# tail is not certified by the end of the table.
 _L_MARGIN = 8
 
 _HALF_ASYMPTOTE = 1.0 / (2.0 * math.pi * math.pi)
@@ -75,7 +72,8 @@ class KernelConvergenceError(ArithmeticError):
 
     Tiny arguments: a non-finite term, a diagonal l = 1 term lost to
     cancellation, or a kernel too small for its 1e-8 tail budget to be a
-    normal double.
+    normal double.  End of table (a guard): ``partial`` sums the whole
+    table and ``l_reached`` is its size.
     """
 
     def __init__(self, message: str, partial: float, l_reached: int):
@@ -161,29 +159,22 @@ def _kernel_terms(x: float, y: float, size: int) -> list[float]:
     return [(2 * l + 1) * r * r for l, r in enumerate(_pw_ratios(x, y, size), 1)]
 
 
-def f_exact(x: float, y: float, l_max: int = _L_HARD_CAP) -> KernelValue:
+def f_exact(x: float, y: float) -> KernelValue:
     """Exact kernel F(x, y) = sum_{l>=1} (2l+1) W~^2/(x^2-y^2)^2 with unit wall amplitudes.
 
-    The sum stops at min(l_max, adaptive order) where the adaptive order is
-    certified by the large-order tail bound falling below 1e-8 of the
-    partial sum.  Unit amplitudes match the diagonal study and the
-    factorized approximation; the wall amplitudes themselves are in
-    ``matching``.
+    The sum stops where the large-order tail bound (nu > e*max(x, y)/2)
+    falls below 1e-8 of the partial sum, inside one table of
+    int(e*max(x, y)/2) + _L_MARGIN terms; past it KernelConvergenceError.
+    Unit amplitudes match the diagonal study and the factorized
+    approximation; the wall amplitudes themselves are in ``matching``.
     """
     if x <= 0.0 or y <= 0.0:
         raise BesselDomainError(f"kernel arguments must be positive, got x={x}, y={y}")
-    if l_max < 1:
-        raise ValueError(f"l_max must be >= 1, got {l_max}")
     # The tail bound holds for nu = l + 1/2 > half_e_m.
     half_e_m = math.e * max(x, y) / 2.0
-    # Sized independently of l_max so that every truncation sees the same terms.
-    terms = _kernel_terms(x, y, min(_L_HARD_CAP, int(half_e_m) + _L_MARGIN))
+    terms = _kernel_terms(x, y, int(half_e_m) + _L_MARGIN)
     acc = 0.0
-    l = 0
-    tail_est = math.inf
-    while l < min(l_max, len(terms)):
-        l += 1
-        t = terms[l - 1]
+    for l, t in enumerate(terms, 1):
         if not math.isfinite(t):
             cause = "Bessel values out of double range at a tiny argument"
             raise KernelConvergenceError(f"non-finite kernel term at l={l}, (x, y)=({x}, {y}): {cause}", acc, l)
@@ -204,17 +195,12 @@ def f_exact(x: float, y: float, l_max: int = _L_HARD_CAP) -> KernelValue:
             tail_est = b1 / (1.0 - ratio)
             if tail_est <= _TAIL_REL * acc:
                 return KernelValue(value=math.fsum(terms[:l]), l_used=l, truncation_error_estimate=tail_est)
-    value = math.fsum(terms[:l])
-    if l_max >= len(terms) and (not math.isfinite(tail_est) or tail_est > _TAIL_REL * max(value, 1e-300)):
-        raise KernelConvergenceError(f"kernel tail not certified by l={l} at (x, y)=({x}, {y})", value, l)
-    # Caller-imposed truncation: report the best tail knowledge we have.
-    est = tail_est if math.isfinite(tail_est) else abs(terms[l - 1])
-    return KernelValue(value=value, l_used=l, truncation_error_estimate=est)
+    raise KernelConvergenceError(f"kernel tail not certified by l={l} at (x, y)=({x}, {y})", math.fsum(terms), l)
 
 
-def d_exact(x: float, l_max: int = _L_HARD_CAP) -> float:
+def d_exact(x: float) -> float:
     """Diagonal kernel D(x) = F(x, x) with unit wall amplitudes."""
-    return f_exact(x, x, l_max=l_max).value
+    return f_exact(x, x).value
 
 
 def d_approx(x):

@@ -114,7 +114,6 @@ def _integrate_rows(
     rel_tol: float,
     abs_tol: float,
     max_subdivisions: int,
-    raise_on_failure: bool = True,
 ) -> list[QuadResult]:
     """Integrate each row over its own starting panels, all rows at once.
 
@@ -125,9 +124,9 @@ def _integrate_rows(
     shape (n,) or (n_components, n).  Each round evaluates the new panels
     of every unfinished row together; each row is refined exactly as
     ``adaptive_quad`` refines it alone, so its result does not depend on
-    the other rows.  A row that starts with more panels than
-    ``max_subdivisions`` does not converge.  With ``raise_on_failure`` the
-    first row that does not converge raises.
+    the other rows.  The first row that misses its tolerance, or starts
+    with more panels than ``max_subdivisions``, raises QuadratureError
+    carrying its unconverged result.
     """
     if not panel_rows.size:
         return []
@@ -151,7 +150,7 @@ def _integrate_rows(
             order = np.argsort(bounds[0, s], kind="stable")
             value, error = (np.array([math.fsum(comp[s][order]) for comp in part]) for part in est)
             results[rows[i]] = res = QuadResult(value, error, int(sizes[i]), bool(converged[i]))
-            if res.converged or not raise_on_failure:
+            if res.converged:
                 continue
             if not within_cap[i]:
                 raise QuadratureError(
@@ -197,7 +196,6 @@ def adaptive_quad(
     rel_tol: float = 1e-6,
     abs_tol: float = 1e-12,
     max_subdivisions: int = 2000,
-    raise_on_failure: bool = True,
 ) -> QuadResult:
     """Integrate f over [a, b], splitting at the given interior breakpoints.
 
@@ -215,5 +213,4 @@ def adaptive_quad(
         rel_tol=rel_tol,
         abs_tol=abs_tol,
         max_subdivisions=max_subdivisions,
-        raise_on_failure=raise_on_failure,
     )[0]

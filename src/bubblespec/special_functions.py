@@ -221,7 +221,7 @@ def diagonal_kernel_term(order: ModeOrder, x: float) -> float:
 
 def _asymptotic_pw_scale(nu: float, x: float, y: float) -> float:
     """Large-order magnitude of |W~_nu(x,y)| / |x^2 - y^2|, without safety factor."""
-    if x <= 0.0 or y <= 0.0:
+    if x <= 0.0 or x * y <= 0.0:  # zero also where x*y underflows
         return 0.0
     log_mag = (
         -math.log(2.0 * math.pi)

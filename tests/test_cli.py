@@ -1,12 +1,15 @@
 import json
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 import bubblespec
-from bubblespec.cli import main
+from bubblespec.cli import _CONFIG_KEYS, main
 
 
 def _write(tmp_path, name, text):
@@ -55,6 +58,21 @@ def test_unknown_config_key_exits_2(tmp_path):
     res = CliRunner().invoke(main, ["spectrum", "--config", cfg])
     assert res.exit_code == 2
     assert "unknown config key" in res.output
+
+
+def test_removed_l_max_override_key_exits_2(tmp_path):
+    cfg = _write(tmp_path, "cfg.txt", "n_gas_in = 5\nl_max_override = 50\n")
+    res = CliRunner().invoke(main, ["spectrum", "--config", cfg])
+    assert res.exit_code == 2
+    assert "unknown config key 'l_max_override'" in res.output
+
+
+def test_readme_lists_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"Recognized keys:(.*?)\.\s", readme, re.S).group(1)
+    # parenthesized notes such as (`exact`/`factorized`) name values, not keys
+    names = re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", sentence))
+    assert sorted(names) == sorted(_CONFIG_KEYS)
 
 
 def test_bad_value_exits_2(tmp_path):
@@ -123,6 +141,22 @@ def test_diagonal_command():
     lines = res.output.splitlines()
     assert lines[0] == "x,d_exact,d_approx"
     assert len(lines) == 5
+
+
+def test_kernel_dump_at_large_arguments():
+    res = CliRunner().invoke(
+        main, ["kernel-dump", "--x-range", "150", "400", "--y-range", "150", "400", "--points", "2"]
+    )
+    assert res.exit_code == 0, res.output
+    assert len(res.output.splitlines()) == 5
+
+
+def test_diagonal_reaches_the_homogeneous_limit_at_x_400():
+    res = CliRunner().invoke(main, ["diagonal", "--points", "4", "--x-max", "400"])
+    assert res.exit_code == 0, res.output
+    x, d, _ = (float(v) for v in res.output.splitlines()[-1].split(","))
+    assert x == 400.0
+    assert d == pytest.approx(1.0 / (2.0 * math.pi**2), rel=1e-4)
 
 
 def test_infinite_volume_json():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import spherical_jn
 
+from bubblespec import kernel
 from bubblespec.kernel import (
     _L_MARGIN,
     _kernel_terms,
@@ -60,7 +62,7 @@ def test_refractive_steps_left_continuous():
 
 
 def test_f_exact_frozen_value():
-    v = f_exact(3.0, 3.2, l_max=15)
+    v = f_exact(3.0, 3.2)
     # adaptive truncation certifies the tail below 1e-8 of the sum
     assert v.value == pytest.approx(F_3_32_FROZEN, rel=1e-8)
     assert v.l_used <= 15
@@ -80,30 +82,27 @@ def test_f_exact_symmetry_and_positivity():
 def test_f_exact_domain_and_l_max_validation():
     with pytest.raises(BesselDomainError):
         f_exact(0.0, 1.0)
-    with pytest.raises(ValueError):
-        f_exact(1.0, 1.0, l_max=0)
 
 
-def test_f_exact_nonconvergence_signal():
-    # arguments so large the tail cannot be certified below the hard cap
-    with pytest.raises(KernelConvergenceError) as exc:
+def test_f_exact_nonconvergence_signal(monkeypatch):
+    # a table that ends at the first order the tail bound applies to, one
+    # short of where it certifies (l = 245): the end-of-table guard raises
+    monkeypatch.setattr(kernel, "_L_MARGIN", 0)
+    with pytest.raises(KernelConvergenceError, match="not certified by l=244") as exc:
         f_exact(180.0, 180.0)
-    assert exc.value.l_reached == 200
+    assert exc.value.l_reached == int(math.e * 180.0 / 2.0) == 244
+    assert exc.value.partial == pytest.approx(HALF_ASYMPTOTE, rel=0.01)
 
 
-def _per_order_f_exact(x, y, l_max=200):
+def _per_order_f_exact(x, y):
     """F(x, y) summed one order at a time, each order from its own Bessel pair.
 
     The tail is certified exactly as in f_exact; returns (value, l_used,
     truncation_error_estimate).  Valid away from the diagonal only.
     """
-    cap = min(l_max, 200)
     terms = []
     acc = 0.0
-    l = 0
-    tail_est = math.inf
-    while l < cap:
-        l += 1
+    for l in range(1, 1000):
         px = bessel_jn_half(ModeOrder(l), x)
         py = bessel_jn_half(ModeOrder(l), y)
         r = (px.j * y * py.j_prev - py.j * x * px.j_prev) / (x * x - y * y)
@@ -121,7 +120,7 @@ def _per_order_f_exact(x, y, l_max=200):
             tail_est = b1 / (1.0 - ratio)
             if tail_est <= 1e-8 * max(acc, 1e-300):
                 return math.fsum(terms), l, tail_est
-    return math.fsum(terms), l, tail_est if math.isfinite(tail_est) else abs(terms[-1])
+    raise AssertionError(f"tail not certified by l = 999 at ({x}, {y})")
 
 
 def test_f_exact_matches_per_order_summation():
@@ -130,12 +129,11 @@ def test_f_exact_matches_per_order_summation():
         x, y = rng.uniform(0.3, 140.0), rng.uniform(0.3, 140.0)
         if abs(x - y) < 1e-3:
             continue
-        for l_max in (200, rng.randint(1, 200)):
-            got = f_exact(x, y, l_max=l_max)
-            value, l_used, tail = _per_order_f_exact(x, y, l_max)
-            assert got.l_used == l_used
-            assert got.value == pytest.approx(value, rel=1e-12)
-            assert got.truncation_error_estimate == pytest.approx(tail, rel=1e-12)
+        got = f_exact(x, y)
+        value, l_used, tail = _per_order_f_exact(x, y)
+        assert got.l_used == l_used
+        assert got.value == pytest.approx(value, rel=1e-12)
+        assert got.truncation_error_estimate == pytest.approx(tail, rel=1e-12)
 
 
 def _spherical_jn_f(x, y, l_top=260):
@@ -146,6 +144,12 @@ def _spherical_jn_f(x, y, l_top=260):
         2.0 / math.pi * math.sqrt(x * y)
     )
     return math.fsum((2 * l + 1) * (w / (x * x - y * y)) ** 2)
+
+
+@pytest.mark.parametrize("x, y", [(180.0, 179.0), (300.0, 299.7), (392.0, 50.0), (250.0, 10.0)])
+def test_f_exact_at_large_arguments_against_a_700_order_sum(x, y):
+    # tables of 252 to 540 terms; the reference sums 700 orders
+    assert f_exact(x, y).value == pytest.approx(_spherical_jn_f(x, y, l_top=700), rel=1e-8)
 
 
 @pytest.mark.parametrize("x, y", [(5.0, 5.004), (20.0, 20.019), (63.14, 63.18), (120.0, 120.1)])
@@ -176,8 +180,10 @@ def test_d_exact_values():
 
 
 def test_d_exact_monotone_in_l():
-    vals = [f_exact(6.0, 6.0, l_max=l).value for l in range(1, 25)]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
+    # the running sums over l never decrease and reach the certified D(6)
+    sums = list(itertools.accumulate(_kernel_terms(6.0, 6.0, 24)))
+    assert all(b >= a for a, b in zip(sums, sums[1:]))
+    assert sums[-1] == pytest.approx(d_exact(6.0), rel=1e-8)
 
 
 def test_d_approx():
@@ -255,12 +261,12 @@ def test_a_factor_kernel_never_reports_a_non_finite_sum(x, y, n_in, n_out):
 
 
 def test_f_exact_certifies_inside_its_first_table():
-    # The sum never needs orders past its table of min(200, e*max(x, y)/2 + _L_MARGIN)
+    # The sum never needs orders past its table of e*max(x, y)/2 + _L_MARGIN
     # terms anywhere in the domain: far from, near and on the diagonal.
     rng = random.Random(57)
-    points = [(145.0, 145.0)]
-    while len(points) < 501:
-        x, y = rng.uniform(0.01, 140.0), rng.uniform(0.01, 140.0)
+    points = [(145.0, 145.0), (392.0, 392.0)]
+    while len(points) < 502:
+        x, y = rng.uniform(0.01, 400.0), rng.uniform(0.01, 400.0)
         kind = len(points) % 3
         if kind == 1:
             y = x * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-10.0, -2.0))
@@ -269,7 +275,7 @@ def test_f_exact_certifies_inside_its_first_table():
         points.append((x, y))
     for x, y in points:
         got = f_exact(x, y)
-        assert got.l_used < min(200, int(math.e * max(x, y) / 2.0) + _L_MARGIN), (x, y, got.l_used)
+        assert got.l_used < int(math.e * max(x, y) / 2.0) + _L_MARGIN, (x, y, got.l_used)
 
 
 @pytest.mark.parametrize("x, y", [(1e-200, 2e-200), (1e-100, 1.0), (1e-200, 1e-200)])

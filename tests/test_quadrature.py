@@ -49,12 +49,6 @@ def test_failure_carries_best_estimate():
     assert math.isfinite(res.value[0])
 
 
-def test_no_raise_mode():
-    f = lambda t: np.sin(1.0 / np.maximum(t, 1e-300))
-    r = adaptive_quad(f, 0.0, 1.0, max_subdivisions=20, raise_on_failure=False)
-    assert not r.converged
-
-
 def test_deterministic():
     f = lambda t: np.cos(t**2)
     a = adaptive_quad(f, 0.0, 10.0, rel_tol=1e-9)
@@ -125,18 +119,13 @@ def test_failing_row_raises_with_its_own_estimate():
     edges = [[0.0, 1.0]] * 3
     with pytest.raises(QuadratureError) as exc:
         _integrate_rows(_one_failing_row, *_panels(edges), rel_tol=1e-6, abs_tol=1e-12, max_subdivisions=40)
-    alone = adaptive_quad(
-        lambda t: _one_failing_row(t, np.ones(t.size, dtype=int)), 0.0, 1.0, max_subdivisions=40, raise_on_failure=False
-    )
-    res = exc.value.result
-    assert not res.converged
-    assert np.array_equal(res.value, alone.value)
-    assert np.array_equal(res.error, alone.error)
-    assert res.subdivisions == alone.subdivisions == 40
-    rows = _integrate_rows(
-        _one_failing_row, *_panels(edges), rel_tol=1e-6, abs_tol=1e-12, max_subdivisions=40, raise_on_failure=False
-    )
-    assert [r.converged for r in rows] == [True, False, True]
+    with pytest.raises(QuadratureError) as alone:
+        adaptive_quad(lambda t: _one_failing_row(t, np.ones(t.size, dtype=int)), 0.0, 1.0, max_subdivisions=40)
+    res, want = exc.value.result, alone.value.result
+    assert not res.converged and not want.converged
+    assert np.array_equal(res.value, want.value)
+    assert np.array_equal(res.error, want.error)
+    assert res.subdivisions == want.subdivisions == 40
 
 
 def test_gauss_rules_equal_roots_legendre_bit_for_bit():
@@ -177,11 +166,8 @@ def test_batch_across_chunks_matches_separate_calls():
 
 def test_row_starting_above_the_cap_raises():
     edges = [[0.0, 1.0], list(np.linspace(0.0, 1.0, 12))]
-    with pytest.raises(QuadratureError, match="12 panel edges"):
+    with pytest.raises(QuadratureError, match="12 panel edges") as exc:
         _integrate_rows(lambda t, rows: np.exp(-t), *_panels(edges), rel_tol=1e-6, abs_tol=1e-12, max_subdivisions=10)
-    rows = _integrate_rows(
-        lambda t, rows: np.exp(-t), *_panels(edges), rel_tol=1e-6, abs_tol=1e-12, max_subdivisions=10,
-        raise_on_failure=False,
-    )
-    assert rows[0].converged and not rows[1].converged
-    assert rows[1].value[0] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
+    res = exc.value.result
+    assert not res.converged and res.subdivisions == 11
+    assert res.value[0] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)

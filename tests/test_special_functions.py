@@ -191,6 +191,11 @@ def test_large_order_bound_regime_guard():
         tail_term_scale(ModeOrder(5), 30.0, 2.0)
 
 
+def test_large_order_bound_is_zero_when_the_product_underflows():
+    # x*y underflows to 0: the bound is far below any double, not a log-domain crash
+    assert tail_term_scale(ModeOrder(5), 1e-200, 1e-200) == 0.0
+
+
 def test_saturation_flags():
     # tiny argument, huge order: J underflows (clamped to zero), N overflows
     p = bessel_jn_half(ModeOrder(150), 0.01)

@@ -107,6 +107,17 @@ def test_dn_dx_exact_mode_close_to_factorized(reference_case):
     assert ve == pytest.approx(vf, rel=0.15)
 
 
+def test_dn_dx_exact_mode_close_to_factorized_at_the_largest_cutoff():
+    # 68 -> 34 has x* = 392: exact kernel tables of up to 540 terms; the
+    # finite sphere retains the homogeneous result there too
+    cfg = MediumConfig(n_gas_in=68.0, n_gas_out=34.0)
+    cut = CutoffProfile.rounded(cfg)
+    quad = QuadratureSpec(rel_tol=1e-4)
+    ve = dn_dx(200.0, cfg, cut, quad, kernel_mode="exact")
+    vf = dn_dx(200.0, cfg, cut, quad, kernel_mode="factorized")
+    assert ve == pytest.approx(vf, rel=0.01)
+
+
 def test_totals_consistency(reference_case):
     cfg, cut = reference_case
     res = totals(cfg, cut, QuadratureSpec(), grid_points=200)
