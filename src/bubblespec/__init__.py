@@ -28,9 +28,7 @@ from .special_functions import (
     BesselPair,
     ModeOrder,
     bessel_jn_half,
-    diagonal_kernel_term,
     half_integer_j_array,
-    pseudo_wronskian,
 )
 from .spectrum import (
     QuadratureSpec,

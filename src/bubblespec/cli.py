@@ -122,8 +122,8 @@ def parse_config(path: str | None) -> RunConfig:
         raise click.UsageError("grid_points must be >= 2")
     for name in ("x_star_override", "y_star_override"):
         v = getattr(run, name)
-        if v is not None and v <= 0:
-            raise click.UsageError(f"{name} must be positive")
+        if v is not None and not 0 < v < math.inf:
+            raise click.UsageError(f"{name} must be positive and finite")
     return run
 
 
@@ -158,7 +158,10 @@ def spectrum(config_path, output_path, kernel, tail_bound) -> None:
     if output_path:
         run = replace(run, output_path=output_path)
     if tail_bound is not None:
-        run = replace(run, quad=replace(run.quad, include_tails=True, tail_upper_bound=tail_bound))
+        try:
+            run = replace(run, quad=replace(run.quad, include_tails=True, tail_upper_bound=tail_bound))
+        except ValueError as exc:
+            raise click.UsageError(f"--include-tails: {exc}") from exc
     cut = run.cutoffs()
     try:
         res = sp.totals(run.medium, cut, run.quad, run.kernel_mode, grid_points=run.grid_points)
@@ -238,8 +241,8 @@ def kernel_dump(config_path, output_path, x_range, y_range, points) -> None:
         run = replace(run, output_path=output_path)
     x0, x1 = x_range
     y0, y1 = y_range
-    if not (0 < x0 < x1 and 0 < y0 < y1) or points < 2:
-        raise click.UsageError("ranges must be positive and increasing, points >= 2")
+    if not (0 < x0 < x1 < math.inf and 0 < y0 < y1 < math.inf) or points < 2:
+        raise click.UsageError("ranges must be positive, finite and increasing, points >= 2")
     xs = np.linspace(x0, x1, points)
     ys = np.linspace(y0, y1, points)
     lines = ["x,y,f_exact,f_factorized"]
@@ -261,8 +264,8 @@ def kernel_dump(config_path, output_path, x_range, y_range, points) -> None:
 @click.option("--points", type=int, default=60, show_default=True)
 def diagonal(output_path, x_max, points) -> None:
     """Diagonal kernel D(x) against its fitted form, as CSV."""
-    if x_max <= 0 or points < 2:
-        raise click.UsageError("x-max must be positive and points >= 2")
+    if not 0 < x_max < math.inf or points < 2:
+        raise click.UsageError("x-max must be positive and finite, points >= 2")
     xs = np.linspace(x_max / points, x_max, points)
     lines = ["x,d_exact,d_approx"]
     try:

@@ -134,10 +134,11 @@ def refractive_out(x: float, cfg: MediumConfig, cut: CutoffProfile) -> float:
 
 
 def _pw_ratios(x: float, y: float, l_size: int) -> list[float]:
-    """W~_nu(x, y)/(x^2 - y^2) for l = 1..l_size, stable through the diagonal.
+    """W~_nu(x, y)/(x^2 - y^2) for l = 0..l_size (l_size >= 1), stable through the diagonal.
 
     One J_{l+1/2} sequence per argument (or at the midpoint in the
-    diagonal band) serves every order.
+    diagonal band) serves every order; its last entry, order -1/2, is the
+    lower neighbour of l = 0.  Exactly symmetric under x <-> y.
     """
     if abs(x - y) < _DIAG_BAND * min(x, y, 1.0):
         m = 0.5 * (x + y)
@@ -146,17 +147,17 @@ def _pw_ratios(x: float, y: float, l_size: int) -> list[float]:
             raise KernelConvergenceError(
                 f"diagonal l=1 term lost to cancellation at (x, y)=({x}, {y}): tiny argument", 0.0, 1
             )
-        return [_reduced_det_diagonal(l + 0.5, m, j[l], j[l - 1]) / (x + y) for l in range(1, l_size + 1)]
+        return [_reduced_det_diagonal(l + 0.5, m, j[l], j[l - 1]) / (x + y) for l in range(l_size + 1)]
     # Off the band x^2 - y^2 underflows to 0 only where the J values are out of range too.
     d = x * x - y * y or math.nan
     jx = half_integer_j_array(l_size, x)
     jy = half_integer_j_array(l_size, y)
-    return [_reduced_det(jx[l], jx[l - 1], x, jy[l], jy[l - 1], y) / d for l in range(1, l_size + 1)]
+    return [_reduced_det(jx[l], jx[l - 1], x, jy[l], jy[l - 1], y) / d for l in range(l_size + 1)]
 
 
 def _kernel_terms(x: float, y: float, size: int) -> list[float]:
     """(2l+1) (W~/(x^2 - y^2))^2 for l = 1..size."""
-    return [(2 * l + 1) * r * r for l, r in enumerate(_pw_ratios(x, y, size), 1)]
+    return [(2 * l + 1) * r * r for l, r in enumerate(_pw_ratios(x, y, size)[1:], 1)]
 
 
 def f_exact(x: float, y: float) -> KernelValue:
@@ -168,8 +169,8 @@ def f_exact(x: float, y: float) -> KernelValue:
     Unit amplitudes match the diagonal study and the factorized
     approximation; the wall amplitudes themselves are in ``matching``.
     """
-    if x <= 0.0 or y <= 0.0:
-        raise BesselDomainError(f"kernel arguments must be positive, got x={x}, y={y}")
+    if not (0.0 < x < math.inf and 0.0 < y < math.inf):
+        raise BesselDomainError(f"kernel arguments must be positive and finite, got x={x}, y={y}")
     # The tail bound holds for nu = l + 1/2 > half_e_m.
     half_e_m = math.e * max(x, y) / 2.0
     terms = _kernel_terms(x, y, int(half_e_m) + _L_MARGIN)

@@ -2,9 +2,10 @@
 
 The closed-form finite-range Bessel overlap integral, the smeared
 spectral delta identities, and the homogeneous-limit strength of the
-pair-creation amplitude.  These deliberately use a different integration
-backend (scipy's QUADPACK) than the production quadrature so the two
-routes stay independent.
+pair-creation amplitude.  The overlap is the exact kernel's own
+pseudo-Wronskian ratio, so its check tests the production ratio.  All
+checks integrate with scipy's QUADPACK, not the production quadrature,
+so the two routes stay independent.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernel import _pw_ratios
 from .matching import MediumConfig, normalization_xi
-from .special_functions import BesselDomainError, ModeOrder, _reduced_det, _reduced_det_diagonal, bessel_jn_half
+from .special_functions import BesselDomainError, ModeOrder
 
 __all__ = [
     "IdentityReport",
@@ -23,10 +25,6 @@ __all__ = [
     "spectral_delta_checks",
     "large_r_beta_sq",
 ]
-
-# Relative separation below which the two-wavenumber overlap switches to
-# its diagonal closed form.
-_DEGENERATE_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -41,23 +39,16 @@ class IdentityReport:
 
 
 def hankel_finite_integral(order: ModeOrder, k1: float, k2: float, R: float) -> float:
-    """Closed form of int_0^R r J_nu(k1 r) J_nu(k2 r) dr.
+    """Closed form of int_0^R r J_nu(k1 r) J_nu(k2 r) dr = R^2 W~_nu(a, b)/(a^2 - b^2), (a, b) = (k1 R, k2 R).
 
-    Off the diagonal this is R [k1 J'(k1 R) J(k2 R) - k2 J(k1 R) J'(k2 R)]
-    / (k2^2 - k1^2), i.e. the reduced determinant at (k1 R, k2 R) over
-    k1^2 - k2^2; near-degenerate wavenumbers route to the diagonal limit
-    R^2/2 [J'^2 + (1 - nu^2/z^2) J^2], the diagonal determinant times R^2/(2z).
+    The ratio is the exact kernel's ``_pw_ratios`` term: near-degenerate
+    wavenumbers (|a - b| < 1e-4 min(a, b, 1)) take its diagonal limit at
+    the midpoint, R^2/(2z) [z (J^2 + J_{nu-1}^2) - 2 nu J J_{nu-1}], and
+    raise its KernelConvergenceError where that limit cancels at a tiny z.
     """
     if k1 <= 0.0 or k2 <= 0.0 or R <= 0.0:
         raise BesselDomainError("wavenumbers and radius must be positive")
-    if abs(k1 - k2) < _DEGENERATE_EPS * max(k1, k2):
-        z = 0.5 * (k1 + k2) * R
-        p = bessel_jn_half(order, z)
-        return 0.5 * R * R / z * _reduced_det_diagonal(order.nu, z, p.j, p.j_prev)
-    a, b = k1 * R, k2 * R
-    pa = bessel_jn_half(order, a)
-    pb = bessel_jn_half(order, b)
-    return _reduced_det(pa.j, pa.j_prev, a, pb.j, pb.j_prev, b) / (k1 * k1 - k2 * k2)
+    return R * R * _pw_ratios(k1 * R, k2 * R, max(order.l, 1))[order.l]
 
 
 def _gaussian(t, sigma):

@@ -25,8 +25,6 @@ __all__ = [
     "bessel_jn_half",
     "half_integer_j_array",
     "half_integer_n_array",
-    "pseudo_wronskian",
-    "diagonal_kernel_term",
 ]
 
 # Downward recurrence start margin.  Contamination by the irregular
@@ -42,7 +40,7 @@ _BOUND_SAFETY = 10.0
 
 
 class BesselDomainError(ValueError):
-    """Argument outside the supported domain (z <= 0), or wall amplitudes that are not finite there."""
+    """Argument outside the supported domain (z <= 0 or not finite), or wall amplitudes that are not finite there."""
 
 
 class AsymptoticRegimeError(ValueError):
@@ -146,9 +144,9 @@ def _sph_yn_seq(l_max: int, z: float) -> tuple[list[float], bool]:
 
 
 def _half_order_scale(z: float) -> float:
-    """sqrt(2z/pi), the factor taking spherical to half-integer-order Bessel functions at z > 0."""
-    if z <= 0.0:
-        raise BesselDomainError(f"argument must be positive, got {z}")
+    """sqrt(2z/pi), the factor taking spherical to half-integer-order Bessel functions at 0 < z < inf."""
+    if not 0.0 < z < math.inf:
+        raise BesselDomainError(f"argument must be positive and finite, got {z}")
     return math.sqrt(2.0 * z / math.pi)
 
 
@@ -190,33 +188,6 @@ def _reduced_det(ja: float, ja_prev: float, a: float, gb: float, gb_prev: float,
 def _reduced_det_diagonal(nu: float, z: float, j: float, j_prev: float) -> float:
     """lim_{b->a} _reduced_det(J at a, J at b)/(a - b) at a = z."""
     return z * (j * j + j_prev * j_prev) - 2.0 * nu * j * j_prev
-
-
-def pseudo_wronskian(order: ModeOrder, x: float, y: float) -> float:
-    """det[[J_nu(x), J_nu(y)], [x J'_nu(x), y J'_nu(y)]].
-
-    Exactly antisymmetric under x <-> y: one orientation is computed and
-    the other is its negation.
-    """
-    if x <= 0.0 or y <= 0.0:
-        raise BesselDomainError("pseudo-Wronskian arguments must be positive")
-    if x > y:
-        return -pseudo_wronskian(order, y, x)
-    px = bessel_jn_half(order, x)
-    py = bessel_jn_half(order, y)
-    return _reduced_det(px.j, px.j_prev, x, py.j, py.j_prev, y)
-
-
-def diagonal_kernel_term(order: ModeOrder, x: float) -> float:
-    """lim_{y->x} W~_nu(x, y)/(x - y) = x (J_nu^2 + J_{nu-1}^2) - 2 nu J_nu J_{nu-1}.
-
-    The sign follows the determinant orientation used by pseudo_wronskian;
-    only the square of this quantity enters the two-photon kernel.
-    """
-    if x <= 0.0:
-        raise BesselDomainError(f"argument must be positive, got {x}")
-    p = bessel_jn_half(order, x)
-    return _reduced_det_diagonal(order.nu, x, p.j, p.j_prev)
 
 
 def _asymptotic_pw_scale(nu: float, x: float, y: float) -> float:

@@ -56,12 +56,15 @@ class QuadratureSpec:
     tail_upper_bound: float | None = None
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+        # include_tails needs a bound; an unused bound must still be valid.
+        bounds = {"rel_tol": self.rel_tol, "abs_tol": self.abs_tol}
+        if self.include_tails or self.tail_upper_bound is not None:
+            bounds["tail_upper_bound"] = self.tail_upper_bound
+        for name, v in bounds.items():
+            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be a positive finite number, got {v!r}")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.include_tails and not (self.tail_upper_bound and self.tail_upper_bound > 0):
-            raise ValueError("include_tails requires a positive tail_upper_bound")
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,33 @@ def test_bad_value_exits_2(tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (["spectrum", "--include-tails", "-5"], None),
+        (["spectrum", "--include-tails", "nan"], None),
+        (["diagonal", "--x-max", "nan"], None),
+        (["diagonal", "--x-max", "inf"], None),
+        (["kernel-dump", "--x-range", "1", "inf"], None),
+        (["spectrum"], "x_star_override = nan"),
+        (["spectrum"], "x_star_override = inf"),
+        (["spectrum"], "y_star_override = nan"),
+        (["spectrum"], "rel_tol = nan"),
+        (["spectrum"], "abs_tol = nan"),
+        (["spectrum"], "abs_tol = inf"),
+    ],
+)
+def test_non_finite_or_invalid_numbers_exit_2(tmp_path, args, config):
+    # a real process, so an escaped exception would print its traceback
+    if config is not None:
+        args = [*args, "--config", _write(tmp_path, "cfg.txt", config + "\n")]
+    src = str(Path(bubblespec.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); from bubblespec.cli import main; main()"
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_missing_config_file_exits_2():
     res = CliRunner().invoke(main, ["spectrum", "--config", "/nonexistent/cfg.txt"])
     assert res.exit_code == 2

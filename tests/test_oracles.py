@@ -4,7 +4,7 @@ import random
 import pytest
 from scipy import integrate, special
 
-from bubblespec.kernel import f_exact
+from bubblespec.kernel import _DIAG_BAND, f_exact
 from bubblespec.matching import MediumConfig
 from bubblespec.oracles import (
     hankel_finite_integral,
@@ -54,6 +54,30 @@ def test_degenerate_wavenumbers_route_to_diagonal():
     assert cf == pytest.approx(ref, rel=1e-9)
     exact_diag = hankel_finite_integral(ModeOrder(l), k, k, R)
     assert exact_diag == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "delta",
+    [lambda edge: 0.0, lambda edge: 1e-12, lambda edge: 0.9 * edge, lambda edge: 1.1 * edge,
+     lambda edge: 1e-3, lambda edge: 1e-2],
+    ids=["0", "1e-12", "inside-band", "outside-band", "1e-3", "1e-2"],
+)
+def test_band_edge_against_quadpack(delta):
+    # k2 = k (1 + delta) on both sides of the kernel's diagonal band
+    # |k1 - k2| R < _DIAG_BAND min(k1 R, k2 R, 1), where the ratio switches to
+    # its midpoint limit.  Inside the band that rule is off by about
+    # nu (delta/2)^2 relative, within 1e-8 up to l = 3 (so l stops there);
+    # below kR ~ 0.08 it misses 1e-8 at l = 1 as well, so kR starts at 0.5.
+    R = 5.0
+    for kr in (0.5, 0.8, 1.0, 1.8, 3.0, 7.0, 15.0, 30.0):
+        k1 = kr / R
+        k2 = k1 * (1.0 + delta(_DIAG_BAND * min(kr, 1.0) / kr))
+        for l in range(4):
+            ref, _ = integrate.quad(
+                lambda r: r * special.jv(l + 0.5, k1 * r) * special.jv(l + 0.5, k2 * r),
+                0.0, R, epsabs=0.0, epsrel=1e-13, limit=400,
+            )
+            assert hankel_finite_integral(ModeOrder(l), k1, k2, R) == pytest.approx(ref, rel=1e-8, abs=0.0)
 
 
 def test_large_radius_no_spurious_growth():

@@ -3,16 +3,16 @@ import random
 
 import pytest
 
+from bubblespec.kernel import _DIAG_BAND, _pw_ratios, f_exact
+from bubblespec.oracles import hankel_finite_integral
 from bubblespec.special_functions import (
     AsymptoticRegimeError,
     BesselDomainError,
     BesselPair,
     ModeOrder,
     bessel_jn_half,
-    diagonal_kernel_term,
     half_integer_j_array,
     half_integer_n_array,
-    pseudo_wronskian,
     tail_term_scale,
 )
 
@@ -64,9 +64,29 @@ def test_domain_errors():
     with pytest.raises(BesselDomainError):
         bessel_jn_half(ModeOrder(2), -1.0)
     with pytest.raises(BesselDomainError):
-        pseudo_wronskian(ModeOrder(2), -1.0, 2.0)
+        _pw_ratios(-1.0, 2.0, 2)
     with pytest.raises(BesselDomainError):
-        diagonal_kernel_term(ModeOrder(2), 0.0)
+        _pw_ratios(0.0, 0.0, 2)
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda z: half_integer_j_array(3, z),
+        lambda z: half_integer_n_array(3, z),
+        lambda z: bessel_jn_half(ModeOrder(2), z),
+        lambda z: _pw_ratios(z, 1.0, 2),
+        lambda z: f_exact(z, 1.0),
+        lambda z: f_exact(1.0, z),
+        lambda z: hankel_finite_integral(ModeOrder(1), z, 1.0, 1.0),
+        lambda z: hankel_finite_integral(ModeOrder(1), 1.0, 1.0, z),
+    ],
+    ids=["j-table", "n-table", "pair", "ratio", "f_exact-x", "f_exact-y", "overlap-k", "overlap-R"],
+)
+def test_non_finite_arguments_raise_the_domain_error(call, z):
+    with pytest.raises(BesselDomainError):
+        call(z)
 
 
 def test_deep_underflow_regime():
@@ -137,29 +157,34 @@ def test_tables_end_with_order_minus_half():
 
 
 def test_pseudo_wronskian_frozen():
-    assert pseudo_wronskian(ModeOrder(2), 3.0, 4.0) == pytest.approx(PW_5_2_3_4, rel=1e-12)
+    # the ratio times x^2 - y^2 is the pseudo-Wronskian det[[J(x), J(y)], [x J'(x), y J'(y)]]
+    assert _pw_ratios(3.0, 4.0, 2)[2] * (9.0 - 16.0) == pytest.approx(PW_5_2_3_4, rel=1e-12)
 
 
 def test_pseudo_wronskian_exact_antisymmetry():
+    # W~ is antisymmetric and so is x^2 - y^2: the ratio must be bit-exactly
+    # symmetric, off the diagonal band and inside it
     rng = random.Random(13)
     for _ in range(100):
-        l = rng.randint(0, 25)
         x, y = rng.uniform(0.2, 40.0), rng.uniform(0.2, 40.0)
-        # bit-exact, not approximate: one orientation is the negation of the other
-        assert pseudo_wronskian(ModeOrder(l), x, y) == -pseudo_wronskian(ModeOrder(l), y, x)
-    assert pseudo_wronskian(ModeOrder(4), 3.3, 3.3) == 0.0
+        assert _pw_ratios(x, y, 25) == _pw_ratios(y, x, 25)
+        y = x * (1.0 + rng.uniform(-0.9, 0.9) * _DIAG_BAND * min(x, 1.0) / x)
+        assert _pw_ratios(x, y, 25) == _pw_ratios(y, x, 25)
 
 
 def test_diagonal_limit_frozen_and_finite_difference():
-    assert diagonal_kernel_term(ModeOrder(2), 3.0) == pytest.approx(DIAG_5_2_3, rel=1e-12)
+    # on the diagonal the ratio is lim W~/(x - y) over 2x
+    assert _pw_ratios(3.0, 3.0, 2)[2] * 6.0 == pytest.approx(DIAG_5_2_3, rel=1e-12)
     rng = random.Random(17)
     for _ in range(100):
         l = rng.randint(1, 25)
         x = rng.uniform(0.5, 40.0)
-        h = 1e-6 * max(x, 1.0)
-        fd = pseudo_wronskian(ModeOrder(l), x - h, x + h) / (-2.0 * h)
-        dg = diagonal_kernel_term(ModeOrder(l), x)
-        assert fd == pytest.approx(dg, rel=1e-6, abs=1e-10)
+        # x +- h are twice the band width apart, so the direct form is compared
+        # with the limit; the O(h^2) gap stays below 1.2e-7 here (no abs floor:
+        # the values reach 1e-44)
+        h = _DIAG_BAND * min(x, 1.0)
+        fd = _pw_ratios(x - h, x + h, l)[l]
+        assert fd == pytest.approx(_pw_ratios(x, x, l)[l], rel=1e-6, abs=0.0)
 
 
 def test_diagonal_limit_closed_form_magnitude():
@@ -169,7 +194,7 @@ def test_diagonal_limit_closed_form_magnitude():
         p = bessel_jn_half(ModeOrder(l), x)
         nu = l + 0.5
         quoted = 2.0 * nu * p.j * p.j_prev - x * (p.j**2 + p.j_prev**2)
-        assert abs(diagonal_kernel_term(ModeOrder(l), x)) == pytest.approx(abs(quoted), rel=1e-13)
+        assert abs(_pw_ratios(x, x, l)[l]) * 2.0 * x == pytest.approx(abs(quoted), rel=1e-13)
 
 
 def test_large_order_bound_dominates():
@@ -179,9 +204,7 @@ def test_large_order_bound_dominates():
         x, y = rng.uniform(0.5, 20.0), rng.uniform(0.5, 20.0)
         l_min = math.ceil(math.e * max(x, y) / 2.0 + 0.5)
         l = rng.randint(l_min, l_min + 20)
-        bound = abs(x * x - y * y) * tail_term_scale(ModeOrder(l), x, y)
-        actual = abs(pseudo_wronskian(ModeOrder(l), x, y))
-        assert actual <= bound
+        assert abs(_pw_ratios(x, y, l)[l]) <= tail_term_scale(ModeOrder(l), x, y)
         checked += 1
     assert checked == 500
 
