@@ -21,7 +21,7 @@ from .kernel import CutoffProfile, KernelConvergenceError, d_approx, d_exact, f_
 from .matching import MediumConfig, coefficients_bc
 from .oracles import hankel_finite_integral, spectral_delta_checks
 from .quadrature import QuadratureError
-from .special_functions import ModeOrder, _reduced_det, bessel_jn_half
+from .special_functions import BesselDomainError, ModeOrder, _reduced_det, bessel_jn_half
 
 EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
@@ -251,7 +251,7 @@ def kernel_dump(config_path, output_path, x_range, y_range, points) -> None:
             for y in ys:
                 fe = f_exact(float(x), float(y))
                 lines.append(f"{float(x)!r},{float(y)!r},{fe.value!r},{f_factorized(float(x), float(y))!r}")
-    except KernelConvergenceError as exc:
+    except (BesselDomainError, KernelConvergenceError) as exc:
         _numerical_exit(exc)
     _write_text(run.output_path, "\n".join(lines) + "\n")
     if run.output_path:
@@ -271,7 +271,7 @@ def diagonal(output_path, x_max, points) -> None:
     try:
         for x in xs:
             lines.append(f"{float(x)!r},{d_exact(float(x))!r},{d_approx(float(x))!r}")
-    except KernelConvergenceError as exc:
+    except (BesselDomainError, KernelConvergenceError) as exc:
         _numerical_exit(exc)
     _write_text(output_path or "", "\n".join(lines) + "\n")
 

@@ -169,8 +169,8 @@ def f_exact(x: float, y: float) -> KernelValue:
     Unit amplitudes match the diagonal study and the factorized
     approximation; the wall amplitudes themselves are in ``matching``.
     """
-    if not (0.0 < x < math.inf and 0.0 < y < math.inf):
-        raise BesselDomainError(f"kernel arguments must be positive and finite, got x={x}, y={y}")
+    if not (sys.float_info.min <= x < math.inf and sys.float_info.min <= y < math.inf):
+        raise BesselDomainError(f"kernel arguments must be normal positive finite doubles, got x={x}, y={y}")
     # The tail bound holds for nu = l + 1/2 > half_e_m.
     half_e_m = math.e * max(x, y) / 2.0
     terms = _kernel_terms(x, y, int(half_e_m) + _L_MARGIN)

@@ -130,26 +130,23 @@ def _integrate_rows(
     """
     if not panel_rows.size:
         return []
-    # The unfinished rows in ascending order and their panels grouped by
-    # row, each row's panels in the order a one-row integration keeps them.
-    # A row's panel count is also its subdivision count.
-    sizes = np.bincount(panel_rows)
-    rows = np.arange(sizes.size)
-    results: list[QuadResult] = [None] * sizes.size
+    results: list[QuadResult] = [None] * (panel_rows[-1] + 1)
     est = _panel_estimates(f, bounds, panel_rows)
     while True:
-        segments = [slice(a, a + n) for a, n in zip(np.cumsum(sizes) - sizes, sizes)]
-        total, total_err = np.array([est[..., s].sum(axis=-1) for s in segments]).swapaxes(0, 1)
+        # The unfinished rows' panels stay sorted by (row, left end), so each
+        # row is one run; a row's panel count is also its subdivision count.
+        starts = np.flatnonzero(np.diff(panel_rows, prepend=-1))
+        sizes = np.diff(starts, append=panel_rows.size)
+        total, total_err = np.add.reduceat(est, starts, axis=-1).swapaxes(1, 2)
         tol = np.maximum(abs_tol, rel_tol * np.abs(total))
         within_cap = sizes <= max_subdivisions
         converged = np.all(total_err <= tol, axis=1) & within_cap
         done = converged | (sizes >= max_subdivisions)
         for i in np.flatnonzero(done):
-            # Order-independent: compensated sums over panels sorted by position.
-            s = segments[i]
-            order = np.argsort(bounds[0, s], kind="stable")
-            value, error = (np.array([math.fsum(comp[s][order]) for comp in part]) for part in est)
-            results[rows[i]] = res = QuadResult(value, error, int(sizes[i]), bool(converged[i]))
+            # Order-independent: compensated sums over the row's panels.
+            s = slice(starts[i], starts[i] + sizes[i])
+            value, error = (np.array([math.fsum(comp) for comp in part[:, s]]) for part in est)
+            results[panel_rows[starts[i]]] = res = QuadResult(value, error, int(sizes[i]), bool(converged[i]))
             if res.converged:
                 continue
             if not within_cap[i]:
@@ -171,20 +168,19 @@ def _integrate_rows(
         worst = np.argmax(total_err[going] / tol[going], axis=1)
         n_refine = np.maximum(1, (_REFINE_FRACTION * sizes[going]).astype(int))
         n_refine = np.minimum(n_refine, max_subdivisions - sizes[going])
-        picks = zip((segments[i] for i in going), worst, n_refine)
-        idx = np.concatenate([s.start + est[1, c, s].argpartition(-k)[-k:] for s, c, k in picks])
-        owner = rows.repeat(sizes)
+        picks = zip(starts[going], sizes[going], worst, n_refine)
+        idx = np.concatenate([a + est[1, c, a : a + n].argpartition(-k)[-k:] for a, n, c, k in picks])
         keep = (~done).repeat(sizes)
         keep[idx] = False
         lo, hi = bounds[:, idx]
         mid = 0.5 * (lo + hi)
         halves = np.concatenate([[lo, mid], [mid, hi]], axis=1)
-        new_owner = np.tile(owner[idx], 2)
-        # Per row: its kept panels, then its left halves, then its right halves.
-        layout = np.argsort(np.concatenate([owner[keep], new_owner]), kind="stable")
-        bounds = np.concatenate([bounds[:, keep], halves], axis=1)[:, layout]
-        est = np.concatenate([est[..., keep], _panel_estimates(f, halves, new_owner)], axis=-1)[..., layout]
-        rows, sizes = rows[going], sizes[going] + n_refine
+        new_rows = np.tile(panel_rows[idx], 2)
+        bounds = np.concatenate([bounds[:, keep], halves], axis=1)
+        panel_rows = np.concatenate([panel_rows[keep], new_rows])
+        est = np.concatenate([est[..., keep], _panel_estimates(f, halves, new_rows)], axis=-1)
+        order = np.lexsort((bounds[0], panel_rows))
+        bounds, panel_rows, est = bounds[:, order], panel_rows[order], est[..., order]
 
 
 def adaptive_quad(

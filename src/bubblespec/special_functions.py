@@ -2,11 +2,13 @@
 
 Everything here reduces to spherical Bessel functions through
 J_{l+1/2}(z) = sqrt(2z/pi) * j_l(z) (and likewise for the Neumann
-functions).  The regular solution j is generated by downward (Miller)
-recurrence normalized against closed-form low orders, the irregular
-solution y by upward recurrence from its closed forms; each direction
-is the numerically stable one for its solution.  Each table ends with
-order -1/2, so index l - 1 reads the order below l for l = 0 too.
+functions).  The regular solution j is built from its ratios
+r_l = j_l/j_{l-1}, which a backward recurrence started at r = 0 past
+max(l_max, e*z/2) yields without overflow, multiplied up from the closed
+form j_0 or j_1, whichever is farther from its zero; the irregular
+solution y comes from upward recurrence from its closed forms.  Each
+direction is the numerically stable one for its solution.  Each table
+ends with order -1/2, so index l - 1 reads the order below l for l = 0 too.
 Derivatives are never finite-differenced: z J'_nu(z) = z J_{nu-1}(z) - nu J_nu(z).
 
 All functions are pure; values are freely shareable across threads.
@@ -15,6 +17,7 @@ All functions are pure; values are freely shareable across threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -27,20 +30,17 @@ __all__ = [
     "half_integer_n_array",
 ]
 
-# Downward recurrence start margin.  Contamination by the irregular
-# solution is damped by at least a factor ~4 per step once the order
-# exceeds the argument, so 40 extra steps give > 1e-24 suppression.
-_MILLER_MARGIN = 40
-# Downward recurrence values are rescaled by 2**-_RESCALE_EXP once they
-# pass 2**_RESCALE_EXP, or sooner at arguments so small that one step could
-# overflow from there.
-_RESCALE_EXP = 830
+# The ratio recurrence starts this many orders past max(l_max, e*z/2).
+# There j_l shrinks by a factor (2l+1)/z > e per order, and the error of
+# the start value r = 0 reaches r_l damped by |j_start j_{start-1}|/|j_l j_{l-1}|,
+# about e^-80 ~ 2e-35 against the table's scale.
+_RATIO_MARGIN = 40
 _UNDERFLOW_FLOOR = 1e-300
 _BOUND_SAFETY = 10.0
 
 
 class BesselDomainError(ValueError):
-    """Argument outside the supported domain (z <= 0 or not finite), or wall amplitudes that are not finite there."""
+    """Argument below the smallest normal double or not finite, or wall amplitudes that are not finite there."""
 
 
 class AsymptoticRegimeError(ValueError):
@@ -87,47 +87,26 @@ def _sph_jn_seq(l_max: int, z: float) -> list[float]:
     j0 = math.sin(z) / z
     jm1 = math.cos(z) / z
     j1 = j0 / z - jm1
-    if z >= l_max:
-        # Oscillatory regime throughout: upward recurrence is stable.
-        out = [j0, j1]
-        for l in range(1, l_max):
-            out.append((2 * l + 1) / z * out[l] - out[l - 1])
-        return out[: l_max + 1] + [jm1]
-
-    out = [0.0] * (l_max + 1)
-    start = l_max + _MILLER_MARGIN
-    # A step multiplies by at most growth, so values at or below limit stay
-    # finite through it; rescaling by at least growth brings them back
-    # below limit.  Both are powers of two, so rescaling is exact.
-    growth = math.frexp((2 * start + 1) / z + 1.0)[1]  # log2 of the bound, rounded up
-    limit_exp = min(_RESCALE_EXP, 1023 - growth)
-    limit = math.ldexp(1.0, limit_exp)
-    inv = math.ldexp(1.0, -max(limit_exp, growth))
-    jp = 0.0  # ~ j_{start+1}
-    jc = 1e-30  # ~ j_{start}, arbitrary seed scale
-    for l in range(start, 0, -1):
+    # Ratios r_l = j_l/j_{l-1} = z/(2l+1 - z r_{l+1}) from r = 0 far above
+    # l_max, stored for l = l_max..1; a denominator that rounds to zero
+    # (j_{l-1} at a zero) is replaced by its rounding scale.
+    ratios = []
+    r = 0.0
+    for l in range(max(l_max, int(math.e * z / 2.0)) + _RATIO_MARGIN, 0, -1):
+        d = 2 * l + 1 - z * r
+        r = z / (d or sys.float_info.epsilon * (2 * l + 1))
         if l <= l_max:
-            out[l] = jc
-        jm = (2 * l + 1) / z * jc - jp
-        jp, jc = jc, jm
-        if abs(jc) > limit:
-            jp *= inv
-            jc *= inv
-            # out[l] was stored this iteration and carries the old scale.
-            for k in range(min(l, l_max), l_max + 1):
-                out[k] *= inv
-    # jc now holds the unnormalized j_0; normalize against whichever
-    # closed form is farther from its zero.
-    out[0] = jc
-    if abs(j0) >= abs(j1):
-        scale = j0 / out[0] if out[0] != 0.0 else 0.0
-    else:
-        scale = j1 / out[1] if out[1] != 0.0 else 0.0
-    return [v * scale for v in out] + [jm1]
+            ratios.append(r)
+    # Multiply up from whichever closed form is farther from its zero.
+    k = 1 if l_max and abs(j1) > abs(j0) else 0
+    out = [j0, j1][: k + 1]
+    for r in reversed(ratios[: l_max - k]):
+        out.append(out[-1] * r)
+    return out + [jm1]
 
 
-def _sph_yn_seq(l_max: int, z: float) -> tuple[list[float], bool]:
-    """Spherical y_0..y_{l_max}, then y_{-1}(z) = sin(z)/z last; flag reports overflow saturation."""
+def _sph_yn_seq(l_max: int, z: float) -> list[float]:
+    """Spherical y_0..y_{l_max}, then y_{-1}(z) = sin(z)/z last; overflow saturates to +-inf."""
     ym1 = math.sin(z) / z
     y0 = -math.cos(z) / z
     out = [y0, y0 / z - ym1]
@@ -138,15 +117,16 @@ def _sph_yn_seq(l_max: int, z: float) -> tuple[list[float], bool]:
             # following orders; clamp rather than propagate inf - inf.
             sign = math.copysign(1.0, out[l])
             out.extend(sign * math.inf for _ in range(l_max - l))
-            return out + [ym1], True
+            break
         out.append(nxt)
-    return out[: l_max + 1] + [ym1], False
+    return out[: l_max + 1] + [ym1]
 
 
 def _half_order_scale(z: float) -> float:
-    """sqrt(2z/pi), the factor taking spherical to half-integer-order Bessel functions at 0 < z < inf."""
-    if not 0.0 < z < math.inf:
-        raise BesselDomainError(f"argument must be positive and finite, got {z}")
+    """sqrt(2z/pi), the factor taking spherical to half-integer-order Bessel functions at normal 0 < z < inf."""
+    # Subnormal z is rejected: below about 5.6e-309 1/z overflows and the closed forms turn NaN.
+    if not sys.float_info.min <= z < math.inf:
+        raise BesselDomainError(f"argument must be a normal positive finite double, got {z}")
     return math.sqrt(2.0 * z / math.pi)
 
 
@@ -159,7 +139,7 @@ def half_integer_j_array(l_max: int, z: float) -> list[float]:
 def half_integer_n_array(l_max: int, z: float) -> list[float]:
     """N_{l+1/2}(z) for l = 0..l_max, then N_{-1/2}(z) last; overflow saturates to +-inf."""
     s = _half_order_scale(z)
-    return [s * v for v in _sph_yn_seq(l_max, z)[0]]
+    return [s * v for v in _sph_yn_seq(l_max, z)]
 
 
 def bessel_jn_half(order: ModeOrder, z: float) -> BesselPair:
@@ -167,12 +147,13 @@ def bessel_jn_half(order: ModeOrder, z: float) -> BesselPair:
     l = order.l
     s = _half_order_scale(z)
     jseq = _sph_jn_seq(l, z)
-    yseq, saturated = _sph_yn_seq(l, z)
+    yseq = _sph_yn_seq(l, z)
     j = s * jseq[l]
-    clamped = 0.0 < abs(j) < _UNDERFLOW_FLOOR
+    if abs(j) < _UNDERFLOW_FLOOR:
+        j = 0.0
+    n = s * yseq[l]
     return BesselPair(
-        j=0.0 if clamped else j, n=s * yseq[l], j_prev=s * jseq[l - 1], n_prev=s * yseq[l - 1], z=z,
-        saturated=saturated or clamped,
+        j=j, n=n, j_prev=s * jseq[l - 1], n_prev=s * yseq[l - 1], z=z, saturated=j == 0.0 or math.isinf(n)
     )
 
 

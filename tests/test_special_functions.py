@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -25,7 +26,7 @@ J_1_2_AT_2 = 0.51301613656182775167
 N_1_2_AT_2 = 0.23478571040624846917
 PW_5_2_3_4 = -0.32597887045956021663
 DIAG_5_2_3 = 0.209837291458817
-# Deep-underflow regime exercise for the downward recurrence.
+# Deep-underflow regime exercise for the J ratio recurrence.
 J_59_5_SMALL = 4.1209586873385774e-155
 J_58_5_SMALL = 4.191488748482732e-152
 SMALL_Z = 0.11699747918379022
@@ -69,7 +70,8 @@ def test_domain_errors():
         _pw_ratios(0.0, 0.0, 2)
 
 
-@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+# 5e-310 is subnormal: 1/z overflows, so the closed forms would be NaN.
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, 5e-310])
 @pytest.mark.parametrize(
     "call",
     [
@@ -90,22 +92,46 @@ def test_non_finite_arguments_raise_the_domain_error(call, z):
 
 
 def test_deep_underflow_regime():
-    """Order far above argument: the rescaled downward pass must keep
+    """Order far above argument: the ratios multiplied up from j_0 must keep
     relative precision instead of flushing the stored tail to zero."""
     p = bessel_jn_half(ModeOrder(59), SMALL_Z)
     assert p.j == pytest.approx(J_59_5_SMALL, rel=1e-12)
     assert p.j_prev == pytest.approx(J_58_5_SMALL, rel=1e-12)
 
 
-@pytest.mark.parametrize("z", [1e-60, 1e-63, 1e-75, 1e-100])
+@pytest.mark.parametrize("z", [1e-60, 1e-63, 1e-75, 1e-100, 1e-307, sys.float_info.min])
 def test_tiny_argument_tables_stay_finite(z):
-    # one downward step multiplies by ~(2l+1)/z; the rescale threshold must
-    # leave room for it, or inf - inf turns every order into NaN
+    # an unnormalized downward recurrence grows by ~(2l+1)/z per step and
+    # overflows to inf - inf = NaN at such arguments; the ratios cannot
     vals = half_integer_j_array(6, z)
     assert not any(math.isnan(v) for v in vals)
     s = math.sqrt(2.0 * z / math.pi)
     assert vals[0] == pytest.approx(s, rel=1e-15)  # J_{1/2} = s sin(z)/z
     assert vals[1] == pytest.approx(s * z / 3.0, rel=1e-15)  # J_{3/2} ~ s z/3
+
+
+@pytest.mark.parametrize(
+    "l_max, z",
+    [
+        (5, 8.182561452571242),  # 2l+1 - z r_{l+1} rounds to 0 at a zero of j_4
+        (4, 13.698023153249249),
+        (3, 392.0),  # small orders at large arguments
+        (10, 100.0),
+        (int(math.e * 140.0 / 2.0) + 8, 140.0),  # kernel table sizes
+        (int(math.e * 392.0 / 2.0) + 8, 392.0),
+    ],
+)
+def test_j_table_against_mpmath(l_max, z):
+    mpmath = pytest.importorskip("mpmath")
+    vals = half_integer_j_array(l_max, z)
+    s = math.sqrt(2.0 * z / math.pi)
+    for l in range(-1, l_max + 1):
+        with mpmath.workdps(40):
+            ref = float(mpmath.besselj(l + mpmath.mpf(1) / 2, z))
+        # below the turning point J oscillates with envelope ~ s/z; near its
+        # zeros only that scale is resolved
+        scale = max(abs(ref), s / z) if l < z else abs(ref)
+        assert abs(vals[l] - ref) <= 1e-14 * scale, (l, vals[l], ref)
 
 
 def test_wronskian_identity_sweep():
@@ -226,6 +252,10 @@ def test_saturation_flags():
     assert p.saturated
     assert math.isinf(p.n)
     assert not math.isnan(p.n)
+    # N_{3/2} overflows in its closed form already, before any recurrence step
+    p = bessel_jn_half(ModeOrder(1), 1e-307)
+    assert p.saturated
+    assert (p.j, p.n) == (0.0, -math.inf)
 
 
 def test_besselpair_is_plain_data():
