@@ -9,8 +9,6 @@ from .kernel import (
     d_exact,
     f_exact,
     f_factorized,
-    refractive_in,
-    refractive_out,
 )
 from .matching import (
     MatchingCoefficients,
@@ -20,7 +18,7 @@ from .matching import (
     matching_coefficients,
     normalization_xi,
 )
-from .oracles import IdentityReport, hankel_finite_integral, large_r_beta_sq, spectral_delta_checks
+from .oracles import IdentityReport, hankel_finite_integral, spectral_delta_checks
 from .quadrature import QuadratureError, QuadResult, adaptive_quad
 from .special_functions import (
     AsymptoticRegimeError,
@@ -38,7 +36,6 @@ from .spectrum import (
     dn_dx,
     infinite_volume_dn_dx,
     infinite_volume_totals,
-    spectral_integrand,
     totals,
 )
 

@@ -59,23 +59,15 @@ class RunConfig:
         )
 
 
-def _parse_bool(value: str) -> bool:
-    if value.lower() not in ("true", "false", "0", "1"):
-        raise ValueError(value)
-    return value.lower() in ("true", "1")
-
-
 # Config key -> (the RunConfig part it sets, value converter).
 _CONFIG_KEYS = {
     "n_gas_in": ("medium", float),
     "n_gas_out": ("medium", float),
     "n_liquid": ("medium", float),
     "radius": ("medium", float),
-    "k_observed": ("medium", float),
     "rel_tol": ("quad", float),
     "abs_tol": ("quad", float),
     "tail_upper_bound": ("quad", float),
-    "include_tails": ("quad", _parse_bool),
     "max_subdivisions": ("quad", int),
     "grid_points": ("run", int),
     "x_star_override": ("run", float),
@@ -159,7 +151,7 @@ def spectrum(config_path, output_path, kernel, tail_bound) -> None:
         run = replace(run, output_path=output_path)
     if tail_bound is not None:
         try:
-            run = replace(run, quad=replace(run.quad, include_tails=True, tail_upper_bound=tail_bound))
+            run = replace(run, quad=replace(run.quad, tail_upper_bound=tail_bound))
         except ValueError as exc:
             raise click.UsageError(f"--include-tails: {exc}") from exc
     cut = run.cutoffs()

@@ -7,8 +7,10 @@ for large argument, recovering the homogeneous-medium result, and the
 whole kernel is well approximated by the factorized smeared-delta form
 used for production spectra.
 
-Frequency dispersion is modeled as a sharp momentum cutoff: the gas
-refractive index equals its bulk value below the cutoff and 1 above.
+Frequency dispersion is modeled as a sharp momentum cutoff (``CutoffProfile``):
+the initial gas index equals its bulk value below y* and 1 above, while the
+created photon keeps the final bulk index on every x the spectrum covers
+(see ``spectrum._integrand``).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matching import MediumConfig
+from .matching import MediumConfig, _require_positive_finite
 # bessel_jn_half is unused here but perfbench/test_perfbench.py reads it.
 from .special_functions import (
     BesselDomainError,
@@ -35,8 +37,6 @@ __all__ = [
     "CutoffProfile",
     "KernelValue",
     "KernelConvergenceError",
-    "refractive_in",
-    "refractive_out",
     "f_exact",
     "d_exact",
     "d_approx",
@@ -84,28 +84,21 @@ class KernelConvergenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class CutoffProfile:
-    """Dimensionless momentum cutoffs of the dispersive step model."""
+    """Dimensionless momentum cutoffs: x* of the created photon, y* of the initial mode."""
 
     x_star: float
     y_star: float
 
     def __post_init__(self) -> None:
-        if self.x_star <= 0.0 or self.y_star <= 0.0:
-            raise ValueError(f"cutoffs must be positive, got {self.x_star}, {self.y_star}")
-
-    @classmethod
-    def from_config(cls, cfg: MediumConfig) -> "CutoffProfile":
-        """Cutoffs (n_gas_out/n_liquid) * radius * k_observed on both axes."""
-        c = cfg.cutoff_product
-        return cls(x_star=c, y_star=c)
+        _require_positive_finite(self, "x_star", "y_star")
 
     @classmethod
     def rounded(cls, cfg: MediumConfig) -> "CutoffProfile":
-        """Cutoffs (n_gas_out/n_liquid) * 15, the rounded reference value.
+        """Cutoffs (n_gas_out/n_liquid) * 15 on both axes, the one cutoff rule.
 
-        The default geometry gives radius * k_observed = 5 pi = 15.708; the
-        reference results quote the rounded 15, so reproduction paths use
-        this constructor while from_config keeps the exact product.
+        15 is the reference results' rounding of radius * K = 5 pi for a
+        500 nm bubble observed up to K = 2 pi/200 nm^-1; ``cfg.radius``
+        enters only the physical energy and frequency scales.
         """
         c = cfg.n_gas_out / cfg.n_liquid * 15.0
         return cls(x_star=c, y_star=c)
@@ -118,19 +111,6 @@ class KernelValue:
     value: float
     l_used: int
     truncation_error_estimate: float
-
-
-def refractive_in(y: float, cfg: MediumConfig, cut: CutoffProfile) -> float:
-    """Gas index before the transition: n_gas_in below the cutoff, 1 above.
-
-    Left-continuous: the bulk value applies at y = y_star exactly.
-    """
-    return cfg.n_gas_in if y <= cut.y_star else 1.0
-
-
-def refractive_out(x: float, cfg: MediumConfig, cut: CutoffProfile) -> float:
-    """Gas index after the transition: n_gas_out below the cutoff, 1 above."""
-    return cfg.n_gas_out if x <= cut.x_star else 1.0
 
 
 def _pw_ratios(x: float, y: float, l_size: int) -> list[float]:

@@ -36,26 +36,25 @@ class MediumConfig:
 
     ``n_gas_in`` and ``n_gas_out`` are the gas indices before and after
     the sudden transition; the liquid index is taken frequency independent.
-    ``radius`` is in nm, ``k_observed`` in rad/nm (the momentum cutoff of
-    the observed photons, measured in the liquid).
+    ``radius`` is in nm and sets only the physical energy and frequency
+    scales; the dimensionless cutoffs come from ``CutoffProfile.rounded``.
     """
 
     n_gas_in: float
     n_gas_out: float
     n_liquid: float = 1.3
     radius: float = 500.0
-    k_observed: float = 2.0 * math.pi / 200.0
 
     def __post_init__(self) -> None:
-        for name in ("n_gas_in", "n_gas_out", "n_liquid", "radius", "k_observed"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be a positive finite number, got {v!r}")
+        _require_positive_finite(self, "n_gas_in", "n_gas_out", "n_liquid", "radius")
 
-    @property
-    def cutoff_product(self) -> float:
-        """(n_gas_out / n_liquid) * radius * k_observed."""
-        return self.n_gas_out / self.n_liquid * self.radius * self.k_observed
+
+def _require_positive_finite(obj: object, *names: str) -> None:
+    """ValueError unless each named attribute of ``obj`` is a positive finite number."""
+    for name in names:
+        v = getattr(obj, name)
+        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be a positive finite number, got {v!r}")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,8 @@
 """Independent identities used to validate the numerical pipeline.
 
-The closed-form finite-range Bessel overlap integral, the smeared
-spectral delta identities, and the homogeneous-limit strength of the
-pair-creation amplitude.  The overlap is the exact kernel's own
-pseudo-Wronskian ratio, so its check tests the production ratio.  All
+The closed-form finite-range Bessel overlap integral and the smeared
+spectral delta identities.  The overlap is the exact kernel's own
+pseudo-Wronskian ratio, so its check tests the production ratio.  Both
 checks integrate with scipy's QUADPACK, not the production quadrature,
 so the two routes stay independent.
 """
@@ -16,14 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import _pw_ratios
-from .matching import MediumConfig, normalization_xi
 from .special_functions import BesselDomainError, ModeOrder
 
 __all__ = [
     "IdentityReport",
     "hankel_finite_integral",
     "spectral_delta_checks",
-    "large_r_beta_sq",
 ]
 
 
@@ -101,19 +98,3 @@ def spectral_delta_checks() -> IdentityReport:
         samples=len(deviations) + len(sin_dev),
         passed=bool(monotone and worst < 0.01),
     )
-
-
-def large_r_beta_sq(cfg: MediumConfig, omega_in: float, omega_out: float) -> float:
-    """Squared strength of the homogeneous-limit pair amplitude.
-
-    The amplitude carries gamma (1/n_in - 1/n_out) with gamma =
-    n_in n_out times the mode normalizations, concentrated on the
-    momentum-conservation line n_in omega_in = n_out omega_out; this
-    returns the squared prefactor of that delta.
-    """
-    if omega_in <= 0.0 or omega_out <= 0.0:
-        raise ValueError("frequencies must be positive")
-    dn = cfg.n_gas_out - cfg.n_gas_in
-    xi_in = normalization_xi(cfg.n_gas_in * omega_in, cfg.n_liquid)
-    xi_out = normalization_xi(cfg.n_gas_out * omega_out, cfg.n_liquid)
-    return dn * dn / (cfg.n_gas_in * cfg.n_gas_out) * (xi_in * xi_out) ** 2

@@ -77,6 +77,13 @@ class QuadratureError(ArithmeticError):
         self.result = result
 
 
+def _cap_error(edges: float, max_subdivisions: int, result: QuadResult) -> QuadratureError:
+    """The error of a row whose starting panels alone are more than the cap."""
+    return QuadratureError(
+        f"quadrature starts with {edges:.6g} panel edges, more than max_subdivisions={max_subdivisions} allows", result
+    )
+
+
 def _panel_estimates(f: _RowIntegrand, bounds: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """K15 values and |K15 - G7| errors, shape (2, n_components, n_panels).
 
@@ -150,11 +157,7 @@ def _integrate_rows(
             if res.converged:
                 continue
             if not within_cap[i]:
-                raise QuadratureError(
-                    f"quadrature starts with {res.subdivisions + 1} panel edges, "
-                    f"more than max_subdivisions={max_subdivisions} allows",
-                    res,
-                )
+                raise _cap_error(res.subdivisions + 1, max_subdivisions, res)
             raise QuadratureError(
                 f"quadrature did not converge after {res.subdivisions} subdivisions: "
                 f"error={error.max():.3e} vs tolerance {float(np.max(tol[i])):.3e}",

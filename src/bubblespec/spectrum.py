@@ -15,15 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CutoffProfile, f_exact, f_factorized, refractive_out
-from .matching import MediumConfig
-from .quadrature import _integrate_rows, adaptive_quad
+from .kernel import CutoffProfile, f_exact, f_factorized
+from .matching import MediumConfig, _require_positive_finite
+from .quadrature import QuadResult, _cap_error, _integrate_rows, adaptive_quad
 
 __all__ = [
     "QuadratureSpec",
     "SpectrumResult",
     "DeltaReplacementReport",
-    "spectral_integrand",
     "dn_dx",
     "totals",
     "infinite_volume_dn_dx",
@@ -47,24 +46,22 @@ _KERNEL_MODES = ("exact", "factorized")
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and tail policy for the spectrum integrals."""
+    """Tolerances, panel cap and tail policy for the spectrum integrals.
+
+    A ``tail_upper_bound`` integrates the tails up to it; None leaves them out.
+    """
 
     rel_tol: float = 1e-6
     abs_tol: float = 1e-12
     max_subdivisions: int = 2000
-    include_tails: bool = False
     tail_upper_bound: float | None = None
 
     def __post_init__(self) -> None:
-        # include_tails needs a bound; an unused bound must still be valid.
-        bounds = {"rel_tol": self.rel_tol, "abs_tol": self.abs_tol}
-        if self.include_tails or self.tail_upper_bound is not None:
-            bounds["tail_upper_bound"] = self.tail_upper_bound
-        for name, v in bounds.items():
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be a positive finite number, got {v!r}")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+        _require_positive_finite(self, "rel_tol", "abs_tol")
+        if self.tail_upper_bound is not None:
+            _require_positive_finite(self, "tail_upper_bound")
+        if not (isinstance(self.max_subdivisions, int) and self.max_subdivisions >= 1):
+            raise ValueError(f"max_subdivisions must be an int >= 1, got {self.max_subdivisions!r}")
 
 
 @dataclass(frozen=True)
@@ -84,12 +81,14 @@ def _check_mode(kernel_mode: str) -> None:
         raise ValueError(f"kernel_mode must be one of {_KERNEL_MODES}, got {kernel_mode!r}")
 
 
-def _integrand(x: np.ndarray, ys: np.ndarray, n_out: float, cfg: MediumConfig, cut: CutoffProfile, kernel_mode: str):
+def _integrand(x: np.ndarray, ys: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, kernel_mode: str):
     """Index mismatch weight times squared momentum-mixing ratio times kernel at (x[i], ys[i]).
 
-    ``n_out`` is the created photon's index.
+    The initial index is n_gas_in up to y_star and 1 above; the created
+    photon keeps n_gas_out at every x (see ``_dn_dx_batch``).
     """
     n_in = np.where(ys <= cut.y_star, cfg.n_gas_in, 1.0)
+    n_out = cfg.n_gas_out
     dn = n_in - n_out
     ratio = (n_in * x * x + n_out * ys * ys) / (n_in * x + n_out * ys)
     if kernel_mode == "factorized":
@@ -97,21 +96,6 @@ def _integrand(x: np.ndarray, ys: np.ndarray, n_out: float, cfg: MediumConfig, c
     else:
         kern = np.array([f_exact(float(xi), float(y)).value for xi, y in zip(x, ys)])
     return dn * dn / (2.0 * n_in * n_out) * ratio * ratio * kern
-
-
-def spectral_integrand(
-    x: float, y: float, cfg: MediumConfig, cut: CutoffProfile, kernel_mode: str = "factorized"
-) -> float:
-    """Squared Bogolubov density at (x, y), polarization factor included.
-
-    Uses the literal step profiles on both axes, so it is identically
-    zero once both arguments exceed their cutoffs (no index mismatch
-    remains there).
-    """
-    if x <= 0.0 or y <= 0.0:
-        raise ValueError(f"spectral_integrand requires x, y > 0, got ({x}, {y})")
-    _check_mode(kernel_mode)
-    return float(_integrand(np.array([float(x)]), np.array([y]), refractive_out(x, cfg, cut), cfg, cut, kernel_mode)[0])
 
 
 def _dn_dx_batch(xs: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, quad: QuadratureSpec, kernel_mode: str):
@@ -129,12 +113,18 @@ def _dn_dx_batch(xs: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, quad: Qu
     sudden-approximation artifact as the excluded tail regions.
     """
     y_star = upper = cut.y_star
-    if quad.include_tails:
+    if quad.tail_upper_bound is not None:
         upper = max(float(quad.tail_upper_bound), y_star)
     every = np.arange(xs.size)
     # Lattice points x + k * width for k from the last one <= 0 to the first >= y_star.
     k_lo = np.floor(-xs / _ROLLOFF_WIDTH)
-    counts = (np.ceil((y_star - xs) / _ROLLOFF_WIDTH) - k_lo + 1).astype(int)
+    counts = np.ceil((y_star - xs) / _ROLLOFF_WIDTH) - k_lo + 1
+    # The lattice alone gives a row counts - 1 panels: refuse before building it.
+    most = np.max(counts, initial=0.0)
+    if most - 1 > quad.max_subdivisions:
+        unevaluated = QuadResult(np.array([math.nan]), np.array([math.nan]), int(most) - 1, False)
+        raise _cap_error(most, quad.max_subdivisions, unevaluated)
+    counts = counts.astype(int)
     owner = every.repeat(counts)
     k = k_lo[owner] + np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
     lattice = xs[owner] + k * _ROLLOFF_WIDTH
@@ -151,7 +141,7 @@ def _dn_dx_batch(xs: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, quad: Qu
     # Consecutive edges of one row bound a panel.
     same_row = owners[1:] == owners[:-1]
     rows = _integrate_rows(
-        lambda ys, row: _integrand(xs[row], ys, cfg.n_gas_out, cfg, cut, kernel_mode),
+        lambda ys, row: _integrand(xs[row], ys, cfg, cut, kernel_mode),
         np.array([edges[:-1][same_row], edges[1:][same_row]]),
         owners[1:][same_row],
         rel_tol=quad.rel_tol,
@@ -169,8 +159,8 @@ def dn_dx(
     kernel_mode: str = "factorized",
 ) -> float:
     """Spectrum dN/dx: adaptive y-integration over the cutoff strip."""
-    if x <= 0.0:
-        raise ValueError(f"x must be positive, got {x}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"x must be a positive finite number, got {x!r}")
     _check_mode(kernel_mode)
     if cfg.n_gas_in == cfg.n_gas_out:
         return 0.0
@@ -193,7 +183,7 @@ def totals(
     """
     _check_mode(kernel_mode)
     x_max = cut.x_star + _ROLLOFF_WIDTH
-    if quad.include_tails:
+    if quad.tail_upper_bound is not None:
         x_max = max(x_max, float(quad.tail_upper_bound))
     grid = np.linspace(0.0, x_max, grid_points)
     if cfg.n_gas_in == cfg.n_gas_out:
@@ -234,8 +224,8 @@ def totals(
 
 def infinite_volume_dn_dx(x: float, cfg: MediumConfig, cut: CutoffProfile) -> float:
     """Homogeneous-medium spectrum (1/3pi)((dn)^2/(n_in n_out)) x^2 below x_*."""
-    if x <= 0.0:
-        raise ValueError(f"x must be positive, got {x}")
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"x must be a positive finite number, got {x!r}")
     if x > cut.x_star:
         return 0.0
     dn = cfg.n_gas_in - cfg.n_gas_out

@@ -61,10 +61,28 @@ def test_unknown_config_key_exits_2(tmp_path):
 
 
 def test_removed_l_max_override_key_exits_2(tmp_path):
-    cfg = _write(tmp_path, "cfg.txt", "n_gas_in = 5\nl_max_override = 50\n")
-    res = CliRunner().invoke(main, ["spectrum", "--config", cfg])
-    assert res.exit_code == 2
-    assert "unknown config key 'l_max_override'" in res.output
+    # and the other removed keys: k_observed never reached an output, include_tails is implied by the bound
+    for line in ("l_max_override = 50", "k_observed = 0.0628", "include_tails = true"):
+        cfg = _write(tmp_path, "cfg.txt", f"n_gas_in = 5\n{line}\n")
+        res = CliRunner().invoke(main, ["spectrum", "--config", cfg])
+        assert res.exit_code == 2
+        assert f"unknown config key {line.split()[0]!r}" in res.output
+
+
+def test_tail_upper_bound_key_alone_integrates_the_tails(tmp_path):
+    # the config key and --include-tails set the same bound and give the same bytes
+    base = "grid_points = 20\nrel_tol = 1e-5\n"
+    keyed = _write(tmp_path, "keyed.txt", base + "tail_upper_bound = 40\n")
+    plain = _write(tmp_path, "plain.txt", base)
+    runner = CliRunner()
+    outputs = []
+    for args in (["--config", keyed], ["--config", plain, "--include-tails", "40"], ["--config", plain]):
+        out = str(tmp_path / "spec.csv")
+        res = runner.invoke(main, ["spectrum", *args, "--output", out])
+        assert res.exit_code == 0, res.output
+        outputs.append((open(out, "rb").read(), res.output))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] != outputs[2][0]
 
 
 def test_readme_lists_exactly_the_config_keys():
@@ -105,6 +123,20 @@ def test_non_finite_or_invalid_numbers_exit_2(tmp_path, args, config):
     code = f"import sys; sys.path.insert(0, {src!r}); from bubblespec.cli import main; main()"
     out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=60)
     assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("y_star", ["1e9", "1e300"])
+def test_sinc_lattice_above_the_cap_exits_3(tmp_path, y_star):
+    # a real process, so an escaped exception would print its traceback; the
+    # row must be refused before its ~y*/(4pi/3) starting panels are allocated
+    cfg = _write(tmp_path, "cfg.txt", f"y_star_override = {y_star}\ngrid_points = 3\n")
+    src = str(Path(bubblespec.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); from bubblespec.cli import main; main()"
+    args = [sys.executable, "-c", code, "spectrum", "--config", cfg]
+    out = subprocess.run(args, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 3, out.stderr
+    assert "numerical failure" in out.stderr and "panel edges" in out.stderr
     assert "Traceback" not in out.stderr
 
 

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import bubblespec
 
@@ -10,3 +12,23 @@ def test_every_public_name_resolves():
     assert len(modules) >= 7
     dangling = [f"{mod.__name__}.{n}" for mod in modules for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert dangling == []
+
+
+def test_no_unused_module_level_imports():
+    # A deletion that leaves its imports behind keeps dead names alive.
+    allowed = {"kernel.bessel_jn_half"}  # perfbench/test_perfbench.py reads it from kernel
+    unused = []
+    for path in sorted(Path(bubblespec.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [
+            (alias.asname or alias.name).split(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        # Attribute chains such as np.array start with a Name node.
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in imported if name not in used]
+    assert sorted(set(unused) - allowed) == []

@@ -16,8 +16,6 @@ from bubblespec.kernel import (
     d_exact,
     f_exact,
     f_factorized,
-    refractive_in,
-    refractive_out,
 )
 from bubblespec.matching import MediumConfig, coefficient_a_sq
 from bubblespec.special_functions import (
@@ -38,27 +36,16 @@ D_2_FROZEN = 0.012342053
 
 def test_cutoff_profiles():
     cfg = MediumConfig(n_gas_in=2e4, n_gas_out=1.0)
-    exact = CutoffProfile.from_config(cfg)
-    assert exact.x_star == pytest.approx(5.0 * math.pi / 1.3)
-    assert exact.x_star == exact.y_star
     rounded = CutoffProfile.rounded(cfg)
     assert rounded.x_star == pytest.approx(15.0 / 1.3)
-    with pytest.raises(ValueError):
-        CutoffProfile(x_star=0.0, y_star=1.0)
-
-
-def test_refractive_steps_left_continuous():
-    cfg = MediumConfig(n_gas_in=9.0, n_gas_out=25.0)
-    cut = CutoffProfile.rounded(cfg)
-    assert refractive_in(0.5 * cut.y_star, cfg, cut) == 9.0
-    assert refractive_in(cut.y_star, cfg, cut) == 9.0  # cutoff value applies at the step
-    assert refractive_in(cut.y_star * (1 + 1e-12), cfg, cut) == 1.0
-    assert refractive_out(0.5 * cut.x_star, cfg, cut) == 25.0
-    assert refractive_out(cut.x_star, cfg, cut) == 25.0
-    assert refractive_out(2.0 * cut.x_star, cfg, cut) == 1.0
-    degenerate = MediumConfig(n_gas_in=1.0, n_gas_out=1.0)
-    assert refractive_in(0.1, degenerate, cut) == 1.0
-    assert refractive_out(99.0, degenerate, cut) == 1.0
+    assert rounded.x_star == rounded.y_star
+    # the radius sets only the physical scales, not the cutoffs
+    assert CutoffProfile.rounded(MediumConfig(n_gas_in=2e4, n_gas_out=1.0, radius=50.0)) == rounded
+    for bad in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="x_star must be a positive finite number"):
+            CutoffProfile(x_star=bad, y_star=1.0)
+        with pytest.raises(ValueError, match="y_star must be a positive finite number"):
+            CutoffProfile(x_star=1.0, y_star=bad)
 
 
 def test_f_exact_frozen_value():

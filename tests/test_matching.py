@@ -20,8 +20,6 @@ def test_medium_config_defaults_and_validation():
     cfg = MediumConfig(n_gas_in=2e4, n_gas_out=1.0)
     assert cfg.n_liquid == 1.3
     assert cfg.radius == 500.0
-    assert cfg.k_observed == pytest.approx(2.0 * math.pi / 200.0)
-    assert cfg.cutoff_product == pytest.approx(5.0 * math.pi / 1.3)
     with pytest.raises(ValueError):
         MediumConfig(n_gas_in=-1.0, n_gas_out=1.0)
     with pytest.raises(ValueError):

@@ -5,12 +5,7 @@ import pytest
 from scipy import integrate, special
 
 from bubblespec.kernel import _DIAG_BAND, f_exact
-from bubblespec.matching import MediumConfig
-from bubblespec.oracles import (
-    hankel_finite_integral,
-    large_r_beta_sq,
-    spectral_delta_checks,
-)
+from bubblespec.oracles import hankel_finite_integral, spectral_delta_checks
 from bubblespec.special_functions import BesselDomainError, ModeOrder
 
 
@@ -98,31 +93,6 @@ def test_spectral_delta_suite():
     assert rep.passed
     assert rep.max_rel_error < 0.01
     assert rep.samples >= 7
-
-
-def test_beta_strength_null_and_ratio():
-    null = MediumConfig(n_gas_in=4.0, n_gas_out=4.0)
-    assert large_r_beta_sq(null, 1.0, 1.0) == 0.0
-
-    c1 = MediumConfig(n_gas_in=2.0, n_gas_out=4.0)
-    c2 = MediumConfig(n_gas_in=3.0, n_gas_out=5.0)
-
-    def strength(c):
-        # (dn)^2/(n n) times the squared mode norms at unit frequencies
-        return (c.n_gas_out - c.n_gas_in) ** 2 / (
-            c.n_gas_in * c.n_gas_out * (c.n_gas_in * c.n_gas_out * 2.0 * c.n_liquid) ** 2
-        )
-
-    got = large_r_beta_sq(c1, 1.0, 1.0) / large_r_beta_sq(c2, 1.0, 1.0)
-    assert got == pytest.approx(strength(c1) / strength(c2), rel=1e-12)
-
-
-def test_beta_strength_frequency_scaling():
-    cfg = MediumConfig(n_gas_in=2.0, n_gas_out=4.0)
-    base = large_r_beta_sq(cfg, 1.0, 1.0)
-    assert large_r_beta_sq(cfg, 2.0, 1.0) == pytest.approx(base / 4.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        large_r_beta_sq(cfg, 0.0, 1.0)
 
 
 def test_kernel_concentrates_on_diagonal_with_scale():

@@ -15,9 +15,13 @@ from bubblespec.spectrum import (
     dn_dx,
     infinite_volume_dn_dx,
     infinite_volume_totals,
-    spectral_integrand,
     totals,
 )
+
+
+def spectral_integrand(x, y, cfg, cut):
+    """The production integrand at the single point (x, y), factorized kernel."""
+    return float(bubblespec.spectrum._integrand(np.array([x]), np.array([y]), cfg, cut, "factorized")[0])
 
 
 @pytest.fixture(scope="module")
@@ -29,9 +33,21 @@ def reference_case():
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(include_tails=True)  # needs a bound
-    QuadratureSpec(include_tails=True, tail_upper_bound=30.0)
+    QuadratureSpec(tail_upper_bound=30.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tail_upper_bound"):
+            QuadratureSpec(tail_upper_bound=bad)
+    for bad in (math.nan, 2.5, 0, -3):
+        with pytest.raises(ValueError, match="max_subdivisions must be an int >= 1"):
+            QuadratureSpec(max_subdivisions=bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_spectrum_rejects_x_that_is_not_positive_and_finite(reference_case, bad):
+    cfg, cut = reference_case
+    for f in (lambda x: dn_dx(x, cfg, cut), lambda x: infinite_volume_dn_dx(x, cfg, cut)):
+        with pytest.raises(ValueError, match="x must be a positive finite number"):
+            f(bad)
 
 
 def test_grid_equals_pointwise_dn_dx(reference_case):
@@ -193,7 +209,7 @@ def test_finite_volume_within_ten_percent_of_infinite():
 
 def test_include_tails_extends_domain(reference_case):
     cfg, cut = reference_case
-    quad = QuadratureSpec(rel_tol=1e-5, include_tails=True, tail_upper_bound=cut.y_star + 5.0)
+    quad = QuadratureSpec(rel_tol=1e-5, tail_upper_bound=cut.y_star + 5.0)
     with_tails = dn_dx(5.0, cfg, cut, quad)
     without = dn_dx(5.0, cfg, cut, QuadratureSpec(rel_tol=1e-5))
     # the tail strip adds (never removes) photon density
@@ -230,6 +246,22 @@ def test_dn_dx_starting_edges_above_the_cap_raise():
     assert exc.value.result.subdivisions > 50 and not exc.value.result.converged
     capped = dn_dx(200.0, cfg, cut, QuadratureSpec(max_subdivisions=120))
     assert capped == pytest.approx(dn_dx(200.0, cfg, cut), rel=1e-6)
+
+
+@pytest.mark.parametrize("y_star", [1e6, 1e9, 1e300])
+def test_dn_dx_lattice_above_the_cap_raises_before_any_panel(monkeypatch, y_star):
+    # the sinc-zero lattice alone needs ~y_star/(4pi/3) panels: refuse before
+    # building the row, so no panel is evaluated and no memory is spent on it
+    def never(*args):
+        raise AssertionError("integrand evaluated")
+
+    monkeypatch.setattr(bubblespec.spectrum, "_integrand", never)
+    cfg = MediumConfig(n_gas_in=2e4, n_gas_out=1.0)
+    with pytest.raises(QuadratureError, match="panel edges, more than max_subdivisions=2000") as exc:
+        dn_dx(1.0, cfg, CutoffProfile(11.5, y_star))
+    res = exc.value.result
+    assert res.subdivisions > 2000 and not res.converged
+    assert math.isnan(res.scalar)
 
 
 def test_table_totals_work_count(monkeypatch):
