@@ -8,6 +8,7 @@ from .kernel import (
     d_approx,
     d_exact,
     f_exact,
+    f_exact_array,
     f_factorized,
 )
 from .matching import (

@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import spectrum as sp
-from .kernel import CutoffProfile, KernelConvergenceError, d_approx, d_exact, f_exact, f_factorized
+from .kernel import CutoffProfile, KernelConvergenceError, d_approx, f_exact_array, f_factorized
 from .matching import MediumConfig, coefficients_bc
 from .oracles import hankel_finite_integral, spectral_delta_checks
 from .quadrature import QuadratureError
@@ -237,14 +237,14 @@ def kernel_dump(config_path, output_path, x_range, y_range, points) -> None:
         raise click.UsageError("ranges must be positive, finite and increasing, points >= 2")
     xs = np.linspace(x0, x1, points)
     ys = np.linspace(y0, y1, points)
-    lines = ["x,y,f_exact,f_factorized"]
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
     try:
-        for x in xs:
-            for y in ys:
-                fe = f_exact(float(x), float(y))
-                lines.append(f"{float(x)!r},{float(y)!r},{fe.value!r},{f_factorized(float(x), float(y))!r}")
+        exact = f_exact_array(gx, gy).ravel().tolist()
     except (BesselDomainError, KernelConvergenceError) as exc:
         _numerical_exit(exc)
+    lines = ["x,y,f_exact,f_factorized"]
+    for x, y, fe in zip(gx.ravel().tolist(), gy.ravel().tolist(), exact):
+        lines.append(f"{x!r},{y!r},{fe!r},{f_factorized(x, y)!r}")
     _write_text(run.output_path, "\n".join(lines) + "\n")
     if run.output_path:
         click.echo(f"wrote {points * points} kernel samples to {run.output_path}")
@@ -259,12 +259,13 @@ def diagonal(output_path, x_max, points) -> None:
     if not 0 < x_max < math.inf or points < 2:
         raise click.UsageError("x-max must be positive and finite, points >= 2")
     xs = np.linspace(x_max / points, x_max, points)
-    lines = ["x,d_exact,d_approx"]
     try:
-        for x in xs:
-            lines.append(f"{float(x)!r},{d_exact(float(x))!r},{d_approx(float(x))!r}")
+        exact = f_exact_array(xs, xs).tolist()
     except (BesselDomainError, KernelConvergenceError) as exc:
         _numerical_exit(exc)
+    lines = ["x,d_exact,d_approx"]
+    for x, d in zip(xs.tolist(), exact):
+        lines.append(f"{x!r},{d!r},{d_approx(x)!r}")
     _write_text(output_path or "", "\n".join(lines) + "\n")
 
 

@@ -24,8 +24,10 @@ import numpy as np
 from .matching import MediumConfig, _require_positive_finite
 # bessel_jn_half is unused here but perfbench/test_perfbench.py reads it.
 from .special_functions import (
+    _BOUND_SAFETY,
     BesselDomainError,
     ModeOrder,
+    _half_integer_j_table,
     _reduced_det,
     _reduced_det_diagonal,
     bessel_jn_half,
@@ -38,6 +40,7 @@ __all__ = [
     "KernelValue",
     "KernelConvergenceError",
     "f_exact",
+    "f_exact_array",
     "d_exact",
     "d_approx",
     "f_factorized",
@@ -59,6 +62,11 @@ _DIAG_RESOLUTION = 2.0 * sys.float_info.epsilon / _TAIL_REL
 # term table reaches this far past that order, and the sum fails if its
 # tail is not certified by the end of the table.
 _L_MARGIN = 8
+# f_exact_array evaluates at most about this many Bessel table entries
+# (arguments x orders) at once, so its temporaries stay at a few hundred
+# kB however many points a call has.  A larger budget is faster at large
+# arguments but lifts the process's peak memory.
+_TABLE_ENTRIES = 2**13
 
 _HALF_ASYMPTOTE = 1.0 / (2.0 * math.pi * math.pi)
 _D_FIT_SCALE = 250.0
@@ -179,6 +187,96 @@ def f_exact(x: float, y: float) -> KernelValue:
     raise KernelConvergenceError(f"kernel tail not certified by l={l} at (x, y)=({x}, {y})", math.fsum(terms), l)
 
 
+def _sorted_batch_values(x: np.ndarray, y: np.ndarray, size: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """f_exact's value and l_used at each point, NaN and 0 where it fails; table sizes descending.
+
+    Runs f_exact's algorithm on every point at once: the same J tables and
+    terms, each point's own table size, the running sums by cumsum, and
+    the certification tests of f_exact order by order.
+    """
+    n, l_top = x.size, int(size[0])
+    band = np.abs(x - y) < _DIAG_BAND * np.minimum(np.minimum(x, y), 1.0)
+    off = ~band
+    k = int(np.count_nonzero(off))
+    xo, yo, m = x[off], y[off], 0.5 * (x[band] + y[band])
+    j = _half_integer_j_table(l_top, np.concatenate([xo, yo, m]), np.concatenate([size[off], size[off], size[band]]))
+    l = np.arange(1, l_top + 1)[:, None]
+    terms = np.empty((l_top, n))
+    jx, jy, jm = j[:, :k], j[:, k : 2 * k], j[:, 2 * k :]
+    d = xo * xo - yo * yo
+    d[d == 0.0] = math.nan
+    r = ((jx[1:] * yo) * jy[:-1] - (jy[1:] * xo) * jx[:-1]) / d
+    terms[:, off] = ((2 * l + 1) * r) * r
+    det = m * (jm[1:] * jm[1:] + jm[:-1] * jm[:-1]) - ((2 * l + 1.0) * jm[1:]) * jm[:-1]
+    r = det / (x[band] + y[band])
+    terms[:, band] = ((2 * l + 1) * r) * r
+    fails = np.zeros(n, dtype=bool)
+    fails[band] = det[0] <= _DIAG_RESOLUTION * m * (jm[1] * jm[1] + jm[0] * jm[0])
+    acc = np.cumsum(terms, axis=0)
+    within = l <= size
+    half_e_m = math.e * np.maximum(x, y) / 2.0
+    # tail_term_scale at nu = l + 1.5 and l + 2.5 for the orders l >= lo, from
+    # below the first order any point tests; its nu-only part through libm.
+    lo = max(1, int(np.ceil(half_e_m.min() - 1.5)) - 1)
+    nu = np.arange(lo + 1, l_top + 3) + 0.5
+    head = [-math.log(2.0 * math.pi) - 0.5 * math.log(v) - 1.5 * math.log(v + 1.0) for v in nu.tolist()]
+    nu = nu[:, None]
+    log_mag = np.array(head)[:, None] + nu * np.log(x * y / (nu * (nu + 1.0)))
+    log_mag += (2.0 * nu + 1.0) * (1.0 - math.log(2.0))
+    scale = _BOUND_SAFETY * np.where(log_mag < -745.0, 0.0, np.exp(log_mag))
+    b1 = ((2 * l[lo - 1 :] + 3) * scale[:-1]) * scale[:-1]
+    b2 = ((2 * l[lo - 1 :] + 5) * scale[1:]) * scale[1:]
+    ratio = np.divide(b2, b1, out=np.zeros_like(b1), where=b1 > 0.0)
+    budget = _TAIL_REL * acc[lo - 1 :]
+    tail = within[lo - 1 :] & (l[lo - 1 :] + 1.5 > half_e_m)
+    tiny = _first(tail & (budget < sys.float_info.min)) + lo - 1
+    done = _first(tail & (ratio < 0.9) & (b1 / (1.0 - ratio) <= budget)) + lo - 1
+    # f_exact raises at a non-finite term before adding it, and at a tiny budget before its tail test.
+    fails |= (done >= _first(within & ~np.isfinite(terms))) | (done >= tiny)
+    used = np.where(fails, 0, done + 1)
+    values = [math.fsum(t[:u]) if u else math.nan for t, u in zip(terms.T.tolist(), used.tolist())]
+    return values, used
+
+
+def _first(mask: np.ndarray) -> np.ndarray:
+    """Row of the first True in each column of mask, or the row count where there is none."""
+    return np.where(mask.any(axis=0), mask.argmax(axis=0), mask.shape[0])
+
+
+def f_exact_array(x, y) -> np.ndarray:
+    """f_exact(x, y).value at every point of the broadcast arrays x and y, bit for bit, in numpy passes.
+
+    The points run in sub-batches of at most about _TABLE_ENTRIES Bessel
+    table entries, grouped by table size, so memory stays flat in the
+    number of points.  A point where f_exact fails is handed to f_exact,
+    so the first one in input order raises f_exact's own error.  The tail
+    bound uses numpy's exp and log, which may differ from libm's in the
+    last bit; that could move a point's truncation only where a
+    certification test is tied to the last bit.  For one point, f_exact is
+    the faster path.
+    """
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    shape, x, y = x.shape, x.ravel(), y.ravel()
+    normal = (x >= sys.float_info.min) & (x < math.inf) & (y >= sys.float_info.min) & (y < math.inf)
+    fails = ~normal
+    values = np.empty(x.size)
+    idx = np.flatnonzero(normal)
+    size = np.zeros(x.size, dtype=int)
+    size[idx] = (math.e * np.maximum(x[idx], y[idx]) / 2.0).astype(int) + _L_MARGIN
+    idx = idx[np.argsort(-size[idx], kind="stable")]
+    at = 0
+    # Overflow and invalid operations give inf or NaN, as in f_exact's Python floats; the tests catch them.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while at < idx.size:
+            sub = idx[at : at + max(1, _TABLE_ENTRIES // (2 * (size[idx[at]] + 1)))]
+            values[sub], used = _sorted_batch_values(x[sub], y[sub], size[sub])
+            fails[sub] = used == 0
+            at += sub.size
+    for i in np.flatnonzero(fails).tolist():
+        values[i] = f_exact(float(x[i]), float(y[i])).value
+    return values.reshape(shape)
+
+
 def d_exact(x: float) -> float:
     """Diagonal kernel D(x) = F(x, x) with unit wall amplitudes."""
     return f_exact(x, x).value
@@ -201,8 +299,12 @@ def f_factorized(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     s = x + y
-    s6 = s**6
-    hump = _HALF_ASYMPTOTE * s6 / (_F_FIT_SCALE + s6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s6 = s**6
+        hump = _HALF_ASYMPTOTE * s6 / (_F_FIT_SCALE + s6)
+    # Past s ~ 2.4e51 s**6 overflows; the hump has reached its limit 1/(2 pi^2) there.
+    if np.max(s, initial=0.0) > 1e51:
+        hump = np.where(np.isinf(s6), _HALF_ASYMPTOTE, hump)
     # np.sinc(t) = sin(pi t)/(pi t); we need sin(u)/u with u = 3(x-y)/4.
     sinc = np.sinc(0.75 * (x - y) / np.pi)
     out = hump * sinc * sinc

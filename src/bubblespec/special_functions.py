@@ -7,8 +7,9 @@ r_l = j_l/j_{l-1}, which a backward recurrence started at r = 0 past
 max(l_max, e*z/2) yields without overflow, multiplied up from the closed
 form j_0 or j_1, whichever is farther from its zero; the irregular
 solution y comes from upward recurrence from its closed forms.  Each
-direction is the numerically stable one for its solution.  Each table
-ends with order -1/2, so index l - 1 reads the order below l for l = 0 too.
+direction is the numerically stable one for its solution.  Each list
+table ends with order -1/2, so index l - 1 reads the order below l for l = 0
+too; ``_half_integer_j_table`` runs the J recurrence for many arguments at once.
 Derivatives are never finite-differenced: z J'_nu(z) = z J_{nu-1}(z) - nu J_nu(z).
 
 All functions are pure; values are freely shareable across threads.
@@ -19,6 +20,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "ModeOrder",
@@ -134,6 +137,43 @@ def half_integer_j_array(l_max: int, z: float) -> list[float]:
     """J_{l+1/2}(z) for l = 0..l_max, then J_{-1/2}(z) last; unclamped, unlike bessel_jn_half's J_nu."""
     s = _half_order_scale(z)
     return [s * v for v in _sph_jn_seq(l_max, z)]
+
+
+def _half_integer_j_table(l_max: int, z: np.ndarray, l_each: np.ndarray) -> np.ndarray:
+    """J_{l+1/2}(z[a]) for l = 0..l_max (l_max >= 1) in column a, all columns in one numpy pass.
+
+    Column a runs the recurrence of ``half_integer_j_array(l_each[a], z[a])``
+    (l_each[a] <= l_max) with the same start, operations and rounding, so
+    its rows 0..l_each[a] equal that list bit for bit; the rows past it are
+    of no use.  Every z must be a normal positive finite double.
+    """
+    start = np.maximum(l_each, (math.e * z / 2.0).astype(int)) + _RATIO_MARGIN
+    # Columns by descending start: the recurrences running at order l are a prefix.
+    order = np.argsort(-start, kind="stable")
+    zs = z[order]
+    running = (z.size - np.searchsorted(start[order][::-1], np.arange(start.max() + 1))).tolist()
+    rows = np.empty((l_max + 1, z.size))
+    r = np.zeros(z.size)
+    for l in range(len(running) - 1, 0, -1):
+        k = running[l]
+        d = (2 * l + 1) - zs[:k] * r[:k]
+        if np.count_nonzero(d) < k:
+            d[d == 0.0] = sys.float_info.epsilon * (2 * l + 1)
+        np.divide(zs[:k], d, out=r[:k])
+        if l <= l_max:
+            rows[l] = r
+    # The closed forms through libm, as in _sph_jn_seq; numpy's may differ in the last bit.
+    listed = zs.tolist()
+    j0 = np.array(list(map(math.sin, listed))) / zs
+    j1 = j0 / zs - np.array(list(map(math.cos, listed))) / zs
+    # Multiply up from whichever closed form is farther from its zero.
+    rows[1] = np.where(np.abs(j1) > np.abs(j0), j1, j0 * rows[1])
+    np.cumprod(rows[1:], axis=0, out=rows[1:])
+    rows[0] = j0
+    rows *= np.sqrt(2.0 * zs / math.pi)
+    out = np.empty_like(rows)
+    out[:, order] = rows
+    return out
 
 
 def half_integer_n_array(l_max: int, z: float) -> list[float]:

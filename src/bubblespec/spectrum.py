@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CutoffProfile, f_exact, f_factorized
+from .kernel import CutoffProfile, f_exact_array, f_factorized
 from .matching import MediumConfig, _require_positive_finite
 from .quadrature import QuadResult, _cap_error, _integrate_rows, adaptive_quad
 
@@ -94,7 +94,7 @@ def _integrand(x: np.ndarray, ys: np.ndarray, cfg: MediumConfig, cut: CutoffProf
     if kernel_mode == "factorized":
         kern = f_factorized(x, ys)
     else:
-        kern = np.array([f_exact(float(xi), float(y)).value for xi, y in zip(x, ys)])
+        kern = f_exact_array(x, ys)
     return dn * dn / (2.0 * n_in * n_out) * ratio * ratio * kern
 
 

@@ -196,6 +196,18 @@ def test_kernel_dump_tiny_arguments_exit_3():
         assert "numerical failure" in res.output
 
 
+def test_grid_commands_report_their_first_failing_point():
+    # the whole grid is one kernel call; the error still names the first failing point in row-major order
+    res = CliRunner().invoke(
+        main, ["kernel-dump", "--x-range", "1e-200", "2e-200", "--y-range", "3e-200", "4e-200", "--points", "2"]
+    )
+    assert res.exit_code == 3
+    assert "(x, y)=(1e-200, 3e-200)" in res.output
+    res = CliRunner().invoke(main, ["diagonal", "--x-max", "1e-200", "--points", "2"])
+    assert res.exit_code == 3
+    assert "(x, y)=(5e-201, 5e-201)" in res.output
+
+
 def test_diagonal_command():
     res = CliRunner().invoke(main, ["diagonal", "--points", "4", "--x-max", "8"])
     assert res.exit_code == 0

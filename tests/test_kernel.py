@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from bubblespec.kernel import (
     d_approx,
     d_exact,
     f_exact,
+    f_exact_array,
     f_factorized,
 )
 from bubblespec.matching import MediumConfig, coefficient_a_sq
@@ -285,3 +287,110 @@ def test_f_exact_tiny_diagonal_fails_the_same_way_throughout():
             outcomes.add("raises")
     assert outcomes in ({True}, {"raises"})
     assert d_exact(1e-3) == pytest.approx(6.0042165744256175e-22, rel=1e-8)  # 100-digit sum
+
+
+def _array_sweep(seed, n):
+    """Seeded points over [0.5, 392]^2: uniform, in the diagonal band, just outside it, on the diagonal."""
+    rng = random.Random(seed)
+    points = [(200.0, 200.0), (300.0, 300.0), (392.0, 392.0)]
+    while len(points) < n:
+        x = rng.uniform(0.5, 392.0)
+        kind = len(points) % 4
+        if kind == 0:
+            y = rng.uniform(0.5, 392.0)
+        elif kind == 1:
+            y = x + rng.choice((-1.0, 1.0)) * rng.uniform(0.0, 0.99e-4) * min(x, 1.0)
+        elif kind == 2:
+            y = x + rng.choice((-1.0, 1.0)) * 1.01e-4 * min(x, 1.0)
+        else:
+            y = x
+        points.append((x, y))
+    return np.array(points).T
+
+
+def test_f_exact_array_is_f_exact_bit_for_bit():
+    x, y = _array_sweep(11, 600)
+    want = [f_exact(float(a), float(b)) for a, b in zip(x, y)]
+    assert f_exact_array(x, y).tolist() == [v.value for v in want]
+    # the same truncation too: one sub-batch per table size
+    size = (math.e * np.maximum(x, y) / 2.0).astype(int) + _L_MARGIN
+    for s in np.unique(size):
+        at = np.flatnonzero(size == s)
+        _, used = kernel._sorted_batch_values(x[at], y[at], size[at])
+        assert used.tolist() == [want[i].l_used for i in at]
+
+
+def test_f_exact_array_values_do_not_depend_on_the_batch(monkeypatch):
+    x, y = _array_sweep(12, 200)
+    whole = f_exact_array(x, y)
+    # one point per sub-batch, then a few points per sub-batch of mixed table sizes
+    for entries in (1, 2**11):
+        monkeypatch.setattr(kernel, "_TABLE_ENTRIES", entries)
+        assert f_exact_array(x, y).tolist() == whole.tolist()
+    monkeypatch.undo()
+    perm = np.random.default_rng(12).permutation(x.size)
+    assert f_exact_array(x[perm], y[perm]).tolist() == whole[perm].tolist()
+    assert f_exact_array(x[7], y[7]).tolist() == whole[7]
+    # broadcasting keeps the shape
+    grid = f_exact_array(x[:3, None], y[None, :4])
+    assert grid.shape == (3, 4)
+    assert grid[2, 1] == f_exact(float(x[2]), float(y[1])).value
+
+
+def _scalar_error(x, y):
+    """The error f_exact raises at (x, y), or None."""
+    try:
+        f_exact(x, y)
+    except (BesselDomainError, KernelConvergenceError) as exc:
+        return exc
+    return None
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(5.0, 6.0), (math.nan, 2.0), (1e-200, 1e-200)],
+        [(5.0, 6.0), (1e-200, 1e-200), (2.0, math.inf)],
+        [(3.0, 5e-310), (1.0, -math.inf)],
+        [(392.0, 392.0), (1e-100, 1.0), (1e-200, 2e-200)],
+        [(1e-200, 2e-200), (1e-100, 1.0)],
+    ],
+)
+def test_f_exact_array_raises_the_scalar_error_of_the_first_failing_point(points):
+    x, y = np.array(points).T
+    want = next(e for e in (_scalar_error(*p) for p in points) if e is not None)
+    with pytest.raises(type(want)) as exc:
+        f_exact_array(x, y)
+    assert str(exc.value) == str(want)
+    assert getattr(exc.value, "l_reached", None) == getattr(want, "l_reached", None)
+    assert getattr(exc.value, "partial", None) == getattr(want, "partial", None)
+
+
+def test_f_exact_array_raises_no_numeric_warning():
+    # tiny, underflowing and mixed-scale points drive the tables to 0, inf and NaN
+    points = [(1e-200, 2e-200), (1e-100, 1.0), (1e-200, 1e-200), (1e-150, 392.0), (1e-3, 1e-3), (1e-300, 300.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, y in points:
+            try:
+                f_exact_array(x, y)
+            except KernelConvergenceError:
+                pass
+        assert f_exact_array(1e-3, 1e-3) == d_exact(1e-3)
+
+
+def test_f_factorized_reaches_its_limit_where_the_sixth_power_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert f_factorized(1e60, 1e60) == HALF_ASYMPTOTE
+        y = 1e200 * (1.0 + 1e-15)
+        u = 0.75 * (1e200 - y)
+        assert f_factorized(1e200, y) == pytest.approx(HALF_ASYMPTOTE * (math.sin(u) / u) ** 2, abs=1e-300)
+        got = f_factorized(np.array([1e60, 3.0]), np.array([1e60, 3.0]))
+    assert got.tolist() == [HALF_ASYMPTOTE, f_factorized(3.0, 3.0)]
+    # unchanged bits wherever s**6 is finite, up to the overflow edge
+    for x, y in ((0.5, 0.7), (3.0, 9.0), (1e10, 1e10), (1.1e51, 1.1e51), (2e20, 1e20)):
+        s6 = np.float64(x + y) ** 6
+        u = 0.75 * (x - y)
+        sinc = np.sinc(u / np.pi)
+        assert f_factorized(x, y) == HALF_ASYMPTOTE * s6 / (16000.0 + s6) * sinc * sinc
