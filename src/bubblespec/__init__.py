@@ -19,7 +19,7 @@ from .matching import (
     matching_coefficients,
     normalization_xi,
 )
-from .oracles import IdentityReport, hankel_finite_integral, spectral_delta_checks
+from .oracles import IdentityReport, finite_overlap_checks, hankel_finite_integral, spectral_delta_checks
 from .quadrature import QuadratureError, QuadResult, adaptive_quad
 from .special_functions import (
     AsymptoticRegimeError,

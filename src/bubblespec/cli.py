@@ -19,7 +19,7 @@ import numpy as np
 from . import spectrum as sp
 from .kernel import CutoffProfile, KernelConvergenceError, d_approx, f_exact_array, f_factorized
 from .matching import MediumConfig, coefficients_bc
-from .oracles import hankel_finite_integral, spectral_delta_checks
+from .oracles import finite_overlap_checks, spectral_delta_checks
 from .quadrature import QuadratureError
 from .special_functions import BesselDomainError, ModeOrder, _reduced_det, bessel_jn_half
 
@@ -312,31 +312,10 @@ def _run_checks() -> list[dict]:
         {"name": "matching-unit-circle", "max_rel_error": worst, "samples": 500, "passed": worst < 1e-12}
     )
 
-    from scipy import integrate, special
-
-    worst = 0.0
-    for _ in range(25):
-        l = rng.randint(0, 10)
-        k1, k2 = rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0)
-        radius = rng.uniform(1.0, 20.0)
-        cf = hankel_finite_integral(ModeOrder(l), k1, k2, radius)
-        ref, _ = integrate.quad(
-            lambda r: r * special.jv(l + 0.5, k1 * r) * special.jv(l + 0.5, k2 * r), 0, radius, limit=400
+    for rep in (finite_overlap_checks(rng), spectral_delta_checks()):
+        reports.append(
+            {"name": rep.name, "max_rel_error": rep.max_rel_error, "samples": rep.samples, "passed": rep.passed}
         )
-        worst = max(worst, abs(cf - ref) / max(abs(ref), 1e-12))
-    reports.append(
-        {"name": "finite-overlap-closed-form", "max_rel_error": worst, "samples": 25, "passed": worst < 1e-8}
-    )
-
-    rep = spectral_delta_checks()
-    reports.append(
-        {
-            "name": rep.name,
-            "max_rel_error": rep.max_rel_error,
-            "samples": rep.samples,
-            "passed": rep.passed,
-        }
-    )
     return reports
 
 

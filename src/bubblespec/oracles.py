@@ -2,14 +2,15 @@
 
 The closed-form finite-range Bessel overlap integral and the smeared
 spectral delta identities.  The overlap is the exact kernel's own
-pseudo-Wronskian ratio, so its check tests the production ratio.  Both
-checks integrate with scipy's QUADPACK, not the production quadrature,
-so the two routes stay independent.
+pseudo-Wronskian ratio, checked against a self-verified composite
+Gauss-Legendre rule over ``scipy.special.jv``, independent of the
+production Gauss-Kronrod pair.  The delta identities are closed forms.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +18,7 @@ import numpy as np
 from .kernel import _pw_ratios
 from .special_functions import BesselDomainError, ModeOrder
 
-__all__ = [
-    "IdentityReport",
-    "hankel_finite_integral",
-    "spectral_delta_checks",
-]
+__all__ = ["IdentityReport", "finite_overlap_checks", "hankel_finite_integral", "spectral_delta_checks"]
 
 
 @dataclass(frozen=True)
@@ -48,53 +45,65 @@ def hankel_finite_integral(order: ModeOrder, k1: float, k2: float, R: float) -> 
     return R * R * _pw_ratios(k1 * R, k2 * R, max(order.l, 1))[order.l]
 
 
-def _gaussian(t, sigma):
-    return np.exp(-0.5 * (t / sigma) ** 2)
+def _gauss_legendre_overlap(l: int, k1: float, k2: float, R: float, panels: int, rule: tuple) -> float:
+    """int_0^R r J_{l+1/2}(k1 r) J_{l+1/2}(k2 r) dr by the Gauss-Legendre ``rule`` on equal panels."""
+    from scipy import special
+
+    nodes, weights = rule
+    half = 0.5 * R / panels
+    r = half * (np.arange(1, 2 * panels, 2)[:, None] + nodes)
+    return float(half * (r * special.jv(l + 0.5, k1 * r) * special.jv(l + 0.5, k2 * r) @ weights).sum())
+
+
+def finite_overlap_checks(rng: random.Random) -> IdentityReport:
+    """``hankel_finite_integral`` at 25 draws from ``rng`` against ``_gauss_legendre_overlap``.
+
+    Draws take l in 0..10, k1 and k2 in [0.5, 5] and R in [1, 20].  The
+    24-point rule takes one panel per 12 radians of the fastest phase
+    (k1 + k2) r, where its error is far below rounding, and again twice
+    as many: the suite passes if the two agree to 1e-11 and the closed
+    form matches the finer one to 1e-8, both relative.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    rule = leggauss(24)
+    errors = []
+    for _ in range(25):
+        l = rng.randint(0, 10)
+        k1, k2 = rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0)
+        radius = rng.uniform(1.0, 20.0)
+        panels = math.ceil((k1 + k2) * radius / 12.0)
+        coarse, ref = (_gauss_legendre_overlap(l, k1, k2, radius, n, rule) for n in (panels, 2 * panels))
+        err = abs(float(hankel_finite_integral(ModeOrder(l), k1, k2, radius)) - ref)
+        errors.append((err, err / max(abs(ref), 1e-12), abs(coarse - ref) / max(abs(ref), 1e-12)))
+    worst_abs, worst, worst_self = map(max, zip(*errors))
+    return IdentityReport("finite-overlap-closed-form", worst_abs, worst, 25, worst < 1e-8 and worst_self <= 1e-11)
+
+
+def _fejer_deviation(s: float) -> float:
+    """1 - int sin^2(s t)/(s pi t^2) e^{-t^2/2} dt."""
+    return math.erfc(math.sqrt(2.0) * s) - math.expm1(-2.0 * s * s) / (s * math.sqrt(2.0 * math.pi))
+
+
+def _dirichlet_deviation(big_r: float) -> float:
+    """1 - int sin(k R)/(pi k) e^{-k^2/2} dk."""
+    return math.erfc(big_r / math.sqrt(2.0))
 
 
 def spectral_delta_checks() -> IdentityReport:
-    """Smeared delta-sequence identities against Gaussian test functions.
+    """Smeared delta-sequence identities against the Gaussian g(t) = e^{-t^2/2}.
 
-    Verifies that int f_s(t) g(t) dt -> g(0) monotonically for the
+    Verifies that int f_s(t) g(t) dt -> g(0) = 1 monotonically for the
     sequence f_s(t) = sin^2(s t)/(s pi t^2), and that sin(kR)/(pi k)
     likewise reproduces g(0) at large R.  Pointwise limits of these
     oscillatory kernels are meaningless numerically; only the weak form
-    is tested.
+    is tested, in closed form.  G(a) = int (1 - cos a t) g(t)/t^2 dt has
+    G'(a) = int sin(a t) g(t)/t dt = pi erf(a/sqrt 2), so the sin^2 form is
+    G(2s)/(2 pi s) = erf(sqrt 2 s) + expm1(-2 s^2)/(s sqrt(2 pi)); the sin
+    form is G'(R)/pi = erf(R/sqrt 2).
     """
-    from scipy import integrate
-
-    sigma = 1.0
-    deviations = []
-    for s in (5.0, 10.0, 20.0, 50.0):
-        # Window fixed at 8 sigma: beyond it the Gaussian kills the
-        # kernel's 1/t^2 tail, so truncation is subdominant to smearing.
-        val, _ = integrate.quad(
-            lambda t: math.sin(s * t) ** 2 / (s * math.pi * t * t) * _gaussian(t, sigma),
-            -8.0 * sigma,
-            8.0 * sigma,
-            limit=4000,
-            points=[0.0],
-        )
-        deviations.append(abs(val - _gaussian(0.0, sigma)))
-    monotone = all(b <= a * 1.05 + 1e-6 for a, b in zip(deviations, deviations[1:]))
-
-    sin_dev = []
-    for big_r in (25.0, 50.0, 100.0):
-        val, _ = integrate.quad(
-            lambda k: math.sin(k * big_r) / (math.pi * k) * _gaussian(k, sigma),
-            -60.0,
-            60.0,
-            limit=2000,
-            points=[0.0],
-        )
-        sin_dev.append(abs(val - _gaussian(0.0, sigma)))
-    monotone = monotone and all(b <= a * 1.05 + 1e-6 for a, b in zip(sin_dev, sin_dev[1:]))
-
-    worst = float(max(deviations[-1], sin_dev[-1]))
-    return IdentityReport(
-        name="spectral-delta",
-        max_abs_error=worst,
-        max_rel_error=worst / _gaussian(0.0, sigma),
-        samples=len(deviations) + len(sin_dev),
-        passed=bool(monotone and worst < 0.01),
-    )
+    deviations = [_fejer_deviation(s) for s in (5.0, 10.0, 20.0, 50.0)]
+    sin_dev = [_dirichlet_deviation(big_r) for big_r in (25.0, 50.0, 100.0)]
+    monotone = all(b <= a * 1.05 + 1e-6 for seq in (deviations, sin_dev) for a, b in zip(seq, seq[1:]))
+    worst = max(deviations[-1], sin_dev[-1])
+    return IdentityReport("spectral-delta", worst, worst, len(deviations) + len(sin_dev), monotone and worst < 0.01)

@@ -90,7 +90,8 @@ def _panel_estimates(f: _RowIntegrand, bounds: np.ndarray, rows: np.ndarray) -> 
     ``bounds`` holds the (low, high) ends of the panels and ``rows`` the
     row of each panel; ``f`` gets the row of each point.  Each panel takes
     15 evaluations, in calls of at most ``_CHUNK_POINTS`` points; the
-    values, and so the estimates, equal those of a single call.
+    values, and so the estimates, equal those of a single call.  A panel
+    whose estimate is not finite raises QuadratureError at once.
     """
     lows, highs = bounds
     mid = 0.5 * (lows + highs)
@@ -110,7 +111,13 @@ def _panel_estimates(f: _RowIntegrand, bounds: np.ndarray, rows: np.ndarray) -> 
         vals[:, s] = chunk.reshape(chunk.shape[0], -1, _XK15.size)
     ik = np.einsum("cpk,k->cp", vals, _WK15) * half
     ig = np.einsum("cpk,k->cp", vals[:, :, 1::2], _W7) * half
-    return np.stack([ik, np.abs(ik - ig)])
+    est = np.stack([ik, np.abs(ik - ig)])
+    bad = np.flatnonzero(~np.isfinite(est).all(axis=(0, 1)))
+    if bad.size:
+        i = bad[0]
+        msg = f"integrand is not finite on the panel [{float(lows[i])!r}, {float(highs[i])!r}]"
+        raise QuadratureError(msg, QuadResult(est[0, :, i], est[1, :, i], 1, False))
+    return est
 
 
 def _integrate_rows(
@@ -133,7 +140,8 @@ def _integrate_rows(
     ``adaptive_quad`` refines it alone, so its result does not depend on
     the other rows.  The first row that misses its tolerance, or starts
     with more panels than ``max_subdivisions``, raises QuadratureError
-    carrying its unconverged result.
+    carrying its unconverged result; so does the first panel on which the
+    integrand is not finite.
     """
     if not panel_rows.size:
         return []

@@ -90,12 +90,14 @@ def _integrand(x: np.ndarray, ys: np.ndarray, cfg: MediumConfig, cut: CutoffProf
     n_in = np.where(ys <= cut.y_star, cfg.n_gas_in, 1.0)
     n_out = cfg.n_gas_out
     dn = n_in - n_out
-    ratio = (n_in * x * x + n_out * ys * ys) / (n_in * x + n_out * ys)
     if kernel_mode == "factorized":
         kern = f_factorized(x, ys)
     else:
         kern = f_exact_array(x, ys)
-    return dn * dn / (2.0 * n_in * n_out) * ratio * ratio * kern
+    # Past x ~ 1e154 the squares overflow to inf or NaN, which the quadrature rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = (n_in * x * x + n_out * ys * ys) / (n_in * x + n_out * ys)
+        return dn * dn / (2.0 * n_in * n_out) * ratio * ratio * kern
 
 
 def _dn_dx_batch(xs: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, quad: QuadratureSpec, kernel_mode: str):

@@ -263,3 +263,30 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     # no scipy module at all: the Gauss rules are literals, QUADPACK loads only for the checks
     assert out.stdout.strip() == "False []"
+
+
+def test_check_json_leaves_scipy_integrate_unloaded():
+    # the check suites use scipy.special only: QUADPACK would pull in optimize and sparse.linalg too
+    src = str(Path(bubblespec.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from bubblespec.cli import main; "
+        "main.main(['check', '--json'], standalone_mode=False); "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['scipy', 'integrate'], ['scipy', 'optimize'], ['scipy', 'sparse'])))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_overflowing_integrand_exits_3_without_warnings(tmp_path):
+    # past x ~ 1e154 the integrand's squares overflow: a typed failure at the first panel, not NaN refined to the cap
+    cfg = _write(tmp_path, "cfg.txt", "x_star_override = 1e300\n")
+    src = str(Path(bubblespec.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); from bubblespec.cli import main; main()"
+    args = ["spectrum", "--config", cfg, "--output", str(tmp_path / "s.csv")]
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 3, out.stderr
+    assert "numerical failure: integrand is not finite on the panel" in out.stderr
+    assert "RuntimeWarning" not in out.stderr
+    assert "Traceback" not in out.stderr

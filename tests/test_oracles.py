@@ -4,8 +4,10 @@ import random
 import pytest
 from scipy import integrate, special
 
+from bubblespec import oracles
+from bubblespec.cli import _run_checks
 from bubblespec.kernel import _DIAG_BAND, f_exact
-from bubblespec.oracles import hankel_finite_integral, spectral_delta_checks
+from bubblespec.oracles import finite_overlap_checks, hankel_finite_integral, spectral_delta_checks
 from bubblespec.special_functions import BesselDomainError, ModeOrder
 
 
@@ -93,6 +95,53 @@ def test_spectral_delta_suite():
     assert rep.passed
     assert rep.max_rel_error < 0.01
     assert rep.samples >= 7
+
+
+def test_closed_form_delta_deviations_against_quadpack():
+    # the suite's closed forms against QUADPACK on the windows the suite once integrated over
+    for s in (5.0, 10.0, 20.0, 50.0):
+        val, _ = integrate.quad(
+            lambda t: math.sin(s * t) ** 2 / (s * math.pi * t * t) * math.exp(-0.5 * t * t),
+            -8.0, 8.0, limit=4000, points=[0.0],
+        )
+        assert oracles._fejer_deviation(s) == pytest.approx(1.0 - val, rel=0.0, abs=1e-9)
+    for big_r in (25.0, 50.0, 100.0):
+        val, _ = integrate.quad(
+            lambda k: math.sin(k * big_r) / (math.pi * k) * math.exp(-0.5 * k * k),
+            -60.0, 60.0, limit=2000, points=[0.0],
+        )
+        assert oracles._dirichlet_deviation(big_r) == pytest.approx(1.0 - val, rel=0.0, abs=1e-9)
+
+
+def test_overlap_reference_matches_quadpack_on_the_check_draws(monkeypatch):
+    # record the Gauss-Legendre references of `bubblespec check`'s own seeded draws
+    calls = []
+    reference = oracles._gauss_legendre_overlap
+
+    def recorded(l, k1, k2, R, panels, rule):
+        calls.append((l, k1, k2, R, reference(l, k1, k2, R, panels, rule)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(oracles, "_gauss_legendre_overlap", recorded)
+    assert all(r["passed"] for r in _run_checks())
+    assert len(calls) == 50
+    for l, k1, k2, R, gl in calls[1::2]:  # the doubled-panel rule is the reference
+        assert gl == pytest.approx(_quad_reference(l, k1, k2, R), rel=1e-12, abs=0.0)
+
+
+def test_overlap_suite_fails_when_its_reference_disagrees_with_itself(monkeypatch):
+    # off by 1e-9/panels: far inside the closed-form bound, but the doubled-panel rule disagrees
+    reference = oracles._gauss_legendre_overlap
+    monkeypatch.setattr(
+        oracles,
+        "_gauss_legendre_overlap",
+        lambda l, k1, k2, R, panels, rule: reference(l, k1, k2, R, panels, rule) * (1.0 + 1e-9 / panels),
+    )
+    rep = finite_overlap_checks(random.Random(20260823))
+    assert rep.max_rel_error < 1e-8
+    assert not rep.passed
+    monkeypatch.setattr(oracles, "_gauss_legendre_overlap", reference)
+    assert finite_overlap_checks(random.Random(20260823)).passed
 
 
 def test_kernel_concentrates_on_diagonal_with_scale():
