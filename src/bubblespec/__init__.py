@@ -19,7 +19,8 @@ from .matching import (
     matching_coefficients,
     normalization_xi,
 )
-from .oracles import IdentityReport, finite_overlap_checks, hankel_finite_integral, spectral_delta_checks
+from .oracles import IdentityReport, finite_overlap_checks, hankel_finite_integral, matching_checks
+from .oracles import spectral_delta_checks, wronskian_checks
 from .quadrature import QuadratureError, QuadResult, adaptive_quad
 from .special_functions import (
     AsymptoticRegimeError,

@@ -11,20 +11,20 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, fields, replace
 
 import click
 import numpy as np
 
 from . import spectrum as sp
 from .kernel import CutoffProfile, KernelConvergenceError, d_approx, f_exact_array, f_factorized
-from .matching import MediumConfig, coefficients_bc
-from .oracles import finite_overlap_checks, spectral_delta_checks
+from .matching import MediumConfig, _require_positive_finite
+from .oracles import finite_overlap_checks, matching_checks, spectral_delta_checks, wronskian_checks
 from .quadrature import QuadratureError
-from .special_functions import BesselDomainError, ModeOrder, _reduced_det, bessel_jn_half
+from .special_functions import BesselDomainError
 
 EXIT_CHECK_FAILURE = 1
-EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_FAILURE = 3
 
 # Reference cases: (n_gas_in, n_gas_out, N, <E>/hbar Omega_max).
@@ -41,7 +41,7 @@ _TABLE_RATIO_TOL = 0.02
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one run needs, assembled from a key=value config file."""
+    """Everything one run needs, assembled from a key=value config file and command-line flags."""
 
     medium: MediumConfig = MediumConfig(n_gas_in=2.0e4, n_gas_out=1.0)
     quad: sp.QuadratureSpec = sp.QuadratureSpec()
@@ -51,72 +51,65 @@ class RunConfig:
     output_path: str = ""
     grid_points: int = 200
 
+    def __post_init__(self) -> None:
+        sp._check_mode(self.kernel_mode)
+        if self.grid_points < 2:
+            raise ValueError(f"grid_points must be >= 2, got {self.grid_points!r}")
+        overrides = [n for n in ("x_star_override", "y_star_override") if getattr(self, n) is not None]
+        _require_positive_finite(self, *overrides)
+
     def cutoffs(self) -> CutoffProfile:
         base = CutoffProfile.rounded(self.medium)
-        return CutoffProfile(
-            x_star=self.x_star_override or base.x_star,
-            y_star=self.y_star_override or base.y_star,
-        )
+        return CutoffProfile(self.x_star_override or base.x_star, self.y_star_override or base.y_star)
 
 
-# Config key -> (the RunConfig part it sets, value converter).
+# Config key -> (the RunConfig part it sets, value converter): every scalar
+# field of the three config classes, converted by its annotation.
 _CONFIG_KEYS = {
-    "n_gas_in": ("medium", float),
-    "n_gas_out": ("medium", float),
-    "n_liquid": ("medium", float),
-    "radius": ("medium", float),
-    "rel_tol": ("quad", float),
-    "abs_tol": ("quad", float),
-    "tail_upper_bound": ("quad", float),
-    "max_subdivisions": ("quad", int),
-    "grid_points": ("run", int),
-    "x_star_override": ("run", float),
-    "y_star_override": ("run", float),
-    "kernel_mode": ("run", str),
-    "output_path": ("run", str),
+    f.name: (part, {"float": float, "float | None": float, "int": int, "str": str}[f.type])
+    for part, cls in (("medium", MediumConfig), ("quad", sp.QuadratureSpec), ("run", RunConfig))
+    for f in fields(cls)
+    if f.name not in ("medium", "quad")
 }
 
 
-def parse_config(path: str | None) -> RunConfig:
-    """Read a flat key=value file; unknown keys are hard errors."""
-    cfg = RunConfig()
-    if path is None:
-        return cfg
-    updates: dict[str, dict[str, object]] = {"medium": {}, "quad": {}, "run": {}}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise click.UsageError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
-                key, _, value = (s.strip() for s in line.partition("="))
-                if key not in _CONFIG_KEYS:
-                    raise click.UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-                target, convert = _CONFIG_KEYS[key]
-                try:
-                    updates[target][key] = convert(value)
-                except ValueError as exc:
-                    raise click.UsageError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-    except OSError as exc:
-        raise click.UsageError(f"cannot read config file {path}: {exc}") from exc
+def parse_config(path: str | None, **flags: object) -> RunConfig:
+    """Read a flat key=value file, then apply ``flags`` (config key -> value; None leaves it).
 
+    Unknown keys, unparsable values and values the config classes reject
+    are usage errors.
+    """
+    updates: dict[str, dict[str, object]] = {"medium": {}, "quad": {}, "run": {}}
+    if path is not None:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                for lineno, raw in enumerate(fh, start=1):
+                    line = raw.split("#", 1)[0].strip()
+                    if not line:
+                        continue
+                    if "=" not in line:
+                        raise click.UsageError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
+                    key, _, value = (s.strip() for s in line.partition("="))
+                    if key not in _CONFIG_KEYS:
+                        raise click.UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+                    target, convert = _CONFIG_KEYS[key]
+                    try:
+                        updates[target][key] = convert(value)
+                    except ValueError as exc:
+                        raise click.UsageError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
+        except OSError as exc:
+            raise click.UsageError(f"cannot read config file {path}: {exc}") from exc
+    for key, value in flags.items():
+        if value is not None:
+            updates[_CONFIG_KEYS[key][0]][key] = value
+
+    cfg = RunConfig()
     try:
         medium = replace(cfg.medium, **updates["medium"])
         quad = replace(cfg.quad, **updates["quad"])
-        run = replace(cfg, medium=medium, quad=quad, **updates["run"])
+        return replace(cfg, medium=medium, quad=quad, **updates["run"])
     except ValueError as exc:
         raise click.UsageError(f"invalid configuration: {exc}") from exc
-    if run.kernel_mode not in ("exact", "factorized"):
-        raise click.UsageError(f"kernel_mode must be 'exact' or 'factorized', got {run.kernel_mode!r}")
-    if run.grid_points < 2:
-        raise click.UsageError("grid_points must be >= 2")
-    for name in ("x_star_override", "y_star_override"):
-        v = getattr(run, name)
-        if v is not None and not 0 < v < math.inf:
-            raise click.UsageError(f"{name} must be positive and finite")
-    return run
 
 
 def _write_text(path: str, text: str) -> None:
@@ -127,9 +120,14 @@ def _write_text(path: str, text: str) -> None:
         click.echo(text, nl=False)
 
 
-def _numerical_exit(exc: Exception) -> None:
-    click.echo(f"numerical failure: {exc}", err=True)
-    sys.exit(EXIT_NUMERICAL_FAILURE)
+@contextmanager
+def _numerical_failures():
+    """Exit 3 with a one-line message, no traceback, on a typed numerical failure."""
+    try:
+        yield
+    except (QuadratureError, KernelConvergenceError, BesselDomainError) as exc:
+        click.echo(f"numerical failure: {exc}", err=True)
+        sys.exit(EXIT_NUMERICAL_FAILURE)
 
 
 @click.group()
@@ -140,25 +138,14 @@ def main() -> None:
 @main.command()
 @click.option("--config", "config_path", type=click.Path(), default=None, help="key=value config file")
 @click.option("--output", "output_path", type=click.Path(), default=None, help="CSV destination")
-@click.option("--kernel", type=click.Choice(["exact", "factorized"]), default=None)
+@click.option("--kernel", type=click.Choice(sp._KERNEL_MODES), default=None)
 @click.option("--include-tails", "tail_bound", type=float, default=None, help="integrate tails up to this bound")
+@_numerical_failures()
 def spectrum(config_path, output_path, kernel, tail_bound) -> None:
     """Spectrum CSV plus a summary line with N and the mean energy ratio."""
-    run = parse_config(config_path)
-    if kernel:
-        run = replace(run, kernel_mode=kernel)
-    if output_path:
-        run = replace(run, output_path=output_path)
-    if tail_bound is not None:
-        try:
-            run = replace(run, quad=replace(run.quad, tail_upper_bound=tail_bound))
-        except ValueError as exc:
-            raise click.UsageError(f"--include-tails: {exc}") from exc
+    run = parse_config(config_path, kernel_mode=kernel, output_path=output_path, tail_upper_bound=tail_bound)
     cut = run.cutoffs()
-    try:
-        res = sp.totals(run.medium, cut, run.quad, run.kernel_mode, grid_points=run.grid_points)
-    except (QuadratureError, KernelConvergenceError) as exc:
-        _numerical_exit(exc)
+    res = sp.totals(run.medium, cut, run.quad, run.kernel_mode, grid_points=run.grid_points)
     freq_scale = sp.LIGHT_SPEED_NM_S / (2.0 * math.pi * run.medium.radius * run.medium.n_gas_out)
     lines = ["x,dn_dx,dn_dx_infinite_volume,frequency_phz"]
     for x, v in zip(res.x_grid, res.dn_dx):
@@ -175,17 +162,14 @@ def spectrum(config_path, output_path, kernel, tail_bound) -> None:
 
 @main.command()
 @click.option("--json", "as_json", is_flag=True, default=False)
+@_numerical_failures()
 def table(as_json) -> None:
     """Reproduce the five reference cases; nonzero exit on deviation."""
     rows = []
     failed = False
     for n_in, n_out, n_ref, ratio_ref in REFERENCE_TABLE:
         cfg = MediumConfig(n_gas_in=n_in, n_gas_out=n_out)
-        cut = CutoffProfile.rounded(cfg)
-        try:
-            res = sp.totals(cfg, cut, sp.QuadratureSpec(), "factorized", grid_points=0)
-        except (QuadratureError, KernelConvergenceError) as exc:
-            _numerical_exit(exc)
+        res = sp.totals(cfg, CutoffProfile.rounded(cfg), grid_points=0)
         n_dev = res.total_photons / n_ref - 1.0
         r_dev = res.mean_x_over_xstar - ratio_ref
         ok = abs(n_dev) <= _TABLE_N_TOL and abs(r_dev) <= _TABLE_RATIO_TOL
@@ -221,16 +205,13 @@ def table(as_json) -> None:
 
 
 @main.command("kernel-dump")
-@click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--output", "output_path", type=click.Path(), default=None)
 @click.option("--x-range", nargs=2, type=float, default=(0.5, 12.0), show_default=True)
 @click.option("--y-range", nargs=2, type=float, default=(0.5, 12.0), show_default=True)
 @click.option("--points", type=int, default=60, show_default=True)
-def kernel_dump(config_path, output_path, x_range, y_range, points) -> None:
+@_numerical_failures()
+def kernel_dump(output_path, x_range, y_range, points) -> None:
     """Exact and factorized kernel on a rectangular grid as CSV."""
-    run = parse_config(config_path)
-    if output_path:
-        run = replace(run, output_path=output_path)
     x0, x1 = x_range
     y0, y1 = y_range
     if not (0 < x0 < x1 < math.inf and 0 < y0 < y1 < math.inf) or points < 2:
@@ -238,31 +219,26 @@ def kernel_dump(config_path, output_path, x_range, y_range, points) -> None:
     xs = np.linspace(x0, x1, points)
     ys = np.linspace(y0, y1, points)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    try:
-        exact = f_exact_array(gx, gy).ravel().tolist()
-    except (BesselDomainError, KernelConvergenceError) as exc:
-        _numerical_exit(exc)
+    exact = f_exact_array(gx, gy).ravel().tolist()
     lines = ["x,y,f_exact,f_factorized"]
     for x, y, fe in zip(gx.ravel().tolist(), gy.ravel().tolist(), exact):
         lines.append(f"{x!r},{y!r},{fe!r},{f_factorized(x, y)!r}")
-    _write_text(run.output_path, "\n".join(lines) + "\n")
-    if run.output_path:
-        click.echo(f"wrote {points * points} kernel samples to {run.output_path}")
+    _write_text(output_path or "", "\n".join(lines) + "\n")
+    if output_path:
+        click.echo(f"wrote {points * points} kernel samples to {output_path}")
 
 
 @main.command()
 @click.option("--output", "output_path", type=click.Path(), default=None)
 @click.option("--x-max", type=float, default=14.0, show_default=True)
 @click.option("--points", type=int, default=60, show_default=True)
+@_numerical_failures()
 def diagonal(output_path, x_max, points) -> None:
     """Diagonal kernel D(x) against its fitted form, as CSV."""
     if not 0 < x_max < math.inf or points < 2:
         raise click.UsageError("x-max must be positive and finite, points >= 2")
     xs = np.linspace(x_max / points, x_max, points)
-    try:
-        exact = f_exact_array(xs, xs).tolist()
-    except (BesselDomainError, KernelConvergenceError) as exc:
-        _numerical_exit(exc)
+    exact = f_exact_array(xs, xs).tolist()
     lines = ["x,d_exact,d_approx"]
     for x, d in zip(xs.tolist(), exact):
         lines.append(f"{x!r},{d!r},{d_approx(x)!r}")
@@ -272,6 +248,7 @@ def diagonal(output_path, x_max, points) -> None:
 @main.command("infinite-volume")
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--json", "as_json", is_flag=True, default=False)
+@_numerical_failures()
 def infinite_volume(config_path, as_json) -> None:
     """Closed-form homogeneous-medium totals for the configured medium."""
     run = parse_config(config_path)
@@ -285,42 +262,15 @@ def infinite_volume(config_path, as_json) -> None:
 
 def _run_checks() -> list[dict]:
     rng = random.Random(20260823)
-    reports = []
-
-    worst = 0.0
-    for _ in range(2000):
-        l = rng.randint(0, 60)
-        z = 10 ** rng.uniform(-1, 2)
-        p = bessel_jn_half(ModeOrder(l), z)
-        if p.saturated or math.isinf(p.n):
-            continue
-        # the J/N cross determinant at equal arguments is the Wronskian 2/pi
-        w = _reduced_det(p.j, p.j_prev, z, p.n, p.n_prev, z)
-        worst = max(worst, abs(w - 2 / math.pi) / (2 / math.pi))
-    reports.append(
-        {"name": "wronskian", "max_rel_error": worst, "samples": 2000, "passed": worst < 1e-10}
-    )
-
-    worst = 0.0
-    for _ in range(500):
-        l = rng.randint(0, 20)
-        y = rng.uniform(0.05, 30.0)
-        ratio = rng.uniform(0.5, 3.0)
-        b, c = coefficients_bc(ModeOrder(l), y, ratio)
-        worst = max(worst, abs(b * b + c * c - 1.0))
-    reports.append(
-        {"name": "matching-unit-circle", "max_rel_error": worst, "samples": 500, "passed": worst < 1e-12}
-    )
-
-    for rep in (finite_overlap_checks(rng), spectral_delta_checks()):
-        reports.append(
-            {"name": rep.name, "max_rel_error": rep.max_rel_error, "samples": rep.samples, "passed": rep.passed}
-        )
-    return reports
+    reports = [wronskian_checks(rng), matching_checks(rng), finite_overlap_checks(rng), spectral_delta_checks()]
+    return [
+        {"name": r.name, "max_rel_error": r.max_rel_error, "samples": r.samples, "passed": r.passed} for r in reports
+    ]
 
 
 @main.command()
 @click.option("--json", "as_json", is_flag=True, default=False)
+@_numerical_failures()
 def check(as_json) -> None:
     """Run the identity self-check suites; exit 0 iff all pass."""
     reports = _run_checks()

@@ -205,9 +205,9 @@ def _sorted_batch_values(x: np.ndarray, y: np.ndarray, size: np.ndarray) -> tupl
     jx, jy, jm = j[:, :k], j[:, k : 2 * k], j[:, 2 * k :]
     d = xo * xo - yo * yo
     d[d == 0.0] = math.nan
-    r = ((jx[1:] * yo) * jy[:-1] - (jy[1:] * xo) * jx[:-1]) / d
+    r = _reduced_det(jx[1:], jx[:-1], xo, jy[1:], jy[:-1], yo) / d
     terms[:, off] = ((2 * l + 1) * r) * r
-    det = m * (jm[1:] * jm[1:] + jm[:-1] * jm[:-1]) - ((2 * l + 1.0) * jm[1:]) * jm[:-1]
+    det = _reduced_det_diagonal(l + 0.5, m, jm[1:], jm[:-1])
     r = det / (x[band] + y[band])
     terms[:, band] = ((2 * l + 1) * r) * r
     fails = np.zeros(n, dtype=bool)

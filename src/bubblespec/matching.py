@@ -123,10 +123,9 @@ def coefficients_bc(order: ModeOrder, y: float, index_ratio: float) -> tuple[flo
 
 def normalization_xi(kappa: float, n_liquid: float) -> float:
     """|Xi| = 1 / (sqrt(2 n_liquid) * kappa), the liquid-side mode norm."""
-    if kappa <= 0.0:
-        raise BesselDomainError(f"kappa must be positive, got {kappa}")
-    if n_liquid <= 0.0:
-        raise BesselDomainError(f"n_liquid must be positive, got {n_liquid}")
+    for name, v in (("kappa", kappa), ("n_liquid", n_liquid)):
+        if not 0.0 < v < math.inf:
+            raise BesselDomainError(f"{name} must be positive and finite, got {v}")
     return 1.0 / (math.sqrt(2.0 * n_liquid) * kappa)
 
 

@@ -1,10 +1,12 @@
 """Independent identities used to validate the numerical pipeline.
 
-The closed-form finite-range Bessel overlap integral and the smeared
-spectral delta identities.  The overlap is the exact kernel's own
-pseudo-Wronskian ratio, checked against a self-verified composite
-Gauss-Legendre rule over ``scipy.special.jv``, independent of the
-production Gauss-Kronrod pair.  The delta identities are closed forms.
+The four suites of ``bubblespec check``, each an ``IdentityReport``: the Bessel
+cross-product Wronskian 2/pi, the wall matching's |B|^2 + |C|^2 = 1, the
+closed-form finite-range Bessel overlap integral and the smeared spectral delta
+identities.  The overlap is the exact kernel's own pseudo-Wronskian ratio,
+checked against a self-verified composite Gauss-Legendre rule over
+``scipy.special.jv``, independent of the production Gauss-Kronrod pair.  The
+delta identities are closed forms.
 """
 
 from __future__ import annotations
@@ -16,9 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import _pw_ratios
-from .special_functions import BesselDomainError, ModeOrder
+from .matching import coefficients_bc
+from .special_functions import BesselDomainError, ModeOrder, _reduced_det, bessel_jn_half
 
-__all__ = ["IdentityReport", "finite_overlap_checks", "hankel_finite_integral", "spectral_delta_checks"]
+__all__ = [
+    "IdentityReport", "finite_overlap_checks", "hankel_finite_integral", "matching_checks", "spectral_delta_checks",
+    "wronskian_checks",
+]
 
 
 @dataclass(frozen=True)
@@ -30,6 +36,38 @@ class IdentityReport:
     max_rel_error: float
     samples: int
     passed: bool
+
+
+def wronskian_checks(rng: random.Random) -> IdentityReport:
+    """The J/N cross determinant at equal arguments against the Wronskian 2/pi, at 2000 draws from ``rng``.
+
+    Draws take l in 0..60 and z log-uniform in [0.1, 100], skipping a saturated or overflowed N; passes below 1e-10.
+    """
+    worst = 0.0
+    for _ in range(2000):
+        l = rng.randint(0, 60)
+        z = 10 ** rng.uniform(-1, 2)
+        p = bessel_jn_half(ModeOrder(l), z)
+        if p.saturated or math.isinf(p.n):
+            continue
+        worst = max(worst, abs(_reduced_det(p.j, p.j_prev, z, p.n, p.n_prev, z) - 2 / math.pi))
+    rel = worst / (2 / math.pi)
+    return IdentityReport("wronskian", worst, rel, 2000, rel < 1e-10)
+
+
+def matching_checks(rng: random.Random) -> IdentityReport:
+    """|B^2 + C^2 - 1| of ``coefficients_bc`` at 500 draws from ``rng``; passes below 1e-12.
+
+    Draws take l in 0..20, y in [0.05, 30] and the index ratio in [0.5, 3].
+    """
+    worst = 0.0
+    for _ in range(500):
+        l = rng.randint(0, 20)
+        y = rng.uniform(0.05, 30.0)
+        ratio = rng.uniform(0.5, 3.0)
+        b, c = coefficients_bc(ModeOrder(l), y, ratio)
+        worst = max(worst, abs(b * b + c * c - 1.0))
+    return IdentityReport("matching-unit-circle", worst, worst, 500, worst < 1e-12)
 
 
 def hankel_finite_integral(order: ModeOrder, k1: float, k2: float, R: float) -> float:

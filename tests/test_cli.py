@@ -290,3 +290,54 @@ def test_overflowing_integrand_exits_3_without_warnings(tmp_path):
     assert "numerical failure: integrand is not finite on the panel" in out.stderr
     assert "RuntimeWarning" not in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def _cli_process(*args):
+    # a real process, so an escaped exception would print its traceback
+    src = str(Path(bubblespec.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); from bubblespec.cli import main; main()"
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=60)
+
+
+def test_subnormal_cutoff_in_exact_mode_exits_3(tmp_path):
+    # y* = 1e-310 puts subnormal arguments into the exact kernel, which raises BesselDomainError
+    text = "kernel_mode = exact\ny_star_override = 1e-310\ngrid_points = 3\nrel_tol = 1e-4\n"
+    out = _cli_process("spectrum", "--config", _write(tmp_path, "cfg.txt", text))
+    assert out.returncode == 3, out.stderr
+    assert "numerical failure" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "line", ["kernel_mode = bogus", "grid_points = 1", "x_star_override = 0", "y_star_override = -1"]
+)
+def test_invalid_run_config_values_exit_2_naming_the_key(tmp_path, line):
+    out = _cli_process("spectrum", "--config", _write(tmp_path, "cfg.txt", line + "\n"))
+    assert out.returncode == 2, out.stderr
+    assert line.split()[0] in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_kernel_flag_and_kernel_mode_key_give_the_same_bytes(tmp_path):
+    base = "grid_points = 3\nrel_tol = 1e-4\n"
+    keyed = _write(tmp_path, "keyed.txt", base + "kernel_mode = exact\n")
+    plain = _write(tmp_path, "plain.txt", base)
+    outputs = []
+    for args in (["--config", keyed], ["--config", plain, "--kernel", "exact"], ["--config", plain]):
+        out = str(tmp_path / "spec.csv")
+        res = CliRunner().invoke(main, ["spectrum", *args, "--output", out])
+        assert res.exit_code == 0, res.output
+        outputs.append((open(out, "rb").read(), res.output))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] != outputs[2][0]
+
+
+def test_check_json_lists_the_four_suites_in_order():
+    res = CliRunner().invoke(main, ["check", "--json"])
+    assert res.exit_code == 0, res.output
+    assert [(r["name"], r["samples"]) for r in json.loads(res.output)] == [
+        ("wronskian", 2000),
+        ("matching-unit-circle", 500),
+        ("finite-overlap-closed-form", 25),
+        ("spectral-delta", 7),
+    ]

@@ -32,3 +32,31 @@ def test_no_unused_module_level_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.stem}.{name}" for name in imported if name not in used]
     assert sorted(set(unused) - allowed) == []
+
+
+def test_no_unreferenced_private_module_level_names():
+    # A private function, class or constant that nothing in the package reads is dead code.
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(bubblespec.__file__).parent.glob("*.py"))
+    }
+    referenced = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) or (isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store))
+    }
+    defined = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((stem, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(stem, t.id) for t in targets if isinstance(t, ast.Name)]
+    unreferenced = [
+        f"{stem}.{name}"
+        for stem, name in defined
+        if name.startswith("_") and not name.startswith("__") and name not in referenced
+    ]
+    assert unreferenced == []

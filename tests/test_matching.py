@@ -110,6 +110,15 @@ def test_normalization_xi():
         normalization_xi(1.0, -2.0)
 
 
+@pytest.mark.parametrize("kappa, n_liquid", [(math.nan, 1.3), (math.inf, 1.3), (1.0, math.inf), (1.0, math.nan)])
+def test_non_finite_normalization_inputs_raise(kappa, n_liquid):
+    # NaN passed a <= 0 test and inf gave |Xi| = 0
+    with pytest.raises(BesselDomainError):
+        normalization_xi(kappa, n_liquid)
+    with pytest.raises(BesselDomainError):
+        matching_coefficients(ModeOrder(2), 4.0, 1.3, kappa=kappa, n_liquid=n_liquid)
+
+
 def test_bundle():
     mc = matching_coefficients(ModeOrder(2), 4.0, 1.3, kappa=2.0, n_liquid=1.3)
     assert mc.a_sq == pytest.approx(coefficient_a_sq(ModeOrder(2), 4.0, 1.3), rel=1e-14)
