@@ -114,8 +114,11 @@ def parse_config(path: str | None, **flags: object) -> RunConfig:
 
 def _write_text(path: str, text: str) -> None:
     if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise click.UsageError(f"cannot write output file {path}: {exc}") from exc
     else:
         click.echo(text, nl=False)
 

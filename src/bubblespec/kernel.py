@@ -25,6 +25,7 @@ from .matching import MediumConfig, _require_positive_finite
 # bessel_jn_half is unused here but perfbench/test_perfbench.py reads it.
 from .special_functions import (
     _BOUND_SAFETY,
+    _MAX_ARGUMENT,
     BesselDomainError,
     ModeOrder,
     _half_integer_j_table,
@@ -157,8 +158,8 @@ def f_exact(x: float, y: float) -> KernelValue:
     Unit amplitudes match the diagonal study and the factorized
     approximation; the wall amplitudes themselves are in ``matching``.
     """
-    if not (sys.float_info.min <= x < math.inf and sys.float_info.min <= y < math.inf):
-        raise BesselDomainError(f"kernel arguments must be normal positive finite doubles, got x={x}, y={y}")
+    if not (sys.float_info.min <= x <= _MAX_ARGUMENT and sys.float_info.min <= y <= _MAX_ARGUMENT):
+        raise BesselDomainError(f"kernel arguments must be normal doubles in (0, {_MAX_ARGUMENT:g}], got x={x}, y={y}")
     # The tail bound holds for nu = l + 1/2 > half_e_m.
     half_e_m = math.e * max(x, y) / 2.0
     terms = _kernel_terms(x, y, int(half_e_m) + _L_MARGIN)
@@ -188,32 +189,21 @@ def f_exact(x: float, y: float) -> KernelValue:
 
 
 def _sorted_batch_values(x: np.ndarray, y: np.ndarray, size: np.ndarray) -> tuple[list[float], np.ndarray]:
-    """f_exact's value and l_used at each point, NaN and 0 where it fails; table sizes descending.
+    """f_exact's value and l_used at each off-band point, NaN and 0 where it fails; table sizes descending.
 
     Runs f_exact's algorithm on every point at once: the same J tables and
     terms, each point's own table size, the running sums by cumsum, and
     the certification tests of f_exact order by order.
     """
-    n, l_top = x.size, int(size[0])
-    band = np.abs(x - y) < _DIAG_BAND * np.minimum(np.minimum(x, y), 1.0)
-    off = ~band
-    k = int(np.count_nonzero(off))
-    xo, yo, m = x[off], y[off], 0.5 * (x[band] + y[band])
-    j = _half_integer_j_table(l_top, np.concatenate([xo, yo, m]), np.concatenate([size[off], size[off], size[band]]))
+    l_top = int(size[0])
+    # A point's two columns side by side keep the recurrence starts (size + margin) descending.
+    j = _half_integer_j_table(l_top, np.stack([x, y], axis=1).ravel(), np.repeat(size, 2))
+    jx, jy = j[:, 0::2], j[:, 1::2]
     l = np.arange(1, l_top + 1)[:, None]
-    terms = np.empty((l_top, n))
-    jx, jy, jm = j[:, :k], j[:, k : 2 * k], j[:, 2 * k :]
-    d = xo * xo - yo * yo
-    d[d == 0.0] = math.nan
-    r = _reduced_det(jx[1:], jx[:-1], xo, jy[1:], jy[:-1], yo) / d
-    terms[:, off] = ((2 * l + 1) * r) * r
-    det = _reduced_det_diagonal(l + 0.5, m, jm[1:], jm[:-1])
-    r = det / (x[band] + y[band])
-    terms[:, band] = ((2 * l + 1) * r) * r
-    fails = np.zeros(n, dtype=bool)
-    fails[band] = det[0] <= _DIAG_RESOLUTION * m * (jm[1] * jm[1] + jm[0] * jm[0])
+    # Where x^2 - y^2 underflows to 0 the terms are inf or NaN, and f_exact raises.
+    r = _reduced_det(jx[1:], jx[:-1], x, jy[1:], jy[:-1], y) / (x * x - y * y)
+    terms = ((2 * l + 1) * r) * r
     acc = np.cumsum(terms, axis=0)
-    within = l <= size
     half_e_m = math.e * np.maximum(x, y) / 2.0
     # tail_term_scale at nu = l + 1.5 and l + 2.5 for the orders l >= lo, from
     # below the first order any point tests; its nu-only part through libm.
@@ -228,51 +218,47 @@ def _sorted_batch_values(x: np.ndarray, y: np.ndarray, size: np.ndarray) -> tupl
     b2 = ((2 * l[lo - 1 :] + 5) * scale[1:]) * scale[1:]
     ratio = np.divide(b2, b1, out=np.zeros_like(b1), where=b1 > 0.0)
     budget = _TAIL_REL * acc[lo - 1 :]
-    tail = within[lo - 1 :] & (l[lo - 1 :] + 1.5 > half_e_m)
-    tiny = _first(tail & (budget < sys.float_info.min)) + lo - 1
-    done = _first(tail & (ratio < 0.9) & (b1 / (1.0 - ratio) <= budget)) + lo - 1
-    # f_exact raises at a non-finite term before adding it, and at a tiny budget before its tail test.
-    fails |= (done >= _first(within & ~np.isfinite(terms))) | (done >= tiny)
-    used = np.where(fails, 0, done + 1)
+    tail = (l[lo - 1 :] <= size) & (l[lo - 1 :] + 1.5 > half_e_m)
+    certified = tail & (ratio < 0.9) & (b1 / (1.0 - ratio) <= budget)
+    done, cols = certified.argmax(axis=0), np.arange(x.size)
+    # f_exact raises at a non-finite term, which leaves all later sums non-finite, and at a budget below
+    # the double range, smallest at the first tail order (half_e_m - 1.5 is exact): the terms are squares.
+    first = np.maximum(np.floor(half_e_m - 1.5).astype(int) + 1, 1)
+    ok = certified[done, cols] & np.isfinite(acc[done + lo - 1, cols])
+    ok &= _TAIL_REL * acc[first - 1, cols] >= sys.float_info.min
+    used = np.where(ok, done + lo, 0)
     values = [math.fsum(t[:u]) if u else math.nan for t, u in zip(terms.T.tolist(), used.tolist())]
     return values, used
-
-
-def _first(mask: np.ndarray) -> np.ndarray:
-    """Row of the first True in each column of mask, or the row count where there is none."""
-    return np.where(mask.any(axis=0), mask.argmax(axis=0), mask.shape[0])
 
 
 def f_exact_array(x, y) -> np.ndarray:
     """f_exact(x, y).value at every point of the broadcast arrays x and y, bit for bit, in numpy passes.
 
-    The points run in sub-batches of at most about _TABLE_ENTRIES Bessel
-    table entries, grouped by table size, so memory stays flat in the
-    number of points.  A point where f_exact fails is handed to f_exact,
-    so the first one in input order raises f_exact's own error.  The tail
-    bound uses numpy's exp and log, which may differ from libm's in the
-    last bit; that could move a point's truncation only where a
-    certification test is tied to the last bit.  For one point, f_exact is
-    the faster path.
+    Off-band points run in sub-batches of at most about _TABLE_ENTRIES
+    Bessel table entries, grouped by table size, so memory stays flat in
+    the number of points.  Points in the diagonal band, outside the domain
+    or where the batch fails go to f_exact in input order, so the first
+    failing point raises f_exact's own error.  The tail bound uses numpy's
+    exp and log, which may differ from libm's in the last bit; that could
+    move a point's truncation only where a certification test is tied to
+    the last bit.  For one point, f_exact is the faster path.
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     shape, x, y = x.shape, x.ravel(), y.ravel()
-    normal = (x >= sys.float_info.min) & (x < math.inf) & (y >= sys.float_info.min) & (y < math.inf)
-    fails = ~normal
     values = np.empty(x.size)
-    idx = np.flatnonzero(normal)
-    size = np.zeros(x.size, dtype=int)
-    size[idx] = (math.e * np.maximum(x[idx], y[idx]) / 2.0).astype(int) + _L_MARGIN
-    idx = idx[np.argsort(-size[idx], kind="stable")]
-    at = 0
     # Overflow and invalid operations give inf or NaN, as in f_exact's Python floats; the tests catch them.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lo, hi = np.minimum(x, y), np.maximum(x, y)
+        batch = (lo >= sys.float_info.min) & (hi <= _MAX_ARGUMENT) & (hi - lo >= _DIAG_BAND * np.minimum(lo, 1.0))
+        size = np.where(batch, math.e * hi / 2.0, 0.0).astype(int) + _L_MARGIN
+        idx = np.flatnonzero(batch)[np.argsort(-size[batch], kind="stable")]
+        at = 0
         while at < idx.size:
             sub = idx[at : at + max(1, _TABLE_ENTRIES // (2 * (size[idx[at]] + 1)))]
             values[sub], used = _sorted_batch_values(x[sub], y[sub], size[sub])
-            fails[sub] = used == 0
+            batch[sub] = used > 0
             at += sub.size
-    for i in np.flatnonzero(fails).tolist():
+    for i in np.flatnonzero(~batch).tolist():
         values[i] = f_exact(float(x[i]), float(y[i])).value
     return values.reshape(shape)
 

@@ -78,11 +78,8 @@ def wall_amplitudes(l_max: int, y: float, index_ratio: float) -> list[tuple[floa
     |A|^2 = (4/pi^2) / (D1^2 + D2^2) and (B, C) = (D1, -D2)/hypot(D1, D2).
     Orders whose Bessel values under- or overflowed get inf or NaN entries
     instead of raising, so a table may run past the orders a caller uses.
+    A surface argument outside the Bessel domain raises BesselDomainError.
     """
-    if y <= 0.0 or index_ratio <= 0.0:
-        raise BesselDomainError(
-            f"matching requires y > 0 and index ratio > 0, got y={y}, ratio={index_ratio}"
-        )
     ny = index_ratio * y
     j_in = half_integer_j_array(l_max, y)
     j_out, n_out = half_integer_j_array(l_max, ny), half_integer_n_array(l_max, ny)

@@ -78,8 +78,9 @@ def hankel_finite_integral(order: ModeOrder, k1: float, k2: float, R: float) -> 
     the midpoint, R^2/(2z) [z (J^2 + J_{nu-1}^2) - 2 nu J J_{nu-1}], and
     raise its KernelConvergenceError where that limit cancels at a tiny z.
     """
-    if k1 <= 0.0 or k2 <= 0.0 or R <= 0.0:
-        raise BesselDomainError("wavenumbers and radius must be positive")
+    # A non-positive wavenumber leaves the Bessel domain, but R < 0 would turn two negative ones positive.
+    if R <= 0.0:
+        raise BesselDomainError(f"radius must be positive, got R={R}")
     return R * R * _pw_ratios(k1 * R, k2 * R, max(order.l, 1))[order.l]
 
 

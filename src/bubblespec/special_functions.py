@@ -18,6 +18,7 @@ All functions are pure; values are freely shareable across threads.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -40,10 +41,12 @@ __all__ = [
 _RATIO_MARGIN = 40
 _UNDERFLOW_FLOOR = 1e-300
 _BOUND_SAFETY = 10.0
+# Largest Bessel and kernel argument, 255 times x* = 392: tables run to e*z/2 orders; f_exact(1e5, 1) takes 0.25 s.
+_MAX_ARGUMENT = 1e5
 
 
 class BesselDomainError(ValueError):
-    """Argument below the smallest normal double or not finite, or wall amplitudes that are not finite there."""
+    """Argument below the smallest normal double or above _MAX_ARGUMENT, or wall amplitudes not finite there."""
 
 
 class AsymptoticRegimeError(ValueError):
@@ -52,7 +55,7 @@ class AsymptoticRegimeError(ValueError):
 
 @dataclass(frozen=True)
 class ModeOrder:
-    """Angular momentum l with half-integer Bessel order nu = l + 1/2.
+    """Angular momentum l (any integer type but bool, stored as int) with half-integer Bessel order nu = l + 1/2.
 
     Physical photon modes have l >= 1 (no monopole radiation); l = 0 is
     permitted for internal math use only.
@@ -61,8 +64,9 @@ class ModeOrder:
     l: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.l, int) or self.l < 0:
+        if isinstance(self.l, bool) or not hasattr(self.l, "__index__") or self.l < 0:
             raise ValueError(f"angular momentum must be a non-negative integer, got {self.l!r}")
+        object.__setattr__(self, "l", operator.index(self.l))
 
     @property
     def nu(self) -> float:
@@ -126,10 +130,10 @@ def _sph_yn_seq(l_max: int, z: float) -> list[float]:
 
 
 def _half_order_scale(z: float) -> float:
-    """sqrt(2z/pi), the factor taking spherical to half-integer-order Bessel functions at normal 0 < z < inf."""
+    """sqrt(2z/pi), taking spherical to half-integer-order Bessel functions at normal 0 < z <= _MAX_ARGUMENT."""
     # Subnormal z is rejected: below about 5.6e-309 1/z overflows and the closed forms turn NaN.
-    if not sys.float_info.min <= z < math.inf:
-        raise BesselDomainError(f"argument must be a normal positive finite double, got {z}")
+    if not sys.float_info.min <= z <= _MAX_ARGUMENT:
+        raise BesselDomainError(f"argument must be a normal double in (0, {_MAX_ARGUMENT:g}], got {z}")
     return math.sqrt(2.0 * z / math.pi)
 
 
@@ -145,35 +149,33 @@ def _half_integer_j_table(l_max: int, z: np.ndarray, l_each: np.ndarray) -> np.n
     Column a runs the recurrence of ``half_integer_j_array(l_each[a], z[a])``
     (l_each[a] <= l_max) with the same start, operations and rounding, so
     its rows 0..l_each[a] equal that list bit for bit; the rows past it are
-    of no use.  Every z must be a normal positive finite double.
+    of no use.  Every z must be in the Bessel domain, and the columns in
+    descending order of their start max(l_each, int(e*z/2)) (else ValueError).
     """
     start = np.maximum(l_each, (math.e * z / 2.0).astype(int)) + _RATIO_MARGIN
-    # Columns by descending start: the recurrences running at order l are a prefix.
-    order = np.argsort(-start, kind="stable")
-    zs = z[order]
-    running = (z.size - np.searchsorted(start[order][::-1], np.arange(start.max() + 1))).tolist()
+    if np.any(start[1:] > start[:-1]):
+        raise ValueError("columns must come in descending order of their recurrence start")
+    running = (z.size - np.searchsorted(start[::-1], np.arange(start[0] + 1))).tolist()
     rows = np.empty((l_max + 1, z.size))
     r = np.zeros(z.size)
     for l in range(len(running) - 1, 0, -1):
         k = running[l]
-        d = (2 * l + 1) - zs[:k] * r[:k]
+        d = (2 * l + 1) - z[:k] * r[:k]
         if np.count_nonzero(d) < k:
             d[d == 0.0] = sys.float_info.epsilon * (2 * l + 1)
-        np.divide(zs[:k], d, out=r[:k])
+        np.divide(z[:k], d, out=r[:k])
         if l <= l_max:
             rows[l] = r
     # The closed forms through libm, as in _sph_jn_seq; numpy's may differ in the last bit.
-    listed = zs.tolist()
-    j0 = np.array(list(map(math.sin, listed))) / zs
-    j1 = j0 / zs - np.array(list(map(math.cos, listed))) / zs
+    listed = z.tolist()
+    j0 = np.array(list(map(math.sin, listed))) / z
+    j1 = j0 / z - np.array(list(map(math.cos, listed))) / z
     # Multiply up from whichever closed form is farther from its zero.
     rows[1] = np.where(np.abs(j1) > np.abs(j0), j1, j0 * rows[1])
     np.cumprod(rows[1:], axis=0, out=rows[1:])
     rows[0] = j0
-    rows *= np.sqrt(2.0 * zs / math.pi)
-    out = np.empty_like(rows)
-    out[:, order] = rows
-    return out
+    rows *= np.sqrt(2.0 * z / math.pi)
+    return rows
 
 
 def half_integer_n_array(l_max: int, z: float) -> list[float]:

@@ -309,6 +309,31 @@ def test_subnormal_cutoff_in_exact_mode_exits_3(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "args, code, message",
+    [
+        (["kernel-dump", "--x-range", "1", "1e300", "--y-range", "1", "2", "--points", "2"], 3, "in (0, 100000]"),
+        (["diagonal", "--x-max", "1e300", "--points", "2"], 3, "in (0, 100000]"),
+        (["spectrum", "--config", "{tmp}/tails.cfg"], 3, "in (0, 100000]"),
+        (["spectrum", "--config", "{tmp}/subnormal.cfg"], 3, "numerical failure"),
+        (["diagonal", "--points", "3", "--output", "{tmp}/missing/d.csv"], 2, "cannot write output file"),
+        (["kernel-dump", "--points", "2", "--output", "{tmp}"], 2, "cannot write output file"),
+        (["spectrum", "--config", "{tmp}/grid.cfg", "--output", "{tmp}"], 2, "cannot write output file"),
+    ],
+    ids=["dump-large", "diagonal-large", "tail-bound-large", "subnormal-x-star", "no-dir", "dump-to-dir", "csv-to-dir"],
+)
+def test_out_of_domain_arguments_and_unwritable_outputs_exit_cleanly(tmp_path, args, code, message):
+    # README: exit 3 for a numerical failure, 2 for a usage error; either way one message and no traceback
+    exact = "kernel_mode = exact\ngrid_points = 3\nrel_tol = 1e-4\n"
+    _write(tmp_path, "tails.cfg", exact + "tail_upper_bound = 1e300\n")
+    _write(tmp_path, "subnormal.cfg", exact + "x_star_override = 1e-310\n")
+    _write(tmp_path, "grid.cfg", "grid_points = 3\n")
+    out = _cli_process(*(a.format(tmp=tmp_path) for a in args))
+    assert out.returncode == code, out.stderr
+    assert message in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
     "line", ["kernel_mode = bogus", "grid_points = 1", "x_star_override = 0", "y_star_override = -1"]
 )
 def test_invalid_run_config_values_exit_2_naming_the_key(tmp_path, line):

@@ -21,6 +21,7 @@ from bubblespec.kernel import (
 )
 from bubblespec.matching import MediumConfig, coefficient_a_sq
 from bubblespec.special_functions import (
+    _MAX_ARGUMENT,
     AsymptoticRegimeError,
     BesselDomainError,
     ModeOrder,
@@ -312,10 +313,13 @@ def test_f_exact_array_is_f_exact_bit_for_bit():
     x, y = _array_sweep(11, 600)
     want = [f_exact(float(a), float(b)) for a, b in zip(x, y)]
     assert f_exact_array(x, y).tolist() == [v.value for v in want]
-    # the same truncation too: one sub-batch per table size
+    # the same truncation too: one sub-batch of off-band points per table size
     size = (math.e * np.maximum(x, y) / 2.0).astype(int) + _L_MARGIN
+    off = np.abs(x - y) >= kernel._DIAG_BAND * np.minimum(np.minimum(x, y), 1.0)
     for s in np.unique(size):
-        at = np.flatnonzero(size == s)
+        at = np.flatnonzero((size == s) & off)
+        if not at.size:
+            continue
         _, used = kernel._sorted_batch_values(x[at], y[at], size[at])
         assert used.tolist() == [want[i].l_used for i in at]
 
@@ -335,6 +339,62 @@ def test_f_exact_array_values_do_not_depend_on_the_batch(monkeypatch):
     grid = f_exact_array(x[:3, None], y[None, :4])
     assert grid.shape == (3, 4)
     assert grid[2, 1] == f_exact(float(x[2]), float(y[1])).value
+
+
+def test_f_exact_array_hands_exactly_the_band_points_to_f_exact(monkeypatch):
+    # the diagonal band lives in f_exact alone; the batch takes every other point of the sweep
+    x, y = _array_sweep(13, 200)
+    calls = []
+
+    def recording(a, b):
+        calls.append((a, b))
+        return f_exact(a, b)
+
+    monkeypatch.setattr(kernel, "f_exact", recording)
+    f_exact_array(x, y)
+    band = np.abs(x - y) < kernel._DIAG_BAND * np.minimum(np.minimum(x, y), 1.0)
+    assert 0 < band.sum() < x.size
+    assert calls == list(zip(x[band].tolist(), y[band].tolist()))
+
+
+def test_f_exact_array_matches_f_exact_at_tiny_and_mixed_scale_points():
+    # off-band points log-uniform in [1e-300, 400]^2: most of them make f_exact raise
+    rng = random.Random(71)
+    points = []
+    while len(points) < 400:
+        x, y = (10.0 ** rng.uniform(-300.0, math.log10(400.0)) for _ in range(2))
+        if abs(x - y) >= kernel._DIAG_BAND * min(x, y, 1.0):
+            points.append((x, y))
+    want = [_scalar_error(x, y) or f_exact(x, y) for x, y in points]
+    for (x, y), w in zip(points, want):
+        if isinstance(w, Exception):
+            with pytest.raises(type(w)) as exc:
+                f_exact_array(x, y)
+            assert str(exc.value) == str(w)
+            assert getattr(exc.value, "partial", None) == getattr(w, "partial", None)
+            assert getattr(exc.value, "l_reached", None) == getattr(w, "l_reached", None)
+        else:
+            assert f_exact_array(x, y) == w.value
+    assert {type(w).__name__ for w in want} == {"KernelValue", "KernelConvergenceError"}
+    # one batch of mixed table sizes: f_exact's truncation where it certifies, a failure (0) where it raises
+    x, y = np.array(points).T
+    size = (math.e * np.maximum(x, y) / 2.0).astype(int) + _L_MARGIN
+    order = np.argsort(-size, kind="stable")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _, used = kernel._sorted_batch_values(x[order], y[order], size[order])
+    assert used.tolist() == [0 if isinstance(want[i], Exception) else want[i].l_used for i in order]
+
+
+def test_kernel_arguments_above_the_limit_raise_the_domain_error():
+    # past the limit no table is sized: no int64 overflow, no minutes-long table
+    big = math.nextafter(_MAX_ARGUMENT, math.inf)
+    for x, y in ((big, 1.0), (1.0, 1e19), (1e300, 1.0), (1e300, 1e300)):
+        with pytest.raises(BesselDomainError, match="in \\(0, 100000\\]"):
+            f_exact(x, y)
+        with pytest.raises(BesselDomainError, match="in \\(0, 100000\\]"):
+            f_exact_array(np.array([2.0, x]), np.array([3.0, y]))
+    # the limit itself is in the domain, batched too
+    assert f_exact_array(_MAX_ARGUMENT, 1.0) == f_exact(_MAX_ARGUMENT, 1.0).value
 
 
 def _scalar_error(x, y):

@@ -134,6 +134,17 @@ def test_domain_errors():
         coefficients_bc(ModeOrder(1), 2.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "y, ratio",
+    [(0.0, 1.3), (-1.0, 1.3), (math.nan, 1.3), (math.inf, 1.3), (5e-310, 1.3), (1e6, 1.3)]
+    + [(2.0, 0.0), (2.0, -1.0), (2.0, math.nan), (2.0, math.inf), (2.0, 1e6)],
+)
+def test_surface_arguments_outside_the_bessel_domain_raise(y, ratio):
+    # y inside and ratio * y outside must both be Bessel arguments
+    with pytest.raises(BesselDomainError, match="argument must be a normal double"):
+        wall_amplitudes(3, y, ratio)
+
+
 def test_table_rows_equal_single_order_calls():
     rng = random.Random(43)
     for _ in range(50):

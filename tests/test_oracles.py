@@ -90,6 +90,15 @@ def test_domain_errors():
         hankel_finite_integral(ModeOrder(1), 1.0, 2.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "k1, k2, R", [(1.0, 0.0, 5.0), (math.nan, 2.0, 5.0), (1.0, 2.0, -5.0), (-1.0, -2.0, -5.0)]
+)
+def test_every_sign_error_raises_the_domain_error(k1, k2, R):
+    # a negative radius would turn two negative wavenumbers into positive arguments
+    with pytest.raises(BesselDomainError):
+        hankel_finite_integral(ModeOrder(1), k1, k2, R)
+
+
 def test_spectral_delta_suite():
     rep = spectral_delta_checks()
     assert rep.passed

@@ -2,15 +2,18 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from bubblespec.kernel import _DIAG_BAND, _pw_ratios, f_exact
 from bubblespec.oracles import hankel_finite_integral
 from bubblespec.special_functions import (
+    _MAX_ARGUMENT,
     AsymptoticRegimeError,
     BesselDomainError,
     BesselPair,
     ModeOrder,
+    _half_integer_j_table,
     bessel_jn_half,
     half_integer_j_array,
     half_integer_n_array,
@@ -38,6 +41,15 @@ def test_order_validation():
     with pytest.raises(ValueError):
         ModeOrder(1.5)
     assert ModeOrder(3).nu == 3.5
+
+
+def test_order_accepts_integer_types_and_rejects_bool():
+    order = ModeOrder(np.int64(3))
+    assert order == ModeOrder(3)
+    assert type(order.l) is int
+    for bad in (True, False, np.True_, 3.0, "3"):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            ModeOrder(bad)
 
 
 def test_frozen_values_l1():
@@ -89,6 +101,43 @@ def test_domain_errors():
 def test_non_finite_arguments_raise_the_domain_error(call, z):
     with pytest.raises(BesselDomainError):
         call(z)
+
+
+@pytest.mark.parametrize("z", [math.nextafter(_MAX_ARGUMENT, math.inf), 1e19, 1e300])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda z: half_integer_j_array(3, z),
+        lambda z: half_integer_n_array(3, z),
+        lambda z: bessel_jn_half(ModeOrder(2), z),
+        lambda z: _pw_ratios(z, 1.0, 2),
+        lambda z: _pw_ratios(z, z, 2),
+        lambda z: hankel_finite_integral(ModeOrder(1), z, 1.0, 1.0),
+    ],
+    ids=["j-table", "n-table", "pair", "ratio", "ratio-diagonal", "overlap-k"],
+)
+def test_arguments_above_the_limit_raise_the_domain_error(call, z):
+    # checked before any table is sized
+    with pytest.raises(BesselDomainError, match="in \\(0, 100000\\]"):
+        call(z)
+
+
+def test_the_argument_limit_itself_is_in_the_domain():
+    z = _MAX_ARGUMENT
+    assert half_integer_j_array(2, z)[0] == pytest.approx(math.sqrt(2.0 / (math.pi * z)) * math.sin(z), rel=1e-15)
+
+
+def test_j_table_requires_columns_in_descending_start_order():
+    z, l_each = np.array([300.0, 5.0, 2.0]), np.array([3, 3, 3])
+    table = _half_integer_j_table(3, z, l_each)
+    for a in range(3):
+        assert table[:, a].tolist() == half_integer_j_array(3, float(z[a]))[:4]
+    with pytest.raises(ValueError, match="descending order"):
+        _half_integer_j_table(3, z[::-1].copy(), l_each)
+    # the start is max(l_each, int(e z/2)) + margin: a large enough l_each puts a small z first
+    with pytest.raises(ValueError, match="descending order"):
+        _half_integer_j_table(600, np.array([300.0, 5.0]), np.array([3, 600]))
+    assert _half_integer_j_table(600, np.array([5.0, 300.0]), np.array([600, 3])).shape == (601, 2)
 
 
 def test_deep_underflow_regime():
