@@ -23,7 +23,6 @@ from .oracles import IdentityReport, finite_overlap_checks, hankel_finite_integr
 from .oracles import spectral_delta_checks, wronskian_checks
 from .quadrature import QuadratureError, QuadResult, adaptive_quad
 from .special_functions import (
-    AsymptoticRegimeError,
     BesselDomainError,
     BesselPair,
     ModeOrder,

@@ -24,16 +24,13 @@ import numpy as np
 from .matching import MediumConfig, _require_positive_finite
 # bessel_jn_half is unused here but perfbench/test_perfbench.py reads it.
 from .special_functions import (
-    _BOUND_SAFETY,
     _MAX_ARGUMENT,
     BesselDomainError,
-    ModeOrder,
     _half_integer_j_table,
     _reduced_det,
     _reduced_det_diagonal,
     bessel_jn_half,
     half_integer_j_array,
-    tail_term_scale,
 )
 
 __all__ = [
@@ -59,6 +56,8 @@ _DIAG_BAND = 1e-4
 # 0.044 m^2 of their size; below this fraction (m < ~1e-3) the rounding of
 # the parts alone would exceed the tail budget in the dominant term.
 _DIAG_RESOLUTION = 2.0 * sys.float_info.epsilon / _TAIL_REL
+# Safety factor of the large-order bound on |W~_nu/(x^2 - y^2)| over its magnitude.
+_BOUND_SAFETY = 10.0
 # The tail certifies within a few orders of where its bound applies; the
 # term table reaches this far past that order, and the sum fails if its
 # tail is not certified by the end of the table.
@@ -79,10 +78,10 @@ _F_FIT_SCALE = 16000.0
 class KernelConvergenceError(ArithmeticError):
     """Unit-amplitude angular-momentum sum unresolved in doubles (tiny argument) or uncertified at the end of its table.
 
-    Tiny arguments: a non-finite term, a diagonal l = 1 term lost to
-    cancellation, or a kernel too small for its 1e-8 tail budget to be a
-    normal double.  End of table (a guard): ``partial`` sums the whole
-    table and ``l_reached`` is its size.
+    ``l_reached`` is the order f_exact stopped at, and ``partial`` sums the terms below it
+    for a non-finite term, through it for a tail budget (1e-8 of the sum, tested at the
+    first tail order) that is not a normal double, none for a diagonal l = 1 term lost
+    to cancellation, and the whole table at its end (a guard).
     """
 
     def __init__(self, message: str, partial: float, l_reached: int):
@@ -152,48 +151,75 @@ def _kernel_terms(x: float, y: float, size: int) -> list[float]:
 def f_exact(x: float, y: float) -> KernelValue:
     """Exact kernel F(x, y) = sum_{l>=1} (2l+1) W~^2/(x^2-y^2)^2 with unit wall amplitudes.
 
-    The sum stops where the large-order tail bound (nu > e*max(x, y)/2)
-    falls below 1e-8 of the partial sum, inside one table of
-    int(e*max(x, y)/2) + _L_MARGIN terms; past it KernelConvergenceError.
-    Unit amplitudes match the diagonal study and the factorized
+    One table of int(e*max(x, y)/2) + _L_MARGIN terms from the scalar
+    recurrence, truncated by _certify where the large-order tail bound
+    falls below 1e-8 of the partial sum; KernelConvergenceError where it
+    fails.  Unit amplitudes match the diagonal study and the factorized
     approximation; the wall amplitudes themselves are in ``matching``.
     """
     if not (sys.float_info.min <= x <= _MAX_ARGUMENT and sys.float_info.min <= y <= _MAX_ARGUMENT):
         raise BesselDomainError(f"kernel arguments must be normal doubles in (0, {_MAX_ARGUMENT:g}], got x={x}, y={y}")
-    # The tail bound holds for nu = l + 1/2 > half_e_m.
-    half_e_m = math.e * max(x, y) / 2.0
-    terms = _kernel_terms(x, y, int(half_e_m) + _L_MARGIN)
-    acc = 0.0
-    for l, t in enumerate(terms, 1):
-        if not math.isfinite(t):
-            cause = "Bessel values out of double range at a tiny argument"
-            raise KernelConvergenceError(f"non-finite kernel term at l={l}, (x, y)=({x}, {y}): {cause}", acc, l)
-        acc += t
-        # Certify the remainder once the asymptotic regime is reached.
-        if l + 1.5 <= half_e_m:
-            continue
-        if _TAIL_REL * acc < sys.float_info.min:
-            raise KernelConvergenceError(
-                f"tail budget below the double range at l={l}, (x, y)=({x}, {y}): tiny argument", acc, l
-            )
-        s1 = tail_term_scale(ModeOrder(l + 1), x, y)
-        s2 = tail_term_scale(ModeOrder(l + 2), x, y)
-        b1 = (2 * l + 3) * s1 * s1
-        b2 = (2 * l + 5) * s2 * s2
-        ratio = b2 / b1 if b1 > 0.0 else 0.0
-        if ratio < 0.9:
-            tail_est = b1 / (1.0 - ratio)
-            if tail_est <= _TAIL_REL * acc:
-                return KernelValue(value=math.fsum(terms[:l]), l_used=l, truncation_error_estimate=tail_est)
-    raise KernelConvergenceError(f"kernel tail not certified by l={l} at (x, y)=({x}, {y})", math.fsum(terms), l)
+    size = int(math.e * max(x, y) / 2.0) + _L_MARGIN
+    terms = _kernel_terms(x, y, size)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        certified = _certify(np.array(terms)[:, None], np.array([x]), np.array([y]), np.array([size]))
+    used, tail, first = (a.item() for a in certified)
+    if used:
+        return KernelValue(value=math.fsum(terms[:used]), l_used=used, truncation_error_estimate=tail)
+    # The first test to fail in order of l: a non-finite term at or before `first` makes acc[first] fail no budget.
+    acc = np.cumsum([0.0] + terms).tolist()
+    if _TAIL_REL * acc[first] < sys.float_info.min:
+        raise KernelConvergenceError(
+            f"tail budget below the double range at l={first}, (x, y)=({x}, {y}): tiny argument", acc[first], first
+        )
+    l = next((l for l, t in enumerate(terms, 1) if not math.isfinite(t)), None)
+    if l:
+        cause = "Bessel values out of double range at a tiny argument"
+        raise KernelConvergenceError(f"non-finite kernel term at l={l}, (x, y)=({x}, {y}): {cause}", acc[l - 1], l)
+    raise KernelConvergenceError(f"kernel tail not certified by l={size} at (x, y)=({x}, {y})", math.fsum(terms), size)
+
+
+def _tail_bound(nu: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Bound on |W~_nu(x, y)/(x^2 - y^2)| for nu > e*max(x, y)/2, orders by points; 0 where it underflows."""
+    # The nu-only part through libm.
+    head = [-math.log(2.0 * math.pi) - 0.5 * math.log(v) - 1.5 * math.log(v + 1.0) for v in nu.tolist()]
+    nu = nu[:, None]
+    log_mag = np.array(head)[:, None] + nu * np.log(x * y / (nu * (nu + 1.0)))
+    log_mag += (2.0 * nu + 1.0) * (1.0 - math.log(2.0))
+    return _BOUND_SAFETY * np.where(log_mag < -745.0, 0.0, np.exp(log_mag))
+
+
+def _certify(terms: np.ndarray, x: np.ndarray, y: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Truncation of the sums of terms (orders 1..L by points): certified order, tail estimate there, first tail order.
+
+    The certified order is 0 where the sum fails: no order up to size certifies, the running
+    sum is not finite there, or the tail budget is not a normal double at the first tail order.
+    """
+    acc = np.cumsum(terms, axis=0)
+    l = np.arange(1, terms.shape[0] + 1)[:, None]
+    half_e_m = math.e * np.maximum(x, y) / 2.0
+    # The bound at nu = l + 1.5 and l + 2.5 for the orders l >= lo, from below the first order any point tests.
+    lo = max(1, int(np.ceil(half_e_m.min() - 1.5)) - 1)
+    scale = _tail_bound(np.arange(lo + 1, l.size + 3) + 0.5, x, y)
+    b1 = ((2 * l[lo - 1 :] + 3) * scale[:-1]) * scale[:-1]
+    b2 = ((2 * l[lo - 1 :] + 5) * scale[1:]) * scale[1:]
+    ratio = np.divide(b2, b1, out=np.zeros_like(b1), where=b1 > 0.0)
+    estimate = b1 / (1.0 - ratio)
+    tail = (l[lo - 1 :] <= size) & (l[lo - 1 :] + 1.5 > half_e_m)
+    certified = tail & (ratio < 0.9) & (estimate <= _TAIL_REL * acc[lo - 1 :])
+    done, cols = certified.argmax(axis=0), np.arange(x.size)
+    # The first order tail admits (half_e_m - 1.5 is exact), where the budget is smallest: the terms are squares.
+    first = np.maximum(np.floor(half_e_m - 1.5).astype(int) + 1, 1)
+    ok = certified[done, cols] & np.isfinite(acc[done + lo - 1, cols])
+    ok &= _TAIL_REL * acc[first - 1, cols] >= sys.float_info.min
+    return np.where(ok, done + lo, 0), estimate[done, cols], first
 
 
 def _sorted_batch_values(x: np.ndarray, y: np.ndarray, size: np.ndarray) -> tuple[list[float], np.ndarray]:
     """f_exact's value and l_used at each off-band point, NaN and 0 where it fails; table sizes descending.
 
     Runs f_exact's algorithm on every point at once: the same J tables and
-    terms, each point's own table size, the running sums by cumsum, and
-    the certification tests of f_exact order by order.
+    terms, each point's own table size, and one _certify call.
     """
     l_top = int(size[0])
     # A point's two columns side by side keep the recurrence starts (size + margin) descending.
@@ -203,30 +229,7 @@ def _sorted_batch_values(x: np.ndarray, y: np.ndarray, size: np.ndarray) -> tupl
     # Where x^2 - y^2 underflows to 0 the terms are inf or NaN, and f_exact raises.
     r = _reduced_det(jx[1:], jx[:-1], x, jy[1:], jy[:-1], y) / (x * x - y * y)
     terms = ((2 * l + 1) * r) * r
-    acc = np.cumsum(terms, axis=0)
-    half_e_m = math.e * np.maximum(x, y) / 2.0
-    # tail_term_scale at nu = l + 1.5 and l + 2.5 for the orders l >= lo, from
-    # below the first order any point tests; its nu-only part through libm.
-    lo = max(1, int(np.ceil(half_e_m.min() - 1.5)) - 1)
-    nu = np.arange(lo + 1, l_top + 3) + 0.5
-    head = [-math.log(2.0 * math.pi) - 0.5 * math.log(v) - 1.5 * math.log(v + 1.0) for v in nu.tolist()]
-    nu = nu[:, None]
-    log_mag = np.array(head)[:, None] + nu * np.log(x * y / (nu * (nu + 1.0)))
-    log_mag += (2.0 * nu + 1.0) * (1.0 - math.log(2.0))
-    scale = _BOUND_SAFETY * np.where(log_mag < -745.0, 0.0, np.exp(log_mag))
-    b1 = ((2 * l[lo - 1 :] + 3) * scale[:-1]) * scale[:-1]
-    b2 = ((2 * l[lo - 1 :] + 5) * scale[1:]) * scale[1:]
-    ratio = np.divide(b2, b1, out=np.zeros_like(b1), where=b1 > 0.0)
-    budget = _TAIL_REL * acc[lo - 1 :]
-    tail = (l[lo - 1 :] <= size) & (l[lo - 1 :] + 1.5 > half_e_m)
-    certified = tail & (ratio < 0.9) & (b1 / (1.0 - ratio) <= budget)
-    done, cols = certified.argmax(axis=0), np.arange(x.size)
-    # f_exact raises at a non-finite term, which leaves all later sums non-finite, and at a budget below
-    # the double range, smallest at the first tail order (half_e_m - 1.5 is exact): the terms are squares.
-    first = np.maximum(np.floor(half_e_m - 1.5).astype(int) + 1, 1)
-    ok = certified[done, cols] & np.isfinite(acc[done + lo - 1, cols])
-    ok &= _TAIL_REL * acc[first - 1, cols] >= sys.float_info.min
-    used = np.where(ok, done + lo, 0)
+    used = _certify(terms, x, y, size)[0]
     values = [math.fsum(t[:u]) if u else math.nan for t, u in zip(terms.T.tolist(), used.tolist())]
     return values, used
 
@@ -238,10 +241,8 @@ def f_exact_array(x, y) -> np.ndarray:
     Bessel table entries, grouped by table size, so memory stays flat in
     the number of points.  Points in the diagonal band, outside the domain
     or where the batch fails go to f_exact in input order, so the first
-    failing point raises f_exact's own error.  The tail bound uses numpy's
-    exp and log, which may differ from libm's in the last bit; that could
-    move a point's truncation only where a certification test is tied to
-    the last bit.  For one point, f_exact is the faster path.
+    failing point raises f_exact's own error.  Both paths certify their
+    tails with _certify.  For one point, f_exact is the faster path.
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     shape, x, y = x.shape, x.ravel(), y.ravel()

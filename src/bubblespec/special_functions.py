@@ -27,7 +27,6 @@ import numpy as np
 __all__ = [
     "ModeOrder",
     "BesselPair",
-    "AsymptoticRegimeError",
     "BesselDomainError",
     "bessel_jn_half",
     "half_integer_j_array",
@@ -40,17 +39,12 @@ __all__ = [
 # about e^-80 ~ 2e-35 against the table's scale.
 _RATIO_MARGIN = 40
 _UNDERFLOW_FLOOR = 1e-300
-_BOUND_SAFETY = 10.0
 # Largest Bessel and kernel argument, 255 times x* = 392: tables run to e*z/2 orders; f_exact(1e5, 1) takes 0.25 s.
 _MAX_ARGUMENT = 1e5
 
 
 class BesselDomainError(ValueError):
     """Argument below the smallest normal double or above _MAX_ARGUMENT, or wall amplitudes not finite there."""
-
-
-class AsymptoticRegimeError(ValueError):
-    """tail_term_scale called below its validity region nu > e*max(x,y)/2."""
 
 
 @dataclass(frozen=True)
@@ -212,32 +206,3 @@ def _reduced_det_diagonal(nu: float, z: float, j: float, j_prev: float) -> float
     """lim_{b->a} _reduced_det(J at a, J at b)/(a - b) at a = z."""
     return z * (j * j + j_prev * j_prev) - 2.0 * nu * j * j_prev
 
-
-def _asymptotic_pw_scale(nu: float, x: float, y: float) -> float:
-    """Large-order magnitude of |W~_nu(x,y)| / |x^2 - y^2|, without safety factor."""
-    if x <= 0.0 or x * y <= 0.0:  # zero also where x*y underflows
-        return 0.0
-    log_mag = (
-        -math.log(2.0 * math.pi)
-        - 0.5 * math.log(nu)
-        - 1.5 * math.log(nu + 1.0)
-        + nu * math.log(x * y / (nu * (nu + 1.0)))
-        + (2.0 * nu + 1.0) * (1.0 - math.log(2.0))
-    )
-    if log_mag < -745.0:  # exp underflow
-        return 0.0
-    return math.exp(log_mag)
-
-
-def tail_term_scale(order: ModeOrder, x: float, y: float) -> float:
-    """Safety-factored upper bound on |W~_nu(x,y)/(x^2 - y^2)|.
-
-    Valid for nu > e*max(x,y)/2; used by the kernel sums to majorize the
-    angular-momentum tail without the vanishing (x^2-y^2) factor.
-    """
-    nu = order.nu
-    if nu <= math.e * max(x, y) / 2.0:
-        raise AsymptoticRegimeError(
-            f"asymptotic regime not reached: nu={nu} <= e*max(x,y)/2={math.e * max(x, y) / 2.0:.3f}"
-        )
-    return _BOUND_SAFETY * _asymptotic_pw_scale(nu, x, y)

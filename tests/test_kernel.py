@@ -11,6 +11,7 @@ from bubblespec import kernel
 from bubblespec.kernel import (
     _L_MARGIN,
     _kernel_terms,
+    _tail_bound,
     CutoffProfile,
     KernelConvergenceError,
     d_approx,
@@ -22,11 +23,9 @@ from bubblespec.kernel import (
 from bubblespec.matching import MediumConfig, coefficient_a_sq
 from bubblespec.special_functions import (
     _MAX_ARGUMENT,
-    AsymptoticRegimeError,
     BesselDomainError,
     ModeOrder,
     bessel_jn_half,
-    tail_term_scale,
 )
 
 HALF_ASYMPTOTE = 1.0 / (2.0 * math.pi**2)
@@ -87,8 +86,9 @@ def test_f_exact_nonconvergence_signal(monkeypatch):
 def _per_order_f_exact(x, y):
     """F(x, y) summed one order at a time, each order from its own Bessel pair.
 
-    The tail is certified exactly as in f_exact; returns (value, l_used,
-    truncation_error_estimate).  Valid away from the diagonal only.
+    The tail is certified order by order with the kernel's bound, as f_exact
+    does; returns (value, l_used, truncation_error_estimate).  Valid away from
+    the diagonal only.
     """
     terms = []
     acc = 0.0
@@ -98,11 +98,10 @@ def _per_order_f_exact(x, y):
         r = (px.j * y * py.j_prev - py.j * x * px.j_prev) / (x * x - y * y)
         terms.append((2 * l + 1) * r * r)
         acc += terms[-1]
-        try:
-            s1 = tail_term_scale(ModeOrder(l + 1), x, y)
-            s2 = tail_term_scale(ModeOrder(l + 2), x, y)
-        except AsymptoticRegimeError:
+        # the bound applies at nu = l + 3/2 > e*max(x, y)/2
+        if l + 1.5 <= math.e * max(x, y) / 2.0:
             continue
+        s1, s2 = _tail_bound(np.array([l + 1.5, l + 2.5]), x, y)[:, 0]
         b1 = (2 * (l + 1) + 1) * s1 * s1
         b2 = (2 * (l + 2) + 1) * s2 * s2
         ratio = b2 / b1 if b1 > 0.0 else 0.0
@@ -115,8 +114,10 @@ def _per_order_f_exact(x, y):
 
 def test_f_exact_matches_per_order_summation():
     rng = random.Random(29)
-    for _ in range(30):
-        x, y = rng.uniform(0.3, 140.0), rng.uniform(0.3, 140.0)
+    points = [(rng.uniform(0.3, 140.0), rng.uniform(0.3, 140.0)) for _ in range(30)]
+    # the longest tables too, where l_used passes 300
+    points += [(392.0, 300.0), (260.0, 3.0), (330.0, 329.5)]
+    for x, y in points:
         if abs(x - y) < 1e-3:
             continue
         got = f_exact(x, y)
@@ -124,6 +125,7 @@ def test_f_exact_matches_per_order_summation():
         assert got.l_used == l_used
         assert got.value == pytest.approx(value, rel=1e-12)
         assert got.truncation_error_estimate == pytest.approx(tail, rel=1e-12)
+    assert min(f_exact(x, y).l_used for x, y in points[-3:]) > 300
 
 
 def _spherical_jn_f(x, y, l_top=260):
@@ -268,12 +270,42 @@ def test_f_exact_certifies_inside_its_first_table():
         assert got.l_used < int(math.e * max(x, y) / 2.0) + _L_MARGIN, (x, y, got.l_used)
 
 
-@pytest.mark.parametrize("x, y", [(1e-200, 2e-200), (1e-100, 1.0), (1e-200, 1e-200)])
-def test_f_exact_tiny_arguments_raise_typed_error(x, y):
-    # Bessel values (or x^2 - y^2) leave the double range: a typed error, never a bare crash.
-    with pytest.raises(KernelConvergenceError, match="tiny argument") as exc:
+# f_exact's error at each point: message, partial.hex() and l_reached; (180, 180) with _L_MARGIN = 0.
+FROZEN_ERRORS = {
+    (1e-200, 2e-200): (
+        "non-finite kernel term at l=1, (x, y)=(1e-200, 2e-200): Bessel values out of double range at a tiny argument",
+        "0x0.0p+0",
+        1,
+    ),
+    (1e-100, 1.0): (
+        "tail budget below the double range at l=1, (x, y)=(1e-100, 1.0): tiny argument",
+        "0x1.6d14a97367ebfp-1008",
+        1,
+    ),
+    (1e-100, 30.0): (
+        "tail budget below the double range at l=40, (x, y)=(1e-100, 30.0): tiny argument",
+        "0x1.a68f7d35a7860p-1015",
+        40,
+    ),
+    (1e-200, 1e-200): (
+        "diagonal l=1 term lost to cancellation at (x, y)=(1e-200, 1e-200): tiny argument",
+        "0x0.0p+0",
+        1,
+    ),
+    (180.0, 180.0): ("kernel tail not certified by l=244 at (x, y)=(180.0, 180.0)", "0x1.9efb9dfbb244dp-5", 244),
+}
+
+
+@pytest.mark.parametrize("x, y", list(FROZEN_ERRORS))
+def test_f_exact_tiny_arguments_raise_typed_error(x, y, monkeypatch):
+    # Bessel values (or x^2 - y^2) leave the double range, the kernel is too small for
+    # its tail budget, or (with no margin) the table ends uncertified: a typed error,
+    # never a bare crash, with the message, partial sum and order frozen bit for bit.
+    if x == 180.0:
+        monkeypatch.setattr(kernel, "_L_MARGIN", 0)
+    with pytest.raises(KernelConvergenceError) as exc:
         f_exact(x, y)
-    assert exc.value.l_reached == 1
+    assert (str(exc.value), exc.value.partial.hex(), exc.value.l_reached) == FROZEN_ERRORS[x, y]
 
 
 def test_f_exact_tiny_diagonal_fails_the_same_way_throughout():
