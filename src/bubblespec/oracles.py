@@ -4,9 +4,11 @@ The four suites of ``bubblespec check``, each an ``IdentityReport``: the Bessel
 cross-product Wronskian 2/pi, the wall matching's |B|^2 + |C|^2 = 1, the
 closed-form finite-range Bessel overlap integral and the smeared spectral delta
 identities.  The overlap is the exact kernel's own pseudo-Wronskian ratio,
-checked against a self-verified composite Gauss-Legendre rule over
-``scipy.special.jv``, independent of the production Gauss-Kronrod pair.  The
-delta identities are closed forms.
+checked against a self-verified composite Gauss-Legendre rule, independent of
+the production Gauss-Kronrod pair, over ``_jv``: J_{l+1/2} for l <= 10 and
+z <= 100 from the power series (DLMF 10.2.2) below z = 8 and the finite
+sin/cos closed form (DLMF 10.49.2) from 8 up, independent of the package's J
+recurrence.  The delta identities are closed forms.  No suite loads scipy.
 """
 
 from __future__ import annotations
@@ -42,17 +44,19 @@ def wronskian_checks(rng: random.Random) -> IdentityReport:
     """The J/N cross determinant at equal arguments against the Wronskian 2/pi, at 2000 draws from ``rng``.
 
     Draws take l in 0..60 and z log-uniform in [0.1, 100], skipping a saturated or overflowed N; passes below 1e-10.
+    ``samples`` counts the draws tested, skips excluded.
     """
-    worst = 0.0
+    worst, tested = 0.0, 0
     for _ in range(2000):
         l = rng.randint(0, 60)
         z = 10 ** rng.uniform(-1, 2)
         p = bessel_jn_half(ModeOrder(l), z)
         if p.saturated or math.isinf(p.n):
             continue
+        tested += 1
         worst = max(worst, abs(_reduced_det(p.j, p.j_prev, z, p.n, p.n_prev, z) - 2 / math.pi))
     rel = worst / (2 / math.pi)
-    return IdentityReport("wronskian", worst, rel, 2000, rel < 1e-10)
+    return IdentityReport("wronskian", worst, rel, tested, rel < 1e-10)
 
 
 def matching_checks(rng: random.Random) -> IdentityReport:
@@ -84,14 +88,51 @@ def hankel_finite_integral(order: ModeOrder, k1: float, k2: float, R: float) -> 
     return R * R * _pw_ratios(k1 * R, k2 * R, max(order.l, 1))[order.l]
 
 
-def _gauss_legendre_overlap(l: int, k1: float, k2: float, R: float, panels: int, rule: tuple) -> float:
-    """int_0^R r J_{l+1/2}(k1 r) J_{l+1/2}(k2 r) dr by the Gauss-Legendre ``rule`` on equal panels."""
-    from scipy import special
+def _jv(l: int, z: np.ndarray) -> np.ndarray:
+    """J_{l+1/2}(z) for 0 <= l <= 10 and 0 < z <= 100, without the package's J recurrence.
 
+    Below z = 8 the power series (DLMF 10.2.2), 30 terms; from 8 up the
+    finite sin/cos closed form of j_l (DLMF 10.49.2), times sqrt(2z/pi).
+    Outside that domain it raises ``ValueError``: it is verified there only.
+    """
+    if not 0 <= l <= 10 or not np.all((z > 0.0) & (z <= 100.0)):
+        raise ValueError(f"_jv is verified for 0 <= l <= 10 and 0 < z <= 100, got l={l}")
+    nu = l + 0.5
+    out = np.empty_like(z)
+    small = z < 8.0
+    zs = z[small]
+    # (z/2)^nu/Gamma(nu + 1) = sqrt(2z/pi) z^l/(2l + 1)!!, times the terms k = 0..29 of
+    # sum_k (-z^2/4)^k Gamma(nu + 1)/(k! Gamma(nu + k + 1)), each from the one before.
+    q, term, series = -0.25 * zs * zs, 1.0, 1.0
+    for k in range(1, 30):
+        term = term * q / (k * (nu + k))
+        series = series + term
+    out[small] = np.sqrt(2.0 * zs / math.pi) * zs**l / math.prod(range(1, 2 * l + 2, 2)) * series
+    zl = z[~small]
+    # j_l(z) = [sin(z - l pi/2) P + cos(z - l pi/2) Q]/z with P = sum_m a_2m (-1/z^2)^m and
+    # Q = sum_m a_2m+1 (-1/z^2)^m/z, where a_k = (l + k)!/(2^k k! (l - k)!) are exact in double.
+    a = [math.factorial(l + k) / (math.factorial(k) * math.factorial(l - k) * 2**k) for k in range(l + 1)]
+    v = -1.0 / (zl * zl)
+    p = sum(ak * v**m for m, ak in enumerate(a[0::2]))
+    qq = sum(ak * v**m for m, ak in enumerate(a[1::2])) / zl
+    # sin and cos of z - l pi/2 by l quarter turns of (sin z, cos z), exact
+    s, c = np.sin(zl), np.cos(zl)
+    for _ in range(l % 4):
+        s, c = -c, s
+    out[~small] = np.sqrt(2.0 / (math.pi * zl)) * (s * p + c * qq)
+    return out
+
+
+def _gauss_legendre_overlap(l: int, k1: float, k2: float, R: float, panels: int, rule: tuple) -> float:
+    """int_0^R r J_{l+1/2}(k1 r) J_{l+1/2}(k2 r) dr by the Gauss-Legendre ``rule`` on equal panels.
+
+    The Bessel functions come from ``_jv`` (DLMF 10.2.2 below z = 8, DLMF
+    10.49.2 from 8 up; l <= 10, z <= 100), not from the J recurrence under test.
+    """
     nodes, weights = rule
     half = 0.5 * R / panels
     r = half * (np.arange(1, 2 * panels, 2)[:, None] + nodes)
-    return float(half * (r * special.jv(l + 0.5, k1 * r) * special.jv(l + 0.5, k2 * r) @ weights).sum())
+    return float(half * (r * _jv(l, k1 * r) * _jv(l, k2 * r) @ weights).sum())
 
 
 def finite_overlap_checks(rng: random.Random) -> IdentityReport:

@@ -1,10 +1,15 @@
+import dataclasses
 import math
 import random
 
+import mpmath
+import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy import integrate, special
 
-from bubblespec import oracles
+import bubblespec
+from bubblespec import kernel, matching, oracles, special_functions
 from bubblespec.cli import _run_checks
 from bubblespec.kernel import _DIAG_BAND, f_exact
 from bubblespec.oracles import finite_overlap_checks, hankel_finite_integral, spectral_delta_checks
@@ -151,6 +156,59 @@ def test_overlap_suite_fails_when_its_reference_disagrees_with_itself(monkeypatc
     assert not rep.passed
     monkeypatch.setattr(oracles, "_gauss_legendre_overlap", reference)
     assert finite_overlap_checks(random.Random(20260823)).passed
+
+
+def test_overlap_bessel_reference_against_mpmath():
+    # both branches of _jv, the series below z = 8 and the closed form from 8 up, against 40-digit mpmath
+    z = np.concatenate([np.logspace(-3, 2, 401), [np.nextafter(8.0, 0.0), 8.0, np.nextafter(8.0, 9.0)]])
+    envelope = np.minimum(1.0, np.sqrt(2.0 / (np.pi * z)))
+    with mpmath.workdps(40):
+        for l in range(11):
+            ref = np.array([float(mpmath.besselj(l + 0.5, mpmath.mpf(float(v)))) for v in z])
+            err = np.abs(oracles._jv(l, z) - ref)
+            assert np.all(err <= 1e-13 * envelope), l
+            small = z <= max(l, 1)
+            assert np.all(err[small] <= 1e-12 * np.abs(ref[small])), l
+
+
+@pytest.mark.parametrize("l, z", [(11, 1.0), (-1, 1.0), (3, 0.0), (3, -1.0), (3, 100.5), (3, math.nan)])
+def test_overlap_bessel_reference_refuses_its_unverified_domain(l, z):
+    with pytest.raises(ValueError):
+        oracles._jv(l, np.array([1.0, z]))
+
+
+def test_overlap_reference_is_independent_of_the_package_bessel_routines(monkeypatch):
+    # the reference must not reach the J recurrence it checks: every binding of it raises
+    rng = random.Random(5)  # one draw as the suite makes it; its nodes reach both sides of _jv's z = 8 switch
+    l, k1, k2, R = rng.randint(0, 10), rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0), rng.uniform(1.0, 20.0)
+    draw = (l, k1, k2, R, math.ceil((k1 + k2) * R / 12.0), leggauss(24))
+    expected = oracles._gauss_legendre_overlap(*draw)
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the overlap reference called the package's J recurrence")
+
+    for module in (bubblespec, special_functions, kernel, matching, oracles):
+        for name in ("_sph_jn_seq", "half_integer_j_array", "_half_integer_j_table"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, broken)
+    with pytest.raises(AssertionError):
+        hankel_finite_integral(ModeOrder(l), k1, k2, R)
+    assert oracles._gauss_legendre_overlap(*draw) == expected
+
+
+def test_wronskian_suite_counts_only_the_draws_it_tests(monkeypatch):
+    assert oracles.wronskian_checks(random.Random(20260823)).samples == 2000
+    real, calls = oracles.bessel_jn_half, []
+
+    def every_third_saturated(order, z):
+        calls.append(z)
+        return dataclasses.replace(real(order, z), saturated=len(calls) % 3 == 0)
+
+    monkeypatch.setattr(oracles, "bessel_jn_half", every_third_saturated)
+    rep = oracles.wronskian_checks(random.Random(20260823))
+    assert len(calls) == 2000
+    assert rep.samples == 2000 - 2000 // 3
+    assert rep.passed
 
 
 def test_kernel_concentrates_on_diagonal_with_scale():
