@@ -12,7 +12,7 @@ import math
 import random
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import click
 import numpy as np
@@ -22,7 +22,7 @@ from .kernel import CutoffProfile, KernelConvergenceError, d_approx, f_exact_arr
 from .matching import MediumConfig, _require_positive_finite
 from .oracles import finite_overlap_checks, matching_checks, spectral_delta_checks, wronskian_checks
 from .quadrature import QuadratureError
-from .special_functions import BesselDomainError
+from .special_functions import BesselDomainError, _require_int
 
 EXIT_CHECK_FAILURE = 1
 EXIT_NUMERICAL_FAILURE = 3
@@ -53,8 +53,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         sp._check_mode(self.kernel_mode)
-        if self.grid_points < 2:
-            raise ValueError(f"grid_points must be >= 2, got {self.grid_points!r}")
+        _require_int(self, "grid_points", 2, "grid_points must be >= 2")
         overrides = [n for n in ("x_star_override", "y_star_override") if getattr(self, n) is not None]
         _require_positive_finite(self, *overrides)
 
@@ -266,9 +265,7 @@ def infinite_volume(config_path, as_json) -> None:
 def _run_checks() -> list[dict]:
     rng = random.Random(20260823)
     reports = [wronskian_checks(rng), matching_checks(rng), finite_overlap_checks(rng), spectral_delta_checks()]
-    return [
-        {"name": r.name, "max_rel_error": r.max_rel_error, "samples": r.samples, "passed": r.passed} for r in reports
-    ]
+    return [asdict(r) for r in reports]
 
 
 @main.command()

@@ -78,10 +78,10 @@ _F_FIT_SCALE = 16000.0
 class KernelConvergenceError(ArithmeticError):
     """Unit-amplitude angular-momentum sum unresolved in doubles (tiny argument) or uncertified at the end of its table.
 
-    ``l_reached`` is the order f_exact stopped at, and ``partial`` sums the terms below it
-    for a non-finite term, through it for a tail budget (1e-8 of the sum, tested at the
-    first tail order) that is not a normal double, none for a diagonal l = 1 term lost
-    to cancellation, and the whole table at its end (a guard).
+    ``l_reached`` is the order f_exact stopped at; ``partial`` is the running sum through the
+    order below it for a non-finite term, through it for a tail budget (1e-8 of the sum, at
+    the first tail order) that is not a normal double, through the whole table at its end (a
+    guard), and 0 for a diagonal l = 1 term lost to cancellation.
     """
 
     def __init__(self, message: str, partial: float, l_reached: int):
@@ -149,34 +149,33 @@ def _kernel_terms(x: float, y: float, size: int) -> list[float]:
 
 
 def f_exact(x: float, y: float) -> KernelValue:
-    """Exact kernel F(x, y) = sum_{l>=1} (2l+1) W~^2/(x^2-y^2)^2 with unit wall amplitudes.
+    """Exact kernel F(x, y) = sum_{l>=1} (2l+1) W~^2/(x^2-y^2)^2 with unit wall amplitudes (those are in ``matching``).
 
-    One table of int(e*max(x, y)/2) + _L_MARGIN terms from the scalar
-    recurrence, truncated by _certify where the large-order tail bound
-    falls below 1e-8 of the partial sum; KernelConvergenceError where it
-    fails.  Unit amplitudes match the diagonal study and the factorized
-    approximation; the wall amplitudes themselves are in ``matching``.
+    One table of int(e*max(x, y)/2) + _L_MARGIN terms from the scalar recurrence; the value
+    is their running sum through the order where _certify's large-order tail bound falls below
+    1e-8 of it, KernelConvergenceError where that fails.  The 1e-8 bounds the truncation only:
+    just off the diagonal below x ~ 0.1 the terms lose more to cancellation, unreported (8.6e-7
+    relative at (0.003, 0.003 (1 + 1.01e-4)), 5.4e-8 at x = 0.01; ROADMAP.md item 3).
     """
     if not (sys.float_info.min <= x <= _MAX_ARGUMENT and sys.float_info.min <= y <= _MAX_ARGUMENT):
         raise BesselDomainError(f"kernel arguments must be normal doubles in (0, {_MAX_ARGUMENT:g}], got x={x}, y={y}")
     size = int(math.e * max(x, y) / 2.0) + _L_MARGIN
     terms = _kernel_terms(x, y, size)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        certified = _certify(np.array(terms)[:, None], np.array([x]), np.array([y]), np.array([size]))
-    used, tail, first = (a.item() for a in certified)
+        *certified, sums = _certify(np.array(terms)[:, None], np.array([x]), np.array([y]), np.array([size]))
+    value, used, tail, first = (a.item() for a in certified)
     if used:
-        return KernelValue(value=math.fsum(terms[:used]), l_used=used, truncation_error_estimate=tail)
+        return KernelValue(value=value, l_used=used, truncation_error_estimate=tail)
     # The first test to fail in order of l: a non-finite term at or before `first` makes acc[first] fail no budget.
-    acc = np.cumsum([0.0] + terms).tolist()
+    acc = [0.0, *sums[:, 0].tolist()]
     if _TAIL_REL * acc[first] < sys.float_info.min:
-        raise KernelConvergenceError(
-            f"tail budget below the double range at l={first}, (x, y)=({x}, {y}): tiny argument", acc[first], first
-        )
+        message = f"tail budget below the double range at l={first}, (x, y)=({x}, {y}): tiny argument"
+        raise KernelConvergenceError(message, acc[first], first)
     l = next((l for l, t in enumerate(terms, 1) if not math.isfinite(t)), None)
     if l:
         cause = "Bessel values out of double range at a tiny argument"
         raise KernelConvergenceError(f"non-finite kernel term at l={l}, (x, y)=({x}, {y}): {cause}", acc[l - 1], l)
-    raise KernelConvergenceError(f"kernel tail not certified by l={size} at (x, y)=({x}, {y})", math.fsum(terms), size)
+    raise KernelConvergenceError(f"kernel tail not certified by l={size} at (x, y)=({x}, {y})", acc[size], size)
 
 
 def _tail_bound(nu: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -190,10 +189,11 @@ def _tail_bound(nu: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _certify(terms: np.ndarray, x: np.ndarray, y: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Truncation of the sums of terms (orders 1..L by points): certified order, tail estimate there, first tail order.
+    """Value, certified order, tail estimate there, first tail order and running sums of terms (orders 1..L by points).
 
-    The certified order is 0 where the sum fails: no order up to size certifies, the running
-    sum is not finite there, or the tail budget is not a normal double at the first tail order.
+    The value is the running sum through the certified order: the terms are positive, so it is within l*eps of the
+    exact sum.  The order is 0, and the value and estimate mean nothing, where the sum fails: no order up to size
+    certifies, the running sum is not finite there, or the tail budget is not a normal double at the first tail order.
     """
     acc = np.cumsum(terms, axis=0)
     l = np.arange(1, terms.shape[0] + 1)[:, None]
@@ -208,15 +208,16 @@ def _certify(terms: np.ndarray, x: np.ndarray, y: np.ndarray, size: np.ndarray) 
     tail = (l[lo - 1 :] <= size) & (l[lo - 1 :] + 1.5 > half_e_m)
     certified = tail & (ratio < 0.9) & (estimate <= _TAIL_REL * acc[lo - 1 :])
     done, cols = certified.argmax(axis=0), np.arange(x.size)
+    value = acc[done + lo - 1, cols]
     # The first order tail admits (half_e_m - 1.5 is exact), where the budget is smallest: the terms are squares.
     first = np.maximum(np.floor(half_e_m - 1.5).astype(int) + 1, 1)
-    ok = certified[done, cols] & np.isfinite(acc[done + lo - 1, cols])
+    ok = certified[done, cols] & np.isfinite(value)
     ok &= _TAIL_REL * acc[first - 1, cols] >= sys.float_info.min
-    return np.where(ok, done + lo, 0), estimate[done, cols], first
+    return value, np.where(ok, done + lo, 0), estimate[done, cols], first, acc
 
 
-def _sorted_batch_values(x: np.ndarray, y: np.ndarray, size: np.ndarray) -> tuple[list[float], np.ndarray]:
-    """f_exact's value and l_used at each off-band point, NaN and 0 where it fails; table sizes descending.
+def _sorted_batch_values(x: np.ndarray, y: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f_exact's value and l_used at each off-band point, l_used 0 where it fails; table sizes descending.
 
     Runs f_exact's algorithm on every point at once: the same J tables and
     terms, each point's own table size, and one _certify call.
@@ -229,9 +230,7 @@ def _sorted_batch_values(x: np.ndarray, y: np.ndarray, size: np.ndarray) -> tupl
     # Where x^2 - y^2 underflows to 0 the terms are inf or NaN, and f_exact raises.
     r = _reduced_det(jx[1:], jx[:-1], x, jy[1:], jy[:-1], y) / (x * x - y * y)
     terms = ((2 * l + 1) * r) * r
-    used = _certify(terms, x, y, size)[0]
-    values = [math.fsum(t[:u]) if u else math.nan for t, u in zip(terms.T.tolist(), used.tolist())]
-    return values, used
+    return _certify(terms, x, y, size)[:2]
 
 
 def f_exact_array(x, y) -> np.ndarray:
@@ -241,8 +240,8 @@ def f_exact_array(x, y) -> np.ndarray:
     Bessel table entries, grouped by table size, so memory stays flat in
     the number of points.  Points in the diagonal band, outside the domain
     or where the batch fails go to f_exact in input order, so the first
-    failing point raises f_exact's own error.  Both paths certify their
-    tails with _certify.  For one point, f_exact is the faster path.
+    failing point raises f_exact's own error.  Both paths take their
+    truncation and value from _certify.  For one point, f_exact is the faster path.
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     shape, x, y = x.shape, x.ravel(), y.ravel()

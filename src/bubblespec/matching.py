@@ -13,6 +13,7 @@ Only magnitudes are represented; every observable downstream involves
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .special_functions import BesselDomainError, ModeOrder, _reduced_det, half_integer_j_array, half_integer_n_array
@@ -50,11 +51,12 @@ class MediumConfig:
 
 
 def _require_positive_finite(obj: object, *names: str) -> None:
-    """ValueError unless each named attribute of ``obj`` is a positive finite number."""
+    """ValueError unless each named attribute of ``obj`` is a positive finite real (not bool); stores a float."""
     for name in names:
         v = getattr(obj, name)
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+        if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v) and v > 0):
             raise ValueError(f"{name} must be a positive finite number, got {v!r}")
+        object.__setattr__(obj, name, float(v))
 
 
 @dataclass(frozen=True)

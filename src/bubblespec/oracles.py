@@ -34,7 +34,6 @@ class IdentityReport:
     """Outcome of one identity suite."""
 
     name: str
-    max_abs_error: float
     max_rel_error: float
     samples: int
     passed: bool
@@ -56,7 +55,7 @@ def wronskian_checks(rng: random.Random) -> IdentityReport:
         tested += 1
         worst = max(worst, abs(_reduced_det(p.j, p.j_prev, z, p.n, p.n_prev, z) - 2 / math.pi))
     rel = worst / (2 / math.pi)
-    return IdentityReport("wronskian", worst, rel, tested, rel < 1e-10)
+    return IdentityReport("wronskian", rel, tested, rel < 1e-10)
 
 
 def matching_checks(rng: random.Random) -> IdentityReport:
@@ -71,7 +70,7 @@ def matching_checks(rng: random.Random) -> IdentityReport:
         ratio = rng.uniform(0.5, 3.0)
         b, c = coefficients_bc(ModeOrder(l), y, ratio)
         worst = max(worst, abs(b * b + c * c - 1.0))
-    return IdentityReport("matching-unit-circle", worst, worst, 500, worst < 1e-12)
+    return IdentityReport("matching-unit-circle", worst, 500, worst < 1e-12)
 
 
 def hankel_finite_integral(order: ModeOrder, k1: float, k2: float, R: float) -> float:
@@ -155,9 +154,9 @@ def finite_overlap_checks(rng: random.Random) -> IdentityReport:
         panels = math.ceil((k1 + k2) * radius / 12.0)
         coarse, ref = (_gauss_legendre_overlap(l, k1, k2, radius, n, rule) for n in (panels, 2 * panels))
         err = abs(float(hankel_finite_integral(ModeOrder(l), k1, k2, radius)) - ref)
-        errors.append((err, err / max(abs(ref), 1e-12), abs(coarse - ref) / max(abs(ref), 1e-12)))
-    worst_abs, worst, worst_self = map(max, zip(*errors))
-    return IdentityReport("finite-overlap-closed-form", worst_abs, worst, 25, worst < 1e-8 and worst_self <= 1e-11)
+        errors.append((err / max(abs(ref), 1e-12), abs(coarse - ref) / max(abs(ref), 1e-12)))
+    worst, worst_self = map(max, zip(*errors))
+    return IdentityReport("finite-overlap-closed-form", worst, 25, worst < 1e-8 and worst_self <= 1e-11)
 
 
 def _fejer_deviation(s: float) -> float:
@@ -186,4 +185,4 @@ def spectral_delta_checks() -> IdentityReport:
     sin_dev = [_dirichlet_deviation(big_r) for big_r in (25.0, 50.0, 100.0)]
     monotone = all(b <= a * 1.05 + 1e-6 for seq in (deviations, sin_dev) for a, b in zip(seq, seq[1:]))
     worst = max(deviations[-1], sin_dev[-1])
-    return IdentityReport("spectral-delta", worst, worst, len(deviations) + len(sin_dev), monotone and worst < 0.01)
+    return IdentityReport("spectral-delta", worst, len(deviations) + len(sin_dev), monotone and worst < 0.01)

@@ -47,6 +47,14 @@ class BesselDomainError(ValueError):
     """Argument below the smallest normal double or above _MAX_ARGUMENT, or wall amplitudes not finite there."""
 
 
+def _require_int(obj: object, name: str, minimum: int, rule: str) -> None:
+    """ValueError "<rule>, got <v>" unless obj.<name> is an integer (__index__, not bool) >= minimum; stores an int."""
+    v = getattr(obj, name)
+    if isinstance(v, bool) or not hasattr(v, "__index__") or operator.index(v) < minimum:
+        raise ValueError(f"{rule}, got {v!r}")
+    object.__setattr__(obj, name, operator.index(v))
+
+
 @dataclass(frozen=True)
 class ModeOrder:
     """Angular momentum l (any integer type but bool, stored as int) with half-integer Bessel order nu = l + 1/2.
@@ -58,9 +66,7 @@ class ModeOrder:
     l: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.l, bool) or not hasattr(self.l, "__index__") or self.l < 0:
-            raise ValueError(f"angular momentum must be a non-negative integer, got {self.l!r}")
-        object.__setattr__(self, "l", operator.index(self.l))
+        _require_int(self, "l", 0, "angular momentum must be a non-negative integer")
 
     @property
     def nu(self) -> float:

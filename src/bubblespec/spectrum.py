@@ -18,6 +18,7 @@ import numpy as np
 from .kernel import CutoffProfile, f_exact_array, f_factorized
 from .matching import MediumConfig, _require_positive_finite
 from .quadrature import QuadResult, _cap_error, _integrate_rows, adaptive_quad
+from .special_functions import _require_int
 
 __all__ = [
     "QuadratureSpec",
@@ -60,8 +61,7 @@ class QuadratureSpec:
         _require_positive_finite(self, "rel_tol", "abs_tol")
         if self.tail_upper_bound is not None:
             _require_positive_finite(self, "tail_upper_bound")
-        if not (isinstance(self.max_subdivisions, int) and self.max_subdivisions >= 1):
-            raise ValueError(f"max_subdivisions must be an int >= 1, got {self.max_subdivisions!r}")
+        _require_int(self, "max_subdivisions", 1, "max_subdivisions must be an int >= 1")
 
 
 @dataclass(frozen=True)

@@ -292,7 +292,7 @@ FROZEN_ERRORS = {
         "0x0.0p+0",
         1,
     ),
-    (180.0, 180.0): ("kernel tail not certified by l=244 at (x, y)=(180.0, 180.0)", "0x1.9efb9dfbb244dp-5", 244),
+    (180.0, 180.0): ("kernel tail not certified by l=244 at (x, y)=(180.0, 180.0)", "0x1.9efb9dfbb2450p-5", 244),
 }
 
 
@@ -354,6 +354,28 @@ def test_f_exact_array_is_f_exact_bit_for_bit():
             continue
         _, used = kernel._sorted_batch_values(x[at], y[at], size[at])
         assert used.tolist() == [want[i].l_used for i in at]
+
+
+def test_f_exact_value_is_the_running_sum_it_certifies(monkeypatch):
+    # The value is the forward running sum through l_used, the sum the tail budget is tested
+    # against, in f_exact and in every sub-batch of f_exact_array; the terms are positive, so
+    # it is within l_used * 2^-52 relative of the correctly rounded sum of the same terms.
+    x, y = _array_sweep(17, 300)
+    # the longest tables too, where l_used passes 300
+    x, y = np.append(x, [392.0, 260.0, 330.0]), np.append(y, [300.0, 3.0, 329.5])
+    want = []
+    for a, b in zip(x.tolist(), y.tolist()):
+        got = f_exact(a, b)
+        terms = _kernel_terms(a, b, int(math.e * max(a, b) / 2.0) + _L_MARGIN)
+        assert got.value == np.cumsum(terms)[got.l_used - 1], (a, b)
+        exact = math.fsum(terms[: got.l_used])
+        assert abs(got.value - exact) <= got.l_used * 2.0**-52 * exact, (a, b)
+        want.append(got)
+    assert min(v.l_used for v in want[-3:]) > 300
+    assert np.any(np.abs(x - y) < kernel._DIAG_BAND * np.minimum(np.minimum(x, y), 1.0))
+    for entries in (1, 2**9, 2**13, 2**16):
+        monkeypatch.setattr(kernel, "_TABLE_ENTRIES", entries)
+        assert f_exact_array(x, y).tolist() == [v.value for v in want]
 
 
 def test_f_exact_array_values_do_not_depend_on_the_batch(monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bubblespec.spectrum
-from bubblespec.cli import REFERENCE_TABLE
+from bubblespec.cli import REFERENCE_TABLE, RunConfig
 from bubblespec.kernel import CutoffProfile, f_factorized
 from bubblespec.matching import MediumConfig
 from bubblespec.quadrature import _CHUNK_POINTS, QuadratureError
@@ -40,6 +40,35 @@ def test_quadrature_spec_validation():
     for bad in (math.nan, 2.5, 0, -3):
         with pytest.raises(ValueError, match="max_subdivisions must be an int >= 1"):
             QuadratureSpec(max_subdivisions=bad)
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: MediumConfig(n_gas_in=True, n_gas_out=1.0), "n_gas_in"),
+        (lambda: QuadratureSpec(rel_tol=True), "rel_tol"),
+        (lambda: CutoffProfile(True, 1.0), "x_star"),
+        (lambda: QuadratureSpec(max_subdivisions=True), "max_subdivisions"),
+        (lambda: RunConfig(grid_points=2.5), "grid_points"),
+        (lambda: RunConfig(grid_points="5"), "grid_points"),
+    ],
+    ids=["n_gas_in=True", "rel_tol=True", "x_star=True", "max_subdivisions=True", "grid_points=2.5", "grid_points='5'"],
+)
+def test_config_classes_refuse_bools_and_non_integer_counts(make, name):
+    with pytest.raises(ValueError, match=name):
+        make()
+
+
+def test_config_classes_take_numpy_numbers_and_store_python_ones():
+    # a real is any numbers.Real but bool, stored as float; a count has __index__, is not bool, stored as int
+    for v in (np.float32(2.0), np.int64(2)):
+        medium, quad, cut = MediumConfig(n_gas_in=v, n_gas_out=v), QuadratureSpec(rel_tol=v), CutoffProfile(v, v)
+        for got in (medium.n_gas_in, medium.n_gas_out, quad.rel_tol, cut.x_star, cut.y_star):
+            assert type(got) is float and got == 2.0
+    quad = QuadratureSpec(max_subdivisions=np.int64(50))
+    assert type(quad.max_subdivisions) is int and quad.max_subdivisions == 50
+    run = RunConfig(grid_points=np.int64(5))
+    assert type(run.grid_points) is int and run.grid_points == 5
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
