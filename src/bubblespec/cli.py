@@ -53,7 +53,8 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         sp._check_mode(self.kernel_mode)
-        _require_int(self, "grid_points", 2, "grid_points must be >= 2")
+        # totals evaluates the whole output grid in one batch: 10^4 points already cost seconds and hundreds of MB.
+        _require_int(self, "grid_points", 2, "grid_points must be an integer in [2, 10000]", 10_000)
         overrides = [n for n in ("x_star_override", "y_star_override") if getattr(self, n) is not None]
         _require_positive_finite(self, *overrides)
 

@@ -27,8 +27,6 @@ from .special_functions import (
     _MAX_ARGUMENT,
     BesselDomainError,
     _half_integer_j_table,
-    _reduced_det,
-    _reduced_det_diagonal,
     bessel_jn_half,
     half_integer_j_array,
 )
@@ -46,27 +44,21 @@ __all__ = [
 
 # Relative tail budget for the adaptive truncation.
 _TAIL_REL = 1e-8
-# Below _DIAG_BAND * min(x, y, 1) the ratio W~/(x^2 - y^2) is evaluated
-# through its analytic diagonal limit at the midpoint, which is off by
-# about (0.22 + 0.75/x^2) (x - y)^2 relative; the direct form loses digits
-# to cancellation instead (~1e-10 at the band edge against 40-digit sums).
-# Both stay inside the 1e-8 tail budget from x ~ 0.1 up.
-_DIAG_BAND = 1e-4
-# At small m the two parts of the diagonal l = 1 limit cancel to about
-# 0.044 m^2 of their size; below this fraction (m < ~1e-3) the rounding of
-# the parts alone would exceed the tail budget in the dominant term.
-_DIAG_RESOLUTION = 2.0 * sys.float_info.epsilon / _TAIL_REL
 # Safety factor of the large-order bound on |W~_nu/(x^2 - y^2)| over its magnitude.
 _BOUND_SAFETY = 10.0
 # The tail certifies within a few orders of where its bound applies; the
 # term table reaches this far past that order, and the sum fails if its
 # tail is not certified by the end of the table.
 _L_MARGIN = 8
+# The overlap series reads J rows up to _SERIES_ROWS past max(top order, e*max(x, y)/2 + _SERIES_ROWS).
+# The rows fall off fast past e*max(x, y)/2: more rows change no bit of f_exact, and the top order of
+# its table by about 1e-6 relative, a term far below the tail budget.
+_SERIES_ROWS = 8
 # f_exact_array evaluates at most about this many Bessel table entries
-# (arguments x orders) at once, so its temporaries stay at a few hundred
-# kB however many points a call has.  A larger budget is faster at large
-# arguments but lifts the process's peak memory.
-_TABLE_ENTRIES = 2**13
+# (arguments x orders, series rows included) at once, so its temporaries
+# stay under a megabyte however many points a call has.  A larger budget
+# is faster at large arguments but lifts the process's peak memory.
+_TABLE_ENTRIES = 2**14
 
 _HALF_ASYMPTOTE = 1.0 / (2.0 * math.pi * math.pi)
 _D_FIT_SCALE = 250.0
@@ -80,8 +72,8 @@ class KernelConvergenceError(ArithmeticError):
 
     ``l_reached`` is the order f_exact stopped at; ``partial`` is the running sum through the
     order below it for a non-finite term, through it for a tail budget (1e-8 of the sum, at
-    the first tail order) that is not a normal double, through the whole table at its end (a
-    guard), and 0 for a diagonal l = 1 term lost to cancellation.
+    the first tail order) that is not a normal double, and through the whole table at its end
+    (a guard).
     """
 
     def __init__(self, message: str, partial: float, l_reached: int):
@@ -121,48 +113,62 @@ class KernelValue:
     truncation_error_estimate: float
 
 
-def _pw_ratios(x: float, y: float, l_size: int) -> list[float]:
-    """W~_nu(x, y)/(x^2 - y^2) for l = 0..l_size (l_size >= 1), stable through the diagonal.
+def _require_domain(x: float, y: float) -> None:
+    """BesselDomainError unless x and y are normal doubles in (0, _MAX_ARGUMENT]; checked before any table is sized."""
+    if not (sys.float_info.min <= x <= _MAX_ARGUMENT and sys.float_info.min <= y <= _MAX_ARGUMENT):
+        raise BesselDomainError(f"kernel arguments must be normal doubles in (0, {_MAX_ARGUMENT:g}], got x={x}, y={y}")
 
-    One J_{l+1/2} sequence per argument (or at the midpoint in the
-    diagonal band) serves every order; its last entry, order -1/2, is the
-    lower neighbour of l = 0.  Exactly symmetric under x <-> y.
+
+def _series_top(l_size, half_e_m):
+    """Last J row the overlap series reads for orders up to l_size, half_e_m = int(e*max(x, y)/2); ints or arrays."""
+    return np.maximum(l_size, half_e_m + _SERIES_ROWS) + _SERIES_ROWS
+
+
+def _overlaps(jx: np.ndarray, jy: np.ndarray, x: np.ndarray, y: np.ndarray, top) -> np.ndarray:
+    """W~_{l+1/2}(x, y)/(x^2 - y^2) for l = 0..rows-2 from rows k = 0..rows-1 of J_{k+1/2} at x and y (rows by points).
+
+    The ratio is the overlap int_0^1 r J_nu(xr) J_nu(yr) dr (DLMF 10.22.5), which J_nu + J_{nu+2} = (2(nu+1)/z) J_{nu+1}
+    (DLMF 10.6.1) telescopes into (2/(xy)) sum_{n>=0} (nu+2n+1) J_{nu+2n+1}(x) J_{nu+2n+1}(y): no x^2 - y^2 to cancel.
+    Order l sums every other row from l + 1 up, from the top down, leaving out the rows past each point's own ``top``,
+    so a point sums its own table in any batch.  Exactly symmetric in x and y.
     """
-    if abs(x - y) < _DIAG_BAND * min(x, y, 1.0):
-        m = 0.5 * (x + y)
-        j = half_integer_j_array(l_size, m)
-        if _reduced_det_diagonal(1.5, m, j[1], j[0]) <= _DIAG_RESOLUTION * m * (j[1] * j[1] + j[0] * j[0]):
-            raise KernelConvergenceError(
-                f"diagonal l=1 term lost to cancellation at (x, y)=({x}, {y}): tiny argument", 0.0, 1
-            )
-        return [_reduced_det_diagonal(l + 0.5, m, j[l], j[l - 1]) / (x + y) for l in range(l_size + 1)]
-    # Off the band x^2 - y^2 underflows to 0 only where the J values are out of range too.
-    d = x * x - y * y or math.nan
-    jx = half_integer_j_array(l_size, x)
-    jy = half_integer_j_array(l_size, y)
-    return [_reduced_det(jx[l], jx[l - 1], x, jy[l], jy[l - 1], y) / d for l in range(l_size + 1)]
+    k = np.arange(jx.shape[0])[:, None]
+    terms = np.where(k <= top, (k + 0.5) * (jx * jy), 0.0)
+    sums = np.empty_like(terms)
+    for parity in (0, 1):
+        np.cumsum(terms[::-1][parity::2], axis=0, out=sums[::-1][parity::2])
+    return sums[1:] * (2.0 / (x * y))
 
 
-def _kernel_terms(x: float, y: float, size: int) -> list[float]:
+def _pw_ratios(x: float, y: float, l_size: int) -> np.ndarray:
+    """W~_nu(x, y)/(x^2 - y^2) for l = 0..l_size by _overlaps, on the diagonal too, from one J sequence per argument."""
+    _require_domain(x, y)
+    top = int(_series_top(l_size, int(math.e * max(x, y) / 2.0)))
+    j = np.array([half_integer_j_array(top, x)[:-1], half_integer_j_array(top, y)[:-1]]).T
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _overlaps(j[:, :1], j[:, 1:], np.array([x]), np.array([y]), top)[: l_size + 1, 0]
+
+
+def _kernel_terms(x: float, y: float, size: int) -> np.ndarray:
     """(2l+1) (W~/(x^2 - y^2))^2 for l = 1..size."""
-    return [(2 * l + 1) * r * r for l, r in enumerate(_pw_ratios(x, y, size)[1:], 1)]
+    r = _pw_ratios(x, y, size)[1:]
+    return ((2 * np.arange(1, size + 1) + 1) * r) * r
 
 
 def f_exact(x: float, y: float) -> KernelValue:
     """Exact kernel F(x, y) = sum_{l>=1} (2l+1) W~^2/(x^2-y^2)^2 with unit wall amplitudes (those are in ``matching``).
 
-    One table of int(e*max(x, y)/2) + _L_MARGIN terms from the scalar recurrence; the value
-    is their running sum through the order where _certify's large-order tail bound falls below
-    1e-8 of it, KernelConvergenceError where that fails.  The 1e-8 bounds the truncation only:
-    just off the diagonal below x ~ 0.1 the terms lose more to cancellation, unreported (8.6e-7
-    relative at (0.003, 0.003 (1 + 1.01e-4)), 5.4e-8 at x = 0.01; ROADMAP.md item 3).
+    One table of int(e*max(x, y)/2) + _L_MARGIN terms from the scalar recurrence and the
+    overlap series (``_overlaps``), on and off the diagonal alike; the value is their running
+    sum through the order where _certify's large-order tail bound falls below 1e-8 of it,
+    KernelConvergenceError where that fails (below about x = 3e-50 on the diagonal 1e-8 of
+    the sum is no longer a normal double).
     """
-    if not (sys.float_info.min <= x <= _MAX_ARGUMENT and sys.float_info.min <= y <= _MAX_ARGUMENT):
-        raise BesselDomainError(f"kernel arguments must be normal doubles in (0, {_MAX_ARGUMENT:g}], got x={x}, y={y}")
+    _require_domain(x, y)
     size = int(math.e * max(x, y) / 2.0) + _L_MARGIN
-    terms = _kernel_terms(x, y, size)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        *certified, sums = _certify(np.array(terms)[:, None], np.array([x]), np.array([y]), np.array([size]))
+        terms = _kernel_terms(x, y, size)
+        *certified, sums = _certify(terms[:, None], np.array([x]), np.array([y]), np.array([size]))
     value, used, tail, first = (a.item() for a in certified)
     if used:
         return KernelValue(value=value, l_used=used, truncation_error_estimate=tail)
@@ -171,7 +177,7 @@ def f_exact(x: float, y: float) -> KernelValue:
     if _TAIL_REL * acc[first] < sys.float_info.min:
         message = f"tail budget below the double range at l={first}, (x, y)=({x}, {y}): tiny argument"
         raise KernelConvergenceError(message, acc[first], first)
-    l = next((l for l, t in enumerate(terms, 1) if not math.isfinite(t)), None)
+    l = next((l for l, t in enumerate(terms.tolist(), 1) if not math.isfinite(t)), None)
     if l:
         cause = "Bessel values out of double range at a tiny argument"
         raise KernelConvergenceError(f"non-finite kernel term at l={l}, (x, y)=({x}, {y}): {cause}", acc[l - 1], l)
@@ -217,18 +223,16 @@ def _certify(terms: np.ndarray, x: np.ndarray, y: np.ndarray, size: np.ndarray) 
 
 
 def _sorted_batch_values(x: np.ndarray, y: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f_exact's value and l_used at each off-band point, l_used 0 where it fails; table sizes descending.
+    """f_exact's value and l_used at each point, l_used 0 where it fails; table sizes descending.
 
     Runs f_exact's algorithm on every point at once: the same J tables and
     terms, each point's own table size, and one _certify call.
     """
-    l_top = int(size[0])
-    # A point's two columns side by side keep the recurrence starts (size + margin) descending.
-    j = _half_integer_j_table(l_top, np.stack([x, y], axis=1).ravel(), np.repeat(size, 2))
-    jx, jy = j[:, 0::2], j[:, 1::2]
-    l = np.arange(1, l_top + 1)[:, None]
-    # Where x^2 - y^2 underflows to 0 the terms are inf or NaN, and f_exact raises.
-    r = _reduced_det(jx[1:], jx[:-1], x, jy[1:], jy[:-1], y) / (x * x - y * y)
+    top = _series_top(size, (math.e * np.maximum(x, y) / 2.0).astype(int))
+    # A point's two columns side by side keep the recurrence starts (top + margin) descending.
+    j = _half_integer_j_table(int(top[0]), np.stack([x, y], axis=1).ravel(), np.repeat(top, 2))
+    r = _overlaps(j[:, 0::2], j[:, 1::2], x, y, top)[1 : int(size[0]) + 1]
+    l = np.arange(1, r.shape[0] + 1)[:, None]
     terms = ((2 * l + 1) * r) * r
     return _certify(terms, x, y, size)[:2]
 
@@ -236,25 +240,24 @@ def _sorted_batch_values(x: np.ndarray, y: np.ndarray, size: np.ndarray) -> tupl
 def f_exact_array(x, y) -> np.ndarray:
     """f_exact(x, y).value at every point of the broadcast arrays x and y, bit for bit, in numpy passes.
 
-    Off-band points run in sub-batches of at most about _TABLE_ENTRIES
-    Bessel table entries, grouped by table size, so memory stays flat in
-    the number of points.  Points in the diagonal band, outside the domain
-    or where the batch fails go to f_exact in input order, so the first
-    failing point raises f_exact's own error.  Both paths take their
-    truncation and value from _certify.  For one point, f_exact is the faster path.
+    On and off the diagonal, points run in sub-batches of at most about _TABLE_ENTRIES Bessel table entries (series
+    rows included), grouped by table size, so memory stays flat in the number of points.  Points outside the domain or
+    where the batch fails go to f_exact in input order, so the first failing point raises f_exact's own error.  Both
+    paths take their truncation and value from _certify.  For one point, f_exact is the faster path.
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     shape, x, y = x.shape, x.ravel(), y.ravel()
     values = np.empty(x.size)
-    # Overflow and invalid operations give inf or NaN, as in f_exact's Python floats; the tests catch them.
+    # Overflow and invalid operations give inf or NaN, as in f_exact; the tests catch them.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         lo, hi = np.minimum(x, y), np.maximum(x, y)
-        batch = (lo >= sys.float_info.min) & (hi <= _MAX_ARGUMENT) & (hi - lo >= _DIAG_BAND * np.minimum(lo, 1.0))
-        size = np.where(batch, math.e * hi / 2.0, 0.0).astype(int) + _L_MARGIN
+        batch = (lo >= sys.float_info.min) & (hi <= _MAX_ARGUMENT)
+        half_e_m = np.where(batch, math.e * hi / 2.0, 0.0).astype(int)
+        size, rows = half_e_m + _L_MARGIN, _series_top(half_e_m + _L_MARGIN, half_e_m) + 1
         idx = np.flatnonzero(batch)[np.argsort(-size[batch], kind="stable")]
         at = 0
         while at < idx.size:
-            sub = idx[at : at + max(1, _TABLE_ENTRIES // (2 * (size[idx[at]] + 1)))]
+            sub = idx[at : at + max(1, _TABLE_ENTRIES // (2 * rows[idx[at]]))]
             values[sub], used = _sorted_batch_values(x[sub], y[sub], size[sub])
             batch[sub] = used > 0
             at += sub.size

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 from .special_functions import BesselDomainError, ModeOrder, _reduced_det, half_integer_j_array, half_integer_n_array
@@ -54,7 +55,9 @@ def _require_positive_finite(obj: object, *names: str) -> None:
     """ValueError unless each named attribute of ``obj`` is a positive finite real (not bool); stores a float."""
     for name in names:
         v = getattr(obj, name)
-        if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v) and v > 0):
+        # A rational (an int too) compares exactly: one past the double range is refused, not overflowed.
+        real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+        if not (real and v > 0 and (v <= sys.float_info.max if isinstance(v, numbers.Rational) else math.isfinite(v))):
             raise ValueError(f"{name} must be a positive finite number, got {v!r}")
         object.__setattr__(obj, name, float(v))
 

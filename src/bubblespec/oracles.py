@@ -3,12 +3,13 @@
 The four suites of ``bubblespec check``, each an ``IdentityReport``: the Bessel
 cross-product Wronskian 2/pi, the wall matching's |B|^2 + |C|^2 = 1, the
 closed-form finite-range Bessel overlap integral and the smeared spectral delta
-identities.  The overlap is the exact kernel's own pseudo-Wronskian ratio,
-checked against a self-verified composite Gauss-Legendre rule, independent of
-the production Gauss-Kronrod pair, over ``_jv``: J_{l+1/2} for l <= 10 and
-z <= 100 from the power series (DLMF 10.2.2) below z = 8 and the finite
-sin/cos closed form (DLMF 10.49.2) from 8 up, independent of the package's J
-recurrence.  The delta identities are closed forms.  No suite loads scipy.
+identities.  The overlap is the exact kernel's own ratio W~/(x^2 - y^2), its
+series over the kernel's J rows (``kernel._overlaps``), checked against a
+self-verified composite Gauss-Legendre rule, independent of the production
+Gauss-Kronrod pair, over ``_jv``: J_{l+1/2} for l <= 10 and z <= 100 from the
+power series (DLMF 10.2.2) below z = 8 and the finite sin/cos closed form
+(DLMF 10.49.2) from 8 up, independent of the package's J recurrence.  The
+delta identities are closed forms.  No suite loads scipy.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _pw_ratios
+from .kernel import _SERIES_ROWS, _pw_ratios
 from .matching import coefficients_bc
 from .special_functions import BesselDomainError, ModeOrder, _reduced_det, bessel_jn_half
 
@@ -76,15 +77,13 @@ def matching_checks(rng: random.Random) -> IdentityReport:
 def hankel_finite_integral(order: ModeOrder, k1: float, k2: float, R: float) -> float:
     """Closed form of int_0^R r J_nu(k1 r) J_nu(k2 r) dr = R^2 W~_nu(a, b)/(a^2 - b^2), (a, b) = (k1 R, k2 R).
 
-    The ratio is the exact kernel's ``_pw_ratios`` term: near-degenerate
-    wavenumbers (|a - b| < 1e-4 min(a, b, 1)) take its diagonal limit at
-    the midpoint, R^2/(2z) [z (J^2 + J_{nu-1}^2) - 2 nu J J_{nu-1}], and
-    raise its KernelConvergenceError where that limit cancels at a tiny z.
+    The ratio is the exact kernel's overlap series (``_pw_ratios``), equal wavenumbers included.
     """
     # A non-positive wavenumber leaves the Bessel domain, but R < 0 would turn two negative ones positive.
     if R <= 0.0:
         raise BesselDomainError(f"radius must be positive, got R={R}")
-    return R * R * _pw_ratios(k1 * R, k2 * R, max(order.l, 1))[order.l]
+    # With _SERIES_ROWS more orders, order l sums 2 * _SERIES_ROWS rows past max(l, e*max(a, b)/2), not a top order's 8.
+    return R * R * _pw_ratios(k1 * R, k2 * R, order.l + _SERIES_ROWS)[order.l]
 
 
 def _jv(l: int, z: np.ndarray) -> np.ndarray:

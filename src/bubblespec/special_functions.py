@@ -47,10 +47,10 @@ class BesselDomainError(ValueError):
     """Argument below the smallest normal double or above _MAX_ARGUMENT, or wall amplitudes not finite there."""
 
 
-def _require_int(obj: object, name: str, minimum: int, rule: str) -> None:
-    """ValueError "<rule>, got <v>" unless obj.<name> is an integer (__index__, not bool) >= minimum; stores an int."""
+def _require_int(obj: object, name: str, minimum: int, rule: str, maximum: float = math.inf) -> None:
+    """ValueError "<rule>, got <v>" unless obj.<name> has __index__ (not bool) in [minimum, maximum]; stores an int."""
     v = getattr(obj, name)
-    if isinstance(v, bool) or not hasattr(v, "__index__") or operator.index(v) < minimum:
+    if isinstance(v, bool) or not hasattr(v, "__index__") or not minimum <= operator.index(v) <= maximum:
         raise ValueError(f"{rule}, got {v!r}")
     object.__setattr__(obj, name, operator.index(v))
 
@@ -206,9 +206,3 @@ def _reduced_det(ja: float, ja_prev: float, a: float, gb: float, gb_prev: float,
     the nu-terms cancel, leaving J(a) b G_{nu-1}(b) - G(b) a J_{nu-1}(a).
     """
     return ja * b * gb_prev - gb * a * ja_prev
-
-
-def _reduced_det_diagonal(nu: float, z: float, j: float, j_prev: float) -> float:
-    """lim_{b->a} _reduced_det(J at a, J at b)/(a - b) at a = z."""
-    return z * (j * j + j_prev * j_prev) - 2.0 * nu * j * j_prev
-

@@ -216,6 +216,15 @@ def test_diagonal_command():
     assert len(lines) == 5
 
 
+def test_diagonal_at_tiny_arguments_prints_the_small_x_limit():
+    # the overlap series resolves D(x) down to about x = 3e-50, so this grid exits 0 with values
+    res = CliRunner().invoke(main, ["diagonal", "--x-max", "1e-30", "--points", "5"])
+    assert res.exit_code == 0, res.output
+    for line in res.output.splitlines()[1:]:
+        x, d, _ = (float(v) for v in line.split(","))
+        assert d == pytest.approx(12.0 * x**6 / (2025.0 * math.pi**2), rel=1e-13)
+
+
 def test_kernel_dump_at_large_arguments():
     res = CliRunner().invoke(
         main, ["kernel-dump", "--x-range", "150", "400", "--y-range", "150", "400", "--points", "2"]
@@ -333,7 +342,8 @@ def test_out_of_domain_arguments_and_unwritable_outputs_exit_cleanly(tmp_path, a
 
 
 @pytest.mark.parametrize(
-    "line", ["kernel_mode = bogus", "grid_points = 1", "x_star_override = 0", "y_star_override = -1"]
+    "line",
+    ["kernel_mode = bogus", "grid_points = 1", "grid_points = 10001", "x_star_override = 0", "y_star_override = -1"],
 )
 def test_invalid_run_config_values_exit_2_naming_the_key(tmp_path, line):
     out = _cli_process("spectrum", "--config", _write(tmp_path, "cfg.txt", line + "\n"))

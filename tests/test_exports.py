@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import bubblespec
@@ -60,3 +61,22 @@ def test_no_unreferenced_private_module_level_names():
         if name.startswith("_") and not name.startswith("__") and name not in referenced
     ]
     assert unreferenced == []
+
+
+def test_every_module_qualified_name_in_the_readme_resolves():
+    # README prose that names a deleted or renamed helper points its readers at nothing.
+    modules = {m.name for m in pkgutil.iter_modules(bubblespec.__path__)}
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    quoted = re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", readme.read_text(encoding="utf-8"))
+    named = [n.split(".") for n in quoted]
+    # `bubblespec.x` must name a module; `x.y` is checked when x is one.
+    named = [p[1:] if p[0] == "bubblespec" else p for p in named if p[0] in modules | {"bubblespec"}]
+    assert len(named) >= 4
+    dangling = []
+    for module, *attrs in named:
+        obj = importlib.import_module(f"bubblespec.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr, dangling)
+        if obj is dangling:
+            dangling.append(".".join([module, *attrs]))
+    assert dangling == []

@@ -3,6 +3,7 @@ import math
 import random
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import spherical_jn
@@ -146,9 +147,28 @@ def test_f_exact_at_large_arguments_against_a_700_order_sum(x, y):
 
 @pytest.mark.parametrize("x, y", [(5.0, 5.004), (20.0, 20.019), (63.14, 63.18), (120.0, 120.1)])
 def test_f_exact_near_diagonal(x, y):
-    # close enough to the diagonal for cancellation, far enough that the
-    # midpoint diagonal limit would miss the tail budget
+    # close enough to the diagonal for x^2 - y^2 to cancel in a direct quotient
     assert f_exact(x, y).value == pytest.approx(_spherical_jn_f(x, y), rel=1e-8)
+
+
+def _mpmath_f(x, y, l_used):
+    """sum_{l=1}^{l_used} (2l+1) W~^2/(x^2 - y^2)^2 from 40-digit Bessel values (Lommel's quotient, x != y)."""
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(x), mpmath.mpf(y)
+        j = {z: [mpmath.besselj(l + mpmath.mpf(1) / 2, z) for l in range(l_used + 1)] for z in (a, b)}
+        w = [b * j[b][l - 1] * j[a][l] - a * j[a][l - 1] * j[b][l] for l in range(1, l_used + 1)]
+        return float(mpmath.fsum((2 * l + 1) * (v / (a * a - b * b)) ** 2 for l, v in enumerate(w, 1)))
+
+
+def test_f_exact_next_to_the_diagonal_at_small_arguments_against_mpmath():
+    # x log-uniform in [1e-3, 2], |y/x - 1| log-uniform in [1e-12, 1e-2], against the same
+    # orders summed at 40 digits: the overlap series loses nothing next to the diagonal
+    rng = random.Random(83)
+    for _ in range(120):
+        x = 10.0 ** rng.uniform(-3.0, math.log10(2.0))
+        y = x * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, -2.0))
+        got = f_exact(x, y)
+        assert got.value == pytest.approx(_mpmath_f(x, y, got.l_used), rel=1e-12, abs=0.0), (x, y)
 
 
 def test_diagonal_continuity():
@@ -279,7 +299,7 @@ FROZEN_ERRORS = {
     ),
     (1e-100, 1.0): (
         "tail budget below the double range at l=1, (x, y)=(1e-100, 1.0): tiny argument",
-        "0x1.6d14a97367ebfp-1008",
+        "0x1.6d14a97367eafp-1008",
         1,
     ),
     (1e-100, 30.0): (
@@ -288,17 +308,17 @@ FROZEN_ERRORS = {
         40,
     ),
     (1e-200, 1e-200): (
-        "diagonal l=1 term lost to cancellation at (x, y)=(1e-200, 1e-200): tiny argument",
+        "non-finite kernel term at l=1, (x, y)=(1e-200, 1e-200): Bessel values out of double range at a tiny argument",
         "0x0.0p+0",
         1,
     ),
-    (180.0, 180.0): ("kernel tail not certified by l=244 at (x, y)=(180.0, 180.0)", "0x1.9efb9dfbb2450p-5", 244),
+    (180.0, 180.0): ("kernel tail not certified by l=244 at (x, y)=(180.0, 180.0)", "0x1.9efb9dfbb245ap-5", 244),
 }
 
 
 @pytest.mark.parametrize("x, y", list(FROZEN_ERRORS))
 def test_f_exact_tiny_arguments_raise_typed_error(x, y, monkeypatch):
-    # Bessel values (or x^2 - y^2) leave the double range, the kernel is too small for
+    # Bessel values (or x*y) leave the double range, the kernel is too small for
     # its tail budget, or (with no margin) the table ends uncertified: a typed error,
     # never a bare crash, with the message, partial sum and order frozen bit for bit.
     if x == 180.0:
@@ -308,22 +328,24 @@ def test_f_exact_tiny_arguments_raise_typed_error(x, y, monkeypatch):
     assert (str(exc.value), exc.value.partial.hex(), exc.value.l_reached) == FROZEN_ERRORS[x, y]
 
 
-def test_f_exact_tiny_diagonal_fails_the_same_way_throughout():
-    # below x ~ 1e-3 the diagonal l = 1 term cancels past the tail budget:
-    # every point raises, none returns rounding noise or a stray zero
-    outcomes = set()
-    for x in np.logspace(-90.0, -30.0, 601):
-        try:
-            outcomes.add(math.isfinite(f_exact(float(x), float(x)).value))
-        except KernelConvergenceError as exc:
-            assert "tiny argument" in str(exc)
-            outcomes.add("raises")
-    assert outcomes in ({True}, {"raises"})
-    assert d_exact(1e-3) == pytest.approx(6.0042165744256175e-22, rel=1e-8)  # 100-digit sum
+def test_d_exact_follows_its_small_argument_limit():
+    # D(x) -> 3 (2 x^3/(45 pi))^2 = 12 x^6/(2025 pi^2), the l = 1 term; the O(x^2) correction
+    # is below rounding from 1e-8 down, and the overlap series has no cancellation to lose there
+    for x in np.logspace(-49.0, -8.0, 200).tolist():
+        limit = 12.0 * x**6 / (2025.0 * math.pi**2)
+        assert d_exact(x) == pytest.approx(limit, rel=1e-13, abs=0.0), x
+    assert d_exact(1e-3) == pytest.approx(6.0042165744256175e-22, rel=1e-13)  # 100-digit sum
+
+
+def test_d_exact_below_the_double_range_raises_a_tiny_argument_error():
+    # below about 3e-50, 1e-8 of D(x) is no longer a normal double: a typed error, never a value
+    for x in np.logspace(-300.0, -50.0, 251).tolist():
+        with pytest.raises(KernelConvergenceError, match="tiny argument"):
+            d_exact(x)
 
 
 def _array_sweep(seed, n):
-    """Seeded points over [0.5, 392]^2: uniform, in the diagonal band, just outside it, on the diagonal."""
+    """Seeded points over [0.5, 392]^2: uniform, within 1e-4 min(x, 1) of the diagonal, just past that, on it."""
     rng = random.Random(seed)
     points = [(200.0, 200.0), (300.0, 300.0), (392.0, 392.0)]
     while len(points) < n:
@@ -345,13 +367,10 @@ def test_f_exact_array_is_f_exact_bit_for_bit():
     x, y = _array_sweep(11, 600)
     want = [f_exact(float(a), float(b)) for a, b in zip(x, y)]
     assert f_exact_array(x, y).tolist() == [v.value for v in want]
-    # the same truncation too: one sub-batch of off-band points per table size
+    # the same truncation too: one sub-batch per table size
     size = (math.e * np.maximum(x, y) / 2.0).astype(int) + _L_MARGIN
-    off = np.abs(x - y) >= kernel._DIAG_BAND * np.minimum(np.minimum(x, y), 1.0)
     for s in np.unique(size):
-        at = np.flatnonzero((size == s) & off)
-        if not at.size:
-            continue
+        at = np.flatnonzero(size == s)
         _, used = kernel._sorted_batch_values(x[at], y[at], size[at])
         assert used.tolist() == [want[i].l_used for i in at]
 
@@ -372,7 +391,7 @@ def test_f_exact_value_is_the_running_sum_it_certifies(monkeypatch):
         assert abs(got.value - exact) <= got.l_used * 2.0**-52 * exact, (a, b)
         want.append(got)
     assert min(v.l_used for v in want[-3:]) > 300
-    assert np.any(np.abs(x - y) < kernel._DIAG_BAND * np.minimum(np.minimum(x, y), 1.0))
+    assert np.any(np.abs(x - y) < 1e-4 * np.minimum(np.minimum(x, y), 1.0))
     for entries in (1, 2**9, 2**13, 2**16):
         monkeypatch.setattr(kernel, "_TABLE_ENTRIES", entries)
         assert f_exact_array(x, y).tolist() == [v.value for v in want]
@@ -395,9 +414,11 @@ def test_f_exact_array_values_do_not_depend_on_the_batch(monkeypatch):
     assert grid[2, 1] == f_exact(float(x[2]), float(y[1])).value
 
 
-def test_f_exact_array_hands_exactly_the_band_points_to_f_exact(monkeypatch):
-    # the diagonal band lives in f_exact alone; the batch takes every other point of the sweep
+def test_f_exact_array_calls_f_exact_for_no_in_domain_point(monkeypatch):
+    # on, next to and far from the diagonal, every point of the sweep runs in the batch;
+    # only a point outside the domain goes to f_exact, for its error
     x, y = _array_sweep(13, 200)
+    assert np.any(x == y) and np.any((x != y) & (np.abs(x - y) < 1e-4 * np.minimum(np.minimum(x, y), 1.0)))
     calls = []
 
     def recording(a, b):
@@ -406,19 +427,16 @@ def test_f_exact_array_hands_exactly_the_band_points_to_f_exact(monkeypatch):
 
     monkeypatch.setattr(kernel, "f_exact", recording)
     f_exact_array(x, y)
-    band = np.abs(x - y) < kernel._DIAG_BAND * np.minimum(np.minimum(x, y), 1.0)
-    assert 0 < band.sum() < x.size
-    assert calls == list(zip(x[band].tolist(), y[band].tolist()))
+    assert calls == []
+    with pytest.raises(BesselDomainError):
+        f_exact_array(np.append(x, 0.0), np.append(y, 1.0))
+    assert calls == [(0.0, 1.0)]
 
 
 def test_f_exact_array_matches_f_exact_at_tiny_and_mixed_scale_points():
-    # off-band points log-uniform in [1e-300, 400]^2: most of them make f_exact raise
+    # points log-uniform in [1e-300, 400]^2: most of them make f_exact raise
     rng = random.Random(71)
-    points = []
-    while len(points) < 400:
-        x, y = (10.0 ** rng.uniform(-300.0, math.log10(400.0)) for _ in range(2))
-        if abs(x - y) >= kernel._DIAG_BAND * min(x, y, 1.0):
-            points.append((x, y))
+    points = [tuple(10.0 ** rng.uniform(-300.0, math.log10(400.0)) for _ in range(2)) for _ in range(400)]
     want = [_scalar_error(x, y) or f_exact(x, y) for x, y in points]
     for (x, y), w in zip(points, want):
         if isinstance(w, Exception):

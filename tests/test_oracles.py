@@ -11,7 +11,7 @@ from scipy import integrate, special
 import bubblespec
 from bubblespec import kernel, matching, oracles, special_functions
 from bubblespec.cli import _run_checks
-from bubblespec.kernel import _DIAG_BAND, f_exact
+from bubblespec.kernel import f_exact
 from bubblespec.oracles import finite_overlap_checks, hankel_finite_integral, spectral_delta_checks
 from bubblespec.special_functions import BesselDomainError, ModeOrder
 
@@ -65,16 +65,14 @@ def test_degenerate_wavenumbers_route_to_diagonal():
     ids=["0", "1e-12", "inside-band", "outside-band", "1e-3", "1e-2"],
 )
 def test_band_edge_against_quadpack(delta):
-    # k2 = k (1 + delta) on both sides of the kernel's diagonal band
-    # |k1 - k2| R < _DIAG_BAND min(k1 R, k2 R, 1), where the ratio switches to
-    # its midpoint limit.  Inside the band that rule is off by about
-    # nu (delta/2)^2 relative, within 1e-8 up to l = 3 (so l stops there);
-    # below kR ~ 0.08 it misses 1e-8 at l = 1 as well, so kR starts at 0.5.
+    # k2 = k (1 + delta) on both sides of |k1 - k2| R = 1e-4 min(k1 R, k2 R, 1), the edge
+    # of the diagonal band the ratio once took a midpoint limit in; the overlap series
+    # has no band, so every order through l = 10 holds 1e-8 down to kR = 0.05.
     R = 5.0
-    for kr in (0.5, 0.8, 1.0, 1.8, 3.0, 7.0, 15.0, 30.0):
+    for kr in (0.05, 0.1, 0.2, 0.5, 0.8, 1.0, 1.8, 3.0, 7.0, 15.0, 30.0):
         k1 = kr / R
-        k2 = k1 * (1.0 + delta(_DIAG_BAND * min(kr, 1.0) / kr))
-        for l in range(4):
+        k2 = k1 * (1.0 + delta(1e-4 * min(kr, 1.0) / kr))
+        for l in range(11):
             ref, _ = integrate.quad(
                 lambda r: r * special.jv(l + 0.5, k1 * r) * special.jv(l + 0.5, k2 * r),
                 0.0, R, epsabs=0.0, epsrel=1e-13, limit=400,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,33 @@ def test_config_classes_take_numpy_numbers_and_store_python_ones():
     assert type(quad.max_subdivisions) is int and quad.max_subdivisions == 50
     run = RunConfig(grid_points=np.int64(5))
     assert type(run.grid_points) is int and run.grid_points == 5
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: MediumConfig(n_gas_in=10**400, n_gas_out=1.0), "n_gas_in"),
+        (lambda: QuadratureSpec(rel_tol=10**400), "rel_tol"),
+        (lambda: CutoffProfile(10**400, 1.0), "x_star"),
+    ],
+    ids=["n_gas_in", "rel_tol", "x_star"],
+)
+def test_config_classes_refuse_an_int_past_the_double_range(make, name):
+    # compared exactly, never converted: the usual ValueError, not an OverflowError
+    with pytest.raises(ValueError, match=f"{name} must be a positive finite number"):
+        make()
+
+
+def test_run_config_refuses_grid_points_past_its_ceiling_without_allocating():
+    assert RunConfig(grid_points=10_000).grid_points == 10_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="grid_points must be an integer in \\[2, 10000\\], got 1000000000000"):
+            RunConfig(grid_points=10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
