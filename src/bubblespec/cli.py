@@ -217,8 +217,9 @@ def kernel_dump(output_path, x_range, y_range, points) -> None:
     """Exact and factorized kernel on a rectangular grid as CSV."""
     x0, x1 = x_range
     y0, y1 = y_range
-    if not (0 < x0 < x1 < math.inf and 0 < y0 < y1 < math.inf) or points < 2:
-        raise click.UsageError("ranges must be positive, finite and increasing, points >= 2")
+    # points^2 samples, all held as CSV lines before the write: the ceiling keeps them to 10^6.
+    if not (0 < x0 < x1 < math.inf and 0 < y0 < y1 < math.inf) or not 2 <= points <= 1000:
+        raise click.UsageError("ranges must be positive, finite and increasing, points in [2, 1000]")
     xs = np.linspace(x0, x1, points)
     ys = np.linspace(y0, y1, points)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -238,8 +239,8 @@ def kernel_dump(output_path, x_range, y_range, points) -> None:
 @_numerical_failures()
 def diagonal(output_path, x_max, points) -> None:
     """Diagonal kernel D(x) against its fitted form, as CSV."""
-    if not 0 < x_max < math.inf or points < 2:
-        raise click.UsageError("x-max must be positive and finite, points >= 2")
+    if not 0 < x_max < math.inf or not 2 <= points <= 10_000:
+        raise click.UsageError("x-max must be positive and finite, points in [2, 10000]")
     xs = np.linspace(x_max / points, x_max, points)
     exact = f_exact_array(xs, xs).tolist()
     lines = ["x,d_exact,d_approx"]

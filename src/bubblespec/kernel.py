@@ -23,13 +23,7 @@ import numpy as np
 
 from .matching import MediumConfig, _require_positive_finite
 # bessel_jn_half is unused here but perfbench/test_perfbench.py reads it.
-from .special_functions import (
-    _MAX_ARGUMENT,
-    BesselDomainError,
-    _half_integer_j_table,
-    bessel_jn_half,
-    half_integer_j_array,
-)
+from .special_functions import _MAX_ARGUMENT, BesselDomainError, _half_integer_j_table, bessel_jn_half
 
 __all__ = [
     "CutoffProfile",
@@ -119,6 +113,11 @@ def _require_domain(x: float, y: float) -> None:
         raise BesselDomainError(f"kernel arguments must be normal doubles in (0, {_MAX_ARGUMENT:g}], got x={x}, y={y}")
 
 
+def _half_e_m(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """int(e*max(x, y)/2) per point: the order past which _certify's tail bound applies, and the tables' size."""
+    return (math.e * np.maximum(x, y) / 2.0).astype(int)
+
+
 def _series_top(l_size, half_e_m):
     """Last J row the overlap series reads for orders up to l_size, half_e_m = int(e*max(x, y)/2); ints or arrays."""
     return np.maximum(l_size, half_e_m + _SERIES_ROWS) + _SERIES_ROWS
@@ -140,44 +139,57 @@ def _overlaps(jx: np.ndarray, jy: np.ndarray, x: np.ndarray, y: np.ndarray, top)
     return sums[1:] * (2.0 / (x * y))
 
 
+def _ratios(x: np.ndarray, y: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """W~_nu(x, y)/(x^2 - y^2) by _overlaps (orders by points) from one J table at x and y through rows ``top``.
+
+    Points come in descending order of top, each point's last J row (``_series_top``).
+    """
+    # A point's two columns side by side keep the recurrence starts (top + margin) descending.
+    j = _half_integer_j_table(int(top[0]), np.array([x, y]).T.ravel(), np.repeat(top, 2))
+    return _overlaps(j[:, 0::2], j[:, 1::2], x, y, top)
+
+
 def _pw_ratios(x: float, y: float, l_size: int) -> np.ndarray:
-    """W~_nu(x, y)/(x^2 - y^2) for l = 0..l_size by _overlaps, on the diagonal too, from one J sequence per argument."""
+    """W~_nu(x, y)/(x^2 - y^2) for l = 0..l_size at one point, on the diagonal too."""
     _require_domain(x, y)
-    top = int(_series_top(l_size, int(math.e * max(x, y) / 2.0)))
-    j = np.array([half_integer_j_array(top, x)[:-1], half_integer_j_array(top, y)[:-1]]).T
+    x, y = np.array([x]), np.array([y])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _overlaps(j[:, :1], j[:, 1:], np.array([x]), np.array([y]), top)[: l_size + 1, 0]
+        return _ratios(x, y, _series_top(l_size, _half_e_m(x, y)))[: l_size + 1, 0]
 
 
-def _kernel_terms(x: float, y: float, size: int) -> np.ndarray:
-    """(2l+1) (W~/(x^2 - y^2))^2 for l = 1..size."""
-    r = _pw_ratios(x, y, size)[1:]
-    return ((2 * np.arange(1, size + 1) + 1) * r) * r
+def _kernel_sums(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Terms (2l+1) r_l^2 for l = 1..size, then _certify's results, at in-domain points sorted by descending size.
+
+    The one exact-kernel routine of f_exact and f_exact_array: each point's table of size int(e*max(x, y)/2) +
+    _L_MARGIN terms from the overlap ratios r_l (``_ratios``) and one _certify call over all of them.
+    """
+    half_e_m = _half_e_m(x, y)
+    size = half_e_m + _L_MARGIN
+    r = _ratios(x, y, _series_top(size, half_e_m))[1 : int(size[0]) + 1]
+    terms = ((2 * np.arange(1, r.shape[0] + 1)[:, None] + 1) * r) * r
+    return terms, *_certify(terms, x, y, size)
 
 
 def f_exact(x: float, y: float) -> KernelValue:
     """Exact kernel F(x, y) = sum_{l>=1} (2l+1) W~^2/(x^2-y^2)^2 with unit wall amplitudes (those are in ``matching``).
 
-    One table of int(e*max(x, y)/2) + _L_MARGIN terms from the scalar recurrence and the
-    overlap series (``_overlaps``), on and off the diagonal alike; the value is their running
-    sum through the order where _certify's large-order tail bound falls below 1e-8 of it,
-    KernelConvergenceError where that fails (below about x = 3e-50 on the diagonal 1e-8 of
-    the sum is no longer a normal double).
+    One table of int(e*max(x, y)/2) + _L_MARGIN terms from the overlap series (``_kernel_sums``), on and off the
+    diagonal alike; the value is their running sum through the order where _certify's large-order tail bound falls
+    below 1e-8 of it, KernelConvergenceError where that fails (below about x = 3e-50 on the diagonal 1e-8 of the sum
+    is no longer a normal double).
     """
     _require_domain(x, y)
-    size = int(math.e * max(x, y) / 2.0) + _L_MARGIN
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        terms = _kernel_terms(x, y, size)
-        *certified, sums = _certify(terms[:, None], np.array([x]), np.array([y]), np.array([size]))
+        terms, *certified, sums = _kernel_sums(np.array([x]), np.array([y]))
     value, used, tail, first = (a.item() for a in certified)
     if used:
         return KernelValue(value=value, l_used=used, truncation_error_estimate=tail)
     # The first test to fail in order of l: a non-finite term at or before `first` makes acc[first] fail no budget.
-    acc = [0.0, *sums[:, 0].tolist()]
+    size, acc = terms.shape[0], [0.0, *sums[:, 0].tolist()]
     if _TAIL_REL * acc[first] < sys.float_info.min:
         message = f"tail budget below the double range at l={first}, (x, y)=({x}, {y}): tiny argument"
         raise KernelConvergenceError(message, acc[first], first)
-    l = next((l for l, t in enumerate(terms.tolist(), 1) if not math.isfinite(t)), None)
+    l = next((l for l, t in enumerate(terms[:, 0].tolist(), 1) if not math.isfinite(t)), None)
     if l:
         cause = "Bessel values out of double range at a tiny argument"
         raise KernelConvergenceError(f"non-finite kernel term at l={l}, (x, y)=({x}, {y}): {cause}", acc[l - 1], l)
@@ -222,43 +234,27 @@ def _certify(terms: np.ndarray, x: np.ndarray, y: np.ndarray, size: np.ndarray) 
     return value, np.where(ok, done + lo, 0), estimate[done, cols], first, acc
 
 
-def _sorted_batch_values(x: np.ndarray, y: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f_exact's value and l_used at each point, l_used 0 where it fails; table sizes descending.
-
-    Runs f_exact's algorithm on every point at once: the same J tables and
-    terms, each point's own table size, and one _certify call.
-    """
-    top = _series_top(size, (math.e * np.maximum(x, y) / 2.0).astype(int))
-    # A point's two columns side by side keep the recurrence starts (top + margin) descending.
-    j = _half_integer_j_table(int(top[0]), np.stack([x, y], axis=1).ravel(), np.repeat(top, 2))
-    r = _overlaps(j[:, 0::2], j[:, 1::2], x, y, top)[1 : int(size[0]) + 1]
-    l = np.arange(1, r.shape[0] + 1)[:, None]
-    terms = ((2 * l + 1) * r) * r
-    return _certify(terms, x, y, size)[:2]
-
-
 def f_exact_array(x, y) -> np.ndarray:
-    """f_exact(x, y).value at every point of the broadcast arrays x and y, bit for bit, in numpy passes.
+    """f_exact(x, y).value at every point of the broadcast arrays x and y, bit for bit: f_exact's _kernel_sums, batched.
 
     On and off the diagonal, points run in sub-batches of at most about _TABLE_ENTRIES Bessel table entries (series
     rows included), grouped by table size, so memory stays flat in the number of points.  Points outside the domain or
-    where the batch fails go to f_exact in input order, so the first failing point raises f_exact's own error.  Both
-    paths take their truncation and value from _certify.  For one point, f_exact is the faster path.
+    where the batch fails go to f_exact in input order, so the first failing point raises f_exact's own error.
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     shape, x, y = x.shape, x.ravel(), y.ravel()
     values = np.empty(x.size)
     # Overflow and invalid operations give inf or NaN, as in f_exact; the tests catch them.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        lo, hi = np.minimum(x, y), np.maximum(x, y)
-        batch = (lo >= sys.float_info.min) & (hi <= _MAX_ARGUMENT)
-        half_e_m = np.where(batch, math.e * hi / 2.0, 0.0).astype(int)
-        size, rows = half_e_m + _L_MARGIN, _series_top(half_e_m + _L_MARGIN, half_e_m) + 1
-        idx = np.flatnonzero(batch)[np.argsort(-size[batch], kind="stable")]
+        batch = (np.minimum(x, y) >= sys.float_info.min) & (np.maximum(x, y) <= _MAX_ARGUMENT)
+        idx = np.flatnonzero(batch)
+        half_e_m = _half_e_m(x[idx], y[idx])
+        order = np.argsort(-half_e_m, kind="stable")
+        idx, rows = idx[order], _series_top(half_e_m[order] + _L_MARGIN, half_e_m[order]) + 1
         at = 0
         while at < idx.size:
-            sub = idx[at : at + max(1, _TABLE_ENTRIES // (2 * rows[idx[at]]))]
-            values[sub], used = _sorted_batch_values(x[sub], y[sub], size[sub])
+            sub = idx[at : at + max(1, _TABLE_ENTRIES // (2 * int(rows[at])))]
+            values[sub], used = _kernel_sums(x[sub], y[sub])[1:3]
             batch[sub] = used > 0
             at += sub.size
     for i in np.flatnonzero(~batch).tolist():

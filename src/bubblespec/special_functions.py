@@ -9,7 +9,8 @@ form j_0 or j_1, whichever is farther from its zero; the irregular
 solution y comes from upward recurrence from its closed forms.  Each
 direction is the numerically stable one for its solution.  Each list
 table ends with order -1/2, so index l - 1 reads the order below l for l = 0
-too; ``_half_integer_j_table`` runs the J recurrence for many arguments at once.
+too.  ``_half_integer_j_table``, the exact kernel's one J entry point, runs
+that recurrence over many arguments at once (lists for one kernel point).
 Derivatives are never finite-differenced: z J'_nu(z) = z J_{nu-1}(z) - nu J_nu(z).
 
 All functions are pure; values are freely shareable across threads.
@@ -138,23 +139,26 @@ def _half_order_scale(z: float) -> float:
 
 
 def half_integer_j_array(l_max: int, z: float) -> list[float]:
-    """J_{l+1/2}(z) for l = 0..l_max, then J_{-1/2}(z) last; unclamped, unlike bessel_jn_half's J_nu."""
+    """J_{l+1/2}(z) for integer l = 0..l_max, then J_{-1/2}(z) last; unclamped, unlike bessel_jn_half's J_nu."""
+    l_max = ModeOrder(l_max).l
     s = _half_order_scale(z)
     return [s * v for v in _sph_jn_seq(l_max, z)]
 
 
 def _half_integer_j_table(l_max: int, z: np.ndarray, l_each: np.ndarray) -> np.ndarray:
-    """J_{l+1/2}(z[a]) for l = 0..l_max (l_max >= 1) in column a, all columns in one numpy pass.
+    """J_{l+1/2}(z[a]) for l = 0..l_max >= 1 in column a; rows 0..l_each[a] are half_integer_j_array(l_each[a], z[a]).
 
-    Column a runs the recurrence of ``half_integer_j_array(l_each[a], z[a])``
-    (l_each[a] <= l_max) with the same start, operations and rounding, so
-    its rows 0..l_each[a] equal that list bit for bit; the rows past it are
-    of no use.  Every z must be in the Bessel domain, and the columns in
-    descending order of their start max(l_each, int(e*z/2)) (else ValueError).
+    Bit for bit: up to two columns (one kernel point), where numpy's per-call overhead outweighs the loop, take the
+    lists themselves, zero past l_each[a]; more run the same start, operations and rounding in one numpy pass.  The
+    rows past l_each[a] are of no use.  Every z must be in the Bessel domain, and the columns in descending order of
+    their start max(l_each, int(e*z/2)) (else ValueError).
     """
     start = np.maximum(l_each, (math.e * z / 2.0).astype(int)) + _RATIO_MARGIN
-    if np.any(start[1:] > start[:-1]):
+    if (start[1:] > start[:-1]).any():
         raise ValueError("columns must come in descending order of their recurrence start")
+    if z.size <= 2:
+        cols = [half_integer_j_array(l, v)[:-1] for l, v in zip(l_each.tolist(), z.tolist())]
+        return np.array([c + [0.0] * (l_max + 1 - len(c)) for c in cols]).T
     running = (z.size - np.searchsorted(start[::-1], np.arange(start[0] + 1))).tolist()
     rows = np.empty((l_max + 1, z.size))
     r = np.zeros(z.size)
@@ -179,7 +183,8 @@ def _half_integer_j_table(l_max: int, z: np.ndarray, l_each: np.ndarray) -> np.n
 
 
 def half_integer_n_array(l_max: int, z: float) -> list[float]:
-    """N_{l+1/2}(z) for l = 0..l_max, then N_{-1/2}(z) last; overflow saturates to +-inf."""
+    """N_{l+1/2}(z) for integer l = 0..l_max, then N_{-1/2}(z) last; overflow saturates to +-inf."""
+    l_max = ModeOrder(l_max).l
     s = _half_order_scale(z)
     return [s * v for v in _sph_yn_seq(l_max, z)]
 

@@ -3,8 +3,10 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -326,8 +328,15 @@ def test_subnormal_cutoff_in_exact_mode_exits_3(tmp_path):
         (["diagonal", "--points", "3", "--output", "{tmp}/missing/d.csv"], 2, "cannot write output file"),
         (["kernel-dump", "--points", "2", "--output", "{tmp}"], 2, "cannot write output file"),
         (["spectrum", "--config", "{tmp}/grid.cfg", "--output", "{tmp}"], 2, "cannot write output file"),
+        (["kernel-dump", "--points", "1001"], 2, "points in [2, 1000]"),
+        (["kernel-dump", "--points", "100000"], 2, "points in [2, 1000]"),
+        (["diagonal", "--points", "10001"], 2, "points in [2, 10000]"),
+        (["diagonal", "--points", "1000000000"], 2, "points in [2, 10000]"),
     ],
-    ids=["dump-large", "diagonal-large", "tail-bound-large", "subnormal-x-star", "no-dir", "dump-to-dir", "csv-to-dir"],
+    ids=[
+        "dump-large", "diagonal-large", "tail-bound-large", "subnormal-x-star", "no-dir", "dump-to-dir", "csv-to-dir",
+        "dump-points-1001", "dump-points-1e5", "diagonal-points-10001", "diagonal-points-1e9",
+    ],
 )
 def test_out_of_domain_arguments_and_unwritable_outputs_exit_cleanly(tmp_path, args, code, message):
     # README: exit 3 for a numerical failure, 2 for a usage error; either way one message and no traceback
@@ -339,6 +348,19 @@ def test_out_of_domain_arguments_and_unwritable_outputs_exit_cleanly(tmp_path, a
     assert out.returncode == code, out.stderr
     assert message in out.stderr
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("args", [["kernel-dump", "--points", "100000"], ["diagonal", "--points", "1000000000"]])
+def test_grid_commands_refuse_points_past_their_ceiling_without_allocating(args):
+    # without the ceiling these allocate a 74.5 GiB meshgrid and a 7.45 GiB linspace
+    tracemalloc.start()
+    try:
+        with pytest.raises(click.UsageError, match="points in \\[2, "):
+            main.main(args, standalone_mode=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize(

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from scipy.special import spherical_jn
 
-from bubblespec import kernel
+from bubblespec import kernel, oracles, special_functions
 from bubblespec.kernel import (
     _L_MARGIN,
-    _kernel_terms,
+    _kernel_sums,
     _tail_bound,
     CutoffProfile,
     KernelConvergenceError,
@@ -22,6 +22,7 @@ from bubblespec.kernel import (
     f_factorized,
 )
 from bubblespec.matching import MediumConfig, coefficient_a_sq
+from bubblespec.oracles import hankel_finite_integral
 from bubblespec.special_functions import (
     _MAX_ARGUMENT,
     BesselDomainError,
@@ -35,6 +36,11 @@ HALF_ASYMPTOTE = 1.0 / (2.0 * math.pi**2)
 F_3_32_FROZEN = 0.038161505677472201585
 D_6_FROZEN = 0.047209729573
 D_2_FROZEN = 0.012342053
+
+
+def _terms(x, y):
+    # f_exact's whole term table at one point, l = 1..int(e*max(x, y)/2) + _L_MARGIN
+    return _kernel_sums(np.array([x]), np.array([y]))[0][:, 0]
 
 
 def test_cutoff_profiles():
@@ -193,7 +199,7 @@ def test_d_exact_values():
 
 def test_d_exact_monotone_in_l():
     # the running sums over l never decrease and reach the certified D(6)
-    sums = list(itertools.accumulate(_kernel_terms(6.0, 6.0, 24)))
+    sums = list(itertools.accumulate(_terms(6.0, 6.0)))
     assert all(b >= a for a, b in zip(sums, sums[1:]))
     assert sums[-1] == pytest.approx(d_exact(6.0), rel=1e-8)
 
@@ -258,7 +264,7 @@ def test_a_factor_kernel_never_reports_a_non_finite_sum(x, y, n_in, n_out):
     cfg = MediumConfig(n_gas_in=n_in, n_gas_out=n_out)
     weighted = 0.0
     reached = 0
-    for l, term in enumerate(_kernel_terms(x, y, got.l_used), 1):
+    for l, term in enumerate(_terms(x, y)[: got.l_used], 1):
         try:
             a_in = coefficient_a_sq(ModeOrder(l), y, cfg.n_liquid / n_in)
             a_out = coefficient_a_sq(ModeOrder(l), x, cfg.n_liquid / n_out)
@@ -371,7 +377,7 @@ def test_f_exact_array_is_f_exact_bit_for_bit():
     size = (math.e * np.maximum(x, y) / 2.0).astype(int) + _L_MARGIN
     for s in np.unique(size):
         at = np.flatnonzero(size == s)
-        _, used = kernel._sorted_batch_values(x[at], y[at], size[at])
+        used = _kernel_sums(x[at], y[at])[2]
         assert used.tolist() == [want[i].l_used for i in at]
 
 
@@ -385,7 +391,7 @@ def test_f_exact_value_is_the_running_sum_it_certifies(monkeypatch):
     want = []
     for a, b in zip(x.tolist(), y.tolist()):
         got = f_exact(a, b)
-        terms = _kernel_terms(a, b, int(math.e * max(a, b) / 2.0) + _L_MARGIN)
+        terms = _terms(a, b)
         assert got.value == np.cumsum(terms)[got.l_used - 1], (a, b)
         exact = math.fsum(terms[: got.l_used])
         assert abs(got.value - exact) <= got.l_used * 2.0**-52 * exact, (a, b)
@@ -453,8 +459,33 @@ def test_f_exact_array_matches_f_exact_at_tiny_and_mixed_scale_points():
     size = (math.e * np.maximum(x, y) / 2.0).astype(int) + _L_MARGIN
     order = np.argsort(-size, kind="stable")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        _, used = kernel._sorted_batch_values(x[order], y[order], size[order])
+        used = _kernel_sums(x[order], y[order])[2]
     assert used.tolist() == [0 if isinstance(want[i], Exception) else want[i].l_used for i in order]
+
+
+def test_exact_kernel_and_overlap_oracle_reach_j_only_through_the_table(monkeypatch):
+    # One path: f_exact, f_exact_array and the overlap oracle all take their J rows from
+    # special_functions._half_integer_j_table, and kernel binds no other J routine.
+    assert not any(hasattr(kernel, name) for name in ("half_integer_j_array", "_sph_jn_seq"))
+
+    class Reached(Exception):
+        pass
+
+    def table(*args):
+        raise Reached
+
+    for module in (special_functions, kernel, oracles):
+        if hasattr(module, "_half_integer_j_table"):
+            monkeypatch.setattr(module, "_half_integer_j_table", table)
+    for call in (
+        lambda: f_exact(5.0, 6.0),
+        lambda: f_exact(3.0, 3.0),
+        lambda: f_exact_array(np.array([5.0, 30.0, 140.0]), np.array([6.0, 33.0, 154.0])),
+        lambda: f_exact_array(5.0, 6.0),
+        lambda: hankel_finite_integral(ModeOrder(2), 1.5, 0.5, 2.0),
+    ):
+        with pytest.raises(Reached):
+            call()
 
 
 def test_kernel_arguments_above_the_limit_raise_the_domain_error():

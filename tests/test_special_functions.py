@@ -50,6 +50,20 @@ def test_order_accepts_integer_types_and_rejects_bool():
             ModeOrder(bad)
 
 
+@pytest.mark.parametrize("table", [half_integer_j_array, half_integer_n_array])
+@pytest.mark.parametrize("l_max, z", [(-1, 1.0), (-5, 3.0), (True, 1.0), (False, 1.0), (2.0, 1.0), ("2", 1.0)])
+def test_tables_refuse_an_order_that_is_not_a_non_negative_integer(table, l_max, z):
+    # ModeOrder's rule: a negative, bool or non-integer order is refused, not read as a malformed table
+    with pytest.raises(ValueError, match=f"non-negative integer, got {l_max!r}"):
+        table(l_max, z)
+
+
+def test_tables_take_any_integer_type_for_the_order():
+    assert half_integer_j_array(np.int64(3), 2.0) == half_integer_j_array(3, 2.0)
+    assert half_integer_n_array(np.int32(3), 2.0) == half_integer_n_array(3, 2.0)
+    assert len(half_integer_j_array(0, 2.0)) == len(half_integer_n_array(0, 2.0)) == 2
+
+
 def test_frozen_values_l1():
     p = bessel_jn_half(ModeOrder(1), 2.0)
     assert p.j == pytest.approx(J_3_2_AT_2, rel=1e-13)
@@ -136,6 +150,23 @@ def test_j_table_requires_columns_in_descending_start_order():
     with pytest.raises(ValueError, match="descending order"):
         _half_integer_j_table(600, np.array([300.0, 5.0]), np.array([3, 600]))
     assert _half_integer_j_table(600, np.array([5.0, 300.0]), np.array([600, 3])).shape == (601, 2)
+
+
+def test_one_point_j_tables_equal_the_numpy_recurrence_bit_for_bit():
+    # One kernel point's one or two columns take the list recurrence; three or more the numpy pass.
+    # Rows 0..l_each[a] of a column are the same in both, whatever l_each its neighbour has.
+    z = np.array([1e4, 5.0, 2500.0, 300.0, 40.0, 0.7])
+    l_each = np.array([13600, 5000, 3, 407, 100, 2])
+    wide = _half_integer_j_table(13600, z, l_each)
+    assert wide.shape == (13601, 6)
+    for width in (1, 2):
+        for a in range(z.size - width + 1):
+            narrow = _half_integer_j_table(13600, z[a : a + width], l_each[a : a + width])
+            assert narrow.shape == (13601, width)
+            for c in range(width):
+                rows = int(l_each[a + c]) + 1
+                assert narrow[:rows, c].tolist() == wide[:rows, a + c].tolist(), (a, c)
+                assert narrow[:rows, c].tolist() == half_integer_j_array(rows - 1, float(z[a + c]))[:-1]
 
 
 def test_deep_underflow_regime():
