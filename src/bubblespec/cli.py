@@ -224,9 +224,11 @@ def kernel_dump(output_path, x_range, y_range, points) -> None:
     ys = np.linspace(y0, y1, points)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     exact = f_exact_array(gx, gy).ravel().tolist()
+    # The factorized values the spectrum integrand uses: one array call, as for the exact column.
+    factorized = f_factorized(gx, gy).ravel().tolist()
     lines = ["x,y,f_exact,f_factorized"]
-    for x, y, fe in zip(gx.ravel().tolist(), gy.ravel().tolist(), exact):
-        lines.append(f"{x!r},{y!r},{fe!r},{f_factorized(x, y)!r}")
+    for x, y, fe, ff in zip(gx.ravel().tolist(), gy.ravel().tolist(), exact, factorized):
+        lines.append(f"{x!r},{y!r},{fe!r},{ff!r}")
     _write_text(output_path or "", "\n".join(lines) + "\n")
     if output_path:
         click.echo(f"wrote {points * points} kernel samples to {output_path}")

@@ -9,8 +9,9 @@ form j_0 or j_1, whichever is farther from its zero; the irregular
 solution y comes from upward recurrence from its closed forms.  Each
 direction is the numerically stable one for its solution.  Each list
 table ends with order -1/2, so index l - 1 reads the order below l for l = 0
-too.  ``_half_integer_j_table``, the exact kernel's one J entry point, runs
-that recurrence over many arguments at once (lists for one kernel point).
+too.  ``_half_integer_j_table`` runs that recurrence over many arguments at
+once (lists for one kernel point); ``_half_integer_j_upward`` runs j's upward
+recurrence over many arguments, for orders below them, where it is stable.
 Derivatives are never finite-differenced: z J'_nu(z) = z J_{nu-1}(z) - nu J_nu(z).
 
 All functions are pure; values are freely shareable across threads.
@@ -180,6 +181,20 @@ def _half_integer_j_table(l_max: int, z: np.ndarray, l_each: np.ndarray) -> np.n
     rows[0] = j0
     rows *= np.sqrt(2.0 * z / math.pi)
     return rows
+
+
+def _half_integer_j_upward(l_max: int, z: np.ndarray) -> np.ndarray:
+    """J_{l+1/2}(z[a]) for l = 0..l_max >= 1 in column a by upward recurrence from the closed forms j_0 and j_1.
+
+    Below the turning point l ~ z the recurrence is stable and the rows keep a few ulps of J's envelope; past it
+    the error grows like N_{l+1/2}(z), which only a caller weighting those rows by J at a smaller argument may take.
+    """
+    rows = np.empty((l_max + 1, z.size))
+    rows[0] = np.sin(z) / z
+    rows[1] = rows[0] / z - np.cos(z) / z
+    for l in range(1, l_max):
+        rows[l + 1] = (2 * l + 1) / z * rows[l] - rows[l - 1]
+    return rows * np.sqrt(2.0 * z / math.pi)
 
 
 def half_integer_n_array(l_max: int, z: float) -> list[float]:

@@ -189,25 +189,33 @@ def test_kernel_dump_bad_range_exits_2():
 
 
 def test_kernel_dump_tiny_arguments_exit_3():
-    # 5e-310 is subnormal: the Bessel tables reject it with a domain error
-    for lo, hi in (("1e-200", "2e-200"), ("5e-310", "1")):
-        res = CliRunner().invoke(
-            main, ["kernel-dump", "--x-range", lo, hi, "--y-range", "3e-200", "4e-200", "--points", "2"]
-        )
-        assert res.exit_code == 3, res.output
-        assert "numerical failure" in res.output
+    # 5e-310 is subnormal: the kernel rejects it with a domain error
+    res = CliRunner().invoke(
+        main, ["kernel-dump", "--x-range", "5e-310", "1", "--y-range", "3e-200", "4e-200", "--points", "2"]
+    )
+    assert res.exit_code == 3, res.output
+    assert "numerical failure" in res.output
+    # normal tiny arguments have values: F ~ 12 (xy)^3/(2025 pi^2) underflows to an honest 0.0 here
+    res = CliRunner().invoke(
+        main, ["kernel-dump", "--x-range", "1e-200", "2e-200", "--y-range", "3e-200", "4e-200", "--points", "2"]
+    )
+    assert res.exit_code == 0, res.output
+    assert [line.split(",")[2:] for line in res.output.splitlines()[1:]] == [["0.0", "0.0"]] * 4
 
 
 def test_grid_commands_report_their_first_failing_point():
     # the whole grid is one kernel call; the error still names the first failing point in row-major order
-    res = CliRunner().invoke(
-        main, ["kernel-dump", "--x-range", "1e-200", "2e-200", "--y-range", "3e-200", "4e-200", "--points", "2"]
-    )
+    res = CliRunner().invoke(main, ["kernel-dump", "--x-range", "1", "2", "--y-range", "5e-310", "1", "--points", "2"])
     assert res.exit_code == 3
-    assert "(x, y)=(1e-200, 3e-200)" in res.output
+    assert "got x=1.0, y=5e-310" in res.output
+    # x_max/points = 1e-309 is subnormal; the grid's later subnormal points are not named
+    res = CliRunner().invoke(main, ["diagonal", "--x-max", "1e-306", "--points", "1000"])
+    assert res.exit_code == 3
+    assert "got x=1e-309, y=1e-309" in res.output
+    # tiny normal arguments print D(x), here underflowed to 0.0
     res = CliRunner().invoke(main, ["diagonal", "--x-max", "1e-200", "--points", "2"])
-    assert res.exit_code == 3
-    assert "(x, y)=(5e-201, 5e-201)" in res.output
+    assert res.exit_code == 0, res.output
+    assert res.output.splitlines()[1:] == ["5e-201,0.0,0.0", "1e-200,0.0,0.0"]
 
 
 def test_diagonal_command():

@@ -40,7 +40,7 @@ D_2_FROZEN = 0.012342053
 
 def _terms(x, y):
     # f_exact's whole term table at one point, l = 1..int(e*max(x, y)/2) + _L_MARGIN
-    return _kernel_sums(np.array([x]), np.array([y]))[0][:, 0]
+    return _kernel_sums(x, y)[0]
 
 
 def test_cutoff_profiles():
@@ -343,11 +343,19 @@ def test_d_exact_follows_its_small_argument_limit():
     assert d_exact(1e-3) == pytest.approx(6.0042165744256175e-22, rel=1e-13)  # 100-digit sum
 
 
-def test_d_exact_below_the_double_range_raises_a_tiny_argument_error():
-    # below about 3e-50, 1e-8 of D(x) is no longer a normal double: a typed error, never a value
+def test_d_exact_below_the_double_range_is_its_small_x_limit_or_zero():
+    # Below about 3e-50 1e-8 of D(x) is no longer a normal double, so f_exact's certified sum raises a
+    # tiny-argument error; d_exact (the power series) returns the small-x limit 12 x^6/(2025 pi^2) there,
+    # rounded to the subnormal grid, down to an honest 0.0 where it underflows.
+    zeros = 0
     for x in np.logspace(-300.0, -50.0, 251).tolist():
         with pytest.raises(KernelConvergenceError, match="tiny argument"):
-            d_exact(x)
+            f_exact(x, x)
+        limit = float(12 * mpmath.mpf(x) ** 6 / (2025 * mpmath.pi**2))
+        got = d_exact(x)
+        assert abs(got - limit) <= 1e-13 * limit + 5e-324, x
+        zeros += got == 0.0
+    assert 0 < zeros < 251
 
 
 def _array_sweep(seed, n):
@@ -369,22 +377,79 @@ def _array_sweep(seed, n):
     return np.array(points).T
 
 
-def test_f_exact_array_is_f_exact_bit_for_bit():
+def test_f_exact_array_is_f_exact_within_its_tail_budget():
+    # f_exact's certified per-order sum is the reference: the branches agree with it to 1e-10,
+    # far inside its 1e-8 tail budget, on, next to and far from the diagonal
     x, y = _array_sweep(11, 600)
-    want = [f_exact(float(a), float(b)) for a, b in zip(x, y)]
-    assert f_exact_array(x, y).tolist() == [v.value for v in want]
-    # the same truncation too: one sub-batch per table size
-    size = (math.e * np.maximum(x, y) / 2.0).astype(int) + _L_MARGIN
-    for s in np.unique(size):
-        at = np.flatnonzero(size == s)
-        used = _kernel_sums(x[at], y[at])[2]
-        assert used.tolist() == [want[i].l_used for i in at]
+    want = np.array([f_exact(float(a), float(b)).value for a, b in zip(x, y)])
+    got = f_exact_array(x, y)
+    assert np.all(np.abs(got - want) <= 1e-10 * want)
+
+
+def _mpmath_closed_form(x, y, dps=160):
+    """[G(x - y) - G(x + y)]/(24 pi^2) - r_0^2 at dps digits: next to the diagonal G's 1/k^4 terms reach 1e60."""
+    with mpmath.workdps(dps):
+        a, b = mpmath.mpf(x), mpmath.mpf(y)
+
+        def g(k):
+            if k == 0:
+                return mpmath.mpf(12)
+            return 12 / k**2 - 12 * mpmath.sin(2 * k) / k**3 + 12 * mpmath.sin(k) ** 2 / k**4
+
+        def sinc(k):
+            return mpmath.mpf(1) if k == 0 else mpmath.sin(k) / k
+
+        r0 = (sinc(a - b) - sinc(a + b)) / (mpmath.pi * mpmath.sqrt(a * b))
+        return float((g(a - b) - g(a + b)) / (24 * mpmath.pi**2) - r0 * r0)
+
+
+@pytest.mark.parametrize("x, y", [(0.3, 2.1), (0.9, 7.0), (5.0, 6.0), (20.0, 3.0), (40.0, 41.5), (1.5, 120.0)])
+def test_closed_form_reference_is_the_per_order_sum(x, y):
+    # the identity F = [G(x - y) - G(x + y)]/(24 pi^2) - r_0^2 against the definition, orders summed at 40
+    # digits to e*max(x, y)/2 + 30, far from the diagonal where Lommel's quotient keeps its digits
+    assert _mpmath_closed_form(x, y) == pytest.approx(_mpmath_f(x, y, int(math.e * max(x, y) / 2.0) + 30), rel=1e-14)
+
+
+def _branch_draws(seed, n):
+    """Seeded points over each branch of f_exact_array, its edges, the diagonal and next to it, in random order."""
+    rng = random.Random(seed)
+
+    def log_uniform(a, b):
+        return 10.0 ** rng.uniform(math.log10(a), math.log10(b))
+
+    draws = (
+        lambda: (lo := log_uniform(1.0, 390.0), min(1e5, lo * log_uniform(1.0, 256.0))),  # closed form
+        lambda: (lo := log_uniform(1e-3, 1.0), rng.uniform(lo, 4.0)),  # power series
+        lambda: (log_uniform(1e-3, 1.0), log_uniform(4.0, 1e5)),  # overlap series, small min
+        lambda: (lo := log_uniform(1.0, 390.0), lo * log_uniform(256.0, 1e5 / lo)),  # overlap series, far apart
+        lambda: (x := log_uniform(1e-3, 1e5), x * (1.0 + log_uniform(1e-12, 1e-1))),  # next to the diagonal
+        lambda: (x := log_uniform(1e-3, 1e5), x),  # on it
+    )
+    below, above = math.nextafter(1.0, 0.0), math.nextafter(256.0, 300.0)
+    edges = [(1.0, 1.0), (1.0, 4.0), (1.0, 256.0), (1.0, above), (below, below), (below, 4.0), (0.5, 4.0), (4.0, 4.0)]
+    edges += [(0.5, math.nextafter(4.0, 5.0)), (390.625, 1e5), (math.nextafter(390.625, 0.0), 1e5), (1e5, 1e5)]
+    points = edges + [draws[i % len(draws)]() for i in range(n)]
+    return [p if rng.random() < 0.5 else p[::-1] for p in points]
+
+
+def test_f_exact_array_against_the_closed_form_at_160_digits():
+    # every branch, its edges (min = 1, max = 4, max = 256 min), the diagonal, |x - y|/x in [1e-12, 1e-1]
+    # and mixed scales up to 1e5, within 1e-12 of a 160-digit evaluation (measured: 1.5e-13, 2e-15, 8.6e-15)
+    x, y = np.array(_branch_draws(41, 600)).T
+    got = f_exact_array(x, y)
+    assert f_exact_array(y, x).tolist() == got.tolist()
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    closed = (lo >= 1.0) & (hi <= 256.0 * lo)
+    series = ~closed & (hi <= 4.0)
+    assert min(np.count_nonzero(closed), np.count_nonzero(series), np.count_nonzero(~closed & ~series)) > 150
+    for a, b, v in zip(x.tolist(), y.tolist(), got.tolist()):
+        assert v == pytest.approx(_mpmath_closed_form(a, b), rel=1e-12, abs=0.0), (a, b)
 
 
 def test_f_exact_value_is_the_running_sum_it_certifies(monkeypatch):
     # The value is the forward running sum through l_used, the sum the tail budget is tested
-    # against, in f_exact and in every sub-batch of f_exact_array; the terms are positive, so
-    # it is within l_used * 2^-52 relative of the correctly rounded sum of the same terms.
+    # against; the terms are positive, so it is within l_used * 2^-52 relative of the correctly
+    # rounded sum of the same terms.  f_exact_array agrees with it at any slice size.
     x, y = _array_sweep(17, 300)
     # the longest tables too, where l_used passes 300
     x, y = np.append(x, [392.0, 260.0, 330.0]), np.append(y, [300.0, 3.0, 329.5])
@@ -395,12 +460,12 @@ def test_f_exact_value_is_the_running_sum_it_certifies(monkeypatch):
         assert got.value == np.cumsum(terms)[got.l_used - 1], (a, b)
         exact = math.fsum(terms[: got.l_used])
         assert abs(got.value - exact) <= got.l_used * 2.0**-52 * exact, (a, b)
-        want.append(got)
-    assert min(v.l_used for v in want[-3:]) > 300
+        want.append(got.value)
+    assert min(f_exact(a, b).l_used for a, b in ((392.0, 300.0), (260.0, 3.0), (330.0, 329.5))) > 300
     assert np.any(np.abs(x - y) < 1e-4 * np.minimum(np.minimum(x, y), 1.0))
     for entries in (1, 2**9, 2**13, 2**16):
         monkeypatch.setattr(kernel, "_TABLE_ENTRIES", entries)
-        assert f_exact_array(x, y).tolist() == [v.value for v in want]
+        assert np.all(np.abs(f_exact_array(x, y) - want) <= 1e-10 * np.array(want))
 
 
 def test_f_exact_array_values_do_not_depend_on_the_batch(monkeypatch):
@@ -417,12 +482,12 @@ def test_f_exact_array_values_do_not_depend_on_the_batch(monkeypatch):
     # broadcasting keeps the shape
     grid = f_exact_array(x[:3, None], y[None, :4])
     assert grid.shape == (3, 4)
-    assert grid[2, 1] == f_exact(float(x[2]), float(y[1])).value
+    assert grid[2, 1] == f_exact_array(float(x[2]), float(y[1]))
 
 
 def test_f_exact_array_calls_f_exact_for_no_in_domain_point(monkeypatch):
-    # on, next to and far from the diagonal, every point of the sweep runs in the batch;
-    # only a point outside the domain goes to f_exact, for its error
+    # on, next to and far from the diagonal, every point runs in a branch; a point outside the
+    # domain raises f_exact's domain error without a call to f_exact either
     x, y = _array_sweep(13, 200)
     assert np.any(x == y) and np.any((x != y) & (np.abs(x - y) < 1e-4 * np.minimum(np.minimum(x, y), 1.0)))
     calls = []
@@ -433,39 +498,54 @@ def test_f_exact_array_calls_f_exact_for_no_in_domain_point(monkeypatch):
 
     monkeypatch.setattr(kernel, "f_exact", recording)
     f_exact_array(x, y)
-    assert calls == []
-    with pytest.raises(BesselDomainError):
+    with pytest.raises(BesselDomainError, match="got x=0.0, y=1.0"):
         f_exact_array(np.append(x, 0.0), np.append(y, 1.0))
-    assert calls == [(0.0, 1.0)]
+    assert calls == []
+
+
+def _mpmath_overlap_f(x, y, orders=3, rows=3):
+    """F(x, y) through l = orders from the overlap series over 40-digit Bessel values, each order from its first rows.
+
+    Lommel's quotient cancels to relative O(x^2) at tiny arguments; the series has nothing to cancel.  For
+    min(x, y) * max(x, y) < 1e-40 (F < 1e-300) the default orders and rows leave out less than 1e-80 of the sum.
+    """
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(x), mpmath.mpf(y)
+        r = [
+            2 / (a * b) * mpmath.fsum(
+                (l + 2 * n + mpmath.mpf(3) / 2) * mpmath.besselj(l + 2 * n + mpmath.mpf(3) / 2, a)
+                * mpmath.besselj(l + 2 * n + mpmath.mpf(3) / 2, b)
+                for n in range(rows)
+            )
+            for l in range(1, orders + 1)
+        ]
+        return float(mpmath.fsum((2 * l + 1) * v * v for l, v in enumerate(r, 1)))
 
 
 def test_f_exact_array_matches_f_exact_at_tiny_and_mixed_scale_points():
-    # points log-uniform in [1e-300, 400]^2: most of them make f_exact raise
+    # points log-uniform in [1e-300, 400]^2: f_exact raises its tiny-argument error at most of them, while
+    # f_exact_array returns the value (the power or the overlap series), an honest 0.0 where F underflows
     rng = random.Random(71)
     points = [tuple(10.0 ** rng.uniform(-300.0, math.log10(400.0)) for _ in range(2)) for _ in range(400)]
-    want = [_scalar_error(x, y) or f_exact(x, y) for x, y in points]
-    for (x, y), w in zip(points, want):
-        if isinstance(w, Exception):
-            with pytest.raises(type(w)) as exc:
-                f_exact_array(x, y)
-            assert str(exc.value) == str(w)
-            assert getattr(exc.value, "partial", None) == getattr(w, "partial", None)
-            assert getattr(exc.value, "l_reached", None) == getattr(w, "l_reached", None)
-        else:
-            assert f_exact_array(x, y) == w.value
-    assert {type(w).__name__ for w in want} == {"KernelValue", "KernelConvergenceError"}
-    # one batch of mixed table sizes: f_exact's truncation where it certifies, a failure (0) where it raises
-    x, y = np.array(points).T
-    size = (math.e * np.maximum(x, y) / 2.0).astype(int) + _L_MARGIN
-    order = np.argsort(-size, kind="stable")
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        used = _kernel_sums(x[order], y[order])[2]
-    assert used.tolist() == [0 if isinstance(want[i], Exception) else want[i].l_used for i in order]
+    got = f_exact_array(*np.array(points).T)
+    raised = zeros = 0
+    for (x, y), v in zip(points, got.tolist()):
+        err = _scalar_error(x, y)
+        if err is None:
+            assert v == pytest.approx(f_exact(x, y).value, rel=1e-10, abs=0.0), (x, y)
+            continue
+        assert isinstance(err, KernelConvergenceError) and "tiny argument" in str(err)
+        ref = _mpmath_overlap_f(x, y)
+        assert abs(v - ref) <= 1e-12 * ref + 5e-324, (x, y, v, ref)
+        raised += 1
+        zeros += v == 0.0
+    assert raised > 300 and 0 < zeros < raised
 
 
-def test_exact_kernel_and_overlap_oracle_reach_j_only_through_the_table(monkeypatch):
-    # One path: f_exact, f_exact_array and the overlap oracle all take their J rows from
-    # special_functions._half_integer_j_table, and kernel binds no other J routine.
+def test_j_tables_serve_f_exact_the_overlap_oracle_and_the_overlap_branch_only(monkeypatch):
+    # f_exact and the overlap oracle take their J rows from special_functions._half_integer_j_table,
+    # and kernel binds no other J list routine; f_exact_array builds J tables only for points of its
+    # overlap branch (min(x, y) < 1 < 4 < max(x, y), or max(x, y) > 256 min(x, y)), none elsewhere.
     assert not any(hasattr(kernel, name) for name in ("half_integer_j_array", "_sph_jn_seq"))
 
     class Reached(Exception):
@@ -475,17 +555,21 @@ def test_exact_kernel_and_overlap_oracle_reach_j_only_through_the_table(monkeypa
         raise Reached
 
     for module in (special_functions, kernel, oracles):
-        if hasattr(module, "_half_integer_j_table"):
-            monkeypatch.setattr(module, "_half_integer_j_table", table)
+        for name in ("_half_integer_j_table", "_half_integer_j_upward"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, table)
     for call in (
         lambda: f_exact(5.0, 6.0),
         lambda: f_exact(3.0, 3.0),
-        lambda: f_exact_array(np.array([5.0, 30.0, 140.0]), np.array([6.0, 33.0, 154.0])),
-        lambda: f_exact_array(5.0, 6.0),
+        lambda: f_exact_array(np.array([5.0, 0.5, 140.0]), np.array([6.0, 33.0, 154.0])),
+        lambda: f_exact_array(2.0, 600.0),
         lambda: hankel_finite_integral(ModeOrder(2), 1.5, 0.5, 2.0),
     ):
         with pytest.raises(Reached):
             call()
+    # the closed form and the power series, up to their edges
+    assert np.all(f_exact_array(np.array([5.0, 1.0, 3.0, 392.0]), np.array([6.0, 256.0, 3.0, 391.0])) > 0.0)
+    assert np.all(f_exact_array(np.array([0.5, 1e-3, 0.999]), np.array([4.0, 1e-3, 2.0])) > 0.0)
 
 
 def test_kernel_arguments_above_the_limit_raise_the_domain_error():
@@ -496,8 +580,8 @@ def test_kernel_arguments_above_the_limit_raise_the_domain_error():
             f_exact(x, y)
         with pytest.raises(BesselDomainError, match="in \\(0, 100000\\]"):
             f_exact_array(np.array([2.0, x]), np.array([3.0, y]))
-    # the limit itself is in the domain, batched too
-    assert f_exact_array(_MAX_ARGUMENT, 1.0) == f_exact(_MAX_ARGUMENT, 1.0).value
+    # the limit itself is in the domain, batched too (the overlap branch: max(x, y) > 256 min(x, y))
+    assert f_exact_array(_MAX_ARGUMENT, 1.0) == pytest.approx(f_exact(_MAX_ARGUMENT, 1.0).value, rel=1e-10, abs=0.0)
 
 
 def _scalar_error(x, y):
@@ -515,18 +599,20 @@ def _scalar_error(x, y):
         [(5.0, 6.0), (math.nan, 2.0), (1e-200, 1e-200)],
         [(5.0, 6.0), (1e-200, 1e-200), (2.0, math.inf)],
         [(3.0, 5e-310), (1.0, -math.inf)],
-        [(392.0, 392.0), (1e-100, 1.0), (1e-200, 2e-200)],
-        [(1e-200, 2e-200), (1e-100, 1.0)],
+        [(392.0, 392.0), (1e-100, 1.0), (1e-200, 2e-200), (5e-310, 5e-310)],
+        [(1e-200, 2e-200), (1e-100, 1.0), (_MAX_ARGUMENT, math.nextafter(_MAX_ARGUMENT, math.inf))],
     ],
 )
 def test_f_exact_array_raises_the_scalar_error_of_the_first_failing_point(points):
+    # the first point outside the domain raises f_exact's BesselDomainError; tiny points before it,
+    # where f_exact's certified sum raises a tiny-argument error, have values in f_exact_array
     x, y = np.array(points).T
-    want = next(e for e in (_scalar_error(*p) for p in points) if e is not None)
-    with pytest.raises(type(want)) as exc:
+    want = next(e for e in (_scalar_error(*p) for p in points) if isinstance(e, BesselDomainError))
+    with pytest.raises(BesselDomainError) as exc:
         f_exact_array(x, y)
     assert str(exc.value) == str(want)
-    assert getattr(exc.value, "l_reached", None) == getattr(want, "l_reached", None)
-    assert getattr(exc.value, "partial", None) == getattr(want, "partial", None)
+    first = next(i for i, p in enumerate(points) if isinstance(_scalar_error(*p), BesselDomainError))
+    assert np.all(f_exact_array(x[:first], y[:first]) >= 0.0)
 
 
 def test_f_exact_array_raises_no_numeric_warning():

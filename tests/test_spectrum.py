@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import bubblespec.kernel
 import bubblespec.spectrum
 from bubblespec.cli import REFERENCE_TABLE, RunConfig
 from bubblespec.kernel import CutoffProfile, f_factorized
@@ -336,3 +337,40 @@ def test_table_totals_work_count(monkeypatch):
         totals(cfg, CutoffProfile.rounded(cfg), QuadratureSpec(), grid_points=0)
     assert sum(calls) <= 2_300_000
     assert max(calls) <= _CHUNK_POINTS
+
+
+def test_exact_totals_build_j_tables_for_overlap_branch_points_only(monkeypatch):
+    # A work count, not a timing: the exact kernel's closed form and power series build no Bessel table,
+    # so on the 2e4/1 exact totals (rel_tol 1e-4, 20 grid points) J columns are built for the overlap
+    # branch's points alone, two per point, and the count repeats exactly.
+    kernel = bubblespec.kernel
+    columns, points = [], []
+
+    def counting(routine):
+        def wrapped(l_max, z, *rest):
+            columns.append(z.size)
+            return routine(l_max, z, *rest)
+
+        return wrapped
+
+    def recording(x, y):
+        points.append(np.broadcast_arrays(x, y))
+        return kernel.f_exact_array(x, y)
+
+    monkeypatch.setattr(kernel, "_half_integer_j_table", counting(kernel._half_integer_j_table))
+    monkeypatch.setattr(kernel, "_half_integer_j_upward", counting(kernel._half_integer_j_upward))
+    monkeypatch.setattr(bubblespec.spectrum, "f_exact_array", recording)
+    cfg = MediumConfig(n_gas_in=2e4, n_gas_out=1.0)
+    counts = []
+    for _ in range(2):
+        columns.clear()
+        points.clear()
+        totals(cfg, CutoffProfile.rounded(cfg), QuadratureSpec(rel_tol=1e-4), "exact", grid_points=20)
+        x, y = (np.concatenate([p[i] for p in points]) for i in (0, 1))
+        lo, hi = np.minimum(x, y), np.maximum(x, y)
+        overlap = ~((lo >= 1.0) & (hi <= 256.0 * lo)) & (hi > 4.0)
+        counts.append((x.size, sum(columns)))
+        assert sum(columns) == 2 * np.count_nonzero(overlap)
+    assert counts[0] == counts[1]
+    # measured: 4470 points, 807 of them in the overlap branch
+    assert counts[0][1] < 0.4 * counts[0][0]
