@@ -7,10 +7,12 @@ Exit codes: 0 success, 1 check failure, 2 usage/config error,
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
 import sys
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -112,15 +114,17 @@ def parse_config(path: str | None, **flags: object) -> RunConfig:
         raise click.UsageError(f"invalid configuration: {exc}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, chunks: Iterable[str]) -> None:
+    """Write the text chunks, in order, to the file at path, or to stdout when path is empty."""
     if path:
         try:
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise click.UsageError(f"cannot write output file {path}: {exc}") from exc
     else:
-        click.echo(text, nl=False)
+        for chunk in chunks:
+            click.echo(chunk, nl=False)
 
 
 @contextmanager
@@ -154,7 +158,7 @@ def spectrum(config_path, output_path, kernel, tail_bound) -> None:
     for x, v in zip(res.x_grid, res.dn_dx):
         iv = sp.infinite_volume_dn_dx(x, run.medium, cut) if x > 0 else 0.0
         lines.append(f"{x!r},{v!r},{iv!r},{x * freq_scale / 1e15!r}")
-    _write_text(run.output_path, "\n".join(lines) + "\n")
+    _write_text(run.output_path, ["\n".join(lines) + "\n"])
     # Keep stdout clean CSV when no output file was given.
     click.echo(
         f"total_photons={res.total_photons:.6e} mean_x_over_xstar={res.mean_x_over_xstar:.6f} "
@@ -217,19 +221,22 @@ def kernel_dump(output_path, x_range, y_range, points) -> None:
     """Exact and factorized kernel on a rectangular grid as CSV."""
     x0, x1 = x_range
     y0, y1 = y_range
-    # points^2 samples, all held as CSV lines before the write: the ceiling keeps them to 10^6.
+    # points^2 samples, their values held as arrays before the first write: the ceiling keeps them to 10^6.
     if not (0 < x0 < x1 < math.inf and 0 < y0 < y1 < math.inf) or not 2 <= points <= 1000:
         raise click.UsageError("ranges must be positive, finite and increasing, points in [2, 1000]")
     xs = np.linspace(x0, x1, points)
     ys = np.linspace(y0, y1, points)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    exact = f_exact_array(gx, gy).ravel().tolist()
+    exact = f_exact_array(gx, gy)
     # The factorized values the spectrum integrand uses: one array call, as for the exact column.
-    factorized = f_factorized(gx, gy).ravel().tolist()
-    lines = ["x,y,f_exact,f_factorized"]
-    for x, y, fe, ff in zip(gx.ravel().tolist(), gy.ravel().tolist(), exact, factorized):
-        lines.append(f"{x!r},{y!r},{fe!r},{ff!r}")
-    _write_text(output_path or "", "\n".join(lines) + "\n")
+    factorized = f_factorized(gx, gy)
+
+    def grid_row(i: int) -> str:
+        samples = zip(gx[i].tolist(), gy[i].tolist(), exact[i].tolist(), factorized[i].tolist())
+        return "".join(f"{x!r},{y!r},{fe!r},{ff!r}\n" for x, y, fe, ff in samples)
+
+    # The CSV lines one grid row (one x) at a time, never all points^2 at once.
+    _write_text(output_path or "", itertools.chain(["x,y,f_exact,f_factorized\n"], map(grid_row, range(points))))
     if output_path:
         click.echo(f"wrote {points * points} kernel samples to {output_path}")
 
@@ -248,7 +255,7 @@ def diagonal(output_path, x_max, points) -> None:
     lines = ["x,d_exact,d_approx"]
     for x, d in zip(xs.tolist(), exact):
         lines.append(f"{x!r},{d!r},{d_approx(x)!r}")
-    _write_text(output_path or "", "\n".join(lines) + "\n")
+    _write_text(output_path or "", ["\n".join(lines) + "\n"])
 
 
 @main.command("infinite-volume")

@@ -17,7 +17,10 @@ import numbers
 import sys
 from dataclasses import dataclass
 
-from .special_functions import BesselDomainError, ModeOrder, _reduced_det, half_integer_j_array, half_integer_n_array
+import numpy as np
+
+from .special_functions import BesselDomainError, ModeOrder, _half_integer_columns, _reduced_det
+from .special_functions import half_integer_j_array, half_integer_n_array
 
 __all__ = [
     "MediumConfig",
@@ -75,35 +78,68 @@ class MatchingCoefficients:
     xi_abs: float
 
 
-def wall_amplitudes(l_max: int, y: float, index_ratio: float) -> list[tuple[float, float, float]]:
-    """(|A_l|^2, B_l, C_l) for l = 0..l_max from one Bessel table per surface argument.
+def _wall_rows(j_in, j_in_prev, y, j_out, j_out_prev, n_out, n_out_prev, ny) -> tuple[np.ndarray, ...]:
+    """|A|^2, B and C arrays from J and N of orders nu and nu - 1 at the surface arguments y (inside) and ny (outside).
 
-    D1 pairs the inside J column with the outside N column, D2 with the
-    outside J column, both at surface arguments (y inside, N*y outside).
-    |A|^2 = (4/pi^2) / (D1^2 + D2^2) and (B, C) = (D1, -D2)/hypot(D1, D2).
-    Orders whose Bessel values under- or overflowed get inf or NaN entries
-    instead of raising, so a table may run past the orders a caller uses.
+    D1 pairs the inside J with the outside N, D2 with the outside J.
+    |A|^2 = (4/pi^2) / (D1^2 + D2^2) and (B, C) = (D1, -D2)/hypot(D1, D2),
+    or (inf, nan, nan) where D1^2 + D2^2 is 0.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d1 = _reduced_det(j_in, j_in_prev, y, n_out, n_out_prev, ny)
+        d2 = _reduced_det(j_in, j_in_prev, y, j_out, j_out_prev, ny)
+        q = d1 * d1 + d2 * d2
+        # libm's hypot, as the one-order lists took it; numpy's may differ in the last bit.
+        h = np.array(list(map(math.hypot, d1.tolist(), d2.tolist())))
+        return _TWO_OVER_PI * _TWO_OVER_PI / q, np.where(q != 0, d1 / h, np.nan), np.where(q != 0, -d2 / h, np.nan)
+
+
+def wall_amplitudes(l_max: int, y: float, index_ratio: float) -> list[tuple[float, float, float]]:
+    """(|A_l|^2, B_l, C_l) for l = 0..l_max from one Bessel table per surface argument (``_wall_rows``).
+
+    The surface arguments are y inside and N*y outside.  Orders whose
+    Bessel values under- or overflowed get inf or NaN entries instead of
+    raising, so a table may run past the orders a caller uses.
     A surface argument outside the Bessel domain raises BesselDomainError.
     """
     ny = index_ratio * y
-    j_in = half_integer_j_array(l_max, y)
-    j_out, n_out = half_integer_j_array(l_max, ny), half_integer_n_array(l_max, ny)
-    rows = []
-    for l in range(l_max + 1):
-        d1 = _reduced_det(j_in[l], j_in[l - 1], y, n_out[l], n_out[l - 1], ny)
-        d2 = _reduced_det(j_in[l], j_in[l - 1], y, j_out[l], j_out[l - 1], ny)
-        q = d1 * d1 + d2 * d2
-        h = math.hypot(d1, d2)
-        rows.append((_TWO_OVER_PI * _TWO_OVER_PI / q, d1 / h, -d2 / h) if q else (math.inf, math.nan, math.nan))
-    return rows
+    j_in, j_out = np.array(half_integer_j_array(l_max, y)), np.array(half_integer_j_array(l_max, ny))
+    n_out = np.array(half_integer_n_array(l_max, ny))
+    # The lists end with order -1/2, so index l - 1 reads the order below l for l = 0 too.
+    prev = np.arange(l_max + 1) - 1
+    rows = _wall_rows(j_in[:-1], j_in[prev], y, j_out[:-1], j_out[prev], n_out[:-1], n_out[prev], ny)
+    return list(zip(*(r.tolist() for r in rows)))
+
+
+def _not_finite(l: int, y: float, index_ratio: float) -> BesselDomainError:
+    return BesselDomainError(f"wall amplitudes of order l={l} are not finite at y={y}, ratio={index_ratio}")
 
 
 def _amplitudes(order: ModeOrder, y: float, index_ratio: float) -> tuple[float, float, float]:
     """|A|^2, B and C of one order; BesselDomainError where they are not finite."""
     row = wall_amplitudes(order.l, y, index_ratio)[order.l]
     if not all(map(math.isfinite, row)):
-        raise BesselDomainError(f"wall amplitudes of order l={order.l} are not finite at y={y}, ratio={index_ratio}")
+        raise _not_finite(order.l, y, index_ratio)
     return row
+
+
+def _amplitudes_at(l: np.ndarray, y: np.ndarray, index_ratio: np.ndarray) -> tuple[np.ndarray, ...]:
+    """|A|^2, B and C arrays at draws (l[a], y[a], index_ratio[a]): _amplitudes's, bit for bit.
+
+    J and N tables over the inside and outside arguments, 512 columns a
+    table (``_half_integer_columns``).  BesselDomainError, with _amplitudes's
+    message, names the first surface argument outside the Bessel domain,
+    else the first draw whose amplitudes are not finite.
+    """
+    ny = index_ratio * y
+    # Columns y[0], ny[0], y[1], ...: a domain error names the argument a loop over the draws would meet first.
+    j, j_prev, n, n_prev = _half_integer_columns(np.repeat(l, 2), np.stack([y, ny], axis=1).ravel())
+    rows = _wall_rows(j[::2], j_prev[::2], y, j[1::2], j_prev[1::2], n[1::2], n_prev[1::2], ny)
+    bad = ~np.isfinite(rows).all(axis=0)
+    if bad.any():
+        a = int(bad.argmax())
+        raise _not_finite(int(l[a]), float(y[a]), float(index_ratio[a]))
+    return rows
 
 
 def coefficient_a_sq(order: ModeOrder, y: float, index_ratio: float) -> float:

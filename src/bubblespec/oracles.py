@@ -3,13 +3,16 @@
 The four suites of ``bubblespec check``, each an ``IdentityReport``: the Bessel
 cross-product Wronskian 2/pi, the wall matching's |B|^2 + |C|^2 = 1, the
 closed-form finite-range Bessel overlap integral and the smeared spectral delta
-identities.  The overlap is the exact kernel's own ratio W~/(x^2 - y^2), its
-series over the kernel's J rows (``kernel._overlaps``), checked against a
-self-verified composite Gauss-Legendre rule, independent of the production
-Gauss-Kronrod pair, over ``_jv``: J_{l+1/2} for l <= 10 and z <= 100 from the
-power series (DLMF 10.2.2) below z = 8 and the finite sin/cos closed form
-(DLMF 10.49.2) from 8 up, independent of the package's J recurrence.  The
-delta identities are closed forms.  No suite loads scipy.
+identities.  The Wronskian and matching suites draw all their samples first,
+then run as array passes over J and N tables of 512 columns each, with the
+draws and the values of the per-draw scalar calls.  The overlap is the exact
+kernel's own ratio W~/(x^2 - y^2), its series over the kernel's J rows
+(``kernel._overlaps``), checked against a self-verified composite
+Gauss-Legendre rule, independent of the production Gauss-Kronrod pair, over
+``_jv``: J_{l+1/2} for l <= 10 and z <= 100 from the power series (DLMF
+10.2.2) below z = 8 and the finite sin/cos closed form (DLMF 10.49.2) from 8
+up, independent of the package's J recurrence.  The delta identities are
+closed forms.  No suite loads scipy.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import _SERIES_ROWS, _pw_ratios
-from .matching import coefficients_bc
-from .special_functions import BesselDomainError, ModeOrder, _reduced_det, bessel_jn_half
+from .matching import _amplitudes_at
+from .special_functions import _UNDERFLOW_FLOOR, BesselDomainError, ModeOrder, _half_integer_columns, _reduced_det
 
 __all__ = [
     "IdentityReport", "finite_overlap_checks", "hankel_finite_integral", "matching_checks", "spectral_delta_checks",
@@ -44,33 +47,29 @@ def wronskian_checks(rng: random.Random) -> IdentityReport:
     """The J/N cross determinant at equal arguments against the Wronskian 2/pi, at 2000 draws from ``rng``.
 
     Draws take l in 0..60 and z log-uniform in [0.1, 100], skipping a saturated or overflowed N; passes below 1e-10.
-    ``samples`` counts the draws tested, skips excluded.
+    ``samples`` counts the draws tested, skips excluded.  One array pass reads every draw's J and N pairs from J and
+    N tables of 512 columns (``_half_integer_columns``), bit for bit bessel_jn_half's.
     """
-    worst, tested = 0.0, 0
-    for _ in range(2000):
-        l = rng.randint(0, 60)
-        z = 10 ** rng.uniform(-1, 2)
-        p = bessel_jn_half(ModeOrder(l), z)
-        if p.saturated or math.isinf(p.n):
-            continue
-        tested += 1
-        worst = max(worst, abs(_reduced_det(p.j, p.j_prev, z, p.n, p.n_prev, z) - 2 / math.pi))
+    draws = [(rng.randint(0, 60), 10 ** rng.uniform(-1, 2)) for _ in range(2000)]
+    l, z = (np.array(v) for v in zip(*draws))
+    j, j_prev, n, n_prev = _half_integer_columns(l, z)
+    # bessel_jn_half's saturation: J below its underflow floor, or N overflowed.
+    tested = ~((np.abs(j) < _UNDERFLOW_FLOOR) | np.isinf(n))
+    j, j_prev, n, n_prev, z = (v[tested] for v in (j, j_prev, n, n_prev, z))
+    worst = float(np.max(np.abs(_reduced_det(j, j_prev, z, n, n_prev, z) - 2 / math.pi), initial=0.0))
     rel = worst / (2 / math.pi)
-    return IdentityReport("wronskian", rel, tested, rel < 1e-10)
+    return IdentityReport("wronskian", rel, z.size, rel < 1e-10)
 
 
 def matching_checks(rng: random.Random) -> IdentityReport:
-    """|B^2 + C^2 - 1| of ``coefficients_bc`` at 500 draws from ``rng``; passes below 1e-12.
+    """|B^2 + C^2 - 1| of the wall amplitudes at 500 draws from ``rng``; passes below 1e-12.
 
     Draws take l in 0..20, y in [0.05, 30] and the index ratio in [0.5, 3].
+    One array pass (``matching._amplitudes_at``) gives coefficients_bc's (B, C) for every draw, bit for bit.
     """
-    worst = 0.0
-    for _ in range(500):
-        l = rng.randint(0, 20)
-        y = rng.uniform(0.05, 30.0)
-        ratio = rng.uniform(0.5, 3.0)
-        b, c = coefficients_bc(ModeOrder(l), y, ratio)
-        worst = max(worst, abs(b * b + c * c - 1.0))
+    draws = [(rng.randint(0, 20), rng.uniform(0.05, 30.0), rng.uniform(0.5, 3.0)) for _ in range(500)]
+    _, b, c = _amplitudes_at(*(np.array(v) for v in zip(*draws)))
+    worst = float(np.max(np.abs(b * b + c * c - 1.0)))
     return IdentityReport("matching-unit-circle", worst, 500, worst < 1e-12)
 
 

@@ -10,8 +10,10 @@ solution y comes from upward recurrence from its closed forms.  Each
 direction is the numerically stable one for its solution.  Each list
 table ends with order -1/2, so index l - 1 reads the order below l for l = 0
 too.  ``_half_integer_j_table`` runs that recurrence over many arguments at
-once (lists for one kernel point); ``_half_integer_j_upward`` runs j's upward
-recurrence over many arguments, for orders below them, where it is stable.
+once (lists for one kernel point), and ``_half_integer_n_table`` y's upward
+recurrence; ``_half_integer_columns`` reads one order's J and N pairs from the
+two.  ``_half_integer_j_upward`` runs j's upward recurrence over many
+arguments, for orders below them, where it is stable.
 Derivatives are never finite-differenced: z J'_nu(z) = z J_{nu-1}(z) - nu J_nu(z).
 
 All functions are pure; values are freely shareable across threads.
@@ -43,6 +45,8 @@ _RATIO_MARGIN = 40
 _UNDERFLOW_FLOOR = 1e-300
 # Largest Bessel and kernel argument, 255 times x* = 392: tables run to e*z/2 orders; f_exact(1e5, 1) takes 0.25 s.
 _MAX_ARGUMENT = 1e5
+# Columns per J and N table in _half_integer_columns.
+_COLUMN_SLICE = 512
 
 
 class BesselDomainError(ValueError):
@@ -202,6 +206,54 @@ def half_integer_n_array(l_max: int, z: float) -> list[float]:
     l_max = ModeOrder(l_max).l
     s = _half_order_scale(z)
     return [s * v for v in _sph_yn_seq(l_max, z)]
+
+
+def _half_integer_n_table(l_max: int, z: np.ndarray) -> np.ndarray:
+    """N_{l+1/2}(z[a]) for l = 0..l_max, then N_{-1/2}(z[a]) last, in column a: half_integer_n_array(l_max, z[a]).
+
+    Bit for bit: the closed forms through libm, then _sph_yn_seq's operations, rounding and saturation in one numpy
+    pass.  Every z must be in the Bessel domain.
+    """
+    listed = z.tolist()
+    rows = np.empty((l_max + 2, z.size))
+    rows[-1] = np.array(list(map(math.sin, listed))) / z
+    rows[0] = -np.array(list(map(math.cos, listed))) / z
+    saturated = np.zeros(z.size, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if l_max:
+            rows[1] = rows[0] / z - rows[-1]
+        for l in range(1, l_max):
+            nxt = (2 * l + 1) / z * rows[l] - rows[l - 1]
+            # A column past 1e307 is +-inf from there on, with the sign of its last finite order.
+            saturated |= np.abs(nxt) > 1e307
+            rows[l + 1] = np.where(saturated, np.copysign(np.inf, rows[l]), nxt)
+        rows *= np.sqrt(2.0 * z / math.pi)
+    return rows
+
+
+def _half_integer_columns(l: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """J_nu, J_{nu-1}, N_nu and N_{nu-1} at z[a] for nu = l[a] + 1/2, from a J table and an N table per slice.
+
+    Bit for bit entries l[a] and l[a] - 1 of half_integer_j_array(l[a], z[a]) and half_integer_n_array(l[a], z[a]):
+    bessel_jn_half's fields, J unclamped.  BesselDomainError names the first z outside the Bessel domain.
+    """
+    outside = ~((z >= sys.float_info.min) & (z <= _MAX_ARGUMENT))
+    if outside.any():
+        _half_order_scale(float(z[outside.argmax()]))
+    # The J table takes its columns in descending order of their recurrence start, max(l, int(e*z/2)) + margin.
+    order = np.argsort(-np.maximum(l, (math.e * z / 2.0).astype(int)), kind="stable")
+    out = np.empty((4, z.size))
+    # Slices of _COLUMN_SLICE columns keep each table near 250 kB at l <= 60, and only rows l and l - 1 outlive it.
+    for first in range(0, z.size, _COLUMN_SLICE):
+        a = order[first : first + _COLUMN_SLICE]
+        la, za, col = l[a], z[a], np.arange(a.size)
+        l_max = max(int(la.max()), 1)
+        out[:2, a] = _half_integer_j_table(l_max, za, la)[[la, la - 1], col]
+        n = _half_integer_n_table(l_max, za)
+        # Order 0's J_prev: J_{-1/2} = s cos(z)/z = -N_{1/2}.
+        out[1, a] = np.where(la > 0, out[1, a], -n[0])
+        out[2:, a] = n[[la, la - 1], col]
+    return tuple(out)
 
 
 def bessel_jn_half(order: ModeOrder, z: float) -> BesselPair:

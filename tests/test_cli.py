@@ -371,6 +371,21 @@ def test_grid_commands_refuse_points_past_their_ceiling_without_allocating(args)
     assert peak < 2**20
 
 
+def test_kernel_dump_writes_its_csv_without_holding_every_line(tmp_path):
+    # 10^4 samples: their four value arrays and f_exact_array's temporaries peak at about 90 bytes a sample, while
+    # every CSV line and two columns of Python floats, held before one write, took about 380.
+    out = str(tmp_path / "k.csv")
+    args = ["kernel-dump", "--points", "100", "--x-range", "0.5", "392", "--y-range", "0.001", "392", "--output", out]
+    tracemalloc.start()
+    try:
+        main.main(args, standalone_mode=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 100 * 100
+    assert len(open(out).read().splitlines()) == 1 + 100 * 100
+
+
 @pytest.mark.parametrize(
     "line",
     ["kernel_mode = bogus", "grid_points = 1", "grid_points = 10001", "x_star_override = 0", "y_star_override = -1"],

@@ -7,6 +7,7 @@ from scipy import special
 
 from bubblespec.matching import (
     MediumConfig,
+    _amplitudes_at,
     coefficient_a_sq,
     coefficients_bc,
     matching_coefficients,
@@ -166,3 +167,18 @@ def test_non_finite_amplitudes_raise_typed_error(l, y, ratio):
         matching_coefficients(ModeOrder(l), y, ratio, kappa=1.0, n_liquid=1.3)
     # the all-orders table itself never raises
     assert not all(map(math.isfinite, wall_amplitudes(l, y, ratio)[l]))
+
+
+@pytest.mark.parametrize(
+    "l, y, ratio, first",
+    [([2, 130, 140], [1.0, 0.1, 0.1], [1.3, 20.0, 30.0], 1), ([1, 3, 4], [2.0, 2.0, 1.0], [1.3, 0.0, 1.3], 1)]
+    + [([1, 3], [2.0, 5e-310], [1.3, 1.3], 1), ([200, 3, 4], [0.1, 2.0, 1.0], [2.0, 0.0, 1.3], 1)],
+)
+def test_draw_amplitudes_raise_the_scalar_error_of_the_first_failing_draw(l, y, ratio, first):
+    # A non-finite row, or a surface argument outside the Bessel domain, with coefficients_bc's message.  Domain
+    # errors come first: draw 0 of the last case has non-finite amplitudes, draw 1 a zero ratio.
+    with pytest.raises(BesselDomainError) as scalar:
+        coefficients_bc(ModeOrder(l[first]), y[first], ratio[first])
+    with pytest.raises(BesselDomainError) as batched:
+        _amplitudes_at(np.array(l), np.array(y), np.array(ratio))
+    assert str(batched.value) == str(scalar.value)

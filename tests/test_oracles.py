@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -196,17 +195,81 @@ def test_overlap_reference_is_independent_of_the_package_bessel_routines(monkeyp
 
 def test_wronskian_suite_counts_only_the_draws_it_tests(monkeypatch):
     assert oracles.wronskian_checks(random.Random(20260823)).samples == 2000
-    real, calls = oracles.bessel_jn_half, []
+    # (79, 0.01): J under bessel_jn_half's underflow floor, N finite; (120, 0.01): N overflowed to -inf.
+    for l, z, j_zero, n_inf in ((79, 0.01, True, False), (120, 0.01, True, True)):
+        p = special_functions.bessel_jn_half(ModeOrder(l), z)
+        assert p.saturated and (p.j == 0.0, math.isinf(p.n)) == (j_zero, n_inf)
+    real = oracles._half_integer_columns
 
-    def every_third_saturated(order, z):
-        calls.append(z)
-        return dataclasses.replace(real(order, z), saturated=len(calls) % 3 == 0)
+    def two_in_three_saturated(l, z):
+        l, z = l.copy(), z.copy()
+        l[::3], z[::3] = 79, 0.01
+        l[1::3], z[1::3] = 120, 0.01
+        return real(l, z)
 
-    monkeypatch.setattr(oracles, "bessel_jn_half", every_third_saturated)
+    monkeypatch.setattr(oracles, "_half_integer_columns", two_in_three_saturated)
     rep = oracles.wronskian_checks(random.Random(20260823))
-    assert len(calls) == 2000
-    assert rep.samples == 2000 - 2000 // 3
+    assert rep.samples == 2000 - 667 - 667
     assert rep.passed
+
+
+def _counting(monkeypatch, names):
+    """Count the calls of each named function through every bubblespec module that binds it."""
+    counts = dict.fromkeys(names, 0)
+    modules = (bubblespec, special_functions, kernel, matching, oracles)
+    for name in names:
+        fn = getattr(special_functions, name, None) or getattr(matching, name)
+
+        def counted(*args, _name=name, _fn=fn):
+            counts[_name] += 1
+            return _fn(*args)
+
+        for module in modules:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_check_reads_its_bessel_values_from_a_fixed_number_of_tables(monkeypatch):
+    # A work count, not a timing: the Wronskian suite's 2000 columns make four J-table and four N-table calls, the
+    # matching suite's 1000 two each, the overlap suite one J table a draw; nothing calls the per-draw routines.
+    names = ("_half_integer_j_table", "_half_integer_n_table", "bessel_jn_half", "coefficients_bc", "_sph_yn_seq")
+    expected = _run_checks()
+    counts = _counting(monkeypatch, names)
+    for _ in range(2):
+        assert _run_checks() == expected
+        assert counts == {
+            "_half_integer_j_table": 4 + 2 + 25, "_half_integer_n_table": 4 + 2, "bessel_jn_half": 0, "coefficients_bc": 0,
+            "_sph_yn_seq": 0,
+        }
+        counts.update(dict.fromkeys(names, 0))
+
+
+def test_suite_array_passes_equal_the_scalar_calls_bit_for_bit(monkeypatch):
+    # The suites' own seeded draws, recorded as they are passed on, plus an order-0 draw and two saturating ones.
+    seen = {}
+    for name in ("_half_integer_columns", "_amplitudes_at"):
+
+        def recorded(*args, _name=name, _real=getattr(oracles, name)):
+            seen[_name] = args
+            return _real(*args)
+
+        monkeypatch.setattr(oracles, name, recorded)
+    assert all(r["passed"] for r in _run_checks())
+    l, z = (np.append(v, extra) for v, extra in zip(seen["_half_integer_columns"], ([0, 79, 120], [0.3, 0.01, 0.01])))
+    assert l.size == 2003 and (l == 0).sum() > 1
+    columns = special_functions._half_integer_columns(l, z)
+    for a in range(l.size):
+        p = special_functions.bessel_jn_half(ModeOrder(int(l[a])), float(z[a]))
+        j, j_prev, n, n_prev = (float(c[a]) for c in columns)
+        assert (0.0 if abs(j) < 1e-300 else j, j_prev, n, n_prev) == (p.j, p.j_prev, p.n, p.n_prev), a
+        assert j == special_functions.half_integer_j_array(int(l[a]), float(z[a]))[l[a]]
+    draws = seen["_amplitudes_at"]
+    assert draws[0].size == 500
+    a_sq, b, c = matching._amplitudes_at(*draws)
+    for a, (l_a, y, ratio) in enumerate(zip(*(d.tolist() for d in draws))):
+        assert (b[a], c[a]) == matching.coefficients_bc(ModeOrder(l_a), y, ratio), a
+        assert a_sq[a] == matching.coefficient_a_sq(ModeOrder(l_a), y, ratio), a
 
 
 def test_kernel_concentrates_on_diagonal_with_scale():

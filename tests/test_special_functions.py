@@ -12,7 +12,9 @@ from bubblespec.special_functions import (
     BesselDomainError,
     BesselPair,
     ModeOrder,
+    _half_integer_columns,
     _half_integer_j_table,
+    _half_integer_n_table,
     bessel_jn_half,
     half_integer_j_array,
     half_integer_n_array,
@@ -167,6 +169,24 @@ def test_one_point_j_tables_equal_the_numpy_recurrence_bit_for_bit():
                 rows = int(l_each[a + c]) + 1
                 assert narrow[:rows, c].tolist() == wide[:rows, a + c].tolist(), (a, c)
                 assert narrow[:rows, c].tolist() == half_integer_j_array(rows - 1, float(z[a + c]))[:-1]
+
+
+@pytest.mark.parametrize("l_max", [0, 1, 2, 60, 300])
+def test_n_table_columns_equal_the_n_lists_bit_for_bit(l_max):
+    # Order -1/2 last, as in the lists; small z with large l saturates to -inf, as _sph_yn_seq clamps it.
+    z = np.array([sys.float_info.min, 1e-300, 1e-5, 0.01, 0.1, 1.0, 7.3, 50.0, 392.0, _MAX_ARGUMENT])
+    table = _half_integer_n_table(l_max, z)
+    assert table.shape == (l_max + 2, z.size)
+    for a in range(z.size):
+        assert table[:, a].tolist() == half_integer_n_array(l_max, float(z[a])), a
+    if l_max >= 60:
+        assert np.isinf(table[l_max, :3]).all() and np.isfinite(table[: l_max + 1, -1]).all()
+
+
+def test_bessel_columns_refuse_the_first_argument_outside_the_domain():
+    for bad in (0.0, math.nan, 5e-310, 2e5):
+        with pytest.raises(BesselDomainError, match=f"got {bad}$"):
+            _half_integer_columns(np.array([1, 2, 3]), np.array([1.0, bad, 0.0]))
 
 
 def test_deep_underflow_regime():
