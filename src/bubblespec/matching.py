@@ -133,7 +133,7 @@ def _amplitudes_at(l: np.ndarray, y: np.ndarray, index_ratio: np.ndarray) -> tup
     """
     ny = index_ratio * y
     # Columns y[0], ny[0], y[1], ...: a domain error names the argument a loop over the draws would meet first.
-    j, j_prev, n, n_prev = _half_integer_columns(np.repeat(l, 2), np.stack([y, ny], axis=1).ravel())
+    j, j_prev, n, n_prev, _ = _half_integer_columns(np.repeat(l, 2), np.stack([y, ny], axis=1).ravel())
     rows = _wall_rows(j[::2], j_prev[::2], y, j[1::2], j_prev[1::2], n[1::2], n_prev[1::2], ny)
     bad = ~np.isfinite(rows).all(axis=0)
     if bad.any():

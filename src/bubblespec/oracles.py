@@ -5,7 +5,8 @@ cross-product Wronskian 2/pi, the wall matching's |B|^2 + |C|^2 = 1, the
 closed-form finite-range Bessel overlap integral and the smeared spectral delta
 identities.  The Wronskian and matching suites draw all their samples first,
 then run as array passes over J and N tables of 512 columns each, with the
-draws and the values of the per-draw scalar calls.  The overlap is the exact
+draws and the values of the per-draw scalar calls; the matching suite checks
+its worst draw against ``coefficients_bc`` itself.  The overlap is the exact
 kernel's own ratio W~/(x^2 - y^2), its series over the kernel's J rows
 (``kernel._overlaps``), checked against a self-verified composite
 Gauss-Legendre rule, independent of the production Gauss-Kronrod pair, over
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import _SERIES_ROWS, _pw_ratios
-from .matching import _amplitudes_at
-from .special_functions import _UNDERFLOW_FLOOR, BesselDomainError, ModeOrder, _half_integer_columns, _reduced_det
+from .matching import _amplitudes_at, coefficients_bc
+from .special_functions import BesselDomainError, ModeOrder, _half_integer_columns, _reduced_det
 
 __all__ = [
     "IdentityReport", "finite_overlap_checks", "hankel_finite_integral", "matching_checks", "spectral_delta_checks",
@@ -52,10 +53,8 @@ def wronskian_checks(rng: random.Random) -> IdentityReport:
     """
     draws = [(rng.randint(0, 60), 10 ** rng.uniform(-1, 2)) for _ in range(2000)]
     l, z = (np.array(v) for v in zip(*draws))
-    j, j_prev, n, n_prev = _half_integer_columns(l, z)
-    # bessel_jn_half's saturation: J below its underflow floor, or N overflowed.
-    tested = ~((np.abs(j) < _UNDERFLOW_FLOOR) | np.isinf(n))
-    j, j_prev, n, n_prev, z = (v[tested] for v in (j, j_prev, n, n_prev, z))
+    j, j_prev, n, n_prev, saturated = _half_integer_columns(l, z)
+    j, j_prev, n, n_prev, z = (v[~saturated] for v in (j, j_prev, n, n_prev, z))
     worst = float(np.max(np.abs(_reduced_det(j, j_prev, z, n, n_prev, z) - 2 / math.pi), initial=0.0))
     rel = worst / (2 / math.pi)
     return IdentityReport("wronskian", rel, z.size, rel < 1e-10)
@@ -65,12 +64,17 @@ def matching_checks(rng: random.Random) -> IdentityReport:
     """|B^2 + C^2 - 1| of the wall amplitudes at 500 draws from ``rng``; passes below 1e-12.
 
     Draws take l in 0..20, y in [0.05, 30] and the index ratio in [0.5, 3].
-    One array pass (``matching._amplitudes_at``) gives coefficients_bc's (B, C) for every draw, bit for bit.
+    One array pass (``matching._amplitudes_at``) gives coefficients_bc's (B, C) for every draw, bit for bit; the
+    worst draw is taken again through ``coefficients_bc`` itself, and the suite fails unless the two agree exactly.
     """
     draws = [(rng.randint(0, 20), rng.uniform(0.05, 30.0), rng.uniform(0.5, 3.0)) for _ in range(500)]
-    _, b, c = _amplitudes_at(*(np.array(v) for v in zip(*draws)))
-    worst = float(np.max(np.abs(b * b + c * c - 1.0)))
-    return IdentityReport("matching-unit-circle", worst, 500, worst < 1e-12)
+    l, y, ratio = (np.array(v) for v in zip(*draws))
+    _, b, c = _amplitudes_at(l, y, ratio)
+    err = np.abs(b * b + c * c - 1.0)
+    a = int(err.argmax())
+    same = coefficients_bc(ModeOrder(int(l[a])), float(y[a]), float(ratio[a])) == (b[a].item(), c[a].item())
+    worst = float(err[a])
+    return IdentityReport("matching-unit-circle", worst, 500, worst < 1e-12 and same)
 
 
 def hankel_finite_integral(order: ModeOrder, k1: float, k2: float, R: float) -> float:

@@ -150,15 +150,20 @@ def half_integer_j_array(l_max: int, z: float) -> list[float]:
     return [s * v for v in _sph_jn_seq(l_max, z)]
 
 
+def _recurrence_start(l: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """max(l, int(e*z/2)) per column: where the J ratio recurrence starts, less _RATIO_MARGIN."""
+    return np.maximum(l, (math.e * z / 2.0).astype(int))
+
+
 def _half_integer_j_table(l_max: int, z: np.ndarray, l_each: np.ndarray) -> np.ndarray:
     """J_{l+1/2}(z[a]) for l = 0..l_max >= 1 in column a; rows 0..l_each[a] are half_integer_j_array(l_each[a], z[a]).
 
     Bit for bit: up to two columns (one kernel point), where numpy's per-call overhead outweighs the loop, take the
     lists themselves, zero past l_each[a]; more run the same start, operations and rounding in one numpy pass.  The
     rows past l_each[a] are of no use.  Every z must be in the Bessel domain, and the columns in descending order of
-    their start max(l_each, int(e*z/2)) (else ValueError).
+    their start _recurrence_start(l_each, z) (else ValueError).
     """
-    start = np.maximum(l_each, (math.e * z / 2.0).astype(int)) + _RATIO_MARGIN
+    start = _recurrence_start(l_each, z) + _RATIO_MARGIN
     if (start[1:] > start[:-1]).any():
         raise ValueError("columns must come in descending order of their recurrence start")
     if z.size <= 2:
@@ -231,17 +236,18 @@ def _half_integer_n_table(l_max: int, z: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _half_integer_columns(l: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """J_nu, J_{nu-1}, N_nu and N_{nu-1} at z[a] for nu = l[a] + 1/2, from a J table and an N table per slice.
+def _half_integer_columns(l: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """J_nu, J_{nu-1}, N_nu, N_{nu-1} and bessel_jn_half's saturated flag at z[a] for nu = l[a] + 1/2.
 
-    Bit for bit entries l[a] and l[a] - 1 of half_integer_j_array(l[a], z[a]) and half_integer_n_array(l[a], z[a]):
-    bessel_jn_half's fields, J unclamped.  BesselDomainError names the first z outside the Bessel domain.
+    Bit for bit entries l[a] and l[a] - 1 of half_integer_j_array(l[a], z[a]) and half_integer_n_array(l[a], z[a]),
+    from a J table and an N table per slice: bessel_jn_half's fields, J unclamped.  BesselDomainError names the
+    first z outside the Bessel domain.
     """
     outside = ~((z >= sys.float_info.min) & (z <= _MAX_ARGUMENT))
     if outside.any():
         _half_order_scale(float(z[outside.argmax()]))
-    # The J table takes its columns in descending order of their recurrence start, max(l, int(e*z/2)) + margin.
-    order = np.argsort(-np.maximum(l, (math.e * z / 2.0).astype(int)), kind="stable")
+    # The J table takes its columns in descending order of their recurrence start.
+    order = np.argsort(-_recurrence_start(l, z), kind="stable")
     out = np.empty((4, z.size))
     # Slices of _COLUMN_SLICE columns keep each table near 250 kB at l <= 60, and only rows l and l - 1 outlive it.
     for first in range(0, z.size, _COLUMN_SLICE):
@@ -253,7 +259,7 @@ def _half_integer_columns(l: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.
         # Order 0's J_prev: J_{-1/2} = s cos(z)/z = -N_{1/2}.
         out[1, a] = np.where(la > 0, out[1, a], -n[0])
         out[2:, a] = n[[la, la - 1], col]
-    return tuple(out)
+    return (*out, (np.abs(out[0]) < _UNDERFLOW_FLOOR) | np.isinf(out[2]))
 
 
 def bessel_jn_half(order: ModeOrder, z: float) -> BesselPair:

@@ -213,6 +213,25 @@ def test_wronskian_suite_counts_only_the_draws_it_tests(monkeypatch):
     assert rep.passed
 
 
+def test_matching_suite_fails_when_its_worst_draw_disagrees_with_coefficients_bc(monkeypatch):
+    # One ulp off in B at the worst draw: the unit-circle error is unchanged, but the array pass no longer
+    # reproduces the scalar coefficients_bc it stands for.
+    real = oracles.coefficients_bc
+    seen = []
+
+    def one_ulp_off(order, y, ratio):
+        b, c = real(order, y, ratio)
+        seen.append(order.l)
+        return math.nextafter(b, math.inf), c
+
+    expected = oracles.matching_checks(random.Random(20260823))
+    assert expected.passed
+    monkeypatch.setattr(oracles, "coefficients_bc", one_ulp_off)
+    rep = oracles.matching_checks(random.Random(20260823))
+    assert len(seen) == 1
+    assert (rep.max_rel_error, rep.samples, rep.passed) == (expected.max_rel_error, 500, False)
+
+
 def _counting(monkeypatch, names):
     """Count the calls of each named function through every bubblespec module that binds it."""
     counts = dict.fromkeys(names, 0)
@@ -232,15 +251,16 @@ def _counting(monkeypatch, names):
 
 def test_check_reads_its_bessel_values_from_a_fixed_number_of_tables(monkeypatch):
     # A work count, not a timing: the Wronskian suite's 2000 columns make four J-table and four N-table calls, the
-    # matching suite's 1000 two each, the overlap suite one J table a draw; nothing calls the per-draw routines.
+    # matching suite's 1000 two each, the overlap suite one J table a draw.  Of the per-draw routines only the
+    # matching suite's check of its worst draw runs, once: one coefficients_bc call and its one N list.
     names = ("_half_integer_j_table", "_half_integer_n_table", "bessel_jn_half", "coefficients_bc", "_sph_yn_seq")
     expected = _run_checks()
     counts = _counting(monkeypatch, names)
     for _ in range(2):
         assert _run_checks() == expected
         assert counts == {
-            "_half_integer_j_table": 4 + 2 + 25, "_half_integer_n_table": 4 + 2, "bessel_jn_half": 0, "coefficients_bc": 0,
-            "_sph_yn_seq": 0,
+            "_half_integer_j_table": 4 + 2 + 25, "_half_integer_n_table": 4 + 2, "bessel_jn_half": 0,
+            "coefficients_bc": 1, "_sph_yn_seq": 1,
         }
         counts.update(dict.fromkeys(names, 0))
 
@@ -261,8 +281,9 @@ def test_suite_array_passes_equal_the_scalar_calls_bit_for_bit(monkeypatch):
     columns = special_functions._half_integer_columns(l, z)
     for a in range(l.size):
         p = special_functions.bessel_jn_half(ModeOrder(int(l[a])), float(z[a]))
-        j, j_prev, n, n_prev = (float(c[a]) for c in columns)
-        assert (0.0 if abs(j) < 1e-300 else j, j_prev, n, n_prev) == (p.j, p.j_prev, p.n, p.n_prev), a
+        j, j_prev, n, n_prev, saturated = (c[a].item() for c in columns)
+        expected = (p.j, p.j_prev, p.n, p.n_prev, p.saturated)
+        assert (0.0 if abs(j) < 1e-300 else j, j_prev, n, n_prev, saturated) == expected, a
         assert j == special_functions.half_integer_j_array(int(l[a]), float(z[a]))[l[a]]
     draws = seen["_amplitudes_at"]
     assert draws[0].size == 500
