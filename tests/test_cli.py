@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -11,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import bubblespec
-from bubblespec.cli import _CONFIG_KEYS, main
+from bubblespec.cli import _CONFIG_KEYS, REFERENCE_TABLE, main
 
 
 def _write(tmp_path, name, text):
@@ -423,3 +424,49 @@ def test_check_json_lists_the_four_suites_in_order():
     ]
     expected = [{"name": n, "max_rel_error": e, "samples": k, "passed": True} for n, e, k in suites]
     assert res.output == json.dumps(expected, indent=2) + "\n"
+
+
+def test_table_json_is_frozen_to_the_byte():
+    # The five totals to the last bit: any change of the integrand's or the quadrature's arithmetic shows here.
+    frozen = [
+        (1087853.495136181, 0.8122726233039055),
+        (1005258.4821720963, 0.7488704471652587),
+        (1061995.3967911578, 0.7489671869663219),
+        (959307.4930703699, 0.7483443325967039),
+        (935288.0752768393, 0.7470644142789034),
+    ]
+    res = CliRunner().invoke(main, ["table", "--json"])
+    assert res.exit_code == 0, res.output
+    rows = json.loads(res.output)
+    assert [(r["photons"], r["mean_ratio"]) for r in rows] == frozen
+    expected = []
+    for (n_in, n_out, n_ref, ratio_ref), (photons, ratio) in zip(REFERENCE_TABLE, frozen):
+        expected.append(
+            {
+                "n_gas_in": n_in,
+                "n_gas_out": n_out,
+                "photons": photons,
+                "photons_reference": n_ref,
+                "photons_rel_dev": photons / n_ref - 1.0,
+                "mean_ratio": ratio,
+                "mean_ratio_reference": ratio_ref,
+                "mean_ratio_dev": ratio - ratio_ref,
+                "passed": True,
+            }
+        )
+    assert res.output == json.dumps(expected, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        ("", "d5bbb21a8615003f795621a6a4a4944776c60b6f472c56cc2c117acbc0e20b1e"),
+        ("n_gas_in = 68.0\nn_gas_out = 34.0\n", "ad934b3137e88f48390d05c648848ff2a0dbaf17fd1501535cd8f3cf3cfd3525"),
+    ],
+    ids=["default", "68-34"],
+)
+def test_spectrum_csv_is_frozen_to_the_byte(tmp_path, config, digest):
+    out = tmp_path / "spec.csv"
+    res = CliRunner().invoke(main, ["spectrum", "--config", _write(tmp_path, "cfg.txt", config), "--output", str(out)])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

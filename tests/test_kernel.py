@@ -643,3 +643,40 @@ def test_f_factorized_reaches_its_limit_where_the_sixth_power_overflows():
         u = 0.75 * (x - y)
         sinc = np.sinc(u / np.pi)
         assert f_factorized(x, y) == HALF_ASYMPTOTE * s6 / (16000.0 + s6) * sinc * sinc
+
+
+def _factorized_by_np_sinc(x, y):
+    """f_factorized's formula with np.sinc and out-of-place numpy steps: the reference of its in-place steps."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    s = x + y
+    with np.errstate(over="ignore", invalid="ignore"):
+        s6 = s**6
+        hump = HALF_ASYMPTOTE * s6 / (16000.0 + s6)
+    if np.max(s, initial=0.0) > 1e51:
+        hump = np.where(np.isinf(s6), HALF_ASYMPTOTE, hump)
+    sinc = np.sinc(0.75 * (x - y) / np.pi)
+    out = hump * sinc * sinc
+    return out if out.ndim else float(out)
+
+
+def test_f_factorized_equals_the_np_sinc_formula_bit_for_bit():
+    rng = np.random.default_rng(20261019)
+    x = 10.0 ** rng.uniform(-3.0, 3.0, 4000)
+    y = np.concatenate([10.0 ** rng.uniform(-3.0, 3.0, 2000), x[2000:3000], x[3000:] + rng.normal(0.0, 1.0, 1000)])
+    # s = x + y on both sides of 1e51, the overflow edge of s**6 (about 2.4e51) and past it
+    big = 10.0 ** rng.uniform(50.0, 52.0, 200)
+    for xs, ys in ((x, y), (big, big * (1.0 + 1e-15)), (np.append(big, 3.0), np.append(0.5 * big, 3.0))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, want = f_factorized(xs, ys), _factorized_by_np_sinc(xs, ys)
+        assert got.shape == xs.shape and got.tobytes() == want.tobytes()
+    assert (2.0 * big).min() < 1e51 and (2.0 * big).max() > 2.5e51
+    # Python-float and 0-d inputs give Python floats, x == y included
+    for a, b in ((2.0, 2.0), (0.5, 7.25), (1e60, 1e60), (1e50, 3e50), (3.0, 3.0 + 4.0 * math.pi / 3.0)):
+        for args in ((a, b), (np.float64(a), b), (np.array(a), np.array(b))):
+            got = f_factorized(*args)
+            assert type(got) is float and np.float64(got).tobytes() == np.float64(_factorized_by_np_sinc(a, b)).tobytes()
+    # a scalar against an array broadcasts, as in delta_replacement_check
+    ys = np.linspace(0.0, 160.0, 1001)
+    assert f_factorized(80.0, ys).tobytes() == _factorized_by_np_sinc(80.0, ys).tobytes()

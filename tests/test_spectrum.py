@@ -374,3 +374,33 @@ def test_exact_totals_build_j_tables_for_overlap_branch_points_only(monkeypatch)
     assert counts[0] == counts[1]
     # measured: 4470 points, 807 of them in the overlap branch
     assert counts[0][1] < 0.4 * counts[0][0]
+
+
+def _integrand_per_point(x, ys, cfg, cut, kernel_mode):
+    """The integrand with its index weight and momentum ratio built per point: the reference of _integrand."""
+    n_in = np.where(ys <= cut.y_star, cfg.n_gas_in, 1.0)
+    n_out = cfg.n_gas_out
+    dn = n_in - n_out
+    kernel = bubblespec.kernel.f_factorized if kernel_mode == "factorized" else bubblespec.kernel.f_exact_array
+    kern = kernel(x, ys)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = (n_in * x * x + n_out * ys * ys) / (n_in * x + n_out * ys)
+        return dn * dn / (2.0 * n_in * n_out) * ratio * ratio * kern
+
+
+@pytest.mark.parametrize("kernel_mode, points", [("factorized", 20_000), ("exact", 400)])
+@pytest.mark.parametrize("n_in, n_out", [(2e4, 1.0), (68.0, 34.0), (9.0, 25.0), (1.0, 12.0)])
+def test_integrand_equals_the_per_point_formula_bit_for_bit(kernel_mode, points, n_in, n_out):
+    cfg = MediumConfig(n_gas_in=n_in, n_gas_out=n_out)
+    cut = CutoffProfile.rounded(cfg)
+    rng = np.random.default_rng(23)
+    x = rng.uniform(0.0, cut.x_star + 4.0 * math.pi / 3.0, points)
+    inside = rng.uniform(0.0, cut.y_star, points)
+    # a chunk of the tail_upper_bound path straddles y*, and y* itself is an edge of its panels
+    straddling = rng.uniform(0.5 * cut.y_star, 2.0 * cut.y_star, points)
+    straddling[::50] = cut.y_star
+    for ys in (inside, straddling):
+        got = bubblespec.spectrum._integrand(x, ys, cfg, cut, kernel_mode)
+        want = _integrand_per_point(x, ys, cfg, cut, kernel_mode)
+        assert got.shape == ys.shape and got.tobytes() == want.tobytes()
+    assert np.any(straddling > cut.y_star) and np.any(straddling <= cut.y_star)
