@@ -378,16 +378,23 @@ def f_factorized(x, y):
     The removable singularity at x = y is handled by sinc; on the diagonal
     the value reduces exactly to d_approx(x) because 16000 = 2^6 * 250.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     s = x + y
     with np.errstate(over="ignore", invalid="ignore"):
         s6 = s**6
-        hump = _HALF_ASYMPTOTE * s6 / (_F_FIT_SCALE + s6)
+        hump = _HALF_ASYMPTOTE * s6
+        hump /= _F_FIT_SCALE + s6
     # Past s ~ 2.4e51 s**6 overflows; the hump has reached its limit 1/(2 pi^2) there.
     if np.max(s, initial=0.0) > 1e51:
         hump = np.where(np.isinf(s6), _HALF_ASYMPTOTE, hump)
-    # np.sinc(t) = sin(pi t)/(pi t); we need sin(u)/u with u = 3(x-y)/4.
-    sinc = np.sinc(0.75 * (x - y) / np.pi)
-    out = hump * sinc * sinc
-    return out if out.ndim else float(out)
+    # sin(u)/u at u = 3(x-y)/4 by np.sinc(u/pi)'s own steps, in place: pi * (u/pi), eps where that is 0, sin over it.
+    u = np.subtract(x, y, out=np.empty(np.shape(hump)))
+    u *= 0.75
+    u /= np.pi
+    u *= np.pi
+    np.copyto(u, np.finfo(float).eps, where=u == 0.0)
+    sinc = np.sin(u)
+    sinc /= u
+    hump *= sinc
+    hump *= sinc
+    return hump if np.ndim(hump) else float(hump)

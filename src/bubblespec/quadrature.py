@@ -8,8 +8,9 @@ integrand's temporaries bounded.  Each panel gets the nested 7-point
 Gauss / 15-point Kronrod pair (QUADPACK's qk15): the Kronrod rule reuses
 the Gauss nodes, so a panel costs 15 evaluations, its value is the K15
 estimate and its error |K15 - G7|.  Each row's worst panels are bisected
-until its tolerance is met.  Results are deterministic: each value is a
-compensated sum over the row's panels ordered by their left endpoint.
+until its tolerance is met.  Results are deterministic: each value is
+the correctly rounded sum (``math.fsum``) of its row's panels, and a
+batch returns its rows' values, errors and subdivision counts as arrays.
 
 Supports vector-valued integrands so that several moments of the same
 integrand (e.g. a spectrum and its energy weighting) share one pass.
@@ -101,9 +102,7 @@ def _panel_estimates(f: _RowIntegrand, bounds: np.ndarray, rows: np.ndarray) -> 
     for start in range(0, lows.size, step):
         s = slice(start, start + step)
         pts = (mid[s, None] + half[s, None] * _XK15).ravel()
-        chunk = np.asarray(f(pts, rows[s].repeat(_XK15.size)), dtype=float)
-        if chunk.ndim == 1:
-            chunk = chunk[None, :]
+        chunk = np.atleast_2d(np.asarray(f(pts, rows[s].repeat(_XK15.size)), dtype=float))
         if chunk.shape[-1] != pts.size:
             raise ValueError("integrand returned a shape not matching its input")
         if vals is None:
@@ -128,7 +127,7 @@ def _integrate_rows(
     rel_tol: float,
     abs_tol: float,
     max_subdivisions: int,
-) -> list[QuadResult]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate each row over its own starting panels, all rows at once.
 
     ``bounds`` holds the (low, high) ends of the starting panels and
@@ -138,14 +137,15 @@ def _integrate_rows(
     shape (n,) or (n_components, n).  Each round evaluates the new panels
     of every unfinished row together; each row is refined exactly as
     ``adaptive_quad`` refines it alone, so its result does not depend on
-    the other rows.  The first row that misses its tolerance, or starts
-    with more panels than ``max_subdivisions``, raises QuadratureError
-    carrying its unconverged result; so does the first panel on which the
-    integrand is not finite.
+    the other rows.  Returns the values and errors, shape (n_rows,
+    n_components), and subdivision counts of the rows, all converged: the
+    first row that misses its tolerance, or starts with more panels than
+    ``max_subdivisions``, raises QuadratureError carrying its unconverged
+    result; so does the first panel on which the integrand is not finite.
     """
     if not panel_rows.size:
-        return []
-    results: list[QuadResult] = [None] * (panel_rows[-1] + 1)
+        return np.empty((0, 0)), np.empty((0, 0)), np.empty(0, dtype=int)
+    results: list = [None] * (int(panel_rows[-1]) + 1)
     est = _panel_estimates(f, bounds, panel_rows)
     while True:
         # The unfinished rows' panels stay sorted by (row, left end), so each
@@ -157,23 +157,24 @@ def _integrate_rows(
         within_cap = sizes <= max_subdivisions
         converged = np.all(total_err <= tol, axis=1) & within_cap
         done = converged | (sizes >= max_subdivisions)
-        for i in np.flatnonzero(done):
-            # Order-independent: compensated sums over the row's panels.
-            s = slice(starts[i], starts[i] + sizes[i])
-            value, error = (np.array([math.fsum(comp) for comp in part[:, s]]) for part in est)
-            results[panel_rows[starts[i]]] = res = QuadResult(value, error, int(sizes[i]), bool(converged[i]))
-            if res.converged:
+        finished = (x[done].tolist() for x in (starts, sizes, panel_rows[starts], converged))
+        for i, (a, n, row, ok) in zip(np.flatnonzero(done).tolist(), zip(*finished)):
+            # Order-independent: correctly rounded sums of the row's panels, as Python floats.
+            value, error = ([math.fsum(comp) for comp in part] for part in est[:, :, a : a + n].tolist())
+            results[row] = value, error, n
+            if ok:
                 continue
+            res = QuadResult(np.array(value), np.array(error), n, False)
             if not within_cap[i]:
-                raise _cap_error(res.subdivisions + 1, max_subdivisions, res)
+                raise _cap_error(n + 1, max_subdivisions, res)
             raise QuadratureError(
-                f"quadrature did not converge after {res.subdivisions} subdivisions: "
-                f"error={error.max():.3e} vs tolerance {float(np.max(tol[i])):.3e}",
+                f"quadrature did not converge after {n} subdivisions: "
+                f"error={max(error):.3e} vs tolerance {float(np.max(tol[i])):.3e}",
                 res,
             )
         going = np.flatnonzero(~done)
         if not going.size:
-            return results
+            return tuple(np.array(part) for part in zip(*results))
         # Refine the panels carrying the largest share of the worst
         # component's error (at least one, at most the remaining budget).
         worst = np.argmax(total_err[going] / tol[going], axis=1)
@@ -213,11 +214,12 @@ def adaptive_quad(
     if not (math.isfinite(a) and math.isfinite(b)) or b <= a:
         raise ValueError(f"invalid integration interval [{a}, {b}]")
     edges = sorted({a, b, *(p for p in breakpoints if a < p < b)})
-    return _integrate_rows(
+    value, error, subdivisions = _integrate_rows(
         lambda pts, rows: f(pts),
         np.array([edges[:-1], edges[1:]], dtype=float),
         np.zeros(len(edges) - 1, dtype=int),
         rel_tol=rel_tol,
         abs_tol=abs_tol,
         max_subdivisions=max_subdivisions,
-    )[0]
+    )
+    return QuadResult(value[0], error[0], int(subdivisions[0]), True)

@@ -87,17 +87,22 @@ def _integrand(x: np.ndarray, ys: np.ndarray, cfg: MediumConfig, cut: CutoffProf
     The initial index is n_gas_in up to y_star and 1 above; the created
     photon keeps n_gas_out at every x (see ``_dn_dx_batch``).
     """
-    n_in = np.where(ys <= cut.y_star, cfg.n_gas_in, 1.0)
     n_out = cfg.n_gas_out
-    dn = n_in - n_out
-    if kernel_mode == "factorized":
-        kern = f_factorized(x, ys)
-    else:
-        kern = f_exact_array(x, ys)
+    below = ys <= cut.y_star
+    weight = np.where(below, *((n - n_out) * (n - n_out) / (2.0 * n * n_out) for n in (cfg.n_gas_in, 1.0)))
+    kern = (f_factorized if kernel_mode == "factorized" else f_exact_array)(x, ys)
     # Past x ~ 1e154 the squares overflow to inf or NaN, which the quadrature rejects.
     with np.errstate(over="ignore", invalid="ignore"):
-        ratio = (n_in * x * x + n_out * ys * ys) / (n_in * x + n_out * ys)
-        return dn * dn / (2.0 * n_in * n_out) * ratio * ratio * kern
+        # The ratio (n_in x^2 + n_out y^2)/(n_in x + n_out y) in place, sharing n_in x and n_out y.
+        n_in_x = np.where(below, cfg.n_gas_in, 1.0)
+        n_in_x *= x
+        n_out_y = n_out * ys
+        den = n_in_x + n_out_y
+        ratio = np.add(np.multiply(n_in_x, x, out=n_in_x), np.multiply(n_out_y, ys, out=n_out_y), out=n_in_x)
+        ratio /= den
+        for factor in (ratio, ratio, kern):
+            weight *= factor
+        return weight
 
 
 def _dn_dx_batch(xs: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, quad: QuadratureSpec, kernel_mode: str):
@@ -142,7 +147,7 @@ def _dn_dx_batch(xs: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, quad: Qu
     edges, owners = edges[order], owners[order]
     # Consecutive edges of one row bound a panel.
     same_row = owners[1:] == owners[:-1]
-    rows = _integrate_rows(
+    value, error, _ = _integrate_rows(
         lambda ys, row: _integrand(xs[row], ys, cfg, cut, kernel_mode),
         np.array([edges[:-1][same_row], edges[1:][same_row]]),
         owners[1:][same_row],
@@ -150,7 +155,7 @@ def _dn_dx_batch(xs: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, quad: Qu
         abs_tol=quad.abs_tol,
         max_subdivisions=quad.max_subdivisions,
     )
-    return np.array([r.value[0] for r in rows]), np.array([r.error[0] for r in rows])
+    return value.ravel(), error.ravel()  # one component, no columns for no rows
 
 
 def dn_dx(

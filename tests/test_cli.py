@@ -205,7 +205,7 @@ def test_kernel_dump_tiny_arguments_exit_3():
 
 
 def test_grid_commands_report_their_first_failing_point():
-    # the whole grid is one kernel call; the error still names the first failing point in row-major order
+    # the grid goes in blocks of rows; the error still names the first failing point in row-major order
     res = CliRunner().invoke(main, ["kernel-dump", "--x-range", "1", "2", "--y-range", "5e-310", "1", "--points", "2"])
     assert res.exit_code == 3
     assert "got x=1.0, y=5e-310" in res.output
@@ -373,8 +373,8 @@ def test_grid_commands_refuse_points_past_their_ceiling_without_allocating(args)
 
 
 def test_kernel_dump_writes_its_csv_without_holding_every_line(tmp_path):
-    # 10^4 samples: their four value arrays and f_exact_array's temporaries peak at about 90 bytes a sample, while
-    # every CSV line and two columns of Python floats, held before one write, took about 380.
+    # 10^4 samples, one block: their four value arrays and f_exact_array's temporaries peak at about 90 bytes a
+    # sample, while every CSV line and two columns of Python floats, held before one write, took about 380.
     out = str(tmp_path / "k.csv")
     args = ["kernel-dump", "--points", "100", "--x-range", "0.5", "392", "--y-range", "0.001", "392", "--output", out]
     tracemalloc.start()
@@ -385,6 +385,17 @@ def test_kernel_dump_writes_its_csv_without_holding_every_line(tmp_path):
         tracemalloc.stop()
     assert peak < 200 * 100 * 100
     assert len(open(out).read().splitlines()) == 1 + 100 * 100
+    # 9 x 10^4 samples, evaluated in blocks of about 2^14: the peak stays below the same bound (measured 1.4 MB),
+    # while the whole grid's values, held at once, took 7.2 MB
+    args[2] = "300"
+    tracemalloc.start()
+    try:
+        main.main(args, standalone_mode=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 100 * 100
+    assert len(open(out).read().splitlines()) == 1 + 300 * 300
 
 
 @pytest.mark.parametrize(

@@ -90,7 +90,7 @@ def _chirp(rate, t, components):
 def test_batched_rows_match_separate_calls(components):
     rates = np.array([rate for rate, _, _ in _ROWS])
     edges = [sorted({0.0, b, *breaks}) for _, b, breaks in _ROWS]
-    batch = _integrate_rows(
+    value, error, subdivisions = _integrate_rows(
         lambda t, rows: _chirp(rates[rows], t, components),
         *_panels(edges),
         rel_tol=1e-10,
@@ -102,12 +102,11 @@ def test_batched_rows_match_separate_calls(components):
         for rate, b, breaks in _ROWS
     ]
     assert len({r.subdivisions for r in alone}) == len(_ROWS)  # the rows take different numbers of rounds
-    for got, want in zip(batch, alone):
-        assert got.value.shape == (components,)
-        assert np.array_equal(got.value, want.value)
-        assert np.array_equal(got.error, want.error)
-        assert got.subdivisions == want.subdivisions
-        assert got.converged and want.converged
+    assert value.shape == error.shape == (len(_ROWS), components) and subdivisions.shape == (len(_ROWS),)
+    assert value.tobytes() == np.array([r.value for r in alone]).tobytes()
+    assert error.tobytes() == np.array([r.error for r in alone]).tobytes()
+    assert subdivisions.tolist() == [r.subdivisions for r in alone]
+    assert all(r.converged for r in alone)
 
 
 def _one_failing_row(t, rows):
@@ -155,13 +154,17 @@ def test_batch_across_chunks_matches_separate_calls():
         calls.append(t.size)
         return _chirp(rates[rows], t, 2)
 
-    batch = _integrate_rows(f, *_panels(edges), rel_tol=1e-10, abs_tol=1e-12, max_subdivisions=2000)
+    value, error, subdivisions = _integrate_rows(
+        f, *_panels(edges), rel_tol=1e-10, abs_tol=1e-12, max_subdivisions=2000
+    )
     assert max(calls) <= quadrature._CHUNK_POINTS < calls[0] + calls[1]
-    for rate, e, got in zip(rates, edges, batch):
-        want = adaptive_quad(lambda t: _chirp(rate, t, 2), 0.0, 8.0, breakpoints=e[1:-1], rel_tol=1e-10)
-        assert np.array_equal(got.value, want.value)
-        assert np.array_equal(got.error, want.error)
-        assert got.subdivisions == want.subdivisions
+    alone = [
+        adaptive_quad(lambda t: _chirp(rate, t, 2), 0.0, 8.0, breakpoints=e[1:-1], rel_tol=1e-10)
+        for rate, e in zip(rates, edges)
+    ]
+    assert value.tobytes() == np.array([r.value for r in alone]).tobytes()
+    assert error.tobytes() == np.array([r.error for r in alone]).tobytes()
+    assert subdivisions.tolist() == [r.subdivisions for r in alone]
 
 
 def test_row_starting_above_the_cap_raises():

@@ -108,6 +108,13 @@ def test_spectrum_rejects_x_that_is_not_positive_and_finite(reference_case, bad)
             f(bad)
 
 
+def test_one_point_grid_is_x_zero_alone(reference_case):
+    # no dN/dx row left after x = 0: an empty batch
+    cfg, cut = reference_case
+    res = totals(cfg, cut, QuadratureSpec(rel_tol=1e-3), grid_points=1)
+    assert (res.x_grid, res.dn_dx) == ([0.0], [0.0])
+
+
 def test_grid_equals_pointwise_dn_dx(reference_case):
     cfg, cut = reference_case
     res = totals(cfg, cut, grid_points=50)
@@ -323,8 +330,8 @@ def test_dn_dx_lattice_above_the_cap_raises_before_any_panel(monkeypatch, y_star
 
 
 def test_table_totals_work_count(monkeypatch):
-    # deterministic work guard: the five reference totals of `bubblespec table`
-    # took 6,000,104 kernel points with 22-point panels and three edges per row
+    # deterministic work guard, pinned exactly: the five reference totals of `bubblespec table`
+    # take 2,083,545 kernel points (K15 panels, 15 points each) in 79 integrand calls
     calls = []
 
     def counted(x, y):
@@ -335,7 +342,7 @@ def test_table_totals_work_count(monkeypatch):
     for n_in, n_out, *_ in REFERENCE_TABLE:
         cfg = MediumConfig(n_gas_in=n_in, n_gas_out=n_out)
         totals(cfg, CutoffProfile.rounded(cfg), QuadratureSpec(), grid_points=0)
-    assert sum(calls) <= 2_300_000
+    assert (sum(calls), len(calls)) == (2_083_545, 79)
     assert max(calls) <= _CHUNK_POINTS
 
 
