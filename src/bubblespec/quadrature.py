@@ -157,7 +157,7 @@ def _integrate_rows(
         within_cap = sizes <= max_subdivisions
         converged = np.all(total_err <= tol, axis=1) & within_cap
         done = converged | (sizes >= max_subdivisions)
-        finished = (x[done].tolist() for x in (starts, sizes, panel_rows[starts], converged))
+        finished = (col[done].tolist() for col in (starts, sizes, panel_rows[starts], converged))
         for i, (a, n, row, ok) in zip(np.flatnonzero(done).tolist(), zip(*finished)):
             # Order-independent: correctly rounded sums of the row's panels, as Python floats.
             value, error = ([math.fsum(comp) for comp in part] for part in est[:, :, a : a + n].tolist())

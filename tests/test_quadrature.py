@@ -174,3 +174,10 @@ def test_row_starting_above_the_cap_raises():
     res = exc.value.result
     assert not res.converged and res.subdivisions == 11
     assert res.value[0] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("f", [lambda t: 1.0, lambda t: t[:-1], lambda t: np.ones((2, 3))], ids=["scalar", "short", "2x3"])
+def test_integrand_of_the_wrong_shape_raises_value_error(f):
+    # a scalar gave an IndexError before the shape check
+    with pytest.raises(ValueError, match="integrand returned a shape not matching its input"):
+        adaptive_quad(f, 0.0, 1.0)
