@@ -312,13 +312,10 @@ def _overlap_sum(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """
     top = (math.e * lo / 2.0).astype(int) + _OVERLAP_ROWS
     rows = int(top.max())
-    # The table takes its columns in descending order of their start, top + margin here.
-    order = np.argsort(-top, kind="stable")
-    jx = np.empty((rows + 1, lo.size))
     # Rows past a point's own top (the table's unused rows, an upward recurrence past its turning point) may
     # overflow; _overlaps leaves them out.
     with np.errstate(over="ignore", invalid="ignore"):
-        jx[:, order] = _half_integer_j_table(rows, lo[order], top[order])
+        jx = _half_integer_j_table(rows, lo, top)
         r = _overlaps(jx, _half_integer_j_upward(rows, hi), lo, hi, top)[1:]
     terms = ((2 * np.arange(1, rows)[:, None] + 1) * r) * r
     # A running sum is sequential in l at any batch size.

@@ -20,12 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special_functions import BesselDomainError, ModeOrder, _half_integer_columns, _reduced_det
-from .special_functions import half_integer_j_array, half_integer_n_array
 
 __all__ = [
     "MediumConfig",
     "MatchingCoefficients",
-    "wall_amplitudes",
     "coefficient_a_sq",
     "coefficients_bc",
     "matching_coefficients",
@@ -89,47 +87,24 @@ def _wall_rows(j_in, j_in_prev, y, j_out, j_out_prev, n_out, n_out_prev, ny) -> 
         d1 = _reduced_det(j_in, j_in_prev, y, n_out, n_out_prev, ny)
         d2 = _reduced_det(j_in, j_in_prev, y, j_out, j_out_prev, ny)
         q = d1 * d1 + d2 * d2
-        # libm's hypot, as the one-order lists took it; numpy's may differ in the last bit.
+        # libm's hypot, which fixes the amplitudes' last bits; numpy's may differ there.
         h = np.array(list(map(math.hypot, d1.tolist(), d2.tolist())))
         return _TWO_OVER_PI * _TWO_OVER_PI / q, np.where(q != 0, d1 / h, np.nan), np.where(q != 0, -d2 / h, np.nan)
 
 
-def wall_amplitudes(l_max: int, y: float, index_ratio: float) -> list[tuple[float, float, float]]:
-    """(|A_l|^2, B_l, C_l) for l = 0..l_max from one Bessel table per surface argument (``_wall_rows``).
-
-    The surface arguments are y inside and N*y outside.  Orders whose
-    Bessel values under- or overflowed get inf or NaN entries instead of
-    raising, so a table may run past the orders a caller uses.
-    A surface argument outside the Bessel domain raises BesselDomainError.
-    """
-    ny = index_ratio * y
-    j_in, j_out = np.array(half_integer_j_array(l_max, y)), np.array(half_integer_j_array(l_max, ny))
-    n_out = np.array(half_integer_n_array(l_max, ny))
-    # The lists end with order -1/2, so index l - 1 reads the order below l for l = 0 too.
-    prev = np.arange(l_max + 1) - 1
-    rows = _wall_rows(j_in[:-1], j_in[prev], y, j_out[:-1], j_out[prev], n_out[:-1], n_out[prev], ny)
-    return list(zip(*(r.tolist() for r in rows)))
-
-
-def _not_finite(l: int, y: float, index_ratio: float) -> BesselDomainError:
-    return BesselDomainError(f"wall amplitudes of order l={l} are not finite at y={y}, ratio={index_ratio}")
-
-
 def _amplitudes(order: ModeOrder, y: float, index_ratio: float) -> tuple[float, float, float]:
-    """|A|^2, B and C of one order; BesselDomainError where they are not finite."""
-    row = wall_amplitudes(order.l, y, index_ratio)[order.l]
-    if not all(map(math.isfinite, row)):
-        raise _not_finite(order.l, y, index_ratio)
-    return row
+    """|A|^2, B and C of one order: one draw of ``_amplitudes_at``."""
+    rows = _amplitudes_at(np.array([order.l]), np.array([y], dtype=float), np.array([index_ratio], dtype=float))
+    return tuple(r.item() for r in rows)
 
 
 def _amplitudes_at(l: np.ndarray, y: np.ndarray, index_ratio: np.ndarray) -> tuple[np.ndarray, ...]:
-    """|A|^2, B and C arrays at draws (l[a], y[a], index_ratio[a]): _amplitudes's, bit for bit.
+    """|A|^2, B and C arrays at draws (l[a], y[a], index_ratio[a]), a draw's values independent of its batch.
 
-    J and N tables over the inside and outside arguments, 512 columns a
-    table (``_half_integer_columns``).  BesselDomainError, with _amplitudes's
-    message, names the first surface argument outside the Bessel domain,
-    else the first draw whose amplitudes are not finite.
+    One J table and one N table over the inside and outside arguments
+    (``_half_integer_columns``).  BesselDomainError names the first surface
+    argument outside the Bessel domain, else the first draw whose amplitudes
+    are not finite (inside J underflowed, outside N overflowed).
     """
     ny = index_ratio * y
     # Columns y[0], ny[0], y[1], ...: a domain error names the argument a loop over the draws would meet first.
@@ -138,7 +113,8 @@ def _amplitudes_at(l: np.ndarray, y: np.ndarray, index_ratio: np.ndarray) -> tup
     bad = ~np.isfinite(rows).all(axis=0)
     if bad.any():
         a = int(bad.argmax())
-        raise _not_finite(int(l[a]), float(y[a]), float(index_ratio[a]))
+        l_a, y_a, ratio_a = int(l[a]), float(y[a]), float(index_ratio[a])
+        raise BesselDomainError(f"wall amplitudes of order l={l_a} are not finite at y={y_a}, ratio={ratio_a}")
     return rows
 
 

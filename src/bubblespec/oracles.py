@@ -4,16 +4,17 @@ The four suites of ``bubblespec check``, each an ``IdentityReport``: the Bessel
 cross-product Wronskian 2/pi, the wall matching's |B|^2 + |C|^2 = 1, the
 closed-form finite-range Bessel overlap integral and the smeared spectral delta
 identities.  The Wronskian and matching suites draw all their samples first,
-then run as array passes over J and N tables of 512 columns each, with the
-draws and the values of the per-draw scalar calls; the matching suite checks
-its worst draw against ``coefficients_bc`` itself.  The overlap is the exact
-kernel's own ratio W~/(x^2 - y^2), its series over the kernel's J rows
-(``kernel._overlaps``), checked against a self-verified composite
-Gauss-Legendre rule, independent of the production Gauss-Kronrod pair, over
-``_jv``: J_{l+1/2} for l <= 10 and z <= 100 from the power series (DLMF
-10.2.2) below z = 8 and the finite sin/cos closed form (DLMF 10.49.2) from 8
-up, independent of the package's J recurrence.  The delta identities are
-closed forms.  No suite loads scipy.
+then run as array passes over one J table and one N table each.  The per-draw
+calls ``bessel_jn_half`` and ``coefficients_bc`` are one-draw passes of the
+same routines, so the matching suite's check of its worst draw against
+``coefficients_bc`` itself shows that a draw's values do not depend on its
+batch.  The overlap is the exact kernel's own ratio W~/(x^2 - y^2), its series
+over the kernel's J rows (``kernel._overlaps``), checked against a
+self-verified composite Gauss-Legendre rule, independent of the production
+Gauss-Kronrod pair, over ``_jv``: J_{l+1/2} for l <= 10 and z <= 100 from the
+power series (DLMF 10.2.2) below z = 8 and the finite sin/cos closed form (DLMF
+10.49.2) from 8 up, independent of the package's J recurrence.  The delta
+identities are closed forms.  No suite loads scipy.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ def wronskian_checks(rng: random.Random) -> IdentityReport:
     """The J/N cross determinant at equal arguments against the Wronskian 2/pi, at 2000 draws from ``rng``.
 
     Draws take l in 0..60 and z log-uniform in [0.1, 100], skipping a saturated or overflowed N; passes below 1e-10.
-    ``samples`` counts the draws tested, skips excluded.  One array pass reads every draw's J and N pairs from J and
-    N tables of 512 columns (``_half_integer_columns``), bit for bit bessel_jn_half's.
+    ``samples`` counts the draws tested, skips excluded.  One array pass reads every draw's J and N pairs from one J
+    table and one N table (``_half_integer_columns``), bit for bit bessel_jn_half's.
     """
     draws = [(rng.randint(0, 60), 10 ** rng.uniform(-1, 2)) for _ in range(2000)]
     l, z = (np.array(v) for v in zip(*draws))

@@ -39,9 +39,9 @@ def _symmetric_rule(nodes: list[float], weights: list[float]) -> tuple[np.ndarra
 # beyond each Gauss node and takes the Gauss nodes from the same literals,
 # so the G7 values are the K15 values at its odd nodes.
 _G7_NODES = [0.0, 0.4058451513773972, 0.7415311855993945, 0.9491079123427584]
-_X7, _W7 = _symmetric_rule(
+_W7 = _symmetric_rule(
     _G7_NODES, [0.4179591836734691, 0.38183005050511876, 0.2797053914892766, 0.12948496616886992]
-)
+)[1]
 _XK15, _WK15 = _symmetric_rule(
     [x for pair in zip(_G7_NODES, [0.20778495500789848, 0.5860872354676911, 0.8648644233597691, 0.9914553711208126])
      for x in pair],

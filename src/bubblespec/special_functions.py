@@ -10,10 +10,12 @@ solution y comes from upward recurrence from its closed forms.  Each
 direction is the numerically stable one for its solution.  Each list
 table ends with order -1/2, so index l - 1 reads the order below l for l = 0
 too.  ``_half_integer_j_table`` runs that recurrence over many arguments at
-once (lists for one kernel point), and ``_half_integer_n_table`` y's upward
-recurrence; ``_half_integer_columns`` reads one order's J and N pairs from the
-two.  ``_half_integer_j_upward`` runs j's upward recurrence over many
-arguments, for orders below them, where it is stable.
+once, in any column order (lists for one kernel point), and
+``_half_integer_n_table`` is the one routine for y's upward recurrence:
+``half_integer_n_array`` is one column of it.  ``_half_integer_columns`` reads
+one order's J and N pairs from one table of each, for many draws (``check``)
+or for one (``bessel_jn_half``).  ``_half_integer_j_upward`` runs j's upward
+recurrence over many arguments, for orders below them, where it is stable.
 Derivatives are never finite-differenced: z J'_nu(z) = z J_{nu-1}(z) - nu J_nu(z).
 
 All functions are pure; values are freely shareable across threads.
@@ -43,10 +45,8 @@ __all__ = [
 # about e^-80 ~ 2e-35 against the table's scale.
 _RATIO_MARGIN = 40
 _UNDERFLOW_FLOOR = 1e-300
-# Largest Bessel and kernel argument, 255 times x* = 392: tables run to e*z/2 orders; f_exact(1e5, 1) takes 0.25 s.
+# Largest Bessel and kernel argument, 255 times x* = 392: tables run to e*z/2 orders; f_exact(1e5, 1) takes about 0.1 s.
 _MAX_ARGUMENT = 1e5
-# Columns per J and N table in _half_integer_columns.
-_COLUMN_SLICE = 512
 
 
 class BesselDomainError(ValueError):
@@ -118,23 +118,6 @@ def _sph_jn_seq(l_max: int, z: float) -> list[float]:
     return out + [jm1]
 
 
-def _sph_yn_seq(l_max: int, z: float) -> list[float]:
-    """Spherical y_0..y_{l_max}, then y_{-1}(z) = sin(z)/z last; overflow saturates to +-inf."""
-    ym1 = math.sin(z) / z
-    y0 = -math.cos(z) / z
-    out = [y0, y0 / z - ym1]
-    for l in range(1, l_max):
-        nxt = (2 * l + 1) / z * out[l] - out[l - 1]
-        if math.isinf(nxt) or abs(nxt) > 1e307:
-            # Once |y| saturates, the dominant term fixes the sign of all
-            # following orders; clamp rather than propagate inf - inf.
-            sign = math.copysign(1.0, out[l])
-            out.extend(sign * math.inf for _ in range(l_max - l))
-            break
-        out.append(nxt)
-    return out[: l_max + 1] + [ym1]
-
-
 def _half_order_scale(z: float) -> float:
     """sqrt(2z/pi), taking spherical to half-integer-order Bessel functions at normal 0 < z <= _MAX_ARGUMENT."""
     # Subnormal z is rejected: below about 5.6e-309 1/z overflows and the closed forms turn NaN.
@@ -150,36 +133,32 @@ def half_integer_j_array(l_max: int, z: float) -> list[float]:
     return [s * v for v in _sph_jn_seq(l_max, z)]
 
 
-def _recurrence_start(l: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """max(l, int(e*z/2)) per column: where the J ratio recurrence starts, less _RATIO_MARGIN."""
-    return np.maximum(l, (math.e * z / 2.0).astype(int))
-
-
 def _half_integer_j_table(l_max: int, z: np.ndarray, l_each: np.ndarray) -> np.ndarray:
     """J_{l+1/2}(z[a]) for l = 0..l_max >= 1 in column a; rows 0..l_each[a] are half_integer_j_array(l_each[a], z[a]).
 
     Bit for bit: up to two columns (one kernel point), where numpy's per-call overhead outweighs the loop, take the
     lists themselves, zero past l_each[a]; more run the same start, operations and rounding in one numpy pass.  The
-    rows past l_each[a] are of no use.  Every z must be in the Bessel domain, and the columns in descending order of
-    their start _recurrence_start(l_each, z) (else ValueError).
+    rows past l_each[a] are of no use.  Every z must be in the Bessel domain; the columns may come in any order.
     """
-    start = _recurrence_start(l_each, z) + _RATIO_MARGIN
-    if (start[1:] > start[:-1]).any():
-        raise ValueError("columns must come in descending order of their recurrence start")
     if z.size <= 2:
         cols = [half_integer_j_array(l, v)[:-1] for l, v in zip(l_each.tolist(), z.tolist())]
         return np.array([c + [0.0] * (l_max + 1 - len(c)) for c in cols]).T
-    running = (z.size - np.searchsorted(start[::-1], np.arange(start[0] + 1))).tolist()
+    # The ratios run over the columns in descending order of their start, so that the first k are the ones still
+    # running, and are stored back in input order.
+    start = np.maximum(l_each, (math.e * z / 2.0).astype(int)) + _RATIO_MARGIN
+    order = np.argsort(-start)
+    zs, back = z[order], np.argsort(order)
+    running = (z.size - np.searchsorted(start[order][::-1], np.arange(start.max() + 1))).tolist()
     rows = np.empty((l_max + 1, z.size))
     r = np.zeros(z.size)
     for l in range(len(running) - 1, 0, -1):
         k = running[l]
-        d = (2 * l + 1) - z[:k] * r[:k]
+        d = (2 * l + 1) - zs[:k] * r[:k]
         if np.count_nonzero(d) < k:
             d[d == 0.0] = sys.float_info.epsilon * (2 * l + 1)
-        np.divide(z[:k], d, out=r[:k])
+        np.divide(zs[:k], d, out=r[:k])
         if l <= l_max:
-            rows[l] = r
+            rows[l] = r[back]
     # The closed forms through libm, as in _sph_jn_seq; numpy's may differ in the last bit.
     listed = z.tolist()
     j0 = np.array(list(map(math.sin, listed))) / z
@@ -209,15 +188,15 @@ def _half_integer_j_upward(l_max: int, z: np.ndarray) -> np.ndarray:
 def half_integer_n_array(l_max: int, z: float) -> list[float]:
     """N_{l+1/2}(z) for integer l = 0..l_max, then N_{-1/2}(z) last; overflow saturates to +-inf."""
     l_max = ModeOrder(l_max).l
-    s = _half_order_scale(z)
-    return [s * v for v in _sph_yn_seq(l_max, z)]
+    _half_order_scale(z)
+    return _half_integer_n_table(l_max, np.array([z], dtype=float))[:, 0].tolist()
 
 
 def _half_integer_n_table(l_max: int, z: np.ndarray) -> np.ndarray:
-    """N_{l+1/2}(z[a]) for l = 0..l_max, then N_{-1/2}(z[a]) last, in column a: half_integer_n_array(l_max, z[a]).
+    """N_{l+1/2}(z[a]) for l = 0..l_max, then N_{-1/2}(z[a]) last, in column a, by upward recurrence.
 
-    Bit for bit: the closed forms through libm, then _sph_yn_seq's operations, rounding and saturation in one numpy
-    pass.  Every z must be in the Bessel domain.
+    The closed forms through libm, as in _sph_jn_seq.  Once |N| passes 1e307 a column saturates to +-inf with the
+    sign of its last finite order, rather than propagate inf - inf.  Every z must be in the Bessel domain.
     """
     listed = z.tolist()
     rows = np.empty((l_max + 2, z.size))
@@ -229,7 +208,6 @@ def _half_integer_n_table(l_max: int, z: np.ndarray) -> np.ndarray:
             rows[1] = rows[0] / z - rows[-1]
         for l in range(1, l_max):
             nxt = (2 * l + 1) / z * rows[l] - rows[l - 1]
-            # A column past 1e307 is +-inf from there on, with the sign of its last finite order.
             saturated |= np.abs(nxt) > 1e307
             rows[l + 1] = np.where(saturated, np.copysign(np.inf, rows[l]), nxt)
         rows *= np.sqrt(2.0 * z / math.pi)
@@ -239,41 +217,28 @@ def _half_integer_n_table(l_max: int, z: np.ndarray) -> np.ndarray:
 def _half_integer_columns(l: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
     """J_nu, J_{nu-1}, N_nu, N_{nu-1} and bessel_jn_half's saturated flag at z[a] for nu = l[a] + 1/2.
 
-    Bit for bit entries l[a] and l[a] - 1 of half_integer_j_array(l[a], z[a]) and half_integer_n_array(l[a], z[a]),
-    from a J table and an N table per slice: bessel_jn_half's fields, J unclamped.  BesselDomainError names the
-    first z outside the Bessel domain.
+    Entries l[a] and l[a] - 1 of half_integer_j_array(l[a], z[a]) and half_integer_n_array(l[a], z[a]), bit for bit,
+    from one J table and one N table: bessel_jn_half's fields, J unclamped.  BesselDomainError names the first z
+    outside the Bessel domain.
     """
     outside = ~((z >= sys.float_info.min) & (z <= _MAX_ARGUMENT))
     if outside.any():
         _half_order_scale(float(z[outside.argmax()]))
-    # The J table takes its columns in descending order of their recurrence start.
-    order = np.argsort(-_recurrence_start(l, z), kind="stable")
-    out = np.empty((4, z.size))
-    # Slices of _COLUMN_SLICE columns keep each table near 250 kB at l <= 60, and only rows l and l - 1 outlive it.
-    for first in range(0, z.size, _COLUMN_SLICE):
-        a = order[first : first + _COLUMN_SLICE]
-        la, za, col = l[a], z[a], np.arange(a.size)
-        l_max = max(int(la.max()), 1)
-        out[:2, a] = _half_integer_j_table(l_max, za, la)[[la, la - 1], col]
-        n = _half_integer_n_table(l_max, za)
-        # Order 0's J_prev: J_{-1/2} = s cos(z)/z = -N_{1/2}.
-        out[1, a] = np.where(la > 0, out[1, a], -n[0])
-        out[2:, a] = n[[la, la - 1], col]
-    return (*out, (np.abs(out[0]) < _UNDERFLOW_FLOOR) | np.isinf(out[2]))
+    l_max, col = max(int(l.max()), 1), np.arange(z.size)
+    j, j_prev = _half_integer_j_table(l_max, z, l)[[l, l - 1], col]
+    n = _half_integer_n_table(l_max, z)
+    # Order 0's J_prev: J_{-1/2} = s cos(z)/z = -N_{1/2}.
+    j_prev = np.where(l > 0, j_prev, -n[0])
+    n, n_prev = n[[l, l - 1], col]
+    return j, j_prev, n, n_prev, (np.abs(j) < _UNDERFLOW_FLOOR) | np.isinf(n)
 
 
 def bessel_jn_half(order: ModeOrder, z: float) -> BesselPair:
-    """J_nu, N_nu, J_{nu-1}, N_{nu-1} at z for nu = l + 1/2: entries l and l - 1 of the tables, scaled alone."""
-    l = order.l
-    s = _half_order_scale(z)
-    jseq = _sph_jn_seq(l, z)
-    yseq = _sph_yn_seq(l, z)
-    j = s * jseq[l]
-    if abs(j) < _UNDERFLOW_FLOOR:
-        j = 0.0
-    n = s * yseq[l]
+    """J_nu, N_nu, J_{nu-1}, N_{nu-1} at z for nu = l + 1/2: one draw of ``_half_integer_columns``, J_nu clamped."""
+    columns = _half_integer_columns(np.array([order.l]), np.array([z], dtype=float))
+    j, j_prev, n, n_prev, saturated = (v.item() for v in columns)
     return BesselPair(
-        j=j, n=n, j_prev=s * jseq[l - 1], n_prev=s * yseq[l - 1], z=z, saturated=j == 0.0 or math.isinf(n)
+        j=0.0 if abs(j) < _UNDERFLOW_FLOOR else j, n=n, j_prev=j_prev, n_prev=n_prev, z=z, saturated=saturated
     )
 
 

@@ -2,6 +2,7 @@ import ast
 import importlib
 import pkgutil
 import re
+from collections import Counter
 from pathlib import Path
 
 import bubblespec
@@ -35,32 +36,31 @@ def test_no_unused_module_level_imports():
     assert sorted(set(unused) - allowed) == []
 
 
+def _reads(node: ast.AST) -> Counter:
+    """Names read under node: loaded Names and the attribute of every Attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) or (isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store))
+    )
+
+
 def test_no_unreferenced_private_module_level_names():
-    # A private function, class or constant that nothing in the package reads is dead code.
-    trees = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(Path(bubblespec.__file__).parent.glob("*.py"))
-    }
-    referenced = {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for tree in trees.values()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) or (isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store))
-    }
+    # A private function, class or constant that nothing in the package reads besides its own definition (a
+    # recursive call, a constant built from itself) is dead code: a deletion's leftover.
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in Path(bubblespec.__file__).parent.glob("*.py")]
+    reads = sum((_reads(tree) for tree in trees), Counter())
     defined = []
-    for stem, tree in trees.items():
+    for tree in trees:
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((stem, node.name))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((node.name, node))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined += [(stem, t.id) for t in targets if isinstance(t, ast.Name)]
-    unreferenced = [
-        f"{stem}.{name}"
-        for stem, name in defined
-        if name.startswith("_") and not name.startswith("__") and name not in referenced
-    ]
-    assert unreferenced == []
+                defined += [(t.id, node) for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+    private = [(name, node) for name, node in defined if name.startswith("_") and not name.startswith("__")]
+    assert len(private) >= 20
+    assert sorted(name for name, node in private if reads[name] == _reads(node)[name]) == []
 
 
 def test_every_module_qualified_name_in_the_readme_resolves():

@@ -27,7 +27,7 @@ from bubblespec.special_functions import (
     _MAX_ARGUMENT,
     BesselDomainError,
     ModeOrder,
-    bessel_jn_half,
+    half_integer_j_array,
 )
 
 HALF_ASYMPTOTE = 1.0 / (2.0 * math.pi**2)
@@ -91,18 +91,17 @@ def test_f_exact_nonconvergence_signal(monkeypatch):
 
 
 def _per_order_f_exact(x, y):
-    """F(x, y) summed one order at a time, each order from its own Bessel pair.
+    """F(x, y) summed one order at a time, each order from its J pair at x and at y.
 
     The tail is certified order by order with the kernel's bound, as f_exact
     does; returns (value, l_used, truncation_error_estimate).  Valid away from
     the diagonal only.
     """
+    jx, jy = half_integer_j_array(999, x), half_integer_j_array(999, y)
     terms = []
     acc = 0.0
     for l in range(1, 1000):
-        px = bessel_jn_half(ModeOrder(l), x)
-        py = bessel_jn_half(ModeOrder(l), y)
-        r = (px.j * y * py.j_prev - py.j * x * px.j_prev) / (x * x - y * y)
+        r = (jx[l] * y * jy[l - 1] - jy[l] * x * jx[l - 1]) / (x * x - y * y)
         terms.append((2 * l + 1) * r * r)
         acc += terms[-1]
         # the bound applies at nu = l + 3/2 > e*max(x, y)/2

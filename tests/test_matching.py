@@ -12,7 +12,6 @@ from bubblespec.matching import (
     coefficients_bc,
     matching_coefficients,
     normalization_xi,
-    wall_amplitudes,
 )
 from bubblespec.special_functions import BesselDomainError, ModeOrder
 
@@ -143,18 +142,19 @@ def test_domain_errors():
 def test_surface_arguments_outside_the_bessel_domain_raise(y, ratio):
     # y inside and ratio * y outside must both be Bessel arguments
     with pytest.raises(BesselDomainError, match="argument must be a normal double"):
-        wall_amplitudes(3, y, ratio)
+        coefficients_bc(ModeOrder(3), y, ratio)
+    with pytest.raises(BesselDomainError, match="argument must be a normal double"):
+        _amplitudes_at(np.array([3]), np.array([y]), np.array([ratio]))
 
 
-def test_table_rows_equal_single_order_calls():
+def test_batched_amplitudes_equal_single_draw_calls():
+    # A draw's amplitudes do not depend on its batch: the array pass equals the one-draw calls bit for bit.
     rng = random.Random(43)
-    for _ in range(50):
-        y, ratio = rng.uniform(0.05, 40.0), rng.uniform(0.05, 20.0)
-        rows = wall_amplitudes(30, y, ratio)
-        for l in (0, 1, 7, 30):
-            a_sq, b, c = rows[l]
-            assert a_sq == pytest.approx(coefficient_a_sq(ModeOrder(l), y, ratio), rel=1e-12)
-            assert (b, c) == pytest.approx(coefficients_bc(ModeOrder(l), y, ratio), rel=1e-12, abs=1e-14)
+    draws = [(rng.choice((0, 1, 7, 30)), rng.uniform(0.05, 40.0), rng.uniform(0.05, 20.0)) for _ in range(200)]
+    a_sq, b, c = _amplitudes_at(*(np.array(v) for v in zip(*draws)))
+    for a, (l, y, ratio) in enumerate(draws):
+        assert a_sq[a] == coefficient_a_sq(ModeOrder(l), y, ratio), a
+        assert (b[a], c[a]) == coefficients_bc(ModeOrder(l), y, ratio), a
 
 
 @pytest.mark.parametrize("l, y, ratio", [(130, 0.1, 20.0), (140, 0.1, 30.0), (118, 0.1, 13.0), (200, 0.1, 2.0)])
@@ -165,8 +165,6 @@ def test_non_finite_amplitudes_raise_typed_error(l, y, ratio):
             call(ModeOrder(l), y, ratio)
     with pytest.raises(BesselDomainError, match=f"order l={l}"):
         matching_coefficients(ModeOrder(l), y, ratio, kappa=1.0, n_liquid=1.3)
-    # the all-orders table itself never raises
-    assert not all(map(math.isfinite, wall_amplitudes(l, y, ratio)[l]))
 
 
 @pytest.mark.parametrize(

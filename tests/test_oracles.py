@@ -250,17 +250,18 @@ def _counting(monkeypatch, names):
 
 
 def test_check_reads_its_bessel_values_from_a_fixed_number_of_tables(monkeypatch):
-    # A work count, not a timing: the Wronskian suite's 2000 columns make four J-table and four N-table calls, the
-    # matching suite's 1000 two each, the overlap suite one J table a draw.  Of the per-draw routines only the
-    # matching suite's check of its worst draw runs, once: one coefficients_bc call and its one N list.
-    names = ("_half_integer_j_table", "_half_integer_n_table", "bessel_jn_half", "coefficients_bc", "_sph_yn_seq")
+    # A work count, not a timing: the Wronskian suite's 2000 columns make one J-table and one N-table call, the
+    # matching suite's 1000 one each, the overlap suite one J table a draw.  Of the per-draw routines only the
+    # matching suite's check of its worst draw runs, once: one coefficients_bc call, a one-draw pass with one table
+    # of each.
+    names = ("_half_integer_j_table", "_half_integer_n_table", "bessel_jn_half", "coefficients_bc")
     expected = _run_checks()
     counts = _counting(monkeypatch, names)
     for _ in range(2):
         assert _run_checks() == expected
         assert counts == {
-            "_half_integer_j_table": 4 + 2 + 25, "_half_integer_n_table": 4 + 2, "bessel_jn_half": 0,
-            "coefficients_bc": 1, "_sph_yn_seq": 1,
+            "_half_integer_j_table": 1 + 1 + 25 + 1, "_half_integer_n_table": 1 + 1 + 1, "bessel_jn_half": 0,
+            "coefficients_bc": 1,
         }
         counts.update(dict.fromkeys(names, 0))
 

@@ -128,11 +128,10 @@ def test_failing_row_raises_with_its_own_estimate():
 
 
 def test_gauss_rules_equal_roots_legendre_bit_for_bit():
-    for ours, ref in zip((quadrature._X7, quadrature._W7), roots_legendre(7)):
-        assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
     # the Kronrod extension evaluates the Gauss rule at its odd nodes
     assert quadrature._XK15.size == 15
-    assert quadrature._XK15[1::2].tobytes() == quadrature._X7.tobytes()
+    for ours, ref in zip((quadrature._XK15[1::2], quadrature._W7), roots_legendre(7)):
+        assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
 
 
 def test_kronrod_rule_integrates_degree_22():

@@ -141,17 +141,20 @@ def test_the_argument_limit_itself_is_in_the_domain():
     assert half_integer_j_array(2, z)[0] == pytest.approx(math.sqrt(2.0 / (math.pi * z)) * math.sin(z), rel=1e-15)
 
 
-def test_j_table_requires_columns_in_descending_start_order():
-    z, l_each = np.array([300.0, 5.0, 2.0]), np.array([3, 3, 3])
-    table = _half_integer_j_table(3, z, l_each)
-    for a in range(3):
-        assert table[:, a].tolist() == half_integer_j_array(3, float(z[a]))[:4]
-    with pytest.raises(ValueError, match="descending order"):
-        _half_integer_j_table(3, z[::-1].copy(), l_each)
-    # the start is max(l_each, int(e z/2)) + margin: a large enough l_each puts a small z first
-    with pytest.raises(ValueError, match="descending order"):
-        _half_integer_j_table(600, np.array([300.0, 5.0]), np.array([3, 600]))
-    assert _half_integer_j_table(600, np.array([5.0, 300.0]), np.array([600, 3])).shape == (601, 2)
+def test_j_table_takes_its_columns_in_any_order():
+    cases = [
+        ([300.0, 5.0, 2.0], [3, 3, 3]),  # descending order of the recurrence start
+        ([2.0, 5.0, 300.0], [3, 3, 3]),  # ascending
+        ([5.0, 300.0, 2.0, 0.7, 40.0], [3, 3, 3, 3, 3]),
+        # the start is max(l_each, int(e z/2)) + margin: a large l_each puts a small z first
+        ([300.0, 5.0], [3, 600]),
+        ([300.0, 5.0, 2.0], [3, 600, 40]),
+    ]
+    for z, l_each in cases:
+        table = _half_integer_j_table(600, np.array(z), np.array(l_each))
+        assert table.shape == (601, len(z))
+        for a, (v, l) in enumerate(zip(z, l_each)):
+            assert table[: l + 1, a].tolist() == half_integer_j_array(l, v)[:-1], (z, a)
 
 
 def test_one_point_j_tables_equal_the_numpy_recurrence_bit_for_bit():
@@ -173,7 +176,8 @@ def test_one_point_j_tables_equal_the_numpy_recurrence_bit_for_bit():
 
 @pytest.mark.parametrize("l_max", [0, 1, 2, 60, 300])
 def test_n_table_columns_equal_the_n_lists_bit_for_bit(l_max):
-    # Order -1/2 last, as in the lists; small z with large l saturates to -inf, as _sph_yn_seq clamps it.
+    # A column's values do not depend on its batch: each equals the one-column table of half_integer_n_array.
+    # Order -1/2 last, as in the lists; small z with large l saturates to -inf.
     z = np.array([sys.float_info.min, 1e-300, 1e-5, 0.01, 0.1, 1.0, 7.3, 50.0, 392.0, _MAX_ARGUMENT])
     table = _half_integer_n_table(l_max, z)
     assert table.shape == (l_max + 2, z.size)
@@ -181,6 +185,31 @@ def test_n_table_columns_equal_the_n_lists_bit_for_bit(l_max):
         assert table[:, a].tolist() == half_integer_n_array(l_max, float(z[a])), a
     if l_max >= 60:
         assert np.isinf(table[l_max, :3]).all() and np.isfinite(table[: l_max + 1, -1]).all()
+
+
+def test_n_table_against_mpmath():
+    # 60 seeded columns, l <= 120 and z log-uniform in [0.1, 1e3], and two columns that saturate, in one table.
+    # Error within 1e-13 of max(|N_l|, |N_{l-1}|) (measured 6.3e-15).  Past 1e307 the column is +-inf, with the
+    # sign of its last finite order and of N itself.
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(61)
+    l_each = [rng.randint(0, 120) for _ in range(60)] + [120, 120]
+    z = [10 ** rng.uniform(-1.0, 3.0) for _ in range(60)] + [0.1, 0.3]
+    table = _half_integer_n_table(120, np.array(z))
+    saturated = 0
+    for a, (l_top, v) in enumerate(zip(l_each, z)):
+        with mpmath.workdps(40):
+            ref = [float(mpmath.bessely(l + mpmath.mpf(1) / 2, v)) for l in range(-1, l_top + 1)]
+        assert table[-1, a] == pytest.approx(ref[0], rel=1e-15)
+        for l in range(l_top + 1):
+            got, want = table[l, a], ref[l + 1]
+            if math.isinf(got):
+                last = table[:l, a][np.isfinite(table[:l, a])][-1]
+                assert abs(want) > 1e307 and got == math.copysign(math.inf, want) == math.copysign(math.inf, last)
+                saturated += 1
+            else:
+                assert abs(got - want) <= 1e-13 * max(abs(want), abs(ref[l])), (a, l, got, want)
+    assert saturated
 
 
 def test_bessel_columns_refuse_the_first_argument_outside_the_domain():
