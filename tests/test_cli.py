@@ -473,8 +473,16 @@ def test_table_json_is_frozen_to_the_byte():
     [
         ("", "d5bbb21a8615003f795621a6a4a4944776c60b6f472c56cc2c117acbc0e20b1e"),
         ("n_gas_in = 68.0\nn_gas_out = 34.0\n", "ad934b3137e88f48390d05c648848ff2a0dbaf17fd1501535cd8f3cf3cfd3525"),
+        (
+            "n_gas_in = 68.0\nn_gas_out = 34.0\ntail_upper_bound = 600\n",
+            "a1fc72ee353fe91e3b50c6cfde83ef43ab8dc60c95922b692d65236936c58afe",
+        ),
+        (
+            "n_gas_in = 20000.0\nn_gas_out = 1.0\nkernel_mode = exact\nrel_tol = 1e-4\ngrid_points = 20\n",
+            "0452754197e073f00a6e4dadf25f4a58ce4f9f4cbb50c76b41349dce039fb976",
+        ),
     ],
-    ids=["default", "68-34"],
+    ids=["default", "68-34", "68-34-tails", "exact"],
 )
 def test_spectrum_csv_is_frozen_to_the_byte(tmp_path, config, digest):
     out = tmp_path / "spec.csv"

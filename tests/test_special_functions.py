@@ -212,6 +212,36 @@ def test_n_table_against_mpmath():
     assert saturated
 
 
+def _row_by_row_clamped_n_table(l_max, z):
+    """N_{l+1/2} by upward recurrence, each new row clamped as it is made: past 1e307 a column stays +-inf."""
+    rows = np.empty((l_max + 2, z.size))
+    rows[-1] = np.array([math.sin(v) for v in z.tolist()]) / z
+    rows[0] = -np.array([math.cos(v) for v in z.tolist()]) / z
+    saturated = np.zeros(z.size, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if l_max:
+            rows[1] = rows[0] / z - rows[-1]
+        for l in range(1, l_max):
+            nxt = (2 * l + 1) / z * rows[l] - rows[l - 1]
+            saturated |= np.abs(nxt) > 1e307
+            rows[l + 1] = np.where(saturated, np.copysign(np.inf, rows[l]), nxt)
+        rows *= np.sqrt(2.0 * z / math.pi)
+    return rows
+
+
+def test_n_table_saturates_as_the_row_by_row_clamp_bit_for_bit():
+    # 300 seeded tables, l <= 200 and z log-uniform in [1e-8, 1e3], with the smallest arguments in some: the
+    # same bits, and the same +-inf from each column's first order past 1e307, as a clamp applied row by row
+    rng = np.random.default_rng(25)
+    for _ in range(300):
+        l_max = int(rng.integers(0, 201))
+        z = 10.0 ** rng.uniform(-8.0, 3.0, int(rng.integers(1, 40)))
+        if rng.random() < 0.2:
+            z[0] = rng.choice([sys.float_info.min, 1e-300, 1e-160])
+        got, want = _half_integer_n_table(l_max, z), _row_by_row_clamped_n_table(l_max, z)
+        assert got.tobytes() == want.tobytes(), (l_max, z)
+
+
 def test_bessel_columns_refuse_the_first_argument_outside_the_domain():
     for bad in (0.0, math.nan, 5e-310, 2e5):
         with pytest.raises(BesselDomainError, match=f"got {bad}$"):

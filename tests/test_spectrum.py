@@ -411,3 +411,51 @@ def test_integrand_equals_the_per_point_formula_bit_for_bit(kernel_mode, points,
         want = _integrand_per_point(x, ys, cfg, cut, kernel_mode)
         assert got.shape == ys.shape and got.tobytes() == want.tobytes()
     assert np.any(straddling > cut.y_star) and np.any(straddling <= cut.y_star)
+
+
+def _expected_row_edges(x, y_star, upper):
+    """The sorted union {0, lattice inside (0, y*), y*, strip x, upper} of one y-integral, written out point by point."""
+    width = 4.0 * math.pi / 3.0
+    # the lattice x + k * width, from its last point <= 0 to its first >= y*
+    ks = range(math.floor(-x / width), math.ceil((y_star - x) / width) + 1)
+    lattice = {x + float(k) * width for k in ks}
+    edges = {0.0, y_star, upper, *(p for p in lattice if 0.0 < p < y_star)}
+    if y_star < x < upper:
+        edges.add(x)
+    return sorted(edges)
+
+
+@pytest.mark.parametrize("y_star", [11.5, 392.0])
+@pytest.mark.parametrize("tail_upper_bound", [None, 600.0, 1e300])
+def test_dn_dx_starting_panels_are_the_sorted_lattice_and_strip_edges(monkeypatch, y_star, tail_upper_bound):
+    width = 4.0 * math.pi / 3.0
+    rng = np.random.default_rng(25)
+    xs = np.concatenate(
+        [
+            10.0 ** rng.uniform(-3.0, 15.0, 60),
+            rng.uniform(0.0, 2.0 * y_star, 60),
+            # y* itself, x on the lattice's zero (x = j * width), y* on x's lattice, and x far past y*
+            [y_star, 3.0 * width, 10.0 * width, y_star - 2.0 * width, y_star + width, 1e20, 1e154, 1e300],
+            # rounding: the last lattice point <= 0 lands at 5.7e-14, and the next one lands on 0.0
+            [np.nextafter(115.0 * width, np.inf), 125.0 * width],
+        ]
+    )
+    xs = xs[xs > 0.0]
+    seen = []
+
+    def capture(f, bounds, rows, **kw):
+        seen.append((bounds, rows))
+        return np.zeros((xs.size, 1)), np.zeros((xs.size, 1)), np.ones(xs.size, dtype=int)
+
+    monkeypatch.setattr(bubblespec.spectrum, "_integrate_rows", capture)
+    cfg = MediumConfig(n_gas_in=68.0, n_gas_out=34.0)
+    quad = QuadratureSpec(tail_upper_bound=tail_upper_bound)
+    bubblespec.spectrum._dn_dx_batch(xs, cfg, CutoffProfile(y_star, y_star), quad, "factorized")
+    (lows, highs), rows = seen[0]
+    upper = y_star if tail_upper_bound is None else max(tail_upper_bound, y_star)
+    # every row is one run of contiguous panels, in row order
+    assert np.array_equal(rows, np.sort(rows)) and np.array_equal(np.unique(rows), np.arange(xs.size))
+    for row, x in enumerate(xs.tolist()):
+        lo, hi = lows[rows == row].tolist(), highs[rows == row].tolist()
+        assert lo[1:] == hi[:-1], x
+        assert lo + hi[-1:] == _expected_row_edges(x, y_star, upper), x
