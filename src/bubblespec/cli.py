@@ -23,7 +23,7 @@ from . import spectrum as sp
 from .kernel import CutoffProfile, KernelConvergenceError, d_approx, f_exact_array, f_factorized
 from .matching import MediumConfig, _require_positive_finite
 from .oracles import finite_overlap_checks, matching_checks, spectral_delta_checks, wronskian_checks
-from .quadrature import QuadratureError
+from .quadrature import _CHUNK_POINTS, QuadratureError
 from .special_functions import BesselDomainError, _require_int
 
 EXIT_CHECK_FAILURE = 1
@@ -237,7 +237,7 @@ def kernel_dump(output_path, x_range, y_range, points) -> None:
             for row in zip(gx, gy, f_exact_array(gx, gy), f_factorized(gx, gy)):
                 yield "".join(f"{x!r},{y!r},{fe!r},{ff!r}\n" for x, y, fe, ff in zip(*(c.tolist() for c in row)))
 
-    _write_text(output_path or "", itertools.chain(["x,y,f_exact,f_factorized\n"], grid_rows(2**14 // points)))
+    _write_text(output_path or "", itertools.chain(["x,y,f_exact,f_factorized\n"], grid_rows(_CHUNK_POINTS // points)))
     if output_path:
         click.echo(f"wrote {points * points} kernel samples to {output_path}")
 

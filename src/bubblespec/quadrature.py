@@ -3,14 +3,16 @@
 One refinement loop integrates many rows (integrals, each over its own
 panels) together: each round evaluates the pending panels of every row
 in a few integrand callbacks of at most ``_CHUNK_POINTS`` points each,
-which keeps the Python overhead per function value negligible and the
-integrand's temporaries bounded.  Each panel gets the nested 7-point
-Gauss / 15-point Kronrod pair (QUADPACK's qk15): the Kronrod rule reuses
-the Gauss nodes, so a panel costs 15 evaluations, its value is the K15
-estimate and its error |K15 - G7|.  Each row's worst panels are bisected
-until its tolerance is met.  Results are deterministic: each value is
-the correctly rounded sum (``math.fsum``) of its row's panels, and a
-batch returns its rows' values, errors and subdivision counts as arrays.
+which keeps the Python overhead per function value small and the
+integrand's temporaries within a core's L2 cache, and each callback's
+values are reduced to their panels' rule sums at once.  Each panel gets
+the nested 7-point Gauss / 15-point Kronrod pair (QUADPACK's qk15): the
+Kronrod rule reuses the Gauss nodes, so a panel costs 15 evaluations, its
+value is the K15 estimate and its error |K15 - G7|.  Each row's worst
+panels are bisected until its tolerance is met.  Results are
+deterministic: each value is the correctly rounded sum (``math.fsum``) of
+its row's panels, and a batch returns its rows' values, errors and
+subdivision counts as arrays.
 
 Supports vector-valued integrands so that several moments of the same
 integrand (e.g. a spectrum and its energy weighting) share one pass.
@@ -48,9 +50,9 @@ _XK15, _WK15 = _symmetric_rule(
     [0.20948214108472782, 0.20443294007529889, 0.19035057806478542, 0.1690047266392679,
      0.14065325971552592, 0.10479001032225019, 0.06309209262997856, 0.022935322010529224],
 )
-# Most points per integrand call: bounds the memory of the integrand's
-# temporaries however many panels a round evaluates.
-_CHUNK_POINTS = 2**15
+# Most points per integrand call: keeps the integrand's temporaries (64 kB
+# each) in L2 cache however many panels a round evaluates.
+_CHUNK_POINTS = 2**13
 # Fraction of surviving panels refined per round.
 _REFINE_FRACTION = 0.3
 _RowIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -90,27 +92,28 @@ def _panel_estimates(f: _RowIntegrand, bounds: np.ndarray, rows: np.ndarray) -> 
 
     ``bounds`` holds the (low, high) ends of the panels and ``rows`` the
     row of each panel; ``f`` gets the row of each point.  Each panel takes
-    15 evaluations, in calls of at most ``_CHUNK_POINTS`` points; the
-    values, and so the estimates, equal those of a single call.  A panel
-    whose estimate is not finite raises QuadratureError at once.
+    15 evaluations, in calls of at most ``_CHUNK_POINTS`` points, each call
+    reduced to its panels' rule sums at once; the estimates equal those of
+    one call.  A panel whose estimate is not finite raises QuadratureError.
     """
     lows, highs = bounds
     mid = 0.5 * (lows + highs)
     half = 0.5 * (highs - lows)
     step = _CHUNK_POINTS // _XK15.size
-    vals = None
+    nodes = np.tile(_XK15, (min(step, lows.size), 1))
+    est = None
     for start in range(0, lows.size, step):
         s = slice(start, start + step)
-        pts = (mid[s, None] + half[s, None] * _XK15).ravel()
+        pts = half[s].repeat(_XK15.size) * nodes[: half[s].size].ravel() + mid[s].repeat(_XK15.size)
         chunk = np.atleast_2d(np.asarray(f(pts, rows[s].repeat(_XK15.size)), dtype=float))
         if chunk.shape[-1] != pts.size:
             raise ValueError("integrand returned a shape not matching its input")
-        if vals is None:
-            vals = np.empty((chunk.shape[0], lows.size, _XK15.size))
-        vals[:, s] = chunk.reshape(chunk.shape[0], -1, _XK15.size)
-    ik = np.einsum("cpk,k->cp", vals, _WK15) * half
-    ig = np.einsum("cpk,k->cp", vals[:, :, 1::2], _W7) * half
-    est = np.stack([ik, np.abs(ik - ig)])
+        est = np.empty((2, chunk.shape[0], lows.size)) if est is None else est
+        vals = chunk.reshape(chunk.shape[0], -1, _XK15.size)
+        np.einsum("cpk,k->cp", vals, _WK15, out=est[0, :, s])
+        np.einsum("cpk,k->cp", vals[:, :, 1::2], _W7, out=est[1, :, s])
+    est *= half
+    np.abs(np.subtract(est[0], est[1], out=est[1]), out=est[1])
     bad = np.flatnonzero(~np.isfinite(est).all(axis=(0, 1)))
     if bad.size:
         i = bad[0]

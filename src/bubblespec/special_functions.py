@@ -149,7 +149,7 @@ def _half_integer_j_table(l_max: int, z: np.ndarray, l_each: np.ndarray) -> np.n
     order = np.argsort(-start)
     zs, back = z[order], np.argsort(order)
     running = (z.size - np.searchsorted(start[order][::-1], np.arange(start.max() + 1))).tolist()
-    rows = np.empty((l_max + 1, z.size))
+    rows = np.zeros((l_max + 1, z.size))
     r = np.zeros(z.size)
     for l in range(len(running) - 1, 0, -1):
         k = running[l]
@@ -202,14 +202,17 @@ def _half_integer_n_table(l_max: int, z: np.ndarray) -> np.ndarray:
     rows = np.empty((l_max + 2, z.size))
     rows[-1] = np.array(list(map(math.sin, listed))) / z
     rows[0] = -np.array(list(map(math.cos, listed))) / z
-    saturated = np.zeros(z.size, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         if l_max:
             rows[1] = rows[0] / z - rows[-1]
         for l in range(1, l_max):
-            nxt = (2 * l + 1) / z * rows[l] - rows[l - 1]
-            saturated |= np.abs(nxt) > 1e307
-            rows[l + 1] = np.where(saturated, np.copysign(np.inf, rows[l]), nxt)
+            np.subtract((2 * l + 1) / z * rows[l], rows[l - 1], out=rows[l + 1])
+        # Past 1e307 (from order 2 on) |N| only grows: a column that passes it stays past it, inf or NaN up to l_max.
+        hit = np.flatnonzero(~(np.abs(rows[l_max]) <= 1e307))
+        block = rows[2 : l_max + 1, hit]
+        past = ~(np.abs(block) <= 1e307)
+        np.copyto(block, np.copysign(np.inf, rows[l_max - np.count_nonzero(past, axis=0), hit]), where=past)
+        rows[2 : l_max + 1, hit] = block
         rows *= np.sqrt(2.0 * z / math.pi)
     return rows
 

@@ -88,19 +88,20 @@ def _integrand(x: np.ndarray, ys: np.ndarray, cfg: MediumConfig, cut: CutoffProf
     photon keeps n_gas_out at every x (see ``_dn_dx_batch``).
     """
     n_out = cfg.n_gas_out
-    below = ys <= cut.y_star
+    # Without tails every y is at most y_star (an edge of every panel there): one index for all points.
+    below = True if np.max(ys, initial=0.0) <= cut.y_star else ys <= cut.y_star
     weight = np.where(below, *((n - n_out) * (n - n_out) / (2.0 * n * n_out) for n in (cfg.n_gas_in, 1.0)))
     kern = (f_factorized if kernel_mode == "factorized" else f_exact_array)(x, ys)
     # Past x ~ 1e154 the squares overflow to inf or NaN, which the quadrature rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         # The ratio (n_in x^2 + n_out y^2)/(n_in x + n_out y) in place, sharing n_in x and n_out y.
-        n_in_x = np.where(below, cfg.n_gas_in, 1.0)
-        n_in_x *= x
+        n_in_x = np.multiply(np.where(below, cfg.n_gas_in, 1.0), x)
         n_out_y = n_out * ys
         den = n_in_x + n_out_y
         ratio = np.add(np.multiply(n_in_x, x, out=n_in_x), np.multiply(n_out_y, ys, out=n_out_y), out=n_in_x)
         ratio /= den
-        for factor in (ratio, ratio, kern):
+        weight = np.multiply(weight, ratio, out=den)
+        for factor in (ratio, kern):
             weight *= factor
         return weight
 
@@ -109,9 +110,11 @@ def _dn_dx_batch(xs: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, quad: Qu
     """dN/dx and its error bound at every x, all y-integrals in one batched quadrature.
 
     Each y-integral starts from panels split at the lattice y = x + k 4pi/3
-    inside (0, y_star): x itself and every zero of the kernel's
-    sinc^2(3(x - y)/4) there, so that no starting panel spans more than one
-    sinc^2 lobe.  With tails, x and y_star are edges of the tail strip too.
+    (x itself and every zero of the kernel's sinc^2(3(x - y)/4)), so that no
+    starting panel spans more than one sinc^2 lobe.  A row's edges are made
+    in order, with or without tails: 0, the lattice clipped to [0, y_star],
+    y_star, x clipped to [y_star, upper] and upper; repeated edges, and the
+    step down from one row's upper to the next row's 0, bound no panel.
 
     The created photon keeps the bulk index n_gas_out through the rolloff
     strip x in (x_star, x_star + sinc width]: the strip is populated by
@@ -122,7 +125,6 @@ def _dn_dx_batch(xs: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, quad: Qu
     y_star = upper = cut.y_star
     if quad.tail_upper_bound is not None:
         upper = max(float(quad.tail_upper_bound), y_star)
-    every = np.arange(xs.size)
     # Lattice points x + k * width for k from the last one <= 0 to the first >= y_star.
     k_lo = np.floor(-xs / _ROLLOFF_WIDTH)
     counts = np.ceil((y_star - xs) / _ROLLOFF_WIDTH) - k_lo + 1
@@ -131,26 +133,18 @@ def _dn_dx_batch(xs: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, quad: Qu
     if most - 1 > quad.max_subdivisions:
         unevaluated = QuadResult(np.array([math.nan]), np.array([math.nan]), int(most) - 1, False)
         raise _cap_error(most, quad.max_subdivisions, unevaluated)
-    counts = counts.astype(int)
-    owner = every.repeat(counts)
-    k = k_lo[owner] + np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
-    lattice = xs[owner] + k * _ROLLOFF_WIDTH
-    inside = (0.0 < lattice) & (lattice < y_star)
-    edges = [lattice[inside], np.zeros(xs.size), np.full(xs.size, upper)]
-    owners = [owner[inside], every, every]
-    if upper > y_star:
-        strip = (xs > y_star) & (xs < upper)
-        edges += [xs[strip], np.full(xs.size, y_star)]
-        owners += [every[strip], every]
-    edges, owners = np.concatenate(edges), np.concatenate(owners)
-    order = np.lexsort((edges, owners))
-    edges, owners = edges[order], owners[order]
-    # Consecutive edges of one row bound a panel.
-    same_row = owners[1:] == owners[:-1]
+    sizes = counts.astype(int) + 4
+    ends = np.cumsum(sizes)
+    owner = np.arange(xs.size).repeat(sizes)
+    k = k_lo[owner] + (np.arange(owner.size) - (ends - sizes + 1)[owner])
+    edges = np.clip(xs[owner] + k * _ROLLOFF_WIDTH, 0.0, y_star)
+    edges[ends - sizes] = 0.0
+    edges[ends - 3], edges[ends - 2], edges[ends - 1] = y_star, np.clip(xs, y_star, upper), upper
+    panel = edges[:-1] < edges[1:]
     value, error, _ = _integrate_rows(
         lambda ys, row: _integrand(xs[row], ys, cfg, cut, kernel_mode),
-        np.array([edges[:-1][same_row], edges[1:][same_row]]),
-        owners[1:][same_row],
+        np.array([edges[:-1][panel], edges[1:][panel]]),
+        owner[:-1][panel],
         rel_tol=quad.rel_tol,
         abs_tol=quad.abs_tol,
         max_subdivisions=quad.max_subdivisions,

@@ -331,7 +331,8 @@ def test_dn_dx_lattice_above_the_cap_raises_before_any_panel(monkeypatch, y_star
 
 def test_table_totals_work_count(monkeypatch):
     # deterministic work guard, pinned exactly: the five reference totals of `bubblespec table`
-    # take 2,083,545 kernel points (K15 panels, 15 points each) in 79 integrand calls
+    # take 2,083,545 kernel points (K15 panels, 15 points each) in 272 integrand calls of at most
+    # _CHUNK_POINTS = 2^13 points (79 calls at 2^15)
     calls = []
 
     def counted(x, y):
@@ -342,8 +343,21 @@ def test_table_totals_work_count(monkeypatch):
     for n_in, n_out, *_ in REFERENCE_TABLE:
         cfg = MediumConfig(n_gas_in=n_in, n_gas_out=n_out)
         totals(cfg, CutoffProfile.rounded(cfg), QuadratureSpec(), grid_points=0)
-    assert (sum(calls), len(calls)) == (2_083_545, 79)
+    assert (sum(calls), len(calls)) == (2_083_545, 272)
     assert max(calls) <= _CHUNK_POINTS
+
+
+def test_totals_peak_memory_stays_below_3_mb():
+    # The 68/34 totals (x* = 392, up to ~95 starting panels a row): each integrand call's values are reduced to
+    # their panels' rule sums at once, so no buffer holds every panel's 15 values (that peaked at 5.4 MB)
+    cfg = MediumConfig(n_gas_in=68.0, n_gas_out=34.0)
+    tracemalloc.start()
+    try:
+        totals(cfg, CutoffProfile.rounded(cfg), QuadratureSpec(), grid_points=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def test_exact_totals_build_j_tables_for_overlap_branch_points_only(monkeypatch):
