@@ -386,7 +386,7 @@ def test_kernel_dump_writes_its_csv_without_holding_every_line(tmp_path):
     assert peak < 200 * 100 * 100
     assert len(open(out).read().splitlines()) == 1 + 100 * 100
     # 9 x 10^4 samples, evaluated in blocks of at most _CHUNK_POINTS = 2^13: the peak stays below the same bound
-    # (measured 1.0 MB; 1.6 MB in blocks of 2^14), while the whole grid's values, held at once, took 7.2 MB
+    # (measured 1.0 MB), while the whole grid's values, held at once, took 7.2 MB
     args[2] = "300"
     tracemalloc.start()
     try:

@@ -332,7 +332,7 @@ def test_dn_dx_lattice_above_the_cap_raises_before_any_panel(monkeypatch, y_star
 def test_table_totals_work_count(monkeypatch):
     # deterministic work guard, pinned exactly: the five reference totals of `bubblespec table`
     # take 2,083,545 kernel points (K15 panels, 15 points each) in 272 integrand calls of at most
-    # _CHUNK_POINTS = 2^13 points (79 calls at 2^15)
+    # _CHUNK_POINTS = 2^13 points
     calls = []
 
     def counted(x, y):
