@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from . import spectrum as sp
-from .kernel import CutoffProfile, KernelConvergenceError, d_approx, f_exact_array, f_factorized
+from .kernel import CutoffProfile, d_approx, f_exact_array, f_factorized
 from .matching import MediumConfig, _require_positive_finite
 from .oracles import finite_overlap_checks, matching_checks, spectral_delta_checks, wronskian_checks
 from .quadrature import _CHUNK_POINTS, QuadratureError
@@ -132,7 +132,7 @@ def _numerical_failures():
     """Exit 3 with a one-line message, no traceback, on a typed numerical failure."""
     try:
         yield
-    except (QuadratureError, KernelConvergenceError, BesselDomainError) as exc:
+    except (QuadratureError, BesselDomainError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL_FAILURE)
 

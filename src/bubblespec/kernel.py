@@ -11,10 +11,9 @@ balls sum it in closed form:
 
 with r_0 = [sin(x - y)/(x - y) - sin(x + y)/(x + y)]/(pi sqrt(xy)).
 ``f_exact_array`` evaluates F from it where it keeps its digits and from two
-series where it cancels; ``f_exact`` keeps the per-order sum with a certified
-tail, the reference.  The diagonal D(x) = F(x, x) tends to G(0)/(24 pi^2) =
-1/(2 pi^2) for large argument, recovering the homogeneous-medium result, and
-the whole kernel is well approximated by the factorized smeared-delta form
+series where it cancels; ``f_exact`` is its value at one point.  The diagonal
+D(x) = F(x, x) tends to G(0)/(24 pi^2) = 1/(2 pi^2) for large argument,
+recovering the homogeneous-medium result, and the whole kernel is well approximated by the factorized smeared-delta form
 used for production spectra.
 
 Frequency dispersion is modeled as a sharp momentum cutoff (``CutoffProfile``):
@@ -52,18 +51,6 @@ __all__ = [
     "f_factorized",
 ]
 
-# Relative tail budget for f_exact's adaptive truncation.
-_TAIL_REL = 1e-8
-# Safety factor of the large-order bound on |W~_nu/(x^2 - y^2)| over its magnitude.
-_BOUND_SAFETY = 10.0
-# The tail certifies within a few orders of where its bound applies; the
-# term table reaches this far past that order, and the sum fails if its
-# tail is not certified by the end of the table.
-_L_MARGIN = 8
-# The overlap series reads J rows up to _SERIES_ROWS past max(top order, e*max(x, y)/2 + _SERIES_ROWS).
-# The rows fall off fast past e*max(x, y)/2: more rows change no bit of f_exact, and the top order of
-# its table by about 1e-6 relative, a term far below the tail budget.
-_SERIES_ROWS = 8
 # f_exact_array works through its points in slices of _TABLE_ENTRIES // 256 (about 256 table entries a
 # point: the power series' 14 x 14 products, the overlap series' J rows), so its temporaries stay near
 # a few MB however many points a call has.
@@ -101,18 +88,7 @@ _F_FIT_SCALE = 16000.0
 
 
 class KernelConvergenceError(ArithmeticError):
-    """Unit-amplitude angular-momentum sum unresolved in doubles (tiny argument) or uncertified at the end of its table.
-
-    ``l_reached`` is the order f_exact stopped at; ``partial`` is the running sum through the
-    order below it for a non-finite term, through it for a tail budget (1e-8 of the sum, at
-    the first tail order) that is not a normal double, and through the whole table at its end
-    (a guard).
-    """
-
-    def __init__(self, message: str, partial: float, l_reached: int):
-        super().__init__(message)
-        self.partial = partial
-        self.l_reached = l_reached
+    """Not raised by bubblespec: kept public for callers that catch it, such as perfbench/run.py."""
 
 
 @dataclass(frozen=True)
@@ -139,27 +115,20 @@ class CutoffProfile:
 
 @dataclass(frozen=True)
 class KernelValue:
-    """F(x, y) together with the truncation actually applied."""
+    """F(x, y) and l_used = int(e*min(x, y)/2) + _OVERLAP_ROWS - 1, the overlap series' last order.
+
+    Past l_used every term (2l+1) r_l^2 of F is below its rounding, in every branch: r_l carries J_nu at min(x, y),
+    which falls off fast past nu = e*min(x, y)/2.
+    """
 
     value: float
     l_used: int
-    truncation_error_estimate: float
 
 
 def _require_domain(x: float, y: float) -> None:
     """BesselDomainError unless x and y are normal doubles in (0, _MAX_ARGUMENT]; checked before any table is sized."""
     if not (sys.float_info.min <= x <= _MAX_ARGUMENT and sys.float_info.min <= y <= _MAX_ARGUMENT):
         raise BesselDomainError(f"kernel arguments must be normal doubles in (0, {_MAX_ARGUMENT:g}], got x={x}, y={y}")
-
-
-def _half_e_m(x: float, y: float) -> int:
-    """int(e*max(x, y)/2): the order past which _certify's tail bound applies, and f_exact's table size."""
-    return int(math.e * max(x, y) / 2.0)
-
-
-def _series_top(l_size: int, half_e_m: int) -> int:
-    """Last J row the overlap series reads for orders up to l_size, half_e_m = int(e*max(x, y)/2)."""
-    return max(l_size, half_e_m + _SERIES_ROWS) + _SERIES_ROWS
 
 
 def _overlaps(jx: np.ndarray, jy: np.ndarray, x, y, top) -> np.ndarray:
@@ -178,91 +147,10 @@ def _overlaps(jx: np.ndarray, jy: np.ndarray, x, y, top) -> np.ndarray:
     return sums[1:] * (2.0 / (x * y))
 
 
-def _ratios(x: float, y: float, top: int) -> np.ndarray:
-    """W~_nu(x, y)/(x^2 - y^2) for l = 0..top-1 by _overlaps at one point, from a J table at x and y through row top."""
-    z = np.array([x, y])
-    j = _half_integer_j_table(top, z, np.array([top, top]))
-    # numpy scalars: an x*y that underflows gives inf terms for f_exact to report, not a ZeroDivisionError.
-    return _overlaps(j[:, :1], j[:, 1:], z[0], z[1], top)[:, 0]
-
-
-def _pw_ratios(x: float, y: float, l_size: int) -> np.ndarray:
-    """W~_nu(x, y)/(x^2 - y^2) for l = 0..l_size at one point, on the diagonal too."""
-    _require_domain(x, y)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _ratios(x, y, _series_top(l_size, _half_e_m(x, y)))[: l_size + 1]
-
-
-def _kernel_sums(x: float, y: float) -> tuple:
-    """Terms (2l+1) r_l^2 for l = 1..size at one in-domain point, then _certify's results: f_exact's routine.
-
-    A table of size = int(e*max(x, y)/2) + _L_MARGIN terms from the overlap ratios r_l (``_ratios``).
-    """
-    half_e_m = _half_e_m(x, y)
-    size = half_e_m + _L_MARGIN
-    r = _ratios(x, y, _series_top(size, half_e_m))[1 : size + 1]
-    terms = ((2 * np.arange(1, size + 1) + 1) * r) * r
-    return terms, *_certify(terms, x, y)
-
-
 def f_exact(x: float, y: float) -> KernelValue:
-    """Exact kernel F(x, y) = sum_{l>=1} (2l+1) W~^2/(x^2-y^2)^2 with unit wall amplitudes (those are in ``matching``).
-
-    The certified per-order sum, the reference of f_exact_array's closed form: one table of int(e*max(x, y)/2) +
-    _L_MARGIN terms from the overlap series (``_kernel_sums``), on and off the diagonal alike; the value is their
-    running sum through the order where _certify's large-order tail bound falls below 1e-8 of it,
-    KernelConvergenceError where that fails (below about x = 3e-50 on the diagonal 1e-8 of the sum is no longer a
-    normal double).
-    """
-    _require_domain(x, y)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        terms, value, used, tail, first, sums = _kernel_sums(x, y)
-    if used:
-        return KernelValue(value=value, l_used=used, truncation_error_estimate=tail)
-    # The first test to fail in order of l: a non-finite term at or before `first` makes acc[first] fail no budget.
-    size, acc = terms.size, [0.0, *sums]
-    if _TAIL_REL * acc[first] < sys.float_info.min:
-        message = f"tail budget below the double range at l={first}, (x, y)=({x}, {y}): tiny argument"
-        raise KernelConvergenceError(message, acc[first], first)
-    l = next((l for l, t in enumerate(terms.tolist(), 1) if not math.isfinite(t)), None)
-    if l:
-        cause = "Bessel values out of double range at a tiny argument"
-        raise KernelConvergenceError(f"non-finite kernel term at l={l}, (x, y)=({x}, {y}): {cause}", acc[l - 1], l)
-    raise KernelConvergenceError(f"kernel tail not certified by l={size} at (x, y)=({x}, {y})", acc[size], size)
-
-
-def _tail_bound(nu: np.ndarray, x, y) -> np.ndarray:
-    """Bound on |W~_nu(x, y)/(x^2 - y^2)| for nu > e*max(x, y)/2, orders by points; 0 where it underflows."""
-    # The nu-only part through libm.
-    head = [-math.log(2.0 * math.pi) - 0.5 * math.log(v) - 1.5 * math.log(v + 1.0) for v in nu.tolist()]
-    nu = nu[:, None]
-    log_mag = np.array(head)[:, None] + nu * np.log(x * y / (nu * (nu + 1.0)))
-    log_mag += (2.0 * nu + 1.0) * (1.0 - math.log(2.0))
-    return _BOUND_SAFETY * np.where(log_mag < -745.0, 0.0, np.exp(log_mag))
-
-
-def _certify(terms: np.ndarray, x: float, y: float) -> tuple:
-    """Value, certified order, tail estimate there, first tail order and running sums of one point's terms (l = 1..L).
-
-    The value is the running sum through the certified order: the terms are positive, so it is within l*eps of the
-    exact sum.  The order is 0, and the value and estimate mean nothing, where the sum fails: no order up to L
-    certifies, the running sum is not finite there, or the tail budget is not a normal double at the first tail order.
-    """
-    acc = np.cumsum(terms).tolist()
-    half_e_m = math.e * max(x, y) / 2.0
-    # The first order the bound applies to (half_e_m - 1.5 is exact), where the budget is smallest: terms are squares.
-    first = max(math.floor(half_e_m - 1.5) + 1, 1)
-    # The bound at nu = l + 1.5 and l + 2.5 for the orders l = first..L.
-    scale = _tail_bound(np.arange(first + 1, terms.size + 3) + 0.5, x, y)[:, 0].tolist()
-    for l, s1, s2 in zip(range(first, terms.size + 1), scale, scale[1:]):
-        b1 = ((2 * l + 3) * s1) * s1
-        b2 = ((2 * l + 5) * s2) * s2
-        ratio = b2 / b1 if b1 > 0.0 else 0.0
-        estimate = b1 / (1.0 - ratio)
-        if ratio < 0.9 and estimate <= _TAIL_REL * acc[l - 1]:
-            ok = math.isfinite(acc[l - 1]) and _TAIL_REL * acc[first - 1] >= sys.float_info.min
-            return acc[l - 1], l if ok else 0, estimate, first, acc
-    return math.nan, 0, math.nan, first, acc
+    """Exact kernel F(x, y) = sum_{l>=1} (2l+1) r_l^2 at one point: f_exact_array's value, bit for bit."""
+    value = float(f_exact_array(x, y))
+    return KernelValue(value=value, l_used=int(math.e * min(x, y) / 2.0) + _OVERLAP_ROWS - 1)
 
 
 def _closed_form(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -332,10 +220,10 @@ def f_exact_array(x, y) -> np.ndarray:
     * else hi <= 4: the double power series of j_l (``_power_series``), within 2e-15;
     * else: the overlap series to a fixed order set by lo (``_overlap_sum``), within 8.6e-15.
 
-    f_exact's certified sum agrees to its 1e-8 tail budget (measured 6e-11 at worst).  F is symmetric bit for bit,
-    and a point's value does not depend on the batch: points run in input order, in slices of _TABLE_ENTRIES // 256.
-    Tiny arguments give values, down to an honest 0.0 where F underflows; a point outside the domain (subnormal,
-    NaN, inf, above 1e5) raises f_exact's BesselDomainError, for the first such point in input order.
+    F is symmetric bit for bit, and a point's value does not depend on the batch: points run in input order, in
+    slices of _TABLE_ENTRIES // 256.  Tiny arguments give values, down to an honest 0.0 where F underflows; a point
+    outside the domain (subnormal, NaN, inf, above 1e5) raises BesselDomainError, for the first such point in input
+    order.
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     shape, lo, hi = x.shape, np.minimum(x, y).ravel(), np.maximum(x, y).ravel()
@@ -380,7 +268,9 @@ def f_factorized(x, y):
     with np.errstate(over="ignore", invalid="ignore"):
         s6 = s**6
         hump = _HALF_ASYMPTOTE * s6
-        hump /= _F_FIT_SCALE + s6
+        # In place: s6 + 16000 is inf exactly where s6 is.
+        s6 += _F_FIT_SCALE
+        hump /= s6
     # Past s ~ 2.4e51 s**6 overflows; the hump has reached its limit 1/(2 pi^2) there.
     if np.max(s, initial=0.0) > 1e51:
         hump = np.where(np.isinf(s6), _HALF_ASYMPTOTE, hump)
@@ -389,7 +279,8 @@ def f_factorized(x, y):
     u *= 0.75
     u /= np.pi
     u *= np.pi
-    np.copyto(u, np.finfo(float).eps, where=u == 0.0)
+    if not u.all():
+        np.copyto(u, np.finfo(float).eps, where=u == 0.0)
     sinc = np.sin(u)
     sinc /= u
     hump *= sinc

@@ -25,14 +25,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _SERIES_ROWS, _pw_ratios
+from .kernel import _overlaps, _require_domain
 from .matching import _amplitudes_at, coefficients_bc
-from .special_functions import BesselDomainError, ModeOrder, _half_integer_columns, _reduced_det
+from .special_functions import BesselDomainError, ModeOrder, _half_integer_columns, _half_integer_j_table, _reduced_det
 
 __all__ = [
     "IdentityReport", "finite_overlap_checks", "hankel_finite_integral", "matching_checks", "spectral_delta_checks",
     "wronskian_checks",
 ]
+
+
+# The overlap ratio of order l sums J rows up to max(l, e*max(a, b)/2) + 2 * _SERIES_ROWS; past e*max(a, b)/2 they
+# fall off faster than geometrically: 40 more rows moved 1 of 3000 draws (l <= 40, a, b in [0.1, 316]) by an ulp.
+_SERIES_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -81,13 +86,19 @@ def matching_checks(rng: random.Random) -> IdentityReport:
 def hankel_finite_integral(order: ModeOrder, k1: float, k2: float, R: float) -> float:
     """Closed form of int_0^R r J_nu(k1 r) J_nu(k2 r) dr = R^2 W~_nu(a, b)/(a^2 - b^2), (a, b) = (k1 R, k2 R).
 
-    The ratio is the exact kernel's overlap series (``_pw_ratios``), equal wavenumbers included.
+    The ratio is the exact kernel's overlap series (``kernel._overlaps``) over one J table at a and b, equal
+    wavenumbers included.
     """
     # A non-positive wavenumber leaves the Bessel domain, but R < 0 would turn two negative ones positive.
     if R <= 0.0:
         raise BesselDomainError(f"radius must be positive, got R={R}")
-    # With _SERIES_ROWS more orders, order l sums 2 * _SERIES_ROWS rows past max(l, e*max(a, b)/2), not a top order's 8.
-    return R * R * _pw_ratios(k1 * R, k2 * R, order.l + _SERIES_ROWS)[order.l]
+    z = np.array([k1 * R, k2 * R])
+    _require_domain(*z.tolist())
+    top = max(order.l, int(math.e * z.max() / 2.0)) + 2 * _SERIES_ROWS
+    # numpy scalars: an a*b that underflows gives inf, not a ZeroDivisionError.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        j = _half_integer_j_table(top, z, np.array([top, top]))
+        return R * R * float(_overlaps(j[:, :1], j[:, 1:], z[0], z[1], top)[order.l, 0])
 
 
 def _jv(l: int, z: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ solution y comes from upward recurrence from its closed forms.  Each
 direction is the numerically stable one for its solution.  Each list
 table ends with order -1/2, so index l - 1 reads the order below l for l = 0
 too.  ``_half_integer_j_table`` runs that recurrence over many arguments at
-once, in any column order (lists for one kernel point), and
+once, in any column order (lists for up to two columns), and
 ``_half_integer_n_table`` is the one routine for y's upward recurrence:
 ``half_integer_n_array`` is one column of it.  ``_half_integer_columns`` reads
 one order's J and N pairs from one table of each, for many draws (``check``)
@@ -45,7 +45,8 @@ __all__ = [
 # about e^-80 ~ 2e-35 against the table's scale.
 _RATIO_MARGIN = 40
 _UNDERFLOW_FLOOR = 1e-300
-# Largest Bessel and kernel argument, 255 times x* = 392: tables run to e*z/2 orders; f_exact(1e5, 1) takes about 0.1 s.
+# Largest Bessel and kernel argument, 255 times x* = 392: J tables run to e*z/2 orders, so half_integer_j_array(1, 1e5)
+# takes about 30 ms and the overlap oracle at k R = 1e5 about 0.1 s.
 _MAX_ARGUMENT = 1e5
 
 
@@ -136,7 +137,7 @@ def half_integer_j_array(l_max: int, z: float) -> list[float]:
 def _half_integer_j_table(l_max: int, z: np.ndarray, l_each: np.ndarray) -> np.ndarray:
     """J_{l+1/2}(z[a]) for l = 0..l_max >= 1 in column a; rows 0..l_each[a] are half_integer_j_array(l_each[a], z[a]).
 
-    Bit for bit: up to two columns (one kernel point), where numpy's per-call overhead outweighs the loop, take the
+    Bit for bit: up to two columns (one draw or one point), where numpy's per-call overhead outweighs the loop, take the
     lists themselves, zero past l_each[a]; more run the same start, operations and rounding in one numpy pass.  The
     rows past l_each[a] are of no use.  Every z must be in the Bessel domain; the columns may come in any order.
     """

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import warnings
 
 import mpmath
@@ -10,11 +11,8 @@ from scipy.special import spherical_jn
 
 from bubblespec import kernel, oracles, special_functions
 from bubblespec.kernel import (
-    _L_MARGIN,
-    _kernel_sums,
-    _tail_bound,
+    _OVERLAP_ROWS,
     CutoffProfile,
-    KernelConvergenceError,
     d_approx,
     d_exact,
     f_exact,
@@ -38,9 +36,31 @@ D_6_FROZEN = 0.047209729573
 D_2_FROZEN = 0.012342053
 
 
-def _terms(x, y):
-    # f_exact's whole term table at one point, l = 1..int(e*max(x, y)/2) + _L_MARGIN
-    return _kernel_sums(x, y)[0]
+def _per_order_terms(x, y):
+    """Terms (2l+1) r_l^2 of F(x, y) for l = 1..int(e*max(x, y)/2) + 16, each order from its J pair at x and at y.
+
+    J_l = J_{l+1/2} comes from half_integer_j_array lists, r_l from Lommel's quotient
+    (y J_{l-1}(y) J_l(x) - x J_{l-1}(x) J_l(y))/(x^2 - y^2) off the diagonal and from its limit
+    [x (J_l^2 + J_{l-1}^2) - (2l+1) J_l J_{l-1}]/(2x) on it: none of f_exact_array's three branches.  Past
+    e*max(x, y)/2 + 16 the terms are far below rounding.  Both forms cancel where the arguments are small or close
+    (relative errors of about 2^-52 max(1, x^2)/|x^2 - y^2| and 2^-52/x^2), so the tests take it as a reference
+    where |x - y| >= 1e-2 and |x^2 - y^2| >= 1e-2, or x = y >= 0.1.
+    """
+    top = int(math.e * max(x, y) / 2.0) + 16
+    jx, jy = half_integer_j_array(top, x), half_integer_j_array(top, y)
+    terms = []
+    for l in range(1, top + 1):
+        if x == y:
+            r = (x * (jx[l] ** 2 + jx[l - 1] ** 2) - (2 * l + 1) * jx[l] * jx[l - 1]) / (2.0 * x)
+        else:
+            r = (jx[l] * y * jy[l - 1] - jy[l] * x * jx[l - 1]) / (x * x - y * y)
+        terms.append((2 * l + 1) * r * r)
+    return terms
+
+
+def _per_order_f_exact(x, y):
+    """F(x, y) as the correctly rounded sum of its per-order terms (``_per_order_terms``)."""
+    return math.fsum(_per_order_terms(x, y))
 
 
 def test_cutoff_profiles():
@@ -59,10 +79,7 @@ def test_cutoff_profiles():
 
 def test_f_exact_frozen_value():
     v = f_exact(3.0, 3.2)
-    # adaptive truncation certifies the tail below 1e-8 of the sum
-    assert v.value == pytest.approx(F_3_32_FROZEN, rel=1e-8)
-    assert v.l_used <= 15
-    assert v.truncation_error_estimate < 1e-8 * v.value
+    assert v.value == pytest.approx(F_3_32_FROZEN, rel=1e-13)
 
 
 def test_f_exact_symmetry_and_positivity():
@@ -80,58 +97,21 @@ def test_f_exact_domain_and_l_max_validation():
         f_exact(0.0, 1.0)
 
 
-def test_f_exact_nonconvergence_signal(monkeypatch):
-    # a table that ends at the first order the tail bound applies to, one
-    # short of where it certifies (l = 245): the end-of-table guard raises
-    monkeypatch.setattr(kernel, "_L_MARGIN", 0)
-    with pytest.raises(KernelConvergenceError, match="not certified by l=244") as exc:
-        f_exact(180.0, 180.0)
-    assert exc.value.l_reached == int(math.e * 180.0 / 2.0) == 244
-    assert exc.value.partial == pytest.approx(HALF_ASYMPTOTE, rel=0.01)
-
-
-def _per_order_f_exact(x, y):
-    """F(x, y) summed one order at a time, each order from its J pair at x and at y.
-
-    The tail is certified order by order with the kernel's bound, as f_exact
-    does; returns (value, l_used, truncation_error_estimate).  Valid away from
-    the diagonal only.
-    """
-    jx, jy = half_integer_j_array(999, x), half_integer_j_array(999, y)
-    terms = []
-    acc = 0.0
-    for l in range(1, 1000):
-        r = (jx[l] * y * jy[l - 1] - jy[l] * x * jx[l - 1]) / (x * x - y * y)
-        terms.append((2 * l + 1) * r * r)
-        acc += terms[-1]
-        # the bound applies at nu = l + 3/2 > e*max(x, y)/2
-        if l + 1.5 <= math.e * max(x, y) / 2.0:
-            continue
-        s1, s2 = _tail_bound(np.array([l + 1.5, l + 2.5]), x, y)[:, 0]
-        b1 = (2 * (l + 1) + 1) * s1 * s1
-        b2 = (2 * (l + 2) + 1) * s2 * s2
-        ratio = b2 / b1 if b1 > 0.0 else 0.0
-        if ratio < 0.9:
-            tail_est = b1 / (1.0 - ratio)
-            if tail_est <= 1e-8 * max(acc, 1e-300):
-                return math.fsum(terms), l, tail_est
-    raise AssertionError(f"tail not certified by l = 999 at ({x}, {y})")
-
-
 def test_f_exact_matches_per_order_summation():
+    # against the orders summed one by one to e*max(x, y)/2 + 16 (measured 1.7e-14 at worst); the terms
+    # past l_used, the overlap series' last order, are below the value's rounding
     rng = random.Random(29)
     points = [(rng.uniform(0.3, 140.0), rng.uniform(0.3, 140.0)) for _ in range(30)]
-    # the longest tables too, where l_used passes 300
-    points += [(392.0, 300.0), (260.0, 3.0), (330.0, 329.5)]
+    # the longest tables too, up to 548 orders
+    points += [(392.0, 300.0), (260.0, 3.0), (330.0, 329.5), (392.0, 392.0)]
     for x, y in points:
-        if abs(x - y) < 1e-3:
+        if abs(x - y) < 1e-2 and x != y:
             continue
         got = f_exact(x, y)
-        value, l_used, tail = _per_order_f_exact(x, y)
-        assert got.l_used == l_used
-        assert got.value == pytest.approx(value, rel=1e-12)
-        assert got.truncation_error_estimate == pytest.approx(tail, rel=1e-12)
-    assert min(f_exact(x, y).l_used for x, y in points[-3:]) > 300
+        terms = _per_order_terms(x, y)
+        assert got.value == pytest.approx(math.fsum(terms), rel=1e-12)
+        assert got.l_used == int(math.e * min(x, y) / 2.0) + _OVERLAP_ROWS - 1
+        assert math.fsum(terms[got.l_used :]) < 2.0**-53 * got.value, (x, y)
 
 
 def _spherical_jn_f(x, y, l_top=260):
@@ -166,14 +146,15 @@ def _mpmath_f(x, y, l_used):
 
 
 def test_f_exact_next_to_the_diagonal_at_small_arguments_against_mpmath():
-    # x log-uniform in [1e-3, 2], |y/x - 1| log-uniform in [1e-12, 1e-2], against the same
-    # orders summed at 40 digits: the overlap series loses nothing next to the diagonal
+    # x log-uniform in [1e-3, 2], |y/x - 1| log-uniform in [1e-12, 1e-2], against the orders through
+    # e*max(x, y)/2 + 8 summed at 40 digits (the rest are below 1e-30 of F): the power series and the
+    # closed form lose nothing next to the diagonal
     rng = random.Random(83)
     for _ in range(120):
         x = 10.0 ** rng.uniform(-3.0, math.log10(2.0))
         y = x * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, -2.0))
-        got = f_exact(x, y)
-        assert got.value == pytest.approx(_mpmath_f(x, y, got.l_used), rel=1e-12, abs=0.0), (x, y)
+        want = _mpmath_f(x, y, int(math.e * max(x, y) / 2.0) + 8)
+        assert f_exact(x, y).value == pytest.approx(want, rel=1e-12, abs=0.0), (x, y)
 
 
 def test_diagonal_continuity():
@@ -197,8 +178,8 @@ def test_d_exact_values():
 
 
 def test_d_exact_monotone_in_l():
-    # the running sums over l never decrease and reach the certified D(6)
-    sums = list(itertools.accumulate(_terms(6.0, 6.0)))
+    # the running sums over l never decrease and reach D(6)
+    sums = list(itertools.accumulate(_per_order_terms(6.0, 6.0)))
     assert all(b >= a for a, b in zip(sums, sums[1:]))
     assert sums[-1] == pytest.approx(d_exact(6.0), rel=1e-8)
 
@@ -258,12 +239,13 @@ def test_a_factor_kernel_never_reports_a_non_finite_sum(x, y, n_in, n_out):
     # paired with a large one. Weighting its terms with the amplitudes of a medium,
     # taken order by order from `matching`, gives a finite sum up to the first
     # order whose amplitudes leave the double range: that order raises a typed error.
+    # Every case gets past l_used, beyond which the terms are below F's rounding.
     got = f_exact(x, y)
     assert math.isfinite(got.value)
     cfg = MediumConfig(n_gas_in=n_in, n_gas_out=n_out)
     weighted = 0.0
     reached = 0
-    for l, term in enumerate(_terms(x, y)[: got.l_used], 1):
+    for l, term in enumerate(_per_order_terms(x, y), 1):
         try:
             a_in = coefficient_a_sq(ModeOrder(l), y, cfg.n_liquid / n_in)
             a_out = coefficient_a_sq(ModeOrder(l), x, cfg.n_liquid / n_out)
@@ -272,86 +254,70 @@ def test_a_factor_kernel_never_reports_a_non_finite_sum(x, y, n_in, n_out):
         weighted += term * a_in * a_out
         reached = l
     assert math.isfinite(weighted)
-    if (x, y, n_in) == (60.0, 0.01, 1.0):
-        # the one case whose amplitudes stay finite through every order the sum needs
-        assert reached == got.l_used == 81
+    assert reached > got.l_used == 23
 
 
-def test_f_exact_certifies_inside_its_first_table():
-    # The sum never needs orders past its table of e*max(x, y)/2 + _L_MARGIN
-    # terms anywhere in the domain: far from, near and on the diagonal.
-    rng = random.Random(57)
-    points = [(145.0, 145.0), (392.0, 392.0)]
-    while len(points) < 502:
-        x, y = rng.uniform(0.01, 400.0), rng.uniform(0.01, 400.0)
-        kind = len(points) % 3
-        if kind == 1:
-            y = x * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-10.0, -2.0))
-        elif kind == 2:
-            y = x * 10.0 ** rng.uniform(-4.0, -1.0)
-        points.append((x, y))
-    for x, y in points:
-        got = f_exact(x, y)
-        assert got.l_used < int(math.e * max(x, y) / 2.0) + _L_MARGIN, (x, y, got.l_used)
+@pytest.mark.parametrize("x, y", [(1e-200, 2e-200), (1e-100, 1.0), (1e-100, 30.0), (1e-200, 1e-200), (1e-60, 1e-60)])
+def test_f_exact_tiny_arguments_give_values(x, y):
+    # Tiny arguments, where F or x*y leaves the normal doubles, give values from the power or the overlap
+    # series: within 1e-12 of 40-digit arithmetic, an honest 0.0 where F underflows.
+    got = f_exact(x, y)
+    assert type(got.value) is float and got.value == float(f_exact_array(x, y))
+    ref = _mpmath_overlap_f(x, y)
+    assert abs(got.value - ref) <= 1e-12 * ref + 5e-324
 
 
-# f_exact's error at each point: message, partial.hex() and l_reached; (180, 180) with _L_MARGIN = 0.
-FROZEN_ERRORS = {
-    (1e-200, 2e-200): (
-        "non-finite kernel term at l=1, (x, y)=(1e-200, 2e-200): Bessel values out of double range at a tiny argument",
-        "0x0.0p+0",
-        1,
-    ),
-    (1e-100, 1.0): (
-        "tail budget below the double range at l=1, (x, y)=(1e-100, 1.0): tiny argument",
-        "0x1.6d14a97367eafp-1008",
-        1,
-    ),
-    (1e-100, 30.0): (
-        "tail budget below the double range at l=40, (x, y)=(1e-100, 30.0): tiny argument",
-        "0x1.a68f7d35a7860p-1015",
-        40,
-    ),
-    (1e-200, 1e-200): (
-        "non-finite kernel term at l=1, (x, y)=(1e-200, 1e-200): Bessel values out of double range at a tiny argument",
-        "0x0.0p+0",
-        1,
-    ),
-    (180.0, 180.0): ("kernel tail not certified by l=244 at (x, y)=(180.0, 180.0)", "0x1.9efb9dfbb245ap-5", 244),
-}
+def test_f_exact_is_f_exact_array_at_one_point():
+    # bit for bit, over every branch, its edges, the diagonal and next to it, and tiny arguments; l_used is
+    # an int >= 1 everywhere, and only a point outside the domain raises
+    rng = random.Random(89)
+    points = _branch_draws(89, 300) + [(1e-60, 1e-60), (1e-100, 1.0), (1e-200, 2e-200), (1e-300, 1e-300)]
+    points += [tuple(10.0 ** rng.uniform(-300.0, 5.0) for _ in range(2)) for _ in range(100)]
+    x, y = np.array(points).T
+    want = f_exact_array(x, y).tolist()
+    for (a, b), v in zip(points, want):
+        got = f_exact(a, b)
+        assert type(got.value) is float and got.value == v, (a, b)
+        assert type(got.l_used) is int and got.l_used >= 1
+    for bad in (5e-310, math.nan, math.inf, -math.inf, -1.0, 0.0, math.nextafter(_MAX_ARGUMENT, math.inf)):
+        for a, b in ((bad, 2.0), (2.0, bad), (bad, bad)):
+            with pytest.raises(BesselDomainError):
+                f_exact(a, b)
 
 
-@pytest.mark.parametrize("x, y", list(FROZEN_ERRORS))
-def test_f_exact_tiny_arguments_raise_typed_error(x, y, monkeypatch):
-    # Bessel values (or x*y) leave the double range, the kernel is too small for
-    # its tail budget, or (with no margin) the table ends uncertified: a typed error,
-    # never a bare crash, with the message, partial sum and order frozen bit for bit.
-    if x == 180.0:
-        monkeypatch.setattr(kernel, "_L_MARGIN", 0)
-    with pytest.raises(KernelConvergenceError) as exc:
-        f_exact(x, y)
-    assert (str(exc.value), exc.value.partial.hex(), exc.value.l_reached) == FROZEN_ERRORS[x, y]
+def test_the_benchmark_harness_finds_what_it_reads_from_the_kernel():
+    # perfbench/ (run.py's exact sweep, tracer.py's l-term counts, test_perfbench.py) reads these from
+    # bubblespec.kernel; a deletion here would otherwise fail only when the benchmark runs
+    got = kernel.f_exact(5.0, 6.0)
+    assert type(got.value) is float
+    assert type(got.l_used) is int and got.l_used >= 1
+    assert issubclass(kernel.KernelConvergenceError, ArithmeticError)
+    assert kernel.bessel_jn_half is special_functions.bessel_jn_half
 
 
 def test_d_exact_follows_its_small_argument_limit():
-    # D(x) -> 3 (2 x^3/(45 pi))^2 = 12 x^6/(2025 pi^2), the l = 1 term; the O(x^2) correction
-    # is below rounding from 1e-8 down, and the overlap series has no cancellation to lose there
-    for x in np.logspace(-49.0, -8.0, 200).tolist():
+    # D(x) -> 3 (2 x^3/(45 pi))^2 = 12 x^6/(2025 pi^2), the l = 1 term, in d_exact and f_exact alike; its O(x^2)
+    # correction -(2/7) x^2 is below rounding from 1e-8 down to where the limit stops being a normal double
+    # (x ~ 1.83e-51), and the power series has no cancellation to lose there
+    xs = np.logspace(math.log10(1.83e-51), -8.0, 200).tolist()
+    assert 12.0 * xs[0] ** 6 / (2025.0 * math.pi**2) >= sys.float_info.min
+    assert 12.0 * (0.99 * xs[0]) ** 6 / (2025.0 * math.pi**2) < sys.float_info.min
+    for x in xs:
         limit = 12.0 * x**6 / (2025.0 * math.pi**2)
-        assert d_exact(x) == pytest.approx(limit, rel=1e-13, abs=0.0), x
+        assert d_exact(x) == f_exact(x, x).value == pytest.approx(limit, rel=1e-13, abs=0.0), x
     assert d_exact(1e-3) == pytest.approx(6.0042165744256175e-22, rel=1e-13)  # 100-digit sum
+    assert d_exact(1e-3) / (12.0 * 1e-18 / (2025.0 * math.pi**2)) - 1.0 == pytest.approx(-2e-6 / 7, rel=1e-4)
 
 
 def test_d_exact_below_the_double_range_is_its_small_x_limit_or_zero():
-    # Below about 3e-50 1e-8 of D(x) is no longer a normal double, so f_exact's certified sum raises a
-    # tiny-argument error; d_exact (the power series) returns the small-x limit 12 x^6/(2025 pi^2) there,
-    # rounded to the subnormal grid, down to an honest 0.0 where it underflows.
+    # Below about 3e-50 D(x) is near or below the subnormal range; d_exact and f_exact (the power series)
+    # return the small-x limit 12 x^6/(2025 pi^2) there, rounded to the subnormal grid, down to an honest
+    # 0.0 where it underflows.
     zeros = 0
     for x in np.logspace(-300.0, -50.0, 251).tolist():
-        with pytest.raises(KernelConvergenceError, match="tiny argument"):
-            f_exact(x, x)
         limit = float(12 * mpmath.mpf(x) ** 6 / (2025 * mpmath.pi**2))
         got = d_exact(x)
+        assert f_exact(x, x).value == got
         assert abs(got - limit) <= 1e-13 * limit + 5e-324, x
         zeros += got == 0.0
     assert 0 < zeros < 251
@@ -377,12 +343,56 @@ def _array_sweep(seed, n):
 
 
 def test_f_exact_array_is_f_exact_within_its_tail_budget():
-    # f_exact's certified per-order sum is the reference: the branches agree with it to 1e-10,
-    # far inside its 1e-8 tail budget, on, next to and far from the diagonal
+    # f_exact is f_exact_array at one point, bit for bit, on, next to and far from the diagonal; where the
+    # per-order reference keeps its digits (on the diagonal and far from it) both are within 1e-10 of it
     x, y = _array_sweep(11, 600)
-    want = np.array([f_exact(float(a), float(b)).value for a, b in zip(x, y)])
     got = f_exact_array(x, y)
-    assert np.all(np.abs(got - want) <= 1e-10 * want)
+    assert [f_exact(a, b).value for a, b in zip(x.tolist(), y.tolist())] == got.tolist()
+    far = (x == y) | (np.minimum(np.abs(x - y), np.abs(x * x - y * y)) >= 1e-2)
+    assert np.count_nonzero(far) > 250
+    want = np.array([_per_order_f_exact(a, b) for a, b in zip(x[far].tolist(), y[far].tolist())])
+    assert np.all(np.abs(got[far] - want) <= 1e-10 * want)
+
+
+def _reference_draws(seed, n):
+    """Seeded points over each branch of f_exact_array, its edges and the diagonal, where the per-order reference
+    keeps its digits (``_per_order_terms``), max(x, y) <= 2000 but at the edges.
+    """
+    rng = random.Random(seed)
+
+    def log_uniform(a, b):
+        return 10.0 ** rng.uniform(math.log10(a), math.log10(b))
+
+    draws = (
+        lambda: (lo := log_uniform(1.0, 390.0), lo * log_uniform(1.0, 256.0)),  # closed form
+        lambda: (log_uniform(1e-3, 1.0), rng.uniform(1e-3, 4.0)),  # power series
+        lambda: (log_uniform(1e-3, 1.0), log_uniform(4.0, 2000.0)),  # overlap series, small min
+        lambda: (lo := log_uniform(1.0, 7.0), lo * log_uniform(256.0, 2000.0 / lo)),  # overlap series, far apart
+        lambda: (x := log_uniform(1.0, 390.0), x + rng.choice((-1.0, 1.0)) * log_uniform(1e-2, 1.0)),  # near x = y
+        lambda: (x := log_uniform(0.1, 2000.0), x),  # on it
+    )
+    below, above = math.nextafter(1.0, 0.0), math.nextafter(256.0, 300.0)
+    points = [(1.0, 1.0), (1.0, 4.0), (1.0, 256.0), (1.0, above), (below, below), (below, 4.0), (0.5, 4.0), (4.0, 4.0)]
+    points += [(0.5, math.nextafter(4.0, 5.0)), (390.625, 1e5), (1.0, 1e5), (1e5, 1e5)]
+    while len(points) < n:
+        x, y = draws[len(points) % len(draws)]()
+        if x == y or min(abs(x - y), abs(x * x - y * y)) >= 1e-2:
+            points.append((x, y) if rng.random() < 0.5 else (y, x))
+    return points
+
+
+def test_f_exact_array_against_the_per_order_sum():
+    # every branch and its edges (min = 1, max = 4, max = 256 min), far from the diagonal and on it: within
+    # 1e-10 of the orders summed one by one (measured 1.5e-12 at worst, at |x - y| = 0.011, where the reference's
+    # quotient cancels)
+    x, y = np.array(_reference_draws(43, 240)).T
+    got = f_exact_array(x, y)
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    closed = (lo >= 1.0) & (hi <= 256.0 * lo)
+    series = ~closed & (hi <= 4.0)
+    assert min(np.count_nonzero(closed), np.count_nonzero(series), np.count_nonzero(~closed & ~series)) > 40
+    for a, b, v in zip(x.tolist(), y.tolist(), got.tolist()):
+        assert v == pytest.approx(_per_order_f_exact(a, b), rel=1e-10, abs=0.0), (a, b)
 
 
 def _mpmath_closed_form(x, y, dps=160):
@@ -445,28 +455,6 @@ def test_f_exact_array_against_the_closed_form_at_160_digits():
         assert v == pytest.approx(_mpmath_closed_form(a, b), rel=1e-12, abs=0.0), (a, b)
 
 
-def test_f_exact_value_is_the_running_sum_it_certifies(monkeypatch):
-    # The value is the forward running sum through l_used, the sum the tail budget is tested
-    # against; the terms are positive, so it is within l_used * 2^-52 relative of the correctly
-    # rounded sum of the same terms.  f_exact_array agrees with it at any slice size.
-    x, y = _array_sweep(17, 300)
-    # the longest tables too, where l_used passes 300
-    x, y = np.append(x, [392.0, 260.0, 330.0]), np.append(y, [300.0, 3.0, 329.5])
-    want = []
-    for a, b in zip(x.tolist(), y.tolist()):
-        got = f_exact(a, b)
-        terms = _terms(a, b)
-        assert got.value == np.cumsum(terms)[got.l_used - 1], (a, b)
-        exact = math.fsum(terms[: got.l_used])
-        assert abs(got.value - exact) <= got.l_used * 2.0**-52 * exact, (a, b)
-        want.append(got.value)
-    assert min(f_exact(a, b).l_used for a, b in ((392.0, 300.0), (260.0, 3.0), (330.0, 329.5))) > 300
-    assert np.any(np.abs(x - y) < 1e-4 * np.minimum(np.minimum(x, y), 1.0))
-    for entries in (1, 2**9, 2**13, 2**16):
-        monkeypatch.setattr(kernel, "_TABLE_ENTRIES", entries)
-        assert np.all(np.abs(f_exact_array(x, y) - want) <= 1e-10 * np.array(want))
-
-
 def test_f_exact_array_values_do_not_depend_on_the_batch(monkeypatch):
     x, y = _array_sweep(12, 200)
     whole = f_exact_array(x, y)
@@ -522,29 +510,33 @@ def _mpmath_overlap_f(x, y, orders=3, rows=3):
 
 
 def test_f_exact_array_matches_f_exact_at_tiny_and_mixed_scale_points():
-    # points log-uniform in [1e-300, 400]^2: f_exact raises its tiny-argument error at most of them, while
-    # f_exact_array returns the value (the power or the overlap series), an honest 0.0 where F underflows
+    # points log-uniform in [1e-300, 400]^2: f_exact_array is f_exact, bit for bit, and where x*y < 1e-40 (most
+    # points) it is the power or the overlap series within 1e-12 of 40-digit arithmetic, an honest 0.0 where F
+    # underflows; elsewhere within 1e-10 of the per-order sum, or of more orders and rows at 40 digits where
+    # both arguments are small and the sum's quotient cancels
     rng = random.Random(71)
     points = [tuple(10.0 ** rng.uniform(-300.0, math.log10(400.0)) for _ in range(2)) for _ in range(400)]
     got = f_exact_array(*np.array(points).T)
-    raised = zeros = 0
+    tiny = zeros = 0
     for (x, y), v in zip(points, got.tolist()):
-        err = _scalar_error(x, y)
-        if err is None:
-            assert v == pytest.approx(f_exact(x, y).value, rel=1e-10, abs=0.0), (x, y)
+        assert v == f_exact(x, y).value, (x, y)
+        if x * y >= 1e-40:
+            big = max(x, y) >= 1.0
+            ref = _per_order_f_exact(x, y) if big else _mpmath_overlap_f(x, y, orders=8, rows=8)
+            assert v == pytest.approx(ref, rel=1e-10 if big else 1e-12, abs=0.0), (x, y)
             continue
-        assert isinstance(err, KernelConvergenceError) and "tiny argument" in str(err)
         ref = _mpmath_overlap_f(x, y)
         assert abs(v - ref) <= 1e-12 * ref + 5e-324, (x, y, v, ref)
-        raised += 1
+        tiny += 1
         zeros += v == 0.0
-    assert raised > 300 and 0 < zeros < raised
+    assert tiny > 300 and 0 < zeros < tiny
 
 
 def test_j_tables_serve_f_exact_the_overlap_oracle_and_the_overlap_branch_only(monkeypatch):
-    # f_exact and the overlap oracle take their J rows from special_functions._half_integer_j_table,
-    # and kernel binds no other J list routine; f_exact_array builds J tables only for points of its
-    # overlap branch (min(x, y) < 1 < 4 < max(x, y), or max(x, y) > 256 min(x, y)), none elsewhere.
+    # The overlap oracle and f_exact_array's overlap branch take their J rows from
+    # special_functions._half_integer_j_table and _half_integer_j_upward, and kernel binds no other J list
+    # routine; f_exact_array, and with it f_exact, builds J tables only for points of its overlap branch
+    # (min(x, y) < 1 < 4 < max(x, y), or max(x, y) > 256 min(x, y)), none elsewhere.
     assert not any(hasattr(kernel, name) for name in ("half_integer_j_array", "_sph_jn_seq"))
 
     class Reached(Exception):
@@ -558,8 +550,8 @@ def test_j_tables_serve_f_exact_the_overlap_oracle_and_the_overlap_branch_only(m
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, table)
     for call in (
-        lambda: f_exact(5.0, 6.0),
-        lambda: f_exact(3.0, 3.0),
+        lambda: f_exact(0.5, 33.0),
+        lambda: f_exact(2.0, 600.0),
         lambda: f_exact_array(np.array([5.0, 0.5, 140.0]), np.array([6.0, 33.0, 154.0])),
         lambda: f_exact_array(2.0, 600.0),
         lambda: hankel_finite_integral(ModeOrder(2), 1.5, 0.5, 2.0),
@@ -569,6 +561,7 @@ def test_j_tables_serve_f_exact_the_overlap_oracle_and_the_overlap_branch_only(m
     # the closed form and the power series, up to their edges
     assert np.all(f_exact_array(np.array([5.0, 1.0, 3.0, 392.0]), np.array([6.0, 256.0, 3.0, 391.0])) > 0.0)
     assert np.all(f_exact_array(np.array([0.5, 1e-3, 0.999]), np.array([4.0, 1e-3, 2.0])) > 0.0)
+    assert min(f_exact(5.0, 6.0).value, f_exact(3.0, 3.0).value, f_exact(0.5, 4.0).value) > 0.0
 
 
 def test_kernel_arguments_above_the_limit_raise_the_domain_error():
@@ -580,14 +573,16 @@ def test_kernel_arguments_above_the_limit_raise_the_domain_error():
         with pytest.raises(BesselDomainError, match="in \\(0, 100000\\]"):
             f_exact_array(np.array([2.0, x]), np.array([3.0, y]))
     # the limit itself is in the domain, batched too (the overlap branch: max(x, y) > 256 min(x, y))
-    assert f_exact_array(_MAX_ARGUMENT, 1.0) == pytest.approx(f_exact(_MAX_ARGUMENT, 1.0).value, rel=1e-10, abs=0.0)
+    want = _per_order_f_exact(_MAX_ARGUMENT, 1.0)
+    got = f_exact_array(np.array([2.0, _MAX_ARGUMENT]), np.array([3.0, 1.0]))[1]
+    assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 def _scalar_error(x, y):
     """The error f_exact raises at (x, y), or None."""
     try:
         f_exact(x, y)
-    except (BesselDomainError, KernelConvergenceError) as exc:
+    except BesselDomainError as exc:
         return exc
     return None
 
@@ -603,14 +598,13 @@ def _scalar_error(x, y):
     ],
 )
 def test_f_exact_array_raises_the_scalar_error_of_the_first_failing_point(points):
-    # the first point outside the domain raises f_exact's BesselDomainError; tiny points before it,
-    # where f_exact's certified sum raises a tiny-argument error, have values in f_exact_array
+    # the first point outside the domain raises f_exact's BesselDomainError; tiny points before it have values
     x, y = np.array(points).T
-    want = next(e for e in (_scalar_error(*p) for p in points) if isinstance(e, BesselDomainError))
+    want = next(e for e in map(_scalar_error, *zip(*points)) if e is not None)
     with pytest.raises(BesselDomainError) as exc:
         f_exact_array(x, y)
     assert str(exc.value) == str(want)
-    first = next(i for i, p in enumerate(points) if isinstance(_scalar_error(*p), BesselDomainError))
+    first = next(i for i, p in enumerate(points) if _scalar_error(*p) is not None)
     assert np.all(f_exact_array(x[:first], y[:first]) >= 0.0)
 
 
@@ -620,10 +614,7 @@ def test_f_exact_array_raises_no_numeric_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for x, y in points:
-            try:
-                f_exact_array(x, y)
-            except KernelConvergenceError:
-                pass
+            assert f_exact(x, y).value == f_exact_array(x, y) >= 0.0
         assert f_exact_array(1e-3, 1e-3) == d_exact(1e-3)
 
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from bubblespec.kernel import _pw_ratios, _tail_bound, f_exact
+from bubblespec.kernel import f_exact
 from bubblespec.oracles import hankel_finite_integral
 from bubblespec.special_functions import (
     _MAX_ARGUMENT,
@@ -91,9 +91,9 @@ def test_domain_errors():
     with pytest.raises(BesselDomainError):
         bessel_jn_half(ModeOrder(2), -1.0)
     with pytest.raises(BesselDomainError):
-        _pw_ratios(-1.0, 2.0, 2)
+        hankel_finite_integral(ModeOrder(2), -1.0, 2.0, 1.0)
     with pytest.raises(BesselDomainError):
-        _pw_ratios(0.0, 0.0, 2)
+        hankel_finite_integral(ModeOrder(2), 0.0, 0.0, 1.0)
 
 
 # 5e-310 is subnormal: 1/z overflows, so the closed forms would be NaN.
@@ -104,7 +104,7 @@ def test_domain_errors():
         lambda z: half_integer_j_array(3, z),
         lambda z: half_integer_n_array(3, z),
         lambda z: bessel_jn_half(ModeOrder(2), z),
-        lambda z: _pw_ratios(z, 1.0, 2),
+        lambda z: hankel_finite_integral(ModeOrder(2), 1.0, z, 1.0),
         lambda z: f_exact(z, 1.0),
         lambda z: f_exact(1.0, z),
         lambda z: hankel_finite_integral(ModeOrder(1), z, 1.0, 1.0),
@@ -124,8 +124,8 @@ def test_non_finite_arguments_raise_the_domain_error(call, z):
         lambda z: half_integer_j_array(3, z),
         lambda z: half_integer_n_array(3, z),
         lambda z: bessel_jn_half(ModeOrder(2), z),
-        lambda z: _pw_ratios(z, 1.0, 2),
-        lambda z: _pw_ratios(z, z, 2),
+        lambda z: hankel_finite_integral(ModeOrder(2), 1.0, z, 1.0),
+        lambda z: hankel_finite_integral(ModeOrder(2), z, z, 1.0),
         lambda z: hankel_finite_integral(ModeOrder(1), z, 1.0, 1.0),
     ],
     ids=["j-table", "n-table", "pair", "ratio", "ratio-diagonal", "overlap-k"],
@@ -339,25 +339,31 @@ def test_tables_end_with_order_minus_half():
         assert (n[l], n[l - 1], j[l - 1]) == pytest.approx((p.n, p.n_prev, p.j_prev), rel=1e-13)
 
 
+def _ratio(order, x, y):
+    """The overlap ratio W~_nu(x, y)/(x^2 - y^2), the exact kernel's r_l: the overlap oracle at R = 1."""
+    return hankel_finite_integral(order, x, y, 1.0)
+
+
 def test_pseudo_wronskian_frozen():
     # the ratio times x^2 - y^2 is the pseudo-Wronskian det[[J(x), J(y)], [x J'(x), y J'(y)]]
-    assert _pw_ratios(3.0, 4.0, 2)[2] * (9.0 - 16.0) == pytest.approx(PW_5_2_3_4, rel=1e-12)
+    assert _ratio(ModeOrder(2), 3.0, 4.0) * (9.0 - 16.0) == pytest.approx(PW_5_2_3_4, rel=1e-12)
 
 
 def test_pseudo_wronskian_exact_antisymmetry():
     # W~ is antisymmetric and so is x^2 - y^2: the ratio must be bit-exactly
     # symmetric, far from the diagonal and within 1e-4 min(x, 1) of it
     rng = random.Random(13)
+    orders = [ModeOrder(l) for l in range(26)]
     for _ in range(100):
         x, y = rng.uniform(0.2, 40.0), rng.uniform(0.2, 40.0)
-        assert _pw_ratios(x, y, 25).tolist() == _pw_ratios(y, x, 25).tolist()
+        assert [_ratio(o, x, y) for o in orders] == [_ratio(o, y, x) for o in orders]
         y = x * (1.0 + rng.uniform(-0.9, 0.9) * 1e-4 * min(x, 1.0) / x)
-        assert _pw_ratios(x, y, 25).tolist() == _pw_ratios(y, x, 25).tolist()
+        assert [_ratio(o, x, y) for o in orders] == [_ratio(o, y, x) for o in orders]
 
 
 def test_diagonal_limit_frozen_and_finite_difference():
     # on the diagonal the ratio is lim W~/(x - y) over 2x
-    assert _pw_ratios(3.0, 3.0, 2)[2] * 6.0 == pytest.approx(DIAG_5_2_3, rel=1e-12)
+    assert _ratio(ModeOrder(2), 3.0, 3.0) * 6.0 == pytest.approx(DIAG_5_2_3, rel=1e-12)
     rng = random.Random(17)
     for _ in range(100):
         l = rng.randint(1, 25)
@@ -365,8 +371,8 @@ def test_diagonal_limit_frozen_and_finite_difference():
         # x +- h are 2e-4 min(x, 1) apart; the O(h^2) gap to the diagonal value
         # stays below 1.2e-7 here (no abs floor: the values reach 1e-44)
         h = 1e-4 * min(x, 1.0)
-        fd = _pw_ratios(x - h, x + h, l)[l]
-        assert fd == pytest.approx(_pw_ratios(x, x, l)[l], rel=1e-6, abs=0.0)
+        fd = _ratio(ModeOrder(l), x - h, x + h)
+        assert fd == pytest.approx(_ratio(ModeOrder(l), x, x), rel=1e-6, abs=0.0)
 
 
 def test_diagonal_limit_closed_form_magnitude():
@@ -376,34 +382,7 @@ def test_diagonal_limit_closed_form_magnitude():
         p = bessel_jn_half(ModeOrder(l), x)
         nu = l + 0.5
         quoted = 2.0 * nu * p.j * p.j_prev - x * (p.j**2 + p.j_prev**2)
-        assert abs(_pw_ratios(x, x, l)[l]) * 2.0 * x == pytest.approx(abs(quoted), rel=1e-13)
-
-
-def test_large_order_bound_dominates():
-    # Over the whole served domain, a quarter of the draws within 1e-3 relative of the
-    # diagonal, from the first order the kernel's certification applies the bound to.
-    rng = random.Random(23)
-    worst = 0.0
-    for i in range(600):
-        x = rng.uniform(0.5, 400.0)
-        y = x * (1.0 + rng.uniform(-1e-3, 1e-3)) if i % 4 == 0 else rng.uniform(0.5, 400.0)
-        l_min = math.floor(math.e * max(x, y) / 2.0 - 0.5) + 1
-        l = rng.randint(l_min, l_min + 20)
-        ratio = abs(_pw_ratios(x, y, l)[l])
-        bound = _tail_bound(np.array([l + 0.5]), x, y)[0, 0]
-        assert ratio <= bound, (x, y, l)
-        if ratio:
-            worst = max(worst, ratio / bound)
-    # measured worst 0.092: the bound keeps more than a factor 5 over every ratio drawn
-    assert 0.0 < worst < 0.2
-
-
-def test_large_order_bound_is_zero_when_the_product_underflows():
-    # x*y underflows to 0: the bound is far below any double, not NaN, next to a point where it is not
-    with np.errstate(divide="ignore"):
-        bound = _tail_bound(np.array([5.5, 6.5]), np.array([1e-200, 2.0]), np.array([1e-200, 3.0]))
-    assert bound[:, 0].tolist() == [0.0, 0.0]
-    assert np.all(bound[:, 1] > 0.0)
+        assert abs(_ratio(ModeOrder(l), x, x)) * 2.0 * x == pytest.approx(abs(quoted), rel=1e-13)
 
 
 def test_saturation_flags():
