@@ -3,13 +3,14 @@
 The four suites of ``bubblespec check``, each an ``IdentityReport``: the Bessel
 cross-product Wronskian 2/pi, the wall matching's |B|^2 + |C|^2 = 1, the
 closed-form finite-range Bessel overlap integral and the smeared spectral delta
-identities.  The Wronskian and matching suites draw all their samples first,
-then run as array passes over one J table and one N table each.  The per-draw
-calls ``bessel_jn_half`` and ``coefficients_bc`` are one-draw passes of the
-same routines, so the matching suite's check of its worst draw against
-``coefficients_bc`` itself shows that a draw's values do not depend on its
-batch.  The overlap is the exact kernel's own ratio W~/(x^2 - y^2), its series
-over the kernel's J rows (``kernel._overlaps``), checked against a
+identities.  The first three draw all their samples first, then run as array
+passes over one J table (and one N table) each.  The per-draw calls
+``bessel_jn_half``, ``coefficients_bc`` and ``hankel_finite_integral`` are
+one-draw passes of the same routines, and each suite takes its worst draw
+again through its per-draw call and fails unless the two agree exactly: a
+draw's values do not depend on its batch.  The overlap is the exact kernel's
+own ratio W~/(x^2 - y^2), its series over the kernel's J rows
+(``kernel._overlaps``), checked against a
 self-verified composite Gauss-Legendre rule, independent of the production
 Gauss-Kronrod pair, over ``_jv``: J_{l+1/2} for l <= 10 and z <= 100 from the
 power series (DLMF 10.2.2) below z = 8 and the finite sin/cos closed form (DLMF
@@ -27,7 +28,9 @@ import numpy as np
 
 from .kernel import _overlaps, _require_domain
 from .matching import _amplitudes_at, coefficients_bc
-from .special_functions import BesselDomainError, ModeOrder, _half_integer_columns, _half_integer_j_table, _reduced_det
+from .special_functions import (
+    BesselDomainError, ModeOrder, _half_integer_columns, _half_integer_j_table, _reduced_det, bessel_jn_half,
+)
 
 __all__ = [
     "IdentityReport", "finite_overlap_checks", "hankel_finite_integral", "matching_checks", "spectral_delta_checks",
@@ -55,15 +58,18 @@ def wronskian_checks(rng: random.Random) -> IdentityReport:
 
     Draws take l in 0..60 and z log-uniform in [0.1, 100], skipping a saturated or overflowed N; passes below 1e-10.
     ``samples`` counts the draws tested, skips excluded.  One array pass reads every draw's J and N pairs from one J
-    table and one N table (``_half_integer_columns``), bit for bit bessel_jn_half's.
+    table and one N table (``_half_integer_columns``), bit for bit bessel_jn_half's; the worst draw is taken again
+    through ``bessel_jn_half`` itself, and the suite fails unless the two agree exactly.
     """
     draws = [(rng.randint(0, 60), 10 ** rng.uniform(-1, 2)) for _ in range(2000)]
     l, z = (np.array(v) for v in zip(*draws))
     j, j_prev, n, n_prev, saturated = _half_integer_columns(l, z)
-    j, j_prev, n, n_prev, z = (v[~saturated] for v in (j, j_prev, n, n_prev, z))
-    worst = float(np.max(np.abs(_reduced_det(j, j_prev, z, n, n_prev, z) - 2 / math.pi), initial=0.0))
-    rel = worst / (2 / math.pi)
-    return IdentityReport("wronskian", rel, z.size, rel < 1e-10)
+    l, j, j_prev, n, n_prev, z = (v[~saturated] for v in (l, j, j_prev, n, n_prev, z))
+    rel = np.abs(_reduced_det(j, j_prev, z, n, n_prev, z) - 2 / math.pi) / (2 / math.pi)
+    a = int(rel.argmax())
+    p = bessel_jn_half(ModeOrder(int(l[a])), float(z[a]))
+    same = (p.j, p.j_prev, p.n, p.n_prev) == tuple(v[a].item() for v in (j, j_prev, n, n_prev))
+    return IdentityReport("wronskian", float(rel[a]), z.size, bool(rel[a] < 1e-10) and same)
 
 
 def matching_checks(rng: random.Random) -> IdentityReport:
@@ -79,26 +85,31 @@ def matching_checks(rng: random.Random) -> IdentityReport:
     err = np.abs(b * b + c * c - 1.0)
     a = int(err.argmax())
     same = coefficients_bc(ModeOrder(int(l[a])), float(y[a]), float(ratio[a])) == (b[a].item(), c[a].item())
-    worst = float(err[a])
-    return IdentityReport("matching-unit-circle", worst, 500, worst < 1e-12 and same)
+    return IdentityReport("matching-unit-circle", float(err[a]), 500, bool(err[a] < 1e-12) and same)
 
 
 def hankel_finite_integral(order: ModeOrder, k1: float, k2: float, R: float) -> float:
     """Closed form of int_0^R r J_nu(k1 r) J_nu(k2 r) dr = R^2 W~_nu(a, b)/(a^2 - b^2), (a, b) = (k1 R, k2 R).
 
-    The ratio is the exact kernel's overlap series (``kernel._overlaps``) over one J table at a and b, equal
-    wavenumbers included.
+    One draw of ``_overlap_ratios``, equal wavenumbers included.
     """
     # A non-positive wavenumber leaves the Bessel domain, but R < 0 would turn two negative ones positive.
     if R <= 0.0:
         raise BesselDomainError(f"radius must be positive, got R={R}")
-    z = np.array([k1 * R, k2 * R])
-    _require_domain(*z.tolist())
-    top = max(order.l, int(math.e * z.max() / 2.0)) + 2 * _SERIES_ROWS
-    # numpy scalars: an a*b that underflows gives inf, not a ZeroDivisionError.
+    _require_domain(k1 * R, k2 * R)
+    return R * R * _overlap_ratios(np.array([order.l]), np.array([k1 * R]), np.array([k2 * R])).item()
+
+
+def _overlap_ratios(l: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """W~_nu(a, b)/(a^2 - b^2), nu = l + 1/2, at draws in the Bessel domain: ``kernel._overlaps`` over one J table.
+
+    Each draw sums its own rows, so its value does not depend on its batch.
+    """
+    top = np.maximum(l, (math.e * np.maximum(a, b) / 2.0).astype(int)) + 2 * _SERIES_ROWS
+    # An a*b that underflows gives inf, not a ZeroDivisionError.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        j = _half_integer_j_table(top, z, np.array([top, top]))
-        return R * R * float(_overlaps(j[:, :1], j[:, 1:], z[0], z[1], top)[order.l, 0])
+        j = _half_integer_j_table(int(top.max()), np.concatenate([a, b]), np.concatenate([top, top]))
+        return _overlaps(j[:, : a.size], j[:, a.size :], a, b, top)[l, np.arange(a.size)]
 
 
 def _jv(l: int, z: np.ndarray) -> np.ndarray:
@@ -149,28 +160,27 @@ def _gauss_legendre_overlap(l: int, k1: float, k2: float, R: float, panels: int,
 
 
 def finite_overlap_checks(rng: random.Random) -> IdentityReport:
-    """``hankel_finite_integral`` at 25 draws from ``rng`` against ``_gauss_legendre_overlap``.
+    """The closed form at 25 draws from ``rng`` against ``_gauss_legendre_overlap``.
 
-    Draws take l in 0..10, k1 and k2 in [0.5, 5] and R in [1, 20].  The
-    24-point rule takes one panel per 12 radians of the fastest phase
-    (k1 + k2) r, where its error is far below rounding, and again twice
-    as many: the suite passes if the two agree to 1e-11 and the closed
-    form matches the finer one to 1e-8, both relative.
+    Draws take l in 0..10, k1 and k2 in [0.5, 5] and R in [1, 20].  The 24-point rule takes one panel per 12 radians
+    of the fastest phase (k1 + k2) r, where its error is far below rounding, and again twice as many: the suite passes
+    if the two agree to 1e-11 and the closed form matches the finer one to 1e-8, both relative.  One array pass
+    (``_overlap_ratios``) gives every draw's hankel_finite_integral value, bit for bit; the worst draw is taken again
+    through ``hankel_finite_integral`` itself, and the suite fails unless the two agree exactly.
     """
-    from numpy.polynomial.legendre import leggauss
-
-    rule = leggauss(24)
-    errors = []
-    for _ in range(25):
-        l = rng.randint(0, 10)
-        k1, k2 = rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0)
-        radius = rng.uniform(1.0, 20.0)
-        panels = math.ceil((k1 + k2) * radius / 12.0)
-        coarse, ref = (_gauss_legendre_overlap(l, k1, k2, radius, n, rule) for n in (panels, 2 * panels))
-        err = abs(float(hankel_finite_integral(ModeOrder(l), k1, k2, radius)) - ref)
-        errors.append((err / max(abs(ref), 1e-12), abs(coarse - ref) / max(abs(ref), 1e-12)))
-    worst, worst_self = map(max, zip(*errors))
-    return IdentityReport("finite-overlap-closed-form", worst, 25, worst < 1e-8 and worst_self <= 1e-11)
+    rule = np.polynomial.legendre.leggauss(24)
+    draws = [
+        (rng.randint(0, 10), rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0), rng.uniform(1.0, 20.0)) for _ in range(25)
+    ]
+    l, k1, k2, radius = (np.array(v) for v in zip(*draws))
+    closed = radius * radius * _overlap_ratios(l, k1 * radius, k2 * radius)
+    panels = np.ceil((k1 + k2) * radius / 12.0).astype(int).tolist()
+    coarse, ref = (np.array([_gauss_legendre_overlap(*d, m * n, rule) for d, n in zip(draws, panels)]) for m in (1, 2))
+    err, err_self = (np.abs(v - ref) / np.maximum(np.abs(ref), 1e-12) for v in (closed, coarse))
+    a = int(err.argmax())
+    same = hankel_finite_integral(ModeOrder(draws[a][0]), *draws[a][1:]) == closed[a].item()
+    passed = bool(err[a] < 1e-8 and err_self.max() <= 1e-11) and same
+    return IdentityReport("finite-overlap-closed-form", float(err[a]), 25, passed)
 
 
 def _fejer_deviation(s: float) -> float:

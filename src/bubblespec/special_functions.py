@@ -9,10 +9,10 @@ form j_0 or j_1, whichever is farther from its zero; the irregular
 solution y comes from upward recurrence from its closed forms.  Each
 direction is the numerically stable one for its solution.  Each list
 table ends with order -1/2, so index l - 1 reads the order below l for l = 0
-too.  ``_half_integer_j_table`` runs that recurrence over many arguments at
-once, in any column order (lists for up to two columns), and
-``_half_integer_n_table`` is the one routine for y's upward recurrence:
-``half_integer_n_array`` is one column of it.  ``_half_integer_columns`` reads
+too.  ``_half_integer_j_table`` is the one routine for j's ratio recurrence,
+over many arguments at once, in any column order, and
+``_half_integer_n_table`` the one for y's upward recurrence:
+``half_integer_j_array`` and ``half_integer_n_array`` are one column of each.  ``_half_integer_columns`` reads
 one order's J and N pairs from one table of each, for many draws (``check``)
 or for one (``bessel_jn_half``).  ``_half_integer_j_upward`` runs j's upward
 recurrence over many arguments, for orders below them, where it is stable.
@@ -46,7 +46,7 @@ __all__ = [
 _RATIO_MARGIN = 40
 _UNDERFLOW_FLOOR = 1e-300
 # Largest Bessel and kernel argument, 255 times x* = 392: J tables run to e*z/2 orders, so half_integer_j_array(1, 1e5)
-# takes about 30 ms and the overlap oracle at k R = 1e5 about 0.1 s.
+# takes about 0.3 s and the overlap oracle at k R = 1e5 about 0.4 s.
 _MAX_ARGUMENT = 1e5
 
 
@@ -96,29 +96,6 @@ class BesselPair:
     saturated: bool = False
 
 
-def _sph_jn_seq(l_max: int, z: float) -> list[float]:
-    """Spherical j_0..j_{l_max} at z > 0, then j_{-1}(z) = cos(z)/z as the last entry."""
-    j0 = math.sin(z) / z
-    jm1 = math.cos(z) / z
-    j1 = j0 / z - jm1
-    # Ratios r_l = j_l/j_{l-1} = z/(2l+1 - z r_{l+1}) from r = 0 far above
-    # l_max, stored for l = l_max..1; a denominator that rounds to zero
-    # (j_{l-1} at a zero) is replaced by its rounding scale.
-    ratios = []
-    r = 0.0
-    for l in range(max(l_max, int(math.e * z / 2.0)) + _RATIO_MARGIN, 0, -1):
-        d = 2 * l + 1 - z * r
-        r = z / (d or sys.float_info.epsilon * (2 * l + 1))
-        if l <= l_max:
-            ratios.append(r)
-    # Multiply up from whichever closed form is farther from its zero.
-    k = 1 if l_max and abs(j1) > abs(j0) else 0
-    out = [j0, j1][: k + 1]
-    for r in reversed(ratios[: l_max - k]):
-        out.append(out[-1] * r)
-    return out + [jm1]
-
-
 def _half_order_scale(z: float) -> float:
     """sqrt(2z/pi), taking spherical to half-integer-order Bessel functions at normal 0 < z <= _MAX_ARGUMENT."""
     # Subnormal z is rejected: below about 5.6e-309 1/z overflows and the closed forms turn NaN.
@@ -129,23 +106,21 @@ def _half_order_scale(z: float) -> float:
 
 def half_integer_j_array(l_max: int, z: float) -> list[float]:
     """J_{l+1/2}(z) for integer l = 0..l_max, then J_{-1/2}(z) last; unclamped, unlike bessel_jn_half's J_nu."""
-    l_max = ModeOrder(l_max).l
-    s = _half_order_scale(z)
-    return [s * v for v in _sph_jn_seq(l_max, z)]
+    l_max, s = ModeOrder(l_max).l, _half_order_scale(z)
+    column = _half_integer_j_table(max(l_max, 1), np.array([z], dtype=float), np.array([l_max]))[: l_max + 1, 0]
+    return column.tolist() + [s * (math.cos(z) / z)]
 
 
 def _half_integer_j_table(l_max: int, z: np.ndarray, l_each: np.ndarray) -> np.ndarray:
     """J_{l+1/2}(z[a]) for l = 0..l_max >= 1 in column a; rows 0..l_each[a] are half_integer_j_array(l_each[a], z[a]).
 
-    Bit for bit: up to two columns (one draw or one point), where numpy's per-call overhead outweighs the loop, take the
-    lists themselves, zero past l_each[a]; more run the same start, operations and rounding in one numpy pass.  The
-    rows past l_each[a] are of no use.  Every z must be in the Bessel domain; the columns may come in any order.
+    The package's one J recurrence.  A column's start, operations and rounding are its own, so its rows 0..l_each[a]
+    do not depend on its batch; the rows past l_each[a] are of no use.  Every z must be in the Bessel domain; the
+    columns may come in any order.
     """
-    if z.size <= 2:
-        cols = [half_integer_j_array(l, v)[:-1] for l, v in zip(l_each.tolist(), z.tolist())]
-        return np.array([c + [0.0] * (l_max + 1 - len(c)) for c in cols]).T
-    # The ratios run over the columns in descending order of their start, so that the first k are the ones still
-    # running, and are stored back in input order.
+    # Ratios r_l = j_l/j_{l-1} = z/(2l+1 - z r_{l+1}) from r = 0 far above l_each[a]; a denominator that rounds to
+    # zero (j_{l-1} at a zero) is replaced by its rounding scale.  They run over the columns in descending order of
+    # their start, so that the first k are the ones still running, and are stored back in input order.
     start = np.maximum(l_each, (math.e * z / 2.0).astype(int)) + _RATIO_MARGIN
     order = np.argsort(-start)
     zs, back = z[order], np.argsort(order)
@@ -160,7 +135,7 @@ def _half_integer_j_table(l_max: int, z: np.ndarray, l_each: np.ndarray) -> np.n
         np.divide(zs[:k], d, out=r[:k])
         if l <= l_max:
             rows[l] = r[back]
-    # The closed forms through libm, as in _sph_jn_seq; numpy's may differ in the last bit.
+    # The closed forms through libm; numpy's may differ in the last bit.
     listed = z.tolist()
     j0 = np.array(list(map(math.sin, listed))) / z
     j1 = j0 / z - np.array(list(map(math.cos, listed))) / z
@@ -196,8 +171,8 @@ def half_integer_n_array(l_max: int, z: float) -> list[float]:
 def _half_integer_n_table(l_max: int, z: np.ndarray) -> np.ndarray:
     """N_{l+1/2}(z[a]) for l = 0..l_max, then N_{-1/2}(z[a]) last, in column a, by upward recurrence.
 
-    The closed forms through libm, as in _sph_jn_seq.  Once |N| passes 1e307 a column saturates to +-inf with the
-    sign of its last finite order, rather than propagate inf - inf.  Every z must be in the Bessel domain.
+    The closed forms through libm, as in _half_integer_j_table.  Once |N| passes 1e307 a column saturates to +-inf
+    with the sign of its last finite order, rather than propagate inf - inf.  Every z must be in the Bessel domain.
     """
     listed = z.tolist()
     rows = np.empty((l_max + 2, z.size))

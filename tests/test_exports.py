@@ -1,7 +1,9 @@
 import ast
 import importlib
+import io
 import pkgutil
 import re
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -80,3 +82,26 @@ def test_every_module_qualified_name_in_the_readme_resolves():
         if obj is dangling:
             dangling.append(".".join([module, *attrs]))
     assert dangling == []
+
+
+def test_every_private_name_in_a_comment_or_docstring_is_defined():
+    # A comment or docstring that names a deleted or renamed helper points its readers at nothing.  A private name
+    # is `_word` not preceded by a word character, '.', a prime or a tilde, which leaves out subscripts such as
+    # r_l, J'_nu and W~_nu.
+    texts, defined = [], set()
+    for path in sorted(Path(bubblespec.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.arg):
+                defined.add(node.arg)
+            if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                texts.append(ast.get_docstring(node, clean=False) or "")
+        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+        texts += [t.string for t in tokens if t.type == tokenize.COMMENT]
+    named = {n for text in texts for n in re.findall(r"(?<![\w.'~])_[A-Za-z]\w*", text)}
+    assert len(named) >= 10
+    assert sorted(named - defined) == []

@@ -537,7 +537,7 @@ def test_j_tables_serve_f_exact_the_overlap_oracle_and_the_overlap_branch_only(m
     # special_functions._half_integer_j_table and _half_integer_j_upward, and kernel binds no other J list
     # routine; f_exact_array, and with it f_exact, builds J tables only for points of its overlap branch
     # (min(x, y) < 1 < 4 < max(x, y), or max(x, y) > 256 min(x, y)), none elsewhere.
-    assert not any(hasattr(kernel, name) for name in ("half_integer_j_array", "_sph_jn_seq"))
+    assert not hasattr(kernel, "half_integer_j_array")
 
     class Reached(Exception):
         pass

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -185,7 +186,7 @@ def test_overlap_reference_is_independent_of_the_package_bessel_routines(monkeyp
         raise AssertionError("the overlap reference called the package's J recurrence")
 
     for module in (bubblespec, special_functions, kernel, matching, oracles):
-        for name in ("_sph_jn_seq", "half_integer_j_array", "_half_integer_j_table"):
+        for name in ("half_integer_j_array", "_half_integer_j_table"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, broken)
     with pytest.raises(AssertionError):
@@ -213,25 +214,6 @@ def test_wronskian_suite_counts_only_the_draws_it_tests(monkeypatch):
     assert rep.passed
 
 
-def test_matching_suite_fails_when_its_worst_draw_disagrees_with_coefficients_bc(monkeypatch):
-    # One ulp off in B at the worst draw: the unit-circle error is unchanged, but the array pass no longer
-    # reproduces the scalar coefficients_bc it stands for.
-    real = oracles.coefficients_bc
-    seen = []
-
-    def one_ulp_off(order, y, ratio):
-        b, c = real(order, y, ratio)
-        seen.append(order.l)
-        return math.nextafter(b, math.inf), c
-
-    expected = oracles.matching_checks(random.Random(20260823))
-    assert expected.passed
-    monkeypatch.setattr(oracles, "coefficients_bc", one_ulp_off)
-    rep = oracles.matching_checks(random.Random(20260823))
-    assert len(seen) == 1
-    assert (rep.max_rel_error, rep.samples, rep.passed) == (expected.max_rel_error, 500, False)
-
-
 def _counting(monkeypatch, names):
     """Count the calls of each named function through every bubblespec module that binds it."""
     counts = dict.fromkeys(names, 0)
@@ -251,28 +233,29 @@ def _counting(monkeypatch, names):
 
 def test_check_reads_its_bessel_values_from_a_fixed_number_of_tables(monkeypatch):
     # A work count, not a timing: the Wronskian suite's 2000 columns make one J-table and one N-table call, the
-    # matching suite's 1000 one each, the overlap suite one J table a draw.  Of the per-draw routines only the
-    # matching suite's check of its worst draw runs, once: one coefficients_bc call, a one-draw pass with one table
-    # of each.
+    # matching suite's 1000 one each, the overlap suite's 50 one J table.  Each suite takes its worst draw again
+    # through its per-draw routine, a one-draw pass: one bessel_jn_half call (a J and an N table), one
+    # coefficients_bc call (one of each) and one hankel_finite_integral call (a J table).
     names = ("_half_integer_j_table", "_half_integer_n_table", "bessel_jn_half", "coefficients_bc")
     expected = _run_checks()
     counts = _counting(monkeypatch, names)
     for _ in range(2):
         assert _run_checks() == expected
         assert counts == {
-            "_half_integer_j_table": 1 + 1 + 25 + 1, "_half_integer_n_table": 1 + 1 + 1, "bessel_jn_half": 0,
+            "_half_integer_j_table": 2 + 2 + 2, "_half_integer_n_table": 2 + 2, "bessel_jn_half": 1,
             "coefficients_bc": 1,
         }
         counts.update(dict.fromkeys(names, 0))
 
 
 def test_suite_array_passes_equal_the_scalar_calls_bit_for_bit(monkeypatch):
-    # The suites' own seeded draws, recorded as they are passed on, plus an order-0 draw and two saturating ones.
+    # The suites' own seeded draws, recorded as they are first passed on (the overlap suite's re-check of its worst
+    # draw passes one more), plus an order-0 draw and two saturating ones.
     seen = {}
-    for name in ("_half_integer_columns", "_amplitudes_at"):
+    for name in ("_half_integer_columns", "_amplitudes_at", "_overlap_ratios"):
 
         def recorded(*args, _name=name, _real=getattr(oracles, name)):
-            seen[_name] = args
+            seen.setdefault(_name, args)
             return _real(*args)
 
         monkeypatch.setattr(oracles, name, recorded)
@@ -292,6 +275,40 @@ def test_suite_array_passes_equal_the_scalar_calls_bit_for_bit(monkeypatch):
     for a, (l_a, y, ratio) in enumerate(zip(*(d.tolist() for d in draws))):
         assert (b[a], c[a]) == matching.coefficients_bc(ModeOrder(l_a), y, ratio), a
         assert a_sq[a] == matching.coefficient_a_sq(ModeOrder(l_a), y, ratio), a
+    draws = seen["_overlap_ratios"]
+    assert draws[0].size == 25
+    ratios = oracles._overlap_ratios(*draws)
+    for d, (l_d, a, b) in enumerate(zip(*(v.tolist() for v in draws))):
+        # At R = 1 the wavenumbers are the arguments and R^2 = 1: hankel_finite_integral is the ratio itself.
+        assert ratios[d] == hankel_finite_integral(ModeOrder(l_d), a, b, 1.0), d
+
+
+@pytest.mark.parametrize(
+    "suite, routine, one_ulp_up",
+    [
+        (oracles.wronskian_checks, "bessel_jn_half", lambda p: dataclasses.replace(p, j=math.nextafter(p.j, math.inf))),
+        (oracles.matching_checks, "coefficients_bc", lambda bc: (math.nextafter(bc[0], math.inf), bc[1])),
+        (finite_overlap_checks, "hankel_finite_integral", lambda v: math.nextafter(v, math.inf)),
+    ],
+    ids=["wronskian", "matching", "overlap"],
+)
+def test_each_suite_fails_when_its_worst_draw_disagrees_with_its_one_draw_routine(
+    monkeypatch, suite, routine, one_ulp_up
+):
+    # One ulp off in the one-draw routine's first value, at the suite's one call of it for its worst draw: the
+    # suite's error is unchanged, but its array pass no longer reproduces the public routine it stands for.
+    real, calls = getattr(oracles, routine), []
+
+    def one_ulp_off(*args):
+        calls.append(args)
+        return one_ulp_up(real(*args))
+
+    expected = suite(random.Random(20260823))
+    assert expected.passed
+    monkeypatch.setattr(oracles, routine, one_ulp_off)
+    rep = suite(random.Random(20260823))
+    assert len(calls) == 1
+    assert (rep.max_rel_error, rep.samples, rep.passed) == (expected.max_rel_error, expected.samples, False)
 
 
 def test_kernel_concentrates_on_diagonal_with_scale():

@@ -157,9 +157,9 @@ def test_j_table_takes_its_columns_in_any_order():
             assert table[: l + 1, a].tolist() == half_integer_j_array(l, v)[:-1], (z, a)
 
 
-def test_one_point_j_tables_equal_the_numpy_recurrence_bit_for_bit():
-    # One kernel point's one or two columns take the list recurrence; three or more the numpy pass.
-    # Rows 0..l_each[a] of a column are the same in both, whatever l_each its neighbour has.
+def test_one_and_two_column_j_tables_equal_the_wide_table_bit_for_bit():
+    # A draw's or a point's one or two columns: rows 0..l_each[a] of a column are those of any wider batch,
+    # whatever l_each its neighbours have.
     z = np.array([1e4, 5.0, 2500.0, 300.0, 40.0, 0.7])
     l_each = np.array([13600, 5000, 3, 407, 100, 2])
     wide = _half_integer_j_table(13600, z, l_each)
@@ -171,7 +171,6 @@ def test_one_point_j_tables_equal_the_numpy_recurrence_bit_for_bit():
             for c in range(width):
                 rows = int(l_each[a + c]) + 1
                 assert narrow[:rows, c].tolist() == wide[:rows, a + c].tolist(), (a, c)
-                assert narrow[:rows, c].tolist() == half_integer_j_array(rows - 1, float(z[a + c]))[:-1]
 
 
 @pytest.mark.parametrize("l_max", [0, 1, 2, 60, 300])
