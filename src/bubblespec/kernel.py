@@ -51,10 +51,10 @@ __all__ = [
     "f_factorized",
 ]
 
-# f_exact_array works through its points in slices of _TABLE_ENTRIES // 256 (about 256 table entries a
-# point: the power series' 14 x 14 products, the overlap series' J rows), so its temporaries stay near
+# f_exact_array works through its points in slices of this many: at about 256 table entries a point (the power
+# series' 14 x 14 products, the overlap series' J rows), 2**20 entries a slice, so its temporaries stay near
 # a few MB however many points a call has.
-_TABLE_ENTRIES = 2**20
+_POINTS_PER_SLICE = 2**12
 
 # f_exact_array's closed form serves min(x, y) >= 1 up to this max/min: past it G(x - y) - G(x + y)
 # cancels (3.4e-12 off at max/min in [256, 1e4], 2.3e-10 at min in [1, 2] and max in [1e3, 1e5]).
@@ -132,15 +132,15 @@ def _require_domain(x: float, y: float) -> None:
 
 
 def _overlaps(jx: np.ndarray, jy: np.ndarray, x, y, top) -> np.ndarray:
-    """W~_{l+1/2}(x, y)/(x^2 - y^2) for l = 0..rows-2 from rows k = 0..rows-1 of J_{k+1/2} at x and y (rows by points).
+    """W~_{l+1/2}(x, y)/(x^2 - y^2) for l = 0..L-1 from J tables at x and y: J_{k+1/2} for k = 0..L, then J_{-1/2}.
 
     The ratio is the overlap int_0^1 r J_nu(xr) J_nu(yr) dr (DLMF 10.22.5), which J_nu + J_{nu+2} = (2(nu+1)/z) J_{nu+1}
     (DLMF 10.6.1) telescopes into (2/(xy)) sum_{n>=0} (nu+2n+1) J_{nu+2n+1}(x) J_{nu+2n+1}(y): no x^2 - y^2 to cancel.
     Order l sums every other row from l + 1 up, from the top down, leaving out the rows past each point's own ``top``,
     so a point sums its own table in any batch.  Exactly symmetric in x and y.
     """
-    k = np.arange(jx.shape[0])[:, None]
-    terms = np.where(k <= top, (k + 0.5) * (jx * jy), 0.0)
+    k = np.arange(jx.shape[0] - 1)[:, None]
+    terms = np.where(k <= top, (k + 0.5) * (jx * jy)[:-1], 0.0)
     sums = np.empty_like(terms)
     for parity in (0, 1):
         np.cumsum(terms[::-1][parity::2], axis=0, out=sums[::-1][parity::2])
@@ -195,7 +195,7 @@ def _power_series(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _overlap_sum(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """F from the overlap series (``_overlaps``) at orders and J rows up to top = int(e*lo/2) + _OVERLAP_ROWS.
 
-    J at lo comes from the backward ratio recurrence (``_half_integer_j_table``), J at hi upward from j_0 and j_1:
+    J at lo comes from the backward ratio recurrence (``_half_integer_j_table``), J at hi from the upward one N shares:
     hi > 4 and lo < 1, or hi > 256 lo >= 256, so the rows past hi are weighted by J at lo, smaller by (lo/hi)^k.
     """
     top = (math.e * lo / 2.0).astype(int) + _OVERLAP_ROWS
@@ -203,8 +203,7 @@ def _overlap_sum(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     # Rows past a point's own top (the table's unused rows, an upward recurrence past its turning point) may
     # overflow; _overlaps leaves them out.
     with np.errstate(over="ignore", invalid="ignore"):
-        jx = _half_integer_j_table(rows, lo, top)
-        r = _overlaps(jx, _half_integer_j_upward(rows, hi), lo, hi, top)[1:]
+        r = _overlaps(_half_integer_j_table(lo, top), _half_integer_j_upward(rows, hi), lo, hi, top)[1:]
     terms = ((2 * np.arange(1, rows)[:, None] + 1) * r) * r
     # A running sum is sequential in l at any batch size.
     return np.cumsum(terms, axis=0)[-1]
@@ -221,7 +220,7 @@ def f_exact_array(x, y) -> np.ndarray:
     * else: the overlap series to a fixed order set by lo (``_overlap_sum``), within 8.6e-15.
 
     F is symmetric bit for bit, and a point's value does not depend on the batch: points run in input order, in
-    slices of _TABLE_ENTRIES // 256.  Tiny arguments give values, down to an honest 0.0 where F underflows; a point
+    slices of _POINTS_PER_SLICE.  Tiny arguments give values, down to an honest 0.0 where F underflows; a point
     outside the domain (subnormal, NaN, inf, above 1e5) raises BesselDomainError, for the first such point in input
     order.
     """
@@ -232,12 +231,11 @@ def f_exact_array(x, y) -> np.ndarray:
         i = int(outside.argmax())
         _require_domain(float(x.flat[i]), float(y.flat[i]))
     values = np.empty(lo.size)
-    step = max(1, _TABLE_ENTRIES // 256)
-    for at in range(0, lo.size, step):
-        a, b = lo[at : at + step], hi[at : at + step]
+    for at in range(0, lo.size, _POINTS_PER_SLICE):
+        part = slice(at, at + _POINTS_PER_SLICE)
+        a, b, out = lo[part], hi[part], values[part]
         closed = (a >= 1.0) & (b <= _CLOSED_FORM_RATIO * a)
         series = ~closed & (b <= _POWER_SERIES_MAX)
-        out = values[at : at + step]
         for mask, branch in ((closed, _closed_form), (series, _power_series), (~closed & ~series, _overlap_sum)):
             if mask.any():
                 out[mask] = branch(a[mask], b[mask])

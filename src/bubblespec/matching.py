@@ -87,7 +87,8 @@ def _wall_rows(j_in, j_in_prev, y, j_out, j_out_prev, n_out, n_out_prev, ny) -> 
         d1 = _reduced_det(j_in, j_in_prev, y, n_out, n_out_prev, ny)
         d2 = _reduced_det(j_in, j_in_prev, y, j_out, j_out_prev, ny)
         q = d1 * d1 + d2 * d2
-        # libm's hypot, which fixes the amplitudes' last bits; numpy's may differ there.
+        # CPython's own hypot (not libm's since Python 3.10): the amplitudes' last bits, frozen in `check --json`,
+        # are its; np.hypot (libm) differs from it in the last bit on a few pairs in 1000.
         h = np.array(list(map(math.hypot, d1.tolist(), d2.tolist())))
         return _TWO_OVER_PI * _TWO_OVER_PI / q, np.where(q != 0, d1 / h, np.nan), np.where(q != 0, -d2 / h, np.nan)
 

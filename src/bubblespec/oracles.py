@@ -108,7 +108,7 @@ def _overlap_ratios(l: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     top = np.maximum(l, (math.e * np.maximum(a, b) / 2.0).astype(int)) + 2 * _SERIES_ROWS
     # An a*b that underflows gives inf, not a ZeroDivisionError.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        j = _half_integer_j_table(int(top.max()), np.concatenate([a, b]), np.concatenate([top, top]))
+        j = _half_integer_j_table(np.concatenate([a, b]), np.concatenate([top, top]))
         return _overlaps(j[:, : a.size], j[:, a.size :], a, b, top)[l, np.arange(a.size)]
 
 

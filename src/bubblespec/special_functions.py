@@ -2,20 +2,19 @@
 
 Everything here reduces to spherical Bessel functions through
 J_{l+1/2}(z) = sqrt(2z/pi) * j_l(z) (and likewise for the Neumann
-functions).  The regular solution j is built from its ratios
+functions), from one seed pair, sin z/z and cos z/z (DLMF 10.49), and two
+recurrences (DLMF 10.51.1).  The regular solution j is built from its ratios
 r_l = j_l/j_{l-1}, which a backward recurrence started at r = 0 past
-max(l_max, e*z/2) yields without overflow, multiplied up from the closed
-form j_0 or j_1, whichever is farther from its zero; the irregular
-solution y comes from upward recurrence from its closed forms.  Each
-direction is the numerically stable one for its solution.  Each list
-table ends with order -1/2, so index l - 1 reads the order below l for l = 0
-too.  ``_half_integer_j_table`` is the one routine for j's ratio recurrence,
-over many arguments at once, in any column order, and
-``_half_integer_n_table`` the one for y's upward recurrence:
-``half_integer_j_array`` and ``half_integer_n_array`` are one column of each.  ``_half_integer_columns`` reads
-one order's J and N pairs from one table of each, for many draws (``check``)
-or for one (``bessel_jn_half``).  ``_half_integer_j_upward`` runs j's upward
-recurrence over many arguments, for orders below them, where it is stable.
+max(l, e*z/2) yields without overflow, multiplied up from j_0 or j_1,
+whichever is farther from its zero (``_half_integer_j_table``).  One upward
+recurrence f_{l+1} = (2l+1)/z f_l - f_{l-1} from (f_{-1}, f_0) serves the
+irregular solution y, where it is the stable direction, and j at arguments
+above its orders, where it is stable too (``_half_integer_j_upward``).  Every
+table, many arguments by orders l = 0.., ends with order -1/2, so index l - 1
+reads the order below l for l = 0 too.  ``half_integer_j_array`` and
+``half_integer_n_array`` are one column of the J and N tables, and
+``_half_integer_columns`` reads one order's J and N pairs from one table of
+each, for many draws (``check``) or for one (``bessel_jn_half``).
 Derivatives are never finite-differenced: z J'_nu(z) = z J_{nu-1}(z) - nu J_nu(z).
 
 All functions are pure; values are freely shareable across threads.
@@ -96,36 +95,37 @@ class BesselPair:
     saturated: bool = False
 
 
-def _half_order_scale(z: float) -> float:
-    """sqrt(2z/pi), taking spherical to half-integer-order Bessel functions at normal 0 < z <= _MAX_ARGUMENT."""
+def _require_argument(z: float) -> None:
+    """BesselDomainError unless z is a normal double in (0, _MAX_ARGUMENT]."""
     # Subnormal z is rejected: below about 5.6e-309 1/z overflows and the closed forms turn NaN.
     if not sys.float_info.min <= z <= _MAX_ARGUMENT:
         raise BesselDomainError(f"argument must be a normal double in (0, {_MAX_ARGUMENT:g}], got {z}")
-    return math.sqrt(2.0 * z / math.pi)
 
 
 def half_integer_j_array(l_max: int, z: float) -> list[float]:
     """J_{l+1/2}(z) for integer l = 0..l_max, then J_{-1/2}(z) last; unclamped, unlike bessel_jn_half's J_nu."""
-    l_max, s = ModeOrder(l_max).l, _half_order_scale(z)
-    column = _half_integer_j_table(max(l_max, 1), np.array([z], dtype=float), np.array([l_max]))[: l_max + 1, 0]
-    return column.tolist() + [s * (math.cos(z) / z)]
+    l_max = ModeOrder(l_max).l
+    _require_argument(z)
+    column = _half_integer_j_table(np.array([z], dtype=float), np.array([l_max]))[:, 0].tolist()
+    return column[: l_max + 1] + column[-1:]
 
 
-def _half_integer_j_table(l_max: int, z: np.ndarray, l_each: np.ndarray) -> np.ndarray:
-    """J_{l+1/2}(z[a]) for l = 0..l_max >= 1 in column a; rows 0..l_each[a] are half_integer_j_array(l_each[a], z[a]).
+def _half_integer_j_table(z: np.ndarray, l_each: np.ndarray) -> np.ndarray:
+    """J_{l+1/2}(z[a]) for l = 0..max(l_each.max(), 1), then J_{-1/2}(z[a]) last, in column a.
 
-    The package's one J recurrence.  A column's start, operations and rounding are its own, so its rows 0..l_each[a]
-    do not depend on its batch; the rows past l_each[a] are of no use.  Every z must be in the Bessel domain; the
-    columns may come in any order.
+    The package's one J ratio recurrence.  A column's start, operations and rounding are its own, so its rows
+    0..l_each[a] and its last row do not depend on its batch; the rows past l_each[a] are of no use.  Every z must
+    be in the Bessel domain; the columns may come in any order.
     """
     # Ratios r_l = j_l/j_{l-1} = z/(2l+1 - z r_{l+1}) from r = 0 far above l_each[a]; a denominator that rounds to
     # zero (j_{l-1} at a zero) is replaced by its rounding scale.  They run over the columns in descending order of
     # their start, so that the first k are the ones still running, and are stored back in input order.
+    l_max = max(int(l_each.max()), 1)
     start = np.maximum(l_each, (math.e * z / 2.0).astype(int)) + _RATIO_MARGIN
     order = np.argsort(-start)
     zs, back = z[order], np.argsort(order)
     running = (z.size - np.searchsorted(start[order][::-1], np.arange(start.max() + 1))).tolist()
-    rows = np.zeros((l_max + 1, z.size))
+    rows = np.zeros((l_max + 2, z.size))
     r = np.zeros(z.size)
     for l in range(len(running) - 1, 0, -1):
         k = running[l]
@@ -135,54 +135,54 @@ def _half_integer_j_table(l_max: int, z: np.ndarray, l_each: np.ndarray) -> np.n
         np.divide(zs[:k], d, out=r[:k])
         if l <= l_max:
             rows[l] = r[back]
-    # The closed forms through libm; numpy's may differ in the last bit.
-    listed = z.tolist()
-    j0 = np.array(list(map(math.sin, listed))) / z
-    j1 = j0 / z - np.array(list(map(math.cos, listed))) / z
-    # Multiply up from whichever closed form is farther from its zero.
-    rows[1] = np.where(np.abs(j1) > np.abs(j0), j1, j0 * rows[1])
-    np.cumprod(rows[1:], axis=0, out=rows[1:])
-    rows[0] = j0
+    rows[0], rows[-1] = np.sin(z) / z, np.cos(z) / z
+    # Multiply up from whichever of j_0 and j_1 = j_0/z - j_{-1} is farther from its zero.
+    j1 = rows[0] / z - rows[-1]
+    rows[1] = np.where(np.abs(j1) > np.abs(rows[0]), j1, rows[0] * rows[1])
+    np.cumprod(rows[1:-1], axis=0, out=rows[1:-1])
     rows *= np.sqrt(2.0 * z / math.pi)
     return rows
 
 
+def _upward(l_max: int, z: np.ndarray, f_prev: np.ndarray, f0: np.ndarray) -> np.ndarray:
+    """f_l(z[a]) for l = 0..l_max, then f_{-1}(z[a]) last, in column a, from f_{l+1} = (2l+1)/z f_l - f_{l-1}.
+
+    The package's one upward recurrence, for spherical j and y alike, from the seeds f_{-1} and f_0; unscaled.
+    """
+    rows = np.empty((l_max + 2, z.size))
+    rows[-1], rows[0] = f_prev, f0
+    # With one order, row 1 is the -1/2 row.
+    if l_max:
+        rows[1] = rows[0] / z - rows[-1]
+    for l in range(1, l_max):
+        np.subtract((2 * l + 1) / z * rows[l], rows[l - 1], out=rows[l + 1])
+    return rows
+
+
 def _half_integer_j_upward(l_max: int, z: np.ndarray) -> np.ndarray:
-    """J_{l+1/2}(z[a]) for l = 0..l_max >= 1 in column a by upward recurrence from the closed forms j_0 and j_1.
+    """J_{l+1/2}(z[a]) for l = 0..l_max, then J_{-1/2}(z[a]) last, in column a, by upward recurrence.
 
     Below the turning point l ~ z the recurrence is stable and the rows keep a few ulps of J's envelope; past it
     the error grows like N_{l+1/2}(z), which only a caller weighting those rows by J at a smaller argument may take.
     """
-    rows = np.empty((l_max + 1, z.size))
-    rows[0] = np.sin(z) / z
-    rows[1] = rows[0] / z - np.cos(z) / z
-    for l in range(1, l_max):
-        rows[l + 1] = (2 * l + 1) / z * rows[l] - rows[l - 1]
-    return rows * np.sqrt(2.0 * z / math.pi)
+    return _upward(l_max, z, np.cos(z) / z, np.sin(z) / z) * np.sqrt(2.0 * z / math.pi)
 
 
 def half_integer_n_array(l_max: int, z: float) -> list[float]:
     """N_{l+1/2}(z) for integer l = 0..l_max, then N_{-1/2}(z) last; overflow saturates to +-inf."""
     l_max = ModeOrder(l_max).l
-    _half_order_scale(z)
+    _require_argument(z)
     return _half_integer_n_table(l_max, np.array([z], dtype=float))[:, 0].tolist()
 
 
 def _half_integer_n_table(l_max: int, z: np.ndarray) -> np.ndarray:
     """N_{l+1/2}(z[a]) for l = 0..l_max, then N_{-1/2}(z[a]) last, in column a, by upward recurrence.
 
-    The closed forms through libm, as in _half_integer_j_table.  Once |N| passes 1e307 a column saturates to +-inf
-    with the sign of its last finite order, rather than propagate inf - inf.  Every z must be in the Bessel domain.
+    Once |N| passes 1e307 a column saturates to +-inf with the sign of its last finite order, rather than
+    propagate inf - inf.  Every z must be in the Bessel domain.
     """
-    listed = z.tolist()
-    rows = np.empty((l_max + 2, z.size))
-    rows[-1] = np.array(list(map(math.sin, listed))) / z
-    rows[0] = -np.array(list(map(math.cos, listed))) / z
     with np.errstate(over="ignore", invalid="ignore"):
-        if l_max:
-            rows[1] = rows[0] / z - rows[-1]
-        for l in range(1, l_max):
-            np.subtract((2 * l + 1) / z * rows[l], rows[l - 1], out=rows[l + 1])
+        rows = _upward(l_max, z, np.sin(z) / z, -np.cos(z) / z)
         # Past 1e307 (from order 2 on) |N| only grows: a column that passes it stays past it, inf or NaN up to l_max.
         hit = np.flatnonzero(~(np.abs(rows[l_max]) <= 1e307))
         block = rows[2 : l_max + 1, hit]
@@ -202,13 +202,10 @@ def _half_integer_columns(l: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...
     """
     outside = ~((z >= sys.float_info.min) & (z <= _MAX_ARGUMENT))
     if outside.any():
-        _half_order_scale(float(z[outside.argmax()]))
-    l_max, col = max(int(l.max()), 1), np.arange(z.size)
-    j, j_prev = _half_integer_j_table(l_max, z, l)[[l, l - 1], col]
-    n = _half_integer_n_table(l_max, z)
-    # Order 0's J_prev: J_{-1/2} = s cos(z)/z = -N_{1/2}.
-    j_prev = np.where(l > 0, j_prev, -n[0])
-    n, n_prev = n[[l, l - 1], col]
+        _require_argument(float(z[outside.argmax()]))
+    orders, col = [l, l - 1], np.arange(z.size)
+    j, j_prev = _half_integer_j_table(z, l)[orders, col]
+    n, n_prev = _half_integer_n_table(int(l.max()), z)[orders, col]
     return j, j_prev, n, n_prev, (np.abs(j) < _UNDERFLOW_FLOOR) | np.isinf(n)
 
 

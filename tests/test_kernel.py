@@ -459,8 +459,8 @@ def test_f_exact_array_values_do_not_depend_on_the_batch(monkeypatch):
     x, y = _array_sweep(12, 200)
     whole = f_exact_array(x, y)
     # one point per sub-batch, then a few points per sub-batch of mixed table sizes
-    for entries in (1, 2**11):
-        monkeypatch.setattr(kernel, "_TABLE_ENTRIES", entries)
+    for points in (1, 8):
+        monkeypatch.setattr(kernel, "_POINTS_PER_SLICE", points)
         assert f_exact_array(x, y).tolist() == whole.tolist()
     monkeypatch.undo()
     perm = np.random.default_rng(12).permutation(x.size)

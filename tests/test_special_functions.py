@@ -14,6 +14,7 @@ from bubblespec.special_functions import (
     ModeOrder,
     _half_integer_columns,
     _half_integer_j_table,
+    _half_integer_j_upward,
     _half_integer_n_table,
     bessel_jn_half,
     half_integer_j_array,
@@ -151,10 +152,10 @@ def test_j_table_takes_its_columns_in_any_order():
         ([300.0, 5.0, 2.0], [3, 600, 40]),
     ]
     for z, l_each in cases:
-        table = _half_integer_j_table(600, np.array(z), np.array(l_each))
-        assert table.shape == (601, len(z))
+        table = _half_integer_j_table(np.array(z), np.array(l_each))
+        assert table.shape == (max(l_each) + 2, len(z))
         for a, (v, l) in enumerate(zip(z, l_each)):
-            assert table[: l + 1, a].tolist() == half_integer_j_array(l, v)[:-1], (z, a)
+            assert table[: l + 1, a].tolist() + [table[-1, a]] == half_integer_j_array(l, v), (z, a)
 
 
 def test_one_and_two_column_j_tables_equal_the_wide_table_bit_for_bit():
@@ -162,15 +163,16 @@ def test_one_and_two_column_j_tables_equal_the_wide_table_bit_for_bit():
     # whatever l_each its neighbours have.
     z = np.array([1e4, 5.0, 2500.0, 300.0, 40.0, 0.7])
     l_each = np.array([13600, 5000, 3, 407, 100, 2])
-    wide = _half_integer_j_table(13600, z, l_each)
-    assert wide.shape == (13601, 6)
+    wide = _half_integer_j_table(z, l_each)
+    assert wide.shape == (13602, 6)
     for width in (1, 2):
         for a in range(z.size - width + 1):
-            narrow = _half_integer_j_table(13600, z[a : a + width], l_each[a : a + width])
-            assert narrow.shape == (13601, width)
+            narrow = _half_integer_j_table(z[a : a + width], l_each[a : a + width])
+            assert narrow.shape == (max(l_each[a : a + width].max(), 1) + 2, width)
             for c in range(width):
                 rows = int(l_each[a + c]) + 1
                 assert narrow[:rows, c].tolist() == wide[:rows, a + c].tolist(), (a, c)
+                assert narrow[-1, c] == wide[-1, a + c], (a, c)
 
 
 @pytest.mark.parametrize("l_max", [0, 1, 2, 60, 300])
@@ -336,6 +338,30 @@ def test_tables_end_with_order_minus_half():
     for l in (0, 3, 7, 12):
         p = bessel_jn_half(ModeOrder(l), z)
         assert (n[l], n[l - 1], j[l - 1]) == pytest.approx((p.n, p.n_prev, p.j_prev), rel=1e-13)
+
+
+def test_every_table_ends_with_the_same_order_minus_half_row():
+    # J_{-1/2}(z) = sqrt(2/(pi z)) cos z is the J table's last row, the upward J's, -N_{1/2} (the N table's row 0)
+    # and half_integer_j_array's last entry, bit for bit: _half_integer_columns reads order 0's J_{nu-1} there.
+    # Seeded z: the domain's ends, tiny (cos z = 1), log-uniform in [0.01, 1e5], and within 2 ulps of zeros of j_0
+    # (k pi) and of J_{-1/2} itself ((k + 1/2) pi) up to 1e5.  Within 1e-15 of 40 digits (measured 2.4e-16).
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(28)
+    z = [sys.float_info.min, 1e-300, _MAX_ARGUMENT] + [10 ** rng.uniform(-300, -8) for _ in range(8)]
+    z += [10 ** rng.uniform(-2, 5) for _ in range(16)]
+    for shift in [0.0] * 12 + [0.5] * 12:
+        zero = math.pi * (int(10 ** rng.uniform(0, math.log10(_MAX_ARGUMENT / math.pi) - 0.01)) + shift)
+        z.append(zero + rng.randint(-2, 2) * math.ulp(zero))
+    z = np.array(z)
+    row = _half_integer_j_table(z, np.array([rng.randint(0, 5) for _ in z]))[-1].tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _half_integer_j_upward(5, z)[-1].tolist() == row
+    assert (-_half_integer_n_table(5, z)[0]).tolist() == row
+    assert [half_integer_j_array(0, v)[-1] for v in z.tolist()] == row
+    with mpmath.workdps(40):
+        for v, got in zip(z.tolist(), row):
+            want = mpmath.sqrt(2 / (mpmath.pi * v)) * mpmath.cos(v)
+            assert abs(got - want) <= 1e-15 * abs(want), v
 
 
 def _ratio(order, x, y):

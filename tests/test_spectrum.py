@@ -367,10 +367,10 @@ def test_exact_totals_build_j_tables_for_overlap_branch_points_only(monkeypatch)
     kernel = bubblespec.kernel
     columns, points = [], []
 
-    def counting(routine):
-        def wrapped(l_max, z, *rest):
-            columns.append(z.size)
-            return routine(l_max, z, *rest)
+    def counting(routine, z_at):
+        def wrapped(*args):
+            columns.append(args[z_at].size)
+            return routine(*args)
 
         return wrapped
 
@@ -378,8 +378,8 @@ def test_exact_totals_build_j_tables_for_overlap_branch_points_only(monkeypatch)
         points.append(np.broadcast_arrays(x, y))
         return kernel.f_exact_array(x, y)
 
-    monkeypatch.setattr(kernel, "_half_integer_j_table", counting(kernel._half_integer_j_table))
-    monkeypatch.setattr(kernel, "_half_integer_j_upward", counting(kernel._half_integer_j_upward))
+    monkeypatch.setattr(kernel, "_half_integer_j_table", counting(kernel._half_integer_j_table, 0))
+    monkeypatch.setattr(kernel, "_half_integer_j_upward", counting(kernel._half_integer_j_upward, 1))
     monkeypatch.setattr(bubblespec.spectrum, "f_exact_array", recording)
     cfg = MediumConfig(n_gas_in=2e4, n_gas_out=1.0)
     counts = []
