@@ -24,7 +24,7 @@ from .kernel import CutoffProfile, d_approx, f_exact_array, f_factorized
 from .matching import MediumConfig, _require_positive_finite
 from .oracles import finite_overlap_checks, matching_checks, spectral_delta_checks, wronskian_checks
 from .quadrature import _CHUNK_POINTS, QuadratureError
-from .special_functions import BesselDomainError, _require_int
+from .special_functions import BesselDomainError, _require_domain, _require_int
 
 EXIT_CHECK_FAILURE = 1
 EXIT_NUMERICAL_FAILURE = 3
@@ -227,7 +227,7 @@ def kernel_dump(output_path, x_range, y_range, points) -> None:
     xs = np.linspace(x0, x1, points)
     ys = np.linspace(y0, y1, points)
     # A point outside the kernel's domain shows first (row-major) on row 0 or column 0: checked before any line.
-    f_exact_array(np.append(np.full(points, x0), xs[1:]), np.append(ys, np.full(points - 1, y0)))
+    _require_domain(x=np.append(np.full(points, x0), xs[1:]), y=np.append(ys, np.full(points - 1, y0)))
 
     def grid_rows(block: int):
         """The CSV lines one grid row (one x) at a time, both columns evaluated a block of rows at a time."""
@@ -252,10 +252,9 @@ def diagonal(output_path, x_max, points) -> None:
     if not 0 < x_max < math.inf or not 2 <= points <= 10_000:
         raise click.UsageError("x-max must be positive and finite, points in [2, 10000]")
     xs = np.linspace(x_max / points, x_max, points)
-    exact = f_exact_array(xs, xs).tolist()
     lines = ["x,d_exact,d_approx"]
-    for x, d in zip(xs.tolist(), exact):
-        lines.append(f"{x!r},{d!r},{d_approx(x)!r}")
+    for x, d, fit in zip(xs.tolist(), f_exact_array(xs, xs).tolist(), d_approx(xs).tolist()):
+        lines.append(f"{x!r},{d!r},{fit!r}")
     _write_text(output_path or "", ["\n".join(lines) + "\n"])
 
 

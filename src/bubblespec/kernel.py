@@ -25,20 +25,13 @@ created photon keeps the final bulk index on every x the spectrum covers
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .matching import MediumConfig, _require_positive_finite
 # bessel_jn_half is unused here but perfbench/test_perfbench.py reads it.
-from .special_functions import (
-    _MAX_ARGUMENT,
-    BesselDomainError,
-    _half_integer_j_table,
-    _half_integer_j_upward,
-    bessel_jn_half,
-)
+from .special_functions import _half_integer_j_table, _half_integer_j_upward, _require_domain, bessel_jn_half
 
 __all__ = [
     "CutoffProfile",
@@ -82,9 +75,8 @@ _OVERLAP_ROWS = 24
 
 _HALF_ASYMPTOTE = 1.0 / (2.0 * math.pi * math.pi)
 _D_FIT_SCALE = 250.0
-# The factorized form carries (x+y)^6/(16000 + (x+y)^6); 16000 = 2^6 * 250
-# so that the diagonal x = y reproduces the fitted D((x+y)/2).
-_F_FIT_SCALE = 16000.0
+# f_factorized's hump in x + y: (x+y)^6/(16000 + (x+y)^6) is the fitted D((x+y)/2), as 16000 = 2^6 * 250.
+_F_FIT_SCALE = 64.0 * _D_FIT_SCALE
 
 
 class KernelConvergenceError(ArithmeticError):
@@ -123,12 +115,6 @@ class KernelValue:
 
     value: float
     l_used: int
-
-
-def _require_domain(x: float, y: float) -> None:
-    """BesselDomainError unless x and y are normal doubles in (0, _MAX_ARGUMENT]; checked before any table is sized."""
-    if not (sys.float_info.min <= x <= _MAX_ARGUMENT and sys.float_info.min <= y <= _MAX_ARGUMENT):
-        raise BesselDomainError(f"kernel arguments must be normal doubles in (0, {_MAX_ARGUMENT:g}], got x={x}, y={y}")
 
 
 def _overlaps(jx: np.ndarray, jy: np.ndarray, x, y, top) -> np.ndarray:
@@ -224,12 +210,9 @@ def f_exact_array(x, y) -> np.ndarray:
     outside the domain (subnormal, NaN, inf, above 1e5) raises BesselDomainError, for the first such point in input
     order.
     """
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    shape, lo, hi = x.shape, np.minimum(x, y).ravel(), np.maximum(x, y).ravel()
-    outside = ~((lo >= sys.float_info.min) & (hi <= _MAX_ARGUMENT))
-    if outside.any():
-        i = int(outside.argmax())
-        _require_domain(float(x.flat[i]), float(y.flat[i]))
+    x, y = _require_domain(x=x, y=y)
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    shape, lo, hi = lo.shape, lo.ravel(), hi.ravel()
     values = np.empty(lo.size)
     for at in range(0, lo.size, _POINTS_PER_SLICE):
         part = slice(at, at + _POINTS_PER_SLICE)
@@ -247,31 +230,34 @@ def d_exact(x: float) -> float:
     return float(f_exact_array(x, x))
 
 
+def _hump(t: np.ndarray, scale: float):
+    """The fitted hump (1/2pi^2) t^6/(scale + t^6) at t >= 0, and its limit 1/(2 pi^2) where t^6 overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        t6 = t**6
+        hump = _HALF_ASYMPTOTE * t6
+        # In place: t6 + scale is inf exactly where t6 is.
+        t6 += scale
+        hump /= t6
+    # Past t ~ 2.4e51 t**6 overflows to inf, and inf/inf to NaN.
+    if np.max(t, initial=0.0) > 1e51:
+        hump = np.where(np.isinf(t6), _HALF_ASYMPTOTE, hump)
+    return hump
+
+
 def d_approx(x):
-    """Fitted diagonal (1/2pi^2) x^6/(250 + x^6); asymptote 1/(2 pi^2)."""
-    x = np.asarray(x, dtype=float)
-    x6 = x**6
-    out = _HALF_ASYMPTOTE * x6 / (_D_FIT_SCALE + x6)
-    return out if out.ndim else float(out)
+    """Fitted diagonal (1/2pi^2) x^6/(250 + x^6), array-friendly; asymptote 1/(2 pi^2)."""
+    out = _hump(np.asarray(x, dtype=float), _D_FIT_SCALE)
+    return out if np.ndim(out) else float(out)
 
 
 def f_factorized(x, y):
     """Factorized kernel D((x+y)/2) * sinc^2(3(x-y)/4), array-friendly.
 
-    The removable singularity at x = y is handled by sinc; on the diagonal
-    the value reduces exactly to d_approx(x) because 16000 = 2^6 * 250.
+    The removable singularity at x = y is handled by sinc.  On the diagonal the value equals d_approx(x) to
+    rounding, as 16000 = 2^6 * 250, but not bit for bit: pow(2x, 6) and 64 pow(x, 6) may differ in the last bit.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    s = x + y
-    with np.errstate(over="ignore", invalid="ignore"):
-        s6 = s**6
-        hump = _HALF_ASYMPTOTE * s6
-        # In place: s6 + 16000 is inf exactly where s6 is.
-        s6 += _F_FIT_SCALE
-        hump /= s6
-    # Past s ~ 2.4e51 s**6 overflows; the hump has reached its limit 1/(2 pi^2) there.
-    if np.max(s, initial=0.0) > 1e51:
-        hump = np.where(np.isinf(s6), _HALF_ASYMPTOTE, hump)
+    hump = _hump(x + y, _F_FIT_SCALE)
     # sin(u)/u at u = 3(x-y)/4 by np.sinc(u/pi)'s own steps, in place: pi * (u/pi), eps where that is 0, sin over it.
     u = np.subtract(x, y, out=np.empty(np.shape(hump)))
     u *= 0.75

@@ -52,15 +52,19 @@ class MediumConfig:
         _require_positive_finite(self, "n_gas_in", "n_gas_out", "n_liquid", "radius")
 
 
+def _positive_finite(name: str, v: object, error: type[ValueError] = ValueError) -> float:
+    """float(v), the package's one positive-finite rule: error "<name> must be ..." unless v is such a real, not bool."""
+    # A rational (an int too) compares exactly: one past the double range is refused, not overflowed.
+    real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+    if not (real and v > 0 and (v <= sys.float_info.max if isinstance(v, numbers.Rational) else math.isfinite(v))):
+        raise error(f"{name} must be a positive finite number, got {v!r}")
+    return float(v)
+
+
 def _require_positive_finite(obj: object, *names: str) -> None:
-    """ValueError unless each named attribute of ``obj`` is a positive finite real (not bool); stores a float."""
+    """ValueError unless each named attribute of ``obj`` is a positive finite real (``_positive_finite``); stores it."""
     for name in names:
-        v = getattr(obj, name)
-        # A rational (an int too) compares exactly: one past the double range is refused, not overflowed.
-        real = isinstance(v, numbers.Real) and not isinstance(v, bool)
-        if not (real and v > 0 and (v <= sys.float_info.max if isinstance(v, numbers.Rational) else math.isfinite(v))):
-            raise ValueError(f"{name} must be a positive finite number, got {v!r}")
-        object.__setattr__(obj, name, float(v))
+        object.__setattr__(obj, name, _positive_finite(name, getattr(obj, name)))
 
 
 @dataclass(frozen=True)
@@ -137,10 +141,9 @@ def coefficients_bc(order: ModeOrder, y: float, index_ratio: float) -> tuple[flo
 
 
 def normalization_xi(kappa: float, n_liquid: float) -> float:
-    """|Xi| = 1 / (sqrt(2 n_liquid) * kappa), the liquid-side mode norm."""
-    for name, v in (("kappa", kappa), ("n_liquid", n_liquid)):
-        if not 0.0 < v < math.inf:
-            raise BesselDomainError(f"{name} must be positive and finite, got {v}")
+    """|Xi| = 1 / (sqrt(2 n_liquid) * kappa), the liquid-side mode norm; BesselDomainError unless both are positive."""
+    kappa = _positive_finite("kappa", kappa, BesselDomainError)
+    n_liquid = _positive_finite("n_liquid", n_liquid, BesselDomainError)
     return 1.0 / (math.sqrt(2.0 * n_liquid) * kappa)
 
 

@@ -26,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _overlaps, _require_domain
+from .kernel import _overlaps
 from .matching import _amplitudes_at, coefficients_bc
 from .special_functions import (
-    BesselDomainError, ModeOrder, _half_integer_columns, _half_integer_j_table, _reduced_det, bessel_jn_half,
+    BesselDomainError, ModeOrder, _half_integer_columns, _half_integer_j_table, _reduced_det, _require_domain,
+    bessel_jn_half,
 )
 
 __all__ = [
@@ -96,7 +97,7 @@ def hankel_finite_integral(order: ModeOrder, k1: float, k2: float, R: float) -> 
     # A non-positive wavenumber leaves the Bessel domain, but R < 0 would turn two negative ones positive.
     if R <= 0.0:
         raise BesselDomainError(f"radius must be positive, got R={R}")
-    _require_domain(k1 * R, k2 * R)
+    _require_domain(x=k1 * R, y=k2 * R)
     return R * R * _overlap_ratios(np.array([order.l]), np.array([k1 * R]), np.array([k2 * R])).item()
 
 

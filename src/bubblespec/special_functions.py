@@ -22,6 +22,7 @@ All functions are pure; values are freely shareable across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -95,18 +96,34 @@ class BesselPair:
     saturated: bool = False
 
 
-def _require_argument(z: float) -> None:
-    """BesselDomainError unless z is a normal double in (0, _MAX_ARGUMENT]."""
-    # Subnormal z is rejected: below about 5.6e-309 1/z overflows and the closed forms turn NaN.
-    if not sys.float_info.min <= z <= _MAX_ARGUMENT:
-        raise BesselDomainError(f"argument must be a normal double in (0, {_MAX_ARGUMENT:g}], got {z}")
+def _require_domain(**coordinates) -> list[np.ndarray]:
+    """The coordinates, numbers or arrays that broadcast together, as float arrays once all are in the Bessel domain.
+
+    The package's one domain gate, checked before any table is sized: normal doubles in (0, _MAX_ARGUMENT].
+    Subnormals are outside, as below about 5.6e-309 1/z overflows and the closed forms turn NaN; so is a number too
+    large for a double.  BesselDomainError names the first point outside, in input order, by each coordinate there.
+    """
+    try:
+        arrays = [np.asarray(v, dtype=float) for v in coordinates.values()]
+    except OverflowError:  # an int past the double range: compared exactly, as Python objects
+        arrays = [np.asarray(v, dtype=object) for v in coordinates.values()]
+    # Cheap on the hot path, the ends of all points at once; NaN carries through and fails both tests.
+    low, high = functools.reduce(np.minimum, arrays), functools.reduce(np.maximum, arrays)
+    low, high = np.minimum.reduce(low, None, initial=math.inf), np.maximum.reduce(high, None, initial=0.0)
+    if low >= sys.float_info.min and high <= _MAX_ARGUMENT:
+        return arrays
+    points = np.broadcast_arrays(*arrays)
+    # The first point outside, in input order: the first False of the per-point mask.
+    i = int(np.argmin(np.logical_and.reduce([(a >= sys.float_info.min) & (a <= _MAX_ARGUMENT) for a in points])))
+    got = ", ".join(f"{name}={a.item(i)}" for name, a in zip(coordinates, points))
+    raise BesselDomainError(f"each argument must be a normal double in (0, {_MAX_ARGUMENT:g}], got {got}")
 
 
 def half_integer_j_array(l_max: int, z: float) -> list[float]:
     """J_{l+1/2}(z) for integer l = 0..l_max, then J_{-1/2}(z) last; unclamped, unlike bessel_jn_half's J_nu."""
     l_max = ModeOrder(l_max).l
-    _require_argument(z)
-    column = _half_integer_j_table(np.array([z], dtype=float), np.array([l_max]))[:, 0].tolist()
+    (z,) = _require_domain(z=z)
+    column = _half_integer_j_table(z.reshape(1), np.array([l_max]))[:, 0].tolist()
     return column[: l_max + 1] + column[-1:]
 
 
@@ -171,8 +188,8 @@ def _half_integer_j_upward(l_max: int, z: np.ndarray) -> np.ndarray:
 def half_integer_n_array(l_max: int, z: float) -> list[float]:
     """N_{l+1/2}(z) for integer l = 0..l_max, then N_{-1/2}(z) last; overflow saturates to +-inf."""
     l_max = ModeOrder(l_max).l
-    _require_argument(z)
-    return _half_integer_n_table(l_max, np.array([z], dtype=float))[:, 0].tolist()
+    (z,) = _require_domain(z=z)
+    return _half_integer_n_table(l_max, z.reshape(1))[:, 0].tolist()
 
 
 def _half_integer_n_table(l_max: int, z: np.ndarray) -> np.ndarray:
@@ -193,16 +210,14 @@ def _half_integer_n_table(l_max: int, z: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _half_integer_columns(l: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...]:
+def _half_integer_columns(l: np.ndarray, z) -> tuple[np.ndarray, ...]:
     """J_nu, J_{nu-1}, N_nu, N_{nu-1} and bessel_jn_half's saturated flag at z[a] for nu = l[a] + 1/2.
 
     Entries l[a] and l[a] - 1 of half_integer_j_array(l[a], z[a]) and half_integer_n_array(l[a], z[a]), bit for bit,
     from one J table and one N table: bessel_jn_half's fields, J unclamped.  BesselDomainError names the first z
     outside the Bessel domain.
     """
-    outside = ~((z >= sys.float_info.min) & (z <= _MAX_ARGUMENT))
-    if outside.any():
-        _require_argument(float(z[outside.argmax()]))
+    (z,) = _require_domain(z=z)
     orders, col = [l, l - 1], np.arange(z.size)
     j, j_prev = _half_integer_j_table(z, l)[orders, col]
     n, n_prev = _half_integer_n_table(int(l.max()), z)[orders, col]
@@ -211,7 +226,7 @@ def _half_integer_columns(l: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, ...
 
 def bessel_jn_half(order: ModeOrder, z: float) -> BesselPair:
     """J_nu, N_nu, J_{nu-1}, N_{nu-1} at z for nu = l + 1/2: one draw of ``_half_integer_columns``, J_nu clamped."""
-    columns = _half_integer_columns(np.array([order.l]), np.array([z], dtype=float))
+    columns = _half_integer_columns(np.array([order.l]), [z])
     j, j_prev, n, n_prev, saturated = (v.item() for v in columns)
     return BesselPair(
         j=0.0 if abs(j) < _UNDERFLOW_FLOOR else j, n=n, j_prev=j_prev, n_prev=n_prev, z=z, saturated=saturated

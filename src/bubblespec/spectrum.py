@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import CutoffProfile, f_exact_array, f_factorized
-from .matching import MediumConfig, _require_positive_finite
+from .matching import MediumConfig, _positive_finite, _require_positive_finite
 from .quadrature import QuadResult, _cap_error, _integrate_rows, adaptive_quad
 from .special_functions import _require_int
 
@@ -160,12 +160,11 @@ def dn_dx(
     kernel_mode: str = "factorized",
 ) -> float:
     """Spectrum dN/dx: adaptive y-integration over the cutoff strip."""
-    if not 0.0 < x < math.inf:
-        raise ValueError(f"x must be a positive finite number, got {x!r}")
+    x = _positive_finite("x", x)
     _check_mode(kernel_mode)
     if cfg.n_gas_in == cfg.n_gas_out:
         return 0.0
-    return float(_dn_dx_batch(np.array([float(x)]), cfg, cut, quad, kernel_mode)[0][0])
+    return float(_dn_dx_batch(np.array([x]), cfg, cut, quad, kernel_mode)[0][0])
 
 
 def totals(
@@ -225,8 +224,7 @@ def totals(
 
 def infinite_volume_dn_dx(x: float, cfg: MediumConfig, cut: CutoffProfile) -> float:
     """Homogeneous-medium spectrum (1/3pi)((dn)^2/(n_in n_out)) x^2 below x_*."""
-    if not 0.0 < x < math.inf:
-        raise ValueError(f"x must be a positive finite number, got {x!r}")
+    x = _positive_finite("x", x)
     if x > cut.x_star:
         return 0.0
     dn = cfg.n_gas_in - cfg.n_gas_out

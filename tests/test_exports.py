@@ -105,3 +105,17 @@ def test_every_private_name_in_a_comment_or_docstring_is_defined():
     named = {n for text in texts for n in re.findall(r"(?<![\w.'~])_[A-Za-z]\w*", text)}
     assert len(named) >= 10
     assert sorted(named - defined) == []
+
+
+
+def test_the_bessel_domain_is_read_in_special_functions_only():
+    # One domain gate: a module that reads the limit or the smallest normal double keeps its own copy of the rule.
+    readers = set()
+    for path in sorted(Path(bubblespec.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # a read, or an import (an alias), of the limit
+            limit = "_MAX_ARGUMENT" in (getattr(node, "id", None), getattr(node, "name", None))
+            smallest = isinstance(node, ast.Attribute) and node.attr == "min"
+            if limit or (smallest and ast.unparse(node.value).endswith("float_info")):
+                readers.add(path.stem)
+    assert readers == {"special_functions"}

@@ -191,10 +191,19 @@ def test_d_approx():
     assert d_approx(250.0 ** (1.0 / 6.0)) == pytest.approx(0.5 * HALF_ASYMPTOTE, rel=1e-12)
     arr = d_approx(np.array([0.0, 2.0, 6.0]))
     assert arr.shape == (3,)
+    # past x ~ 2.4e51 x^6 overflows: the asymptote, as in f_factorized, not NaN with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert d_approx(1e60) == HALF_ASYMPTOTE
+        assert d_approx(np.array([1e52, 2.0])).tolist() == [HALF_ASYMPTOTE, d_approx(2.0)]
+    # an array call is the per-point calls, bit for bit
+    xs = np.linspace(1e-200, 400.0, 1000)
+    assert d_approx(xs).tolist() == [d_approx(x) for x in xs.tolist()]
 
 
 def test_factorized_diagonal_consistency():
-    # 16000 = 2^6 * 250 makes the x = y slice reduce to d_approx exactly
+    # 16000 = 2^6 * 250 makes the x = y slice reduce to d_approx, to rounding: pow(2x, 6) != 64 pow(x, 6) in the
+    # last bit at x = 7.7
     for x in (0.5, 2.0, 3.3, 7.7, 12.0):
         assert f_factorized(x, x) == pytest.approx(d_approx(x), rel=1e-13)
 

@@ -108,6 +108,10 @@ def test_normalization_xi():
         normalization_xi(0.0, 1.3)
     with pytest.raises(BesselDomainError):
         normalization_xi(1.0, -2.0)
+    # the config fields' positive-finite rule, with the domain error's type
+    for kappa, n_liquid in ((True, 1.3), (10**400, 1.3), (1.0, True), (1.0, 10**400)):
+        with pytest.raises(BesselDomainError, match="must be a positive finite number"):
+            normalization_xi(kappa, n_liquid)
 
 
 @pytest.mark.parametrize("kappa, n_liquid", [(math.nan, 1.3), (math.inf, 1.3), (1.0, math.inf), (1.0, math.nan)])

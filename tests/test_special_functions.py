@@ -137,6 +137,23 @@ def test_arguments_above_the_limit_raise_the_domain_error(call, z):
         call(z)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda z: half_integer_j_array(1, z),
+        lambda z: half_integer_n_array(1, z),
+        lambda z: bessel_jn_half(ModeOrder(2), z),
+        lambda z: f_exact(z, 1.0),
+        lambda z: f_exact(1.0, -z),
+    ],
+    ids=["j-table", "n-table", "pair", "f_exact-x", "f_exact-y"],
+)
+def test_an_int_past_the_double_range_raises_the_domain_error(call):
+    # the gate compares it, never converts it: no OverflowError
+    with pytest.raises(BesselDomainError, match="in \\(0, 100000\\], got [xyz]="):
+        call(10**400)
+
+
 def test_the_argument_limit_itself_is_in_the_domain():
     z = _MAX_ARGUMENT
     assert half_integer_j_array(2, z)[0] == pytest.approx(math.sqrt(2.0 / (math.pi * z)) * math.sin(z), rel=1e-15)
@@ -245,7 +262,7 @@ def test_n_table_saturates_as_the_row_by_row_clamp_bit_for_bit():
 
 def test_bessel_columns_refuse_the_first_argument_outside_the_domain():
     for bad in (0.0, math.nan, 5e-310, 2e5):
-        with pytest.raises(BesselDomainError, match=f"got {bad}$"):
+        with pytest.raises(BesselDomainError, match=f"got z={bad}$"):
             _half_integer_columns(np.array([1, 2, 3]), np.array([1.0, bad, 0.0]))
 
 

@@ -100,8 +100,9 @@ def test_run_config_refuses_grid_points_past_its_ceiling_without_allocating():
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0, True, pytest.param(10**400, id="10**400")])
 def test_spectrum_rejects_x_that_is_not_positive_and_finite(reference_case, bad):
+    # the config fields' rule: a bool is no number, and an int past the double range is refused, not overflowed
     cfg, cut = reference_case
     for f in (lambda x: dn_dx(x, cfg, cut), lambda x: infinite_volume_dn_dx(x, cfg, cut)):
         with pytest.raises(ValueError, match="x must be a positive finite number"):
