@@ -489,3 +489,19 @@ def test_spectrum_csv_is_frozen_to_the_byte(tmp_path, config, digest):
     res = CliRunner().invoke(main, ["spectrum", "--config", _write(tmp_path, "cfg.txt", config), "--output", str(out)])
     assert res.exit_code == 0, res.output
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "command, digest",
+    [
+        ("diagonal", "5c4a071c70fbd10de0296cf6b915ce83be982249a1abfa8a0d58eb6034052377"),
+        ("kernel-dump", "87441ceaee3210c9877afaaed1cf8c852cfbf37cc7f2ddb965e4bfac00c5ede0"),
+    ],
+)
+def test_kernel_csv_is_frozen_to_the_byte(tmp_path, command, digest):
+    # The default diagonal and kernel-dump CSVs to the last bit: any change of the exact kernel's arithmetic on
+    # [0.5, 12]^2 or its diagonal up to 14 shows here.
+    out = tmp_path / "kernel.csv"
+    res = CliRunner().invoke(main, [command, "--output", str(out)])
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
