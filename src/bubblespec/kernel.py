@@ -10,8 +10,8 @@ balls sum it in closed form:
     G(k) = 12/k^2 - 12 sin 2k/k^3 + 12 sin^2 k/k^4 = int_0^2 (16 - 12w + w^3) cos(kw) dw,
 
 with r_0 = [sin(x - y)/(x - y) - sin(x + y)/(x + y)]/(pi sqrt(xy)).
-``f_exact_array`` evaluates F from it where it keeps its digits and from two
-series where it cancels; ``f_exact`` is its value at one point.  The diagonal
+``f_exact_array`` evaluates F from it where it keeps its digits and from the
+overlap series where it cancels; ``f_exact`` is its value at one point.  The diagonal
 D(x) = F(x, x) tends to G(0)/(24 pi^2) = 1/(2 pi^2) for large argument,
 recovering the homogeneous-medium result, and the whole kernel is well approximated by the factorized smeared-delta form
 used for production spectra.
@@ -44,9 +44,8 @@ __all__ = [
     "f_factorized",
 ]
 
-# f_exact_array works through its points in slices of this many: at about 256 table entries a point (the power
-# series' 14 x 14 products, the overlap series' J rows), 2**20 entries a slice, so its temporaries stay near
-# a few MB however many points a call has.
+# f_exact_array works through its points in slices of this many: at about 256 table entries a point (the overlap
+# series' J rows), 2**20 entries a slice, so its temporaries stay near a few MB however many points a call has.
 _POINTS_PER_SLICE = 2**12
 
 # f_exact_array's closed form serves min(x, y) >= 1 up to this max/min: past it G(x - y) - G(x + y)
@@ -58,20 +57,11 @@ _CLOSED_FORM_RATIO = 256.0
 _G_TAYLOR = [
     (-1) ** n * 96.0 / (math.factorial(2 * n) * (2 * n + 1) * (2 * n + 2) * (2 * n + 4)) for n in range(10, -1, -1)
 ]
-# The double power series serves max(x, y) <= _POWER_SERIES_MAX: j_l(z) = z^l sum_k c_lk (-z^2/2)^k with
-# c_lk = 1/(k! (2l+2k+1)!!) (DLMF 10.53.1), so that r_l = (2 sqrt(xy)/pi) (xy)^l sum_{k,m} c_lk c_lm
-# (-x^2/2)^k (-y^2/2)^m/(2l+2k+2m+3).  Orders l = 1..12 and k, m < 14 leave about 1e-15 at x = y = 4.
-_POWER_SERIES_MAX = 4.0
-_ORDERS = np.arange(1, 13)
-# c_lk (orders by k), then the weights c_lk c_lm/(2l+2k+2m+3) (orders by k by m).
-_C = np.array(
-    [[1.0 / (math.factorial(k) * math.prod(range(2 * l + 2 * k + 1, 0, -2))) for k in range(14)] for l in range(1, 13)]
-)
-_K = np.arange(14)
-_SERIES_WEIGHTS = _C[:, :, None] * _C[:, None, :] / (2 * (_ORDERS[:, None, None] + _K[:, None] + _K) + 3)
 # The overlap series elsewhere sums the orders below and the J rows up to int(e*min(x, y)/2) + _OVERLAP_ROWS:
 # 20 rows leave up to 6e-14 at min ~ 30 and max = 1e5, 24 leave rounding (6e-15).
 _OVERLAP_ROWS = 24
+# Up to this max(x, y) the overlap series takes J at both arguments from one backward table, of e*max(x, y)/2 rows.
+_BACKWARD_MAX = 4.0
 
 _HALF_ASYMPTOTE = 1.0 / (2.0 * math.pi * math.pi)
 _D_FIT_SCALE = 250.0
@@ -133,6 +123,18 @@ def _overlaps(jx: np.ndarray, jy: np.ndarray, x, y, top) -> np.ndarray:
     return sums[1:] * (2.0 / (x * y))
 
 
+def _j_tables(a, b, top, upward) -> tuple[np.ndarray, np.ndarray]:
+    """J tables at a and at b for ``_overlaps``: at a, and at b but where ``upward``, from one backward ratio recurrence
+    (``_half_integer_j_table``), at b where ``upward`` from the upward one; a column's rows do not depend on its batch.
+    """
+    j = _half_integer_j_table(np.concatenate([a, b[~upward]]), np.concatenate([top, top[~upward]]))
+    jb = np.empty((j.shape[0], b.size))
+    jb[:, ~upward] = j[:, a.size :]
+    if upward.any():
+        jb[:, upward] = _half_integer_j_upward(j.shape[0] - 2, b[upward])
+    return j[:, : a.size], jb
+
+
 def f_exact(x: float, y: float) -> KernelValue:
     """Exact kernel F(x, y) = sum_{l>=1} (2l+1) r_l^2 at one point: f_exact_array's value, bit for bit."""
     value = float(f_exact_array(x, y))
@@ -157,53 +159,32 @@ def _g(k: np.ndarray) -> np.ndarray:
     return 12.0 * q * q * (1.0 - q * (np.sin(2.0 * k) - q * np.sin(k) ** 2))
 
 
-def _power_series(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """F at points with max(x, y) <= 4 from j_l's power series (``_SERIES_WEIGHTS``), no cancellation near x = y.
-
-    The (xy)^l factor underflows smoothly: F is about x^3 y^3 for small arguments and reaches 0.0 where that does.
-    """
-    xy = lo * hi
-    a, b = -0.5 * lo * lo, -0.5 * hi * hi
-    # sum_{k,m} W[l, k, m] a^k b^m by Horner's rule in b (over m), then in a (over k).
-    inner = np.zeros((lo.size, *_SERIES_WEIGHTS.shape[:2]))
-    for w in _SERIES_WEIGHTS.transpose(2, 0, 1)[::-1]:
-        inner *= b[:, None, None]
-        inner += w
-    s = np.zeros(inner.shape[:2])
-    for c in inner.transpose(2, 0, 1)[::-1]:
-        s *= a[:, None]
-        s += c
-    r = ((2.0 / math.pi) * np.sqrt(xy))[:, None] * xy[:, None] ** _ORDERS * s
-    # Each point's orders summed along their own row, so a point's value does not depend on its batch.
-    return (((2 * _ORDERS + 1) * r) * r).sum(axis=1)
-
-
 def _overlap_sum(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """F from the overlap series (``_overlaps``) at orders and J rows up to top = int(e*lo/2) + _OVERLAP_ROWS.
 
-    J at lo comes from the backward ratio recurrence (``_half_integer_j_table``), J at hi from the upward one N shares:
-    hi > 4 and lo < 1, or hi > 256 lo >= 256, so the rows past hi are weighted by J at lo, smaller by (lo/hi)^k.
+    J at lo, and at hi <= _BACKWARD_MAX, comes from one backward table (``_j_tables``).  J at a larger hi comes from
+    the upward recurrence, stable below hi only: there lo < 1 < 4 < hi, or hi > 256 lo >= 256, so the rows past hi
+    are weighted by J at lo, smaller by (lo/hi)^k.
     """
     top = (math.e * lo / 2.0).astype(int) + _OVERLAP_ROWS
-    rows = int(top.max())
     # Rows past a point's own top (the table's unused rows, an upward recurrence past its turning point) may
-    # overflow; _overlaps leaves them out.
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = _overlaps(_half_integer_j_table(lo, top), _half_integer_j_upward(rows, hi), lo, hi, top)[1:]
-    terms = ((2 * np.arange(1, rows)[:, None] + 1) * r) * r
-    # A running sum is sequential in l at any batch size.
-    return np.cumsum(terms, axis=0)[-1]
+    # overflow; _overlaps leaves them out.  Where lo*hi underflows, 2/(lo*hi) is inf and every row 0.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r = _overlaps(*_j_tables(lo, hi, top, hi > _BACKWARD_MAX), lo, hi, top)[1:]
+    terms = ((2 * np.arange(1, r.shape[0] + 1)[:, None] + 1) * r) * r
+    # A running sum is sequential in l at any batch size.  F goes as (lo*hi)^3, so it is 0.0 where its rows are NaN.
+    return np.nan_to_num(np.cumsum(terms, axis=0)[-1])
 
 
 def f_exact_array(x, y) -> np.ndarray:
-    """F(x, y) at every point of the broadcast arrays x and y, vectorized, in three branches chosen per point.
+    """F(x, y) at every point of the broadcast arrays x and y, vectorized, by one of two routes chosen per point.
 
     With lo = min(x, y) and hi = max(x, y):
 
     * lo >= 1 and hi <= 256 lo: the closed form of the module docstring, G by its Taylor series below |k| = 1/2;
       within 3.4e-14 of 160-digit arithmetic at hi/lo <= 16 and 1.5e-13 up to 256;
-    * else hi <= 4: the double power series of j_l (``_power_series``), within 2e-15;
-    * else: the overlap series to a fixed order set by lo (``_overlap_sum``), within 8.6e-15.
+    * else: the overlap series to a fixed order set by lo (``_overlap_sum``), within 8.6e-15; where hi <= 4 (J at
+      both arguments from one backward table) within 2e-15.
 
     F is symmetric bit for bit, and a point's value does not depend on the batch: points run in input order, in
     slices of _POINTS_PER_SLICE.  Tiny arguments give values, down to an honest 0.0 where F underflows; a point
@@ -218,10 +199,9 @@ def f_exact_array(x, y) -> np.ndarray:
         part = slice(at, at + _POINTS_PER_SLICE)
         a, b, out = lo[part], hi[part], values[part]
         closed = (a >= 1.0) & (b <= _CLOSED_FORM_RATIO * a)
-        series = ~closed & (b <= _POWER_SERIES_MAX)
-        for mask, branch in ((closed, _closed_form), (series, _power_series), (~closed & ~series, _overlap_sum)):
+        for mask, route in ((closed, _closed_form), (~closed, _overlap_sum)):
             if mask.any():
-                out[mask] = branch(a[mask], b[mask])
+                out[mask] = route(a[mask], b[mask])
     return values.reshape(shape)
 
 

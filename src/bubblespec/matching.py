@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import BesselDomainError, ModeOrder, _half_integer_columns, _reduced_det
+from .special_functions import BesselDomainError, ModeOrder, _half_integer_columns, _reduced_det, _require_domain
 
 __all__ = [
     "MediumConfig",
@@ -98,8 +98,13 @@ def _wall_rows(j_in, j_in_prev, y, j_out, j_out_prev, n_out, n_out_prev, ny) -> 
 
 
 def _amplitudes(order: ModeOrder, y: float, index_ratio: float) -> tuple[float, float, float]:
-    """|A|^2, B and C of one order: one draw of ``_amplitudes_at``."""
-    rows = _amplitudes_at(np.array([order.l]), np.array([y], dtype=float), np.array([index_ratio], dtype=float))
+    """|A|^2, B and C of one order: one draw of ``_amplitudes_at``, the raw y and index ratio checked first."""
+    (y,) = _require_domain(z=y)
+    try:
+        ratio = np.array([index_ratio], dtype=float)
+    except OverflowError:  # an int past the double range
+        ratio = np.array([_positive_finite("index_ratio", index_ratio, BesselDomainError)])
+    rows = _amplitudes_at(np.array([order.l]), y.reshape(1), ratio)
     return tuple(r.item() for r in rows)
 
 

@@ -1,20 +1,15 @@
 """Independent identities used to validate the numerical pipeline.
 
-The four suites of ``bubblespec check``, each an ``IdentityReport``: the Bessel
-cross-product Wronskian 2/pi, the wall matching's |B|^2 + |C|^2 = 1, the
-closed-form finite-range Bessel overlap integral and the smeared spectral delta
-identities.  The first three draw all their samples first, then run as array
-passes over one J table (and one N table) each.  The per-draw calls
-``bessel_jn_half``, ``coefficients_bc`` and ``hankel_finite_integral`` are
-one-draw passes of the same routines, and each suite takes its worst draw
-again through its per-draw call and fails unless the two agree exactly: a
-draw's values do not depend on its batch.  The overlap is the exact kernel's
-own ratio W~/(x^2 - y^2), its series over the kernel's J rows
-(``kernel._overlaps``), checked against a
-self-verified composite Gauss-Legendre rule, independent of the production
-Gauss-Kronrod pair, over ``_jv``: J_{l+1/2} for l <= 10 and z <= 100 from the
-power series (DLMF 10.2.2) below z = 8 and the finite sin/cos closed form (DLMF
-10.49.2) from 8 up, independent of the package's J recurrence.  The delta
+The four suites of ``bubblespec check``, each an ``IdentityReport``: the Bessel cross-product Wronskian 2/pi, the
+wall matching's |B|^2 + |C|^2 = 1, the closed-form finite-range Bessel overlap integral and the smeared spectral
+delta identities.  The first three draw all their samples first, then run as array passes over one J table (and
+one N table) each.  The per-draw calls ``bessel_jn_half``, ``coefficients_bc`` and ``hankel_finite_integral`` are
+one-draw passes of the same routines, and each suite takes its worst draw again through its per-draw call and fails
+unless the two agree exactly: a draw's values do not depend on its batch.  The overlap is the exact kernel's own
+ratio W~/(x^2 - y^2), its series (``kernel._overlaps``) over the kernel's backward J table at both arguments
+(``kernel._j_tables``), checked against a self-verified composite Gauss-Legendre rule, independent of the production
+Gauss-Kronrod pair, over ``_jv``: J_{l+1/2} for l <= 10 and z <= 100 from the power series (DLMF 10.2.2) below z = 8
+and the finite sin/cos closed form (DLMF 10.49.2) from 8 up, independent of the package's J recurrence.  The delta
 identities are closed forms.  No suite loads scipy.
 """
 
@@ -26,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _overlaps
-from .matching import _amplitudes_at, coefficients_bc
+from .kernel import _j_tables, _overlaps
+from .matching import _amplitudes_at, _positive_finite, coefficients_bc
 from .special_functions import (
-    BesselDomainError, ModeOrder, _half_integer_columns, _half_integer_j_table, _reduced_det, _require_domain,
-    bessel_jn_half,
+    _UNDERFLOW_FLOOR, BesselDomainError, ModeOrder, _half_integer_columns, _reduced_det, _require_domain, bessel_jn_half,
 )
 
 __all__ = [
@@ -92,11 +86,10 @@ def matching_checks(rng: random.Random) -> IdentityReport:
 def hankel_finite_integral(order: ModeOrder, k1: float, k2: float, R: float) -> float:
     """Closed form of int_0^R r J_nu(k1 r) J_nu(k2 r) dr = R^2 W~_nu(a, b)/(a^2 - b^2), (a, b) = (k1 R, k2 R).
 
-    One draw of ``_overlap_ratios``, equal wavenumbers included.
+    One draw of ``_overlap_ratios``, equal wavenumbers included.  Each raw number must be positive and finite first:
+    R < 0 would turn two negative wavenumbers positive.
     """
-    # A non-positive wavenumber leaves the Bessel domain, but R < 0 would turn two negative ones positive.
-    if R <= 0.0:
-        raise BesselDomainError(f"radius must be positive, got R={R}")
+    k1, k2, R = (_positive_finite(name, v, BesselDomainError) for name, v in (("k1", k1), ("k2", k2), ("R", R)))
     _require_domain(x=k1 * R, y=k2 * R)
     return R * R * _overlap_ratios(np.array([order.l]), np.array([k1 * R]), np.array([k2 * R])).item()
 
@@ -104,13 +97,18 @@ def hankel_finite_integral(order: ModeOrder, k1: float, k2: float, R: float) -> 
 def _overlap_ratios(l: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """W~_nu(a, b)/(a^2 - b^2), nu = l + 1/2, at draws in the Bessel domain: ``kernel._overlaps`` over one J table.
 
-    Each draw sums its own rows, so its value does not depend on its batch.
+    Each draw sums its own rows, so its value does not depend on its batch.  BesselDomainError names the first draw
+    whose leading row J_{nu+1}(a) J_{nu+1}(b) is below _UNDERFLOW_FLOOR, where underflow would leave 0.0 or NaN.
     """
     top = np.maximum(l, (math.e * np.maximum(a, b) / 2.0).astype(int)) + 2 * _SERIES_ROWS
-    # An a*b that underflows gives inf, not a ZeroDivisionError.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        j = _half_integer_j_table(np.concatenate([a, b]), np.concatenate([top, top]))
-        return _overlaps(j[:, : a.size], j[:, a.size :], a, b, top)[l, np.arange(a.size)]
+    draw = np.arange(a.size)
+    ja, jb = _j_tables(a, b, top, np.zeros(a.size, dtype=bool))
+    # Past the floor check a*b is above 1e-200: 2/(a b) is finite.
+    lost = np.abs(ja[l + 1, draw] * jb[l + 1, draw]) < _UNDERFLOW_FLOOR
+    if lost.any():
+        i = int(lost.argmax())
+        raise BesselDomainError(f"the overlap of order l={l[i]} underflows at a={a[i]}, b={b[i]}")
+    return _overlaps(ja, jb, a, b, top)[l, draw]
 
 
 def _jv(l: int, z: np.ndarray) -> np.ndarray:

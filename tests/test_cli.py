@@ -479,7 +479,7 @@ def test_table_json_is_frozen_to_the_byte():
         ),
         (
             "n_gas_in = 20000.0\nn_gas_out = 1.0\nkernel_mode = exact\nrel_tol = 1e-4\ngrid_points = 20\n",
-            "0452754197e073f00a6e4dadf25f4a58ce4f9f4cbb50c76b41349dce039fb976",
+            "6504c7d636cf3f4c183e766f4fa7d2cf4c2b0f20b5ab8562aff7b7ca6ca2bf67",
         ),
     ],
     ids=["default", "68-34", "68-34-tails", "exact"],
@@ -494,8 +494,8 @@ def test_spectrum_csv_is_frozen_to_the_byte(tmp_path, config, digest):
 @pytest.mark.parametrize(
     "command, digest",
     [
-        ("diagonal", "5c4a071c70fbd10de0296cf6b915ce83be982249a1abfa8a0d58eb6034052377"),
-        ("kernel-dump", "87441ceaee3210c9877afaaed1cf8c852cfbf37cc7f2ddb965e4bfac00c5ede0"),
+        ("diagonal", "3be88caaa5db5e59db0f844a99a53c40da33628b70bc0a74ceb405437f2bea9a"),
+        ("kernel-dump", "33390b69577159a71646cc40b6998b52ee5d2659e1468a65e04b3d888f3b84ad"),
     ],
 )
 def test_kernel_csv_is_frozen_to_the_byte(tmp_path, command, digest):

@@ -41,7 +41,7 @@ def _per_order_terms(x, y):
 
     J_l = J_{l+1/2} comes from half_integer_j_array lists, r_l from Lommel's quotient
     (y J_{l-1}(y) J_l(x) - x J_{l-1}(x) J_l(y))/(x^2 - y^2) off the diagonal and from its limit
-    [x (J_l^2 + J_{l-1}^2) - (2l+1) J_l J_{l-1}]/(2x) on it: none of f_exact_array's three branches.  Past
+    [x (J_l^2 + J_{l-1}^2) - (2l+1) J_l J_{l-1}]/(2x) on it: neither of f_exact_array's two routes.  Past
     e*max(x, y)/2 + 16 the terms are far below rounding.  Both forms cancel where the arguments are small or close
     (relative errors of about 2^-52 max(1, x^2)/|x^2 - y^2| and 2^-52/x^2), so the tests take it as a reference
     where |x - y| >= 1e-2 and |x^2 - y^2| >= 1e-2, or x = y >= 0.1.
@@ -147,7 +147,7 @@ def _mpmath_f(x, y, l_used):
 
 def test_f_exact_next_to_the_diagonal_at_small_arguments_against_mpmath():
     # x log-uniform in [1e-3, 2], |y/x - 1| log-uniform in [1e-12, 1e-2], against the orders through
-    # e*max(x, y)/2 + 8 summed at 40 digits (the rest are below 1e-30 of F): the power series and the
+    # e*max(x, y)/2 + 8 summed at 40 digits (the rest are below 1e-30 of F): the overlap series and the
     # closed form lose nothing next to the diagonal
     rng = random.Random(83)
     for _ in range(120):
@@ -268,8 +268,8 @@ def test_a_factor_kernel_never_reports_a_non_finite_sum(x, y, n_in, n_out):
 
 @pytest.mark.parametrize("x, y", [(1e-200, 2e-200), (1e-100, 1.0), (1e-100, 30.0), (1e-200, 1e-200), (1e-60, 1e-60)])
 def test_f_exact_tiny_arguments_give_values(x, y):
-    # Tiny arguments, where F or x*y leaves the normal doubles, give values from the power or the overlap
-    # series: within 1e-12 of 40-digit arithmetic, an honest 0.0 where F underflows.
+    # Tiny arguments, where F or x*y leaves the normal doubles, give values from the overlap series: within
+    # 1e-12 of 40-digit arithmetic, an honest 0.0 where F underflows (not NaN where x*y does).
     got = f_exact(x, y)
     assert type(got.value) is float and got.value == float(f_exact_array(x, y))
     ref = _mpmath_overlap_f(x, y)
@@ -307,7 +307,7 @@ def test_the_benchmark_harness_finds_what_it_reads_from_the_kernel():
 def test_d_exact_follows_its_small_argument_limit():
     # D(x) -> 3 (2 x^3/(45 pi))^2 = 12 x^6/(2025 pi^2), the l = 1 term, in d_exact and f_exact alike; its O(x^2)
     # correction -(2/7) x^2 is below rounding from 1e-8 down to where the limit stops being a normal double
-    # (x ~ 1.83e-51), and the power series has no cancellation to lose there
+    # (x ~ 1.83e-51), and the overlap series has no cancellation to lose there
     xs = np.logspace(math.log10(1.83e-51), -8.0, 200).tolist()
     assert 12.0 * xs[0] ** 6 / (2025.0 * math.pi**2) >= sys.float_info.min
     assert 12.0 * (0.99 * xs[0]) ** 6 / (2025.0 * math.pi**2) < sys.float_info.min
@@ -319,7 +319,7 @@ def test_d_exact_follows_its_small_argument_limit():
 
 
 def test_d_exact_below_the_double_range_is_its_small_x_limit_or_zero():
-    # Below about 3e-50 D(x) is near or below the subnormal range; d_exact and f_exact (the power series)
+    # Below about 3e-50 D(x) is near or below the subnormal range; d_exact and f_exact (the overlap series)
     # return the small-x limit 12 x^6/(2025 pi^2) there, rounded to the subnormal grid, down to an honest
     # 0.0 where it underflows.
     zeros = 0
@@ -374,7 +374,7 @@ def _reference_draws(seed, n):
 
     draws = (
         lambda: (lo := log_uniform(1.0, 390.0), lo * log_uniform(1.0, 256.0)),  # closed form
-        lambda: (log_uniform(1e-3, 1.0), rng.uniform(1e-3, 4.0)),  # power series
+        lambda: (log_uniform(1e-3, 1.0), rng.uniform(1e-3, 4.0)),  # overlap series, one backward table
         lambda: (log_uniform(1e-3, 1.0), log_uniform(4.0, 2000.0)),  # overlap series, small min
         lambda: (lo := log_uniform(1.0, 7.0), lo * log_uniform(256.0, 2000.0 / lo)),  # overlap series, far apart
         lambda: (x := log_uniform(1.0, 390.0), x + rng.choice((-1.0, 1.0)) * log_uniform(1e-2, 1.0)),  # near x = y
@@ -398,8 +398,8 @@ def test_f_exact_array_against_the_per_order_sum():
     got = f_exact_array(x, y)
     lo, hi = np.minimum(x, y), np.maximum(x, y)
     closed = (lo >= 1.0) & (hi <= 256.0 * lo)
-    series = ~closed & (hi <= 4.0)
-    assert min(np.count_nonzero(closed), np.count_nonzero(series), np.count_nonzero(~closed & ~series)) > 40
+    shared = ~closed & (hi <= 4.0)
+    assert min(np.count_nonzero(closed), np.count_nonzero(shared), np.count_nonzero(~closed & ~shared)) > 40
     for a, b, v in zip(x.tolist(), y.tolist(), got.tolist()):
         assert v == pytest.approx(_per_order_f_exact(a, b), rel=1e-10, abs=0.0), (a, b)
 
@@ -437,7 +437,7 @@ def _branch_draws(seed, n):
 
     draws = (
         lambda: (lo := log_uniform(1.0, 390.0), min(1e5, lo * log_uniform(1.0, 256.0))),  # closed form
-        lambda: (lo := log_uniform(1e-3, 1.0), rng.uniform(lo, 4.0)),  # power series
+        lambda: (lo := log_uniform(1e-3, 1.0), rng.uniform(lo, 4.0)),  # overlap series, one backward table
         lambda: (log_uniform(1e-3, 1.0), log_uniform(4.0, 1e5)),  # overlap series, small min
         lambda: (lo := log_uniform(1.0, 390.0), lo * log_uniform(256.0, 1e5 / lo)),  # overlap series, far apart
         lambda: (x := log_uniform(1e-3, 1e5), x * (1.0 + log_uniform(1e-12, 1e-1))),  # next to the diagonal
@@ -452,28 +452,33 @@ def _branch_draws(seed, n):
 
 def test_f_exact_array_against_the_closed_form_at_160_digits():
     # every branch, its edges (min = 1, max = 4, max = 256 min), the diagonal, |x - y|/x in [1e-12, 1e-1]
-    # and mixed scales up to 1e5, within 1e-12 of a 160-digit evaluation (measured: 1.5e-13, 2e-15, 8.6e-15)
+    # and mixed scales up to 1e5, within 1e-12 of a 160-digit evaluation (measured: 1.5e-13 by the closed form,
+    # 2e-15 by the overlap series over one backward table, 8.6e-15 by the overlap series elsewhere)
     x, y = np.array(_branch_draws(41, 600)).T
     got = f_exact_array(x, y)
     assert f_exact_array(y, x).tolist() == got.tolist()
     lo, hi = np.minimum(x, y), np.maximum(x, y)
     closed = (lo >= 1.0) & (hi <= 256.0 * lo)
-    series = ~closed & (hi <= 4.0)
-    assert min(np.count_nonzero(closed), np.count_nonzero(series), np.count_nonzero(~closed & ~series)) > 150
+    shared = ~closed & (hi <= 4.0)
+    assert min(np.count_nonzero(closed), np.count_nonzero(shared), np.count_nonzero(~closed & ~shared)) > 150
     for a, b, v in zip(x.tolist(), y.tolist(), got.tolist()):
         assert v == pytest.approx(_mpmath_closed_form(a, b), rel=1e-12, abs=0.0), (a, b)
 
 
 def test_f_exact_array_values_do_not_depend_on_the_batch(monkeypatch):
+    # the sweep, then every route mixed in one slice: the closed form, the overlap series over one backward
+    # table (max(x, y) <= 4) and with the upward recurrence, their edges and tiny arguments
+    for x, y in (_array_sweep(12, 200), np.array(_branch_draws(12, 300) + [(1e-200, 2e-200), (1e-100, 1.0)]).T):
+        whole = f_exact_array(x, y)
+        # one point per sub-batch, then a few points per sub-batch of mixed table sizes
+        for points in (1, 8):
+            monkeypatch.setattr(kernel, "_POINTS_PER_SLICE", points)
+            assert f_exact_array(x, y).tolist() == whole.tolist()
+        monkeypatch.undo()
+        perm = np.random.default_rng(12).permutation(x.size)
+        assert f_exact_array(x[perm], y[perm]).tolist() == whole[perm].tolist()
     x, y = _array_sweep(12, 200)
     whole = f_exact_array(x, y)
-    # one point per sub-batch, then a few points per sub-batch of mixed table sizes
-    for points in (1, 8):
-        monkeypatch.setattr(kernel, "_POINTS_PER_SLICE", points)
-        assert f_exact_array(x, y).tolist() == whole.tolist()
-    monkeypatch.undo()
-    perm = np.random.default_rng(12).permutation(x.size)
-    assert f_exact_array(x[perm], y[perm]).tolist() == whole[perm].tolist()
     assert f_exact_array(x[7], y[7]).tolist() == whole[7]
     # broadcasting keeps the shape
     grid = f_exact_array(x[:3, None], y[None, :4])
@@ -520,7 +525,7 @@ def _mpmath_overlap_f(x, y, orders=3, rows=3):
 
 def test_f_exact_array_matches_f_exact_at_tiny_and_mixed_scale_points():
     # points log-uniform in [1e-300, 400]^2: f_exact_array is f_exact, bit for bit, and where x*y < 1e-40 (most
-    # points) it is the power or the overlap series within 1e-12 of 40-digit arithmetic, an honest 0.0 where F
+    # points) it is the overlap series within 1e-12 of 40-digit arithmetic, an honest 0.0 where F
     # underflows; elsewhere within 1e-10 of the per-order sum, or of more orders and rows at 40 digits where
     # both arguments are small and the sum's quotient cancels
     rng = random.Random(71)
@@ -542,10 +547,11 @@ def test_f_exact_array_matches_f_exact_at_tiny_and_mixed_scale_points():
 
 
 def test_j_tables_serve_f_exact_the_overlap_oracle_and_the_overlap_branch_only(monkeypatch):
-    # The overlap oracle and f_exact_array's overlap branch take their J rows from
+    # The overlap oracle and f_exact_array's overlap route take their J rows from
     # special_functions._half_integer_j_table and _half_integer_j_upward, and kernel binds no other J list
-    # routine; f_exact_array, and with it f_exact, builds J tables only for points of its overlap branch
-    # (min(x, y) < 1 < 4 < max(x, y), or max(x, y) > 256 min(x, y)), none elsewhere.
+    # routine; f_exact_array, and with it f_exact, builds J tables only for points of its overlap route
+    # (min(x, y) < 1, or max(x, y) > 256 min(x, y)), none for the closed form.  The upward recurrence serves
+    # max(x, y) > 4 only: up to 4 J at both arguments comes from one backward table.
     assert not hasattr(kernel, "half_integer_j_array")
 
     class Reached(Exception):
@@ -555,22 +561,30 @@ def test_j_tables_serve_f_exact_the_overlap_oracle_and_the_overlap_branch_only(m
         raise Reached
 
     for module in (special_functions, kernel, oracles):
-        for name in ("_half_integer_j_table", "_half_integer_j_upward"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, table)
+        if hasattr(module, "_half_integer_j_upward"):
+            monkeypatch.setattr(module, "_half_integer_j_upward", table)
+    assert np.all(f_exact_array(np.array([0.5, 1e-3, 0.999, 1e-200]), np.array([4.0, 1e-3, 2.0, 2e-200])) >= 0.0)
+    assert hankel_finite_integral(ModeOrder(2), 1.5, 0.5, 2.0) != 0.0
+    for call in (lambda: f_exact(0.5, math.nextafter(4.0, 5.0)), lambda: f_exact(2.0, 600.0)):
+        with pytest.raises(Reached):
+            call()
+    for module in (special_functions, kernel, oracles):
+        if hasattr(module, "_half_integer_j_table"):
+            monkeypatch.setattr(module, "_half_integer_j_table", table)
     for call in (
         lambda: f_exact(0.5, 33.0),
         lambda: f_exact(2.0, 600.0),
+        lambda: f_exact(0.5, 4.0),
+        lambda: f_exact(1e-3, 1e-3),
         lambda: f_exact_array(np.array([5.0, 0.5, 140.0]), np.array([6.0, 33.0, 154.0])),
         lambda: f_exact_array(2.0, 600.0),
         lambda: hankel_finite_integral(ModeOrder(2), 1.5, 0.5, 2.0),
     ):
         with pytest.raises(Reached):
             call()
-    # the closed form and the power series, up to their edges
-    assert np.all(f_exact_array(np.array([5.0, 1.0, 3.0, 392.0]), np.array([6.0, 256.0, 3.0, 391.0])) > 0.0)
-    assert np.all(f_exact_array(np.array([0.5, 1e-3, 0.999]), np.array([4.0, 1e-3, 2.0])) > 0.0)
-    assert min(f_exact(5.0, 6.0).value, f_exact(3.0, 3.0).value, f_exact(0.5, 4.0).value) > 0.0
+    # the closed form, up to its edges
+    assert np.all(f_exact_array(np.array([5.0, 1.0, 3.0, 392.0, 1.0]), np.array([6.0, 256.0, 3.0, 391.0, 4.0])) > 0.0)
+    assert min(f_exact(5.0, 6.0).value, f_exact(3.0, 3.0).value, f_exact(1.0, 1.0).value) > 0.0
 
 
 def test_kernel_arguments_above_the_limit_raise_the_domain_error():

@@ -136,6 +136,11 @@ def test_domain_errors():
         coefficient_a_sq(ModeOrder(1), -1.0, 1.3)
     with pytest.raises(BesselDomainError):
         coefficients_bc(ModeOrder(1), 2.0, 0.0)
+    # the raw numbers are checked before any arithmetic: an int past the double range is no OverflowError
+    for y, ratio in ((10**400, 1.3), (2.0, 10**400)):
+        for call in (coefficient_a_sq, coefficients_bc):
+            with pytest.raises(BesselDomainError):
+                call(ModeOrder(3), y, ratio)
 
 
 @pytest.mark.parametrize(

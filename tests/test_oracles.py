@@ -94,12 +94,49 @@ def test_domain_errors():
 
 
 @pytest.mark.parametrize(
-    "k1, k2, R", [(1.0, 0.0, 5.0), (math.nan, 2.0, 5.0), (1.0, 2.0, -5.0), (-1.0, -2.0, -5.0)]
+    "k1, k2, R",
+    [(1.0, 0.0, 5.0), (math.nan, 2.0, 5.0), (1.0, 2.0, -5.0), (-1.0, -2.0, -5.0)]
+    + [
+        pytest.param(10**400, 1.0, 1.0, id="k1-past-the-double-range"),
+        pytest.param(1.0, 1.0, 10**400, id="R-past-the-double-range"),
+        pytest.param(1.0, 2.0, True, id="R-bool"),
+    ],
 )
 def test_every_sign_error_raises_the_domain_error(k1, k2, R):
-    # a negative radius would turn two negative wavenumbers into positive arguments
+    # a negative radius would turn two negative wavenumbers into positive arguments; the raw numbers are checked
+    # before any arithmetic, so an int past the double range is no OverflowError
     with pytest.raises(BesselDomainError):
         hankel_finite_integral(ModeOrder(1), k1, k2, R)
+
+
+def _mpmath_overlap(l, k1, k2, R, rows=24):
+    """R^2 (2/(ab)) sum_{n<rows} (nu+2n+1) J_{nu+2n+1}(a) J_{nu+2n+1}(b), a = k1 R, b = k2 R, at 40 digits."""
+    with mpmath.workdps(40):
+        a, b, nu = mpmath.mpf(k1) * R, mpmath.mpf(k2) * R, l + mpmath.mpf(1) / 2
+        terms = ((nu + 2 * n + 1) * mpmath.besselj(nu + 2 * n + 1, a) * mpmath.besselj(nu + 2 * n + 1, b) for n in range(rows))
+        return float(mpmath.mpf(R) ** 2 * 2 / (a * b) * mpmath.fsum(terms))
+
+
+def test_tiny_arguments_give_the_overlap_or_the_domain_error():
+    # Where a*b or the leading J product underflows the overlap raises BesselDomainError, not a quiet NaN or 0.0;
+    # elsewhere it is within 1e-12 of 40-digit arithmetic.  Draws: l in 0..10, k1 and k2 log-uniform in
+    # [1e-300, 10] and in [1e-40, 10], R = 1, and the calls that once gave NaN.
+    rng = random.Random(31)
+    draws = [(0, 1e-200, 1e-200, 1.0), (0, 1e-160, 1e-160, 1.0), (0, 1.0, 1.0, 1e-200), (0, 1e-100, 1.0, 1.0)]
+    for low in (-300, -40):
+        draws += [(rng.randint(0, 10), 10 ** rng.uniform(low, 1), 10 ** rng.uniform(low, 1), 1.0) for _ in range(75)]
+    raised = 0
+    for l, k1, k2, R in draws:
+        try:
+            got = hankel_finite_integral(ModeOrder(l), k1, k2, R)
+        except BesselDomainError as exc:
+            assert "underflows" in str(exc)
+            raised += 1
+            continue
+        want = _mpmath_overlap(l, k1, k2, R)
+        assert abs(got - want) <= 1e-12 * abs(want), (l, k1, k2, R, got, want)
+    assert hankel_finite_integral(ModeOrder(0), 1e-100, 1.0, 1.0) > 0.0
+    assert 3 <= raised < len(draws) - 10
 
 
 def test_spectral_delta_suite():

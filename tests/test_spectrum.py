@@ -362,9 +362,10 @@ def test_totals_peak_memory_stays_below_3_mb():
 
 
 def test_exact_totals_build_j_tables_for_overlap_branch_points_only(monkeypatch):
-    # A work count, not a timing: the exact kernel's closed form and power series build no Bessel table,
-    # so on the 2e4/1 exact totals (rel_tol 1e-4, 20 grid points) J columns are built for the overlap
-    # branch's points alone, two per point, and the count repeats exactly.
+    # A work count, not a timing: the exact kernel's closed form builds no Bessel table, so on the 2e4/1
+    # exact totals (rel_tol 1e-4, 20 grid points) J columns are built for the overlap route's points alone,
+    # two per point (J at min(x, y), and J at max(x, y) from the same backward table up to 4, from the upward
+    # recurrence past it), and the count repeats exactly.
     kernel = bubblespec.kernel
     columns, points = [], []
 
@@ -390,12 +391,12 @@ def test_exact_totals_build_j_tables_for_overlap_branch_points_only(monkeypatch)
         totals(cfg, CutoffProfile.rounded(cfg), QuadratureSpec(rel_tol=1e-4), "exact", grid_points=20)
         x, y = (np.concatenate([p[i] for p in points]) for i in (0, 1))
         lo, hi = np.minimum(x, y), np.maximum(x, y)
-        overlap = ~((lo >= 1.0) & (hi <= 256.0 * lo)) & (hi > 4.0)
+        overlap = ~((lo >= 1.0) & (hi <= 256.0 * lo))
         counts.append((x.size, sum(columns)))
         assert sum(columns) == 2 * np.count_nonzero(overlap)
     assert counts[0] == counts[1]
-    # measured: 4470 points, 807 of them in the overlap branch
-    assert counts[0][1] < 0.4 * counts[0][0]
+    # measured: 4470 points, 1098 of them in the overlap route (291 with max(x, y) <= 4)
+    assert counts[0] == (4470, 2 * 1098)
 
 
 def _integrand_per_point(x, ys, cfg, cut, kernel_mode):
