@@ -113,7 +113,8 @@ def _mpmath_overlap(l, k1, k2, R, rows=24):
     """R^2 (2/(ab)) sum_{n<rows} (nu+2n+1) J_{nu+2n+1}(a) J_{nu+2n+1}(b), a = k1 R, b = k2 R, at 40 digits."""
     with mpmath.workdps(40):
         a, b, nu = mpmath.mpf(k1) * R, mpmath.mpf(k2) * R, l + mpmath.mpf(1) / 2
-        terms = ((nu + 2 * n + 1) * mpmath.besselj(nu + 2 * n + 1, a) * mpmath.besselj(nu + 2 * n + 1, b) for n in range(rows))
+        orders = (nu + 2 * n + 1 for n in range(rows))
+        terms = (m * mpmath.besselj(m, a) * mpmath.besselj(m, b) for m in orders)
         return float(mpmath.mpf(R) ** 2 * 2 / (a * b) * mpmath.fsum(terms))
 
 
