@@ -230,6 +230,27 @@ def d_approx(x):
     return out if np.ndim(out) else float(out)
 
 
+def _factorized_hump(x: np.ndarray, y: np.ndarray):
+    """The fitted D((x+y)/2); an x + y past the double range is inf, whose hump is the limit."""
+    with np.errstate(over="ignore"):
+        return _hump(x + y, _F_FIT_SCALE)
+
+
+def _factorized_envelope(x, y) -> np.ndarray:
+    """f_factorized(x, y)/sin^2(3(x-y)/4) = D((x+y)/2)/u^2, u = 3(x-y)/4: the smooth factor of the sinc^2 lobes.
+
+    Meant for the far lobes, |x - y| >= 2 sinc^2 widths; a u^2 past the double range gives 0.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    hump = _factorized_hump(x, y)
+    u = np.subtract(x, y, out=np.empty(np.shape(hump)))
+    u *= 0.75
+    with np.errstate(over="ignore"):
+        u *= u
+    hump /= u
+    return hump
+
+
 def f_factorized(x, y):
     """Factorized kernel D((x+y)/2) * sinc^2(3(x-y)/4), array-friendly.
 
@@ -237,7 +258,7 @@ def f_factorized(x, y):
     rounding, as 16000 = 2^6 * 250, but not bit for bit: pow(2x, 6) and 64 pow(x, 6) may differ in the last bit.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    hump = _hump(x + y, _F_FIT_SCALE)
+    hump = _factorized_hump(x, y)
     # sin(u)/u at u = 3(x-y)/4 by np.sinc(u/pi)'s own steps, in place: pi * (u/pi), eps where that is 0, sin over it.
     u = np.subtract(x, y, out=np.empty(np.shape(hump)))
     u *= 0.75

@@ -87,9 +87,11 @@ def hankel_finite_integral(order: ModeOrder, k1: float, k2: float, R: float) -> 
     """Closed form of int_0^R r J_nu(k1 r) J_nu(k2 r) dr = R^2 W~_nu(a, b)/(a^2 - b^2), (a, b) = (k1 R, k2 R).
 
     One draw of ``_overlap_ratios``, equal wavenumbers included.  Each raw number must be positive and finite first:
-    R < 0 would turn two negative wavenumbers positive.
+    R < 0 would turn two negative wavenumbers positive.  An R whose square overflows raises BesselDomainError too.
     """
     k1, k2, R = (_positive_finite(name, v, BesselDomainError) for name, v in (("k1", k1), ("k2", k2), ("R", R)))
+    if R * R == math.inf:
+        raise BesselDomainError(f"the closed form's R^2 overflows at R={R!r}")
     _require_domain(x=k1 * R, y=k2 * R)
     return R * R * _overlap_ratios(np.array([order.l]), np.array([k1 * R]), np.array([k2 * R])).item()
 

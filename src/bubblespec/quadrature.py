@@ -14,6 +14,15 @@ deterministic: each value is the correctly rounded sum (``math.fsum``) of
 its row's panels, and a batch returns its rows' values, errors and
 subdivision counts as arrays.
 
+A row may also hold product panels for integrands g(t) sin^2(pi m (1 + t)/2)
+that span m = 1, 2, 4, ..., 64 whole periods of the sin^2 weight (in the
+panel's local t in [-1, 1]): their own callback returns the smooth factor g
+at 23 interior Fejer nodes cos(i pi/24), and fixed interpolatory weights
+per m integrate the weight exactly (QUADPACK's QAWO, Filon-type rules).  The
+value is that 23-point rule, the error its distance from the 11-point rule
+on the nodes of even i; a product panel bisects into two of m/2 periods,
+and one of a single period into two K15 halves.
+
 Supports vector-valued integrands so that several moments of the same
 integrand (e.g. a spectrum and its energy weighting) share one pass.
 """
@@ -50,6 +59,46 @@ _XK15, _WK15 = _symmetric_rule(
     [0.20948214108472782, 0.20443294007529889, 0.19035057806478542, 0.1690047266392679,
      0.14065325971552592, 0.10479001032225019, 0.06309209262997856, 0.022935322010529224],
 )
+
+# Product panels span m = 2^j periods of their sin^2 weight, j < _LEVELS.
+_LEVELS = 7
+_MAX_LOBES = 2 ** (_LEVELS - 1)
+# Fejer's second rule: the interior Chebyshev extrema cos(i pi/24), ascending, so
+# that its nodes at even i, the 11-point rule, are the odd entries as in K15.
+_XF23 = np.cos(np.arange(23, 0, -1) * (np.pi / 24))
+
+
+def _sin2_weights() -> tuple[np.ndarray, ...]:
+    """W[j, i] with sum_i W[j, i] g(t_i) = int_{-1}^1 p(t) sin^2(pi m (1 + t)/2) dt, m = 2^j, p interpolating g.
+
+    For the 23 nodes and for the 11 of even i: the zeros t_i = cos(theta_i)
+    of U_n, n = 23 and 11.  The discrete orthogonality of U_k there makes
+    p = sum_k c_k U_k with c_k = 2/(n+1) sum_i sin(theta_i) sin((k+1) theta_i) g(t_i),
+    so the weights need no linear solve (nor the BLAS one would load).  The
+    moments of U_k against the weight, by U_{k+1} = 2t U_k - U_{k-1}, come
+    from a composite K15 rule of two panels per period (the weight is
+    entire, so this is exact to rounding), for every level in one pass.
+    """
+    lobes = 2 ** np.arange(_LEVELS)
+    level = np.arange(_LEVELS).repeat(2 * lobes)
+    # Level j's 2m panels follow the 2m - 2 of the levels below it.
+    first = 2 * lobes - 2
+    m = lobes[level][:, None]
+    t = (np.arange(level.size)[:, None] - first[level][:, None] + 0.5 * (_XK15 + 1.0)) / m - 1.0
+    weight = (_WK15 / (2 * m) * np.sin(0.5 * np.pi * m * (t + 1.0)) ** 2).ravel()
+    t = t.ravel()
+    moments, u_prev, u = [], np.ones_like(t), 2.0 * t
+    for _ in range(_XF23.size):
+        moments.append(np.add.reduceat(u_prev * weight, first * _XK15.size))
+        u_prev, u = u, 2.0 * t * u - u_prev
+    theta = [np.arange(n, 0, -1) * (np.pi / (n + 1)) for n in (23, 11)]
+    return tuple(
+        np.einsum("ik,kj->ji", np.sin(np.outer(th, np.arange(1, th.size + 1))), np.array(moments[: th.size]))
+        * (2.0 / (th.size + 1) * np.sin(th))
+        for th in theta
+    )
+
+_W23, _W11 = _sin2_weights()
 # Most points per integrand call: keeps the integrand's temporaries (64 kB
 # each) in L2 cache however many panels a round evaluates.
 _CHUNK_POINTS = 2**13
@@ -87,31 +136,35 @@ def _cap_error(edges: float, max_subdivisions: int, result: QuadResult) -> Quadr
     )
 
 
-def _panel_estimates(f: _RowIntegrand, bounds: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """K15 values and |K15 - G7| errors, shape (2, n_components, n_panels).
+def _rule_estimates(f: _RowIntegrand, bounds, rows, nodes, weights, low_weights) -> np.ndarray:
+    """One rule's values and errors on its panels, shape (2, n_components, n_panels).
 
-    ``bounds`` holds the (low, high) ends of the panels and ``rows`` the
-    row of each panel; ``f`` gets the row of each point.  Each panel takes
-    15 evaluations, in calls of at most ``_CHUNK_POINTS`` points, each call
-    reduced to its panels' rule sums at once; the estimates equal those of
-    one call.  A panel whose estimate is not finite raises QuadratureError.
+    The value takes ``weights`` at ``nodes``, the error is its distance from
+    ``low_weights`` at the odd nodes; weights of shape (n_panels, n_nodes)
+    are per panel.  Each panel takes its nodes in calls of at most
+    ``_CHUNK_POINTS`` points, each call reduced to its panels' rule sums at
+    once; the estimates equal those of one call.  A panel whose estimate is
+    not finite raises QuadratureError.
     """
     lows, highs = bounds
     mid = 0.5 * (lows + highs)
     half = 0.5 * (highs - lows)
-    step = _CHUNK_POINTS // _XK15.size
-    nodes = np.tile(_XK15, (min(step, lows.size), 1))
+    per_panel = weights.ndim == 2
+    spec = "cpk,pk->cp" if per_panel else "cpk,k->cp"
+    step = _CHUNK_POINTS // nodes.size
+    tiled = np.tile(nodes, (min(step, lows.size), 1))
     est = None
     for start in range(0, lows.size, step):
         s = slice(start, start + step)
-        pts = half[s].repeat(_XK15.size) * nodes[: half[s].size].ravel() + mid[s].repeat(_XK15.size)
-        chunk = np.atleast_2d(np.asarray(f(pts, rows[s].repeat(_XK15.size)), dtype=float))
+        pts = half[s].repeat(nodes.size) * tiled[: half[s].size].ravel() + mid[s].repeat(nodes.size)
+        chunk = np.atleast_2d(np.asarray(f(pts, rows[s].repeat(nodes.size)), dtype=float))
         if chunk.shape[-1] != pts.size:
             raise ValueError("integrand returned a shape not matching its input")
         est = np.empty((2, chunk.shape[0], lows.size)) if est is None else est
-        vals = chunk.reshape(chunk.shape[0], -1, _XK15.size)
-        np.einsum("cpk,k->cp", vals, _WK15, out=est[0, :, s])
-        np.einsum("cpk,k->cp", vals[:, :, 1::2], _W7, out=est[1, :, s])
+        vals = chunk.reshape(chunk.shape[0], -1, nodes.size)
+        w, w_low = (weights[s], low_weights[s]) if per_panel else (weights, low_weights)
+        np.einsum(spec, vals, w, out=est[0, :, s])
+        np.einsum(spec, vals[:, :, 1::2], w_low, out=est[1, :, s])
     est *= half
     np.abs(np.subtract(est[0], est[1], out=est[1]), out=est[1])
     bad = np.flatnonzero(~np.isfinite(est).all(axis=(0, 1)))
@@ -119,6 +172,31 @@ def _panel_estimates(f: _RowIntegrand, bounds: np.ndarray, rows: np.ndarray) -> 
         i = bad[0]
         msg = f"integrand is not finite on the panel [{float(lows[i])!r}, {float(highs[i])!r}]"
         raise QuadratureError(msg, QuadResult(est[0, :, i], est[1, :, i], 1, False))
+    return est
+
+
+def _panel_estimates(f: _RowIntegrand, bounds, rows, lobes, envelope) -> np.ndarray:
+    """Values and errors of the panels, shape (2, n_components, n_panels).
+
+    Panels of ``lobes`` 0 take K15 and |K15 - G7| on ``f``; the others are
+    product panels of that many sin^2 periods and take the 23- and 11-point
+    product rules on ``envelope``.
+    """
+    product = lobes > 0
+    if not product.any():
+        return _rule_estimates(f, bounds, rows, _XK15, _WK15, _W7)
+    est = None
+    rules = ((~product, f, _XK15, _WK15, _W7), (product, envelope, _XF23, _W23, _W11))
+    for part, g, nodes, weights, low_weights in rules:
+        idx = np.flatnonzero(part)
+        if not idx.size:
+            continue
+        if weights.ndim == 2:  # one row per level: the panel's 2^level periods pick its weights
+            level = np.frexp(lobes[idx])[1] - 1
+            weights, low_weights = weights[level], low_weights[level]
+        sub = _rule_estimates(g, bounds[:, idx], rows[idx], nodes, weights, low_weights)
+        est = np.empty((2, sub.shape[1], rows.size)) if est is None else est
+        est[..., idx] = sub
     return est
 
 
@@ -130,6 +208,8 @@ def _integrate_rows(
     rel_tol: float,
     abs_tol: float,
     max_subdivisions: int,
+    lobes: np.ndarray | None = None,
+    envelope: _RowIntegrand | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate each row over its own starting panels, all rows at once.
 
@@ -137,8 +217,11 @@ def _integrate_rows(
     ``panel_rows`` the row of each: rows are numbered 0, 1, ..., each has at
     least one panel, and a row's panels are contiguous and sorted.
     ``f(points, rows)`` gets the row of each point and returns values of
-    shape (n,) or (n_components, n).  Each round evaluates the new panels
-    of every unfinished row together; each row is refined exactly as
+    shape (n,) or (n_components, n).  A panel of ``lobes`` m > 0 (a power
+    of two up to ``_MAX_LOBES``) is a product panel of m sin^2 periods, for
+    which ``envelope(points, rows)`` returns the smooth factor.  Each round
+    evaluates the new panels of every unfinished row together; each row is
+    refined exactly as
     ``adaptive_quad`` refines it alone, so its result does not depend on
     the other rows.  Returns the values and errors, shape (n_rows,
     n_components), and subdivision counts of the rows, all converged: the
@@ -149,7 +232,8 @@ def _integrate_rows(
     if not panel_rows.size:
         return np.empty((0, 0)), np.empty((0, 0)), np.empty(0, dtype=int)
     results: list = [None] * (int(panel_rows[-1]) + 1)
-    est = _panel_estimates(f, bounds, panel_rows)
+    lobes = np.zeros(panel_rows.size, dtype=int) if lobes is None else lobes
+    est = _panel_estimates(f, bounds, panel_rows, lobes, envelope)
     while True:
         # The unfinished rows' panels stay sorted by (row, left end), so each
         # row is one run; a row's panel count is also its subdivision count.
@@ -191,11 +275,14 @@ def _integrate_rows(
         mid = 0.5 * (lo + hi)
         halves = np.concatenate([[lo, mid], [mid, hi]], axis=1)
         new_rows = np.tile(panel_rows[idx], 2)
+        # A product panel halves into two of half its periods, one of a single period into two K15 panels.
+        new_lobes = np.tile(lobes[idx] // 2, 2)
         bounds = np.concatenate([bounds[:, keep], halves], axis=1)
         panel_rows = np.concatenate([panel_rows[keep], new_rows])
-        est = np.concatenate([est[..., keep], _panel_estimates(f, halves, new_rows)], axis=-1)
+        lobes = np.concatenate([lobes[keep], new_lobes])
+        est = np.concatenate([est[..., keep], _panel_estimates(f, halves, new_rows, new_lobes, envelope)], axis=-1)
         order = np.lexsort((bounds[0], panel_rows))
-        bounds, panel_rows, est = bounds[:, order], panel_rows[order], est[..., order]
+        bounds, panel_rows, lobes, est = bounds[:, order], panel_rows[order], lobes[order], est[..., order]
 
 
 def adaptive_quad(

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CutoffProfile, f_exact_array, f_factorized
+from .kernel import CutoffProfile, _factorized_envelope, f_exact_array, f_factorized
 from .matching import MediumConfig, _positive_finite, _require_positive_finite
-from .quadrature import QuadResult, _cap_error, _integrate_rows, adaptive_quad
+from .quadrature import _MAX_LOBES, QuadResult, _cap_error, _integrate_rows, adaptive_quad
 from .special_functions import _require_int
 
 __all__ = [
@@ -81,17 +81,21 @@ def _check_mode(kernel_mode: str) -> None:
         raise ValueError(f"kernel_mode must be one of {_KERNEL_MODES}, got {kernel_mode!r}")
 
 
-def _integrand(x: np.ndarray, ys: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, kernel_mode: str):
+def _integrand(
+    x: np.ndarray, ys: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, kernel_mode: str, envelope: bool = False
+):
     """Index mismatch weight times squared momentum-mixing ratio times kernel at (x[i], ys[i]).
 
     The initial index is n_gas_in up to y_star and 1 above; the created
-    photon keeps n_gas_out at every x (see ``_dn_dx_batch``).
+    photon keeps n_gas_out at every x (see ``_dn_dx_batch``).  With
+    ``envelope`` the factorized kernel's sinc^2 numerator is left out (the
+    far lobes' product panels weight it exactly).
     """
     n_out = cfg.n_gas_out
     # Without tails every y is at most y_star (an edge of every panel there): one index for all points.
     below = True if np.max(ys, initial=0.0) <= cut.y_star else ys <= cut.y_star
     weight = np.where(below, *((n - n_out) * (n - n_out) / (2.0 * n * n_out) for n in (cfg.n_gas_in, 1.0)))
-    kern = (f_factorized if kernel_mode == "factorized" else f_exact_array)(x, ys)
+    kern = (_factorized_envelope if envelope else f_factorized if kernel_mode == "factorized" else f_exact_array)(x, ys)
     # Past x ~ 1e154 the squares overflow to inf or NaN, which the quadrature rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         # The ratio (n_in x^2 + n_out y^2)/(n_in x + n_out y) in place, sharing n_in x and n_out y.
@@ -106,15 +110,45 @@ def _integrand(x: np.ndarray, ys: np.ndarray, cfg: MediumConfig, cut: CutoffProf
         return weight
 
 
+def _far_field(d0: np.ndarray, end: np.ndarray, cap: int):
+    """Panels of m = 2^j <= min(cap, d) lobes tiling the lobe distances [d0, end) from x, one run per row.
+
+    A panel at distance d (its near edge at x -+ d sinc widths) is no wider
+    than d, so 1/u^2 stays analytic on a wide ellipse around it.  From
+    d0 = 2^p0 + low the widths double, 2^p at 2^p + low, while the next one
+    still fits; ``runs`` cap-wide panels follow from d1, then the rest
+    r < cap by its bits, highest first, up to e = d1 + cap * runs + r.
+    Returns the doubling marks 2^p + low (p = 1..log2(cap) in columns), the
+    rest's marks e - (r mod 2^i) (i = 0..log2(cap)), each clipped so that an
+    unused one bounds no panel, d1, runs and each row's panel count.
+    """
+    c = cap.bit_length() - 1
+    p0 = np.floor(np.log2(d0))
+    low = d0 - 2.0**p0
+    grow = np.maximum(0.0, np.minimum(c, np.floor(np.log2(np.maximum(end - low, 1.0)))) - p0)
+    d1 = 2.0 ** (p0 + grow) + low
+    runs = np.maximum(0.0, np.floor((end - d1) / cap))
+    rest = np.clip(end - d1 - cap * runs, 0.0, cap - 1).astype(int)[:, None]
+    doubling = np.clip(2 ** np.arange(1, c + 1) + low[:, None], d0[:, None], d1[:, None])
+    tail = (d1 + cap * runs)[:, None] + rest - (rest & (2 ** np.arange(c + 1) - 1))
+    count = grow + runs + np.count_nonzero(rest & 2 ** np.arange(c), axis=1)
+    return doubling, tail, d1, runs, count
+
+
 def _dn_dx_batch(xs: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, quad: QuadratureSpec, kernel_mode: str):
     """dN/dx and its error bound at every x, all y-integrals in one batched quadrature.
 
     Each y-integral starts from panels split at the lattice y = x + k 4pi/3
     (x itself and every zero of the kernel's sinc^2(3(x - y)/4)), so that no
-    starting panel spans more than one sinc^2 lobe.  A row's edges are made
-    in order, with or without tails: 0, the lattice clipped to [0, y_star],
-    y_star, x clipped to [y_star, upper] and upper; repeated edges, and the
-    step down from one row's upper to the next row's 0, bound no panel.
+    starting panel spans a fraction of a sinc^2 lobe inside (0, y_star): one
+    K15 panel per lobe up to two lobes from x, for the part lobes at 0 and
+    y_star and, with the exact kernel, for every lobe.  With the factorized
+    kernel the other lobes are grouped into product panels of m = 2^j lobes
+    (``_far_field``) that integrate the sinc^2 numerator exactly.  A row's
+    edges are made in order, with or without tails: 0, the kept lattice
+    points clipped to [0, y_star], y_star, x clipped to [y_star, upper] and
+    upper; repeated edges, and the step down from one row's upper to the
+    next row's 0, bound no panel.
 
     The created photon keeps the bulk index n_gas_out through the rolloff
     strip x in (x_star, x_star + sinc width]: the strip is populated by
@@ -125,29 +159,63 @@ def _dn_dx_batch(xs: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, quad: Qu
     y_star = upper = cut.y_star
     if quad.tail_upper_bound is not None:
         upper = max(float(quad.tail_upper_bound), y_star)
+    cap = _MAX_LOBES if kernel_mode == "factorized" else 1
+    n = xs.size
     # Lattice points x + k * width for k from the last one <= 0 to the first >= y_star.
     k_lo = np.floor(-xs / _ROLLOFF_WIDTH)
-    counts = np.ceil((y_star - xs) / _ROLLOFF_WIDTH) - k_lo + 1
-    # The lattice alone gives a row counts - 1 panels: refuse before building it.
-    most = np.max(counts, initial=0.0)
-    if most - 1 > quad.max_subdivisions:
-        unevaluated = QuadResult(np.array([math.nan]), np.array([math.nan]), int(most) - 1, False)
-        raise _cap_error(most, quad.max_subdivisions, unevaluated)
-    sizes = counts.astype(int) + 4
-    ends = np.cumsum(sizes)
-    owner = np.arange(xs.size).repeat(sizes)
-    k = k_lo[owner] + (np.arange(owner.size) - (ends - sizes + 1)[owner])
-    edges = np.clip(xs[owner] + k * _ROLLOFF_WIDTH, 0.0, y_star)
-    edges[ends - sizes] = 0.0
-    edges[ends - 3], edges[ends - 2], edges[ends - 1] = y_star, np.clip(xs, y_star, upper), upper
-    panel = edges[:-1] < edges[1:]
+    k_hi = np.ceil((y_star - xs) / _ROLLOFF_WIDTH)
+    # The far lobes lie >= 2 lobes from x and one whole lobe inside 0 (left) and y_star (right); both sides at once.
+    d0 = np.concatenate([np.maximum(2.0, 1.0 - k_hi), np.full(n, 2.0)])
+    end = np.concatenate([-k_lo - 1.0, k_hi - 1.0])
+    doubling, tail, d1, runs, count = _far_field(d0, end, cap)
+    # A row starts with its k_hi - k_lo lobes, each side's far lobes taken by its panels: refuse before building it.
+    far = count - np.maximum(0.0, end - d0)
+    most = np.max(k_hi - k_lo + far[:n] + far[n:], initial=0.0)
+    if most > quad.max_subdivisions:
+        unevaluated = QuadResult(np.array([math.nan]), np.array([math.nan]), int(most), False)
+        raise _cap_error(most + 1, quad.max_subdivisions, unevaluated)
+    # Each row's lattice indices in y order, one row of columns: 0's placeholder, k_lo, k_lo + 1; the left far
+    # panels' far ends from the farthest, negated (the rest's, the cap-wide run's, the doubling ones'); the near
+    # lattice -2..2; the right far panels' starts (doubling, run, rest); k_hi - 1, k_hi and the placeholders of
+    # y_star, x and upper.  Each run is padded to the batch's longest with its far end: those bound no panel.
+    c = cap.bit_length() - 1
+    left, right = runs[:n, None], runs[n:, None]
+    q_left, q_right = np.arange(int(np.max(left, initial=0.0))), np.arange(int(np.max(right, initial=0.0)))
+    powers = 2 ** np.arange(c)
+    ks = np.concatenate(
+        [
+            k_lo[:, None] + [0.0, 0.0, 1.0],
+            -tail[:n, :c],
+            -(d1[:n, None] + cap * np.minimum(left, q_left.size - q_left)),
+            -doubling[:n, c - 1 : 0 : -1],
+            np.broadcast_to(np.arange(-2.0, 3.0), (n, 5)),
+            doubling[n:, : c - 1],
+            d1[n:, None] + cap * np.minimum(q_right, right),
+            tail[n:, c:0:-1],
+            k_hi[:, None] + [-1.0, 0.0, 0.0, 0.0, 0.0],
+        ],
+        axis=1,
+    )
+    # The lobes of the panel each column starts (0: a K15 panel), in the same order.
+    run_left, run_right, k15 = np.full_like(q_left, cap), np.full_like(q_right, cap), [0] * 5
+    lobes = np.concatenate([k15[:3], powers, run_left, powers[:0:-1], k15, powers[1:], run_right, powers[::-1], k15])
+    # Inner indices clip to [k_lo + 1, k_hi - 1], so that the columns stay sorted where a side has no far lobes.
+    inner_lo = np.minimum(k_lo + 1.0, k_hi)[:, None]
+    np.clip(ks[:, 2:-4], inner_lo, np.maximum(k_hi[:, None] - 1.0, inner_lo), out=ks[:, 2:-4])
+    edges = np.clip(xs[:, None] + ks * _ROLLOFF_WIDTH, 0.0, y_star)
+    edges[:, 0], edges[:, -3], edges[:, -2], edges[:, -1] = 0.0, y_star, np.clip(xs, y_star, upper), upper
+    edges = edges.ravel()
+    starts = np.flatnonzero(edges[:-1] < edges[1:])
+    integrand = lambda envelope: lambda ys, row: _integrand(xs[row], ys, cfg, cut, kernel_mode, envelope)
     value, error, _ = _integrate_rows(
-        lambda ys, row: _integrand(xs[row], ys, cfg, cut, kernel_mode),
-        np.array([edges[:-1][panel], edges[1:][panel]]),
-        owner[:-1][panel],
+        integrand(False),
+        np.array([edges[starts], edges[starts + 1]]),
+        starts // ks.shape[1],
         rel_tol=quad.rel_tol,
         abs_tol=quad.abs_tol,
         max_subdivisions=quad.max_subdivisions,
+        lobes=lobes[starts % ks.shape[1]] if cap > 1 else None,
+        envelope=integrand(True),
     )
     return value.ravel(), error.ravel()  # one component, no columns for no rows
 

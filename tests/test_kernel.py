@@ -658,6 +658,28 @@ def test_f_factorized_reaches_its_limit_where_the_sixth_power_overflows():
         assert f_factorized(x, y) == HALF_ASYMPTOTE * s6 / (16000.0 + s6) * sinc * sinc
 
 
+def test_f_factorized_and_its_envelope_leak_no_warning_past_the_double_range():
+    # x + y past the double range is inf, whose hump is the limit 1/(2 pi^2); so was f_factorized's value, with
+    # a RuntimeWarning from the sum; an envelope whose u^2 overflows is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert f_factorized(8.99e307, 8.99e307) == HALF_ASYMPTOTE
+        assert kernel._factorized_envelope(8.99e307, 8.99e307 * 0.5) == 0.0
+        assert kernel._factorized_envelope(1.7e308, 0.0) == 0.0
+        got = kernel._factorized_envelope(np.array([1e60, 8.99e307]), np.array([1e30, 1e300]))
+    assert got[0] == pytest.approx(HALF_ASYMPTOTE / (0.75 * (1e60 - 1e30)) ** 2, rel=1e-15) and got[1] == 0.0
+
+
+def test_factorized_envelope_times_sin2_is_f_factorized():
+    # the envelope is f_factorized without its sinc^2 numerator, on the far lobes the product panels take
+    rng = np.random.default_rng(41)
+    x = rng.uniform(0.0, 400.0, 500)
+    y = x + rng.choice([-1.0, 1.0], 500) * rng.uniform(8.4, 400.0, 500)
+    envelope = kernel._factorized_envelope(x, y)
+    # to the rounding of the phase 3(x - y)/4, on the scale of the envelope: sin^2 <= 1
+    assert np.all(np.abs(envelope * np.sin(0.75 * (x - y)) ** 2 - f_factorized(x, y)) <= 1e-13 * envelope)
+
+
 def _factorized_by_np_sinc(x, y):
     """f_factorized's formula with np.sinc and out-of-place numpy steps: the reference of its in-place steps."""
     x = np.asarray(x, dtype=float)

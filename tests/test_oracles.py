@@ -109,6 +109,15 @@ def test_every_sign_error_raises_the_domain_error(k1, k2, R):
         hankel_finite_integral(ModeOrder(1), k1, k2, R)
 
 
+def test_a_radius_whose_square_overflows_raises_the_domain_error():
+    # k1 R = k2 R = 1 is in the Bessel domain, but R^2 = inf made the closed form a quiet inf
+    for k, R in ((1e-300, 1e300), (1e-310, 2.4e210), (1e-150, 1.4e154)):
+        with pytest.raises(BesselDomainError, match="R\\^2 overflows"):
+            hankel_finite_integral(ModeOrder(0), k, k, R)
+    # just below the edge R^2 is finite, and so is the overlap
+    assert math.isfinite(hankel_finite_integral(ModeOrder(0), 1e-150, 1e-150, 1.3e154))
+
+
 def _mpmath_overlap(l, k1, k2, R, rows=24):
     """R^2 (2/(ab)) sum_{n<rows} (nu+2n+1) J_{nu+2n+1}(a) J_{nu+2n+1}(b), a = k1 R, b = k2 R, at 40 digits."""
     with mpmath.workdps(40):

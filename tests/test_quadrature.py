@@ -180,3 +180,48 @@ def test_integrand_of_the_wrong_shape_raises_value_error(f):
     # a scalar gave an IndexError before the shape check
     with pytest.raises(ValueError, match="integrand returned a shape not matching its input"):
         adaptive_quad(f, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("level", range(quadrature._LEVELS))
+def test_sin2_product_weights_against_30_digit_integrals(level):
+    # each level's 23- and 11-point weights integrate a smooth function against sin^2(pi m (1 + t)/2) over [-1, 1]:
+    # the 23-point rule to rounding, and both sum to the weight's integral, 1
+    import mpmath
+
+    m = 2**level
+    mpmath.mp.dps = 30
+    weight = lambda t: mpmath.sin(mpmath.pi * m * (1 + t) / 2) ** 2
+    ref = mpmath.quad(lambda t: mpmath.exp(t) / (t + 3) * weight(t), mpmath.linspace(-1, 1, 2 * m + 1))
+    nodes = quadrature._XF23
+    got = quadrature._W23[level] @ (np.exp(nodes) / (nodes + 3.0))
+    assert abs(got - float(ref)) <= 1e-14 * abs(float(ref))
+    for weights in (quadrature._W23[level], quadrature._W11[level]):
+        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
+        # the weight is even in t, and so are the interpolatory weights on the symmetric nodes
+        assert np.allclose(weights, weights[::-1], rtol=0.0, atol=1e-15)
+
+
+def test_product_panel_refines_down_to_k15_halves():
+    # g(y) sin^2(pi y) over [0, 64] as one product panel of 64 periods: g's pole at y = -0.05 makes the 11-point
+    # rule miss near 0, so the panel halves down to single periods and then to K15 halves there
+    g = lambda y, rows: 1.0 / (y + 0.05) ** 2
+    calls = []
+
+    def k15(y, rows):
+        calls.append(y.size)
+        return g(y, rows) * np.sin(np.pi * y) ** 2
+
+    value, error, subdivisions = _integrate_rows(
+        k15,
+        np.array([[0.0], [64.0]]),
+        np.zeros(1, dtype=int),
+        rel_tol=1e-10,
+        abs_tol=1e-300,
+        max_subdivisions=2000,
+        lobes=np.array([64]),
+        envelope=g,
+    )
+    ref, _ = integrate.quad(lambda y: math.sin(math.pi * y) ** 2 / (y + 0.05) ** 2, 0.0, 64.0, limit=500, epsabs=0.0,
+                            epsrel=1e-13, points=list(range(1, 64)))
+    assert calls and subdivisions[0] > 7
+    assert abs(value[0, 0] - ref) <= max(error[0, 0], 1e-13 * ref) and error[0, 0] <= 1e-10 * ref

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -304,13 +305,14 @@ def test_dn_dx_meets_its_tolerance_off_grid(n_in, n_out):
 
 
 def test_dn_dx_starting_edges_above_the_cap_raise():
-    # x = 200 on 68/34 starts from ~94 panels, one per sinc^2 lobe
+    # x = 200 on 68/34 starts from 21 panels: K15 lobes up to two lobes from x and at 0 and y*, and the other
+    # 88 of its 94 lobes in 15 far panels of 1 to 16 lobes
     cfg = MediumConfig(n_gas_in=68.0, n_gas_out=34.0)
     cut = CutoffProfile.rounded(cfg)
-    with pytest.raises(QuadratureError, match="panel edges") as exc:
-        dn_dx(200.0, cfg, cut, QuadratureSpec(max_subdivisions=50))
-    assert exc.value.result.subdivisions > 50 and not exc.value.result.converged
-    capped = dn_dx(200.0, cfg, cut, QuadratureSpec(max_subdivisions=120))
+    with pytest.raises(QuadratureError, match="starts with 22 panel edges") as exc:
+        dn_dx(200.0, cfg, cut, QuadratureSpec(max_subdivisions=20))
+    assert exc.value.result.subdivisions == 21 and not exc.value.result.converged
+    capped = dn_dx(200.0, cfg, cut, QuadratureSpec(max_subdivisions=21))
     assert capped == pytest.approx(dn_dx(200.0, cfg, cut), rel=1e-6)
 
 
@@ -331,21 +333,48 @@ def test_dn_dx_lattice_above_the_cap_raises_before_any_panel(monkeypatch, y_star
 
 
 def test_table_totals_work_count(monkeypatch):
-    # deterministic work guard, pinned exactly: the five reference totals of `bubblespec table`
-    # take 2,083,545 kernel points (K15 panels, 15 points each) in 272 integrand calls of at most
-    # _CHUNK_POINTS = 2^13 points
-    calls = []
+    # deterministic work guard, pinned exactly: the five reference totals of `bubblespec table` take 171,540
+    # kernel points (K15 panels near x and at the part lobes, 15 points each) in 46 integrand calls and 431,043
+    # envelope points (far product panels, 23 points each) in 66 calls, each call at most _CHUNK_POINTS = 2^13
+    # points: 29% of the 2,083,545 points of one K15 panel per sinc^2 lobe
+    calls = {"f_factorized": [], "_factorized_envelope": []}
 
-    def counted(x, y):
-        calls.append(np.broadcast(x, y).size)
-        return f_factorized(x, y)
+    def counted(name):
+        routine = getattr(bubblespec.spectrum, name)
 
-    monkeypatch.setattr(bubblespec.spectrum, "f_factorized", counted)
+        def wrapped(x, y):
+            calls[name].append(np.broadcast(x, y).size)
+            return routine(x, y)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(bubblespec.spectrum, name, counted(name))
     for n_in, n_out, *_ in REFERENCE_TABLE:
         cfg = MediumConfig(n_gas_in=n_in, n_gas_out=n_out)
         totals(cfg, CutoffProfile.rounded(cfg), QuadratureSpec(), grid_points=0)
-    assert (sum(calls), len(calls)) == (2_083_545, 272)
-    assert max(calls) <= _CHUNK_POINTS
+    counts = {name: (sum(sizes), len(sizes)) for name, sizes in calls.items()}
+    assert counts == {"f_factorized": (171_540, 46), "_factorized_envelope": (431_043, 66)}
+    assert sum(n for n, _ in counts.values()) <= 0.4 * 2_083_545
+    assert max(max(sizes) for sizes in calls.values()) <= _CHUNK_POINTS
+
+
+@pytest.mark.parametrize(
+    "n_in, n_out, tail", [*((n_in, n_out, None) for n_in, n_out, *_ in REFERENCE_TABLE), (68.0, 34.0, 600.0)]
+)
+def test_dn_dx_rows_claim_at_least_their_actual_error(n_in, n_out, tail):
+    # every row's claimed error (its panels' |K15 - G7| and far panels' |Q23 - Q11|) is at least its distance from
+    # the same row at rel_tol 1e-12, on seeded x up to x* + 4pi/3 (or the tail bound) and in the strip past x*
+    cfg = MediumConfig(n_gas_in=n_in, n_gas_out=n_out)
+    cut = CutoffProfile.rounded(cfg)
+    width = 4.0 * math.pi / 3.0
+    rng = np.random.default_rng(31)
+    xs = np.concatenate([rng.uniform(0.0, tail or cut.x_star + width, 30), cut.x_star + width * (1.0 - rng.random(10))])
+    quad = QuadratureSpec(tail_upper_bound=tail)
+    value, error = bubblespec.spectrum._dn_dx_batch(xs, cfg, cut, quad, "factorized")
+    tight, _ = bubblespec.spectrum._dn_dx_batch(xs, cfg, cut, dataclasses.replace(quad, rel_tol=1e-12), "factorized")
+    assert np.all(np.abs(value - tight) <= error)
+    assert np.all(error <= 1e-6 * np.abs(value))
 
 
 def test_totals_peak_memory_stays_below_3_mb():
@@ -429,16 +458,39 @@ def test_integrand_equals_the_per_point_formula_bit_for_bit(kernel_mode, points,
     assert np.any(straddling > cut.y_star) and np.any(straddling <= cut.y_star)
 
 
-def _expected_row_edges(x, y_star, upper):
-    """The sorted union {0, lattice inside (0, y*), y*, strip x, upper} of one y-integral, written out point by point."""
+def _far_panels(d, end):
+    """(distance, lobes) of the far panels over the lobe distances [d, end) from x: greedily the widest 2^j lobes
+    that is at most 64, at most the distance d and at most what is left."""
+    panels = []
+    while d < end:
+        m = 1
+        while 2 * m <= min(64, d, end - d):
+            m *= 2
+        panels.append((d, m))
+        d += m
+    return panels
+
+
+def _expected_row_panels(x, y_star, upper):
+    """The starting panels (low, high, lobes) of one factorized y-integral, written out point by point.
+
+    The sorted union {0, kept lattice inside (0, y*), y*, strip x, upper}: the lattice x + k * width keeps every
+    point up to two lobes from x and at the part lobes at 0 and y*, and the lobes past those are grouped into far
+    panels, each of ``lobes`` whole lobes; every other panel is K15 (lobes 0).
+    """
     width = 4.0 * math.pi / 3.0
     # the lattice x + k * width, from its last point <= 0 to its first >= y*
-    ks = range(math.floor(-x / width), math.ceil((y_star - x) / width) + 1)
-    lattice = {x + float(k) * width for k in ks}
+    k_lo, k_hi = math.floor(-x / width), math.ceil((y_star - x) / width)
+    far = [(-(d + m), m) for d, m in _far_panels(max(2, 1 - k_hi), -k_lo - 1)]
+    far += _far_panels(2, k_hi - 1)
+    inside = {k for k0, m in far for k in range(k0 + 1, k0 + m)}
+    lattice = {x + float(k) * width for k in range(k_lo, k_hi + 1) if k not in inside}
     edges = {0.0, y_star, upper, *(p for p in lattice if 0.0 < p < y_star)}
     if y_star < x < upper:
         edges.add(x)
-    return sorted(edges)
+    edges = sorted(edges)
+    lobes = {(x + float(k) * width, x + float(k + m) * width): m for k, m in far}
+    return [(lo, hi, lobes.get((lo, hi), 0)) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
 @pytest.mark.parametrize("y_star", [11.5, 392.0])
@@ -460,18 +512,23 @@ def test_dn_dx_starting_panels_are_the_sorted_lattice_and_strip_edges(monkeypatc
     seen = []
 
     def capture(f, bounds, rows, **kw):
-        seen.append((bounds, rows))
+        seen.append((bounds, rows, kw["lobes"]))
         return np.zeros((xs.size, 1)), np.zeros((xs.size, 1)), np.ones(xs.size, dtype=int)
 
     monkeypatch.setattr(bubblespec.spectrum, "_integrate_rows", capture)
     cfg = MediumConfig(n_gas_in=68.0, n_gas_out=34.0)
     quad = QuadratureSpec(tail_upper_bound=tail_upper_bound)
     bubblespec.spectrum._dn_dx_batch(xs, cfg, CutoffProfile(y_star, y_star), quad, "factorized")
-    (lows, highs), rows = seen[0]
+    (lows, highs), rows, lobes = seen[0]
     upper = y_star if tail_upper_bound is None else max(tail_upper_bound, y_star)
     # every row is one run of contiguous panels, in row order
     assert np.array_equal(rows, np.sort(rows)) and np.array_equal(np.unique(rows), np.arange(xs.size))
     for row, x in enumerate(xs.tolist()):
-        lo, hi = lows[rows == row].tolist(), highs[rows == row].tolist()
+        lo, hi, m = (a[rows == row].tolist() for a in (lows, highs, lobes))
         assert lo[1:] == hi[:-1], x
-        assert lo + hi[-1:] == _expected_row_edges(x, y_star, upper), x
+        assert list(zip(lo, hi, m)) == _expected_row_panels(x, y_star, upper), x
+    # the draws reach every lobe count, and every far panel spans its lobes to the rounding of its ends
+    assert lobes.dtype == int and set(lobes.tolist()) == ({0, 1, 2, 4, 8, 16, 32, 64} if y_star > 300.0 else {0, 1, 2})
+    far = lobes > 0
+    rounding = 4.0 * np.finfo(float).eps * np.maximum(xs[rows[far]], y_star)
+    assert np.all(np.abs(highs[far] - lows[far] - lobes[far] * width) <= rounding)
