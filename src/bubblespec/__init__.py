@@ -33,7 +33,6 @@ from .spectrum import (
     QuadratureSpec,
     SpectrumResult,
     delta_kernel_totals,
-    delta_replacement_check,
     dn_dx,
     infinite_volume_dn_dx,
     infinite_volume_totals,

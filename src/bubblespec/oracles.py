@@ -148,20 +148,30 @@ def _jv(l: int, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gauss_legendre_overlap(l: int, k1: float, k2: float, R: float, panels: int, rule: tuple) -> float:
-    """int_0^R r J_{l+1/2}(k1 r) J_{l+1/2}(k2 r) dr by the Gauss-Legendre ``rule`` on equal panels.
+def _gauss_legendre_overlaps(draws: list, panels: list[int], rule: tuple) -> np.ndarray:
+    """int_0^R r J_{l+1/2}(k1 r) J_{l+1/2}(k2 r) dr for each draw (l, k1, k2, R) on its own count of equal panels.
 
-    The Bessel functions come from ``_jv`` (DLMF 10.2.2 below z = 8, DLMF
-    10.49.2 from 8 up; l <= 10, z <= 100), not from the J recurrence under test.
+    The Gauss-Legendre ``rule`` takes every draw's nodes in one block of rows, and the Bessel functions come from one
+    ``_jv`` call per order (DLMF 10.2.2 below z = 8, DLMF 10.49.2 from 8 up; l <= 10, z <= 100), not from the J
+    recurrence under test.  Each draw's rows are weighted and summed on their own, as for that draw alone.
     """
     nodes, weights = rule
-    half = 0.5 * R / panels
-    r = half * (np.arange(1, 2 * panels, 2)[:, None] + nodes)
-    return float(half * (r * _jv(l, k1 * r) * _jv(l, k2 * r) @ weights).sum())
+    l, k1, k2, radius = (np.array(v) for v in zip(*draws))
+    count = np.array(panels)
+    half = 0.5 * radius / count
+    draw = np.arange(count.size).repeat(count)
+    first = np.cumsum(count) - count
+    r = half[draw, None] * ((2 * (np.arange(draw.size) - first[draw]) + 1)[:, None] + nodes)
+    product = np.empty_like(r)
+    for order in sorted(set(l.tolist())):
+        rows = np.flatnonzero(l[draw] == order)
+        j1, j2 = _jv(order, np.array([k1, k2])[:, draw[rows], None] * r[rows])
+        product[rows] = r[rows] * j1 * j2
+    return np.array([h * (product[a : a + n] @ weights).sum() for h, a, n in zip(half, first, count)])
 
 
 def finite_overlap_checks(rng: random.Random) -> IdentityReport:
-    """The closed form at 25 draws from ``rng`` against ``_gauss_legendre_overlap``.
+    """The closed form at 25 draws from ``rng`` against ``_gauss_legendre_overlaps``.
 
     Draws take l in 0..10, k1 and k2 in [0.5, 5] and R in [1, 20].  The 24-point rule takes one panel per 12 radians
     of the fastest phase (k1 + k2) r, where its error is far below rounding, and again twice as many: the suite passes
@@ -176,7 +186,7 @@ def finite_overlap_checks(rng: random.Random) -> IdentityReport:
     l, k1, k2, radius = (np.array(v) for v in zip(*draws))
     closed = radius * radius * _overlap_ratios(l, k1 * radius, k2 * radius)
     panels = np.ceil((k1 + k2) * radius / 12.0).astype(int).tolist()
-    coarse, ref = (np.array([_gauss_legendre_overlap(*d, m * n, rule) for d, n in zip(draws, panels)]) for m in (1, 2))
+    coarse, ref = np.split(_gauss_legendre_overlaps(draws * 2, panels + [2 * n for n in panels], rule), 2)
     err, err_self = (np.abs(v - ref) / np.maximum(np.abs(ref), 1e-12) for v in (closed, coarse))
     a = int(err.argmax())
     same = hankel_finite_integral(ModeOrder(draws[a][0]), *draws[a][1:]) == closed[a].item()

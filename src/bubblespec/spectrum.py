@@ -23,13 +23,11 @@ from .special_functions import _require_int
 __all__ = [
     "QuadratureSpec",
     "SpectrumResult",
-    "DeltaReplacementReport",
     "dn_dx",
     "totals",
     "infinite_volume_dn_dx",
     "infinite_volume_totals",
     "delta_kernel_totals",
-    "delta_replacement_check",
     "HBAR_C_EV_NM",
     "LIGHT_SPEED_NM_S",
 ]
@@ -265,11 +263,14 @@ def totals(
         inner_err = max(inner_err, float(errors.max()))
         return np.vstack([values, xs * values])
 
+    # dN/dx approaches y* as 1/(y* - x) under a ripple one sinc width wide: start edges at y* - W 1.5^k, so that
+    # the panel next to y* is one sinc width W and each one below it at most half as wide as its distance from y*.
+    steps = _ROLLOFF_WIDTH * 1.5 ** np.arange(max(0, math.ceil(math.log(cut.y_star / _ROLLOFF_WIDTH, 1.5))))
     res = adaptive_quad(
         outer,
         0.0,
         x_max,
-        breakpoints=[cut.x_star],
+        breakpoints=[cut.x_star, cut.y_star, *(cut.y_star - steps).tolist()],
         rel_tol=quad.rel_tol,
         abs_tol=quad.abs_tol,
         max_subdivisions=quad.max_subdivisions,
@@ -329,54 +330,3 @@ def delta_kernel_totals(
     )
     n, moment = float(res.value[0]), float(res.value[1])
     return n, (moment / n / cut.x_star if n > 0 else 0.0)
-
-
-@dataclass(frozen=True)
-class DeltaReplacementReport:
-    """Deviations of the smeared-delta replacements from their limits."""
-
-    sinc_integral: float
-    sinc_deviation: float
-    moment_deviation: float
-    max_deviation: float
-    passed: bool
-
-
-def delta_replacement_check(cfg: MediumConfig) -> DeltaReplacementReport:
-    """Validate sinc^2 -> (4pi/3) delta and the diagonal asymptote 1/(2pi^2).
-
-    Checks (a) the total sinc^2(3u/4) mass against 4pi/3 and (b) the
-    second moment of the factorized kernel at large x against
-    (4pi/3) x^2/(2pi^2).
-    """
-    target = 4.0 * math.pi / 3.0
-    width = 1200.0
-    res = adaptive_quad(
-        lambda u: np.sinc(0.75 * u / np.pi) ** 2,
-        -width,
-        width,
-        breakpoints=[0.0],
-        rel_tol=1e-9,
-        max_subdivisions=6000,
-    )
-    sinc_dev = abs(res.scalar - target) / target
-
-    x0 = 80.0
-    res2 = adaptive_quad(
-        lambda ys: f_factorized(x0, ys) * ys * ys,
-        x0 - 80.0,
-        x0 + 80.0,
-        breakpoints=[x0],
-        rel_tol=1e-9,
-        max_subdivisions=6000,
-    )
-    expected = target * x0 * x0 / (2.0 * math.pi * math.pi)
-    moment_dev = abs(res2.scalar - expected) / expected
-    worst = max(sinc_dev, moment_dev)
-    return DeltaReplacementReport(
-        sinc_integral=res.scalar,
-        sinc_deviation=sinc_dev,
-        moment_deviation=moment_dev,
-        max_deviation=worst,
-        passed=sinc_dev < 0.005 and moment_dev < 0.02,
-    )

@@ -440,11 +440,11 @@ def test_check_json_lists_the_four_suites_in_order():
 def test_table_json_is_frozen_to_the_byte():
     # The five totals to the last bit: any change of the integrand's or the quadrature's arithmetic shows here.
     frozen = [
-        (1087853.495136181, 0.8122726233039055),
-        (1005258.4821720963, 0.7488704471652587),
-        (1061995.3967911575, 0.7489671869663218),
-        (959307.4930703699, 0.7483443325967039),
-        (935288.0752767357, 0.7470644142788807),
+        (1087853.6069796593, 0.8122725398329833),
+        (1005258.1306757026, 0.7488704081000906),
+        (1061995.3569238822, 0.7489671785838284),
+        (959307.1950068772, 0.748344359581411),
+        (935288.0759498074, 0.7470644137670812),
     ]
     res = CliRunner().invoke(main, ["table", "--json"])
     assert res.exit_code == 0, res.output

@@ -11,9 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bubblespec import kernel
+from bubblespec.cli import RunConfig
 from bubblespec.kernel import f_factorized
 from bubblespec.oracles import hankel_finite_integral
+from bubblespec.quadrature import QuadratureError
 from bubblespec.special_functions import BesselDomainError, ModeOrder
+from bubblespec.spectrum import QuadratureSpec, totals
 
 SWEEP = settings(derandomize=True, max_examples=150, deadline=None, database=None)
 WIDTH = 4.0 * math.pi / 3.0
@@ -65,3 +68,17 @@ def test_hankel_finite_integral_is_finite_or_a_domain_error(l, a, b, r):
     except BesselDomainError:
         return
     assert math.isfinite(value)
+
+
+@settings(SWEEP, max_examples=30)
+@given(st.floats(min_value=-2.0, max_value=4.0), st.floats(min_value=-2.0, max_value=4.0))
+def test_totals_is_finite_or_a_typed_error_over_the_cutoff_overrides(x_exponent, y_exponent):
+    # x* and y* log-uniform in [1e-2, 1e4], the outer start panels graded toward y* wherever it lies
+    x_star, y_star = 10.0**x_exponent, 10.0**y_exponent
+    run = RunConfig(quad=QuadratureSpec(rel_tol=1e-4), x_star_override=x_star, y_star_override=y_star)
+    try:
+        res = _quietly(totals, run.medium, run.cutoffs(), run.quad, run.kernel_mode, 0)
+    except (QuadratureError, BesselDomainError, ValueError):
+        return
+    values = (res.total_photons, res.mean_x_over_xstar, res.energy_ev, res.quadrature_error)
+    assert all(math.isfinite(v) for v in values) and res.total_photons > 0.0

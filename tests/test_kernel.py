@@ -712,6 +712,6 @@ def test_f_factorized_equals_the_np_sinc_formula_bit_for_bit():
         for args in ((a, b), (np.float64(a), b), (np.array(a), np.array(b))):
             got = f_factorized(*args)
             assert type(got) is float and np.float64(got).tobytes() == np.float64(_factorized_by_np_sinc(a, b)).tobytes()
-    # a scalar against an array broadcasts, as in delta_replacement_check
+    # a scalar against an array broadcasts, as in the second-moment integral of tests/test_quadrature.py
     ys = np.linspace(0.0, 160.0, 1001)
     assert f_factorized(80.0, ys).tobytes() == _factorized_by_np_sinc(80.0, ys).tobytes()

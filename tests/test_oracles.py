@@ -173,33 +173,54 @@ def test_closed_form_delta_deviations_against_quadpack():
 
 
 def test_overlap_reference_matches_quadpack_on_the_check_draws(monkeypatch):
-    # record the Gauss-Legendre references of `bubblespec check`'s own seeded draws
+    # record the Gauss-Legendre references of `bubblespec check`'s own seeded draws: one call for all 25 draws at
+    # both panel counts
     calls = []
-    reference = oracles._gauss_legendre_overlap
+    reference = oracles._gauss_legendre_overlaps
 
-    def recorded(l, k1, k2, R, panels, rule):
-        calls.append((l, k1, k2, R, reference(l, k1, k2, R, panels, rule)))
+    def recorded(draws, panels, rule):
+        calls.append((draws, panels, reference(draws, panels, rule)))
         return calls[-1][-1]
 
-    monkeypatch.setattr(oracles, "_gauss_legendre_overlap", recorded)
+    monkeypatch.setattr(oracles, "_gauss_legendre_overlaps", recorded)
     assert all(r["passed"] for r in _run_checks())
-    assert len(calls) == 50
-    for l, k1, k2, R, gl in calls[1::2]:  # the doubled-panel rule is the reference
+    assert len(calls) == 1
+    draws, panels, values = calls[0]
+    assert len(draws) == len(panels) == values.size == 50
+    assert draws[:25] == draws[25:] and panels[25:] == [2 * n for n in panels[:25]]
+    for (l, k1, k2, R), gl in zip(draws, values):
         assert gl == pytest.approx(_quad_reference(l, k1, k2, R), rel=1e-12, abs=0.0)
+
+
+def test_overlap_reference_is_each_draw_alone(monkeypatch):
+    # one _jv call per order over every draw's nodes gives each draw's value bit for bit as a batch of that draw alone
+    rng = random.Random(7)
+    draws = [
+        (rng.randint(0, 10), rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0), rng.uniform(1.0, 20.0)) for _ in range(30)
+    ]
+    panels = [rng.randint(1, 12) for _ in draws]
+    rule = np.polynomial.legendre.leggauss(24)
+    orders = []
+    jv = oracles._jv
+    monkeypatch.setattr(oracles, "_jv", lambda l, z: orders.append(l) or jv(l, z))
+    batch = oracles._gauss_legendre_overlaps(draws, panels, rule)
+    assert sorted(orders) == sorted({d[0] for d in draws})
+    alone = [oracles._gauss_legendre_overlaps([d], [n], rule)[0] for d, n in zip(draws, panels)]
+    assert batch.tobytes() == np.array(alone).tobytes()
 
 
 def test_overlap_suite_fails_when_its_reference_disagrees_with_itself(monkeypatch):
     # off by 1e-9/panels: far inside the closed-form bound, but the doubled-panel rule disagrees
-    reference = oracles._gauss_legendre_overlap
+    reference = oracles._gauss_legendre_overlaps
     monkeypatch.setattr(
         oracles,
-        "_gauss_legendre_overlap",
-        lambda l, k1, k2, R, panels, rule: reference(l, k1, k2, R, panels, rule) * (1.0 + 1e-9 / panels),
+        "_gauss_legendre_overlaps",
+        lambda draws, panels, rule: reference(draws, panels, rule) * (1.0 + 1e-9 / np.array(panels)),
     )
     rep = finite_overlap_checks(random.Random(20260823))
     assert rep.max_rel_error < 1e-8
     assert not rep.passed
-    monkeypatch.setattr(oracles, "_gauss_legendre_overlap", reference)
+    monkeypatch.setattr(oracles, "_gauss_legendre_overlaps", reference)
     assert finite_overlap_checks(random.Random(20260823)).passed
 
 
@@ -226,8 +247,8 @@ def test_overlap_reference_is_independent_of_the_package_bessel_routines(monkeyp
     # the reference must not reach the J recurrence it checks: every binding of it raises
     rng = random.Random(5)  # one draw as the suite makes it; its nodes reach both sides of _jv's z = 8 switch
     l, k1, k2, R = rng.randint(0, 10), rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0), rng.uniform(1.0, 20.0)
-    draw = (l, k1, k2, R, math.ceil((k1 + k2) * R / 12.0), leggauss(24))
-    expected = oracles._gauss_legendre_overlap(*draw)
+    draw = ([(l, k1, k2, R)], [math.ceil((k1 + k2) * R / 12.0)], leggauss(24))
+    expected = oracles._gauss_legendre_overlaps(*draw)
 
     def broken(*args, **kwargs):
         raise AssertionError("the overlap reference called the package's J recurrence")
@@ -238,7 +259,7 @@ def test_overlap_reference_is_independent_of_the_package_bessel_routines(monkeyp
                 monkeypatch.setattr(module, name, broken)
     with pytest.raises(AssertionError):
         hankel_finite_integral(ModeOrder(l), k1, k2, R)
-    assert oracles._gauss_legendre_overlap(*draw) == expected
+    assert oracles._gauss_legendre_overlaps(*draw) == expected
 
 
 def test_wronskian_suite_counts_only_the_draws_it_tests(monkeypatch):

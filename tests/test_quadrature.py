@@ -6,6 +6,7 @@ from scipy import integrate
 from scipy.special import roots_legendre
 
 from bubblespec import quadrature
+from bubblespec.kernel import f_factorized
 from bubblespec.quadrature import QuadratureError, _integrate_rows, adaptive_quad
 
 
@@ -225,3 +226,18 @@ def test_product_panel_refines_down_to_k15_halves():
                             epsrel=1e-13, points=list(range(1, 64)))
     assert calls and subdivisions[0] > 7
     assert abs(value[0, 0] - ref) <= max(error[0, 0], 1e-13 * ref) and error[0, 0] <= 1e-10 * ref
+
+
+def test_sinc2_delta_weight_and_factorized_second_moment():
+    # the smeared delta: sinc^2(3u/4) over |u| <= 1200 carries the weight 4pi/3, and the factorized kernel's second
+    # moment at x = 80 over |y - x| <= 80 is that weight times its diagonal asymptote, (4pi/3) x^2/(2pi^2)
+    target = 4.0 * math.pi / 3.0
+    sinc2 = lambda u: np.sinc(0.75 * u / np.pi) ** 2
+    mass = adaptive_quad(sinc2, -1200.0, 1200.0, breakpoints=[0.0], rel_tol=1e-9, max_subdivisions=6000).scalar
+    assert abs(mass - target) / target < 0.005
+    x = 80.0
+    moment = adaptive_quad(
+        lambda ys: f_factorized(x, ys) * ys * ys, 0.0, 2.0 * x, breakpoints=[x], rel_tol=1e-9, max_subdivisions=6000
+    ).scalar
+    expected = target * x * x / (2.0 * math.pi * math.pi)
+    assert abs(moment - expected) / expected < 0.02
