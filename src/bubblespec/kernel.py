@@ -137,20 +137,19 @@ def _j_tables(a, b, top, upward) -> tuple[np.ndarray, np.ndarray]:
 
 def f_exact(x: float, y: float) -> KernelValue:
     """Exact kernel F(x, y) = sum_{l>=1} (2l+1) r_l^2 at one point: f_exact_array's value, bit for bit."""
-    value = float(f_exact_array(x, y))
-    return KernelValue(value=value, l_used=int(math.e * min(x, y) / 2.0) + _OVERLAP_ROWS - 1)
+    return KernelValue(value=float(f_exact_array(x, y)), l_used=int(math.e * min(x, y) / 2.0) + _OVERLAP_ROWS - 1)
 
 
 def _closed_form(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """[G(x - y) - G(x + y)]/(24 pi^2) - r_0^2 at points lo = min(x, y), hi = max(x, y) (module docstring)."""
     d, s = hi - lo, hi + lo
+    g, g_s = _g(np.array([np.maximum(d, 0.5), s]))  # G(d) and G(s) in one pass, G(d) by Taylor below d = 1/2
     near = d < 0.5
-    g = np.empty(d.size)
-    g[near] = np.polyval(_G_TAYLOR, 4.0 * d[near] ** 2)
-    g[~near] = _g(d[~near])
+    if near.any():
+        g[near] = np.polyval(_G_TAYLOR, 4.0 * d[near] ** 2)
     sinc_d = np.divide(np.sin(d), d, out=np.ones(d.size), where=d > 0.0)
     r0 = (sinc_d - np.sin(s) / s) / (math.pi * np.sqrt(lo * hi))
-    return (g - _g(s)) / (24.0 * math.pi**2) - r0 * r0
+    return (g - g_s) / (24.0 * math.pi**2) - r0 * r0
 
 
 def _g(k: np.ndarray) -> np.ndarray:

@@ -10,9 +10,9 @@ the nested 7-point Gauss / 15-point Kronrod pair (QUADPACK's qk15): the
 Kronrod rule reuses the Gauss nodes, so a panel costs 15 evaluations, its
 value is the K15 estimate and its error |K15 - G7|.  Each row's worst
 panels are bisected until its tolerance is met.  Results are
-deterministic: each value is the correctly rounded sum (``math.fsum``) of
-its row's panels, and a batch returns its rows' values, errors and
-subdivision counts as arrays.
+deterministic: a row's value and error are the plain sums of its panels,
+kept sorted by left end, that its tolerance test read; a batch returns
+its rows' values, errors and subdivision counts as arrays.
 
 A row may also hold product panels for integrands g(t) sin^2(pi m (1 + t)/2)
 that span m = 1, 2, 4, ..., 64 whole periods of the sin^2 weight (in the
@@ -166,7 +166,8 @@ def _rule_estimates(f: _RowIntegrand, bounds, rows, nodes, weights, low_weights)
         np.einsum(spec, vals, w, out=est[0, :, s])
         np.einsum(spec, vals[:, :, 1::2], w_low, out=est[1, :, s])
     est *= half
-    np.abs(np.subtract(est[0], est[1], out=est[1]), out=est[1])
+    with np.errstate(invalid="ignore"):  # inf - inf where the estimates overflow: the check below raises
+        np.abs(np.subtract(est[0], est[1], out=est[1]), out=est[1])
     bad = np.flatnonzero(~np.isfinite(est).all(axis=(0, 1)))
     if bad.size:
         i = bad[0]
@@ -217,51 +218,51 @@ def _integrate_rows(
     ``panel_rows`` the row of each: rows are numbered 0, 1, ..., each has at
     least one panel, and a row's panels are contiguous and sorted.
     ``f(points, rows)`` gets the row of each point and returns values of
-    shape (n,) or (n_components, n).  A panel of ``lobes`` m > 0 (a power
-    of two up to ``_MAX_LOBES``) is a product panel of m sin^2 periods, for
+    shape (n,) or (n_components, n).  A panel of ``lobes`` m > 0 (a power of
+    two up to ``_MAX_LOBES``) is a product panel of m sin^2 periods, for
     which ``envelope(points, rows)`` returns the smooth factor.  Each round
     evaluates the new panels of every unfinished row together; each row is
-    refined exactly as
-    ``adaptive_quad`` refines it alone, so its result does not depend on
-    the other rows.  Returns the values and errors, shape (n_rows,
-    n_components), and subdivision counts of the rows, all converged: the
-    first row that misses its tolerance, or starts with more panels than
+    refined exactly as ``adaptive_quad`` refines it alone, so its result
+    does not depend on the other rows.  Returns the values and errors, shape
+    (n_rows, n_components), each the sum over the row's panels that met its
+    tolerance, and subdivision counts of the rows, all converged: the first
+    row that misses its tolerance, or starts with more panels than
     ``max_subdivisions``, raises QuadratureError carrying its unconverged
     result; so does the first panel on which the integrand is not finite.
     """
     if not panel_rows.size:
         return np.empty((0, 0)), np.empty((0, 0)), np.empty(0, dtype=int)
-    results: list = [None] * (int(panel_rows[-1]) + 1)
     lobes = np.zeros(panel_rows.size, dtype=int) if lobes is None else lobes
     est = _panel_estimates(f, bounds, panel_rows, lobes, envelope)
+    sums = np.empty((2, int(panel_rows[-1]) + 1, est.shape[1]))  # each row's value and error, once it finishes
+    subdivisions = np.empty(sums.shape[1], dtype=int)
     while True:
         # The unfinished rows' panels stay sorted by (row, left end), so each
         # row is one run; a row's panel count is also its subdivision count.
         starts = np.flatnonzero(np.diff(panel_rows, prepend=-1))
         sizes = np.diff(starts, append=panel_rows.size)
-        total, total_err = np.add.reduceat(est, starts, axis=-1).swapaxes(1, 2)
+        row_sums = np.add.reduceat(est, starts, axis=-1).swapaxes(1, 2)
+        total, total_err = row_sums
         tol = np.maximum(abs_tol, rel_tol * np.abs(total))
         within_cap = sizes <= max_subdivisions
         converged = np.all(total_err <= tol, axis=1) & within_cap
         done = converged | (sizes >= max_subdivisions)
-        finished = (col[done].tolist() for col in (starts, sizes, panel_rows[starts], converged))
-        for i, (a, n, row, ok) in zip(np.flatnonzero(done).tolist(), zip(*finished)):
-            # Order-independent: correctly rounded sums of the row's panels, as Python floats.
-            value, error = ([math.fsum(comp) for comp in part] for part in est[:, :, a : a + n].tolist())
-            results[row] = value, error, n
-            if ok:
-                continue
-            res = QuadResult(np.array(value), np.array(error), n, False)
+        finished = panel_rows[starts[done]]
+        sums[:, finished], subdivisions[finished] = row_sums[:, done], sizes[done]
+        failed = np.flatnonzero(done & ~converged)
+        if failed.size:
+            i, n = failed[0], int(sizes[failed[0]])
+            res = QuadResult(total[i], total_err[i], n, False)
             if not within_cap[i]:
                 raise _cap_error(n + 1, max_subdivisions, res)
             raise QuadratureError(
                 f"quadrature did not converge after {n} subdivisions: "
-                f"error={max(error):.3e} vs tolerance {float(np.max(tol[i])):.3e}",
+                f"error={float(np.max(total_err[i])):.3e} vs tolerance {float(np.max(tol[i])):.3e}",
                 res,
             )
         going = np.flatnonzero(~done)
         if not going.size:
-            return tuple(np.array(part) for part in zip(*results))
+            return sums[0], sums[1], subdivisions
         # Refine the panels carrying the largest share of the worst
         # component's error (at least one, at most the remaining budget).
         worst = np.argmax(total_err[going] / tol[going], axis=1)

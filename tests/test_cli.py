@@ -440,11 +440,11 @@ def test_check_json_lists_the_four_suites_in_order():
 def test_table_json_is_frozen_to_the_byte():
     # The five totals to the last bit: any change of the integrand's or the quadrature's arithmetic shows here.
     frozen = [
-        (1087853.6069796593, 0.8122725398329833),
-        (1005258.1306757026, 0.7488704081000906),
+        (1087853.6069796593, 0.8122725398329834),
+        (1005258.1306757027, 0.7488704081000905),
         (1061995.3569238822, 0.7489671785838284),
-        (959307.1950068772, 0.748344359581411),
-        (935288.0759498074, 0.7470644137670812),
+        (959307.1950068772, 0.7483443595814109),
+        (935288.0759498073, 0.7470644137670812),
     ]
     res = CliRunner().invoke(main, ["table", "--json"])
     assert res.exit_code == 0, res.output
@@ -471,15 +471,15 @@ def test_table_json_is_frozen_to_the_byte():
 @pytest.mark.parametrize(
     "config, digest",
     [
-        ("", "4f963c2ec55dc7515e073cf5cc8aef46f7f0f11456030c6d836dc0e7c80220c6"),
-        ("n_gas_in = 68.0\nn_gas_out = 34.0\n", "d46903bc0e2d163ae0c84dce477b49373a9127d382afb4f6a14c725f529f55cd"),
+        ("", "03b7b1edfe5bb4261e7f20d2395e3f982458edb7228b77ec3b68cfc5171d5be5"),
+        ("n_gas_in = 68.0\nn_gas_out = 34.0\n", "61cb5581361d180bc0a37b8eb50af5e0eeb7dda50ed790246e2d494ca0bc07fe"),
         (
             "n_gas_in = 68.0\nn_gas_out = 34.0\ntail_upper_bound = 600\n",
-            "b9272ddbd9b8e9a22d1e55686b6bfd1557209bc41077d4b22e1d6fb1eac36814",
+            "6536ddade692d6d4cecc2d03001093c887eccc8b440ecb6f0eac68b6432da081",
         ),
         (
             "n_gas_in = 20000.0\nn_gas_out = 1.0\nkernel_mode = exact\nrel_tol = 1e-4\ngrid_points = 20\n",
-            "6504c7d636cf3f4c183e766f4fa7d2cf4c2b0f20b5ab8562aff7b7ca6ca2bf67",
+            "0b3b804b29051e0c1ae8f98835366927b3a1d6d63b8556fadbf32c35e960044e",
         ),
     ],
     ids=["default", "68-34", "68-34-tails", "exact"],

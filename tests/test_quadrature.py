@@ -110,6 +110,44 @@ def test_batched_rows_match_separate_calls(components):
     assert all(r.converged for r in alone)
 
 
+def test_rows_converged_at_once_return_the_plain_sums_of_their_start_panels():
+    # polynomials within G7's degree meet the tolerance on their start panels: each row's value and error are then
+    # np.add.reduceat of its panels' K15 estimates and |K15 - G7|, in panel order, bit for bit
+    edges = [[0.0, 2.0], [0.0, 0.5, 1.0, 3.0], list(np.linspace(-1.0, 4.0, 13)), [0.25, 0.5]]
+
+    def f(t, rows):
+        p = (rows + 1.0) * t**6 - t**3 + 2.0
+        return np.vstack([p, t * p])
+
+    bounds, rows = _panels(edges)
+    value, error, subdivisions = _integrate_rows(f, bounds, rows, rel_tol=1e-10, abs_tol=1e-12, max_subdivisions=2000)
+    assert subdivisions.tolist() == [len(e) - 1 for e in edges]
+    est = quadrature._panel_estimates(f, bounds, rows, np.zeros(rows.size, dtype=int), None)
+    want_value, want_error = np.add.reduceat(est, np.flatnonzero(np.diff(rows, prepend=-1)), axis=-1).swapaxes(1, 2)
+    assert value.tobytes() == np.ascontiguousarray(want_value).tobytes()
+    assert error.tobytes() == np.ascontiguousarray(want_error).tobytes()
+    # each also stays within the float64 summation bound, n eps sum |terms|, of the correctly rounded sum
+    for row in range(len(edges)):
+        terms = est[..., rows == row]
+        exact = np.array([[math.fsum(comp) for comp in part] for part in terms])
+        bound = terms.shape[-1] * np.finfo(float).eps * np.abs(terms).sum(axis=-1)
+        assert np.all(np.abs(np.array([value[row], error[row]]) - exact) <= bound)
+
+
+@pytest.mark.parametrize("rel_tol, abs_tol", [(1e-10, 1e-12), (1e-4, 1e-3), (1e-12, 1e-300)])
+def test_every_returned_row_meets_its_tolerance_with_the_value_it_returns(rel_tol, abs_tol):
+    rates = np.array([rate for rate, _, _ in _ROWS])
+    edges = [sorted({0.0, b, *breaks}) for _, b, breaks in _ROWS]
+    value, error, _ = _integrate_rows(
+        lambda t, rows: _chirp(rates[rows], t, 2),
+        *_panels(edges),
+        rel_tol=rel_tol,
+        abs_tol=abs_tol,
+        max_subdivisions=2000,
+    )
+    assert np.all(error <= np.maximum(abs_tol, rel_tol * np.abs(value)))
+
+
 def _one_failing_row(t, rows):
     singular = np.sin(1.0 / np.maximum(t, 1e-300)) / np.maximum(t, 1e-300)
     return np.where(rows == 1, singular, np.exp(-t))
