@@ -211,6 +211,7 @@ def _integrate_rows(
     max_subdivisions: int,
     lobes: np.ndarray | None = None,
     envelope: _RowIntegrand | None = None,
+    tested: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate each row over its own starting panels, all rows at once.
 
@@ -220,7 +221,9 @@ def _integrate_rows(
     ``f(points, rows)`` gets the row of each point and returns values of
     shape (n,) or (n_components, n).  A panel of ``lobes`` m > 0 (a power of
     two up to ``_MAX_LOBES``) is a product panel of m sin^2 periods, for
-    which ``envelope(points, rows)`` returns the smooth factor.  Each round
+    which ``envelope(points, rows)`` returns the smooth factor.  Only the
+    first ``tested`` components (all by default) enter the tolerance test and
+    the refinement; the others are integrated on the same panels.  Each round
     evaluates the new panels of every unfinished row together; each row is
     refined exactly as ``adaptive_quad`` refines it alone, so its result
     does not depend on the other rows.  Returns the values and errors, shape
@@ -245,7 +248,7 @@ def _integrate_rows(
         total, total_err = row_sums
         tol = np.maximum(abs_tol, rel_tol * np.abs(total))
         within_cap = sizes <= max_subdivisions
-        converged = np.all(total_err <= tol, axis=1) & within_cap
+        converged = np.all((total_err <= tol)[:, :tested], axis=1) & within_cap
         done = converged | (sizes >= max_subdivisions)
         finished = panel_rows[starts[done]]
         sums[:, finished], subdivisions[finished] = row_sums[:, done], sizes[done]
@@ -265,7 +268,7 @@ def _integrate_rows(
             return sums[0], sums[1], subdivisions
         # Refine the panels carrying the largest share of the worst
         # component's error (at least one, at most the remaining budget).
-        worst = np.argmax(total_err[going] / tol[going], axis=1)
+        worst = np.argmax(total_err[going, :tested] / tol[going, :tested], axis=1)
         n_refine = np.maximum(1, (_REFINE_FRACTION * sizes[going]).astype(int))
         n_refine = np.minimum(n_refine, max_subdivisions - sizes[going])
         picks = zip(starts[going], sizes[going], worst, n_refine)
@@ -295,12 +298,18 @@ def adaptive_quad(
     rel_tol: float = 1e-6,
     abs_tol: float = 1e-12,
     max_subdivisions: int = 2000,
+    lobes: np.ndarray | None = None,
+    envelope: Callable[[np.ndarray], np.ndarray] | None = None,
+    tested: int | None = None,
 ) -> QuadResult:
     """Integrate f over [a, b], splitting at the given interior breakpoints.
 
     ``f`` maps an array of points to values, either shape (n,) or
     (n_components, n) for vector-valued integrands.  Convergence requires
-    every component to satisfy error <= max(abs_tol, rel_tol * |value|).
+    every component (the first ``tested``) to satisfy
+    error <= max(abs_tol, rel_tol * |value|).  ``lobes`` and ``envelope``
+    make product panels as in ``_integrate_rows``, one entry of ``lobes``
+    per panel between the sorted distinct edges.
     """
     if not (math.isfinite(a) and math.isfinite(b)) or b <= a:
         raise ValueError(f"invalid integration interval [{a}, {b}]")
@@ -312,5 +321,8 @@ def adaptive_quad(
         rel_tol=rel_tol,
         abs_tol=abs_tol,
         max_subdivisions=max_subdivisions,
+        lobes=lobes,
+        envelope=envelope and (lambda pts, rows: envelope(pts)),
+        tested=tested,
     )
     return QuadResult(value[0], error[0], int(subdivisions[0]), True)

@@ -2,7 +2,8 @@
 
 The dimensionless spectrum dN/dx is a y-integral of the squared
 Bogolubov overlap over the cutoff rectangle; totals integrate it once
-more in x, keeping one sinc width (4pi/3) past the cutoff to capture the
+more in x (with the factorized kernel along the diagonals x - y instead),
+keeping one sinc width (4pi/3) past the cutoff to capture the
 finite-volume rolloff.  The homogeneous (infinite-volume) closed forms
 serve as the physical cross-check: dN/dx = (1/3pi) (dn)^2/(n_in n_out) x^2
 below the cutoff, N = (1/9pi) (dn)^2/(n_in n_out) x_*^3, <x>/x_* = 3/4.
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CutoffProfile, _factorized_envelope, f_exact_array, f_factorized
+from .kernel import CutoffProfile, _factorized_envelope, _factorized_hump, f_exact_array, f_factorized
 from .matching import MediumConfig, _positive_finite, _require_positive_finite
-from .quadrature import _MAX_LOBES, QuadResult, _cap_error, _integrate_rows, adaptive_quad
+from .quadrature import _MAX_LOBES, QuadResult, _cap_error, _integrate_rows, _panel_estimates, adaptive_quad
 from .special_functions import _require_int
 
 __all__ = [
@@ -41,6 +42,8 @@ LIGHT_SPEED_NM_S = 2.99792458e17
 _ROLLOFF_WIDTH = 4.0 * math.pi / 3.0
 
 _KERNEL_MODES = ("exact", "factorized")
+# The totals' y-rows start from three equal panels.
+_THIRDS = np.linspace(0.0, 1.0, 4)
 
 
 @dataclass(frozen=True)
@@ -79,21 +82,20 @@ def _check_mode(kernel_mode: str) -> None:
         raise ValueError(f"kernel_mode must be one of {_KERNEL_MODES}, got {kernel_mode!r}")
 
 
-def _integrand(
-    x: np.ndarray, ys: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, kernel_mode: str, envelope: bool = False
-):
-    """Index mismatch weight times squared momentum-mixing ratio times kernel at (x[i], ys[i]).
+def _integrand(x: np.ndarray, ys: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, kernel):
+    """Index mismatch weight times squared momentum-mixing ratio times ``kernel(x[i], ys[i])``.
 
-    The initial index is n_gas_in up to y_star and 1 above; the created
-    photon keeps n_gas_out at every x (see ``_dn_dx_batch``).  With
-    ``envelope`` the factorized kernel's sinc^2 numerator is left out (the
-    far lobes' product panels weight it exactly).
+    ``kernel`` is f_factorized or f_exact_array, or a factor of f_factorized:
+    the far lobes' envelope (their product panels weight its sinc^2 numerator
+    exactly) or the bare hump D((x+y)/2) (the totals' u-rows weight all of
+    sinc^2).  The initial index is n_gas_in up to y_star and 1 above; the
+    created photon keeps n_gas_out at every x (see ``_dn_dx_batch``).
     """
     n_out = cfg.n_gas_out
     # Without tails every y is at most y_star (an edge of every panel there): one index for all points.
     below = True if np.max(ys, initial=0.0) <= cut.y_star else ys <= cut.y_star
     weight = np.where(below, *((n - n_out) * (n - n_out) / (2.0 * n * n_out) for n in (cfg.n_gas_in, 1.0)))
-    kern = (_factorized_envelope if envelope else f_factorized if kernel_mode == "factorized" else f_exact_array)(x, ys)
+    kern = kernel(x, ys)
     # Past x ~ 1e154 the squares overflow to inf or NaN, which the quadrature rejects.
     with np.errstate(over="ignore", invalid="ignore"):
         # The ratio (n_in x^2 + n_out y^2)/(n_in x + n_out y) in place, sharing n_in x and n_out y.
@@ -133,49 +135,39 @@ def _far_field(d0: np.ndarray, end: np.ndarray, cap: int):
     return doubling, tail, d1, runs, count
 
 
-def _dn_dx_batch(xs: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, quad: QuadratureSpec, kernel_mode: str):
-    """dN/dx and its error bound at every x, all y-integrals in one batched quadrature.
+def _lattice(centres: np.ndarray, lo, hi, cap: int, quad: QuadratureSpec, one_row=False, spare=0):
+    """Start edges of rows over [lo, hi] split at the sinc^2 lattice centre + k 4pi/3, and each column's lobes.
 
-    Each y-integral starts from panels split at the lattice y = x + k 4pi/3
-    (x itself and every zero of the kernel's sinc^2(3(x - y)/4)), so that no
-    starting panel spans a fraction of a sinc^2 lobe inside (0, y_star): one
-    K15 panel per lobe up to two lobes from x, for the part lobes at 0 and
-    y_star and, with the exact kernel, for every lobe.  With the factorized
-    kernel the other lobes are grouped into product panels of m = 2^j lobes
-    (``_far_field``) that integrate the sinc^2 numerator exactly.  A row's
-    edges are made in order, with or without tails: 0, the kept lattice
-    points clipped to [0, y_star], y_star, x clipped to [y_star, upper] and
-    upper; repeated edges, and the step down from one row's upper to the
-    next row's 0, bound no panel.
-
-    The created photon keeps the bulk index n_gas_out through the rolloff
-    strip x in (x_star, x_star + sinc width]: the strip is populated by
-    modes just below the cutoff, and letting the prefactor jump there
-    (e.g. from |n_in - n_out| to |n_in - 1|) produces the same
-    sudden-approximation artifact as the excluded tail regions.
+    ``lo`` and ``hi`` are scalars or one per row.  No starting panel spans a
+    fraction of a lobe inside (lo, hi): one K15 panel per lobe up to two
+    lobes from the centre and for the part lobes at lo and hi; with ``cap``
+    > 1 the other lobes are grouped into product panels of m = 2^j <= cap
+    whole lobes (``_far_field``).  A row's edges are made in order: lo, the
+    kept lattice points clipped to [lo, hi], and hi; repeated edges bound no
+    panel.  The rows are separate integrals, or with ``one_row`` consecutive
+    segments of one, whose panel counts add up; a row of more panels than
+    ``quad.max_subdivisions`` is refused before its edges are built.  The
+    last ``spare`` columns, after hi, are hi too, for the caller to fill.
     """
-    y_star = upper = cut.y_star
-    if quad.tail_upper_bound is not None:
-        upper = max(float(quad.tail_upper_bound), y_star)
-    cap = _MAX_LOBES if kernel_mode == "factorized" else 1
-    n = xs.size
-    # Lattice points x + k * width for k from the last one <= 0 to the first >= y_star.
-    k_lo = np.floor(-xs / _ROLLOFF_WIDTH)
-    k_hi = np.ceil((y_star - xs) / _ROLLOFF_WIDTH)
-    # The far lobes lie >= 2 lobes from x and one whole lobe inside 0 (left) and y_star (right); both sides at once.
-    d0 = np.concatenate([np.maximum(2.0, 1.0 - k_hi), np.full(n, 2.0)])
+    n = centres.size
+    # Lattice points centre + k * width for k from the last one <= lo to the first >= hi.
+    k_lo = np.floor((lo - centres) / _ROLLOFF_WIDTH)
+    k_hi = np.ceil((hi - centres) / _ROLLOFF_WIDTH)
+    # The far lobes lie >= 2 lobes from the centre and one whole lobe inside lo and hi; both sides at once.
+    d0 = np.concatenate([np.maximum(2.0, 1.0 - k_hi), np.maximum(2.0, 1.0 + k_lo)])
     end = np.concatenate([-k_lo - 1.0, k_hi - 1.0])
     doubling, tail, d1, runs, count = _far_field(d0, end, cap)
     # A row starts with its k_hi - k_lo lobes, each side's far lobes taken by its panels: refuse before building it.
     far = count - np.maximum(0.0, end - d0)
-    most = np.max(k_hi - k_lo + far[:n] + far[n:], initial=0.0)
+    panels = k_hi - k_lo + far[:n] + far[n:]
+    most = np.sum(panels) if one_row else np.max(panels, initial=0.0)
     if most > quad.max_subdivisions:
         unevaluated = QuadResult(np.array([math.nan]), np.array([math.nan]), int(most), False)
         raise _cap_error(most + 1, quad.max_subdivisions, unevaluated)
-    # Each row's lattice indices in y order, one row of columns: 0's placeholder, k_lo, k_lo + 1; the left far
+    # Each row's lattice indices in order, one row of columns: lo's placeholder, k_lo, k_lo + 1; the left far
     # panels' far ends from the farthest, negated (the rest's, the cap-wide run's, the doubling ones'); the near
-    # lattice -2..2; the right far panels' starts (doubling, run, rest); k_hi - 1, k_hi and the placeholders of
-    # y_star, x and upper.  Each run is padded to the batch's longest with its far end: those bound no panel.
+    # lattice -2..2; the right far panels' starts (doubling, run, rest); k_hi - 1, k_hi, hi's placeholder and spares.
+    # Each run is padded to the batch's longest with its far end: those bound no panel.
     c = cap.bit_length() - 1
     left, right = runs[:n, None], runs[n:, None]
     q_left, q_right = np.arange(int(np.max(left, initial=0.0))), np.arange(int(np.max(right, initial=0.0)))
@@ -190,30 +182,59 @@ def _dn_dx_batch(xs: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, quad: Qu
             doubling[n:, : c - 1],
             d1[n:, None] + cap * np.minimum(q_right, right),
             tail[n:, c:0:-1],
-            k_hi[:, None] + [-1.0, 0.0, 0.0, 0.0, 0.0],
+            k_hi[:, None] + [-1.0, 0.0, 0.0, *[0.0] * spare],
         ],
         axis=1,
     )
     # The lobes of the panel each column starts (0: a K15 panel), in the same order.
-    run_left, run_right, k15 = np.full_like(q_left, cap), np.full_like(q_right, cap), [0] * 5
-    lobes = np.concatenate([k15[:3], powers, run_left, powers[:0:-1], k15, powers[1:], run_right, powers[::-1], k15])
+    run_left, run_right, k15 = np.full_like(q_left, cap), np.full_like(q_right, cap), [0] * (5 + spare)
+    lobes = np.concatenate(
+        [k15[:3], powers, run_left, powers[:0:-1], k15[:5], powers[1:], run_right, powers[::-1], k15[2:]]
+    )
     # Inner indices clip to [k_lo + 1, k_hi - 1], so that the columns stay sorted where a side has no far lobes.
     inner_lo = np.minimum(k_lo + 1.0, k_hi)[:, None]
-    np.clip(ks[:, 2:-4], inner_lo, np.maximum(k_hi[:, None] - 1.0, inner_lo), out=ks[:, 2:-4])
-    edges = np.clip(xs[:, None] + ks * _ROLLOFF_WIDTH, 0.0, y_star)
-    edges[:, 0], edges[:, -3], edges[:, -2], edges[:, -1] = 0.0, y_star, np.clip(xs, y_star, upper), upper
+    inner = ks[:, 2 : -2 - spare]
+    np.clip(inner, inner_lo, np.maximum(k_hi[:, None] - 1.0, inner_lo), out=inner)
+    column = lambda v: v if np.isscalar(v) else v[:, None]
+    edges = np.clip(centres[:, None] + ks * _ROLLOFF_WIDTH, column(lo), column(hi))
+    edges[:, 0], edges[:, ks.shape[1] - 1 - spare] = lo, hi
+    return edges, lobes
+
+
+def _dn_dx_batch(xs: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, quad: QuadratureSpec, kernel_mode: str):
+    """dN/dx and its error bound at every x, all y-integrals in one batched quadrature.
+
+    Each y-integral starts from a ``_lattice`` row over [0, y_star] centred
+    at x (itself and every zero of the kernel's sinc^2(3(x - y)/4)), with
+    product panels for the factorized kernel and one K15 panel per lobe for
+    the exact one, then the strip edges x clipped to [y_star, upper] and
+    upper; the step down from one row's upper to the next row's 0 bounds no
+    panel.
+
+    The created photon keeps the bulk index n_gas_out through the rolloff
+    strip x in (x_star, x_star + sinc width]: the strip is populated by
+    modes just below the cutoff, and letting the prefactor jump there
+    (e.g. from |n_in - n_out| to |n_in - 1|) produces the same
+    sudden-approximation artifact as the excluded tail regions.
+    """
+    y_star = upper = cut.y_star
+    if quad.tail_upper_bound is not None:
+        upper = max(float(quad.tail_upper_bound), y_star)
+    factorized = kernel_mode == "factorized"
+    edges, lobes = _lattice(xs, 0.0, y_star, _MAX_LOBES if factorized else 1, quad, spare=2)
+    edges[:, -2], edges[:, -1] = np.clip(xs, y_star, upper), upper
     edges = edges.ravel()
     starts = np.flatnonzero(edges[:-1] < edges[1:])
-    integrand = lambda envelope: lambda ys, row: _integrand(xs[row], ys, cfg, cut, kernel_mode, envelope)
+    integrand = lambda kernel: lambda ys, row: _integrand(xs[row], ys, cfg, cut, kernel)
     value, error, _ = _integrate_rows(
-        integrand(False),
+        integrand(f_factorized if factorized else f_exact_array),
         np.array([edges[starts], edges[starts + 1]]),
-        starts // ks.shape[1],
+        starts // lobes.size,
         rel_tol=quad.rel_tol,
         abs_tol=quad.abs_tol,
         max_subdivisions=quad.max_subdivisions,
-        lobes=lobes[starts % ks.shape[1]] if cap > 1 else None,
-        envelope=integrand(True),
+        lobes=lobes[starts % lobes.size] if factorized else None,
+        envelope=integrand(_factorized_envelope),
     )
     return value.ravel(), error.ravel()  # one component, no columns for no rows
 
@@ -233,6 +254,86 @@ def dn_dx(
     return float(_dn_dx_batch(np.array([x]), cfg, cut, quad, kernel_mode)[0][0])
 
 
+def _diagonal_totals(cfg: MediumConfig, cut: CutoffProfile, quad: QuadratureSpec, x_max: float, upper: float):
+    """N, the x-moment and the claimed error of N for the factorized kernel, integrated along the diagonals.
+
+    The kernel's only oscillation, sinc^2(3u/4), depends on u = x - y alone:
+    N = int sinc^2(3u/4) H(u) du over u in [-upper, x_max], H(u) the integral
+    of ``_integrand`` with the bare hump D((x+y)/2) along x = y + u, y in
+    [max(0, -u), min(upper, x_max - u)], and the moment likewise with x H.
+    H is smooth but for kinks where a line's ends, or y_star, pass a corner:
+    u = 0, x_max - upper and, with tails, x_max - y_star and -y_star.  The
+    u-integral is one lattice row centred at 0, one segment between kinks
+    (``_lattice``): each kink is an edge, its lobe a K15 panel, and the far
+    product panels take the envelope H/(3u/4)^2.  Each evaluation of an
+    outer rule integrates the y-rows of all its u-nodes in one batch, each
+    row from three equal panels, y_star and edges r y_star 10^k (k >= 0,
+    r = min/max of the indices) from its start, where x or y is 0 and the
+    momentum ratio turns within about r times the other momentum.  The
+    claimed error is the outer one plus the rows' errors integrated by the
+    outer rule.
+    """
+    y_star, low, high = cut.y_star, min(cfg.n_gas_in, cfg.n_gas_out), max(cfg.n_gas_in, cfg.n_gas_out)
+    # Up to upper, and at most the 17 decades a double resolves (r and r y_star may underflow).
+    decades = math.log10(upper) + math.log10(high) - math.log10(low) - math.log10(y_star)
+    grade = low / high * y_star * 10.0 ** np.arange(max(1, min(17, math.ceil(decades))))
+
+    def along(us: np.ndarray):
+        """The y-integrand of H and x H along the lines x = y + us[row]."""
+
+        def f(ys, row):
+            x = us[row] + ys
+            h = _integrand(x, ys, cfg, cut, _factorized_hump)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.vstack([h, x * h])
+
+        return f
+
+    # The moment grows with x up to x_max: where it overflows there, one K15 panel on the last lobe's line raises the
+    # typed error before the far field is laid out (and refused for its length).
+    last = np.array([[0.0], [min(upper, _ROLLOFF_WIDTH)]])
+    _panel_estimates(along(np.array([x_max - _ROLLOFF_WIDTH])), last, np.zeros(1, int), np.zeros(1, int), None)
+
+    def h_rows(us: np.ndarray) -> np.ndarray:
+        """H, x H and the claimed error of H at ``us``, shape (3, n)."""
+        ya, yb = np.maximum(0.0, -us), np.minimum(upper, x_max - us)
+        ya, yb = ya[:, None], yb[:, None]
+        ends = np.concatenate([ya + (yb - ya) * _THIRDS, ya + grade, np.full_like(ya, y_star)], axis=1)
+        ends = np.sort(np.clip(ends, ya, yb), axis=1)
+        row, col = np.nonzero(ends[:, :-1] < ends[:, 1:])
+        value, error, _ = _integrate_rows(
+            along(us),
+            np.array([ends[row, col], ends[row, col + 1]]),
+            row,
+            rel_tol=quad.rel_tol,
+            abs_tol=quad.abs_tol,
+            max_subdivisions=quad.max_subdivisions,
+        )
+        return np.vstack([value.T, error[:, 0]])
+
+    # A kink within rounding of a lattice point (x* = y* puts x_max - upper there) moves onto it: no sliver panel.
+    kinks = np.array([0.0, x_max - upper, x_max - y_star, -y_star])
+    near = _ROLLOFF_WIDTH * np.round(kinks / _ROLLOFF_WIDTH)
+    kinks = np.where(np.abs(kinks - near) <= 1e-15 * (x_max + upper), near, kinks)
+    kinks = np.array(sorted({-upper, x_max, *(k for k in kinks.tolist() if -upper < k < x_max)}))
+    edges, lobes = _lattice(np.zeros(kinks.size - 1), kinks[:-1], kinks[1:], _MAX_LOBES, quad, one_row=True)
+    edges = edges.ravel()
+    starts = np.flatnonzero(edges[:-1] < edges[1:])
+    res = adaptive_quad(
+        lambda us: h_rows(us) * np.sinc(us * (0.75 / np.pi)) ** 2,
+        -upper,
+        x_max,
+        breakpoints=edges[starts[1:]],
+        rel_tol=quad.rel_tol,
+        abs_tol=quad.abs_tol,
+        max_subdivisions=quad.max_subdivisions,
+        lobes=lobes[starts % lobes.size],
+        envelope=lambda us: h_rows(us) / (0.75 * us) ** 2,
+        tested=2,
+    )
+    return float(res.value[0]), float(res.value[1]), float(res.error[0] + res.value[2])
+
+
 def totals(
     cfg: MediumConfig,
     cut: CutoffProfile,
@@ -242,43 +343,50 @@ def totals(
 ) -> SpectrumResult:
     """Integrated photon number, mean energy ratio and physical energy.
 
-    The x-integration runs over [0, x_star + one sinc width]; the photon
-    number and the energy moment share a single vector-valued pass.
-    ``grid_points`` samples of dN/dx are returned for plotting (0 skips
-    the grid).
+    The integrals run over x in [0, x_star + one sinc width] (or the tail
+    bound) and y in [0, y_star] (or the tail bound); the photon number and
+    the energy moment share a single vector-valued pass.  The factorized
+    kernel takes them along the diagonals (``_diagonal_totals``); the exact
+    one as an outer x-integral of dN/dx rows, as its G(x + y) and r_0^2
+    terms oscillate along the diagonals too.  ``grid_points`` samples of
+    dN/dx are returned for plotting (0 skips the grid).
     """
     _check_mode(kernel_mode)
-    x_max = cut.x_star + _ROLLOFF_WIDTH
+    x_max, upper = cut.x_star + _ROLLOFF_WIDTH, cut.y_star
     if quad.tail_upper_bound is not None:
         x_max = max(x_max, float(quad.tail_upper_bound))
+        upper = max(upper, float(quad.tail_upper_bound))
     grid = np.linspace(0.0, x_max, grid_points)
     if cfg.n_gas_in == cfg.n_gas_out:
         return SpectrumResult(list(map(float, grid)), [0.0] * len(grid), 0.0, 0.0, 0.0, 0.0)
 
-    inner_err = 0.0
+    if kernel_mode == "factorized":
+        n_total, x_moment, err = _diagonal_totals(cfg, cut, quad, x_max, upper)
+    else:
+        inner_err = 0.0
 
-    def outer(xs: np.ndarray) -> np.ndarray:
-        nonlocal inner_err
-        values, errors = _dn_dx_batch(xs, cfg, cut, quad, kernel_mode)
-        inner_err = max(inner_err, float(errors.max()))
-        return np.vstack([values, xs * values])
+        def outer(xs: np.ndarray) -> np.ndarray:
+            nonlocal inner_err
+            values, errors = _dn_dx_batch(xs, cfg, cut, quad, kernel_mode)
+            inner_err = max(inner_err, float(errors.max()))
+            return np.vstack([values, xs * values])
 
-    # dN/dx approaches y* as 1/(y* - x) under a ripple one sinc width wide: start edges at y* - W 1.5^k, so that
-    # the panel next to y* is one sinc width W and each one below it at most half as wide as its distance from y*.
-    steps = _ROLLOFF_WIDTH * 1.5 ** np.arange(max(0, math.ceil(math.log(cut.y_star / _ROLLOFF_WIDTH, 1.5))))
-    res = adaptive_quad(
-        outer,
-        0.0,
-        x_max,
-        breakpoints=[cut.x_star, cut.y_star, *(cut.y_star - steps).tolist()],
-        rel_tol=quad.rel_tol,
-        abs_tol=quad.abs_tol,
-        max_subdivisions=quad.max_subdivisions,
-    )
-    n_total, x_moment = float(res.value[0]), float(res.value[1])
+        # dN/dx approaches y* as 1/(y* - x) under a ripple one sinc width wide: start edges at y* - W 1.5^k, so that
+        # the panel next to y* is one sinc width W and each one below it at most half as wide as its distance from y*.
+        steps = _ROLLOFF_WIDTH * 1.5 ** np.arange(max(0, math.ceil(math.log(cut.y_star / _ROLLOFF_WIDTH, 1.5))))
+        res = adaptive_quad(
+            outer,
+            0.0,
+            x_max,
+            breakpoints=[cut.x_star, cut.y_star, *(cut.y_star - steps).tolist()],
+            rel_tol=quad.rel_tol,
+            abs_tol=quad.abs_tol,
+            max_subdivisions=quad.max_subdivisions,
+        )
+        n_total, x_moment = float(res.value[0]), float(res.value[1])
+        err = float(res.error[0]) + inner_err * x_max
     mean_x = x_moment / n_total if n_total > 0.0 else 0.0
     energy = HBAR_C_EV_NM / (cfg.radius * cfg.n_gas_out) * x_moment
-    err = float(res.error[0]) + inner_err * x_max
     # The grid starts at x = 0, where dN/dx vanishes.
     spectrum = [0.0, *map(float, _dn_dx_batch(grid[1:], cfg, cut, quad, kernel_mode)[0])] if grid_points else []
     return SpectrumResult(

@@ -440,11 +440,11 @@ def test_check_json_lists_the_four_suites_in_order():
 def test_table_json_is_frozen_to_the_byte():
     # The five totals to the last bit: any change of the integrand's or the quadrature's arithmetic shows here.
     frozen = [
-        (1087853.6069796593, 0.8122725398329834),
-        (1005258.1306757027, 0.7488704081000905),
-        (1061995.3569238822, 0.7489671785838284),
-        (959307.1950068772, 0.7483443595814109),
-        (935288.0759498073, 0.7470644137670812),
+        (1087854.7696801051, 0.8122716717089135),
+        (1005258.4393687126, 0.748870398708164),
+        (1061995.4158613742, 0.7489671219197207),
+        (959307.3582355609, 0.7483443386403706),
+        (935288.0765988328, 0.7470644132455218),
     ]
     res = CliRunner().invoke(main, ["table", "--json"])
     assert res.exit_code == 0, res.output

@@ -40,6 +40,20 @@ def test_vector_valued():
     assert r.error.shape == (2,)
 
 
+def test_untested_components_ride_along_on_the_tested_panels():
+    # a component past ``tested`` (here a step, which alone needs many bisections) neither drives refinement nor
+    # blocks convergence: the panels, and so the first component, are those of the first component alone, and the
+    # step is integrated on them
+    smooth = lambda t: np.exp(-t)
+    pair = lambda t: np.vstack([smooth(t), np.where(t < 1.1, 1.0, 0.0)])
+    alone = adaptive_quad(smooth, 0.0, 3.0, rel_tol=1e-10)
+    both = adaptive_quad(pair, 0.0, 3.0, rel_tol=1e-10, tested=1)
+    assert both.subdivisions == alone.subdivisions and both.value[0] == alone.value[0]
+    assert both.value[1] == pytest.approx(1.1, abs=both.error[1]) and both.error[1] > 1e-10
+    with pytest.raises(QuadratureError):
+        adaptive_quad(pair, 0.0, 3.0, max_subdivisions=20)
+
+
 def test_failure_carries_best_estimate():
     f = lambda t: np.sin(1.0 / np.maximum(t, 1e-300)) / np.maximum(t, 1e-300)
     with pytest.raises(QuadratureError) as exc:

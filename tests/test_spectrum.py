@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bubblespec.kernel
 import bubblespec.quadrature
@@ -24,7 +26,7 @@ from bubblespec.spectrum import (
 
 def spectral_integrand(x, y, cfg, cut):
     """The production integrand at the single point (x, y), factorized kernel."""
-    return float(bubblespec.spectrum._integrand(np.array([x]), np.array([y]), cfg, cut, "factorized")[0])
+    return float(bubblespec.spectrum._integrand(np.array([x]), np.array([y]), cfg, cut, f_factorized)[0])
 
 
 @pytest.fixture(scope="module")
@@ -325,36 +327,35 @@ def test_dn_dx_lattice_above_the_cap_raises_before_any_panel(monkeypatch, y_star
 
 
 def test_table_totals_work_count(monkeypatch):
-    # deterministic work guard, pinned exactly: the five reference totals of `bubblespec table` take 146,805
-    # kernel points (K15 panels near x and at the part lobes, 15 points each) in 24 integrand calls and 362,848
-    # envelope points (far product panels, 23 points each) in 49 calls, each call at most _CHUNK_POINTS = 2^13
-    # points: 24% of the 2,083,545 points of one K15 panel per sinc^2 lobe.  The outer x-integral starts from
-    # panels graded toward y*, so it takes 13 rounds (one batch of dN/dx rows each) on 1,740 rows, not 41 on 2,010.
-    calls = {"f_factorized": [], "_factorized_envelope": []}
-    rounds = []
-    batch = bubblespec.spectrum._dn_dx_batch
-    monkeypatch.setattr(bubblespec.spectrum, "_dn_dx_batch", lambda xs, *a: rounds[-1].append(xs.size) or batch(xs, *a))
+    # deterministic work guard, pinned exactly: the five reference totals of `bubblespec table` integrate along the
+    # diagonals.  Each outer u-rule evaluation is one batch of y-rows, one row per u-node: every case converges in
+    # one outer round, a batch on its 6 K15 panels (90 u-nodes) and one on its product panels (23 u-nodes each).
+    # The rows take the bare hump D((x+y)/2) at 108,315 points in 30 calls (the five 15-point overflow probes
+    # included), each at most _CHUNK_POINTS = 2^13 points: 5.2% of the 2,083,545 points of one K15 panel per sinc^2
+    # lobe of the x-rows (509,653 with the x-rows' product panels).
+    batches, humps = [], []
+    rows = bubblespec.spectrum._integrate_rows
 
-    def counted(name):
-        routine = getattr(bubblespec.spectrum, name)
+    def batch(f, bounds, panel_rows, **kwargs):
+        batches[-1].append(int(panel_rows[-1]) + 1)
+        return rows(f, bounds, panel_rows, **kwargs)
 
-        def wrapped(x, y):
-            calls[name].append(np.broadcast(x, y).size)
-            return routine(x, y)
+    hump = bubblespec.spectrum._factorized_hump
 
-        return wrapped
+    def counted(x, y):
+        humps.append(np.broadcast(x, y).size)
+        return hump(x, y)
 
-    for name in calls:
-        monkeypatch.setattr(bubblespec.spectrum, name, counted(name))
+    monkeypatch.setattr(bubblespec.spectrum, "_integrate_rows", batch)
+    monkeypatch.setattr(bubblespec.spectrum, "_factorized_hump", counted)
     for n_in, n_out, *_ in REFERENCE_TABLE:
         cfg = MediumConfig(n_gas_in=n_in, n_gas_out=n_out)
-        rounds.append([])
+        batches.append([])
         totals(cfg, CutoffProfile.rounded(cfg), QuadratureSpec(), grid_points=0)
-    assert [len(r) for r in rounds] == [1, 3, 3, 3, 3] and sum(map(sum, rounds)) == 1740
-    counts = {name: (sum(sizes), len(sizes)) for name, sizes in calls.items()}
-    assert counts == {"f_factorized": (146_805, 24), "_factorized_envelope": (362_848, 49)}
-    assert sum(n for n, _ in counts.values()) <= 0.4 * 2_083_545
-    assert max(max(sizes) for sizes in calls.values()) <= _CHUNK_POINTS
+    assert batches == [[90, 23], [90, 299], [90, 414], [90, 299], [90, 230]]
+    assert (sum(humps), len(humps)) == (108_315, 30)
+    assert sum(humps) <= 0.4 * 2_083_545
+    assert max(humps) <= _CHUNK_POINTS
 
 
 @pytest.mark.parametrize(
@@ -386,22 +387,16 @@ SCIPY_TOTALS = {
 }
 
 
-# 2e4/1 is off by 1.07e-6: the outer rule does not resolve dN/dx's boundary layer at x ~ (n_out/n_in) y*.
-_BOUNDARY_LAYER = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the 2e4/1 boundary layer at x ~ 6e-4")
-
-
-@pytest.mark.parametrize(
-    "n_in, n_out", [pytest.param(*c, marks=_BOUNDARY_LAYER if c == (20000.0, 1.0) else ()) for c in SCIPY_TOTALS]
-)
+@pytest.mark.parametrize("n_in, n_out", list(SCIPY_TOTALS))
 def test_reference_totals_match_scipy_within_their_claimed_error(n_in, n_out):
     # N within 1e-6 and <x>/x* within 2e-6 of the scipy values, both relative, and the claimed quadrature_error at
-    # least the actual error of N
+    # least the actual error of N and at most rel_tol * N
     cfg = MediumConfig(n_gas_in=n_in, n_gas_out=n_out)
     res = totals(cfg, CutoffProfile.rounded(cfg), QuadratureSpec(), grid_points=0)
     n_ref, ratio_ref = SCIPY_TOTALS[n_in, n_out]
     assert abs(res.total_photons - n_ref) <= 1e-6 * n_ref
     assert abs(res.mean_x_over_xstar - ratio_ref) <= 2e-6 * ratio_ref
-    assert res.quadrature_error >= abs(res.total_photons - n_ref)
+    assert abs(res.total_photons - n_ref) <= res.quadrature_error <= 1e-6 * n_ref
 
 
 class _StartPanels(Exception):
@@ -422,17 +417,18 @@ class _StartPanels(Exception):
     ids=["68-34", "68-34-tails", "y-below-x", "y-above-x-max", "y-below-w", "both-below-w", "1e300"],
 )
 def test_totals_start_panels_are_graded_toward_y_star(monkeypatch, cut, tail):
-    # The outer x-integral starts from the edges 0, x*, x_max, y* and y* - W 1.5^k (k >= 0) inside (0, x_max), with
-    # W = 4pi/3: the panel next to y* is one sinc width, each one wholly below y* - W at most half as wide as its
-    # distance from y* (to the rounding of y*), and the count grows as log_1.5(y*/W).
+    # The exact kernel's outer x-integral starts from the edges 0, x*, x_max, y* and y* - W 1.5^k (k >= 0) inside
+    # (0, x_max), with W = 4pi/3: the panel next to y* is one sinc width, each one wholly below y* - W at most half as
+    # wide as its distance from y* (to the rounding of y*), and the count grows as log_1.5(y*/W).
     width = 4.0 * math.pi / 3.0
 
     def start_panels(f, bounds, rows, **kwargs):
         raise _StartPanels(bounds)
 
     monkeypatch.setattr(bubblespec.quadrature, "_integrate_rows", start_panels)
+    cfg = MediumConfig(n_gas_in=68.0, n_gas_out=34.0)
     with pytest.raises(_StartPanels) as caught:
-        totals(MediumConfig(n_gas_in=68.0, n_gas_out=34.0), cut, QuadratureSpec(tail_upper_bound=tail), grid_points=0)
+        totals(cfg, cut, QuadratureSpec(tail_upper_bound=tail), "exact", grid_points=0)
     lo, hi = caught.value.args[0]
     edges = np.append(lo, hi[-1])
     x_max = max(cut.x_star + width, tail or 0.0)
@@ -442,6 +438,151 @@ def test_totals_start_panels_are_graded_toward_y_star(monkeypatch, cut, tail):
     graded = hi <= cut.y_star - width
     assert np.all((hi - lo)[graded] <= 0.5 * (cut.y_star - hi[graded]) + 1e-13 * cut.y_star)
     assert hi.size <= max(0.0, math.log(cut.y_star / width, 1.5)) + 4
+
+
+@pytest.mark.parametrize(
+    "cut, tail",
+    [
+        (CutoffProfile.rounded(MediumConfig(n_gas_in=68.0, n_gas_out=34.0)), None),
+        (CutoffProfile.rounded(MediumConfig(n_gas_in=68.0, n_gas_out=34.0)), 600.0),
+        (CutoffProfile(392.0, 100.0), None),
+        (CutoffProfile(50.0, 1000.0), None),
+        (CutoffProfile(50.0, 2.0), 60.0),
+        (CutoffProfile(1.0, 0.5), None),
+        (CutoffProfile(1e4, 1.0), None),
+    ],
+    ids=["68-34", "68-34-tails", "y-below-x", "y-above-x-max", "y-below-w-tails", "both-below-w", "x-far-above-y"],
+)
+def test_totals_u_row_start_panels_split_at_the_kinks_and_the_lattice(monkeypatch, cut, tail):
+    # The factorized totals' u = x - y integral starts from one lattice row over [-upper, x_max] centred at 0: sorted
+    # edges, every kink of H an edge (0, x_max - upper and, with tails, x_max - y* and -y*; one within rounding of a
+    # lattice point is that point, no sliver panel), K15 panels of at most one lobe, and product panels on whole lobes
+    # (lattice points k 4pi/3 at both ends), each no wider than its distance from 0 and two or more lobes away from it.
+    width = 4.0 * math.pi / 3.0
+
+    def start_panels(f, bounds, rows, **kwargs):
+        raise _StartPanels(bounds, kwargs["lobes"])
+
+    monkeypatch.setattr(bubblespec.quadrature, "_integrate_rows", start_panels)
+    cfg = MediumConfig(n_gas_in=68.0, n_gas_out=34.0)
+    with pytest.raises(_StartPanels) as caught:
+        totals(cfg, cut, QuadratureSpec(tail_upper_bound=tail), grid_points=0)
+    (lo, hi), lobes = caught.value.args
+    x_max, upper = max(cut.x_star + width, tail or 0.0), max(cut.y_star, tail or 0.0)
+    edges = np.append(lo, hi[-1])
+    assert edges[0] == -upper and edges[-1] == x_max and np.all(lo[1:] == hi[:-1]) and np.all(lo < hi)
+    kinks = [0.0, x_max - upper, *((x_max - cut.y_star, -cut.y_star) if tail else ())]
+    assert all(np.min(np.abs(edges - k)) <= 1e-15 * (x_max + upper) for k in kinks if -upper < k < x_max)
+    product = lobes > 0
+    assert np.all(hi[~product] - lo[~product] <= width * (1.0 + 1e-12))
+    assert np.all(hi - lo > 1e-9 * width)
+    near = np.where(lo[product] > 0.0, lo[product], -hi[product]) / width
+    ks = lo[product] / width
+    assert np.allclose(ks, np.round(ks), rtol=0.0, atol=1e-9)
+    assert np.allclose(hi[product] - lo[product], lobes[product] * width)
+    assert np.all(near >= 2.0 - 1e-9) and np.all(lobes[product] <= near + 1e-9)
+    assert product.any() == (x_max + upper > 6.0 * width)
+
+
+def test_totals_u_row_above_the_cap_raises_before_any_panel(monkeypatch):
+    # ~y*/(64 * 4pi/3) product panels: the u-row is refused before its edges are built or any quadrature runs
+    def never(*args, **kwargs):
+        raise AssertionError("quadrature started")
+
+    monkeypatch.setattr(bubblespec.quadrature, "_integrate_rows", never)
+    cfg = MediumConfig(n_gas_in=2e4, n_gas_out=1.0)
+    with pytest.raises(QuadratureError, match="panel edges, more than max_subdivisions=2000") as exc:
+        totals(cfg, CutoffProfile(11.5, 1e9), grid_points=0)
+    assert exc.value.result.subdivisions > 2000 and math.isnan(exc.value.result.scalar)
+    # 68/34 starts its u-row from 24 panels
+    cfg, cut = MediumConfig(n_gas_in=68.0, n_gas_out=34.0), CutoffProfile(392.0, 392.0)
+    with pytest.raises(QuadratureError, match="starts with 25 panel edges"):
+        totals(cfg, cut, QuadratureSpec(max_subdivisions=23), grid_points=0)
+
+
+def _scipy_photons(cfg, cut, tail=None):
+    """N by scipy along the diagonals, an independent route: int sinc^2(3u/4) H(u) du with H(u) the y-integral of the
+    integrand's factors other than sinc^2 along x = y + u.  The u-range is split at H's kinks and at the sinc zeros up
+    to two lobes from 0; past those, sin^2 = (1 - cos(3u/2))/2 and the cosine part goes to QUADPACK's QAWO."""
+    from scipy.integrate import quad
+
+    width = 4.0 * math.pi / 3.0
+    y_star, n_in, n_out = cut.y_star, cfg.n_gas_in, cfg.n_gas_out
+    x_max, upper = max(cut.x_star + width, tail or 0.0), max(y_star, tail or 0.0)
+
+    def integrand(y, u):
+        x = y + u
+        n = n_in if y <= y_star else 1.0
+        ratio = (n * x * x + n_out * y * y) / (n * x + n_out * y)
+        s6 = (x + y) ** 6
+        return (n - n_out) ** 2 / (2.0 * n * n_out) * ratio * ratio * s6 / (16000.0 + s6) / (2.0 * math.pi**2)
+
+    def h(u):
+        # split at y* and at decades from the row's start, where the hump and the momentum ratio turn: a 21-point
+        # start on a row thousands long can miss them
+        ya, yb = max(0.0, -u), min(upper, x_max - u)
+        points = sorted(p for p in {y_star, *(ya + 10.0**k for k in range(-3, 5))} if ya < p < yb)
+        return quad(integrand, ya, yb, args=(u,), points=points or None, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+    def envelope(u):
+        return h(u) / (0.75 * u) ** 2
+
+    splits = {-upper, 0.0, x_max - upper, x_max - y_star, -y_star, x_max, *(k * width for k in range(-2, 3))}
+    edges = sorted(p for p in splits if -upper <= p <= x_max)
+    photons = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b - a < 1e-9:  # a kink within rounding of a sinc zero
+            continue
+        if -2.0 * width < 0.5 * (a + b) < 2.0 * width:
+            sinc2 = lambda u: (math.sin(0.75 * u) / (0.75 * u)) ** 2 * h(u)
+            photons += quad(sinc2, a, b, epsabs=0.0, epsrel=1e-10, limit=200)[0]
+        else:
+            mean = quad(envelope, a, b, epsabs=0.0, epsrel=1e-10, limit=200)[0]
+            cosine = quad(envelope, a, b, weight="cos", wvar=1.5, epsabs=1e-12 * abs(mean), epsrel=1e-10, limit=200)[0]
+            photons += 0.5 * (mean - cosine)
+    return photons
+
+
+@pytest.mark.parametrize("y_star", [1e-300, 1e-310])
+def test_factorized_totals_with_tails_over_a_tiny_y_star_are_finite(y_star):
+    # the y-rows' grading edges r y* 10^k span the log10(upper/(r y*)) ~ 300 decades only up to the 17 a double
+    # resolves: the count neither overflows (an OverflowError) nor sizes a row of hundreds of edges
+    cfg, quad = MediumConfig(n_gas_in=68.0, n_gas_out=34.0), QuadratureSpec(tail_upper_bound=1e5)
+    res = totals(cfg, CutoffProfile(11.5, y_star), quad, grid_points=0)
+    assert math.isfinite(res.total_photons) and 0.0 < res.quadrature_error <= 1e-6 * res.total_photons
+
+
+@pytest.mark.parametrize("x_star", [1e4, 1e5])
+def test_factorized_totals_far_above_y_star_match_scipy(x_star):
+    # y* = 1 and x* up to 1e5: the x-row route stopped at 2000 subdivisions here (about 2400 and 24000 sinc lobes
+    # along x); the u-row takes them in product panels
+    cfg = MediumConfig(n_gas_in=68.0, n_gas_out=34.0)
+    cut = CutoffProfile(x_star, 1.0)
+    res = totals(cfg, cut, grid_points=0)
+    n_ref = _scipy_photons(cfg, cut)
+    assert abs(res.total_photons - n_ref) <= res.quadrature_error <= 1e-6 * n_ref
+
+
+@settings(derandomize=True, max_examples=6, deadline=None, database=None)
+@given(
+    st.sampled_from([row[:2] for row in REFERENCE_TABLE]),
+    st.floats(min_value=-1.0, max_value=4.0),
+    st.floats(min_value=-1.0, max_value=4.0),
+    st.sampled_from([None, 1.2, 2.0]),
+)
+@example((68.0, 34.0), math.log10(392.0), 2.0, None)
+@example((68.0, 34.0), math.log10(50.0), 3.0, None)
+@example((68.0, 34.0), math.log10(50.0), math.log10(2.0), None)
+@example((68.0, 34.0), math.log10(3000.0), math.log10(3000.0), None)
+def test_factorized_totals_claim_at_least_their_error_over_the_cutoff_overrides(indices, x_exponent, y_exponent, tail):
+    # x* and y* log-uniform in [0.1, 1e4], without tails or with tails up to 1.2 or 2 times max(x*, y*) + 4pi/3; the
+    # claimed error is at least the distance from the scipy route and at most twice rel_tol * N (outer plus inner)
+    cfg = MediumConfig(n_gas_in=indices[0], n_gas_out=indices[1])
+    cut = CutoffProfile(10.0**x_exponent, 10.0**y_exponent)
+    bound = tail and tail * (max(cut.x_star, cut.y_star) + 4.0 * math.pi / 3.0)
+    res = totals(cfg, cut, QuadratureSpec(tail_upper_bound=bound), grid_points=0)
+    n_ref = _scipy_photons(cfg, cut, bound)
+    assert abs(res.total_photons - n_ref) <= res.quadrature_error <= 2e-6 * n_ref
 
 
 def test_totals_peak_memory_stays_below_3_mb():
@@ -519,7 +660,8 @@ def test_integrand_equals_the_per_point_formula_bit_for_bit(kernel_mode, points,
     straddling = rng.uniform(0.5 * cut.y_star, 2.0 * cut.y_star, points)
     straddling[::50] = cut.y_star
     for ys in (inside, straddling):
-        got = bubblespec.spectrum._integrand(x, ys, cfg, cut, kernel_mode)
+        kernel = f_factorized if kernel_mode == "factorized" else bubblespec.kernel.f_exact_array
+        got = bubblespec.spectrum._integrand(x, ys, cfg, cut, kernel)
         want = _integrand_per_point(x, ys, cfg, cut, kernel_mode)
         assert got.shape == ys.shape and got.tobytes() == want.tobytes()
     assert np.any(straddling > cut.y_star) and np.any(straddling <= cut.y_star)
