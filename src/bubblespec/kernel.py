@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matching import MediumConfig, _require_positive_finite
-# bessel_jn_half is unused here but perfbench/test_perfbench.py reads it.
-from .special_functions import _half_integer_j_table, _half_integer_j_upward, _require_domain, bessel_jn_half
+from .special_functions import _decay_order, _half_integer_j_table, _half_integer_j_upward, _require_domain
+from .special_functions import bessel_jn_half  # unused here but perfbench/test_perfbench.py reads it
 
 __all__ = [
     "CutoffProfile",
@@ -44,8 +44,8 @@ __all__ = [
     "f_factorized",
 ]
 
-# f_exact_array works through its points in slices of this many: at about 256 table entries a point (the overlap
-# series' J rows), 2**20 entries a slice, so its temporaries stay near a few MB however many points a call has.
+# f_exact_array works through its points in slices of this many: at up to 529 J rows a point (the overlap series' top
+# at lo = 1e5/256), 2**21 entries a slice, so its temporaries stay within tens of MB however many points a call has.
 _POINTS_PER_SLICE = 2**12
 
 # f_exact_array's closed form serves min(x, y) >= 1 up to this max/min: past it G(x - y) - G(x + y)
@@ -57,10 +57,7 @@ _CLOSED_FORM_RATIO = 256.0
 _G_TAYLOR = [
     (-1) ** n * 96.0 / (math.factorial(2 * n) * (2 * n + 1) * (2 * n + 2) * (2 * n + 4)) for n in range(10, -1, -1)
 ]
-# The overlap series elsewhere sums the orders below and the J rows up to int(e*min(x, y)/2) + _OVERLAP_ROWS:
-# 20 rows leave up to 6e-14 at min ~ 30 and max = 1e5, 24 leave rounding (6e-15).
-_OVERLAP_ROWS = 24
-# Up to this max(x, y) the overlap series takes J at both arguments from one backward table, of e*max(x, y)/2 rows.
+# Up to this max(x, y) the overlap series takes J at both arguments from one backward table.
 _BACKWARD_MAX = 4.0
 
 _HALF_ASYMPTOTE = 1.0 / (2.0 * math.pi * math.pi)
@@ -97,47 +94,43 @@ class CutoffProfile:
 
 @dataclass(frozen=True)
 class KernelValue:
-    """F(x, y) and l_used = int(e*min(x, y)/2) + _OVERLAP_ROWS - 1, the overlap series' last order.
-
-    Past l_used every term (2l+1) r_l^2 of F is below its rounding, in every branch: r_l carries J_nu at min(x, y),
-    which falls off fast past nu = e*min(x, y)/2.
+    """F(x, y) and l_used = _decay_order(1, min(x, y)) - 1, the overlap series' last order: past it every term
+    (2l+1) r_l^2 of F is below its rounding in every branch, as r_l carries J_nu at min(x, y), fallen by _DECAY_TARGET.
     """
 
     value: float
     l_used: int
 
 
-def _overlaps(jx: np.ndarray, jy: np.ndarray, x, y, top) -> np.ndarray:
-    """W~_{l+1/2}(x, y)/(x^2 - y^2) for l = 0..L-1 from J tables at x and y: J_{k+1/2} for k = 0..L, then J_{-1/2}.
+# Rows past a point's own top (the table's unused rows, an upward recurrence past its turning point) may overflow;
+# they are left out.  Where a*b underflows, 2/(a b) is inf and every row 0.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _overlap_table(a, b, first, upward) -> tuple[np.ndarray, np.ndarray]:
+    """W~_{l+1/2}(a, b)/(a^2 - b^2) for l = 0..top-1 and the rows J_{k+1/2}(a) J_{k+1/2}(b), 0 past a point's top.
 
-    The ratio is the overlap int_0^1 r J_nu(xr) J_nu(yr) dr (DLMF 10.22.5), which J_nu + J_{nu+2} = (2(nu+1)/z) J_{nu+1}
-    (DLMF 10.6.1) telescopes into (2/(xy)) sum_{n>=0} (nu+2n+1) J_{nu+2n+1}(x) J_{nu+2n+1}(y): no x^2 - y^2 to cancel.
-    Order l sums every other row from l + 1 up, from the top down, leaving out the rows past each point's own ``top``,
-    so a point sums its own table in any batch.  Exactly symmetric in x and y.
+    The ratio is the overlap int_0^1 r J_nu(ar) J_nu(br) dr (DLMF 10.22.5), which J_nu + J_{nu+2} = (2(nu+1)/z) J_{nu+1}
+    (DLMF 10.6.1) telescopes into (2/(ab)) sum_{n>=0} (nu+2n+1) J_{nu+2n+1}(a) J_{nu+2n+1}(b): no a^2 - b^2 to cancel.
+    Order l sums every other row from l + 1 up to top = _decay_order(first, min(a, b)), from the top down.  J at a,
+    and at b but where ``upward``, comes from one backward table, at b where ``upward`` from the upward recurrence.
+    A point's rows and sums do not depend on its batch, and are exactly symmetric in a and b.
     """
-    k = np.arange(jx.shape[0] - 1)[:, None]
-    terms = np.where(k <= top, (k + 0.5) * (jx * jy)[:-1], 0.0)
-    sums = np.empty_like(terms)
-    for parity in (0, 1):
-        np.cumsum(terms[::-1][parity::2], axis=0, out=sums[::-1][parity::2])
-    return sums[1:] * (2.0 / (x * y))
-
-
-def _j_tables(a, b, top, upward) -> tuple[np.ndarray, np.ndarray]:
-    """J tables at a and at b for ``_overlaps``: at a, and at b but where ``upward``, from one backward ratio recurrence
-    (``_half_integer_j_table``), at b where ``upward`` from the upward one; a column's rows do not depend on its batch.
-    """
+    top = _decay_order(first, np.minimum(a, b))
     j = _half_integer_j_table(np.concatenate([a, b[~upward]]), np.concatenate([top, top[~upward]]))
     jb = np.empty((j.shape[0], b.size))
     jb[:, ~upward] = j[:, a.size :]
     if upward.any():
         jb[:, upward] = _half_integer_j_upward(j.shape[0] - 2, b[upward])
-    return j[:, : a.size], jb
+    k = np.arange(jb.shape[0] - 1)[:, None]
+    products = np.where(k <= top, (j[:, : a.size] * jb)[:-1], 0.0)
+    sums = (k + 0.5) * products
+    for parity in (0, 1):
+        np.cumsum(sums[::-1][parity::2], axis=0, out=sums[::-1][parity::2])
+    return sums[1:] * (2.0 / (a * b)), products
 
 
 def f_exact(x: float, y: float) -> KernelValue:
     """Exact kernel F(x, y) = sum_{l>=1} (2l+1) r_l^2 at one point: f_exact_array's value, bit for bit."""
-    return KernelValue(value=float(f_exact_array(x, y)), l_used=int(math.e * min(x, y) / 2.0) + _OVERLAP_ROWS - 1)
+    return KernelValue(value=float(f_exact_array(x, y)), l_used=int(_decay_order(1, min(x, y))) - 1)
 
 
 def _closed_form(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -159,17 +152,12 @@ def _g(k: np.ndarray) -> np.ndarray:
 
 
 def _overlap_sum(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """F from the overlap series (``_overlaps``) at orders and J rows up to top = int(e*lo/2) + _OVERLAP_ROWS.
+    """F from the overlap series (``_overlap_table``) at orders 1 to its top, _decay_order(1, lo) - 1.
 
-    J at lo, and at hi <= _BACKWARD_MAX, comes from one backward table (``_j_tables``).  J at a larger hi comes from
-    the upward recurrence, stable below hi only: there lo < 1 < 4 < hi, or hi > 256 lo >= 256, so the rows past hi
-    are weighted by J at lo, smaller by (lo/hi)^k.
+    J at lo, and at hi <= _BACKWARD_MAX, comes from one backward table, at a larger hi from the upward recurrence,
+    stable below hi only; there lo < 1 < 4 < hi or hi > 256 lo >= 256, and J at lo weights rows past hi by (lo/hi)^k.
     """
-    top = (math.e * lo / 2.0).astype(int) + _OVERLAP_ROWS
-    # Rows past a point's own top (the table's unused rows, an upward recurrence past its turning point) may
-    # overflow; _overlaps leaves them out.  Where lo*hi underflows, 2/(lo*hi) is inf and every row 0.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        r = _overlaps(*_j_tables(lo, hi, top, hi > _BACKWARD_MAX), lo, hi, top)[1:]
+    r = _overlap_table(lo, hi, 1, hi > _BACKWARD_MAX)[0][1:]
     terms = ((2 * np.arange(1, r.shape[0] + 1)[:, None] + 1) * r) * r
     # A running sum is sequential in l at any batch size.  F goes as (lo*hi)^3, so it is 0.0 where its rows are NaN.
     return np.nan_to_num(np.cumsum(terms, axis=0)[-1])

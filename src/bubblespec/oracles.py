@@ -6,11 +6,11 @@ delta identities.  The first three draw all their samples first, then run as arr
 one N table) each.  The per-draw calls ``bessel_jn_half``, ``coefficients_bc`` and ``hankel_finite_integral`` are
 one-draw passes of the same routines, and each suite takes its worst draw again through its per-draw call and fails
 unless the two agree exactly: a draw's values do not depend on its batch.  The overlap is the exact kernel's own
-ratio W~/(x^2 - y^2), its series (``kernel._overlaps``) over the kernel's backward J table at both arguments
-(``kernel._j_tables``), checked against a self-verified composite Gauss-Legendre rule, independent of the production
-Gauss-Kronrod pair, over ``_jv``: J_{l+1/2} for l <= 10 and z <= 100 from the power series (DLMF 10.2.2) below z = 8
-and the finite sin/cos closed form (DLMF 10.49.2) from 8 up, independent of the package's J recurrence.  The delta
-identities are closed forms.  No suite loads scipy.
+ratio W~/(x^2 - y^2), its series over the kernel's backward J table at both arguments (``kernel._overlap_table``),
+checked against a self-verified composite Gauss-Legendre rule, independent of the production Gauss-Kronrod pair,
+over ``_jv``: J_{l+1/2} for l <= 10 and z <= 100 from the power series (DLMF 10.2.2) below z = 8 and the finite
+sin/cos closed form (DLMF 10.49.2) from 8 up, independent of the package's J recurrence.  The delta identities are
+closed forms.  No suite loads scipy.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _j_tables, _overlaps
+from .kernel import _overlap_table
 from .matching import _amplitudes_at, _positive_finite, coefficients_bc
 from .special_functions import (
     _UNDERFLOW_FLOOR, BesselDomainError, ModeOrder, _half_integer_columns, _reduced_det, _require_domain, bessel_jn_half,
@@ -31,11 +31,6 @@ __all__ = [
     "IdentityReport", "finite_overlap_checks", "hankel_finite_integral", "matching_checks", "spectral_delta_checks",
     "wronskian_checks",
 ]
-
-
-# The overlap ratio of order l sums J rows up to max(l, e*max(a, b)/2) + 2 * _SERIES_ROWS; past e*max(a, b)/2 they
-# fall off faster than geometrically: 40 more rows moved 1 of 3000 draws (l <= 40, a, b in [0.1, 316]) by an ulp.
-_SERIES_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -97,20 +92,19 @@ def hankel_finite_integral(order: ModeOrder, k1: float, k2: float, R: float) -> 
 
 
 def _overlap_ratios(l: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """W~_nu(a, b)/(a^2 - b^2), nu = l + 1/2, at draws in the Bessel domain: ``kernel._overlaps`` over one J table.
+    """W~_nu(a, b)/(a^2 - b^2), nu = l + 1/2, at draws in the Bessel domain: ``kernel._overlap_table`` from order l + 1.
 
     Each draw sums its own rows, so its value does not depend on its batch.  BesselDomainError names the first draw
     whose leading row J_{nu+1}(a) J_{nu+1}(b) is below _UNDERFLOW_FLOOR, where underflow would leave 0.0 or NaN.
     """
-    top = np.maximum(l, (math.e * np.maximum(a, b) / 2.0).astype(int)) + 2 * _SERIES_ROWS
     draw = np.arange(a.size)
-    ja, jb = _j_tables(a, b, top, np.zeros(a.size, dtype=bool))
+    ratios, products = _overlap_table(a, b, l + 1, np.zeros(a.size, dtype=bool))
     # Past the floor check a*b is above 1e-200: 2/(a b) is finite.
-    lost = np.abs(ja[l + 1, draw] * jb[l + 1, draw]) < _UNDERFLOW_FLOOR
+    lost = np.abs(products[l + 1, draw]) < _UNDERFLOW_FLOOR
     if lost.any():
         i = int(lost.argmax())
         raise BesselDomainError(f"the overlap of order l={l[i]} underflows at a={a[i]}, b={b[i]}")
-    return _overlaps(ja, jb, a, b, top)[l, draw]
+    return ratios[l, draw]
 
 
 def _jv(l: int, z: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ J_{l+1/2}(z) = sqrt(2z/pi) * j_l(z) (and likewise for the Neumann
 functions), from one seed pair, sin z/z and cos z/z (DLMF 10.49), and two
 recurrences (DLMF 10.51.1).  The regular solution j is built from its ratios
 r_l = j_l/j_{l-1}, which a backward recurrence started at r = 0 past
-max(l, e*z/2) yields without overflow, multiplied up from j_0 or j_1,
+``_decay_order`` yields without overflow, multiplied up from j_0 or j_1,
 whichever is farther from its zero (``_half_integer_j_table``).  One upward
 recurrence f_{l+1} = (2l+1)/z f_l - f_{l-1} from (f_{-1}, f_0) serves the
 irregular solution y, where it is the stable direction, and j at arguments
@@ -39,14 +39,10 @@ __all__ = [
     "half_integer_n_array",
 ]
 
-# The ratio recurrence starts this many orders past max(l_max, e*z/2).
-# There j_l shrinks by a factor (2l+1)/z > e per order, and the error of
-# the start value r = 0 reaches r_l damped by |j_start j_{start-1}|/|j_l j_{l-1}|,
-# about e^-80 ~ 2e-35 against the table's scale.
-_RATIO_MARGIN = 40
+_DECAY_TARGET = 1e-17
 _UNDERFLOW_FLOOR = 1e-300
-# Largest Bessel and kernel argument, 255 times x* = 392: J tables run to e*z/2 orders, so half_integer_j_array(1, 1e5)
-# takes about 0.3 s and the overlap oracle at k R = 1e5 about 0.4 s.
+# Largest Bessel and kernel argument, 255 times x* = 392: J tables run to about z + 6.3 sqrt(z) orders, so
+# half_integer_j_array(1, 1e5) takes about 0.25 s and the overlap oracle at k R = 1e5 about 0.3 s.
 _MAX_ARGUMENT = 1e5
 
 
@@ -127,6 +123,26 @@ def half_integer_j_array(l_max: int, z: float) -> list[float]:
     return column[: l_max + 1] + column[-1:]
 
 
+def _decay_order(l, z) -> np.ndarray:
+    """The first order N past m = max(l, ceil(z)) with prod_{k=m+1}^N z/(2k+1-z) <= _DECAY_TARGET, or one more.
+
+    The one rule for how many J orders a table or an overlap series takes.  For k >= z - 1/2, r_k = J_{k+1/2}/J_{k-1/2}
+    = z/(2k+1 - z r_{k+1}) is at most z/(2k+1-z), by downward induction (r_{k+1} <= 1): J at N is below J at m by the
+    target, and a backward recurrence from r_{N+1} = 0 reaches m with its start error damped by about the product
+    squared (DLMF 3.6(vi)).  -log of the product is at least the integral of log((2t+1-z)/z) over [m, N], which is
+    (h(2N+1-z) - h(2m+1-z))/2, h(u) = u (log(u/z) - 1).  Convex in u, it meets its goal at a root that three Newton
+    steps approach from above, from a bound on the root that log(1 + 2s/z) >= 2s/(z + 2s) gives.
+    """
+    goal = -2.0 * math.log(_DECAY_TARGET)
+    log_z, u = np.log(z), 2.0 * np.maximum(l, np.ceil(z)) + 1.0 - z
+    h_goal = u * (np.log(u) - log_z - 1.0) + goal
+    u = u + goal + np.sqrt(goal * (goal + 2.0 * z))
+    for _ in range(3):
+        f = np.log(u) - log_z
+        u = u - (u * (f - 1.0) - h_goal) / f
+    return np.ceil((u + z - 1.0) / 2.0).astype(int)
+
+
 def _half_integer_j_table(z: np.ndarray, l_each: np.ndarray) -> np.ndarray:
     """J_{l+1/2}(z[a]) for l = 0..max(l_each.max(), 1), then J_{-1/2}(z[a]) last, in column a.
 
@@ -134,11 +150,11 @@ def _half_integer_j_table(z: np.ndarray, l_each: np.ndarray) -> np.ndarray:
     0..l_each[a] and its last row do not depend on its batch; the rows past l_each[a] are of no use.  Every z must
     be in the Bessel domain; the columns may come in any order.
     """
-    # Ratios r_l = j_l/j_{l-1} = z/(2l+1 - z r_{l+1}) from r = 0 far above l_each[a]; a denominator that rounds to
+    # Ratios r_l = j_l/j_{l-1} = z/(2l+1 - z r_{l+1}) from r = 0 above _decay_order; a denominator that rounds to
     # zero (j_{l-1} at a zero) is replaced by its rounding scale.  They run over the columns in descending order of
     # their start, so that the first k are the ones still running, and are stored back in input order.
     l_max = max(int(l_each.max()), 1)
-    start = np.maximum(l_each, (math.e * z / 2.0).astype(int)) + _RATIO_MARGIN
+    start = _decay_order(l_each, z)
     order = np.argsort(-start)
     zs, back = z[order], np.argsort(order)
     running = (z.size - np.searchsorted(start[order][::-1], np.arange(start.max() + 1))).tolist()

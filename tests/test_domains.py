@@ -36,8 +36,9 @@ MOMENTA = st.floats(min_value=0.0, max_value=1.7976931348623157e308, allow_nan=F
 RADII = st.floats(min_value=-315.0, max_value=308.0)
 ARGUMENTS = st.floats(min_value=-160.0, max_value=5.5)
 # Decimal exponents of a kernel or Bessel argument: 0.0 and the subnormals up to past the domain's 1e5.  A J table
-# runs to e z/2 orders (half_integer_j_array(1, 1e5) takes about 0.3 s), so the Bessel sweeps stop at 10^4 unless
-# the draw is past the domain, where it costs nothing; each of their four ranges gets about a quarter of the draws.
+# runs to about z + 6.3 sqrt(z) orders (half_integer_j_array(1, 1e5) takes about 0.25 s), so the Bessel sweeps stop
+# at 10^4 unless the draw is past the domain, where it costs nothing; each of their four ranges gets about a quarter
+# of the draws.
 POINTS = st.floats(min_value=-330.0, max_value=5.5)
 BESSEL_POINTS = st.one_of(
     st.floats(min_value=-330.0, max_value=-300.0),

@@ -11,7 +11,6 @@ from scipy.special import spherical_jn
 
 from bubblespec import kernel, oracles, special_functions
 from bubblespec.kernel import (
-    _OVERLAP_ROWS,
     CutoffProfile,
     d_approx,
     d_exact,
@@ -25,6 +24,7 @@ from bubblespec.special_functions import (
     _MAX_ARGUMENT,
     BesselDomainError,
     ModeOrder,
+    _decay_order,
     half_integer_j_array,
 )
 
@@ -110,8 +110,32 @@ def test_f_exact_matches_per_order_summation():
         got = f_exact(x, y)
         terms = _per_order_terms(x, y)
         assert got.value == pytest.approx(math.fsum(terms), rel=1e-12)
-        assert got.l_used == int(math.e * min(x, y) / 2.0) + _OVERLAP_ROWS - 1
+        assert got.l_used == _decay_order(1, min(x, y)) - 1
         assert math.fsum(terms[got.l_used :]) < 2.0**-53 * got.value, (x, y)
+
+
+def test_decay_order_keeps_its_promise(monkeypatch):
+    # _decay_order sizes every J table and overlap series.  On seeded draws, l in 0..120 with z near the turning
+    # point l or log-uniform up to 1e5, a table's rows 0..l from its start equal those from a start twice as far,
+    # bit for bit, and the start is never later than the fixed margin it replaced, max(l, floor(e z/2)) + 40.  Across
+    # the closed-form/series boundary (lo = 1, hi = 4, hi = 256 lo) the terms past l_used are below F's rounding.
+    rng = np.random.default_rng(47)
+    l = rng.integers(0, 120, 240, endpoint=True)
+    z = np.concatenate([np.maximum(l[:120] + rng.uniform(-3.0, 3.0, 120), 1e-3), 10.0 ** rng.uniform(-3.0, 5.0, 120)])
+    assert np.all(_decay_order(l, z) <= np.maximum(l, np.floor(math.e * z / 2.0)) + 40)
+    table = special_functions._half_integer_j_table(z, l)
+    monkeypatch.setattr(special_functions, "_decay_order", lambda l, z: 2 * _decay_order(l, z))
+    farther = special_functions._half_integer_j_table(z, l)
+    for a in range(z.size):
+        assert table[: l[a] + 1, a].tolist() == farther[: l[a] + 1, a].tolist(), (l[a], z[a])
+    above = math.nextafter(256.0, 300.0)
+    points = [(1.0, y) for y in (1.0, 1.5, 4.0, 255.0, 256.0, above, 300.0)]
+    points += [(math.nextafter(1.0, 0.0), y) for y in (4.0, 256.0, 300.0)]
+    points += [(x, y) for x in (1e-3, 0.2, 0.5, 0.9) for y in (4.0, math.nextafter(4.0, 5.0))]
+    points += [(x, x * k) for x in (1.0, 1.3, 2.0) for k in (math.nextafter(256.0, 0.0), 256.0, above)]
+    for x, y in points:
+        got = f_exact(x, y)
+        assert math.fsum(_per_order_terms(x, y)[got.l_used :]) < 2.0**-53 * got.value, (x, y)
 
 
 def _spherical_jn_f(x, y, l_top=260):
@@ -263,7 +287,7 @@ def test_a_factor_kernel_never_reports_a_non_finite_sum(x, y, n_in, n_out):
         weighted += term * a_in * a_out
         reached = l
     assert math.isfinite(weighted)
-    assert reached > got.l_used == 23
+    assert reached > got.l_used == _decay_order(1, min(x, y)) - 1
 
 
 @pytest.mark.parametrize("x, y", [(1e-200, 2e-200), (1e-100, 1.0), (1e-100, 30.0), (1e-200, 1e-200), (1e-60, 1e-60)])

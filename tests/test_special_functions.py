@@ -164,7 +164,7 @@ def test_j_table_takes_its_columns_in_any_order():
         ([300.0, 5.0, 2.0], [3, 3, 3]),  # descending order of the recurrence start
         ([2.0, 5.0, 300.0], [3, 3, 3]),  # ascending
         ([5.0, 300.0, 2.0, 0.7, 40.0], [3, 3, 3, 3, 3]),
-        # the start is max(l_each, int(e z/2)) + margin: a large l_each puts a small z first
+        # the start, _decay_order(l_each, z), is past max(l_each, z): a large l_each puts a small z first
         ([300.0, 5.0], [3, 600]),
         ([300.0, 5.0, 2.0], [3, 600, 40]),
     ]
