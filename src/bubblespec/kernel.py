@@ -102,9 +102,6 @@ class KernelValue:
     l_used: int
 
 
-# Rows past a point's own top (the table's unused rows, an upward recurrence past its turning point) may overflow;
-# they are left out.  Where a*b underflows, 2/(a b) is inf and every row 0.
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _overlap_table(a, b, first, upward) -> tuple[np.ndarray, np.ndarray]:
     """W~_{l+1/2}(a, b)/(a^2 - b^2) for l = 0..top-1 and the rows J_{k+1/2}(a) J_{k+1/2}(b), 0 past a point's top.
 
@@ -118,14 +115,16 @@ def _overlap_table(a, b, first, upward) -> tuple[np.ndarray, np.ndarray]:
     j = _half_integer_j_table(np.concatenate([a, b[~upward]]), np.concatenate([top, top[~upward]]))
     jb = np.empty((j.shape[0], b.size))
     jb[:, ~upward] = j[:, a.size :]
-    if upward.any():
-        jb[:, upward] = _half_integer_j_upward(j.shape[0] - 2, b[upward])
     k = np.arange(jb.shape[0] - 1)[:, None]
-    products = np.where(k <= top, (j[:, : a.size] * jb)[:-1], 0.0)
-    sums = (k + 0.5) * products
-    for parity in (0, 1):
-        np.cumsum(sums[::-1][parity::2], axis=0, out=sums[::-1][parity::2])
-    return sums[1:] * (2.0 / (a * b)), products
+    # Upward rows past a point's top may overflow and are left out; where a*b underflows 2/(a b) is inf, every row 0.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if upward.any():
+            jb[:, upward] = _half_integer_j_upward(j.shape[0] - 2, b[upward])
+        products = np.where(k <= top, (j[:, : a.size] * jb)[:-1], 0.0)
+        sums = (k + 0.5) * products
+        for parity in (0, 1):
+            np.cumsum(sums[::-1][parity::2], axis=0, out=sums[::-1][parity::2])
+        return sums[1:] * (2.0 / (a * b)), products
 
 
 def f_exact(x: float, y: float) -> KernelValue:
@@ -138,7 +137,7 @@ def _closed_form(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     d, s = hi - lo, hi + lo
     g, g_s = _g(np.array([np.maximum(d, 0.5), s]))  # G(d) and G(s) in one pass, G(d) by Taylor below d = 1/2
     near = d < 0.5
-    if near.any():
+    if np.count_nonzero(near):
         g[near] = np.polyval(_G_TAYLOR, 4.0 * d[near] ** 2)
     sinc_d = np.divide(np.sin(d), d, out=np.ones(d.size), where=d > 0.0)
     r0 = (sinc_d - np.sin(s) / s) / (math.pi * np.sqrt(lo * hi))
@@ -187,7 +186,7 @@ def f_exact_array(x, y) -> np.ndarray:
         a, b, out = lo[part], hi[part], values[part]
         closed = (a >= 1.0) & (b <= _CLOSED_FORM_RATIO * a)
         for mask, route in ((closed, _closed_form), (~closed, _overlap_sum)):
-            if mask.any():
+            if np.count_nonzero(mask):
                 out[mask] = route(a[mask], b[mask])
     return values.reshape(shape)
 

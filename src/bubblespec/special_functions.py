@@ -123,24 +123,25 @@ def half_integer_j_array(l_max: int, z: float) -> list[float]:
     return column[: l_max + 1] + column[-1:]
 
 
-def _decay_order(l, z) -> np.ndarray:
+def _decay_order(l, z):
     """The first order N past m = max(l, ceil(z)) with prod_{k=m+1}^N z/(2k+1-z) <= _DECAY_TARGET, or one more.
 
-    The one rule for how many J orders a table or an overlap series takes.  For k >= z - 1/2, r_k = J_{k+1/2}/J_{k-1/2}
-    = z/(2k+1 - z r_{k+1}) is at most z/(2k+1-z), by downward induction (r_{k+1} <= 1): J at N is below J at m by the
-    target, and a backward recurrence from r_{N+1} = 0 reaches m with its start error damped by about the product
-    squared (DLMF 3.6(vi)).  -log of the product is at least the integral of log((2t+1-z)/z) over [m, N], which is
-    (h(2N+1-z) - h(2m+1-z))/2, h(u) = u (log(u/z) - 1).  Convex in u, it meets its goal at a root that three Newton
-    steps approach from above, from a bound on the root that log(1 + 2s/z) >= 2s/(z + 2s) gives.
+    The one rule for how many J orders a table or an overlap series takes; a scalar (f_exact's one point) runs on
+    math and gets an int.  For k >= z - 1/2, r_k = J_{k+1/2}/J_{k-1/2} = z/(2k+1 - z r_{k+1}) <= z/(2k+1-z) by
+    downward induction (r_{k+1} <= 1): J at N is below J at m by the target, and a backward recurrence from r_{N+1} = 0
+    reaches m with its start error damped by about the product squared (DLMF 3.6(vi)).  -log of the product is at
+    least int_m^N log((2t+1-z)/z) dt = (h(2N+1-z) - h(2m+1-z))/2, h(u) = u (log(u/z) - 1), convex in u: three Newton
+    steps reach its goal from above, from the bound on the root that log(1 + 2s/z) >= 2s/(z + 2s) gives.
     """
+    xp, larger = (np, np.maximum) if isinstance(z, np.ndarray) else (math, max)
     goal = -2.0 * math.log(_DECAY_TARGET)
-    log_z, u = np.log(z), 2.0 * np.maximum(l, np.ceil(z)) + 1.0 - z
-    h_goal = u * (np.log(u) - log_z - 1.0) + goal
-    u = u + goal + np.sqrt(goal * (goal + 2.0 * z))
+    log_z, u = xp.log(z), 2.0 * larger(l, xp.ceil(z)) + 1.0 - z
+    h_goal, u = u * (xp.log(u) - log_z - 1.0) + goal, u + goal + xp.sqrt(goal * (goal + 2.0 * z))
     for _ in range(3):
-        f = np.log(u) - log_z
+        f = xp.log(u) - log_z
         u = u - (u * (f - 1.0) - h_goal) / f
-    return np.ceil((u + z - 1.0) / 2.0).astype(int)
+    top = xp.ceil((u + z - 1.0) / 2.0)
+    return top.astype(int) if xp is np else top
 
 
 def _half_integer_j_table(z: np.ndarray, l_each: np.ndarray) -> np.ndarray:

@@ -123,6 +123,8 @@ def test_decay_order_keeps_its_promise(monkeypatch):
     l = rng.integers(0, 120, 240, endpoint=True)
     z = np.concatenate([np.maximum(l[:120] + rng.uniform(-3.0, 3.0, 120), 1e-3), 10.0 ** rng.uniform(-3.0, 5.0, 120)])
     assert np.all(_decay_order(l, z) <= np.maximum(l, np.floor(math.e * z / 2.0)) + 40)
+    # a scalar, f_exact's one point, runs on math and gets the array's order as an int
+    assert [_decay_order(int(n), float(v)) for n, v in zip(l, z)] == _decay_order(l, z).tolist()
     table = special_functions._half_integer_j_table(z, l)
     monkeypatch.setattr(special_functions, "_decay_order", lambda l, z: 2 * _decay_order(l, z))
     farther = special_functions._half_integer_j_table(z, l)
@@ -135,6 +137,7 @@ def test_decay_order_keeps_its_promise(monkeypatch):
     points += [(x, x * k) for x in (1.0, 1.3, 2.0) for k in (math.nextafter(256.0, 0.0), 256.0, above)]
     for x, y in points:
         got = f_exact(x, y)
+        assert got.l_used == _decay_order(1, np.array([min(x, y)]))[0] - 1
         assert math.fsum(_per_order_terms(x, y)[got.l_used :]) < 2.0**-53 * got.value, (x, y)
 
 

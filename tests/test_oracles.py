@@ -149,6 +149,15 @@ def test_tiny_arguments_give_the_overlap_or_the_domain_error():
     assert 3 <= raised < len(draws) - 10
 
 
+def test_an_overflow_in_the_overlap_j_table_is_not_silenced(monkeypatch):
+    # Only the upward rows past a point's top and 2/(a b) may overflow quietly; an overflow in the backward J table,
+    # once the only sign of a NaN table, still raises under the suite's RuntimeWarning filter
+    table = kernel._half_integer_j_table
+    monkeypatch.setattr(kernel, "_half_integer_j_table", lambda z, l: table(z, l) * 1e308 * 1e308)
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        hankel_finite_integral(ModeOrder(2), 1.5, 2.5, 1.0)
+
+
 def test_spectral_delta_suite():
     rep = spectral_delta_checks()
     assert rep.passed
