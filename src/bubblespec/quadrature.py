@@ -16,7 +16,8 @@ its rows' values, errors and subdivision counts as arrays.
 
 A row may also hold product panels for integrands g(t) sin^2(pi m (1 + t)/2)
 that span m = 1, 2, 4, ..., 64 whole periods of the sin^2 weight (in the
-panel's local t in [-1, 1]): their own callback returns the smooth factor g
+panel's local t in [-1, 1]): the round's one callback is told where their
+nodes start, after the K15 nodes, and returns the smooth factor g there,
 at 23 interior Fejer nodes cos(i pi/24), and fixed interpolatory weights
 per m integrate the weight exactly (QUADPACK's QAWO, Filon-type rules).  The
 value is that 23-point rule, the error its distance from the 11-point rule
@@ -102,9 +103,12 @@ _W23, _W11 = _sin2_weights()
 # Most points per integrand call: keeps the integrand's temporaries (64 kB
 # each) in L2 cache however many panels a round evaluates.
 _CHUNK_POINTS = 2**13
+# Each rule's nodes repeated for as many panels as one call takes.
+_TILED = {x.size: np.tile(x, _CHUNK_POINTS // x.size) for x in (_XK15, _XF23)}
 # Fraction of surviving panels refined per round.
 _REFINE_FRACTION = 0.3
-_RowIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# f(points, rows), or f(points, rows, split) in a round with product panels.
+_RowIntegrand = Callable[..., np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -136,35 +140,55 @@ def _cap_error(edges: float, max_subdivisions: int, result: QuadResult) -> Quadr
     )
 
 
-def _rule_estimates(f: _RowIntegrand, bounds, rows, nodes, weights, low_weights) -> np.ndarray:
-    """One rule's values and errors on its panels, shape (2, n_components, n_panels).
+def _panel_estimates(f, bounds, rows, lobes) -> np.ndarray:
+    """Values and errors of the panels, shape (2, n_components, n_panels).
 
-    The value takes ``weights`` at ``nodes``, the error is its distance from
-    ``low_weights`` at the odd nodes; weights of shape (n_panels, n_nodes)
-    are per panel.  Each panel takes its nodes in calls of at most
-    ``_CHUNK_POINTS`` points, each call reduced to its panels' rule sums at
-    once; the estimates equal those of one call.  A panel whose estimate is
-    not finite raises QuadratureError.
+    Panels of ``lobes`` 0 take K15 and |K15 - G7|; the others are product
+    panels of that many sin^2 periods and take the 23- and 11-point product
+    rules on the smooth factor.  The K15 panels' nodes come first, then the
+    product panels', in calls of at most ``_CHUNK_POINTS`` points of whole
+    panels, each call reduced to its panels' rule sums at once; the
+    estimates equal those of one call.  A call is f(points, rows) where no
+    panel is a product panel, else f(points, rows, split) with the product
+    nodes, where f returns the smooth factor, from ``split`` on.  A panel
+    whose estimate is not finite raises QuadratureError.
     """
+    n_k15 = lobes.size - int(np.count_nonzero(lobes))
+    mixed = n_k15 < lobes.size
+    w23 = w11 = None
+    if mixed:
+        order = np.argsort(lobes > 0, kind="stable")  # the K15 panels first, each kind in panel order
+        bounds, rows, lobes = bounds[:, order], rows[order], lobes[order]
+        # One row of the weights per product panel: its 2^level periods pick it.
+        level = np.frexp(lobes[n_k15:])[1] - 1
+        w23, w11 = _W23[level], _W11[level]
     lows, highs = bounds
     mid = 0.5 * (lows + highs)
     half = 0.5 * (highs - lows)
-    per_panel = weights.ndim == 2
-    spec = "cpk,pk->cp" if per_panel else "cpk,k->cp"
-    step = _CHUNK_POINTS // nodes.size
-    tiled = np.tile(nodes, (min(step, lows.size), 1))
-    est = None
-    for start in range(0, lows.size, step):
-        s = slice(start, start + step)
-        pts = half[s].repeat(nodes.size) * tiled[: half[s].size].ravel() + mid[s].repeat(nodes.size)
-        chunk = np.atleast_2d(np.asarray(f(pts, rows[s].repeat(nodes.size)), dtype=float))
+    est, start = None, 0
+    while start < lobes.size:
+        # As many whole panels as _CHUNK_POINTS holds: K15 panels, then product panels in the room they leave.
+        k15 = slice(start, max(start, min(n_k15, start + _CHUNK_POINTS // _XK15.size)))
+        room = _CHUNK_POINTS - (k15.stop - start) * _XK15.size
+        far = slice(max(start, n_k15), min(lobes.size, max(start, n_k15) + room // _XF23.size))
+        parts = [p for p in ((k15, 0, _XK15, _WK15, _W7), (far, n_k15, _XF23, w23, w11)) if p[0].stop > p[0].start]
+        pts = [half[s].repeat(x.size) * _TILED[x.size][: (s.stop - s.start) * x.size] + mid[s].repeat(x.size)
+               for s, _, x, *_ in parts]
+        pt_rows = [rows[s].repeat(x.size) for s, _, x, *_ in parts]
+        pts, pt_rows = (pts[0], pt_rows[0]) if len(parts) == 1 else (np.concatenate(pts), np.concatenate(pt_rows))
+        split = (k15.stop - start) * _XK15.size
+        chunk = np.atleast_2d(np.asarray(f(pts, pt_rows, split) if mixed else f(pts, pt_rows), dtype=float))
         if chunk.shape[-1] != pts.size:
             raise ValueError("integrand returned a shape not matching its input")
-        est = np.empty((2, chunk.shape[0], lows.size)) if est is None else est
-        vals = chunk.reshape(chunk.shape[0], -1, nodes.size)
-        w, w_low = (weights[s], low_weights[s]) if per_panel else (weights, low_weights)
-        np.einsum(spec, vals, w, out=est[0, :, s])
-        np.einsum(spec, vals[:, :, 1::2], w_low, out=est[1, :, s])
+        est = np.empty((2, chunk.shape[0], lobes.size)) if est is None else est
+        for (s, first, x, w, w_low), at in zip(parts, (0, split)):  # the first part's values start at 0
+            vals = chunk[:, at : at + (s.stop - s.start) * x.size].reshape(chunk.shape[0], -1, x.size)
+            if w.ndim == 2:  # per panel, numbered from the kind's first
+                w, w_low = w[s.start - first : s.stop - first], w_low[s.start - first : s.stop - first]
+            spec = "cpk,pk->cp" if w.ndim == 2 else "cpk,k->cp"
+            np.einsum(spec, vals, w, out=est[0, :, s])
+            np.einsum(spec, vals[:, :, 1::2], w_low, out=est[1, :, s])
+        start = parts[-1][0].stop
     est *= half
     with np.errstate(invalid="ignore"):  # inf - inf where the estimates overflow: the check below raises
         np.abs(np.subtract(est[0], est[1], out=est[1]), out=est[1])
@@ -173,32 +197,21 @@ def _rule_estimates(f: _RowIntegrand, bounds, rows, nodes, weights, low_weights)
         i = bad[0]
         msg = f"integrand is not finite on the panel [{float(lows[i])!r}, {float(highs[i])!r}]"
         raise QuadratureError(msg, QuadResult(est[0, :, i], est[1, :, i], 1, False))
+    if mixed:
+        est[..., order] = est.copy()
     return est
 
 
-def _panel_estimates(f: _RowIntegrand, bounds, rows, lobes, envelope) -> np.ndarray:
-    """Values and errors of the panels, shape (2, n_components, n_panels).
+def _worst_panels(errors: np.ndarray, sizes: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Positions of the ``k[i]`` largest ``errors`` of each run of ``sizes[i]``, ties to the earlier one.
 
-    Panels of ``lobes`` 0 take K15 and |K15 - G7| on ``f``; the others are
-    product panels of that many sin^2 periods and take the 23- and 11-point
-    product rules on ``envelope``.
+    One sort for all runs: by run, then by descending error (stable, so
+    equal errors keep their order), and the first k of each run.
     """
-    product = lobes > 0
-    if not product.any():
-        return _rule_estimates(f, bounds, rows, _XK15, _WK15, _W7)
-    est = None
-    rules = ((~product, f, _XK15, _WK15, _W7), (product, envelope, _XF23, _W23, _W11))
-    for part, g, nodes, weights, low_weights in rules:
-        idx = np.flatnonzero(part)
-        if not idx.size:
-            continue
-        if weights.ndim == 2:  # one row per level: the panel's 2^level periods pick its weights
-            level = np.frexp(lobes[idx])[1] - 1
-            weights, low_weights = weights[level], low_weights[level]
-        sub = _rule_estimates(g, bounds[:, idx], rows[idx], nodes, weights, low_weights)
-        est = np.empty((2, sub.shape[1], rows.size)) if est is None else est
-        est[..., idx] = sub
-    return est
+    run = np.arange(sizes.size).repeat(sizes)
+    order = np.lexsort((-errors, run))
+    rank = np.arange(errors.size) - (np.cumsum(sizes) - sizes).repeat(sizes)
+    return order[rank < k.repeat(sizes)]
 
 
 def _integrate_rows(
@@ -210,7 +223,6 @@ def _integrate_rows(
     abs_tol: float,
     max_subdivisions: int,
     lobes: np.ndarray | None = None,
-    envelope: _RowIntegrand | None = None,
     tested: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate each row over its own starting panels, all rows at once.
@@ -220,11 +232,14 @@ def _integrate_rows(
     least one panel, and a row's panels are contiguous and sorted.
     ``f(points, rows)`` gets the row of each point and returns values of
     shape (n,) or (n_components, n).  A panel of ``lobes`` m > 0 (a power of
-    two up to ``_MAX_LOBES``) is a product panel of m sin^2 periods, for
-    which ``envelope(points, rows)`` returns the smooth factor.  Only the
-    first ``tested`` components (all by default) enter the tolerance test and
-    the refinement; the others are integrated on the same panels.  Each round
-    evaluates the new panels of every unfinished row together; each row is
+    two up to ``_MAX_LOBES``) is a product panel of m sin^2 periods, whose
+    nodes take the smooth factor: a round with product panels calls
+    ``f(points, rows, split)``, those nodes from ``split`` on
+    (``_panel_estimates``).  Only the first ``tested`` components (all by
+    default) enter the tolerance test and the refinement; the others are
+    integrated on the same panels.  Each round evaluates the new panels of
+    every unfinished row together, and bisects each row's largest-error
+    panels of its worst component (``_worst_panels``); each row is
     refined exactly as ``adaptive_quad`` refines it alone, so its result
     does not depend on the other rows.  Returns the values and errors, shape
     (n_rows, n_components), each the sum over the row's panels that met its
@@ -236,7 +251,7 @@ def _integrate_rows(
     if not panel_rows.size:
         return np.empty((0, 0)), np.empty((0, 0)), np.empty(0, dtype=int)
     lobes = np.zeros(panel_rows.size, dtype=int) if lobes is None else lobes
-    est = _panel_estimates(f, bounds, panel_rows, lobes, envelope)
+    est = _panel_estimates(f, bounds, panel_rows, lobes)
     sums = np.empty((2, int(panel_rows[-1]) + 1, est.shape[1]))  # each row's value and error, once it finishes
     subdivisions = np.empty(sums.shape[1], dtype=int)
     while True:
@@ -271,9 +286,9 @@ def _integrate_rows(
         worst = np.argmax(total_err[going, :tested] / tol[going, :tested], axis=1)
         n_refine = np.maximum(1, (_REFINE_FRACTION * sizes[going]).astype(int))
         n_refine = np.minimum(n_refine, max_subdivisions - sizes[going])
-        picks = zip(starts[going], sizes[going], worst, n_refine)
-        idx = np.concatenate([a + est[1, c, a : a + n].argpartition(-k)[-k:] for a, n, c, k in picks])
         keep = (~done).repeat(sizes)
+        pending = np.flatnonzero(keep)
+        idx = pending[_worst_panels(est[1, worst.repeat(sizes[going]), pending], sizes[going], n_refine)]
         keep[idx] = False
         lo, hi = bounds[:, idx]
         mid = 0.5 * (lo + hi)
@@ -284,7 +299,7 @@ def _integrate_rows(
         bounds = np.concatenate([bounds[:, keep], halves], axis=1)
         panel_rows = np.concatenate([panel_rows[keep], new_rows])
         lobes = np.concatenate([lobes[keep], new_lobes])
-        est = np.concatenate([est[..., keep], _panel_estimates(f, halves, new_rows, new_lobes, envelope)], axis=-1)
+        est = np.concatenate([est[..., keep], _panel_estimates(f, halves, new_rows, new_lobes)], axis=-1)
         order = np.lexsort((bounds[0], panel_rows))
         bounds, panel_rows, lobes, est = bounds[:, order], panel_rows[order], lobes[order], est[..., order]
 
@@ -299,7 +314,7 @@ def adaptive_quad(
     abs_tol: float = 1e-12,
     max_subdivisions: int = 2000,
     lobes: np.ndarray | None = None,
-    envelope: Callable[[np.ndarray], np.ndarray] | None = None,
+    finish: Callable[[np.ndarray, np.ndarray, int], np.ndarray] | None = None,
     tested: int | None = None,
 ) -> QuadResult:
     """Integrate f over [a, b], splitting at the given interior breakpoints.
@@ -307,22 +322,29 @@ def adaptive_quad(
     ``f`` maps an array of points to values, either shape (n,) or
     (n_components, n) for vector-valued integrands.  Convergence requires
     every component (the first ``tested``) to satisfy
-    error <= max(abs_tol, rel_tol * |value|).  ``lobes`` and ``envelope``
-    make product panels as in ``_integrate_rows``, one entry of ``lobes``
-    per panel between the sorted distinct edges.
+    error <= max(abs_tol, rel_tol * |value|).  ``lobes`` makes product
+    panels as in ``_integrate_rows``, one entry per panel between the sorted
+    distinct edges.  Each integrand call is then one ``f(points)`` on the
+    K15 and product nodes together, and ``finish(points, values, split)``
+    turns its values into the integrand at the K15 nodes and its smooth
+    factor at the product nodes, from ``split`` on (``split`` is n in a
+    round without product panels).
     """
     if not (math.isfinite(a) and math.isfinite(b)) or b <= a:
         raise ValueError(f"invalid integration interval [{a}, {b}]")
     edges = sorted({a, b, *(p for p in breakpoints if a < p < b)})
+    if finish is None:
+        row = lambda pts, rows, *split: f(pts)
+    else:
+        row = lambda pts, rows, split=None: finish(pts, f(pts), pts.size if split is None else split)
     value, error, subdivisions = _integrate_rows(
-        lambda pts, rows: f(pts),
+        row,
         np.array([edges[:-1], edges[1:]], dtype=float),
         np.zeros(len(edges) - 1, dtype=int),
         rel_tol=rel_tol,
         abs_tol=abs_tol,
         max_subdivisions=max_subdivisions,
         lobes=lobes,
-        envelope=envelope and (lambda pts, rows: envelope(pts)),
         tested=tested,
     )
     return QuadResult(value[0], error[0], int(subdivisions[0]), True)

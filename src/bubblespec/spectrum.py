@@ -18,8 +18,16 @@ import numpy as np
 
 from .kernel import CutoffProfile, _factorized_envelope, _factorized_hump, f_exact_array, f_factorized
 from .matching import MediumConfig, _positive_finite, _require_positive_finite
-from .quadrature import _MAX_LOBES, QuadResult, _cap_error, _integrate_rows, _panel_estimates, adaptive_quad
-from .special_functions import _require_int
+from .quadrature import (
+    _MAX_LOBES,
+    QuadratureError,
+    QuadResult,
+    _cap_error,
+    _integrate_rows,
+    _panel_estimates,
+    adaptive_quad,
+)
+from .special_functions import _require_domain, _require_int
 
 __all__ = [
     "QuadratureSpec",
@@ -135,7 +143,7 @@ def _far_field(d0: np.ndarray, end: np.ndarray, cap: int):
     return doubling, tail, d1, runs, count
 
 
-def _lattice(centres: np.ndarray, lo, hi, cap: int, quad: QuadratureSpec, one_row=False, spare=0):
+def _lattice(centres: np.ndarray, lo, hi, cap: int, quad: QuadratureSpec, segments=1):
     """Start edges of rows over [lo, hi] split at the sinc^2 lattice centre + k 4pi/3, and each column's lobes.
 
     ``lo`` and ``hi`` are scalars or one per row.  No starting panel spans a
@@ -144,10 +152,9 @@ def _lattice(centres: np.ndarray, lo, hi, cap: int, quad: QuadratureSpec, one_ro
     > 1 the other lobes are grouped into product panels of m = 2^j <= cap
     whole lobes (``_far_field``).  A row's edges are made in order: lo, the
     kept lattice points clipped to [lo, hi], and hi; repeated edges bound no
-    panel.  The rows are separate integrals, or with ``one_row`` consecutive
-    segments of one, whose panel counts add up; a row of more panels than
-    ``quad.max_subdivisions`` is refused before its edges are built.  The
-    last ``spare`` columns, after hi, are hi too, for the caller to fill.
+    panel.  Each run of ``segments`` consecutive rows is one integral, whose
+    panel counts add up; one of more panels than ``quad.max_subdivisions``
+    is refused before its edges are built.
     """
     n = centres.size
     # Lattice points centre + k * width for k from the last one <= lo to the first >= hi.
@@ -160,13 +167,13 @@ def _lattice(centres: np.ndarray, lo, hi, cap: int, quad: QuadratureSpec, one_ro
     # A row starts with its k_hi - k_lo lobes, each side's far lobes taken by its panels: refuse before building it.
     far = count - np.maximum(0.0, end - d0)
     panels = k_hi - k_lo + far[:n] + far[n:]
-    most = np.sum(panels) if one_row else np.max(panels, initial=0.0)
+    most = np.max(panels.reshape(-1, segments).sum(axis=1), initial=0.0)
     if most > quad.max_subdivisions:
         unevaluated = QuadResult(np.array([math.nan]), np.array([math.nan]), int(most), False)
         raise _cap_error(most + 1, quad.max_subdivisions, unevaluated)
     # Each row's lattice indices in order, one row of columns: lo's placeholder, k_lo, k_lo + 1; the left far
     # panels' far ends from the farthest, negated (the rest's, the cap-wide run's, the doubling ones'); the near
-    # lattice -2..2; the right far panels' starts (doubling, run, rest); k_hi - 1, k_hi, hi's placeholder and spares.
+    # lattice -2..2; the right far panels' starts (doubling, run, rest); k_hi - 1, k_hi and hi's placeholder.
     # Each run is padded to the batch's longest with its far end: those bound no panel.
     c = cap.bit_length() - 1
     left, right = runs[:n, None], runs[n:, None]
@@ -182,34 +189,37 @@ def _lattice(centres: np.ndarray, lo, hi, cap: int, quad: QuadratureSpec, one_ro
             doubling[n:, : c - 1],
             d1[n:, None] + cap * np.minimum(q_right, right),
             tail[n:, c:0:-1],
-            k_hi[:, None] + [-1.0, 0.0, 0.0, *[0.0] * spare],
+            k_hi[:, None] + [-1.0, 0.0, 0.0],
         ],
         axis=1,
     )
     # The lobes of the panel each column starts (0: a K15 panel), in the same order.
-    run_left, run_right, k15 = np.full_like(q_left, cap), np.full_like(q_right, cap), [0] * (5 + spare)
+    run_left, run_right, k15 = np.full_like(q_left, cap), np.full_like(q_right, cap), [0] * 5
     lobes = np.concatenate(
         [k15[:3], powers, run_left, powers[:0:-1], k15[:5], powers[1:], run_right, powers[::-1], k15[2:]]
     )
     # Inner indices clip to [k_lo + 1, k_hi - 1], so that the columns stay sorted where a side has no far lobes.
     inner_lo = np.minimum(k_lo + 1.0, k_hi)[:, None]
-    inner = ks[:, 2 : -2 - spare]
+    inner = ks[:, 2:-2]
     np.clip(inner, inner_lo, np.maximum(k_hi[:, None] - 1.0, inner_lo), out=inner)
     column = lambda v: v if np.isscalar(v) else v[:, None]
     edges = np.clip(centres[:, None] + ks * _ROLLOFF_WIDTH, column(lo), column(hi))
-    edges[:, 0], edges[:, ks.shape[1] - 1 - spare] = lo, hi
+    edges[:, 0], edges[:, -1] = lo, hi
     return edges, lobes
 
 
 def _dn_dx_batch(xs: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, quad: QuadratureSpec, kernel_mode: str):
     """dN/dx and its error bound at every x, all y-integrals in one batched quadrature.
 
-    Each y-integral starts from a ``_lattice`` row over [0, y_star] centred
-    at x (itself and every zero of the kernel's sinc^2(3(x - y)/4)), with
-    product panels for the factorized kernel and one K15 panel per lobe for
-    the exact one, then the strip edges x clipped to [y_star, upper] and
-    upper; the step down from one row's upper to the next row's 0 bounds no
-    panel.
+    Each y-integral is a ``_lattice`` row centred at x (itself and every
+    zero of the kernel's sinc^2(3(x - y)/4)) over [0, y_star] and, with
+    tails, a second segment over the strip [y_star, upper], so that y_star
+    stays an edge: product panels for the factorized kernel and one K15
+    panel per lobe for the exact one, whose tail bound must lie in its
+    domain.  The step down from one row's upper to the next row's 0 bounds
+    no panel.  Each round's one integrand call per chunk takes
+    f_factorized on the K15 nodes and the far lobes' envelope on the
+    product nodes, under one ``_integrand``.
 
     The created photon keeps the bulk index n_gas_out through the rolloff
     strip x in (x_star, x_star + sinc width]: the strip is populated by
@@ -221,20 +231,39 @@ def _dn_dx_batch(xs: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, quad: Qu
     if quad.tail_upper_bound is not None:
         upper = max(float(quad.tail_upper_bound), y_star)
     factorized = kernel_mode == "factorized"
-    edges, lobes = _lattice(xs, 0.0, y_star, _MAX_LOBES if factorized else 1, quad, spare=2)
-    edges[:, -2], edges[:, -1] = np.clip(xs, y_star, upper), upper
+    ends = [0.0, y_star] if upper == y_star else [0.0, y_star, upper]
+    if not factorized and upper > y_star:
+        _require_domain(y=upper)
+    segments = len(ends) - 1
+    edges, lobes = _lattice(
+        xs.repeat(segments),
+        np.tile(ends[:-1], xs.size),
+        np.tile(ends[1:], xs.size),
+        _MAX_LOBES if factorized else 1,
+        quad,
+        segments=segments,
+    )
     edges = edges.ravel()
     starts = np.flatnonzero(edges[:-1] < edges[1:])
-    integrand = lambda kernel: lambda ys, row: _integrand(xs[row], ys, cfg, cut, kernel)
+    kernel = f_factorized if factorized else f_exact_array
+
+    def integrand(ys, row, split=None):
+        x = xs[row]
+        if split is None:
+            return _integrand(x, ys, cfg, cut, kernel)
+        # The product nodes, from split on, take the far lobes' envelope (their rule weights the sin^2 numerator).
+        head, tail = slice(None, split), slice(split, None)
+        joint = lambda x, y: np.concatenate([f_factorized(x[head], y[head]), _factorized_envelope(x[tail], y[tail])])
+        return _integrand(x, ys, cfg, cut, joint)
+
     value, error, _ = _integrate_rows(
-        integrand(f_factorized if factorized else f_exact_array),
+        integrand,
         np.array([edges[starts], edges[starts + 1]]),
-        starts // lobes.size,
+        starts // (segments * lobes.size),
         rel_tol=quad.rel_tol,
         abs_tol=quad.abs_tol,
         max_subdivisions=quad.max_subdivisions,
         lobes=lobes[starts % lobes.size] if factorized else None,
-        envelope=integrand(_factorized_envelope),
     )
     return value.ravel(), error.ravel()  # one component, no columns for no rows
 
@@ -265,13 +294,16 @@ def _diagonal_totals(cfg: MediumConfig, cut: CutoffProfile, quad: QuadratureSpec
     u = 0, x_max - upper and, with tails, x_max - y_star and -y_star.  The
     u-integral is one lattice row centred at 0, one segment between kinks
     (``_lattice``): each kink is an edge, its lobe a K15 panel, and the far
-    product panels take the envelope H/(3u/4)^2.  Each evaluation of an
-    outer rule integrates the y-rows of all its u-nodes in one batch, each
-    row from three equal panels, y_star and edges r y_star 10^k (k >= 0,
-    r = min/max of the indices) from its start, where x or y is 0 and the
-    momentum ratio turns within about r times the other momentum.  The
-    claimed error is the outer one plus the rows' errors integrated by the
-    outer rule.
+    product panels take the envelope H/(3u/4)^2.  Each outer round's one
+    integrand call integrates the y-rows of all its u-nodes, K15 and
+    product alike, in one batch, each row from three equal panels, y_star
+    and edges r y_star 10^k (k >= 0, r = min/max of the indices) from its
+    start, where x or y is 0 and the momentum ratio turns within about r
+    times the other momentum; then it weights the K15 nodes' H by
+    sinc^2(3u/4) and the product nodes' by 1/(3u/4)^2.  The claimed error
+    is the outer one plus the rows' errors integrated by the outer rule.
+    A u-row too long to lay out is refused, unless the moment overflows on
+    the last lobe's line first (past x ~ 1e102), which is the error then.
     """
     y_star, low, high = cut.y_star, min(cfg.n_gas_in, cfg.n_gas_out), max(cfg.n_gas_in, cfg.n_gas_out)
     # Up to upper, and at most the 17 decades a double resolves (r and r y_star may underflow).
@@ -288,11 +320,6 @@ def _diagonal_totals(cfg: MediumConfig, cut: CutoffProfile, quad: QuadratureSpec
                 return np.vstack([h, x * h])
 
         return f
-
-    # The moment grows with x up to x_max: where it overflows there, one K15 panel on the last lobe's line raises the
-    # typed error before the far field is laid out (and refused for its length).
-    last = np.array([[0.0], [min(upper, _ROLLOFF_WIDTH)]])
-    _panel_estimates(along(np.array([x_max - _ROLLOFF_WIDTH])), last, np.zeros(1, int), np.zeros(1, int), None)
 
     def h_rows(us: np.ndarray) -> np.ndarray:
         """H, x H and the claimed error of H at ``us``, shape (3, n)."""
@@ -311,16 +338,28 @@ def _diagonal_totals(cfg: MediumConfig, cut: CutoffProfile, quad: QuadratureSpec
         )
         return np.vstack([value.T, error[:, 0]])
 
+    def weigh(us: np.ndarray, h: np.ndarray, split: int) -> np.ndarray:
+        """sinc^2(3u/4) H at the K15 nodes and the envelope H/(3u/4)^2 at the product nodes, from ``split`` on."""
+        k15, far = h[:, :split] * np.sinc(us[:split] * (0.75 / np.pi)) ** 2, h[:, split:] / (0.75 * us[split:]) ** 2
+        return k15 if split == us.size else np.concatenate([k15, far], axis=1)
+
     # A kink within rounding of a lattice point (x* = y* puts x_max - upper there) moves onto it: no sliver panel.
     kinks = np.array([0.0, x_max - upper, x_max - y_star, -y_star])
     near = _ROLLOFF_WIDTH * np.round(kinks / _ROLLOFF_WIDTH)
     kinks = np.where(np.abs(kinks - near) <= 1e-15 * (x_max + upper), near, kinks)
     kinks = np.array(sorted({-upper, x_max, *(k for k in kinks.tolist() if -upper < k < x_max)}))
-    edges, lobes = _lattice(np.zeros(kinks.size - 1), kinks[:-1], kinks[1:], _MAX_LOBES, quad, one_row=True)
+    try:
+        edges, lobes = _lattice(np.zeros(kinks.size - 1), kinks[:-1], kinks[1:], _MAX_LOBES, quad, kinks.size - 1)
+    except QuadratureError:
+        # The moment grows with x up to x_max, and overflows there only far past the row's refused length: one K15
+        # panel on the last lobe's line raises that typed error instead, where it applies.
+        last = np.array([[0.0], [min(upper, _ROLLOFF_WIDTH)]])
+        _panel_estimates(along(np.array([x_max - _ROLLOFF_WIDTH])), last, np.zeros(1, int), np.zeros(1, int))
+        raise
     edges = edges.ravel()
     starts = np.flatnonzero(edges[:-1] < edges[1:])
     res = adaptive_quad(
-        lambda us: h_rows(us) * np.sinc(us * (0.75 / np.pi)) ** 2,
+        h_rows,
         -upper,
         x_max,
         breakpoints=edges[starts[1:]],
@@ -328,7 +367,7 @@ def _diagonal_totals(cfg: MediumConfig, cut: CutoffProfile, quad: QuadratureSpec
         abs_tol=quad.abs_tol,
         max_subdivisions=quad.max_subdivisions,
         lobes=lobes[starts % lobes.size],
-        envelope=lambda us: h_rows(us) / (0.75 * us) ** 2,
+        finish=weigh,
         tested=2,
     )
     return float(res.value[0]), float(res.value[1]), float(res.error[0] + res.value[2])

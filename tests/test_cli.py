@@ -475,7 +475,7 @@ def test_table_json_is_frozen_to_the_byte():
         ("n_gas_in = 68.0\nn_gas_out = 34.0\n", "61cb5581361d180bc0a37b8eb50af5e0eeb7dda50ed790246e2d494ca0bc07fe"),
         (
             "n_gas_in = 68.0\nn_gas_out = 34.0\ntail_upper_bound = 600\n",
-            "6536ddade692d6d4cecc2d03001093c887eccc8b440ecb6f0eac68b6432da081",
+            "62b42cbc4e8e0494961334f649763f6318a3cb617de311929a51fc75aa97a762",
         ),
         (
             "n_gas_in = 20000.0\nn_gas_out = 1.0\nkernel_mode = exact\nrel_tol = 1e-4\ngrid_points = 20\n",

@@ -136,7 +136,7 @@ def test_rows_converged_at_once_return_the_plain_sums_of_their_start_panels():
     bounds, rows = _panels(edges)
     value, error, subdivisions = _integrate_rows(f, bounds, rows, rel_tol=1e-10, abs_tol=1e-12, max_subdivisions=2000)
     assert subdivisions.tolist() == [len(e) - 1 for e in edges]
-    est = quadrature._panel_estimates(f, bounds, rows, np.zeros(rows.size, dtype=int), None)
+    est = quadrature._panel_estimates(f, bounds, rows, np.zeros(rows.size, dtype=int))
     want_value, want_error = np.add.reduceat(est, np.flatnonzero(np.diff(rows, prepend=-1)), axis=-1).swapaxes(1, 2)
     assert value.tobytes() == np.ascontiguousarray(want_value).tobytes()
     assert error.tobytes() == np.ascontiguousarray(want_error).tobytes()
@@ -219,6 +219,29 @@ def test_batch_across_chunks_matches_separate_calls():
     assert subdivisions.tolist() == [r.subdivisions for r in alone]
 
 
+@pytest.mark.parametrize("cap", [2000, 60], ids=["fraction", "budget"])
+def test_worst_panel_pick_is_the_per_row_argpartition_set(cap):
+    # on tie-free errors the one-sort pick selects, in every run, the set that one argpartition per run selects,
+    # with k by the 30% rule and, under a cap of 60 panels, by the remaining budget of the runs near it
+    rng = np.random.default_rng(36)
+    sizes = rng.integers(1, 60, 500)
+    errors = rng.random(int(sizes.sum()))
+    assert np.unique(errors).size == errors.size
+    k = np.minimum(np.maximum(1, (quadrature._REFINE_FRACTION * sizes).astype(int)), cap - sizes)
+    assert (k < np.maximum(1, (0.3 * sizes).astype(int))).any() == (cap == 60)
+    starts = np.cumsum(sizes) - sizes
+    want = [a + errors[a : a + n].argpartition(-kk)[-kk:] for a, n, kk in zip(starts, sizes, k)]
+    got = quadrature._worst_panels(errors, sizes, k)
+    assert got.size == k.sum()
+    assert np.array_equal(np.sort(got), np.sort(np.concatenate(want)))
+
+
+def test_worst_panel_pick_breaks_ties_to_the_earlier_panel():
+    errors = np.array([1.0, 2.0, 2.0, 2.0, 0.5, 3.0, 3.0, 3.0])
+    got = quadrature._worst_panels(errors, np.array([5, 3]), np.array([2, 1]))
+    assert sorted(got.tolist()) == [1, 2, 5]
+
+
 def test_row_starting_above_the_cap_raises():
     edges = [[0.0, 1.0], list(np.linspace(0.0, 1.0, 12))]
     with pytest.raises(QuadratureError, match="12 panel edges") as exc:
@@ -257,26 +280,27 @@ def test_sin2_product_weights_against_30_digit_integrals(level):
 def test_product_panel_refines_down_to_k15_halves():
     # g(y) sin^2(pi y) over [0, 64] as one product panel of 64 periods: g's pole at y = -0.05 makes the 11-point
     # rule miss near 0, so the panel halves down to single periods and then to K15 halves there
-    g = lambda y, rows: 1.0 / (y + 0.05) ** 2
+    g = lambda y: 1.0 / (y + 0.05) ** 2
     calls = []
 
-    def k15(y, rows):
-        calls.append(y.size)
-        return g(y, rows) * np.sin(np.pi * y) ** 2
+    def integrand(y, rows, split=None):
+        # the K15 nodes, before split, take the whole integrand, and the product nodes g alone
+        split = y.size if split is None else split
+        calls.append(split)
+        return np.concatenate([g(y[:split]) * np.sin(np.pi * y[:split]) ** 2, g(y[split:])])
 
     value, error, subdivisions = _integrate_rows(
-        k15,
+        integrand,
         np.array([[0.0], [64.0]]),
         np.zeros(1, dtype=int),
         rel_tol=1e-10,
         abs_tol=1e-300,
         max_subdivisions=2000,
         lobes=np.array([64]),
-        envelope=g,
     )
     ref, _ = integrate.quad(lambda y: math.sin(math.pi * y) ** 2 / (y + 0.05) ** 2, 0.0, 64.0, limit=500, epsabs=0.0,
                             epsrel=1e-13, points=list(range(1, 64)))
-    assert calls and subdivisions[0] > 7
+    assert sum(calls) and subdivisions[0] > 7
     assert abs(value[0, 0] - ref) <= max(error[0, 0], 1e-13 * ref) and error[0, 0] <= 1e-10 * ref
 
 

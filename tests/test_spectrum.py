@@ -328,10 +328,10 @@ def test_dn_dx_lattice_above_the_cap_raises_before_any_panel(monkeypatch, y_star
 
 def test_table_totals_work_count(monkeypatch):
     # deterministic work guard, pinned exactly: the five reference totals of `bubblespec table` integrate along the
-    # diagonals.  Each outer u-rule evaluation is one batch of y-rows, one row per u-node: every case converges in
-    # one outer round, a batch on its 6 K15 panels (90 u-nodes) and one on its product panels (23 u-nodes each).
-    # The rows take the bare hump D((x+y)/2) at 108,315 points in 30 calls (the five 15-point overflow probes
-    # included), each at most _CHUNK_POINTS = 2^13 points: 5.2% of the 2,083,545 points of one K15 panel per sinc^2
+    # diagonals.  Each outer u-rule round is one batch of y-rows, one row per u-node: every case converges in one
+    # outer round, whose batch holds its 6 K15 panels' 90 u-nodes and its product panels' 23 u-nodes each.  The
+    # rows take the bare hump D((x+y)/2) at 108,240 points in 20 calls (no overflow probe: the layouts are not
+    # refused), each at most _CHUNK_POINTS = 2^13 points: 5.2% of the 2,083,545 points of one K15 panel per sinc^2
     # lobe of the x-rows (509,653 with the x-rows' product panels).
     batches, humps = [], []
     rows = bubblespec.spectrum._integrate_rows
@@ -352,10 +352,71 @@ def test_table_totals_work_count(monkeypatch):
         cfg = MediumConfig(n_gas_in=n_in, n_gas_out=n_out)
         batches.append([])
         totals(cfg, CutoffProfile.rounded(cfg), QuadratureSpec(), grid_points=0)
-    assert batches == [[90, 23], [90, 299], [90, 414], [90, 299], [90, 230]]
-    assert (sum(humps), len(humps)) == (108_315, 30)
+    assert batches == [[113], [389], [504], [389], [320]]
+    assert (sum(humps), len(humps)) == (108_240, 20)
     assert sum(humps) <= 0.4 * 2_083_545
     assert max(humps) <= _CHUNK_POINTS
+
+
+def test_each_outer_round_of_the_totals_runs_one_y_row_batch(monkeypatch):
+    # the u-row's K15 and product nodes share one integrand call a round (the round fits in _CHUNK_POINTS), and that
+    # call integrates the y-rows of all its u-nodes in one batch: 68/34 at rel_tol 1e-10 takes two outer rounds
+    calls, batches = [], []
+    outer_rows, inner_rows = bubblespec.quadrature._integrate_rows, bubblespec.spectrum._integrate_rows
+
+    def outer(f, bounds, rows, **kwargs):
+        def counted(us, row, *split):
+            calls.append((us.size, len(split), len(batches)))
+            return f(us, row, *split)
+
+        return outer_rows(counted, bounds, rows, **kwargs)
+
+    def inner(f, bounds, rows, **kwargs):
+        batches.append(int(rows[-1]) + 1)
+        return inner_rows(f, bounds, rows, **kwargs)
+
+    monkeypatch.setattr(bubblespec.quadrature, "_integrate_rows", outer)
+    monkeypatch.setattr(bubblespec.spectrum, "_integrate_rows", inner)
+    cfg = MediumConfig(n_gas_in=68.0, n_gas_out=34.0)
+    totals(cfg, CutoffProfile.rounded(cfg), QuadratureSpec(rel_tol=1e-10), grid_points=0)
+    assert [(n, told) for n, told, _ in calls] == [(504, 1), (258, 1)]
+    # each call's batch is the only one it ran, one y-row per u-node
+    assert [before for _, _, before in calls] == [0, 1] and batches == [504, 258]
+
+
+@pytest.mark.parametrize(
+    "kernel_mode, rel_tol, upper, xs",
+    [("factorized", 1e-6, 1e4, [450.0, 5000.0, 9990.0]), ("exact", 1e-4, 1e3, [100.0])],
+    ids=["factorized-1e4", "exact-1e3"],
+)
+def test_dn_dx_rows_far_into_the_tails_match_scipy(kernel_mode, rel_tol, upper, xs):
+    # 68/34 with tails: each row's strip past y* lies on its sinc^2 lattice, so factorized rows far into the strip
+    # converge and exact ones hold their claim (two strip panels claimed 0.030 at x = 100 and were 0.398 off), each
+    # within its claimed error of scipy quad over the same y-integral split at every lattice point and at y*
+    from scipy.integrate import quad
+
+    cfg = MediumConfig(n_gas_in=68.0, n_gas_out=34.0)
+    cut = CutoffProfile.rounded(cfg)
+    width, n_out = 4.0 * math.pi / 3.0, cfg.n_gas_out
+    quad_spec = QuadratureSpec(rel_tol=rel_tol, tail_upper_bound=upper)
+    value, error = bubblespec.spectrum._dn_dx_batch(np.array(xs), cfg, cut, quad_spec, kernel_mode)
+
+    def integrand(y, x):
+        n = cfg.n_gas_in if y <= cut.y_star else 1.0
+        ratio = (n * x * x + n_out * y * y) / (n * x + n_out * y)
+        if kernel_mode == "exact":
+            kernel = bubblespec.kernel.f_exact(x, y).value
+        else:
+            s6, u = (x + y) ** 6, 0.75 * (x - y)
+            kernel = s6 / (16000.0 + s6) / (2.0 * math.pi**2) * ((math.sin(u) / u) ** 2 if u else 1.0)
+        return (n - n_out) ** 2 / (2.0 * n * n_out) * ratio * ratio * kernel
+
+    for x, got, claimed in zip(xs, value, error):
+        lattice = (x + k * width for k in range(math.floor(-x / width), math.ceil((upper - x) / width) + 1))
+        edges = sorted({0.0, cut.y_star, upper, *(p for p in lattice if 0.0 < p < upper)})
+        segments = zip(edges[:-1], edges[1:])
+        ref = math.fsum(quad(integrand, a, b, args=(x,), epsabs=0.0, epsrel=1e-12)[0] for a, b in segments)
+        assert abs(got - ref) <= claimed <= rel_tol * ref, x
 
 
 @pytest.mark.parametrize(
@@ -714,23 +775,24 @@ def _far_panels(d, end):
 def _expected_row_panels(x, y_star, upper):
     """The starting panels (low, high, lobes) of one factorized y-integral, written out point by point.
 
-    The sorted union {0, kept lattice inside (0, y*), y*, strip x, upper}: the lattice x + k * width keeps every
-    point up to two lobes from x and at the part lobes at 0 and y*, and the lobes past those are grouped into far
-    panels, each of ``lobes`` whole lobes; every other panel is K15 (lobes 0).
+    Segment by segment, [0, y*] and with tails the strip [y*, upper]: the sorted union {its ends, kept lattice
+    inside}, where the lattice x + k * width keeps every point up to two lobes from x and at the part lobes at the
+    segment's ends, and the lobes past those are grouped into far panels, each of ``lobes`` whole lobes; every
+    other panel is K15 (lobes 0).
     """
     width = 4.0 * math.pi / 3.0
-    # the lattice x + k * width, from its last point <= 0 to its first >= y*
-    k_lo, k_hi = math.floor(-x / width), math.ceil((y_star - x) / width)
-    far = [(-(d + m), m) for d, m in _far_panels(max(2, 1 - k_hi), -k_lo - 1)]
-    far += _far_panels(2, k_hi - 1)
-    inside = {k for k0, m in far for k in range(k0 + 1, k0 + m)}
-    lattice = {x + float(k) * width for k in range(k_lo, k_hi + 1) if k not in inside}
-    edges = {0.0, y_star, upper, *(p for p in lattice if 0.0 < p < y_star)}
-    if y_star < x < upper:
-        edges.add(x)
-    edges = sorted(edges)
-    lobes = {(x + float(k) * width, x + float(k + m) * width): m for k, m in far}
-    return [(lo, hi, lobes.get((lo, hi), 0)) for lo, hi in zip(edges[:-1], edges[1:])]
+    panels = []
+    for a, b in [(0.0, y_star), (y_star, upper)][: 1 if upper == y_star else 2]:
+        # the lattice x + k * width, from its last point <= a to its first >= b
+        k_lo, k_hi = math.floor((a - x) / width), math.ceil((b - x) / width)
+        far = [(-(d + m), m) for d, m in _far_panels(max(2, 1 - k_hi), -k_lo - 1)]
+        far += _far_panels(max(2, 1 + k_lo), k_hi - 1)
+        inside = {k for k0, m in far for k in range(k0 + 1, k0 + m)}
+        lattice = {x + float(k) * width for k in range(k_lo, k_hi + 1) if k not in inside}
+        edges = sorted({a, b, *(p for p in lattice if a < p < b)})
+        lobes = {(x + float(k) * width, x + float(k + m) * width): m for k, m in far}
+        panels += [(lo, hi, lobes.get((lo, hi), 0)) for lo, hi in zip(edges[:-1], edges[1:])]
+    return panels
 
 
 @pytest.mark.parametrize("y_star", [11.5, 392.0])
@@ -758,6 +820,12 @@ def test_dn_dx_starting_panels_are_the_sorted_lattice_and_strip_edges(monkeypatc
     monkeypatch.setattr(bubblespec.spectrum, "_integrate_rows", capture)
     cfg = MediumConfig(n_gas_in=68.0, n_gas_out=34.0)
     quad = QuadratureSpec(tail_upper_bound=tail_upper_bound)
+    if tail_upper_bound == 1e300:
+        # the strip's ~1e299 lobes: every row is refused before its edges are built
+        with pytest.raises(QuadratureError, match="panel edges, more than max_subdivisions=2000"):
+            bubblespec.spectrum._dn_dx_batch(xs, cfg, CutoffProfile(y_star, y_star), quad, "factorized")
+        assert not seen
+        return
     bubblespec.spectrum._dn_dx_batch(xs, cfg, CutoffProfile(y_star, y_star), quad, "factorized")
     (lows, highs), rows, lobes = seen[0]
     upper = y_star if tail_upper_bound is None else max(tail_upper_bound, y_star)
@@ -768,7 +836,7 @@ def test_dn_dx_starting_panels_are_the_sorted_lattice_and_strip_edges(monkeypatc
         assert lo[1:] == hi[:-1], x
         assert list(zip(lo, hi, m)) == _expected_row_panels(x, y_star, upper), x
     # the draws reach every lobe count, and every far panel spans its lobes to the rounding of its ends
-    assert lobes.dtype == int and set(lobes.tolist()) == ({0, 1, 2, 4, 8, 16, 32, 64} if y_star > 300.0 else {0, 1, 2})
+    assert lobes.dtype == int and set(lobes.tolist()) == ({0, 1, 2, 4, 8, 16, 32, 64} if upper > 300.0 else {0, 1, 2})
     far = lobes > 0
-    rounding = 4.0 * np.finfo(float).eps * np.maximum(xs[rows[far]], y_star)
+    rounding = 4.0 * np.finfo(float).eps * np.maximum(xs[rows[far]], upper)
     assert np.all(np.abs(highs[far] - lows[far] - lobes[far] * width) <= rounding)
