@@ -7,14 +7,15 @@ one N table) each.  The per-draw calls ``bessel_jn_half``, ``coefficients_bc`` a
 one-draw passes of the same routines, and each suite takes its worst draw again through its per-draw call and fails
 unless the two agree exactly: a draw's values do not depend on its batch.  The overlap is the exact kernel's own
 ratio W~/(x^2 - y^2), its series over the kernel's backward J table at both arguments (``kernel._overlap_table``),
-checked against a self-verified composite Gauss-Legendre rule, independent of the production Gauss-Kronrod pair,
-over ``_jv``: J_{l+1/2} for l <= 10 and z <= 100 from the power series (DLMF 10.2.2) below z = 8 and the finite
-sin/cos closed form (DLMF 10.49.2) from 8 up, independent of the package's J recurrence.  The delta identities are
-closed forms.  No suite loads scipy.
+checked against a self-verified composite Gauss-Legendre rule, independent of the production Gauss-Kronrod pair and
+built once on first use (``_legendre_rule``), over ``_jv``: J_{l+1/2} for l <= 10 and z <= 100 from the power series
+(DLMF 10.2.2) below z = 8 and the finite sin/cos closed form (DLMF 10.49.2) from 8 up, its P and Q by Horner in
+-1/z^2, independent of the package's J recurrence.  The delta identities are closed forms.  No suite loads scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -111,7 +112,8 @@ def _jv(l: int, z: np.ndarray) -> np.ndarray:
     """J_{l+1/2}(z) for 0 <= l <= 10 and 0 < z <= 100, without the package's J recurrence.
 
     Below z = 8 the power series (DLMF 10.2.2), 30 terms; from 8 up the
-    finite sin/cos closed form of j_l (DLMF 10.49.2), times sqrt(2z/pi).
+    finite sin/cos closed form of j_l (DLMF 10.49.2), times sqrt(2z/pi),
+    its polynomials P and Q by Horner in v = -1/z^2 (Q = 0 at l = 0).
     Outside that domain it raises ``ValueError``: it is verified there only.
     """
     if not 0 <= l <= 10 or not np.all((z > 0.0) & (z <= 100.0)):
@@ -130,16 +132,30 @@ def _jv(l: int, z: np.ndarray) -> np.ndarray:
     zl = z[~small]
     # j_l(z) = [sin(z - l pi/2) P + cos(z - l pi/2) Q]/z with P = sum_m a_2m (-1/z^2)^m and
     # Q = sum_m a_2m+1 (-1/z^2)^m/z, where a_k = (l + k)!/(2^k k! (l - k)!) are exact in double.
+    # Both by Horner in v = -1/z^2: numpy's power on a negative base falls back to scalar libm pow, about 40
+    # times slower an element.  l = 0 has no odd coefficient, and polyval of none is Q = 0.
     a = [math.factorial(l + k) / (math.factorial(k) * math.factorial(l - k) * 2**k) for k in range(l + 1)]
     v = -1.0 / (zl * zl)
-    p = sum(ak * v**m for m, ak in enumerate(a[0::2]))
-    qq = sum(ak * v**m for m, ak in enumerate(a[1::2])) / zl
+    p = np.polyval(a[0::2][::-1], v)
+    qq = np.polyval(a[1::2][::-1], v) / zl
     # sin and cos of z - l pi/2 by l quarter turns of (sin z, cos z), exact
     s, c = np.sin(zl), np.cos(zl)
     for _ in range(l % 4):
         s, c = -c, s
     out[~small] = np.sqrt(2.0 / (math.pi * zl)) * (s * p + c * qq)
     return out
+
+
+@functools.cache
+def _legendre_rule() -> tuple:
+    """The 24-point Gauss-Legendre rule on [-1, 1], built once, on first use.
+
+    Not at import: loading numpy.polynomial would cost every CLI start about 3.5 ms.  Read-only, as every caller
+    shares it.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _gauss_legendre_overlaps(draws: list, panels: list[int], rule: tuple) -> np.ndarray:
@@ -173,14 +189,13 @@ def finite_overlap_checks(rng: random.Random) -> IdentityReport:
     (``_overlap_ratios``) gives every draw's hankel_finite_integral value, bit for bit; the worst draw is taken again
     through ``hankel_finite_integral`` itself, and the suite fails unless the two agree exactly.
     """
-    rule = np.polynomial.legendre.leggauss(24)
     draws = [
         (rng.randint(0, 10), rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0), rng.uniform(1.0, 20.0)) for _ in range(25)
     ]
     l, k1, k2, radius = (np.array(v) for v in zip(*draws))
     closed = radius * radius * _overlap_ratios(l, k1 * radius, k2 * radius)
     panels = np.ceil((k1 + k2) * radius / 12.0).astype(int).tolist()
-    coarse, ref = np.split(_gauss_legendre_overlaps(draws * 2, panels + [2 * n for n in panels], rule), 2)
+    coarse, ref = np.split(_gauss_legendre_overlaps(draws * 2, panels + [2 * n for n in panels], _legendre_rule()), 2)
     err, err_self = (np.abs(v - ref) / np.maximum(np.abs(ref), 1e-12) for v in (closed, coarse))
     a = int(err.argmax())
     same = hankel_finite_integral(ModeOrder(draws[a][0]), *draws[a][1:]) == closed[a].item()

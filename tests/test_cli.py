@@ -285,6 +285,14 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert out.stdout.strip() == "False []"
 
 
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    # the overlap reference's Gauss-Legendre rule is built on first use: numpy.polynomial costs milliseconds to load
+    src = str(Path(bubblespec.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import bubblespec.cli; print('numpy.polynomial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_check_json_leaves_scipy_integrate_unloaded():
     # no scipy module at all: the overlap reference's Bessel functions are numpy closed forms (oracles._jv)
     src = str(Path(bubblespec.__file__).resolve().parents[1])

@@ -1,7 +1,8 @@
 """Domain sweeps: each entry point returns a finite value or raises its typed error, never NaN or a warning.
 
 Derandomized hypothesis properties, so that every run draws the same examples.  Warnings are errors here as
-in the whole suite (pyproject.toml), and each property also turns every warning into an error itself.
+in the whole suite (pyproject.toml), and each property also turns every warning into an error itself.  The CLI
+commands' sweeps assert exit 0 with a finite CSV, or 2 or 3 without a traceback, and never a warning.
 """
 
 import math
@@ -9,11 +10,12 @@ import warnings
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bubblespec import kernel
-from bubblespec.cli import RunConfig
+from bubblespec.cli import RunConfig, main
 from bubblespec.kernel import f_exact, f_exact_array, f_factorized
 from bubblespec.matching import coefficient_a_sq, coefficients_bc
 from bubblespec.oracles import hankel_finite_integral
@@ -188,3 +190,38 @@ def test_totals_at_huge_x_star_raise_without_a_warning(x_star, y_star):
     run = RunConfig(quad=QuadratureSpec(rel_tol=1e-4), x_star_override=x_star, y_star_override=y_star)
     with pytest.raises(QuadratureError, match="not finite"):
         _quietly(totals, run.medium, run.cutoffs(), run.quad, run.kernel_mode, 0)
+
+
+# A CLI float option: a positive decimal exponent as above, or any double, negative, nan and +-inf included.
+CLI_FLOATS = st.one_of(POINTS.map(_ten), st.floats())
+
+
+def _cli_csv(args: list[str], rows: int) -> None:
+    """Run a CSV command in-process: exit 0 with `rows` finite rows, or 2 or 3 without a traceback; no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = CliRunner().invoke(main, args)
+    assert not caught, [str(w.message) for w in caught]
+    assert res.exit_code in (0, 2, 3), (args, res.output, res.exception)
+    assert isinstance(res.exception, (SystemExit, type(None))) and "Traceback" not in res.output
+    if res.exit_code == 0:
+        lines = res.output.splitlines()[1:]
+        assert len(lines) == rows and all(math.isfinite(float(v)) for line in lines for v in line.split(","))
+
+
+@SWEEP
+@given(CLI_FLOATS, st.one_of(st.integers(2, 10_000), st.integers(max_value=1), st.integers(min_value=10_001)))
+def test_diagonal_exits_0_2_or_3_over_its_options(x_max, points):
+    _cli_csv(["diagonal", "--x-max", repr(x_max), "--points", str(points)], points)
+
+
+# Ranges half the time increasing and positive, as documented; twice the examples, since the three options are all
+# in range only about one draw in eight.  Grid sizes up to 40 in range: a 1000 x 1000 dump takes seconds.
+RANGES = st.one_of(st.tuples(POINTS.map(_ten), POINTS.map(_ten)).map(sorted), st.tuples(CLI_FLOATS, CLI_FLOATS))
+
+
+@settings(SWEEP, max_examples=300)
+@given(RANGES, RANGES, st.one_of(st.integers(2, 40), st.integers(max_value=1), st.integers(min_value=1001)))
+def test_kernel_dump_exits_0_2_or_3_over_its_options(x_range, y_range, points):
+    args = ["kernel-dump", "--x-range", *map(repr, x_range), "--y-range", *map(repr, y_range), "--points", str(points)]
+    _cli_csv(args, points * points)

@@ -246,6 +246,24 @@ def test_overlap_bessel_reference_against_mpmath():
             assert np.all(err[small] <= 1e-12 * np.abs(ref[small])), l
 
 
+def test_overlap_bessel_closed_form_by_horner_matches_the_term_sum():
+    # P and Q run by Horner in v = -1/z^2; the plain term sum of DLMF 10.49.2 is the reference here.  Both round
+    # on the scale of the terms' magnitudes, sum_k a_k z^-k, and agree to a few ulps of it times sqrt(2/(pi z)).
+    z = np.linspace(8.0, 100.0, 20001)
+    v = -1.0 / (z * z)
+    for l in range(11):
+        a = [math.factorial(l + k) / (math.factorial(k) * math.factorial(l - k) * 2**k) for k in range(l + 1)]
+        p = sum(ak * v**m for m, ak in enumerate(a[0::2]))
+        q = sum(ak * v**m for m, ak in enumerate(a[1::2])) / z  # 0 at l = 0: no odd coefficient
+        magnitude = sum(ak * z**-k for k, ak in enumerate(a))
+        s, c = np.sin(z), np.cos(z)
+        for _ in range(l % 4):
+            s, c = -c, s
+        scale = np.sqrt(2.0 / (math.pi * z))
+        err = np.abs(oracles._jv(l, z) - scale * (s * p + c * q))
+        assert np.all(err <= 4.0 * np.finfo(float).eps * scale * magnitude), l
+
+
 @pytest.mark.parametrize("l, z", [(11, 1.0), (-1, 1.0), (3, 0.0), (3, -1.0), (3, 100.5), (3, math.nan)])
 def test_overlap_bessel_reference_refuses_its_unverified_domain(l, z):
     with pytest.raises(ValueError):
