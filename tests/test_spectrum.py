@@ -471,6 +471,25 @@ EXACT_TOTALS = {
 }
 
 
+# The same five exact-kernel totals (N, <x>/x*) at the default tolerance, frozen to their reprs.
+EXACT_DEFAULT_TOTALS = {
+    (20000.0, 1.0): (1035988.6771735257, 0.8187891570047546),
+    (71.0, 25.0): (1003413.4185954466, 0.7489776177629477),
+    (68.0, 34.0): (1060504.3971882442, 0.7490327445065748),
+    (9.0, 25.0): (957533.5702082732, 0.7484638244316619),
+    (1.0, 12.0): (931994.14758775, 0.7474243126319642),
+}
+
+
+@pytest.mark.parametrize("n_in, n_out", list(EXACT_DEFAULT_TOTALS))
+def test_exact_reference_totals_are_frozen_and_claim_at_most_1e_6_n(n_in, n_out):
+    # A change to how the exact totals claim their error must leave N and <x>/x* bit for bit.
+    cfg = MediumConfig(n_gas_in=n_in, n_gas_out=n_out)
+    res = totals(cfg, CutoffProfile.rounded(cfg), QuadratureSpec(), kernel_mode="exact", grid_points=0)
+    assert (res.total_photons, res.mean_x_over_xstar) == EXACT_DEFAULT_TOTALS[n_in, n_out]
+    assert res.quadrature_error <= 1e-6 * res.total_photons
+
+
 @pytest.mark.parametrize(
     "n_in, n_out",
     [
