@@ -59,6 +59,7 @@ class RunConfig:
         _require_int(self, "grid_points", 2, "grid_points must be an integer in [2, 10000]", 10_000)
         overrides = [n for n in ("x_star_override", "y_star_override") if getattr(self, n) is not None]
         _require_positive_finite(self, *overrides)
+        self.cutoffs()  # the medium's rounded cutoffs must be positive and finite too
 
     def cutoffs(self) -> CutoffProfile:
         base = CutoffProfile.rounded(self.medium)
@@ -266,7 +267,10 @@ def infinite_volume(config_path, as_json) -> None:
     """Closed-form homogeneous-medium totals for the configured medium."""
     run = parse_config(config_path)
     cut = run.cutoffs()
-    n, ratio = sp.infinite_volume_totals(run.medium, cut)
+    try:
+        n, ratio = sp.infinite_volume_totals(run.medium, cut)
+    except ValueError as exc:
+        raise click.UsageError(f"invalid configuration: {exc}") from exc
     if as_json:
         click.echo(json.dumps({"total_photons": n, "mean_x_over_xstar": ratio, "x_star": cut.x_star}))
     else:

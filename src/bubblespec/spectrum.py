@@ -143,18 +143,18 @@ def _far_field(d0: np.ndarray, end: np.ndarray, cap: int):
     return doubling, tail, d1, runs, count
 
 
-def _lattice(centres: np.ndarray, lo, hi, cap: int, quad: QuadratureSpec, segments=1):
-    """Start edges of rows over [lo, hi] split at the sinc^2 lattice centre + k 4pi/3, and each column's lobes.
+def _lattice(centres: np.ndarray, lo: np.ndarray, hi: np.ndarray, cap: int, quad: QuadratureSpec, segments=1):
+    """Start panels of rows over [lo[i], hi[i]] split at the sinc^2 lattice centres[i] + k 4pi/3.
 
-    ``lo`` and ``hi`` are scalars or one per row.  No starting panel spans a
-    fraction of a lobe inside (lo, hi): one K15 panel per lobe up to two
-    lobes from the centre and for the part lobes at lo and hi; with ``cap``
-    > 1 the other lobes are grouped into product panels of m = 2^j <= cap
-    whole lobes (``_far_field``).  A row's edges are made in order: lo, the
-    kept lattice points clipped to [lo, hi], and hi; repeated edges bound no
-    panel.  Each run of ``segments`` consecutive rows is one integral, whose
-    panel counts add up; one of more panels than ``quad.max_subdivisions``
-    is refused before its edges are built.
+    No starting panel spans a fraction of a lobe inside (lo, hi): one K15
+    panel per lobe up to two lobes from the centre and for the part lobes at
+    lo and hi; with ``cap`` > 1 the other lobes are grouped into product
+    panels of m = 2^j <= cap whole lobes (``_far_field``).  A row's edges
+    are made in order: lo, the kept lattice points clipped to [lo, hi], and
+    hi; repeated edges bound no panel.  Each run of ``segments`` consecutive
+    rows is one integral, whose panel counts add up; one of more panels than
+    ``quad.max_subdivisions`` is refused before its edges are built.
+    Returns the panels' (low, high) bounds, integrals and lobes (0: K15).
     """
     n = centres.size
     # Lattice points centre + k * width for k from the last one <= lo to the first >= hi.
@@ -202,10 +202,10 @@ def _lattice(centres: np.ndarray, lo, hi, cap: int, quad: QuadratureSpec, segmen
     inner_lo = np.minimum(k_lo + 1.0, k_hi)[:, None]
     inner = ks[:, 2:-2]
     np.clip(inner, inner_lo, np.maximum(k_hi[:, None] - 1.0, inner_lo), out=inner)
-    column = lambda v: v if np.isscalar(v) else v[:, None]
-    edges = np.clip(centres[:, None] + ks * _ROLLOFF_WIDTH, column(lo), column(hi))
+    edges = np.clip(centres[:, None] + ks * _ROLLOFF_WIDTH, lo[:, None], hi[:, None])
     edges[:, 0], edges[:, -1] = lo, hi
-    return edges, lobes
+    row, col = np.nonzero(edges[:, :-1] < edges[:, 1:])
+    return np.array([edges[row, col], edges[row, col + 1]]), row // segments, lobes[col]
 
 
 def _dn_dx_batch(xs: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, quad: QuadratureSpec, kernel_mode: str):
@@ -235,7 +235,7 @@ def _dn_dx_batch(xs: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, quad: Qu
     if not factorized and upper > y_star:
         _require_domain(y=upper)
     segments = len(ends) - 1
-    edges, lobes = _lattice(
+    bounds, rows, lobes = _lattice(
         xs.repeat(segments),
         np.tile(ends[:-1], xs.size),
         np.tile(ends[1:], xs.size),
@@ -243,8 +243,6 @@ def _dn_dx_batch(xs: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, quad: Qu
         quad,
         segments=segments,
     )
-    edges = edges.ravel()
-    starts = np.flatnonzero(edges[:-1] < edges[1:])
     kernel = f_factorized if factorized else f_exact_array
 
     def integrand(ys, row, split=None):
@@ -258,12 +256,12 @@ def _dn_dx_batch(xs: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, quad: Qu
 
     value, error, _ = _integrate_rows(
         integrand,
-        np.array([edges[starts], edges[starts + 1]]),
-        starts // (segments * lobes.size),
+        bounds,
+        rows,
         rel_tol=quad.rel_tol,
         abs_tol=quad.abs_tol,
         max_subdivisions=quad.max_subdivisions,
-        lobes=lobes[starts % lobes.size] if factorized else None,
+        lobes=lobes if factorized else None,
     )
     return value.ravel(), error.ravel()  # one component, no columns for no rows
 
@@ -284,7 +282,7 @@ def dn_dx(
 
 
 def _diagonal_totals(cfg: MediumConfig, cut: CutoffProfile, quad: QuadratureSpec, x_max: float, upper: float):
-    """N, the x-moment and the claimed error of N for the factorized kernel, integrated along the diagonals.
+    """N, the x-moment and the y-rows' error for the factorized kernel, integrated along the diagonals.
 
     The kernel's only oscillation, sinc^2(3u/4), depends on u = x - y alone:
     N = int sinc^2(3u/4) H(u) du over u in [-upper, x_max], H(u) the integral
@@ -300,10 +298,9 @@ def _diagonal_totals(cfg: MediumConfig, cut: CutoffProfile, quad: QuadratureSpec
     and edges r y_star 10^k (k >= 0, r = min/max of the indices) from its
     start, where x or y is 0 and the momentum ratio turns within about r
     times the other momentum; then it weights the K15 nodes' H by
-    sinc^2(3u/4) and the product nodes' by 1/(3u/4)^2.  The claimed error
-    is the outer one plus the rows' errors integrated by the outer rule.
-    A u-row too long to lay out is refused, unless the moment overflows on
-    the last lobe's line first (past x ~ 1e102), which is the error then.
+    sinc^2(3u/4) and the product nodes' by 1/(3u/4)^2.  A u-row too long
+    to lay out is refused, unless the moment overflows on the last lobe's
+    line first (past x ~ 1e102), which is the error then.
     """
     y_star, low, high = cut.y_star, min(cfg.n_gas_in, cfg.n_gas_out), max(cfg.n_gas_in, cfg.n_gas_out)
     # Up to upper, and at most the 17 decades a double resolves (r and r y_star may underflow).
@@ -349,28 +346,51 @@ def _diagonal_totals(cfg: MediumConfig, cut: CutoffProfile, quad: QuadratureSpec
     kinks = np.where(np.abs(kinks - near) <= 1e-15 * (x_max + upper), near, kinks)
     kinks = np.array(sorted({-upper, x_max, *(k for k in kinks.tolist() if -upper < k < x_max)}))
     try:
-        edges, lobes = _lattice(np.zeros(kinks.size - 1), kinks[:-1], kinks[1:], _MAX_LOBES, quad, kinks.size - 1)
+        bounds, _, lobes = _lattice(np.zeros(kinks.size - 1), kinks[:-1], kinks[1:], _MAX_LOBES, quad, kinks.size - 1)
     except QuadratureError:
         # The moment grows with x up to x_max, and overflows there only far past the row's refused length: one K15
         # panel on the last lobe's line raises that typed error instead, where it applies.
         last = np.array([[0.0], [min(upper, _ROLLOFF_WIDTH)]])
         _panel_estimates(along(np.array([x_max - _ROLLOFF_WIDTH])), last, np.zeros(1, int), np.zeros(1, int))
         raise
-    edges = edges.ravel()
-    starts = np.flatnonzero(edges[:-1] < edges[1:])
-    res = adaptive_quad(
+    return adaptive_quad(
         h_rows,
         -upper,
         x_max,
-        breakpoints=edges[starts[1:]],
+        breakpoints=bounds[0, 1:],
         rel_tol=quad.rel_tol,
         abs_tol=quad.abs_tol,
         max_subdivisions=quad.max_subdivisions,
-        lobes=lobes[starts % lobes.size],
+        lobes=lobes,
         finish=weigh,
         tested=2,
     )
-    return float(res.value[0]), float(res.value[1]), float(res.error[0] + res.value[2])
+
+
+def _x_row_totals(cfg: MediumConfig, cut: CutoffProfile, quad: QuadratureSpec, x_max: float) -> QuadResult:
+    """N, the x-moment and the rows' error for the exact kernel, as an outer x-integral of dN/dx rows.
+
+    Its G(x + y) and r_0^2 terms oscillate along the diagonals too.  dN/dx
+    approaches y* as 1/(y* - x) under a ripple one sinc width W wide: start
+    edges at y* - W 1.5^k make the panel next to y* one sinc width and each
+    one below it at most half as wide as its distance from y*.
+    """
+
+    def rows(xs: np.ndarray) -> np.ndarray:
+        values, errors = _dn_dx_batch(xs, cfg, cut, quad, "exact")
+        return np.vstack([values, xs * values, errors])
+
+    steps = _ROLLOFF_WIDTH * 1.5 ** np.arange(max(0, math.ceil(math.log(cut.y_star / _ROLLOFF_WIDTH, 1.5))))
+    return adaptive_quad(
+        rows,
+        0.0,
+        x_max,
+        breakpoints=[cut.x_star, cut.y_star, *(cut.y_star - steps).tolist()],
+        rel_tol=quad.rel_tol,
+        abs_tol=quad.abs_tol,
+        max_subdivisions=quad.max_subdivisions,
+        tested=2,
+    )
 
 
 def totals(
@@ -385,10 +405,12 @@ def totals(
     The integrals run over x in [0, x_star + one sinc width] (or the tail
     bound) and y in [0, y_star] (or the tail bound); the photon number and
     the energy moment share a single vector-valued pass.  The factorized
-    kernel takes them along the diagonals (``_diagonal_totals``); the exact
-    one as an outer x-integral of dN/dx rows, as its G(x + y) and r_0^2
-    terms oscillate along the diagonals too.  ``grid_points`` samples of
-    dN/dx are returned for plotting (0 skips the grid).
+    kernel takes them along the diagonals (``_diagonal_totals``), the exact
+    one as an outer x-integral of dN/dx rows (``_x_row_totals``).  Either
+    outer rule integrates a third component, the error of each inner row,
+    that its tolerance test leaves out: the claimed ``quadrature_error`` of
+    N is the outer error of N plus that integral.  ``grid_points`` samples
+    of dN/dx are returned for plotting (0 skips the grid).
     """
     _check_mode(kernel_mode)
     x_max, upper = cut.x_star + _ROLLOFF_WIDTH, cut.y_star
@@ -400,30 +422,10 @@ def totals(
         return SpectrumResult(list(map(float, grid)), [0.0] * len(grid), 0.0, 0.0, 0.0, 0.0)
 
     if kernel_mode == "factorized":
-        n_total, x_moment, err = _diagonal_totals(cfg, cut, quad, x_max, upper)
+        res = _diagonal_totals(cfg, cut, quad, x_max, upper)
     else:
-        inner_err = 0.0
-
-        def outer(xs: np.ndarray) -> np.ndarray:
-            nonlocal inner_err
-            values, errors = _dn_dx_batch(xs, cfg, cut, quad, kernel_mode)
-            inner_err = max(inner_err, float(errors.max()))
-            return np.vstack([values, xs * values])
-
-        # dN/dx approaches y* as 1/(y* - x) under a ripple one sinc width wide: start edges at y* - W 1.5^k, so that
-        # the panel next to y* is one sinc width W and each one below it at most half as wide as its distance from y*.
-        steps = _ROLLOFF_WIDTH * 1.5 ** np.arange(max(0, math.ceil(math.log(cut.y_star / _ROLLOFF_WIDTH, 1.5))))
-        res = adaptive_quad(
-            outer,
-            0.0,
-            x_max,
-            breakpoints=[cut.x_star, cut.y_star, *(cut.y_star - steps).tolist()],
-            rel_tol=quad.rel_tol,
-            abs_tol=quad.abs_tol,
-            max_subdivisions=quad.max_subdivisions,
-        )
-        n_total, x_moment = float(res.value[0]), float(res.value[1])
-        err = float(res.error[0]) + inner_err * x_max
+        res = _x_row_totals(cfg, cut, quad, x_max)
+    n_total, x_moment = float(res.value[0]), float(res.value[1])
     mean_x = x_moment / n_total if n_total > 0.0 else 0.0
     energy = HBAR_C_EV_NM / (cfg.radius * cfg.n_gas_out) * x_moment
     # The grid starts at x = 0, where dN/dx vanishes.
@@ -434,7 +436,7 @@ def totals(
         total_photons=n_total,
         mean_x_over_xstar=mean_x / cut.x_star,
         energy_ev=energy,
-        quadrature_error=err,
+        quadrature_error=float(res.error[0] + res.value[2]),
     )
 
 
@@ -448,10 +450,13 @@ def infinite_volume_dn_dx(x: float, cfg: MediumConfig, cut: CutoffProfile) -> fl
 
 
 def infinite_volume_totals(cfg: MediumConfig, cut: CutoffProfile) -> tuple[float, float]:
-    """(N, <x>/x_*) in closed form: N = (1/9pi)((dn)^2/(n n)) x_*^3, ratio 3/4."""
+    """(N, <x>/x_*) in closed form: N = (1/9pi)((dn)^2/(n n)) x_*^3, ratio 3/4; ValueError where N overflows."""
     dn = cfg.n_gas_in - cfg.n_gas_out
-    n = dn * dn / (9.0 * math.pi * cfg.n_gas_in * cfg.n_gas_out) * cut.x_star**3
-    return n, 0.75
+    with np.errstate(over="ignore", invalid="ignore"):  # past the double range N is inf or NaN, refused below
+        n = dn * dn / (9.0 * math.pi * cfg.n_gas_in * cfg.n_gas_out) * np.float64(cut.x_star) ** 3 if dn else 0.0
+    if not math.isfinite(n):
+        raise ValueError(f"N overflows a double for {cfg} at x_star={cut.x_star!r}")
+    return float(n), 0.75
 
 
 def delta_kernel_totals(

@@ -5,6 +5,7 @@ in the whole suite (pyproject.toml), and each property also turns every warning 
 commands' sweeps assert exit 0 with a finite CSV, or 2 or 3 without a traceback, and never a warning.
 """
 
+import json
 import math
 import warnings
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bubblespec import kernel
-from bubblespec.cli import RunConfig, main
+from bubblespec.cli import _CONFIG_KEYS, RunConfig, main
 from bubblespec.kernel import f_exact, f_exact_array, f_factorized
 from bubblespec.matching import coefficient_a_sq, coefficients_bc
 from bubblespec.oracles import hankel_finite_integral
@@ -196,17 +197,28 @@ def test_totals_at_huge_x_star_raise_without_a_warning(x_star, y_star):
 CLI_FLOATS = st.one_of(POINTS.map(_ten), st.floats())
 
 
-def _cli_csv(args: list[str], rows: int) -> None:
-    """Run a CSV command in-process: exit 0 with `rows` finite rows, or 2 or 3 without a traceback; no warning."""
+def _cli(args: list[str], codes=(0, 2, 3)):
+    """Run a command in-process: an exit code in ``codes``, no traceback and no warning."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         res = CliRunner().invoke(main, args)
     assert not caught, [str(w.message) for w in caught]
-    assert res.exit_code in (0, 2, 3), (args, res.output, res.exception)
+    assert res.exit_code in codes, (args, res.output, res.exception)
     assert isinstance(res.exception, (SystemExit, type(None))) and "Traceback" not in res.output
+    return res
+
+
+def _finite_csv(text: str, rows: int) -> None:
+    lines = text.splitlines()[1:]
+    assert len(lines) == rows and all(math.isfinite(float(v)) for line in lines for v in line.split(","))
+
+
+def _cli_csv(args: list[str], rows: int) -> None:
+    """Run a CSV command: exit 0 with ``rows`` finite rows, or 2 or 3 (``_cli``)."""
+    res = _cli(args)
     if res.exit_code == 0:
-        lines = res.output.splitlines()[1:]
-        assert len(lines) == rows and all(math.isfinite(float(v)) for line in lines for v in line.split(","))
+        _finite_csv(res.output, rows)
+
 
 
 @SWEEP
@@ -225,3 +237,51 @@ RANGES = st.one_of(st.tuples(POINTS.map(_ten), POINTS.map(_ten)).map(sorted), st
 def test_kernel_dump_exits_0_2_or_3_over_its_options(x_range, y_range, points):
     args = ["kernel-dump", "--x-range", *map(repr, x_range), "--y-range", *map(repr, y_range), "--points", str(points)]
     _cli_csv(args, points * points)
+
+
+
+# A config file's lines over some keys: each value one of the key's own type (floats from 1e-330 to 1e300), or 0,
+# a negative, NaN, inf, 1e300 or a word; a key may repeat, and its last line wins.
+BAD_VALUES = st.sampled_from(["0", "-1", "-2.5", "nan", "inf", "-inf", "1e300", "ten"])
+VALID_VALUES = {
+    float: st.one_of(POINTS, st.floats(min_value=5.5, max_value=300.0)).map(_ten).map(repr),
+    int: st.integers(1, 10_000).map(str),
+    str: st.sampled_from(["exact", "factorized", "out.csv"]),
+}
+
+
+def _config_lines(keys: list[str]):
+    value = lambda key: st.one_of(VALID_VALUES[_CONFIG_KEYS[key][1]], BAD_VALUES).map(lambda v: f"{key} = {v}\n")
+    return st.lists(st.sampled_from(keys).flatmap(value), max_size=5)
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    """One config file that each example rewrites."""
+    return tmp_path_factory.mktemp("config") / "run.cfg"
+
+
+@SWEEP
+@given(lines=_config_lines(sorted(_CONFIG_KEYS)))
+def test_infinite_volume_exits_0_or_2_over_every_config_key(config_path, lines):
+    config_path.write_text("".join(lines), encoding="utf-8")
+    res = _cli(["infinite-volume", "--json", "--config", str(config_path)], (0, 2))
+    if res.exit_code == 0:
+        assert all(math.isfinite(v) for v in json.loads(res.output).values())
+
+
+@SWEEP
+@given(
+    lines=_config_lines(["x_star_override", "y_star_override", "tail_upper_bound"]),
+    grid_points=st.integers(2, 20),
+    rel_tol=st.floats(min_value=1e-4, max_value=0.1),
+)
+def test_spectrum_exits_0_2_or_3_over_the_cutoffs_and_tails(config_path, lines, grid_points, rel_tol):
+    # the factorized kernel on a coarse grid and tolerance, so that every draw in range takes milliseconds
+    head = f"kernel_mode = factorized\ngrid_points = {grid_points}\nrel_tol = {rel_tol!r}\n"
+    config_path.write_text(head + "".join(lines), encoding="utf-8")
+    res = _cli(["spectrum", "--config", str(config_path)])
+    if res.exit_code == 0:
+        _finite_csv(res.stdout, grid_points)
+        summary = dict(field.split("=") for field in res.stderr.split())
+        assert all(math.isfinite(float(v)) for v in summary.values())
