@@ -452,7 +452,7 @@ def infinite_volume_dn_dx(x: float, cfg: MediumConfig, cut: CutoffProfile) -> fl
 def infinite_volume_totals(cfg: MediumConfig, cut: CutoffProfile) -> tuple[float, float]:
     """(N, <x>/x_*) in closed form: N = (1/9pi)((dn)^2/(n n)) x_*^3, ratio 3/4; ValueError where N overflows."""
     dn = cfg.n_gas_in - cfg.n_gas_out
-    with np.errstate(over="ignore", invalid="ignore"):  # past the double range N is inf or NaN, refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # numpy's cube overflows to inf (a float's raises): refused
         n = dn * dn / (9.0 * math.pi * cfg.n_gas_in * cfg.n_gas_out) * np.float64(cut.x_star) ** 3 if dn else 0.0
     if not math.isfinite(n):
         raise ValueError(f"N overflows a double for {cfg} at x_star={cut.x_star!r}")

@@ -2,7 +2,8 @@
 
 Derandomized hypothesis properties, so that every run draws the same examples.  Warnings are errors here as
 in the whole suite (pyproject.toml), and each property also turns every warning into an error itself.  The CLI
-commands' sweeps assert exit 0 with a finite CSV, or 2 or 3 without a traceback, and never a warning.
+commands' sweeps assert exit 0 with finite output, or 2 or 3 (2 alone for `infinite-volume`) without a traceback,
+and never a warning.
 """
 
 import json
@@ -209,6 +210,7 @@ def _cli(args: list[str], codes=(0, 2, 3)):
 
 
 def _finite_csv(text: str, rows: int) -> None:
+    """``rows`` lines after the CSV's header, every value finite."""
     lines = text.splitlines()[1:]
     assert len(lines) == rows and all(math.isfinite(float(v)) for line in lines for v in line.split(","))
 
@@ -218,7 +220,6 @@ def _cli_csv(args: list[str], rows: int) -> None:
     res = _cli(args)
     if res.exit_code == 0:
         _finite_csv(res.output, rows)
-
 
 
 @SWEEP
@@ -237,7 +238,6 @@ RANGES = st.one_of(st.tuples(POINTS.map(_ten), POINTS.map(_ten)).map(sorted), st
 def test_kernel_dump_exits_0_2_or_3_over_its_options(x_range, y_range, points):
     args = ["kernel-dump", "--x-range", *map(repr, x_range), "--y-range", *map(repr, y_range), "--points", str(points)]
     _cli_csv(args, points * points)
-
 
 
 # A config file's lines over some keys: each value one of the key's own type (floats from 1e-330 to 1e300), or 0,
