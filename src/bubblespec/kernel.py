@@ -222,19 +222,16 @@ def _factorized_hump(x: np.ndarray, y: np.ndarray):
         return _hump(x + y, _F_FIT_SCALE)
 
 
-def _factorized_envelope(x, y) -> np.ndarray:
-    """f_factorized(x, y)/sin^2(3(x-y)/4) = D((x+y)/2)/u^2, u = 3(x-y)/4: the smooth factor of the sinc^2 lobes.
+def _lobe_envelope(h, d) -> np.ndarray:
+    """h/u^2 at u = 3d/4, d = x - y: the smooth factor h sinc^2(u)/sin^2(u) of f_factorized's sinc^2 lobes.
 
-    Meant for the far lobes, |x - y| >= 2 sinc^2 widths; a u^2 past the double range gives 0.
+    With h the hump D((x+y)/2) it is f_factorized/sin^2(u); meant for the far lobes, |d| >= 2 sinc^2 widths, which
+    product panels integrate against sin^2(u).  A u^2 past the double range gives 0.
     """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    hump = _factorized_hump(x, y)
-    u = np.subtract(x, y, out=np.empty(np.shape(hump)))
-    u *= 0.75
+    u = 0.75 * d
     with np.errstate(over="ignore"):
         u *= u
-    hump /= u
-    return hump
+    return h / u
 
 
 def f_factorized(x, y):

@@ -323,16 +323,29 @@ def adaptive_quad(
     (n_components, n) for vector-valued integrands.  Convergence requires
     every component (the first ``tested``) to satisfy
     error <= max(abs_tol, rel_tol * |value|).  ``lobes`` makes product
-    panels as in ``_integrate_rows``, one entry per panel between the sorted
-    distinct edges.  Each integrand call is then one ``f(points)`` on the
-    K15 and product nodes together, and ``finish(points, values, split)``
-    turns its values into the integrand at the K15 nodes and its smooth
-    factor at the product nodes, from ``split`` on (``split`` is n in a
-    round without product panels).
+    panels as in ``_integrate_rows``: one entry per panel between the sorted
+    distinct edges, each 0 (a K15 panel) or m = 2^j <= ``_MAX_LOBES`` sin^2
+    periods; it needs ``finish``.  ``f`` keeps the one-argument form
+    f(points), the one perfbench/tracer.py wraps to count its points, so it
+    is not told which points are product nodes: each integrand call is one
+    ``f(points)`` on the K15 and product nodes together, and
+    ``finish(points, values, split)`` turns its values into the integrand
+    at the K15 nodes and its smooth factor at the product nodes, from
+    ``split`` on (``split`` is n in a round without product panels).
     """
     if not (math.isfinite(a) and math.isfinite(b)) or b <= a:
         raise ValueError(f"invalid integration interval [{a}, {b}]")
     edges = sorted({a, b, *(p for p in breakpoints if a < p < b)})
+    if lobes is not None:
+        lobes = np.asarray(lobes)
+        if finish is None:
+            raise ValueError("lobes needs finish: f alone gives the integrand, not the product nodes' smooth factor")
+        levels = {0, *(2**j for j in range(_LEVELS))}
+        if lobes.shape != (len(edges) - 1,) or not set(lobes.tolist()) <= levels:
+            raise ValueError(
+                f"lobes must hold one entry per panel ({len(edges) - 1} here), each 0 or a power of two up to "
+                f"{_MAX_LOBES}; got {lobes!r}"
+            )
     if finish is None:
         row = lambda pts, rows, *split: f(pts)
     else:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import CutoffProfile, _factorized_envelope, _factorized_hump, f_exact_array, f_factorized
+from .kernel import CutoffProfile, _factorized_hump, _lobe_envelope, f_exact_array, f_factorized
 from .matching import MediumConfig, _positive_finite, _require_positive_finite
 from .quadrature import (
     _MAX_LOBES,
@@ -71,6 +71,16 @@ class QuadratureSpec:
         if self.tail_upper_bound is not None:
             _require_positive_finite(self, "tail_upper_bound")
         _require_int(self, "max_subdivisions", 1, "max_subdivisions must be an int >= 1")
+
+
+def _tolerances(quad: QuadratureSpec) -> dict:
+    """The quadrature driver's keywords for ``quad``: its tolerances and panel cap."""
+    return {"rel_tol": quad.rel_tol, "abs_tol": quad.abs_tol, "max_subdivisions": quad.max_subdivisions}
+
+
+def _reach(edge: float, quad: QuadratureSpec) -> float:
+    """``edge``, or the tail bound where it lies past it."""
+    return edge if quad.tail_upper_bound is None else max(edge, quad.tail_upper_bound)
 
 
 @dataclass(frozen=True)
@@ -143,7 +153,7 @@ def _far_field(d0: np.ndarray, end: np.ndarray, cap: int):
     return doubling, tail, d1, runs, count
 
 
-def _lattice(centres: np.ndarray, lo: np.ndarray, hi: np.ndarray, cap: int, quad: QuadratureSpec, segments=1):
+def _lattice(centres: np.ndarray, lo: np.ndarray, hi: np.ndarray, cap: int, max_subdivisions: int, segments=1):
     """Start panels of rows over [lo[i], hi[i]] split at the sinc^2 lattice centres[i] + k 4pi/3.
 
     No starting panel spans a fraction of a lobe inside (lo, hi): one K15
@@ -153,7 +163,7 @@ def _lattice(centres: np.ndarray, lo: np.ndarray, hi: np.ndarray, cap: int, quad
     are made in order: lo, the kept lattice points clipped to [lo, hi], and
     hi; repeated edges bound no panel.  Each run of ``segments`` consecutive
     rows is one integral, whose panel counts add up; one of more panels than
-    ``quad.max_subdivisions`` is refused before its edges are built.
+    ``max_subdivisions`` is refused before its edges are built.
     Returns the panels' (low, high) bounds, integrals and lobes (0: K15).
     """
     n = centres.size
@@ -168,9 +178,9 @@ def _lattice(centres: np.ndarray, lo: np.ndarray, hi: np.ndarray, cap: int, quad
     far = count - np.maximum(0.0, end - d0)
     panels = k_hi - k_lo + far[:n] + far[n:]
     most = np.max(panels.reshape(-1, segments).sum(axis=1), initial=0.0)
-    if most > quad.max_subdivisions:
+    if most > max_subdivisions:
         unevaluated = QuadResult(np.array([math.nan]), np.array([math.nan]), int(most), False)
-        raise _cap_error(most + 1, quad.max_subdivisions, unevaluated)
+        raise _cap_error(most + 1, max_subdivisions, unevaluated)
     # Each row's lattice indices in order, one row of columns: lo's placeholder, k_lo, k_lo + 1; the left far
     # panels' far ends from the farthest, negated (the rest's, the cap-wide run's, the doubling ones'); the near
     # lattice -2..2; the right far panels' starts (doubling, run, rest); k_hi - 1, k_hi and hi's placeholder.
@@ -218,8 +228,9 @@ def _dn_dx_batch(xs: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, quad: Qu
     panel per lobe for the exact one, whose tail bound must lie in its
     domain.  The step down from one row's upper to the next row's 0 bounds
     no panel.  Each round's one integrand call per chunk takes
-    f_factorized on the K15 nodes and the far lobes' envelope on the
-    product nodes, under one ``_integrand``.
+    f_factorized on the K15 nodes and the far lobes' envelope (the hump
+    through ``_lobe_envelope``) on the product nodes, under one
+    ``_integrand``.
 
     The created photon keeps the bulk index n_gas_out through the rolloff
     strip x in (x_star, x_star + sinc width]: the strip is populated by
@@ -227,9 +238,7 @@ def _dn_dx_batch(xs: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, quad: Qu
     (e.g. from |n_in - n_out| to |n_in - 1|) produces the same
     sudden-approximation artifact as the excluded tail regions.
     """
-    y_star = upper = cut.y_star
-    if quad.tail_upper_bound is not None:
-        upper = max(float(quad.tail_upper_bound), y_star)
+    y_star, upper, tol = cut.y_star, _reach(cut.y_star, quad), _tolerances(quad)
     factorized = kernel_mode == "factorized"
     ends = [0.0, y_star] if upper == y_star else [0.0, y_star, upper]
     if not factorized and upper > y_star:
@@ -240,7 +249,7 @@ def _dn_dx_batch(xs: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, quad: Qu
         np.tile(ends[:-1], xs.size),
         np.tile(ends[1:], xs.size),
         _MAX_LOBES if factorized else 1,
-        quad,
+        tol["max_subdivisions"],
         segments=segments,
     )
     kernel = f_factorized if factorized else f_exact_array
@@ -251,18 +260,11 @@ def _dn_dx_batch(xs: np.ndarray, cfg: MediumConfig, cut: CutoffProfile, quad: Qu
             return _integrand(x, ys, cfg, cut, kernel)
         # The product nodes, from split on, take the far lobes' envelope (their rule weights the sin^2 numerator).
         head, tail = slice(None, split), slice(split, None)
-        joint = lambda x, y: np.concatenate([f_factorized(x[head], y[head]), _factorized_envelope(x[tail], y[tail])])
+        far = lambda x, y: _lobe_envelope(_factorized_hump(x, y), x - y)
+        joint = lambda x, y: np.concatenate([f_factorized(x[head], y[head]), far(x[tail], y[tail])])
         return _integrand(x, ys, cfg, cut, joint)
 
-    value, error, _ = _integrate_rows(
-        integrand,
-        bounds,
-        rows,
-        rel_tol=quad.rel_tol,
-        abs_tol=quad.abs_tol,
-        max_subdivisions=quad.max_subdivisions,
-        lobes=lobes if factorized else None,
-    )
+    value, error, _ = _integrate_rows(integrand, bounds, rows, lobes=lobes if factorized else None, **tol)
     return value.ravel(), error.ravel()  # one component, no columns for no rows
 
 
@@ -303,6 +305,7 @@ def _diagonal_totals(cfg: MediumConfig, cut: CutoffProfile, quad: QuadratureSpec
     line first (past x ~ 1e102), which is the error then.
     """
     y_star, low, high = cut.y_star, min(cfg.n_gas_in, cfg.n_gas_out), max(cfg.n_gas_in, cfg.n_gas_out)
+    tol = _tolerances(quad)
     # Up to upper, and at most the 17 decades a double resolves (r and r y_star may underflow).
     decades = math.log10(upper) + math.log10(high) - math.log10(low) - math.log10(y_star)
     grade = low / high * y_star * 10.0 ** np.arange(max(1, min(17, math.ceil(decades))))
@@ -325,19 +328,12 @@ def _diagonal_totals(cfg: MediumConfig, cut: CutoffProfile, quad: QuadratureSpec
         ends = np.concatenate([ya + (yb - ya) * _THIRDS, ya + grade, np.full_like(ya, y_star)], axis=1)
         ends = np.sort(np.clip(ends, ya, yb), axis=1)
         row, col = np.nonzero(ends[:, :-1] < ends[:, 1:])
-        value, error, _ = _integrate_rows(
-            along(us),
-            np.array([ends[row, col], ends[row, col + 1]]),
-            row,
-            rel_tol=quad.rel_tol,
-            abs_tol=quad.abs_tol,
-            max_subdivisions=quad.max_subdivisions,
-        )
+        value, error, _ = _integrate_rows(along(us), np.array([ends[row, col], ends[row, col + 1]]), row, **tol)
         return np.vstack([value.T, error[:, 0]])
 
     def weigh(us: np.ndarray, h: np.ndarray, split: int) -> np.ndarray:
         """sinc^2(3u/4) H at the K15 nodes and the envelope H/(3u/4)^2 at the product nodes, from ``split`` on."""
-        k15, far = h[:, :split] * np.sinc(us[:split] * (0.75 / np.pi)) ** 2, h[:, split:] / (0.75 * us[split:]) ** 2
+        k15, far = h[:, :split] * np.sinc(us[:split] * (0.75 / np.pi)) ** 2, _lobe_envelope(h[:, split:], us[split:])
         return k15 if split == us.size else np.concatenate([k15, far], axis=1)
 
     # A kink within rounding of a lattice point (x* = y* puts x_max - upper there) moves onto it: no sliver panel.
@@ -346,25 +342,16 @@ def _diagonal_totals(cfg: MediumConfig, cut: CutoffProfile, quad: QuadratureSpec
     kinks = np.where(np.abs(kinks - near) <= 1e-15 * (x_max + upper), near, kinks)
     kinks = np.array(sorted({-upper, x_max, *(k for k in kinks.tolist() if -upper < k < x_max)}))
     try:
-        bounds, _, lobes = _lattice(np.zeros(kinks.size - 1), kinks[:-1], kinks[1:], _MAX_LOBES, quad, kinks.size - 1)
+        bounds, _, lobes = _lattice(
+            np.zeros(kinks.size - 1), kinks[:-1], kinks[1:], _MAX_LOBES, tol["max_subdivisions"], kinks.size - 1
+        )
     except QuadratureError:
         # The moment grows with x up to x_max, and overflows there only far past the row's refused length: one K15
         # panel on the last lobe's line raises that typed error instead, where it applies.
         last = np.array([[0.0], [min(upper, _ROLLOFF_WIDTH)]])
         _panel_estimates(along(np.array([x_max - _ROLLOFF_WIDTH])), last, np.zeros(1, int), np.zeros(1, int))
         raise
-    return adaptive_quad(
-        h_rows,
-        -upper,
-        x_max,
-        breakpoints=bounds[0, 1:],
-        rel_tol=quad.rel_tol,
-        abs_tol=quad.abs_tol,
-        max_subdivisions=quad.max_subdivisions,
-        lobes=lobes,
-        finish=weigh,
-        tested=2,
-    )
+    return adaptive_quad(h_rows, -upper, x_max, breakpoints=bounds[0, 1:], lobes=lobes, finish=weigh, tested=2, **tol)
 
 
 def _x_row_totals(cfg: MediumConfig, cut: CutoffProfile, quad: QuadratureSpec, x_max: float) -> QuadResult:
@@ -381,16 +368,8 @@ def _x_row_totals(cfg: MediumConfig, cut: CutoffProfile, quad: QuadratureSpec, x
         return np.vstack([values, xs * values, errors])
 
     steps = _ROLLOFF_WIDTH * 1.5 ** np.arange(max(0, math.ceil(math.log(cut.y_star / _ROLLOFF_WIDTH, 1.5))))
-    return adaptive_quad(
-        rows,
-        0.0,
-        x_max,
-        breakpoints=[cut.x_star, cut.y_star, *(cut.y_star - steps).tolist()],
-        rel_tol=quad.rel_tol,
-        abs_tol=quad.abs_tol,
-        max_subdivisions=quad.max_subdivisions,
-        tested=2,
-    )
+    breakpoints = [cut.x_star, cut.y_star, *(cut.y_star - steps).tolist()]
+    return adaptive_quad(rows, 0.0, x_max, breakpoints=breakpoints, tested=2, **_tolerances(quad))
 
 
 def totals(
@@ -413,10 +392,7 @@ def totals(
     of dN/dx are returned for plotting (0 skips the grid).
     """
     _check_mode(kernel_mode)
-    x_max, upper = cut.x_star + _ROLLOFF_WIDTH, cut.y_star
-    if quad.tail_upper_bound is not None:
-        x_max = max(x_max, float(quad.tail_upper_bound))
-        upper = max(upper, float(quad.tail_upper_bound))
+    x_max, upper = _reach(cut.x_star + _ROLLOFF_WIDTH, quad), _reach(cut.y_star, quad)
     grid = np.linspace(0.0, x_max, grid_points)
     if cfg.n_gas_in == cfg.n_gas_out:
         return SpectrumResult(list(map(float, grid)), [0.0] * len(grid), 0.0, 0.0, 0.0, 0.0)
@@ -440,23 +416,41 @@ def totals(
     )
 
 
+def _homogeneous(cfg: MediumConfig, c: float, x: float, k: int) -> float:
+    """(dn)^2/(c pi n_in n_out) x^k, k = 2 or 3, wherever a double holds it, and inf past the double range.
+
+    The direct product (x x for k = 2, pow(x, 3) for k = 3) keeps its bits where it is finite and nonzero.  Where a
+    step of it over- or underflows (n_in = 1e300, n_out = 1e-300), or dn is 0, the factors' binary mantissas and
+    exponents are multiplied apart and joined once.
+    """
+    n_in, n_out = cfg.n_gas_in, cfg.n_gas_out
+    dn = n_in - n_out
+    try:
+        scale = dn * dn / (c * math.pi * n_in * n_out)
+        value = scale * x * x if k == 2 else scale * x**k
+    except (OverflowError, ZeroDivisionError):  # a float's pow past the range, or a denominator underflowed to 0
+        value = math.nan
+    if value and math.isfinite(value):
+        return value
+    (m_dn, e_dn), (m_in, e_in), (m_out, e_out), (m_x, e_x) = map(math.frexp, (dn, n_in, n_out, x))
+    try:
+        return math.ldexp(m_dn * m_dn / (c * math.pi * m_in * m_out) * m_x**k, 2 * e_dn - e_in - e_out + k * e_x)
+    except OverflowError:
+        return math.inf
+
+
 def infinite_volume_dn_dx(x: float, cfg: MediumConfig, cut: CutoffProfile) -> float:
     """Homogeneous-medium spectrum (1/3pi)((dn)^2/(n_in n_out)) x^2 below x_*."""
     x = _positive_finite("x", x)
-    if x > cut.x_star:
-        return 0.0
-    dn = cfg.n_gas_in - cfg.n_gas_out
-    return dn * dn / (3.0 * math.pi * cfg.n_gas_in * cfg.n_gas_out) * x * x
+    return 0.0 if x > cut.x_star else _homogeneous(cfg, 3.0, x, 2)
 
 
 def infinite_volume_totals(cfg: MediumConfig, cut: CutoffProfile) -> tuple[float, float]:
     """(N, <x>/x_*) in closed form: N = (1/9pi)((dn)^2/(n n)) x_*^3, ratio 3/4; ValueError where N overflows."""
-    dn = cfg.n_gas_in - cfg.n_gas_out
-    with np.errstate(over="ignore", invalid="ignore"):  # numpy's cube overflows to inf (a float's raises): refused
-        n = dn * dn / (9.0 * math.pi * cfg.n_gas_in * cfg.n_gas_out) * np.float64(cut.x_star) ** 3 if dn else 0.0
-    if not math.isfinite(n):
+    n = _homogeneous(cfg, 9.0, cut.x_star, 3)
+    if math.isinf(n):
         raise ValueError(f"N overflows a double for {cfg} at x_star={cut.x_star!r}")
-    return float(n), 0.75
+    return n, 0.75
 
 
 def delta_kernel_totals(
@@ -472,13 +466,6 @@ def delta_kernel_totals(
         vals = np.array([infinite_volume_dn_dx(float(x), cfg, cut) if x > 0 else 0.0 for x in xs])
         return np.vstack([vals, xs * vals])
 
-    res = adaptive_quad(
-        f,
-        0.0,
-        cut.x_star,
-        rel_tol=quad.rel_tol,
-        abs_tol=quad.abs_tol,
-        max_subdivisions=quad.max_subdivisions,
-    )
+    res = adaptive_quad(f, 0.0, cut.x_star, **_tolerances(quad))
     n, moment = float(res.value[0]), float(res.value[1])
     return n, (moment / n / cut.x_star if n > 0 else 0.0)

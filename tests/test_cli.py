@@ -260,6 +260,16 @@ def test_infinite_volume_json():
     assert rec["total_photons"] > 0
 
 
+def test_infinite_volume_json_reports_an_n_whose_factors_leave_the_double_range(tmp_path):
+    # (dn)^2 overflows and x*^3 underflows on the way to N ~ 5.4e-299: exit 0 with the value, not a refusal
+    cfg = _write(tmp_path, "cfg.txt", "n_gas_in = 1e300\nn_gas_out = 1e-300\n")
+    res = CliRunner().invoke(main, ["infinite-volume", "--json", "--config", cfg])
+    assert res.exit_code == 0, res.output
+    rec = json.loads(res.output)
+    assert rec["total_photons"] == pytest.approx(5.4331455311297913e-299, rel=1e-15)
+    assert rec["mean_x_over_xstar"] == 0.75
+
+
 def test_check_passes():
     res = CliRunner().invoke(main, ["check"])
     assert res.exit_code == 0, res.output

@@ -82,7 +82,8 @@ def test_factorized_envelope_is_finite_and_non_negative_on_the_far_lobes(x, dist
     y = x - distance if below and x >= distance else x + distance
     if not math.isfinite(y) or abs(x - y) < 2.0 * WIDTH:
         return
-    value = float(_quietly(kernel._factorized_envelope, x, y))
+    x, y = np.float64(x), np.float64(y)
+    value = float(_quietly(lambda x, y: kernel._lobe_envelope(kernel._factorized_hump(x, y), x - y), x, y))
     assert math.isfinite(value) and value >= 0.0
 
 

@@ -119,3 +119,61 @@ def test_the_bessel_domain_is_read_in_special_functions_only():
             if limit or (smallest and ast.unparse(node.value).endswith("float_info")):
                 readers.add(path.stem)
     assert readers == {"special_functions"}
+
+
+def _innermost_functions(tree: ast.AST):
+    """(name of the innermost function around it, node) for every node of tree; None outside any function."""
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            yield inner, child
+            yield from visit(child, inner)
+
+    return visit(tree, None)
+
+
+def test_spectrum_reads_each_quadrature_setting_in_one_place():
+    # One hand-off from a QuadratureSpec to the quadrature driver, one tail rule: a second function that reads a
+    # spec's tolerance, panel cap or tail bound keeps its own copy of that rule (the spec's own checks aside).
+    path = Path(bubblespec.__file__).parent / "spectrum.py"
+    readers = {"rel_tol": set(), "abs_tol": set(), "max_subdivisions": set(), "tail_upper_bound": set()}
+    for function, node in _innermost_functions(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in readers and ast.unparse(node.value) != "self":
+            readers[node.attr].add(function)
+    assert readers == {
+        "rel_tol": {"_tolerances"},
+        "abs_tol": {"_tolerances"},
+        "max_subdivisions": {"_tolerances"},
+        "tail_upper_bound": {"_reach"},
+    }
+
+
+def test_the_sinc2_lobe_envelope_is_divided_out_in_one_helper():
+    # The far lobes' smooth factor h/(3(x-y)/4)^2: a division by a squared 3/4-scaled phase, written as
+    # ... / (0.75 * u) ** 2 or as u = 0.75 * d; u *= u; ... / u, belongs to kernel._lobe_envelope alone.
+    def mentions_three_quarters(node):
+        return any(isinstance(n, ast.Constant) and n.value == 0.75 for n in ast.walk(node))
+
+    dividers = set()
+    for path in sorted(Path(bubblespec.__file__).parent.glob("*.py")):
+        nodes = list(_innermost_functions(ast.parse(path.read_text(encoding="utf-8"))))
+        squared = {
+            (function, node.target.id)
+            for function, node in nodes
+            if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult)
+            and isinstance(node.target, ast.Name) and ast.unparse(node.value) == node.target.id
+        }
+        for function, node in nodes:
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+                divisor = node.right
+            elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+                divisor = node.value
+            else:
+                continue
+            power = isinstance(divisor, ast.BinOp) and isinstance(divisor.op, ast.Pow)
+            if (power and ast.unparse(divisor.right) == "2" and mentions_three_quarters(divisor.left)) or (
+                isinstance(divisor, ast.Name) and (function, divisor.id) in squared
+            ):
+                dividers.add(f"{path.stem}.{function}")
+    assert dividers == {"kernel._lobe_envelope"}

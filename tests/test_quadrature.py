@@ -258,6 +258,45 @@ def test_integrand_of_the_wrong_shape_raises_value_error(f):
         adaptive_quad(f, 0.0, 1.0)
 
 
+def _sin2_over_square(t):
+    return np.sin(np.pi * t) ** 2 / (t + 1.0) ** 2
+
+
+def _square_factor(t, values, split):
+    """The integrand at the K15 nodes, its smooth factor 1/(t + 1)^2 at the product nodes from split on."""
+    values[split:] = 1.0 / (t[split:] + 1.0) ** 2
+    return values
+
+
+def test_adaptive_quad_product_panels_with_finish():
+    # sin^2(pi t)/(t + 1)^2 over [0, 8], its 4 periods on [4, 8] one product panel
+    got = adaptive_quad(_sin2_over_square, 0.0, 8.0, breakpoints=[4.0], lobes=np.array([0, 4]), finish=_square_factor)
+    ref, _ = integrate.quad(lambda t: math.sin(math.pi * t) ** 2 / (t + 1.0) ** 2, 0.0, 8.0, limit=200, epsrel=1e-12)
+    assert got.scalar == pytest.approx(ref, rel=1e-6) and ref == pytest.approx(0.42403, rel=1e-5)
+
+
+@pytest.mark.parametrize(
+    "lobes, finish, match",
+    [
+        # without finish the product rule took f's whole integrand as the smooth factor: 0.42006, nothing raised
+        ([0, 4], None, "lobes needs finish"),
+        # too few or too many entries gave a raw numpy IndexError or ValueError
+        ([4], _square_factor, r"one entry per panel \(2 here\)"),
+        ([0, 4, 4], _square_factor, r"one entry per panel \(2 here\)"),
+        ([[0, 4]], _square_factor, r"one entry per panel \(2 here\)"),
+        # an entry off the levels silently took another level's weights
+        ([0, 3], _square_factor, "each 0 or a power of two up to 64"),
+        ([0, 128], _square_factor, "each 0 or a power of two up to 64"),
+        ([0, -4], _square_factor, "each 0 or a power of two up to 64"),
+        ([0, 4.5], _square_factor, "each 0 or a power of two up to 64"),
+    ],
+    ids=["no-finish", "short", "long", "2d", "three", "past-the-cap", "negative", "fraction"],
+)
+def test_adaptive_quad_refuses_lobes_it_would_misread(lobes, finish, match):
+    with pytest.raises(ValueError, match=match):
+        adaptive_quad(_sin2_over_square, 0.0, 8.0, breakpoints=[4.0], lobes=np.array(lobes), finish=finish)
+
+
 @pytest.mark.parametrize("level", range(quadrature._LEVELS))
 def test_sin2_product_weights_against_30_digit_integrals(level):
     # each level's 23- and 11-point weights integrate a smooth function against sin^2(pi m (1 + t)/2) over [-1, 1]:

@@ -1,7 +1,10 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -249,11 +252,11 @@ def test_infinite_volume_closed_forms(reference_case):
     assert infinite_volume_dn_dx(cut.x_star * 1.001, cfg, cut) == 0.0
     x = 5.0
     dn = cfg.n_gas_in - cfg.n_gas_out
-    expected = dn * dn / (3 * math.pi * cfg.n_gas_in * cfg.n_gas_out) * x * x
-    assert infinite_volume_dn_dx(x, cfg, cut) == pytest.approx(expected, rel=1e-14)
+    # the direct products, bit for bit
+    assert infinite_volume_dn_dx(x, cfg, cut) == dn * dn / (3 * math.pi * cfg.n_gas_in * cfg.n_gas_out) * x * x
     n, ratio = infinite_volume_totals(cfg, cut)
     assert ratio == 0.75
-    assert n == pytest.approx(dn * dn / (9 * math.pi * cfg.n_gas_in * cfg.n_gas_out) * cut.x_star**3)
+    assert n == dn * dn / (9 * math.pi * cfg.n_gas_in * cfg.n_gas_out) * cut.x_star**3
     # table row 1 sits within a few percent of this closed form
     assert n == pytest.approx(1.09e6, rel=0.03)
     # an N past the double range is refused, unless equal indices make it 0 at any x*
@@ -261,6 +264,61 @@ def test_infinite_volume_closed_forms(reference_case):
     with pytest.raises(ValueError, match="N overflows a double"):
         infinite_volume_totals(cfg, huge)
     assert infinite_volume_totals(MediumConfig(n_gas_in=3.0, n_gas_out=3.0), huge) == (0.0, 0.75)
+
+
+def _homogeneous_reference(cfg, c, x, k):
+    """(dn)^2/(c pi n_in n_out) x^k of the given doubles: exact rationals, then 40 digits for the division by pi."""
+    n_in, n_out = Fraction(cfg.n_gas_in), Fraction(cfg.n_gas_out)
+    q = (n_in - n_out) ** 2 / (n_in * n_out) * Fraction(x) ** k
+    with mpmath.workdps(40):
+        return float(mpmath.mpf(q.numerator) / q.denominator / (c * mpmath.pi))
+
+
+def test_homogeneous_closed_forms_hold_every_value_a_double_holds():
+    # n_in = 1e300, n_out = 1e-300: (dn)^2 overflows and x*^3 underflows on the way, yet N and dN/dx are doubles;
+    # N was refused as an overflow and dN/dx came out inf
+    cfg = MediumConfig(n_gas_in=1e300, n_gas_out=1e-300)
+    cut = CutoffProfile.rounded(cfg)
+    assert cut.x_star == 1.1538461538461539e-299
+    n, ratio = infinite_volume_totals(cfg, cut)
+    assert ratio == 0.75
+    assert n == pytest.approx(_homogeneous_reference(cfg, 9, cut.x_star, 3), rel=1e-15)
+    assert n == pytest.approx(5.4331455311297913e-299, rel=1e-15)
+    x = cut.x_star / 2
+    assert infinite_volume_dn_dx(x, cfg, cut) == pytest.approx(_homogeneous_reference(cfg, 3, x, 2), rel=1e-15)
+    assert infinite_volume_dn_dx(x, cfg, cut) == pytest.approx(3.5315445952343642, rel=1e-15)
+
+
+def test_homogeneous_closed_forms_keep_the_direct_bits_and_mend_the_rest():
+    # seeded indices and momenta over the double range: where the direct product is finite and nonzero its bits stay;
+    # elsewhere the value is the true one to 1e-15 (to 2 ulps below the normal range), inf for a dN/dx past the
+    # range, and a ValueError for such an N
+    rng = np.random.default_rng(39)
+    kept = mended = 0
+    for n_in, n_out, x in (10.0 ** rng.uniform(-300.0, 300.0, (300, 3))).tolist():
+        cfg, cut = MediumConfig(n_gas_in=n_in, n_gas_out=n_out), CutoffProfile(x, x)
+        for c, k in ((3, 2), (9, 3)):
+            try:
+                scale = (n_in - n_out) * (n_in - n_out) / (c * math.pi * n_in * n_out)
+                direct = scale * x * x if k == 2 else scale * x**3
+            except (OverflowError, ZeroDivisionError):
+                direct = math.nan
+            true = _homogeneous_reference(cfg, c, x, k)
+            if k == 3 and math.isinf(true):
+                with pytest.raises(ValueError, match="N overflows a double"):
+                    infinite_volume_totals(cfg, cut)
+                continue
+            got = infinite_volume_dn_dx(x, cfg, cut) if k == 2 else infinite_volume_totals(cfg, cut)[0]
+            if direct and math.isfinite(direct):
+                kept += 1
+                assert got == direct
+                continue
+            mended += 1
+            if true >= sys.float_info.min or math.isinf(true):
+                assert got == pytest.approx(true, rel=1e-15)
+            else:
+                assert abs(got - true) <= 2 * math.ulp(0.0)
+    assert kept >= 50 and mended >= 50
 
 
 def test_delta_kernel_totals_matches_closed_form(reference_case):
@@ -600,19 +658,31 @@ def test_totals_u_row_start_panels_split_at_the_kinks_and_the_lattice(monkeypatc
 
 
 def test_totals_u_row_above_the_cap_raises_before_any_panel(monkeypatch):
-    # ~y*/(64 * 4pi/3) product panels: the u-row is refused before its edges are built or any quadrature runs
+    # ~y*/(64 * 4pi/3) product panels: the u-row is refused before its edges are built, and neither the u-row's
+    # quadrature nor any y-row batch runs.  The one panel the refusal evaluates is the overflow probe: a K15 panel
+    # on the last lobe's line, whose moment is finite here, so the refusal is the error.
     def never(*args, **kwargs):
         raise AssertionError("quadrature started")
 
+    probes, estimates = [], bubblespec.spectrum._panel_estimates
+
+    def probe(f, bounds, rows, lobes):
+        probes.append((bounds.shape[1], lobes.tolist()))
+        return estimates(f, bounds, rows, lobes)
+
     monkeypatch.setattr(bubblespec.quadrature, "_integrate_rows", never)
+    monkeypatch.setattr(bubblespec.spectrum, "_integrate_rows", never)
+    monkeypatch.setattr(bubblespec.spectrum, "_panel_estimates", probe)
     cfg = MediumConfig(n_gas_in=2e4, n_gas_out=1.0)
     with pytest.raises(QuadratureError, match="panel edges, more than max_subdivisions=2000") as exc:
         totals(cfg, CutoffProfile(11.5, 1e9), grid_points=0)
     assert exc.value.result.subdivisions > 2000 and math.isnan(exc.value.result.scalar)
+    assert probes == [(1, [0])]
     # 68/34 starts its u-row from 24 panels
     cfg, cut = MediumConfig(n_gas_in=68.0, n_gas_out=34.0), CutoffProfile(392.0, 392.0)
     with pytest.raises(QuadratureError, match="starts with 25 panel edges"):
         totals(cfg, cut, QuadratureSpec(max_subdivisions=23), grid_points=0)
+    assert probes == [(1, [0])] * 2
 
 
 def _scipy_photons(cfg, cut, tail=None):
