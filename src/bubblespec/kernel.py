@@ -11,7 +11,14 @@ balls sum it in closed form:
 
 with r_0 = [sin(x - y)/(x - y) - sin(x + y)/(x + y)]/(pi sqrt(xy)).
 ``f_exact_array`` evaluates F from it where it keeps its digits and from the
-overlap series where it cancels; ``f_exact`` is its value at one point.  The diagonal
+overlap series where it cancels; ``f_exact`` is its value at one point, bit for bit.
+At a closed-form point ``f_exact`` runs the closed form on math, not numpy, whose
+fixed cost of a call would be most of one point's time: ``_closed_form`` and ``_g``
+are one body for an array or a float, squares as s * s and the Taylor series by
+Horner as np.polyval runs it, so the same IEEE operations come in the same order.
+Past those, only sin and sqrt run, whose math and numpy values the bit-identity
+tests compare; no log enters, as math.log and np.log differ in the last bit on
+some inputs.  The diagonal
 D(x) = F(x, x) tends to G(0)/(24 pi^2) = 1/(2 pi^2) for large argument,
 recovering the homogeneous-medium result, and the whole kernel is well approximated by the factorized smeared-delta form
 used for production spectra.
@@ -128,26 +135,48 @@ def _overlap_table(a, b, first, upward) -> tuple[np.ndarray, np.ndarray]:
 
 
 def f_exact(x: float, y: float) -> KernelValue:
-    """Exact kernel F(x, y) = sum_{l>=1} (2l+1) r_l^2 at one point: f_exact_array's value, bit for bit."""
-    return KernelValue(value=float(f_exact_array(x, y)), l_used=int(_decay_order(1, min(x, y))) - 1)
+    """Exact kernel F(x, y) = sum_{l>=1} (2l+1) r_l^2 at one point: f_exact_array's value, bit for bit.
+
+    After the domain gate, a closed-form point (lo >= 1, hi <= 256 lo) runs ``_closed_form`` on math, the same
+    operations as the array's, and any other point goes through f_exact_array.
+    """
+    lo, hi = sorted(float(v) for v in _require_domain(x=x, y=y))
+    value = _closed_form(lo, hi) if lo >= 1.0 and hi <= _CLOSED_FORM_RATIO * lo else float(f_exact_array(lo, hi))
+    return KernelValue(value=value, l_used=int(_decay_order(1, min(x, y))) - 1)
 
 
-def _closed_form(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """[G(x - y) - G(x + y)]/(24 pi^2) - r_0^2 at points lo = min(x, y), hi = max(x, y) (module docstring)."""
+def _closed_form(lo, hi):
+    """[G(x - y) - G(x + y)]/(24 pi^2) - r_0^2 at lo = min(x, y), hi = max(x, y) (module docstring): arrays of
+    points, or one point as floats on math, by the same operations in the same order.
+    """
+    xp = np if isinstance(lo, np.ndarray) else math
     d, s = hi - lo, hi + lo
-    g, g_s = _g(np.array([np.maximum(d, 0.5), s]))  # G(d) and G(s) in one pass, G(d) by Taylor below d = 1/2
-    near = d < 0.5
-    if np.count_nonzero(near):
-        g[near] = np.polyval(_G_TAYLOR, 4.0 * d[near] ** 2)
-    sinc_d = np.divide(np.sin(d), d, out=np.ones(d.size), where=d > 0.0)
-    r0 = (sinc_d - np.sin(s) / s) / (math.pi * np.sqrt(lo * hi))
+    if xp is np:
+        g, g_s = _g(np.array([np.maximum(d, 0.5), s]))  # G(d) and G(s) in one pass, G(d) by Taylor below d = 1/2
+        near = d < 0.5
+        if np.count_nonzero(near):
+            g[near] = _g_taylor(d[near])
+        sinc_d = np.divide(np.sin(d), d, out=np.ones(d.size), where=d > 0.0)
+    else:
+        g, g_s = _g(d) if d >= 0.5 else _g_taylor(d), _g(s)
+        sinc_d = math.sin(d) / d if d > 0.0 else 1.0
+    r0 = (sinc_d - xp.sin(s) / s) / (math.pi * xp.sqrt(lo * hi))
     return (g - g_s) / (24.0 * math.pi**2) - r0 * r0
 
 
-def _g(k: np.ndarray) -> np.ndarray:
-    """G(k) = 12/k^2 - 12 sin 2k/k^3 + 12 sin^2 k/k^4 for k >= 1/2."""
-    q = 1.0 / k
-    return 12.0 * q * q * (1.0 - q * (np.sin(2.0 * k) - q * np.sin(k) ** 2))
+def _g(k):
+    """G(k) = 12/k^2 - 12 sin 2k/k^3 + 12 sin^2 k/k^4 for k >= 1/2, on an array or a float."""
+    xp = np if isinstance(k, np.ndarray) else math
+    q, sin_k = 1.0 / k, xp.sin(k)
+    return 12.0 * q * q * (1.0 - q * (xp.sin(2.0 * k) - q * (sin_k * sin_k)))
+
+
+def _g_taylor(k):
+    """G(k) for |k| < 1/2 by _G_TAYLOR in u = (2k)^2, Horner as np.polyval runs it, on an array or a float."""
+    u, g = 4.0 * (k * k), 0.0
+    for c in _G_TAYLOR:
+        g = g * u + c
+    return g
 
 
 def _overlap_sum(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -17,6 +17,14 @@ reads the order below l for l = 0 too.  ``half_integer_j_array`` and
 each, for many draws (``check``) or for one (``bessel_jn_half``).
 Derivatives are never finite-differenced: z J'_nu(z) = z J_{nu-1}(z) - nu J_nu(z).
 
+Both recurrences are sequential in l.  A table of many columns runs them a row at a time in numpy; one of at most
+``_FLOAT_COLUMNS`` columns, one draw's (``bessel_jn_half``, ``half_integer_j_array``, ``coefficients_bc``,
+``hankel_finite_integral``, ``f_exact`` off its closed form), runs them a column at a time on Python floats, as
+numpy's fixed cost of a call on every row would be most of its time.  The float loops take the same IEEE operations
+in the same order, so a column's values are bit for bit those of any wider table; the sin/cos seeds, the products,
+the sqrt(2z/pi) scaling and the N saturation stay one numpy code for both.  Only +, -, * and / run on floats: the
+one log, in ``_decay_order``, ends in an integer, and math.log differs from np.log in the last bit on some inputs.
+
 All functions are pure; values are freely shareable across threads.
 """
 
@@ -44,18 +52,28 @@ _UNDERFLOW_FLOOR = 1e-300
 # Largest Bessel and kernel argument, 255 times x* = 392: J tables run to about z + 6.3 sqrt(z) orders, so
 # half_integer_j_array(1, 1e5) takes about 0.25 s and the overlap oracle at k R = 1e5 about 0.3 s.
 _MAX_ARGUMENT = 1e5
+# Up to this many columns, one draw's (bessel_jn_half 1, coefficients_bc and hankel_finite_integral 2), a table runs
+# its recurrence loops on Python floats: numpy's fixed cost of about 1 us a call, paid on every row, is most of a
+# one-column pass.
+_FLOAT_COLUMNS = 2
 
 
 class BesselDomainError(ValueError):
     """Argument below the smallest normal double or above _MAX_ARGUMENT, or wall amplitudes not finite there."""
 
 
-def _require_int(obj: object, name: str, minimum: int, rule: str, maximum: float = math.inf) -> None:
-    """ValueError "<rule>, got <v>" unless obj.<name> has __index__ (not bool) in [minimum, maximum]; stores an int."""
-    v = getattr(obj, name)
+def _checked_int(v: object, minimum: int, rule: str, maximum: float = math.inf) -> int:
+    """v as an int, the package's one integer rule: ValueError "<rule>, got <v>" unless v has __index__ (not bool) in
+    [minimum, maximum].
+    """
     if isinstance(v, bool) or not hasattr(v, "__index__") or not minimum <= operator.index(v) <= maximum:
         raise ValueError(f"{rule}, got {v!r}")
-    object.__setattr__(obj, name, operator.index(v))
+    return operator.index(v)
+
+
+def _require_int(obj: object, name: str, minimum: int, rule: str, maximum: float = math.inf) -> None:
+    """ValueError unless obj.<name> keeps ``_checked_int``'s rule; stores it as an int."""
+    object.__setattr__(obj, name, _checked_int(getattr(obj, name), minimum, rule, maximum))
 
 
 @dataclass(frozen=True)
@@ -151,15 +169,29 @@ def _half_integer_j_table(z: np.ndarray, l_each: np.ndarray) -> np.ndarray:
     0..l_each[a] and its last row do not depend on its batch; the rows past l_each[a] are of no use.  Every z must
     be in the Bessel domain; the columns may come in any order.
     """
-    # Ratios r_l = j_l/j_{l-1} = z/(2l+1 - z r_{l+1}) from r = 0 above _decay_order; a denominator that rounds to
-    # zero (j_{l-1} at a zero) is replaced by its rounding scale.  They run over the columns in descending order of
-    # their start, so that the first k are the ones still running, and are stored back in input order.
     l_max = max(int(l_each.max()), 1)
-    start = _decay_order(l_each, z)
+    rows = np.zeros((l_max + 2, z.size))
+    (_backward_floats if z.size <= _FLOAT_COLUMNS else _backward_rows)(rows, z, _decay_order(l_each, z))
+    rows[0], rows[-1] = np.sin(z) / z, np.cos(z) / z
+    # Multiply up from whichever of j_0 and j_1 = j_0/z - j_{-1} is farther from its zero.
+    j1 = rows[0] / z - rows[-1]
+    rows[1] = np.where(np.abs(j1) > np.abs(rows[0]), j1, rows[0] * rows[1])
+    np.cumprod(rows[1:-1], axis=0, out=rows[1:-1])
+    rows *= np.sqrt(2.0 * z / math.pi)
+    return rows
+
+
+def _backward_rows(rows: np.ndarray, z: np.ndarray, start: np.ndarray) -> None:
+    """Ratios r_l = j_l/j_{l-1} = z/(2l+1 - z r_{l+1}) into rows 1..l_max, from r = 0 at each column's start.
+
+    A denominator that rounds to zero (j_{l-1} at a zero) is replaced by its rounding scale.  The columns run in
+    descending order of their start, so that the first k are the ones still running, and are stored back in input
+    order; rows past a column's start stay as they are, 0.
+    """
+    l_max = rows.shape[0] - 2
     order = np.argsort(-start)
     zs, back = z[order], np.argsort(order)
     running = (z.size - np.searchsorted(start[order][::-1], np.arange(start.max() + 1))).tolist()
-    rows = np.zeros((l_max + 2, z.size))
     r = np.zeros(z.size)
     for l in range(len(running) - 1, 0, -1):
         k = running[l]
@@ -169,13 +201,18 @@ def _half_integer_j_table(z: np.ndarray, l_each: np.ndarray) -> np.ndarray:
         np.divide(zs[:k], d, out=r[:k])
         if l <= l_max:
             rows[l] = r[back]
-    rows[0], rows[-1] = np.sin(z) / z, np.cos(z) / z
-    # Multiply up from whichever of j_0 and j_1 = j_0/z - j_{-1} is farther from its zero.
-    j1 = rows[0] / z - rows[-1]
-    rows[1] = np.where(np.abs(j1) > np.abs(rows[0]), j1, rows[0] * rows[1])
-    np.cumprod(rows[1:-1], axis=0, out=rows[1:-1])
-    rows *= np.sqrt(2.0 * z / math.pi)
-    return rows
+
+
+def _backward_floats(rows: np.ndarray, z: np.ndarray, start: np.ndarray) -> None:
+    """``_backward_rows`` on Python floats, a column at a time, bit for bit."""
+    l_max = rows.shape[0] - 2
+    for a, (v, top) in enumerate(zip(z.tolist(), start.tolist())):
+        r, ratios = 0.0, []
+        for l in range(top, 0, -1):
+            d = (2 * l + 1) - v * r
+            r = v / (d if d != 0.0 else sys.float_info.epsilon * (2 * l + 1))
+            ratios.append(r)
+        rows[1 : min(top, l_max) + 1, a] = ratios[::-1][:l_max]
 
 
 def _upward(l_max: int, z: np.ndarray, f_prev: np.ndarray, f0: np.ndarray) -> np.ndarray:
@@ -188,9 +225,26 @@ def _upward(l_max: int, z: np.ndarray, f_prev: np.ndarray, f0: np.ndarray) -> np
     # With one order, row 1 is the -1/2 row.
     if l_max:
         rows[1] = rows[0] / z - rows[-1]
-    for l in range(1, l_max):
-        np.subtract((2 * l + 1) / z * rows[l], rows[l - 1], out=rows[l + 1])
+    (_upward_floats if z.size <= _FLOAT_COLUMNS else _upward_rows)(rows, z)
     return rows
+
+
+def _upward_rows(rows: np.ndarray, z: np.ndarray) -> None:
+    """Rows 2..l_max of ``_upward`` from rows 0 and 1, all columns a row at a time."""
+    for l in range(1, rows.shape[0] - 2):
+        np.subtract((2 * l + 1) / z * rows[l], rows[l - 1], out=rows[l + 1])
+
+
+def _upward_floats(rows: np.ndarray, z: np.ndarray) -> None:
+    """``_upward_rows`` on Python floats, a column at a time, bit for bit: past a double a float turns inf, then NaN,
+    as quietly as under the callers' np.errstate.
+    """
+    for a, v in enumerate(z.tolist()):
+        f, g, column = rows[0, a].item(), rows[1, a].item(), []
+        for l in range(1, rows.shape[0] - 2):
+            f, g = g, (2 * l + 1) / v * g - f
+            column.append(g)
+        rows[2:-1, a] = column
 
 
 def _half_integer_j_upward(l_max: int, z: np.ndarray) -> np.ndarray:

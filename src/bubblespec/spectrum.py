@@ -27,7 +27,7 @@ from .quadrature import (
     _panel_estimates,
     adaptive_quad,
 )
-from .special_functions import _require_domain, _require_int
+from .special_functions import _checked_int, _require_domain, _require_int
 
 __all__ = [
     "QuadratureSpec",
@@ -392,6 +392,7 @@ def totals(
     of dN/dx are returned for plotting (0 skips the grid).
     """
     _check_mode(kernel_mode)
+    grid_points = _checked_int(grid_points, 0, "grid_points must be an integer >= 0, not a bool (0 skips the grid)")
     x_max, upper = _reach(cut.x_star + _ROLLOFF_WIDTH, quad), _reach(cut.y_star, quad)
     grid = np.linspace(0.0, x_max, grid_points)
     if cfg.n_gas_in == cfg.n_gas_out:

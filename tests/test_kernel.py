@@ -18,13 +18,14 @@ from bubblespec.kernel import (
     f_exact_array,
     f_factorized,
 )
-from bubblespec.matching import MediumConfig, coefficient_a_sq
+from bubblespec.matching import MediumConfig, coefficient_a_sq, coefficients_bc
 from bubblespec.oracles import hankel_finite_integral
 from bubblespec.special_functions import (
     _MAX_ARGUMENT,
     BesselDomainError,
     ModeOrder,
     _decay_order,
+    bessel_jn_half,
     half_integer_j_array,
 )
 
@@ -384,6 +385,19 @@ def test_f_exact_array_is_f_exact_within_its_tail_budget():
     x, y = _array_sweep(11, 600)
     got = f_exact_array(x, y)
     assert [f_exact(a, b).value for a, b in zip(x.tolist(), y.tolist())] == got.tolist()
+    # and at the edges of f_exact's float closed form, either way round: lo = 1 and the double below it, hi = 256 lo
+    # and the double above it, d = hi - lo = 0.5 and one ulp of hi either side (G's Taylor switch), d = 0; and at
+    # seeded lo in [1, 4], where r_0^2 keeps the last bits of its sinc terms
+    below, above = math.nextafter(1.0, 0.0), math.nextafter(256.0, 300.0)
+    edges = [(1.0, y) for y in (1.0, 1.5, 2.0, 255.0, 256.0, above)] + [(below, y) for y in (below, 1.5, 256.0)]
+    rng = random.Random(13)
+    edges += [(lo := 4.0 ** rng.random(), lo * 256.0 ** rng.random() ** 3) for _ in range(200)]
+    edges += [(lo, math.nextafter(lo * 256.0, math.inf)) for lo in (1.3, 2.0, 390.0)] + [(2.0, 512.0), (390.625, 1e5)]
+    edges += [(lo, math.nextafter(lo + 0.5, to)) for lo in (1.0, 5.0, 300.0) for to in (0.0, lo + 0.5, math.inf)]
+    edges += [(v, v) for v in (1.0, 7.25, 392.0)]
+    edges += [(b, a) for a, b in edges]
+    ex, ey = np.array(edges).T
+    assert [f_exact(a, b).value for a, b in edges] == f_exact_array(ex, ey).tolist()
     far = (x == y) | (np.minimum(np.abs(x - y), np.abs(x * x - y * y)) >= 1e-2)
     assert np.count_nonzero(far) > 250
     want = np.array([_per_order_f_exact(a, b) for a, b in zip(x[far].tolist(), y[far].tolist())])
@@ -612,6 +626,33 @@ def test_j_tables_serve_f_exact_the_overlap_oracle_and_the_overlap_branch_only(m
     # the closed form, up to its edges
     assert np.all(f_exact_array(np.array([5.0, 1.0, 3.0, 392.0, 1.0]), np.array([6.0, 256.0, 3.0, 391.0, 4.0])) > 0.0)
     assert min(f_exact(5.0, 6.0).value, f_exact(3.0, 3.0).value, f_exact(1.0, 1.0).value) > 0.0
+
+
+def test_one_draw_calls_run_on_floats_without_the_array_loops(monkeypatch):
+    # With the row-at-a-time recurrence loops and f_exact_array refusing to run, the one-draw calls still return: a
+    # table of one draw's columns, one or two, takes the float loops, and f_exact at a closed-form point its closed
+    # form on math.  A table of three columns takes the row loops.
+    class Reached(Exception):
+        pass
+
+    def refused(*args):
+        raise Reached
+
+    for name in ("_backward_rows", "_upward_rows"):
+        monkeypatch.setattr(special_functions, name, refused)
+    monkeypatch.setattr(kernel, "f_exact_array", refused)
+    assert f_exact(5.0, 6.0).value > 0.0 and f_exact(1.0, 256.0).value > 0.0 and f_exact(3.0, 3.2).value > 0.0
+    assert bessel_jn_half(ModeOrder(30), 100.0).j != 0.0 and half_integer_j_array(30, 100.0)[30] != 0.0
+    assert coefficients_bc(ModeOrder(30), 100.0, 1.3)[0] != 0.0
+    assert hankel_finite_integral(ModeOrder(5), 1.5, 2.5, 10.0) != 0.0
+    z, l = np.array([0.5, 40.0, 300.0]), np.array([3, 3, 3])
+    for call in (
+        lambda: special_functions._half_integer_j_table(z, l),
+        lambda: special_functions._half_integer_n_table(3, z),
+        lambda: f_exact(0.5, 3.0),
+    ):
+        with pytest.raises(Reached):
+            call()
 
 
 def test_kernel_arguments_above_the_limit_raise_the_domain_error():

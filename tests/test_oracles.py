@@ -345,7 +345,10 @@ def test_check_reads_its_bessel_values_from_a_fixed_number_of_tables(monkeypatch
 
 def test_suite_array_passes_equal_the_scalar_calls_bit_for_bit(monkeypatch):
     # The suites' own seeded draws, recorded as they are first passed on (the overlap suite's re-check of its worst
-    # draw passes one more), plus an order-0 draw and two saturating ones.
+    # draw passes one more), plus an order-0 draw and two saturating ones.  Beyond the suites' ranges, seeded draws
+    # with l up to 200 and z log-uniform over [1e-300, 1e5] (an N column saturating at l = 200, z = 0.01), wall
+    # amplitudes and overlaps of up to 200 orders at arguments up to 1e4: a one-draw call runs its one or two columns
+    # on floats, the batch a row at a time in numpy.
     seen = {}
     for name in ("_half_integer_columns", "_amplitudes_at", "_overlap_ratios"):
 
@@ -355,8 +358,11 @@ def test_suite_array_passes_equal_the_scalar_calls_bit_for_bit(monkeypatch):
 
         monkeypatch.setattr(oracles, name, recorded)
     assert all(r["passed"] for r in _run_checks())
-    l, z = (np.append(v, extra) for v, extra in zip(seen["_half_integer_columns"], ([0, 79, 120], [0.3, 0.01, 0.01])))
-    assert l.size == 2003 and (l == 0).sum() > 1
+    rng = random.Random(83)
+    wide = [(rng.randint(0, 200), 10.0 ** rng.uniform(-300.0, 5.0)) for _ in range(24)] + [(200, 0.01), (3, 1e5)]
+    extra = [[0, 79, 120, *(d[0] for d in wide)], [0.3, 0.01, 0.01, *(d[1] for d in wide)]]
+    l, z = (np.append(v, e) for v, e in zip(seen["_half_integer_columns"], extra))
+    assert l.size == 2029 and (l == 0).sum() > 1
     columns = special_functions._half_integer_columns(l, z)
     for a in range(l.size):
         p = special_functions.bessel_jn_half(ModeOrder(int(l[a])), float(z[a]))
@@ -364,14 +370,16 @@ def test_suite_array_passes_equal_the_scalar_calls_bit_for_bit(monkeypatch):
         expected = (p.j, p.j_prev, p.n, p.n_prev, p.saturated)
         assert (0.0 if abs(j) < 1e-300 else j, j_prev, n, n_prev, saturated) == expected, a
         assert j == special_functions.half_integer_j_array(int(l[a]), float(z[a]))[l[a]]
-    draws = seen["_amplitudes_at"]
-    assert draws[0].size == 500
+    extra = ([200, 0, 3, 60], [250.0, 1e-3, 1e4, 61.5], [1.2, 2.0, 0.7, 0.5])
+    draws = [np.append(v, e) for v, e in zip(seen["_amplitudes_at"], extra)]
+    assert draws[0].size == 504
     a_sq, b, c = matching._amplitudes_at(*draws)
     for a, (l_a, y, ratio) in enumerate(zip(*(d.tolist() for d in draws))):
         assert (b[a], c[a]) == matching.coefficients_bc(ModeOrder(l_a), y, ratio), a
         assert a_sq[a] == matching.coefficient_a_sq(ModeOrder(l_a), y, ratio), a
-    draws = seen["_overlap_ratios"]
-    assert draws[0].size == 25
+    extra = ([200, 0, 4, 30], [250.0, 1e-3, 1e4, 40.0], [300.0, 7.0, 9999.5, 40.0])
+    draws = [np.append(v, e) for v, e in zip(seen["_overlap_ratios"], extra)]
+    assert draws[0].size == 29
     ratios = oracles._overlap_ratios(*draws)
     for d, (l_d, a, b) in enumerate(zip(*(v.tolist() for v in draws))):
         # At R = 1 the wavenumbers are the arguments and R^2 = 1: hankel_finite_integral is the ratio itself.

@@ -122,6 +122,14 @@ def test_one_point_grid_is_x_zero_alone(reference_case):
     assert (res.x_grid, res.dn_dx) == ([0.0], [0.0])
 
 
+@pytest.mark.parametrize("bad", [-1, 2.5, True, "5", None])
+def test_totals_refuses_grid_points_that_are_not_an_int_of_at_least_0(reference_case, bad):
+    # the library's own rule, not numpy's: a negative count, a float, a bool or a string names it
+    cfg, cut = reference_case
+    with pytest.raises(ValueError, match=r"grid_points must be an integer >= 0, not a bool \(0 skips the grid\)"):
+        totals(cfg, cut, QuadratureSpec(rel_tol=1e-3), grid_points=bad)
+
+
 def test_grid_equals_pointwise_dn_dx(reference_case):
     cfg, cut = reference_case
     res = totals(cfg, cut, grid_points=50)
